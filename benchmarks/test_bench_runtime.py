@@ -55,6 +55,7 @@ def test_bench_runtime(benchmark, table_writer, bench_document_writer):
                 "txn/s": round(serial.throughput),
                 "speedup": 1.0,
                 "aborted": serial.aborted,
+                "gave_up": serial.gave_up,
                 "lat_mean": round(serial.latency.mean, 1),
                 "lat_p50": serial.latency.p50,
                 "lat_p95": serial.latency.p95,
@@ -77,6 +78,9 @@ def test_bench_runtime(benchmark, table_writer, bench_document_writer):
                                 m.throughput / serial.throughput, 2
                             ),
                             "aborted": m.aborted,
+                            # committed + gave_up == submitted: a short
+                            # commit count is an exhausted retry budget.
+                            "gave_up": m.gave_up,
                             "lat_mean": round(m.latency.mean, 1),
                             "lat_p50": m.latency.p50,
                             "lat_p95": m.latency.p95,

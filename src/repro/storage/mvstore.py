@@ -12,6 +12,11 @@ online engine (:mod:`repro.engine`) and the storage benchmarks.  The store
 also supports removing individual versions (transaction abort) and pruning
 chain prefixes (garbage collection); both keep the indexes consistent.
 
+Invariant: a chain's positions are strictly increasing (writes append, so
+callers install in position order; an out-of-order ``install``/``reserve``
+is rejected).  ``remove``, ``latest_before`` and ``prune_before`` rely on
+it: they bisect the chain's positions instead of walking the chain.
+
 Placeholder versions (after Larson et al.'s uncommitted-version records)
 support plan-then-execute execution (:mod:`repro.planner`): a chain slot
 is *reserved* at its final position before the writing transaction runs,
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -90,10 +96,13 @@ class PlaceholderVersion(Version):
     versions by identity anyway.
     """
 
+    #: wake-up event; a slot gets its own from its first blocked
+    #: :meth:`wait` — until then its transitions have nobody to wake.
+    _event: threading.Event | None = None
+
     def __init__(self, entity: Entity, writer: TxnId, position: int) -> None:
         super().__init__(entity, writer, UNWRITTEN, position)
         object.__setattr__(self, "state", PlaceholderState.PENDING)
-        object.__setattr__(self, "_event", threading.Event())
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -111,23 +120,37 @@ class PlaceholderVersion(Version):
         return self.state is not PlaceholderState.PENDING
 
     def wait(self, timeout: float | None = None) -> bool:
-        """Block until filled or poisoned; True iff decided in time."""
-        return self._event.wait(timeout)
+        """Block until filled or poisoned; True iff decided in time.
+
+        A waiter that finds the slot PENDING publishes the wake-up event
+        (``setdefault`` is atomic: racing waiters share one), then checks
+        the state *again*.  A transition writes the state before it looks
+        for the event, so it either finds and sets the event or decided
+        before the re-check — no wake-up is lost.
+        """
+        if self.decided:
+            return True
+        event = vars(self).setdefault("_event", threading.Event())
+        return self.decided or event.wait(timeout)
 
     # -- store-internal transitions (go through MultiversionStore) --------
 
     def _fill(self, value: Any) -> None:
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "state", PlaceholderState.FILLED)
-        self._event.set()
+        if self._event is not None:
+            self._event.set()
 
     def _poison(self) -> None:
         object.__setattr__(self, "state", PlaceholderState.POISONED)
-        self._event.set()
+        if self._event is not None:
+            self._event.set()
 
     def _revive(self) -> None:
+        # Clear first: no waiter may find PENDING and the poison's event set.
+        if self._event is not None:
+            self._event.clear()
         object.__setattr__(self, "state", PlaceholderState.PENDING)
-        self._event.clear()
 
 
 def _order_key(version: Version) -> int:
@@ -140,6 +163,9 @@ class MultiversionStore:
 
     def __init__(self, initial: dict[Entity, Any] | None = None) -> None:
         self._chains: dict[Entity, list[Version]] = {}
+        #: per-entity ``_order_key`` of each chain member: parallel to the
+        #: chain, strictly increasing — what the chain searches bisect.
+        self._keys: dict[Entity, list[int]] = {}
         self._initial_values = dict(initial or {})
         #: per-entity position -> version (None keys the initial version).
         self._by_position: dict[Entity, dict[int | None, Version]] = {}
@@ -153,6 +179,7 @@ class MultiversionStore:
         if entity not in self._chains:
             value = self._initial_values.get(entity, ("init", entity))
             self._chains[entity] = []
+            self._keys[entity] = []
             self._by_position[entity] = {}
             self._by_writer[entity] = {}
             self._index(Version(entity, T_INIT, value, None))
@@ -160,6 +187,14 @@ class MultiversionStore:
 
     def _index(self, version: Version) -> None:
         entity = version.entity
+        keys = self._keys[entity]
+        key = _order_key(version)
+        if keys and key <= keys[-1]:
+            raise ValueError(
+                f"out-of-order install of {entity!r} at position "
+                f"{version.position}: its chain already ends at {keys[-1]}"
+            )
+        keys.append(key)
         self._chains[entity].append(version)
         self._by_position[entity][version.position] = version
         self._by_writer[entity].setdefault(version.writer, []).append(version)
@@ -169,7 +204,8 @@ class MultiversionStore:
         entity = version.entity
         del self._by_position[entity][version.position]
         owned = self._by_writer[entity][version.writer]
-        owned.remove(version)
+        # A writer's versions are a subsequence of the chain, so sorted too.
+        del owned[bisect_left(owned, _order_key(version), key=_order_key)]
         if not owned:
             del self._by_writer[entity][version.writer]
         self._n_versions -= 1
@@ -266,15 +302,12 @@ class MultiversionStore:
         """
         if version.is_initial:
             raise ValueError("cannot remove the initial version")
-        chain = self._chains.get(version.entity)
-        if chain is None or self._by_position.get(version.entity, {}).get(
-            version.position
-        ) is not version:
+        chain = self._chains.get(version.entity, ())
+        keys = self._keys.get(version.entity, ())
+        i = bisect_left(keys, version.position)
+        if i == len(chain) or chain[i] is not version:
             raise KeyError(f"version {version!r} is not installed")
-        for i, v in enumerate(chain):
-            if v is version:
-                del chain[i]
-                break
+        del chain[i], keys[i]
         self._unindex(version)
 
     def prune_before(self, entity: Entity, watermark: int) -> int:
@@ -286,22 +319,16 @@ class MultiversionStore:
         pruning never loses an addressable version.  Returns the number of
         versions removed.
         """
-        chain = self._chains.get(entity)
-        if not chain:
+        keys = self._keys.get(entity, ())
+        cut = bisect_left(keys, watermark) - 1
+        if cut <= 0:
             return 0
-        cut = 0
-        for i, version in enumerate(chain):
-            if _order_key(version) < watermark:
-                cut = i
-            else:
-                break
+        chain = self._chains[entity]
         removed = chain[:cut]
-        if not removed:
-            return 0
-        del chain[:cut]
+        del chain[:cut], keys[:cut]
         for version in removed:
             self._unindex(version)
-        return len(removed)
+        return cut
 
     # -- reads ------------------------------------------------------------
 
@@ -336,14 +363,15 @@ class MultiversionStore:
         affected reads re-bind to the newest survivor below the plan's
         first install position — the version the plan would have bound had
         the aborted slot never been reserved.  The initial version always
-        qualifies, so the lookup cannot miss.
+        qualifies, so the lookup cannot miss on an unpruned chain.
         """
-        for version in reversed(self._chain(entity)):
-            if _order_key(version) < position:
-                return version
-        raise KeyError(  # pragma: no cover - initial version sorts first
-            f"no version of {entity!r} before position {position}"
-        )
+        chain = self._chain(entity)
+        i = bisect_left(self._keys[entity], position)
+        if not i:  # only below a pruned prefix: the initial sorts first
+            raise KeyError(
+                f"no version of {entity!r} before position {position}"
+            )
+        return chain[i - 1]
 
     def latest_by(self, entity: Entity, writer: TxnId) -> Version:
         """The newest version written by ``writer``."""

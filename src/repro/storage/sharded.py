@@ -25,6 +25,7 @@ uncontended acquire per aggregate call, which is noise.
 
 from __future__ import annotations
 
+import functools
 import threading
 import zlib
 from typing import Any, Iterator
@@ -37,8 +38,14 @@ from repro.storage.mvstore import (
 )
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def shard_of(entity: Entity, n_shards: int) -> int:
-    """Stable shard index of an entity (crc32 of its name)."""
+    """Stable shard index of an entity (crc32 of its name).
+
+    Memoised: the store routes every call through here, and a hot entity
+    is hashed once instead of ``str -> encode -> crc32`` per operation.
+    The cache is bounded, so a scan over many cold names cannot grow it.
+    """
     return zlib.crc32(str(entity).encode("utf-8")) % n_shards
 
 

@@ -1,9 +1,14 @@
 """The multiversion store."""
 
+import math
+import sys
+
 import pytest
 
 from repro.model.schedules import T_INIT
+from repro.storage import mvstore
 from repro.storage.mvstore import MultiversionStore
+from repro.storage.sharded import ShardedMultiversionStore
 
 
 class TestVersionChains:
@@ -59,6 +64,33 @@ class TestVersionChains:
         assert store.final_state() == {"x": "a", "y": "b"}
         assert store.version_count() == 4  # two initials + two installed
         assert set(store.entities()) == {"x", "y"}
+
+
+class TestChainOrder:
+    """Regression: an out-of-order write used to corrupt the chain
+    silently; the bisecting lookups rely on the order, so it is refused."""
+
+    @pytest.mark.parametrize(
+        "make", [MultiversionStore, lambda: ShardedMultiversionStore(4)]
+    )
+    @pytest.mark.parametrize("write", ["install", "reserve"])
+    @pytest.mark.parametrize("position", [5, 4, 0, -1])
+    def test_position_at_or_below_the_tail_is_refused(
+        self, make, write, position
+    ):
+        store = make()
+        store.install("x", "A", "a", 2)
+        tail = store.reserve("x", "B", 5)
+        args = ("C", "c", position) if write == "install" else ("C", position)
+        with pytest.raises(ValueError, match="out-of-order install"):
+            getattr(store, write)("x", *args)
+        assert store.versions("x")[-1] is tail
+        assert (store.version_count(), store.placeholder_count()) == (2, 1)
+        with pytest.raises(KeyError):
+            store.latest_by("x", "C")
+        # the tail may go and its position be taken again
+        store.remove(tail)
+        assert store.install("x", "C", "c", 5).position == 5
 
 
 class TestRemove:
@@ -136,3 +168,90 @@ class TestIndexScaling:
         assert store.at_position("x", 123).value == 123
         assert store.latest_by("x", 3).value == 493  # 493 % 7 == 3
         assert store.at_position("x", None).is_initial
+
+
+class CountedPosition(int):
+    """An install position that counts the comparisons made on it."""
+
+    comparisons = 0
+
+    def _counted(name):
+        def compare(self, other):
+            CountedPosition.comparisons += 1
+            return getattr(int, name)(self, other)
+
+        return compare
+
+    __lt__, __le__, __gt__, __ge__ = map(
+        _counted, ("__lt__", "__le__", "__gt__", "__ge__")
+    )
+    __hash__ = int.__hash__
+
+
+def work_of(call) -> tuple[int, int]:
+    """(lines of mvstore.py executed, position comparisons) by ``call``."""
+    lines = 0
+
+    def trace(frame, event, arg):
+        nonlocal lines
+        if frame.f_code.co_filename != mvstore.__file__:
+            return None
+        if event == "line":
+            lines += 1
+        return trace
+
+    CountedPosition.comparisons = 0
+    before = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        call()
+    finally:
+        sys.settrace(before)
+    return lines, CountedPosition.comparisons
+
+
+class TestChainSearchIsLogarithmic:
+    """Counts, not wall-clock: on a 20 000-version chain a removal or a
+    ``latest_before`` runs a fixed handful of the store's lines and at
+    most ~log2(n) position comparisons per bisect — a walk over the
+    chain would run tens of thousands of either."""
+
+    N = 20_000
+    #: two bisects (chain, per-writer list), one spare comparison each.
+    COMPARISONS = 2 * (math.ceil(math.log2(N)) + 2)
+    LINES = 64
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        store = MultiversionStore()
+        versions = [
+            store.install("x", k % 5, k, CountedPosition(2 * k))
+            for k in range(self.N)
+        ]
+        return store, versions
+
+    @pytest.mark.parametrize("where", [1, N // 2, N - 2])
+    def test_latest_before(self, chain, where):
+        store, versions = chain
+        found = []
+        lines, comparisons = work_of(
+            lambda: found.append(
+                store.latest_before("x", CountedPosition(2 * where + 1))
+            )
+        )
+        assert found == [versions[where]]
+        assert 0 < comparisons <= self.COMPARISONS
+        assert lines <= self.LINES
+
+    @pytest.mark.parametrize("where", [N - 1, N // 2 + 1, 3])
+    def test_remove(self, chain, where):
+        store, versions = chain
+        doomed = versions[where]
+        lines, comparisons = work_of(lambda: store.remove(doomed))
+        assert 0 < comparisons <= self.COMPARISONS
+        assert lines <= self.LINES
+        assert store.latest_before("x", doomed.position + 1) is (
+            versions[where - 1]
+        )
+        with pytest.raises(KeyError):
+            store.remove(doomed)
