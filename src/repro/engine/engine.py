@@ -15,18 +15,28 @@ Mechanics
   engine's step log).  When the log exceeds ``epoch_max_steps`` the engine
   asks the driver to stop admitting new transactions; once in-flight ones
   drain, the epoch closes: scheduler reset, log cleared, GC run.  Epochs
-  bound both scheduler state and abort-replay cost.
+  bound scheduler state (the undo journal included), version retention
+  and the longest suffix an abort can have to replay.
 
 * **Abort and replay.**  Schedulers have no abort operation — rejection
-  kills them.  The engine recovers by removing the aborted transaction's
-  steps from the log (and its versions from the store), resetting the
-  scheduler and replaying the surviving log.  Replay is then *verified*:
-  every surviving read must still be served the identical version object.
-  A read whose source changed (it had read from the aborted transaction,
-  directly or through scheduler reassignment) cascades: that reader aborts
-  too and the replay repeats.  Committed transactions may never be touched
-  by this — the commit rule below makes that an invariant, and the engine
-  raises :class:`EngineError` rather than silently revoking a commit.
+  kills them — but they are on-line testers: their state, and every
+  version they assigned, is a function of the accepted prefix alone.  So
+  the engine removes the aborted transaction's steps from the log (and
+  its versions from the store), notes the first log position it removed
+  (``cut``), has the scheduler :meth:`~Scheduler.truncate` to the state
+  it had after ``log[:cut]`` — which also revives it — and re-submits
+  only the surviving suffix ``log[cut:]``.  An abort costs the steps
+  after the aborted attempt's first one, not the epoch.  The suffix is
+  then *verified*: each of its reads must still be served the identical
+  version object.  Reads before ``cut`` need no check: their sources
+  precede them, so both lie in the untouched prefix.  A suffix read whose
+  source changed (it had read from the aborted transaction, directly or
+  through scheduler reassignment), or a suffix step the scheduler now
+  rejects, cascades: that attempt aborts too, which can only lower
+  ``cut``, and the replay repeats.  Committed transactions may never be
+  touched by this — the commit rule below makes that an invariant, and
+  the engine raises :class:`EngineError` rather than silently revoking a
+  commit.
 
 * **Commit dependencies.**  A transaction that finished all its steps is
   only *durably* committed once every transaction it read from has
@@ -99,6 +109,9 @@ class TxnAttempt:
     readers: set["TxnAttempt"] = field(default_factory=set)
     #: versions this attempt installed.
     versions: list[Version] = field(default_factory=list)
+    #: epoch-log index of its first accepted step (kept current when an
+    #: abort compacts the log); None until a step is accepted.
+    first: int | None = None
     abort_reason: str | None = None
 
     @property
@@ -246,6 +259,8 @@ class OnlineEngine:
             raise TransactionAborted(attempt.txn, "rejected")
         entry = _LogEntry(step, attempt)
         self.log.append(entry)
+        if attempt.first is None:
+            attempt.first = position
         attempt.steps_done += 1
         if step.is_read:
             source = self.scheduler.source_of_read(position)
@@ -458,12 +473,15 @@ class OnlineEngine:
 
     def _abort_cascade(self, root: TxnAttempt, reason: str) -> None:
         """Abort ``root`` plus every uncommitted reader, then replay."""
-        self._doom(root, reason)
-        self._replay()
+        self._replay(self._doom(root, reason))
         self._finalize_ready()
 
-    def _doom(self, root: TxnAttempt, reason: str) -> set[TxnAttempt]:
-        """Mark the cascade closure of ``root`` aborted; strip its traces."""
+    def _doom(self, root: TxnAttempt, reason: str) -> int:
+        """Mark the cascade closure of ``root`` aborted; strip its traces.
+
+        Returns the smallest log index it removed (the log's length when
+        the closure had no accepted step): the log before it is untouched.
+        """
         doomed: set[TxnAttempt] = set()
         stack = [root]
         while stack:
@@ -477,10 +495,13 @@ class OnlineEngine:
                 )
             doomed.add(attempt)
             stack.extend(attempt.readers)
+        cut = len(self.log)
         # Oldest-first: per-attempt work is order-independent, but the
         # trace events are not — set order varies across processes.
         for attempt in sorted(doomed, key=lambda a: a.seq):
             attempt.state = TxnState.ABORTED
+            if attempt.first is not None and attempt.first < cut:
+                cut = attempt.first
             attempt.abort_reason = reason if attempt is root else "cascade"
             if self.tracer.enabled:
                 # ``seq`` ties the abort to one attempt: TxnIds repeat
@@ -513,23 +534,33 @@ class OnlineEngine:
             attempt.readers.clear()
         self._live -= doomed
         self._pending -= doomed
-        if doomed:
-            self.log = [e for e in self.log if e.attempt not in doomed]
-        return doomed
+        survivors = [e for e in self.log[cut:] if e.attempt not in doomed]
+        for position, entry in enumerate(survivors, cut):
+            # Entries only move down; an attempt's first one is met first.
+            if position < entry.attempt.first:
+                entry.attempt.first = position
+        self.log[cut:] = survivors
+        return cut
 
-    def _replay(self) -> None:
-        """Rebuild scheduler state from the surviving log, verifying reads.
+    def _replay(self, cut: int) -> None:
+        """Bring the scheduler back in line with the log from ``cut`` on.
 
-        A replay rejection or a changed read source dooms that (still
-        uncommitted) attempt too and the replay restarts; committed
-        attempts hitting either case is an engine bug and raises.
+        ``log[:cut]`` is what the scheduler accepted before the first
+        removed step, so its state after that prefix — and every read
+        source it committed there — still stands: truncate to it and
+        re-submit only the surviving suffix, verifying the suffix's
+        reads.  A replay rejection or a changed read source dooms that
+        (still uncommitted) attempt too, which can only lower ``cut``,
+        and the replay restarts; committed attempts hitting either case
+        is an engine bug and raises.
         """
+        scheduler = self.scheduler
         while True:
             self.metrics.replays += 1
-            self.scheduler.reset()
+            scheduler.truncate(cut)
             rejected = None
-            for entry in self.log:
-                if not self.scheduler.submit(entry.step):
+            for entry in self.log[cut:]:
+                if not scheduler.submit(entry.step):
                     rejected = entry.attempt
                     break
             if rejected is not None:
@@ -538,39 +569,47 @@ class OnlineEngine:
                         f"replay rejected a step of committed transaction "
                         f"{rejected.txn!r}"
                     )
-                self._doom(rejected, "replay-rejected")
+                cut = min(cut, self._doom(rejected, "replay-rejected"))
                 continue
-            invalidated = self._verify_reads()
+            invalidated = self._verify_reads(cut)
             if not invalidated:
                 return
             for attempt in invalidated:
-                self._doom(attempt, "read-invalidated")
+                cut = min(cut, self._doom(attempt, "read-invalidated"))
 
-    def _verify_reads(self) -> set[TxnAttempt]:
-        """Attempts whose reads are no longer served the same versions."""
-        vf = self.scheduler.version_function()
-        assignments = None if vf is None else vf.assignments
-        last_write: dict[Entity, _LogEntry] = {}
+    def _verify_reads(self, cut: int) -> set[TxnAttempt]:
+        """Attempts whose reads from ``cut`` on are served other versions."""
+        source_of_read = self.scheduler.source_of_read
+        log = self.log
+        # For single-version schedulers (source None = "the latest
+        # write"): the latest write per entity below the walk.  Suffix
+        # writes enter as the walk passes them; the prefix is folded in
+        # backwards from ``cut`` only as far as a read needs, one pass at
+        # most — a verification costs O(log), however long the suffix.
+        last_write: dict[Entity, Version] = {}
+        folded = cut
         bad: set[TxnAttempt] = set()
-        for position, entry in enumerate(self.log):
-            step = entry.step
-            if step.is_write:
-                last_write[step.entity] = entry
+        for position, entry in enumerate(log[cut:], cut):
+            entity = entry.step.entity
+            if entry.step.is_write:
+                last_write[entity] = entry.version
                 continue
-            if assignments is None:
-                prior = last_write.get(step.entity)
+            source = source_of_read(position)
+            if source is None:
+                while entity not in last_write and folded:
+                    folded -= 1
+                    prior = log[folded]
+                    if prior.step.is_write:
+                        last_write.setdefault(prior.step.entity, prior.version)
                 version = (
-                    prior.version
-                    if prior is not None
-                    else self._base[step.entity]
+                    last_write[entity]
+                    if entity in last_write
+                    else self._base[entity]
                 )
+            elif source == T_INIT:
+                version = self._base[entity]
             else:
-                source = assignments.get(position, T_INIT)
-                version = (
-                    self._base[step.entity]
-                    if source == T_INIT
-                    else self.log[source].version
-                )
+                version = log[source].version
             if version is not entry.read_version:
                 if entry.attempt.state is TxnState.COMMITTED:
                     raise EngineError(

@@ -46,6 +46,13 @@ class Digraph:
         self._succ[tail].discard(head)
         self._pred[head].discard(tail)
 
+    def remove_node(self, node: Node) -> None:
+        """Remove ``node`` and every arc at it."""
+        for head in self._succ.pop(node):
+            self._pred[head].discard(node)
+        for tail in self._pred.pop(node):
+            self._succ[tail].discard(node)
+
     def copy(self) -> "Digraph":
         g = Digraph()
         for n in self._succ:

@@ -100,6 +100,10 @@ class LockedScheduler(Scheduler):
     def _reset(self) -> None:  # pragma: no cover - via reset
         raise NotImplementedError("LockedScheduler delegates reset()")
 
+    def truncate(self, n: int) -> None:
+        with self._mutex:
+            self._inner.truncate(n)
+
     def prime_transaction(self, txn: TxnId, seq: int) -> None:
         with self._mutex:
             self._inner.prime_transaction(txn, seq)

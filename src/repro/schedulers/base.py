@@ -34,9 +34,20 @@ class Scheduler(abc.ABC):
     #: a shared conflict domain (:mod:`repro.runtime.shared`).
     shard_partitionable: bool = False
 
+    #: Whether ``_accept`` journals *every* mutation it makes (through
+    #: :meth:`_on_undo` and the journaled dict/set operations beside it),
+    #: so that :meth:`truncate` can undo steps instead of re-deriving the
+    #: prefix.  A fact about the class's code, not an option to set.
+    journaled: bool = False
+
     def __init__(self) -> None:
         self.accepted_steps: list[Step] = []
         self.dead: bool = False
+        #: undo journal: the inverse ``(fn, args)`` of every mutation a
+        #: journaling ``_accept`` made, oldest first (see :meth:`truncate`).
+        self._undo_log: list[tuple] = []
+        #: ``_marks[i]`` = journal length before accepted step ``i``.
+        self._marks: list[int] = []
 
     # -- core protocol ---------------------------------------------------
 
@@ -49,25 +60,116 @@ class Scheduler(abc.ABC):
         """
         if self.dead:
             return False
+        mark = len(self._undo_log)
         if self._accept(step):
             self.accepted_steps.append(step)
+            self._marks.append(mark)
             return True
+        self._unwind(mark)
         self.dead = True
         return False
 
     @abc.abstractmethod
     def _accept(self, step: Step) -> bool:
-        """Decide one step; may mutate internal state only on accept."""
+        """Decide one step; a rejected step must leave no trace.
+
+        Either decide first and mutate after, or journal every mutation
+        (:meth:`_on_undo` and the journaled dict/set operations beside
+        it): :meth:`submit` unwinds what a rejected step journaled, so
+        after a rejection the state equals the state before it except for
+        ``dead``.
+        """
 
     def reset(self) -> None:
         """Restore the initial state (a fresh scheduler)."""
         self.accepted_steps = []
         self.dead = False
+        self._undo_log = []
+        self._marks = []
         self._reset()
 
     @abc.abstractmethod
     def _reset(self) -> None:
         """Subclass part of :meth:`reset`."""
+
+    # -- truncation ----------------------------------------------------------
+
+    def truncate(self, n: int) -> None:
+        """Be in the state you had after your first ``n`` accepted steps.
+
+        A scheduler is an on-line tester: its state is a function of the
+        accepted prefix, so dropping the steps after ``n`` is always
+        meaningful, and a dead scheduler comes back alive (the rejected
+        step is forgotten with the rest).  Primes survive, as they do
+        across :meth:`reset`.  A :attr:`journaled` scheduler unwinds its
+        undo journal to the mark of step ``n``, which costs the steps
+        undone; any other re-derives the state — reset, then re-submit
+        ``accepted_steps[:n]`` — which costs the prefix and is the
+        reference the journaled schedulers are tested against.
+        """
+        if not 0 <= n <= len(self.accepted_steps):
+            raise ValueError(
+                f"truncate({n}) with {len(self.accepted_steps)} accepted steps"
+            )
+        if self.journaled:
+            if n < len(self._marks):
+                self._unwind(self._marks[n])
+                del self._marks[n:]
+                del self.accepted_steps[n:]
+            self.dead = False
+            return
+        prefix = self.accepted_steps[:n]
+        self.reset()
+        for step in prefix:
+            if not self.submit(step):
+                raise RuntimeError(
+                    f"{self.name}: truncate({n}) re-submitted the accepted "
+                    f"prefix and {step} was rejected"
+                )
+
+    def _on_undo(self, fn, *args) -> None:
+        """Journal ``fn(*args)`` as the inverse of a mutation just made."""
+        self._undo_log.append((fn, args))
+
+    def _set(self, mapping: dict, key, value) -> None:
+        """``mapping[key] = value``, journaled."""
+        if key in mapping:
+            self._undo_log.append((mapping.__setitem__, (key, mapping[key])))
+        else:
+            self._undo_log.append((mapping.pop, (key,)))
+        mapping[key] = value
+
+    def _setdefault(self, mapping: dict, key, default):
+        """``mapping.setdefault(key, default)``, journaled."""
+        if key not in mapping:
+            self._undo_log.append((mapping.pop, (key,)))
+            mapping[key] = default
+        return mapping[key]
+
+    def _pop(self, mapping: dict, key):
+        """``mapping.pop(key)``, journaled."""
+        value = mapping.pop(key)
+        self._undo_log.append((mapping.__setitem__, (key, value)))
+        return value
+
+    def _add(self, members: set, member) -> None:
+        """``members.add(member)``, journaled."""
+        if member not in members:
+            self._undo_log.append((members.discard, (member,)))
+            members.add(member)
+
+    def _discard(self, members: set, member) -> None:
+        """``members.discard(member)``, journaled."""
+        if member in members:
+            self._undo_log.append((members.add, (member,)))
+            members.discard(member)
+
+    def _unwind(self, mark: int) -> None:
+        """Run the journal backwards until it is ``mark`` entries long."""
+        log = self._undo_log
+        while len(log) > mark:
+            fn, args = log.pop()
+            fn(*args)
 
     # -- shard-parallel extras ---------------------------------------------
 
@@ -81,8 +183,9 @@ class Scheduler(abc.ABC):
         first-seen at different relative positions per shard.  Priming
         hands every shard the same dispatcher-assigned sequence number, so
         all shards realize one global serialization order.  Primes survive
-        :meth:`reset` (abort-replay must re-derive identical decisions)
-        and are dropped only by :meth:`clear_primes` at epoch boundaries.
+        :meth:`reset` and :meth:`truncate` (abort-replay must re-derive
+        identical decisions) and are dropped only by :meth:`clear_primes`
+        at epoch boundaries.
         The default is a no-op: schedulers that don't order by arrival
         need no priming.
         """

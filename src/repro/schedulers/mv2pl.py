@@ -29,6 +29,7 @@ class TwoVersionTwoPL(Scheduler):
     """Two-version 2PL with certify-at-completion."""
 
     name = "2v2pl"
+    journaled = True
     #: Certification inspects *every* entity a transaction wrote against
     #: unfinished readers — a cross-entity (hence cross-shard) check, so
     #: the conflict state is one shared lock table, not per-shard state.
@@ -59,22 +60,23 @@ class TwoVersionTwoPL(Scheduler):
     def _accept(self, step: Step) -> bool:
         txn, entity = step.txn, step.entity
         position = len(self.accepted_steps)
-        self._active.add(txn)
+        self._add(self._active, txn)
+        holder = self._uncommitted.get(entity)
         if step.is_read:
-            holder = self._uncommitted.get(entity)
             if holder is not None and holder[0] == txn:
-                self._assignments[position] = holder[1]
+                self._set(self._assignments, position, holder[1])
             else:
-                self._assignments[position] = self._committed.get(
-                    entity, T_INIT
+                self._set(
+                    self._assignments,
+                    position,
+                    self._committed.get(entity, T_INIT),
                 )
-                self._read_by.setdefault(entity, set()).add(txn)
+                self._add(self._setdefault(self._read_by, entity, set()), txn)
         else:
-            holder = self._uncommitted.get(entity)
             if holder is not None and holder[0] != txn:
                 return False  # write-write conflict on the second version
-            self._uncommitted[entity] = (txn, position)
-        self._seen[txn] = self._seen.get(txn, 0) + 1
+            self._set(self._uncommitted, entity, (txn, position))
+        self._set(self._seen, txn, self._seen.get(txn, 0) + 1)
         if self._seen[txn] >= self._lengths.get(txn, float("inf")):
             if not self._certify(txn):
                 return False
@@ -90,10 +92,12 @@ class TwoVersionTwoPL(Scheduler):
             if readers & (self._active - {txn}):
                 return False
         for entity in written:
-            self._committed[entity] = self._uncommitted.pop(entity)[1]
-        self._active.discard(txn)
+            self._set(
+                self._committed, entity, self._pop(self._uncommitted, entity)[1]
+            )
+        self._discard(self._active, txn)
         for readers in self._read_by.values():
-            readers.discard(txn)
+            self._discard(readers, txn)
         return True
 
     def version_function(self) -> VersionFunction:

@@ -13,7 +13,7 @@ shows is unavoidable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.model.schedules import Schedule, T_INIT
 from repro.model.steps import Entity, Step, TxnId
@@ -27,13 +27,13 @@ class _Version:
     writer: TxnId
     step_position: int | None  # None for the initial version
     max_reader_ts: int = -1
-    reader_positions: list[int] = field(default_factory=list)
 
 
 class MVTOScheduler(Scheduler):
     """Multiversion timestamp ordering with reject-on-invalidation."""
 
     name = "mvto"
+    journaled = True
     #: Timestamp comparisons only relate accesses to the same entity, so
     #: per-shard MVTO instances with primed (globally agreed) timestamps
     #: decide exactly like one global instance.
@@ -63,15 +63,17 @@ class MVTOScheduler(Scheduler):
 
     def _timestamp(self, txn: TxnId) -> int:
         if txn not in self._timestamps:
-            self._timestamps[txn] = self._primed.get(
-                txn, len(self._timestamps)
+            self._set(
+                self._timestamps,
+                txn,
+                self._primed.get(txn, len(self._timestamps)),
             )
         return self._timestamps[txn]
 
     def _chain(self, entity: Entity) -> list[_Version]:
         if entity not in self._versions:
             # The initial version, written by T0 "at minus infinity".
-            self._versions[entity] = [_Version(-1, T_INIT, None)]
+            self._set(self._versions, entity, [_Version(-1, T_INIT, None)])
         return self._versions[entity]
 
     def _accept(self, step: Step) -> bool:
@@ -86,10 +88,15 @@ class MVTOScheduler(Scheduler):
                 (idx, v) for idx, v in enumerate(chain) if v.writer_ts <= ts
             ]
             _, version = max(candidates, key=lambda iv: (iv[1].writer_ts, iv[0]))
-            version.max_reader_ts = max(version.max_reader_ts, ts)
-            version.reader_positions.append(position)
-            self._assignments[position] = (
-                T_INIT if version.step_position is None else version.step_position
+            if ts > version.max_reader_ts:
+                self._on_undo(
+                    setattr, version, "max_reader_ts", version.max_reader_ts
+                )
+                version.max_reader_ts = ts
+            self._set(
+                self._assignments,
+                position,
+                T_INIT if version.step_position is None else version.step_position,
             )
             return True
         # Write: a second own write shadows the first, so readers of any
@@ -105,6 +112,7 @@ class MVTOScheduler(Scheduler):
         if slot_after.max_reader_ts > ts:
             return False
         chain.append(_Version(ts, step.txn, position))
+        self._on_undo(chain.pop)
         return True
 
     def version_function(self) -> VersionFunction:

@@ -18,6 +18,7 @@ class SGTScheduler(Scheduler):
     """Incremental conflict-graph tester."""
 
     name = "sgt"
+    journaled = True
     #: A conflict-graph cycle can thread through entities on different
     #: shards; per-shard subgraphs would each be acyclic while the union
     #: is not.  The graph is inherently shared state, so the parallel
@@ -38,23 +39,27 @@ class SGTScheduler(Scheduler):
 
     def _accept(self, step: Step) -> bool:
         txn, entity = step.txn, step.entity
-        self._graph.add_node(txn)
+        graph = self._graph
+        if txn not in graph:
+            graph.add_node(txn)
+            self._on_undo(graph.remove_node, txn)
         if step.is_read:
             others = self._writers.get(entity, [])
         else:
             others = self._writers.get(entity, []) + self._readers.get(
                 entity, []
             )
-        new_arcs = [(o, txn) for o in others if o != txn]
-
-        trial = self._graph.copy()
-        for tail, head in new_arcs:
-            trial.add_arc(tail, head)
-        if trial.has_cycle():
+        # Add the step's conflict arcs in place and test; on a cycle the
+        # rejection unwinds the journal, which takes them out again.
+        for other in others:
+            if other != txn and not graph.has_arc(other, txn):
+                graph.add_arc(other, txn)
+                self._on_undo(graph.remove_arc, other, txn)
+        if graph.has_cycle():
             return False
-        self._graph = trial
         bucket = self._readers if step.is_read else self._writers
-        entry = bucket.setdefault(entity, [])
+        entry = self._setdefault(bucket, entity, [])
         if txn not in entry:
             entry.append(txn)
+            self._on_undo(entry.pop)
         return True

@@ -32,6 +32,7 @@ class SnapshotIsolationScheduler(Scheduler):
     """First-committer-wins snapshot isolation over the version store."""
 
     name = "si"
+    journaled = True
     #: Snapshot reads and first-committer-wins both compare accesses to
     #: one entity at a time, so per-shard SI instances decide like SI with
     #: per-shard snapshot points (each shard's snapshot is taken at the
@@ -67,25 +68,29 @@ class SnapshotIsolationScheduler(Scheduler):
         txn, entity = step.txn, step.entity
         position = len(self.accepted_steps)
         if txn not in self._start:
-            self._start[txn] = position
+            self._set(self._start, txn, position)
         if step.is_read:
             pending = self._pending_writes.get(txn, {})
             if entity in pending:
                 # Own uncommitted write.
-                self._assignments[position] = pending[entity]
+                source: int | str = pending[entity]
             else:
                 # Latest version committed before this txn's snapshot.
                 snapshot = self._start[txn]
-                source: int | str = T_INIT
+                source = T_INIT
                 for commit_pos, write_pos in self._committed_versions.get(
                     entity, ()
                 ):
                     if commit_pos <= snapshot:
                         source = write_pos
-                self._assignments[position] = source
+            self._set(self._assignments, position, source)
         else:
-            self._pending_writes.setdefault(txn, {})[entity] = position
-        self._seen[txn] = self._seen.get(txn, 0) + 1
+            self._set(
+                self._setdefault(self._pending_writes, txn, {}),
+                entity,
+                position,
+            )
+        self._set(self._seen, txn, self._seen.get(txn, 0) + 1)
         if self._seen[txn] >= self._lengths.get(txn, float("inf")):
             return self._commit(txn, position)
         return True
@@ -93,19 +98,23 @@ class SnapshotIsolationScheduler(Scheduler):
     def _commit(self, txn: TxnId, position: int) -> bool:
         """First-committer-wins: abort on overlapping committed writers."""
         start = self._start[txn]
-        for entity, write_pos in self._pending_writes.get(txn, {}).items():
+        writes = self._pending_writes.get(txn, {})
+        for entity in writes:
             for commit_pos, _wp in self._committed_versions.get(entity, ()):
                 if commit_pos > start:
                     # A concurrent transaction committed a write of this
                     # entity first: this transaction must abort, which in
                     # the paper's model rejects the schedule.
                     return False
-        for entity, write_pos in self._pending_writes.pop(txn, {}).items():
-            self._committed_versions.setdefault(entity, []).append(
-                (position, write_pos)
-            )
-            self._committed_versions[entity].sort()
-        self._committed_at[txn] = position
+        if writes:
+            self._pop(self._pending_writes, txn)
+        for entity, write_pos in writes.items():
+            # Commit positions only grow, so appending keeps the list
+            # sorted by commit position.
+            versions = self._setdefault(self._committed_versions, entity, [])
+            versions.append((position, write_pos))
+            self._on_undo(versions.pop)
+        self._set(self._committed_at, txn, position)
         return True
 
     def version_function(self) -> VersionFunction:

@@ -24,6 +24,7 @@ class TwoPhaseLocking(Scheduler):
     """Strict 2PL with reject-on-conflict."""
 
     name = "2pl"
+    journaled = True
 
     def __init__(self, steps_per_txn: dict[TxnId, int] | None = None) -> None:
         super().__init__()
@@ -41,21 +42,17 @@ class TwoPhaseLocking(Scheduler):
 
     def _accept(self, step: Step) -> bool:
         txn, entity = step.txn, step.entity
+        holder = self._write_locks.get(entity)
+        if holder is not None and holder != txn:
+            return False
         if step.is_read:
-            holder = self._write_locks.get(entity)
-            if holder is not None and holder != txn:
-                return False
-            self._read_locks.setdefault(entity, set()).add(txn)
+            self._add(self._setdefault(self._read_locks, entity, set()), txn)
         else:
-            holder = self._write_locks.get(entity)
-            if holder is not None and holder != txn:
+            if self._read_locks.get(entity, set()) - {txn}:
                 return False
-            readers = self._read_locks.get(entity, set()) - {txn}
-            if readers:
-                return False
-            self._write_locks[entity] = txn
-        self._held.setdefault(txn, set()).add(entity)
-        self._seen[txn] = self._seen.get(txn, 0) + 1
+            self._set(self._write_locks, entity, txn)
+        self._add(self._setdefault(self._held, txn, set()), entity)
+        self._set(self._seen, txn, self._seen.get(txn, 0) + 1)
         if (
             self._lengths is not None
             and self._seen[txn] >= self._lengths.get(txn, 0)
@@ -64,9 +61,9 @@ class TwoPhaseLocking(Scheduler):
         return True
 
     def _release(self, txn: TxnId) -> None:
-        for entity in self._held.pop(txn, set()):
+        for entity in self._pop(self._held, txn):
             readers = self._read_locks.get(entity)
             if readers is not None:
-                readers.discard(txn)
+                self._discard(readers, txn)
             if self._write_locks.get(entity) == txn:
-                del self._write_locks[entity]
+                self._pop(self._write_locks, entity)

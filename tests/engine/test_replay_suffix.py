@@ -1,0 +1,317 @@
+"""Suffix-only abort replay: same runs as whole-prefix replay, fewer decisions.
+
+An engine abort truncates the scheduler to the first removed log position
+and re-submits only what survives after it.  The reference here is the
+same scheduler classes declared ``journaled = False``, which sends
+``truncate`` down the whole-prefix path (reset, re-submit) — what the
+engine did on every abort before ``truncate`` existed.  Both must produce the same run, byte
+for byte; only the number of scheduler decisions may differ.
+"""
+
+import pytest
+
+from repro.db import Database, RunConfig
+from repro.engine import (
+    ConcurrentDriver,
+    EngineError,
+    OnlineEngine,
+    TransactionAborted,
+    TxnState,
+    scheduler_factory,
+)
+from repro.engine.factory import SCHEDULER_FACTORIES
+from repro.model.steps import read, write
+from repro.obs import Tracer, to_jsonl
+from repro.schedulers import (
+    MVTOScheduler,
+    SGTScheduler,
+    SnapshotIsolationScheduler,
+    TwoPhaseLocking,
+    TwoVersionTwoPL,
+)
+from repro.workloads import scenario_factory
+from repro.workloads.bank import BankWorkload
+
+
+class RefMVTO(MVTOScheduler):
+    journaled = False
+
+
+class RefSI(SnapshotIsolationScheduler):
+    journaled = False
+
+
+class Ref2V2PL(TwoVersionTwoPL):
+    journaled = False
+
+
+class Ref2PL(TwoPhaseLocking):
+    journaled = False
+
+
+class RefSGT(SGTScheduler):
+    journaled = False
+
+
+REFERENCE = {
+    "mvto": lambda lengths: RefMVTO(),
+    "si": RefSI,
+    "2v2pl": Ref2V2PL,
+    "2pl": Ref2PL,
+    "sgt": lambda lengths: RefSGT(),
+}
+
+#: (mode, scenario, scenario params, config options); the parallel cases
+#: run the deterministic shard runtime: held commits, 2PC vote-no and
+#: flush aborts arriving through ``abort_attempt``.
+CASES = {
+    "serial-bank": (
+        "serial", "bank", dict(n_accounts=4),
+        dict(workers=4, epoch_max_steps=48),
+    ),
+    "serial-inventory": (
+        "serial", "inventory", dict(n_warehouses=2),
+        dict(workers=4, epoch_max_steps=48),
+    ),
+    "serial-abort-heavy": (
+        "serial", "abort-heavy",
+        dict(n_shards=2, accounts_per_shard=2, abort_fraction=0.2),
+        dict(workers=4, epoch_max_steps=48),
+    ),
+    "parallel-sharded-bank": (
+        "parallel", "sharded-bank",
+        dict(n_shards=2, accounts_per_shard=2, cross_fraction=0.4),
+        dict(workers=2, batch_size=4, deterministic=True,
+             epoch_max_steps=48),
+    ),
+    "parallel-abort-heavy": (
+        "parallel", "abort-heavy",
+        dict(n_shards=2, accounts_per_shard=2, abort_fraction=0.2,
+             cross_fraction=0.4),
+        dict(workers=2, batch_size=4, deterministic=True,
+             epoch_max_steps=48),
+    ),
+}
+
+
+def run_case(case: str, scheduler: str):
+    mode, scenario, params, options = CASES[case]
+    tracer = Tracer(capacity=None)
+    report = Database().run(
+        scenario_factory(scenario, seed=5, **params),
+        RunConfig(mode=mode, scheduler=scheduler, seed=3, trace=tracer,
+                  **options),
+        txns=120,
+    )
+    assert report.invariant_ok
+    return report, to_jsonl(tracer)
+
+
+@pytest.mark.parametrize("scheduler", sorted(REFERENCE))
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_same_run_as_whole_prefix_replay(case, scheduler, monkeypatch):
+    native, native_trace = run_case(case, scheduler)
+    monkeypatch.setitem(SCHEDULER_FACTORIES, scheduler, REFERENCE[scheduler])
+    reference, reference_trace = run_case(case, scheduler)
+
+    # Aborts are what is being compared.  (On parallel-sharded-bank only
+    # mvto has any: si sees no write-write overlap, and the other three
+    # run whole transactions one at a time in a single domain.)
+    assert native.aborted > 0 or case == "parallel-sharded-bank"
+    assert native.metrics.as_dict() == reference.metrics.as_dict()
+    assert native.as_dict() == reference.as_dict()
+    assert native.final_state == reference.final_state
+    assert native_trace == reference_trace
+
+
+# -- how much the scheduler is asked ---------------------------------------
+
+
+def test_an_abort_costs_the_tail_not_the_epoch():
+    """bank, 8 accounts, 4 sessions, 400 transactions, mvto: every step is
+    decided once when submitted, plus the few that follow an aborted
+    attempt's first step — not the epoch's whole log per abort (≈19
+    decisions per submitted step before suffix replay)."""
+    decisions = []
+
+    class Counting(MVTOScheduler):
+        def _accept(self, step):
+            decisions.append(step)
+            return super()._accept(step)
+
+    workload = BankWorkload(n_accounts=8, seed=3)
+    engine = OnlineEngine(
+        lambda lengths: Counting(), initial=workload.initial_state()
+    )
+    metrics = ConcurrentDriver(
+        engine, workload.transaction_stream(400), n_sessions=4, seed=1
+    ).run()
+    assert workload.invariant_holds(engine.store.final_state())
+    assert metrics.aborted_total > 100  # contended: replay is exercised
+    assert metrics.replays >= metrics.aborted_rejected
+    assert len(decisions) <= 2 * metrics.steps_submitted
+
+
+class CountingLog(list):
+    """The epoch log, counting entries fetched one at a time."""
+
+    fetched = 0
+
+    def __getitem__(self, index):
+        if isinstance(index, int):
+            self.fetched += 1
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize("scheduler", ["2pl", "sgt"])
+def test_verifying_a_long_suffix_is_one_pass_over_the_log(scheduler):
+    """A single-version read is served "the latest write before it", and
+    checking that must not cost a scan of the log per read.  Abort an
+    attempt that is followed by 200 committed readers of an entity last
+    written (or never written) a 100-step prefix earlier — every lookup
+    runs past the cut — and the prefix is walked once, not once per
+    read."""
+    engine = OnlineEngine(
+        scheduler_factory(scheduler),
+        initial={"x": 1, "y": 2, "z": 3},
+        gc_enabled=False,
+        epoch_max_steps=1000,
+    )
+
+    def commit(txn, step):
+        attempt = engine.begin(txn, 1)
+        engine.submit(attempt, step(txn, "y" if "y" in txn else "z"))
+        engine.finish(attempt)
+        assert attempt.state is TxnState.COMMITTED
+
+    commit("w1-y", write)
+    commit("w2-y", write)  # the version every later read of y is served
+    for n in range(100):
+        commit(f"p{n}", read)
+    old = engine.begin("old", 2)
+    engine.submit(old, read("old", "x"))  # the cut: log[102]
+    for n in range(100):
+        commit(f"s{n}-y", read)
+        commit(f"s{n}", read)
+    assert old.first == 102 and len(engine.log) == 303
+    engine.log = CountingLog(engine.log)
+    engine.abort_attempt(old)  # a wrong version would raise EngineError
+    assert len(engine.log) == 302
+    assert engine.scheduler.accepted_steps == [e.step for e in engine.log]
+    assert engine.log.fetched <= 102  # parent's scan: ≈ 200 reads × 150
+
+
+# -- edge cases of the cut --------------------------------------------------
+
+
+def make_engine(factory=scheduler_factory("mvto")):
+    return OnlineEngine(
+        factory, initial={"x": 1, "y": 2, "z": 3}, gc_enabled=False
+    )
+
+
+def test_cascade_victim_whose_first_step_precedes_the_roots():
+    # sgt serves the latest version, so the older t2 can read t1's write.
+    engine = make_engine(scheduler_factory("sgt"))
+    victim = engine.begin("t2", 2)
+    engine.submit(victim, read("t2", "y"))  # log[0]: before the root
+    bystander = engine.begin("t3", 2)
+    engine.submit(bystander, read("t3", "z"))  # log[1]
+    root = engine.begin("t1", 2)
+    engine.submit(root, write("t1", "x"))  # log[2]
+    engine.submit(victim, read("t2", "x"))  # log[3]: dirty read of t1
+    engine.submit(bystander, write("t3", "z"))  # log[4]
+    engine.abort_attempt(root)
+    assert victim.state is TxnState.ABORTED
+    assert victim.abort_reason == "cascade"
+    # The cut is the victim's log[0]; the bystander's steps moved down
+    # and the scheduler agrees with the compacted log.
+    assert [e.step for e in engine.log] == [read("t3", "z"), write("t3", "z")]
+    assert engine.scheduler.accepted_steps == [e.step for e in engine.log]
+    assert bystander.first == 0
+    engine.finish(bystander)
+    assert bystander.state is TxnState.COMMITTED
+    assert engine.metrics.replays == 1
+
+
+def test_abort_with_zero_accepted_steps():
+    engine = make_engine()
+    other = engine.begin("t2", 1)
+    engine.submit(other, read("t2", "x"))
+    idle = engine.begin("t1", 1)
+    engine.abort_attempt(idle)  # nothing of it in the log: cut == len(log)
+    assert idle.state is TxnState.ABORTED
+    assert [e.step for e in engine.log] == [read("t2", "x")]
+    assert engine.scheduler.accepted_steps == [read("t2", "x")]
+    assert engine.metrics.replays == 1
+
+
+def test_rejected_first_step_revives_the_scheduler():
+    # 2PL: t2's very first step hits t1's write lock.  Nothing of t2 is
+    # in the log, but the scheduler died on the rejection.
+    engine = make_engine(scheduler_factory("2pl"))
+    holder = engine.begin("t1", 2)
+    engine.submit(holder, write("t1", "x"))
+    late = engine.begin("t2", 1)
+    with pytest.raises(TransactionAborted):
+        engine.submit(late, read("t2", "x"))
+    assert not engine.scheduler.dead
+    engine.submit(holder, write("t1", "y"))
+    engine.finish(holder)
+    assert holder.state is TxnState.COMMITTED
+
+
+class ForgedScheduler(MVTOScheduler):
+    """MVTO that, once armed, rejects the next write it is shown."""
+
+    armed = False
+
+    def _accept(self, step):
+        if self.armed and step.is_write:
+            self.armed = False
+            return False
+        return super()._accept(step)
+
+
+def forged_engine():
+    engine = make_engine(lambda lengths: ForgedScheduler())
+    early = engine.begin("t1", 2)
+    engine.submit(early, read("t1", "y"))  # log[0]
+    writer = engine.begin("t3", 2)
+    engine.submit(writer, read("t3", "y"))  # log[1]: before the root
+    root = engine.begin("t2", 2)
+    engine.submit(root, read("t2", "z"))  # log[2]: the first cut
+    engine.submit(writer, write("t3", "x"))  # log[3]
+    late = engine.begin("t4", 1)
+    engine.submit(late, read("t4", "z"))  # log[4]
+    return engine, early, writer, root, late
+
+
+def test_rejection_during_suffix_replay_lowers_the_cut_and_restarts():
+    engine, early, writer, root, late = forged_engine()
+    engine.scheduler.armed = True
+    engine.abort_attempt(root)
+    # Round 1 cut at 2 and re-submitted t3's write, which was rejected:
+    # t3 is doomed too, its first step is log[1], and round 2 truncates
+    # to 1 and re-submits t4's read alone.
+    assert writer.state is TxnState.ABORTED
+    assert writer.abort_reason == "replay-rejected"
+    assert engine.metrics.replays == 2
+    assert [e.step for e in engine.log] == [read("t1", "y"), read("t4", "z")]
+    assert engine.scheduler.accepted_steps == [e.step for e in engine.log]
+    assert not engine.scheduler.dead
+    assert late.first == 1
+    assert engine.store.final_state()["x"] == 1
+    engine.finish(late)
+    engine.submit(early, write("t1", "y"))
+    engine.finish(early)
+    assert late.state is early.state is TxnState.COMMITTED
+
+
+def test_rejection_of_a_committed_attempt_during_replay_raises():
+    engine, early, writer, root, late = forged_engine()
+    engine.finish(writer)
+    assert writer.state is TxnState.COMMITTED
+    engine.scheduler.armed = True
+    with pytest.raises(EngineError, match="committed"):
+        engine.abort_attempt(root)

@@ -25,6 +25,13 @@ class TestBasics:
         g.remove_arc(1, 2)
         assert not g.has_arc(1, 2)
 
+    def test_remove_node_takes_its_arcs_along(self):
+        g = Digraph(arcs=[(1, 2), (2, 3), (3, 1), (2, 2)])
+        g.remove_node(2)
+        assert 2 not in g and g.nodes == [1, 3]
+        assert g.arcs == [(3, 1)]
+        assert g.predecessors(3) == set() and g.successors(1) == set()
+
     def test_copy_is_independent(self):
         g = Digraph(arcs=[(1, 2)])
         h = g.copy()

@@ -268,6 +268,25 @@ class TestSharedAdapter:
         assert locked.name == "sgt+lock"
         assert not locked.shard_partitionable
 
+    @pytest.mark.parametrize("name", ["sgt", "2pl", "2v2pl"])
+    def test_locked_scheduler_truncate_is_the_inner_native_one(self, name):
+        inner = scheduler_factory(name)({"t1": 2, "t2": 2})
+        locked = LockedScheduler(inner)
+        assert locked.submit(read("t1", "x"))
+        assert locked.submit(write("t2", "y"))
+        assert not locked.submit(write("t2", "x")) or name == "sgt"
+        # The base-class default would reset the inner scheduler and
+        # re-submit the prefix; the journal does neither.
+        called = []
+        inner.reset = lambda: called.append("reset")
+        inner._accept = lambda step: called.append("accept")
+        locked.truncate(1)
+        assert called == []
+        assert locked.accepted_steps == [read("t1", "x")]
+        assert not locked.dead
+        with pytest.raises(ValueError):
+            locked.truncate(2)
+
     def test_locked_factory_wraps(self):
         factory = locked_factory(scheduler_factory("sgt"))
         product = factory({})
@@ -278,7 +297,7 @@ class TestSharedAdapter:
         scheduler.prime_transaction("t", 42)
         scheduler.submit(read("t", "x"))
         assert scheduler._timestamps["t"] == 42
-        scheduler.reset()  # abort-replay path keeps primes
+        scheduler.reset()  # primes outlive the accepted steps
         scheduler.submit(read("t", "x"))
         assert scheduler._timestamps["t"] == 42
         scheduler.clear_primes()  # epoch boundary drops them

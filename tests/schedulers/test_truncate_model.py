@@ -1,0 +1,221 @@
+"""Model test: ``truncate(n)`` is "the state after the first n accepted steps".
+
+A scheduler's state is a function of its accepted prefix, so a scheduler
+that was fed a stream, truncated to ``n`` and fed a continuation must be
+indistinguishable from a fresh instance fed ``accepted[:n]`` and the same
+continuation.  The five engine schedulers undo by journal
+(``journaled = True``); ``mvcg-eager`` keeps the base-class default
+(reset and re-submit) and rides along as the fallback.  The fresh instance
+never truncates, so it is the reference for both.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from repro.model.schedules import T_INIT  # noqa: E402
+from repro.model.steps import Op, Step, read, write  # noqa: E402
+from repro.schedulers import (  # noqa: E402
+    EagerMVCGScheduler,
+    MVTOScheduler,
+    SGTScheduler,
+    SnapshotIsolationScheduler,
+    TwoPhaseLocking,
+    TwoVersionTwoPL,
+)
+from repro.schedulers.base import Scheduler  # noqa: E402
+
+TXNS = ("a", "b", "c")
+ENTITIES = ("x", "y")
+
+#: name -> (constructor taking the declared lengths, primed?)
+KINDS = {
+    "mvto": (lambda lengths: MVTOScheduler(), False),
+    "mvto-primed": (lambda lengths: MVTOScheduler(), True),
+    "si": (SnapshotIsolationScheduler, False),
+    "2v2pl": (TwoVersionTwoPL, False),
+    "2pl": (TwoPhaseLocking, False),
+    "sgt": (lambda lengths: SGTScheduler(), False),
+    "mvcg-eager": (lambda lengths: EagerMVCGScheduler(), False),
+}
+
+steps = st.builds(
+    Step, st.sampled_from(TXNS), st.sampled_from(Op), st.sampled_from(ENTITIES)
+)
+streams = st.lists(steps, max_size=10)
+
+
+@st.composite
+def scripts(draw):
+    """(lengths, primes, first stream, [(cut pick, continuation)]).
+
+    Declared lengths are short (1-3), so commits, certifications and lock
+    releases fire mid-stream and the TxnId keeps arriving afterwards, as
+    it does when the engine retries an aborted transaction.  The cut pick
+    is resolved against the accepted count at run time.
+    """
+    lengths = {txn: draw(st.integers(1, 3), label=f"len:{txn}") for txn in TXNS}
+    primes = dict(zip(TXNS, draw(st.permutations(range(len(TXNS))))))
+    rounds = draw(
+        st.lists(st.tuples(st.integers(0, 10), streams), min_size=1, max_size=3)
+    )
+    return lengths, primes, draw(streams), rounds
+
+
+def build(kind: str, lengths: dict, primes: dict) -> Scheduler:
+    constructor, primed = KINDS[kind]
+    scheduler = constructor(dict(lengths))
+    if primed:
+        for txn, seq in primes.items():
+            scheduler.prime_transaction(txn, seq)
+    return scheduler
+
+
+def feed(scheduler: Scheduler, stream) -> list[bool]:
+    """Submit until the first rejection (which kills the scheduler)."""
+    decisions = []
+    for step in stream:
+        decisions.append(scheduler.submit(step))
+        if not decisions[-1]:
+            break
+    return decisions
+
+
+def observable(scheduler: Scheduler) -> dict:
+    accepted = list(scheduler.accepted_steps)
+    vf = scheduler.version_function()
+    out = {
+        "accepted": accepted,
+        "dead": scheduler.dead,
+        "assignments": None if vf is None else dict(vf.assignments),
+        "sources": [
+            scheduler.source_of_read(p)
+            for p, step in enumerate(accepted)
+            if step.is_read
+        ],
+    }
+    if isinstance(scheduler, MVTOScheduler):
+        out["order"] = scheduler.serialization_order()
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=300, deadline=None)
+@given(script=scripts())
+def test_truncate_then_continue_equals_fresh_prefix_then_continue(kind, script):
+    lengths, primes, first, rounds = script
+    live = build(kind, lengths, primes)
+    feed(live, first)
+    for pick, continuation in rounds:
+        n = pick % (len(live.accepted_steps) + 1)
+        prefix = list(live.accepted_steps[:n])
+        live.truncate(n)
+
+        fresh = build(kind, lengths, primes)
+        assert all(fresh.submit(step) for step in prefix)
+        assert observable(live) == observable(fresh)
+
+        assert feed(live, continuation) == feed(fresh, continuation)
+        assert observable(live) == observable(fresh)
+
+
+# -- the named ways to get a journal wrong, pinned without hypothesis ------
+
+
+def test_mvto_truncate_restores_max_reader_ts():
+    sched = MVTOScheduler()
+    assert sched.submit(write("a", "y"))  # a is the older transaction
+    assert sched.submit(read("b", "x"))  # marks x's initial version read at 1
+    sched.truncate(1)
+    # With b's read gone, a's write of x invalidates nobody.
+    assert sched.submit(write("a", "x"))
+
+
+def test_mvto_truncate_drops_the_fresh_timestamp():
+    sched = MVTOScheduler()
+    assert sched.submit(read("a", "x"))
+    assert sched.submit(read("b", "x"))
+    sched.truncate(1)
+    assert sched.submit(read("c", "y"))
+    assert sched.serialization_order() == ["a", "c"]
+    # b arrives again (the retry) and is now the youngest.
+    assert sched.submit(read("b", "y"))
+    assert sched.serialization_order() == ["a", "c", "b"]
+
+
+def test_mvto_primes_survive_truncate():
+    sched = MVTOScheduler()
+    sched.prime_transaction("a", 5)
+    sched.prime_transaction("b", 2)
+    assert sched.submit(read("a", "x")) and sched.submit(read("b", "x"))
+    sched.truncate(0)
+    assert sched.submit(read("a", "x")) and sched.submit(read("b", "x"))
+    assert sched.serialization_order() == ["b", "a"]
+
+
+def test_2pl_truncate_retakes_a_released_lock():
+    sched = TwoPhaseLocking({"a": 2, "b": 1})
+    assert sched.submit(read("a", "x"))
+    assert sched.submit(write("a", "x"))  # a's last step: locks released
+    sched.truncate(1)
+    assert not sched.submit(write("b", "x"))  # a holds its read lock again
+
+
+def test_si_truncate_uncommits():
+    sched = SnapshotIsolationScheduler({"a": 1, "b": 2})
+    assert sched.submit(read("b", "y"))
+    assert sched.submit(write("a", "x"))  # a commits a write of x
+    sched.truncate(1)
+    # Nobody committed x concurrently with b any more.
+    assert sched.submit(write("b", "x"))
+
+
+def test_2v2pl_truncate_uncertifies():
+    sched = TwoVersionTwoPL({"a": 1, "b": 1})
+    assert sched.submit(write("a", "x"))  # certified: x's committed version
+    sched.truncate(0)
+    assert sched.submit(read("b", "x"))
+    assert sched.source_of_read(0) == T_INIT
+
+
+def test_sgt_truncate_removes_arcs():
+    sched = SGTScheduler()
+    assert sched.submit(write("a", "x"))
+    assert sched.submit(read("b", "x"))  # arc a -> b
+    sched.truncate(1)
+    assert sched.submit(write("b", "y"))
+    assert sched.submit(read("a", "y"))  # b -> a alone is no cycle
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_truncate_edges(kind):
+    lengths = {"a": 2, "b": 2}
+    # Under every scheduler here the third step is rejected or the
+    # stream is accepted whole; both ends are exercised below.
+    stream = [read("a", "x"), read("b", "x"), write("a", "x"), write("b", "x")]
+    sched = build(kind, lengths, {"a": 0, "b": 1})
+    feed(sched, stream)
+    count = len(sched.accepted_steps)
+    accepted = list(sched.accepted_steps)
+
+    with pytest.raises(ValueError):
+        sched.truncate(count + 1)
+    with pytest.raises(ValueError):
+        sched.truncate(-1)
+
+    # truncate(len): nothing undone, but a dead scheduler is alive again
+    # and rejects the same step for the same reason.
+    was_dead = sched.dead
+    sched.truncate(count)
+    assert not sched.dead and sched.accepted_steps == accepted
+    if was_dead:
+        assert not sched.submit(stream[count])
+        sched.truncate(count)
+
+    sched.truncate(0)
+    assert sched.accepted_steps == [] and not sched.dead
+    fresh = build(kind, lengths, {"a": 0, "b": 1})
+    assert feed(sched, stream) == feed(fresh, stream)
+    assert observable(sched) == observable(fresh)
