@@ -24,9 +24,7 @@
 Database API (:mod:`repro.db`): ``--mode`` picks the execution backend,
 ``--scenario`` the workload, and every option is validated against the
 backend's declared contract — an option the mode cannot honor is a
-usage error, never silently dropped.  The pre-PR-4 subcommands
-``engine`` / ``runtime`` / ``planner`` survive as deprecated aliases
-that delegate to the same API.
+usage error, never silently dropped.
 
 Output goes to stdout; exit status is 0 on success, 1 on a negative
 decision (not in class / not OLS / unsatisfiable / invariant violated /
@@ -275,53 +273,8 @@ _SCENARIO_FLAG_PARAMS: dict[str, dict[str, str]] = {
 }
 
 #: scenarios whose account layout is bucketed per shard; their shard
-#: count follows the worker count, as the old runtime/planner CLIs did.
+#: count follows the worker count.
 _SHARDED_SCENARIOS = frozenset({"sharded-bank", "abort-heavy", "read-mostly"})
-
-
-def _execute_run(
-    *,
-    mode: str,
-    scenario: str,
-    txns: int,
-    seed: int,
-    gc: bool,
-    config_options: dict,
-    scenario_params: dict,
-    json_out: bool = False,
-    json_buffer: list | None = None,
-) -> int:
-    """Build the RunConfig, run the scenario, print, exit-code.
-
-    With ``json_buffer``, the report dict is appended there instead of
-    printed — the multi-run aliases aggregate one JSON document.
-    """
-    config = RunConfig(
-        mode=mode,
-        seed=seed,
-        gc=gc,
-        **{k: v for k, v in config_options.items() if v is not None},
-    )
-    params = dict(scenario_params)
-    if scenario in _SHARDED_SCENARIOS:
-        params.setdefault("n_shards", config.workers)
-    report = Database().run(scenario, config, txns=txns, **params)
-    if json_buffer is not None or json_out:
-        # The JSON document carries the telemetry view next to the
-        # guaranteed schema — counters/gauges/histograms without
-        # touching the frozen report keys.
-        doc = report.as_dict()
-        doc["telemetry"] = report.telemetry()
-        if report.audit is not None:
-            doc["audit"] = report.audit.as_dict()
-        if json_buffer is not None:
-            json_buffer.append(doc)
-        else:
-            print(json.dumps(doc))
-    else:
-        print(report.report())
-    audit_ok = report.audit is None or report.audit.ok
-    return 0 if report.invariant_ok and audit_ok else 1
 
 
 def _scenario_flags(scenario: str) -> list[str]:
@@ -373,28 +326,44 @@ def cmd_run(args: argparse.Namespace) -> int:
         for name in Database.scenarios():
             print(f"  {name:>14}: {scenario_spec(name).description}")
         return 0
-    return _execute_run(
+    params = _translate_scenario_flags(args)
+    config_options = {
+        "scheduler": args.scheduler,
+        "workers": args.workers,
+        "batch_size": args.batch_size,
+        "deterministic": args.deterministic,
+        "retry": args.max_retries,
+        "gc_every": args.gc_every,
+        "epoch_max_steps": args.epoch_steps,
+        "lookahead": args.lookahead,
+        "reexecute": args.reexecute,
+        "trace": args.trace,
+        "audit": args.audit or None,
+    }
+    config = RunConfig(
         mode=args.mode,
-        scenario=args.scenario,
-        txns=args.txns,
         seed=args.seed,
         gc=not args.no_gc,
-        config_options={
-            "scheduler": args.scheduler,
-            "workers": args.workers,
-            "batch_size": args.batch_size,
-            "deterministic": args.deterministic,
-            "retry": args.max_retries,
-            "gc_every": args.gc_every,
-            "epoch_max_steps": args.epoch_steps,
-            "lookahead": args.lookahead,
-            "reexecute": args.reexecute,
-            "trace": args.trace,
-            "audit": args.audit or None,
-        },
-        scenario_params=_translate_scenario_flags(args),
-        json_out=args.json,
+        **{k: v for k, v in config_options.items() if v is not None},
     )
+    if args.scenario in _SHARDED_SCENARIOS:
+        params["n_shards"] = config.workers
+    report = Database().run(
+        args.scenario, config, txns=args.txns, **params
+    )
+    if args.json:
+        # The JSON document carries the telemetry view next to the
+        # guaranteed schema — counters/gauges/histograms without
+        # touching the frozen report keys.
+        doc = report.as_dict()
+        doc["telemetry"] = report.telemetry()
+        if report.audit is not None:
+            doc["audit"] = report.audit.as_dict()
+        print(json.dumps(doc))
+    else:
+        print(report.report())
+    audit_ok = report.audit is None or report.audit.ok
+    return 0 if report.invariant_ok and audit_ok else 1
 
 
 # -- the benchmark observatory (repro.bench) -------------------------------
@@ -529,173 +498,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(report.as_json() + "\n")
     return 0 if report.ok else 1
-
-
-# -- deprecated aliases (delegate to the Database API) ---------------------
-
-
-def _deprecation_notice(old: str, replacement: str) -> None:
-    print(
-        f"note: 'repro {old}' is deprecated; use 'repro {replacement}'",
-        file=sys.stderr,
-    )
-
-
-def cmd_engine(args: argparse.Namespace) -> int:
-    _deprecation_notice(
-        "engine", f"run --mode serial --scenario {args.workload}"
-    )
-    if args.workload == "bank":
-        scenario_params = {
-            "n_accounts": args.entities,
-            "hot_fraction": args.hot_fraction,
-            "audit_every": args.audit_every,
-        }
-    else:
-        scenario_params = {"n_warehouses": args.entities}
-    names = (
-        sorted(SCHEDULER_FACTORIES)
-        if args.scheduler == "all"
-        else [args.scheduler]
-    )
-    # With --json the multi-scheduler loop aggregates one JSON array
-    # so stdout is always a single parseable document.
-    json_buffer: list | None = (
-        [] if args.json and len(names) > 1 else None
-    )
-    worst = 0
-    for name in names:
-        worst = max(worst, _execute_run(
-            mode="serial",
-            scenario=args.workload,
-            txns=args.txns,
-            seed=args.seed,
-            gc=not args.no_gc,
-            config_options={
-                "scheduler": name,
-                "workers": args.sessions,
-                "retry": args.max_retries,
-                "gc_every": args.gc_every,
-                "epoch_max_steps": args.epoch_steps,
-            },
-            scenario_params=scenario_params,
-            json_out=args.json,
-            json_buffer=json_buffer,
-        ))
-        if not args.json and len(names) > 1:
-            print()
-    if json_buffer is not None:
-        print(json.dumps(json_buffer))
-    return worst
-
-
-def cmd_runtime(args: argparse.Namespace) -> int:
-    scenario = "sharded-bank" if args.workload == "bank" else "inventory"
-    _deprecation_notice(
-        "runtime", f"run --mode parallel --scenario {scenario}"
-    )
-    if scenario == "sharded-bank":
-        scenario_params = {
-            "n_shards": args.workers,
-            "accounts_per_shard": args.accounts_per_shard,
-            "cross_fraction": args.cross_fraction,
-            "hot_fraction": args.hot_fraction,
-            "audit_every": args.audit_every,
-        }
-    else:
-        scenario_params = {"n_warehouses": args.entities}
-    return _execute_run(
-        mode="parallel",
-        scenario=scenario,
-        txns=args.txns,
-        seed=args.seed,
-        gc=not args.no_gc,
-        config_options={
-            "scheduler": args.scheduler,
-            "workers": args.workers,
-            "batch_size": args.batch_size,
-            "deterministic": args.deterministic,
-            "retry": args.max_retries,
-            "gc_every": args.gc_every,
-            "epoch_max_steps": args.epoch_steps,
-        },
-        scenario_params=scenario_params,
-        json_out=args.json,
-    )
-
-
-def cmd_planner(args: argparse.Namespace) -> int:
-    scenario = "sharded-bank" if args.workload == "bank" else "read-mostly"
-    _deprecation_notice(
-        "planner", f"run --mode planner --scenario {scenario}"
-    )
-    scenario_params = {
-        "n_shards": args.workers,
-        "accounts_per_shard": args.accounts_per_shard,
-        "hot_fraction": args.hot_fraction,
-    }
-    if scenario == "sharded-bank":
-        scenario_params["cross_fraction"] = args.cross_fraction
-        scenario_params["audit_every"] = args.audit_every
-    else:
-        scenario_params["read_fraction"] = args.read_fraction
-    return _execute_run(
-        mode="planner",
-        scenario=scenario,
-        txns=args.txns,
-        seed=args.seed,
-        gc=not args.no_gc,
-        config_options={
-            "workers": args.workers,
-            "batch_size": args.batch_size,
-            "deterministic": args.deterministic,
-        },
-        scenario_params=scenario_params,
-        json_out=args.json,
-    )
-
-
-def _add_execution_args(
-    p: argparse.ArgumentParser,
-    *,
-    txns_default: int,
-    parallel: bool = False,
-    retries: bool = True,
-    epoch_steps_default: int | None = 256,
-    gc_every: bool = True,
-    batch_size_default: int = 8,
-    batch_size_help: str = "group-commit batch size",
-) -> None:
-    """The stream-execution arguments the deprecated aliases share.
-
-    One definition for ``engine`` / ``runtime`` / ``planner`` so the
-    three subcommands cannot drift: the same names, the same defaults
-    where they overlap, and the same parse-time validation (positive
-    counts, fractions in [0, 1]) everywhere.  ``parallel`` adds the
-    worker/batch/deterministic trio the runtime and planner share;
-    the flags a mode has no use for are simply not added — the parser
-    surface mirrors the RunConfig applicability contract.
-    """
-    p.add_argument("--txns", type=_positive_int, default=txns_default)
-    p.add_argument("--seed", type=int, default=0)
-    if parallel:
-        p.add_argument("--workers", type=_positive_int, default=4)
-        p.add_argument("--batch-size", type=_positive_int,
-                       default=batch_size_default, help=batch_size_help)
-        p.add_argument("--deterministic", action="store_true",
-                       default=None,
-                       help="single-threaded reproducible mode")
-    if retries:
-        p.add_argument("--max-retries", type=_positive_int, default=8)
-    p.add_argument("--no-gc", action="store_true")
-    if gc_every:
-        p.add_argument("--gc-every", type=_nonnegative_int, default=32,
-                       help="collect every N commits")
-    if epoch_steps_default is not None:
-        p.add_argument("--epoch-steps", type=_positive_int,
-                       default=epoch_steps_default)
-    p.add_argument("--json", action="store_true",
-                   help="print the RunReport dict as JSON")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -906,78 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="PATH",
                    help="also write the LintReport as JSON to PATH")
     p.set_defaults(func=cmd_lint)
-
-    p = sub.add_parser(
-        "engine",
-        help="[deprecated] alias for: run --mode serial",
-    )
-    p.add_argument("--workload", choices=["bank", "inventory"], default="bank")
-    p.add_argument(
-        "--scheduler",
-        choices=["mvto", "2v2pl", "2pl", "sgt", "si", "all"],
-        default="mvto",
-    )
-    _add_execution_args(p, txns_default=200)
-    p.add_argument("--sessions", type=_positive_int, default=4)
-    p.add_argument("--entities", type=_positive_int, default=8,
-                   help="accounts / warehouses")
-    p.add_argument("--hot-fraction", type=_fraction, default=0.5)
-    p.add_argument("--audit-every", type=_nonnegative_int, default=0,
-                   help="bank only: every k-th transaction is an audit")
-    p.set_defaults(func=cmd_engine)
-
-    p = sub.add_parser(
-        "runtime",
-        help="[deprecated] alias for: run --mode parallel",
-    )
-    p.add_argument("--workload", choices=["bank", "inventory"], default="bank")
-    p.add_argument(
-        "--scheduler",
-        choices=["mvto", "si", "2v2pl", "2pl", "sgt"],
-        default="mvto",
-    )
-    _add_execution_args(
-        p, txns_default=400, parallel=True, epoch_steps_default=128
-    )
-    p.add_argument("--accounts-per-shard", type=_positive_int, default=4)
-    p.add_argument("--entities", type=_positive_int, default=8,
-                   help="inventory only: warehouses")
-    p.add_argument("--cross-fraction", type=_fraction, default=0.1,
-                   help="bank only: cross-shard transfer fraction")
-    p.add_argument("--hot-fraction", type=_fraction, default=0.2,
-                   help="bank only: hot-shard transfer fraction")
-    p.add_argument("--audit-every", type=_nonnegative_int, default=0,
-                   help="bank only: every k-th transaction is an audit")
-    p.set_defaults(func=cmd_runtime)
-
-    p = sub.add_parser(
-        "planner",
-        help="[deprecated] alias for: run --mode planner",
-    )
-    p.add_argument(
-        "--workload", choices=["bank", "readmostly"], default="bank"
-    )
-    _add_execution_args(
-        p,
-        txns_default=400,
-        parallel=True,
-        retries=False,           # nothing CC-aborts, nothing retries
-        epoch_steps_default=None,  # the batch IS the epoch
-        gc_every=False,          # GC runs at every batch settle
-        batch_size_default=64,
-        batch_size_help="transactions planned per batch (= epoch)",
-    )
-    p.add_argument("--accounts-per-shard", type=_positive_int, default=4)
-    p.add_argument("--cross-fraction", type=_fraction, default=0.1,
-                   help="bank only: cross-shard transfer fraction")
-    p.add_argument("--hot-fraction", type=_fraction, default=0.2,
-                   help="bank: hot-shard fraction; "
-                        "readmostly: hot-key fraction")
-    p.add_argument("--audit-every", type=_nonnegative_int, default=0,
-                   help="bank only: every k-th transaction is an audit")
-    p.add_argument("--read-fraction", type=_fraction, default=0.9,
-                   help="readmostly only: read-only transaction fraction")
-    p.set_defaults(func=cmd_planner)
 
     return parser
 

@@ -4,12 +4,12 @@ The user-facing facade for running workloads (after the client APIs of
 Hekaton-style engines — Larson et al. — and deterministic batch systems
 — Faleiro & Abadi): a frozen, per-mode-validated :class:`RunConfig`, an
 :class:`ExecutionBackend` registry the serial engine / shard runtime /
-batch planner / pipelined planner plug into, a uniform
+batch planner (sequential or pipelined) plug into, a uniform
 :class:`RunReport` with a guaranteed cross-mode metric schema, and
 :class:`Database` tying them to the scenario registry in
 :mod:`repro.workloads`.  Writing a new backend?  The full protocol
-contract, with the ``pipelined`` registration as the worked example, is
-in ``docs/backend-authors.md``.
+contract, with the planner adapter (registered as ``planner`` and as
+``pipelined``) as the worked example, is in ``docs/backend-authors.md``.
 
     from repro.db import Database, RunConfig
 
@@ -23,9 +23,8 @@ in ``docs/backend-authors.md``.
 
 from repro.db.backends import (
     BackendAdapter,
-    BatchPlannerBackend,
     ExecutionBackend,
-    PipelinedPlannerBackend,
+    PlannerBackend,
     SerialEngineBackend,
     ShardRuntimeBackend,
     backend_names,
@@ -46,8 +45,7 @@ __all__ = [
     "BackendAdapter",
     "SerialEngineBackend",
     "ShardRuntimeBackend",
-    "BatchPlannerBackend",
-    "PipelinedPlannerBackend",
+    "PlannerBackend",
     "register_backend",
     "get_backend",
     "backend_names",

@@ -14,11 +14,12 @@ model must implement to plug into :class:`repro.db.Database`:
 * ``run(stream, initial, config, ...)`` — execute and return a
   :class:`~repro.db.RunReport`.
 
-The four built-in adapters wrap the PR 1–3 subsystems (serial engine,
-shard runtime, batch planner) plus the PR 5 pipelined planner, and
-absorb the constructor wiring that used to live in
-``repro.runtime.modes``.  Engine/runtime/planner imports stay inside
-``_execute`` so the registry is cycle-free (the planner itself reuses
+The three built-in adapters wrap the serial engine, the shard runtime
+and the batch planner; the planner adapter is registered twice
+(``planner`` and ``pipelined`` — the same driver, sequential or
+``lookahead`` batches deep), which makes four modes.
+Engine/runtime/planner imports stay inside ``_execute`` so the registry
+is cycle-free (the planner itself reuses
 :mod:`repro.runtime.group_commit`).
 
 Extending: subclass :class:`BackendAdapter`, implement ``_execute`` and
@@ -26,7 +27,7 @@ Extending: subclass :class:`BackendAdapter`, implement ``_execute`` and
 ``RunConfig`` validation, ``repro run --mode`` and the cross-mode
 metric-contract test all pick the new mode up from the registry.
 ``docs/backend-authors.md`` walks the full contract with
-:class:`PipelinedPlannerBackend` as the worked example.
+:class:`PlannerBackend` as the worked example.
 """
 
 from __future__ import annotations
@@ -296,31 +297,40 @@ class ShardRuntimeBackend(BackendAdapter):
         }
 
 
-class BatchPlannerBackend(BackendAdapter):
-    """PR 3's abort-free batch planner (plan-then-execute).
+class PlannerBackend(BackendAdapter):
+    """The plan-then-execute driver (:mod:`repro.planner.driver`),
+    registered twice: ``planner`` runs its stages strictly in sequence
+    (``lookahead`` does not apply — it is 0), ``pipelined`` plans
+    ``lookahead >= 1`` batches ahead of the one executing.
 
+    Same plan, same settle rule and the same zero-CC-abort guarantee in
+    both; deterministic runs serialize byte-identically for equal seeds.
     ``scheduler``/``retry``/``epoch_max_steps``/``gc_every`` cannot
     apply: the plan needs no run-time scheduler, nothing retries
     (nothing CC-aborts), the batch *is* the epoch, and GC runs at every
-    batch settle.
+    batch settle.  ``docs/backend-authors.md`` walks this class as its
+    worked example.
     """
 
-    name = "planner"
-    description = (
-        "abort-free batch planner: plan-then-execute with placeholder "
-        "versions, zero CC aborts by construction"
-    )
-    applicable = frozenset({
-        "workers", "batch_size", "deterministic", "reexecute", "trace",
-        "audit",
-    })
-    defaults = {
-        "workers": 4,
-        "batch_size": 64,
-        "deterministic": False,
-        "reexecute": True,
-        "audit": False,
-    }
+    def __init__(
+        self, name: str, description: str, lookahead: int | None = None
+    ) -> None:
+        self.name = name
+        self.description = description
+        self.applicable = frozenset({
+            "workers", "batch_size", "deterministic", "reexecute",
+            "trace", "audit",
+        })
+        self.defaults = {
+            "workers": 4,
+            "batch_size": 64,
+            "deterministic": False,
+            "reexecute": True,
+            "audit": False,
+        }
+        if lookahead is not None:
+            self.applicable |= {"lookahead"}
+            self.defaults["lookahead"] = lookahead
 
     def _execute(self, stream, initial, config: "RunConfig"):
         from repro.obs import trace_run
@@ -331,9 +341,9 @@ class BatchPlannerBackend(BackendAdapter):
                 initial=initial,
                 n_workers=config.workers,
                 batch_size=config.batch_size,
+                lookahead=config.lookahead or 0,
                 deterministic=config.deterministic,
                 gc_enabled=config.gc,
-                seed=config.seed,
                 reexecute=config.reexecute,
                 tracer=tracer,
             )
@@ -342,68 +352,6 @@ class BatchPlannerBackend(BackendAdapter):
     def _core(self, metrics) -> dict[str, int]:
         # The only aborts left are logic aborts and their planned
         # cascades; nothing retries, so nothing can give up.
-        return {
-            "submitted": metrics.submitted,
-            "committed": metrics.committed,
-            "aborted": metrics.logic_aborted + metrics.cascade_aborted,
-            "gave_up": 0,
-            "cc_aborts": metrics.cc_aborts,
-        }
-
-
-class PipelinedPlannerBackend(BackendAdapter):
-    """PR 5's pipelined planner: plan batch k+1 while batch k executes.
-
-    Same plan, same settle rule and the same zero-CC-abort guarantee as
-    ``planner`` — planning is just moved off the execution's critical
-    path (``lookahead`` batches deep).  Deterministic runs serialize
-    byte-identically to the sequential planner's for equal seeds.  The
-    registration below is the worked example ``docs/backend-authors.md``
-    documents end to end.
-    """
-
-    name = "pipelined"
-    description = (
-        "pipelined batch planner: plans batch k+1 while batch k "
-        "executes (lookahead-deep), zero CC aborts by construction"
-    )
-    applicable = frozenset({
-        "workers", "batch_size", "deterministic", "lookahead",
-        "reexecute", "trace", "audit",
-    })
-    defaults = {
-        "workers": 4,
-        "batch_size": 64,
-        "deterministic": False,
-        "lookahead": 1,
-        "reexecute": True,
-        "audit": False,
-    }
-
-    def _execute(self, stream, initial, config: "RunConfig"):
-        from repro.obs import trace_run
-        from repro.planner.pipeline import PipelinedPlanner
-
-        with trace_run(config) as tracer:
-            pipeline = PipelinedPlanner(
-                initial=initial,
-                n_workers=config.workers,
-                batch_size=config.batch_size,
-                lookahead=config.lookahead,
-                deterministic=config.deterministic,
-                gc_enabled=config.gc,
-                seed=config.seed,
-                reexecute=config.reexecute,
-                tracer=tracer,
-            )
-            return pipeline.run(stream), pipeline.final_state()
-
-    def _core(self, metrics) -> dict[str, int]:
-        # Identical semantics mapping to the sequential planner: the
-        # only aborts are logic aborts and their planned cascades.
-        # Deliberately spelled out rather than inherited from
-        # BatchPlannerBackend — this class is docs/backend-authors.md's
-        # worked example and must read standalone; keep the two in sync.
         return {
             "submitted": metrics.submitted,
             "committed": metrics.committed,
@@ -451,5 +399,14 @@ def backend_names() -> tuple[str, ...]:
 
 register_backend(SerialEngineBackend())
 register_backend(ShardRuntimeBackend())
-register_backend(BatchPlannerBackend())
-register_backend(PipelinedPlannerBackend())
+register_backend(PlannerBackend(
+    "planner",
+    "abort-free batch planner: plan-then-execute with placeholder "
+    "versions, zero CC aborts by construction",
+))
+register_backend(PlannerBackend(
+    "pipelined",
+    "pipelined batch planner: plans batch k+1 while batch k "
+    "executes (lookahead-deep), zero CC aborts by construction",
+    lookahead=1,
+))

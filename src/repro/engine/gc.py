@@ -18,7 +18,7 @@ inside an epoch are only ever assigned epoch-local writes or the entity's
 base version at epoch start, so pruning behind the epoch is always safe —
 a structural guarantee, not a heuristic.
 
-Plan-then-execute pipelining (:mod:`repro.planner.pipeline`) adds one
+Plan-then-execute pipelining (:mod:`repro.planner.driver`) adds one
 twist: a batch may be *planned* — its reads bound to exact versions —
 while earlier batches are still executing, so the safe watermark is no
 longer "wherever the driver has settled up to" but the first install

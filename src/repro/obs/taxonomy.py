@@ -82,7 +82,7 @@ EVENTS: tuple[EventSpec, ...] = (
     EventSpec(
         "txn.retry", "instant", "",
         "serial, parallel",
-        "`txn`, `attempt`",
+        "`txn`, `attempt`, `backoff` (ticks to wait before the retry)",
     ),
     EventSpec(
         "txn.gave-up", "instant", "",
@@ -102,7 +102,8 @@ EVENTS: tuple[EventSpec, ...] = (
     EventSpec(
         "2pc.flush", "span", "`driver` track",
         "parallel group commit",
-        "`batch`, `committed`, `aborted`",
+        "`batch`, `forced` (an epoch close flushed a partial batch), "
+        "`committed`, `aborted`",
     ),
     EventSpec(
         "plan.batch", "span", "`plan` track",

@@ -1,6 +1,6 @@
 """Abort-free epoch batch planner: plan-then-execute MVCC.
 
-The third and fourth execution modes, after the serial engine
+The ``planner`` and ``pipelined`` execution modes, after the serial engine
 (:mod:`repro.engine`) and the parallel shard runtime
 (:mod:`repro.runtime`).  Following Faleiro & Abadi's batched
 multiversion design, each epoch's batch of transactions is *planned*
@@ -12,9 +12,10 @@ unpublished slots wait (Larson-style commit dependencies) instead of
 aborting, and only program-raised *logic* aborts exist, cascading along
 the dependency edges the plan already knows.  See
 :mod:`repro.planner.planning`, :mod:`repro.planner.executor` and
-:mod:`repro.planner.driver` for the three phases, and
-:mod:`repro.planner.pipeline` for the pipelined driver that plans batch
-*k+1* while batch *k* executes (the ``pipelined`` execution mode).
+:mod:`repro.planner.driver` for the three phases; the driver's
+``lookahead`` is how many batches planning runs ahead of execution (0 —
+the ``planner`` mode; 1 or more — the ``pipelined`` mode, which plans
+batch *k+1* while batch *k* executes).
 """
 
 from repro.planner.driver import BatchPlanner
@@ -26,13 +27,11 @@ from repro.planner.executor import (
     PlanExecutor,
     verify_settled,
 )
-from repro.planner.metrics import PipelineMetrics, PlannerMetrics
-from repro.planner.pipeline import PipelinedPlanner
+from repro.planner.metrics import PlannerMetrics
 from repro.planner.planning import plan_batch
 
 __all__ = [
     "BatchPlanner",
-    "PipelinedPlanner",
     "CASCADE",
     "COMMITTED",
     "LOGIC_ABORT",
@@ -40,6 +39,5 @@ __all__ = [
     "PlanExecutor",
     "verify_settled",
     "PlannerMetrics",
-    "PipelineMetrics",
     "plan_batch",
 ]

@@ -1,8 +1,8 @@
-"""The batch planner driver: chunk, plan, execute, settle, collect.
+"""The planner driver: chunk, plan, execute, settle, collect.
 
-:class:`BatchPlanner` is the third execution mode next to the serial
-engine (:class:`repro.engine.sessions.ConcurrentDriver`) and the
-parallel shard runtime (:class:`repro.runtime.ShardRuntime`).  Where
+:class:`BatchPlanner` is the plan-then-execute execution model next to
+the serial engine (:class:`repro.engine.sessions.ConcurrentDriver`) and
+the parallel shard runtime (:class:`repro.runtime.ShardRuntime`).  Where
 those two *discover* conflicts at run time and pay for them with aborts
 and replays, the planner removes them up front: the stream is chunked
 into batches (one batch = one epoch), each batch is planned
@@ -20,29 +20,87 @@ into batches (one batch = one epoch), each batch is planned
   exactly the poison cascade (or its re-executed repair) the executor
   realized.  The two computations agreeing is an asserted invariant, not
   an assumption.
-* poisoned slots are removed from the store; no placeholder survives a
-  settled batch.
+* poisoned slots are removed from the store; no placeholder of a settled
+  batch survives it.
 * the watermark GC (:class:`repro.engine.gc.WatermarkGC`) prunes behind
   the next batch's first install position — the engine's epoch watermark
   argument verbatim, since a batch's reads only ever bind epoch-local
   slots or the pre-batch base version.
 
-Ticks count admissions and settles, so commit latency (in ticks, via the
+Ticks count admissions and settles (a batch's settle tick is reserved
+when its admissions close), so commit latency (in ticks, via the
 engine's :class:`LatencyStats`) measures batching delay and is identical
-in deterministic and threaded mode.
+in deterministic and threaded mode and at every ``lookahead``.
 
-The stages here run strictly in sequence; the fourth execution mode
-(:class:`repro.planner.pipeline.PipelinedPlanner`) overlaps them — same
-plan, same settle rule, planning moved off the execution's critical
-path.
+``lookahead`` is how many batches planning may run ahead of the one
+executing — the pipelining Faleiro & Abadi's plan-then-execute design
+exists to enable.  At 0 (the ``planner`` mode) the stages run strictly
+in sequence: planning is partition-threaded, execution uses
+``n_workers`` threads, and nothing is ever in flight across a settle.
+At 1 or more (the ``pipelined`` mode) a background stage plans batches
+*k+1 … k+lookahead* while batch *k* executes, and the whole difficulty
+lives at the seam between an executing batch and an in-flight plan:
+
+* **Base capture against reserved positions.**  Batch *k+1* is planned
+  while batch *k*'s slots are still deciding, so a base read binds to
+  the newest *chain slot* — possibly batch *k*'s pending placeholder.
+  That is exact, not optimistic: a placeholder occupies its final chain
+  position from reservation, so "the newest version below my batch" is
+  already known even though its payload is not.  Cross-batch bindings
+  keep the ``T_INIT`` base classification (they are pre-batch state,
+  exactly what base capture would see one settle later), so plan shape
+  and metrics do not depend on ``lookahead``.
+* **Aborts re-bind, never replan.**  When batch *k* settles, slots of
+  non-committed transactions are removed.  Each in-flight plan indexes
+  its bindings by source slot, so a removed slot invalidates exactly the
+  bindings bound to it; each re-binds to
+  :meth:`~repro.storage.mvstore.MultiversionStore.latest_before` the
+  plan's first position — the version the plan would have bound had the
+  aborted slot never been reserved.  Nothing else in the plan moves.
+  Re-execution narrows what "aborted" means here: a cascaded reader
+  re-runs at settle with its slots revived and filled *in place*, so
+  lookahead bindings to it stay exact without repair — only genuine
+  logic-abort roots remove slots and trigger the seam re-bind.
+* **GC honors in-flight plans.**  Every plan pins its first install
+  position in the :class:`~repro.engine.gc.WatermarkGC` from plan time
+  to settle; the collector clamps any requested watermark to the lowest
+  pin, and ``prune_before`` keeps the newest version below the watermark
+  per entity — which is precisely every in-flight binding's (possibly
+  re-bound) base source.  Bound versions structurally cannot be pruned.
+* **Execution never crosses the seam.**  Batch *k+1* executes only
+  after batch *k* settled, so every cross-batch source is filled (and a
+  binding to an aborted slot has been re-bound): no read ever waits on,
+  or cascades from, another batch.
+
+With ``lookahead >= 1`` stage concurrency replaces intra-batch execution
+threads: each planned batch executes inline in timestamp order (a
+reader's source writer always has a smaller timestamp, so it has already
+published — the executor's deterministic-mode argument, valid for any
+single-threaded timestamp-order run).  Publishes take the shard lock
+(``lock_fills``) because the planning stage reserves slots on the same
+shards concurrently, and planning walks acquire per entity
+(``entity_locked``) so fills interleave with the walk.
+
+Deterministic mode keeps the pipeline's *order* but not its threads:
+plan the next batches inline after executing (pre-settle, so planning
+sees the identical chain state the background stage would), then
+settle.  The plan, the re-binds, the final state and
+``metrics.as_dict()`` are byte-identical at every ``lookahead`` for
+equal seeds — pipelining changes when planning happens, never what is
+planned.
 """
 
 # repro: deterministic-contract — equal seeds must yield byte-identical output
 
 from __future__ import annotations
 
+import threading
+from collections import deque
+from dataclasses import dataclass, field
+
 from repro.engine.errors import EngineError
 from repro.engine.gc import WatermarkGC
+from repro.model.batching import BatchPlan, ReadBinding
 from repro.model.schedules import T_INIT
 from repro.model.steps import Entity
 from repro.obs.clock import perf_clock
@@ -50,6 +108,7 @@ from repro.obs import NULL_TRACER
 from repro.planner.executor import (
     COMMITTED,
     LOGIC_ABORT,
+    ExecutionOutcome,
     PlanExecutor,
     verify_settled,
 )
@@ -63,17 +122,17 @@ from repro.storage.sharded import ShardedMultiversionStore
 def emit_planned_data_ops(tracer, ptxn) -> None:
     """Emit ``txn.read``/``txn.write`` instants for one committed ptxn.
 
-    Emitted at settle time, when bindings are final (the pipelined
-    planner re-binds cross-batch reads whose source slot aborted, so
-    plan-time bindings may not be the served ones) and the fate is
-    known (aborted transactions never read or wrote anything durable —
-    their slots are removed).  ``pos`` is the source/installed chain
-    position — the trace-wide join key between a read and the write
-    that produced its version; ``seq`` is the plan timestamp (planned
-    transactions run exactly once, so it only disambiguates, never
-    cancels).  Settle iterates ptxns in timestamp order and a source
-    writer always has a smaller timestamp, so every read's source write
-    event precedes it in the stream.
+    Emitted at settle time, when bindings are final (the seam re-binds
+    cross-batch reads whose source slot aborted, so plan-time bindings
+    may not be the served ones) and the fate is known (aborted
+    transactions never read or wrote anything durable — their slots are
+    removed).  ``pos`` is the source/installed chain position — the
+    trace-wide join key between a read and the write that produced its
+    version; ``seq`` is the plan timestamp (planned transactions run
+    exactly once, so it only disambiguates, never cancels).  Settle
+    iterates ptxns in timestamp order and a source writer always has a
+    smaller timestamp, so every read's source write event precedes it
+    in the stream.
     """
     bindings = {b.step_index: b for b in ptxn.bindings}
     slots = iter(ptxn.slots)
@@ -97,8 +156,36 @@ def emit_planned_data_ops(tracer, ptxn) -> None:
         )
 
 
+@dataclass(eq=False)
+class _InFlight:
+    """One planned-but-not-settled batch."""
+
+    #: batch number in plan order (trace label).
+    number: int
+    plan: BatchPlan
+    #: admission tick of each transaction, in plan order.
+    born: list[int]
+    #: the tick the batch's settle is accounted at (reserved when its
+    #: admissions close, so later batches' admissions count past it).
+    settle_tick: int
+    #: global install position of the batch's first write (the GC pin).
+    first_position: int
+    #: write slots the plan reserved (pending until the batch settles).
+    n_slots: int
+    #: id(source version) -> [(ptxn, binding index)] for every base
+    #: binding whose source is another batch's reserved slot — the index
+    #: the settle-time re-bind walks.
+    by_source: dict[int, list] = field(default_factory=dict)
+    outcome: ExecutionOutcome | None = None
+
+
 class BatchPlanner:
-    """Plan-then-execute MVCC over a sharded multiversion store."""
+    """Plan-then-execute MVCC over a sharded multiversion store.
+
+    ``run(stream) -> metrics`` and ``final_state()``; ``lookahead`` is
+    how many batches may be planned ahead of the one executing (0 —
+    strictly sequential stages; 1 — classic two-stage pipelining).
+    """
 
     def __init__(
         self,
@@ -107,32 +194,37 @@ class BatchPlanner:
         batch_size: int = 64,
         deterministic: bool = False,
         gc_enabled: bool = True,
-        seed: int = 0,
         reexecute: bool = True,
         tracer=NULL_TRACER,
+        lookahead: int = 0,
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if lookahead < 0:
+            raise ValueError("lookahead must be >= 0")
         self.tracer = tracer
-        #: re-bind and re-run cascaded readers instead of aborting them
-        #: (:mod:`repro.planner.reexec`); off reproduces the PR 3
-        #: cascade behavior for before/after comparison.
+        #: re-bind and re-run cascaded readers at settle instead of
+        #: aborting them (:mod:`repro.planner.reexec`); off reproduces
+        #: the PR 3 cascade behavior for before/after comparison.  Runs
+        #: after the planning stage has joined, so the fixpoint never
+        #: races the lookahead walk.
         self.reexecute = reexecute
         #: one store shard per worker: planning partition p and the
         #: execution threads' fills both address shard-sliced state.
         self.store = ShardedMultiversionStore(n_workers, initial)
         self.n_workers = n_workers
         self.batch_size = batch_size
+        self.lookahead = lookahead
         self.deterministic = deterministic
-        #: kept for interface parity with the other execution modes; the
-        #: planner itself is deterministic given the stream.
-        self.seed = seed
+        #: planning runs on a background thread while a batch executes.
+        self._overlap = lookahead > 0 and not deterministic
         self.metrics = PlannerMetrics(
             n_workers=n_workers,
             batch_size=batch_size,
             deterministic=deterministic,
+            lookahead=lookahead,
         )
         self.gc = (
             WatermarkGC(self.store, tracer=tracer, trace_track="driver")
@@ -141,13 +233,39 @@ class BatchPlanner:
         )
         if self.gc is not None:
             self.metrics.engine.gc = self.gc.stats
-        self.executor = PlanExecutor(self.store, n_workers, deterministic)
+        #: sequential stages execute on ``n_workers`` threads; behind a
+        #: planning stage each batch executes inline, and fills are
+        #: shard-locked because that stage mutates the same shards
+        #: concurrently.
+        self.executor = PlanExecutor(
+            self.store,
+            1 if lookahead else n_workers,
+            deterministic,
+            lock_fills=self._overlap,
+        )
         #: reused purely for its commit_closure fixpoint — the planner
         #: batch is the "group" and settle is its flush decision.
         self._commit_rule = GroupCommitLog(batch_size)
         self._next_timestamp = 0
         self._next_position = 0
-        self._ran = False
+        #: batches planned so far.
+        self._plan_seq = 0
+        #: the stream being drained (None until ``run``; single-use).
+        self._stream = None
+        self._drained = False
+        #: first install position of the oldest unsettled batch — the
+        #: seam: a base binding to a slot at or above it may still be
+        #: removed by an abort and is indexed for re-binding.  Written by
+        #: the driver before each planning stage starts, so the planning
+        #: thread reads a stable value.
+        self._seam_floor = 0
+        #: span of the last background planning run (set by the planning
+        #: thread, read by the driver after join).
+        self._plan_span: tuple[float, float, int] | None = None
+        #: exception the planning thread died on (re-raised by the
+        #: driver after join — a dead stage must fail the run, not
+        #: silently truncate the stream).
+        self._plan_error: BaseException | None = None
 
     def final_state(self) -> dict[Entity, object]:
         return self.store.final_state()
@@ -156,123 +274,264 @@ class BatchPlanner:
 
     def run(self, stream) -> PlannerMetrics:
         """Drain ``stream`` of ``(transaction, program)`` pairs."""
-        if self._ran:
-            raise EngineError("a BatchPlanner instance is single-use")
-        self._ran = True
+        if self._stream is not None:
+            raise EngineError(
+                f"a {type(self).__name__} instance is single-use"
+            )
         engine = self.metrics.engine
         if self.tracer.enabled and self.deterministic:
-            # The planner's tick counts admissions and settles and is
-            # identical across runs — the deterministic trace clock.
+            # The tick counts admissions and settles and is identical
+            # across runs — the deterministic trace clock.  Threaded
+            # runs keep the wall clock: the overlap between the plan
+            # and execute tracks is the point.
             self.tracer.use_clock(lambda: engine.ticks)
         started = perf_clock()
-        batch: list = []
-        born: list[int] = []
+        self._stream = iter(stream)
+        plans: deque[_InFlight] = deque()
+        while True:
+            # Inline planning: the first batch, and with lookahead=0
+            # (nothing is ever planned ahead) every batch.
+            self._refill(plans, target=1)
+            if not plans:
+                break
+            head = plans.popleft()
+            self._seam_floor = head.first_position
+            if not self._overlap:
+                self._execute(head)
+                # Plan ahead pre-settle: the background stage would see
+                # exactly this chain state (head's slots still present).
+                self._refill(plans, target=self.lookahead)
+            else:
+                self._plan_span = None
+                planner = threading.Thread(
+                    target=self._refill_timed,
+                    args=(plans, self.lookahead),
+                    name="pipeline-plan",
+                )
+                exec_started = perf_clock()
+                planner.start()
+                try:
+                    self._execute(head)
+                    exec_ended = perf_clock()
+                finally:
+                    # Always join before unwinding: a failed execute must
+                    # not leave the planning stage draining the caller's
+                    # stream and mutating pins/positions in the background.
+                    planner.join()
+                if self._plan_error is not None:
+                    # The stream iterator or the planner itself raised on
+                    # the background thread; surface it exactly like the
+                    # inline path would.
+                    raise self._plan_error
+                self._note_overlap(exec_started, exec_ended)
+            self._settle(head, plans)
+            # Free the settled plan before the next one is built: it is
+            # the run's largest allocation, and holding it across the
+            # next planning pass costs lookahead=0 a few percent.
+            del head
+        engine.elapsed = perf_clock() - started
+        return self.metrics
+
+    # -- planning stage ----------------------------------------------------
+
+    def _refill_timed(self, plans: deque, target: int) -> None:
+        begun = perf_clock()
+        try:
+            planned = self._refill(plans, target)
+        except BaseException as error:  # noqa: BLE001 — re-raised by run()
+            self._plan_error = error
+            return
+        self._plan_span = (begun, perf_clock(), planned)
+
+    def _note_overlap(self, exec_started: float, exec_ended: float) -> None:
+        if not self._plan_span:
+            return
+        plan_started, plan_ended, planned = self._plan_span
+        metrics = self.metrics
+        metrics.plan_elapsed += plan_ended - plan_started
+        window = min(exec_ended, plan_ended) - max(exec_started, plan_started)
+        if planned and window > 0:
+            metrics.overlap_elapsed += window
+            metrics.batches_overlapped += planned
+
+    def _refill(self, plans: deque, target: int) -> int:
+        """Plan batches until ``target`` are in flight or the stream ends.
+
+        Runs on the background thread when planning overlaps execution;
+        the driver never touches ``plans``, the stream, positions,
+        timestamps, ticks or the plan-shape counters while it does (it
+        is executing the already popped head), so the two stages share
+        no mutable state but the store — which the walk locks per entity.
+        """
+        planned = 0
+        while len(plans) < target and not self._drained:
+            inflight = self._plan_one()
+            if inflight is None:
+                self._drained = True
+                break
+            plans.append(inflight)
+            planned += 1
+        return planned
+
+    def _plan_one(self) -> _InFlight | None:
+        metrics = self.metrics
+        engine = metrics.engine
         tracing = self.tracer.enabled
-        for item in stream:
+        items: list = []
+        born: list[int] = []
+        for item in self._stream:
             engine.ticks += 1
             engine.attempts += 1
             if tracing:
                 self.tracer.instant(
-                    "txn", "txn.submit", "driver",
-                    txn=str(item[0].txn),
+                    "txn", "txn.submit", "driver", txn=str(item[0].txn),
                 )
-            batch.append(item)
+            items.append(item)
             born.append(engine.ticks)
-            if len(batch) >= self.batch_size:
-                self._run_batch(batch, born)
-                batch, born = [], []
-        if batch:
-            self._run_batch(batch, born)
-        engine.elapsed = perf_clock() - started
-        return self.metrics
-
-    # -- one batch ---------------------------------------------------------
-
-    def _run_batch(self, items: list, born: list[int]) -> None:
-        metrics = self.metrics
-        engine = metrics.engine
-        tracing = self.tracer.enabled
-        batch_no = engine.epochs_closed
+            if len(items) >= self.batch_size:
+                break
+        if not items:
+            return None
+        number = self._plan_seq
+        self._plan_seq += 1
         if tracing:
             self.tracer.begin(
                 "plan", "plan.batch", "plan",
-                batch=batch_no, txns=len(items),
+                batch=number, txns=len(items),
             )
+        engine.ticks += 1  # reserved for this batch's settle
         first_position = self._next_position
+        if self.gc is not None:
+            self.gc.pin(first_position)
+        # Nothing to overlap with at lookahead=0: the partition walks
+        # thread instead, and a leftover placeholder is a driver bug.
+        ahead = self.lookahead > 0
         plan = plan_batch(
             items,
             self.store,
             self._next_timestamp,
             first_position,
-            threaded=not self.deterministic and self.n_workers > 1,
+            threaded=not ahead and not self.deterministic
+            and self.n_workers > 1,
+            over_placeholders=ahead,
+            entity_locked=self._overlap,
         )
         self._next_timestamp += len(items)
+        n_slots = sum(len(ptxn.slots) for ptxn in plan)
+        self._next_position += n_slots
+        metrics.placeholders_reserved += n_slots
+        inflight = _InFlight(
+            number, plan, born, engine.ticks, first_position, n_slots
+        )
         for ptxn in plan:
-            self._next_position += len(ptxn.slots)
-            metrics.placeholders_reserved += len(ptxn.slots)
             metrics.commit_deps += len(ptxn.deps)
-            for binding in ptxn.bindings:
+            for index, binding in enumerate(ptxn.bindings):
                 if binding.is_base:
                     metrics.base_reads += 1
+                    if (
+                        ahead
+                        and binding.source.is_placeholder
+                        and binding.source.position >= self._seam_floor
+                    ):
+                        # Bound to an unsettled batch's reserved slot:
+                        # exact already, but re-bound at that batch's
+                        # settle if the slot's writer aborts.  Keyed on
+                        # position, not fill state, so the count does not
+                        # depend on how far execution got before the scan
+                        # (slots that turn out filled are never removed,
+                        # so a stale index entry is simply never popped).
+                        metrics.cross_batch_reads += 1
+                        inflight.by_source.setdefault(
+                            id(binding.source), []
+                        ).append((ptxn, index))
                 elif binding.is_own:
                     metrics.own_reads += 1
                 else:
                     metrics.dependent_reads += 1
-
         if tracing:
             self.tracer.end(
                 "plan", "plan.batch", "plan",
-                batch=batch_no, txns=len(items),
+                batch=number, txns=len(items),
             )
+        return inflight
+
+    # -- execution stage ---------------------------------------------------
+
+    def _execute(self, head: _InFlight) -> None:
+        tracing = self.tracer.enabled
+        if tracing:
             self.tracer.begin(
-                "execute", "execute.batch", "execute", batch=batch_no,
+                "execute", "execute.batch", "execute", batch=head.number,
             )
-        outcome = self.executor.execute(plan)
-        verify_settled(plan, outcome)
-        metrics.blocked_reads += outcome.blocked_reads
-        engine.steps_submitted += outcome.steps_executed
+        outcome = self.executor.execute(head.plan)
+        verify_settled(head.plan, outcome)
+        self.metrics.blocked_reads += outcome.blocked_reads
+        self.metrics.engine.steps_submitted += outcome.steps_executed
+        head.outcome = outcome
         if tracing:
             self.tracer.end(
                 "execute", "execute.batch", "execute",
-                batch=batch_no, steps=outcome.steps_executed,
+                batch=head.number, steps=outcome.steps_executed,
             )
+
+    # -- settle ------------------------------------------------------------
+
+    def _settle(self, head: _InFlight, plans: deque) -> None:
+        """Re-execution, commit-closure check, abort removal, seam
+        repair, GC.
+
+        ``plans`` are the batches planned ahead of ``head`` (none at
+        lookahead=0): bindings of theirs whose source slot was just
+        removed are re-bound, and the settled batch's GC pin is released
+        before collecting (the clamp then moves to the oldest remaining
+        plan).
+        """
+        metrics = self.metrics
+        engine = metrics.engine
+        outcome = head.outcome
+        tracing = self.tracer.enabled
+        if tracing:
             self.tracer.begin(
-                "settle", "settle.batch", "driver", batch=batch_no,
+                "settle", "settle.batch", "driver", batch=head.number,
             )
-        # Re-execution: re-bind the poisoned readers past the dead
-        # writers and re-run them in timestamp order until no cascade
-        # remains (executor threads have joined — this runs inline).
+        # Re-execution first: execution and the planning stage have
+        # joined, so the fixpoint re-binds the poisoned readers past the
+        # dead writers and re-runs them inline with the chains quiescent.
+        # Root slots it removes feed the seam re-bind below exactly like
+        # ordinary abort removals.
         reexec = None
         if self.reexecute:
             reexec = reexecute_poisoned(
-                plan, outcome, self.store, self.executor,
-                first_position, tracer=self.tracer,
+                head.plan, outcome, self.store, self.executor,
+                head.first_position, tracer=self.tracer,
             )
             if reexec.reexecuted:
-                verify_settled(plan, outcome)
+                verify_settled(head.plan, outcome)
                 metrics.reexecuted += reexec.reexecuted
                 metrics.reexec_rounds += reexec.rounds
                 metrics.blocked_reads += reexec.blocked_reads
                 engine.steps_submitted += reexec.steps_executed
-
-        # Settle: the group-commit fixpoint over the planned dependency
-        # map must re-derive exactly the executed fates — logic aborts
-        # vote no, and the closure is the poison cascade.
+        # The group-commit fixpoint over the planned dependency map must
+        # re-derive exactly the executed fates — logic aborts vote no,
+        # and the closure is the poison cascade.
         votes = {
-            ptxn.txn: outcome.fates[ptxn.txn] == COMMITTED for ptxn in plan
+            ptxn.txn: outcome.fates[ptxn.txn] == COMMITTED
+            for ptxn in head.plan
         }
-        committed = self._commit_rule.commit_closure(votes, plan.dep_map)
+        committed = self._commit_rule.commit_closure(
+            votes, head.plan.dep_map
+        )
         if committed != outcome.committed:
             raise EngineError(
                 "planner settle disagrees with execution: "
                 f"closure {sorted(map(repr, committed))} vs executed "
                 f"{sorted(map(repr, outcome.committed))}"
             )
-        engine.ticks += 1
-        for ptxn, tick in zip(plan, born):
+        removed: list = list(reexec.removed_slots) if reexec else []
+        for ptxn, tick in zip(head.plan, head.born):
             if ptxn.txn in committed:
                 engine.committed += 1
-                latency = engine.ticks - tick
+                latency = head.settle_tick - tick
                 engine.latency.record(latency)
                 if tracing:
                     emit_planned_data_ops(self.tracer, ptxn)
@@ -281,8 +540,6 @@ class BatchPlanner:
                         txn=str(ptxn.txn), latency=latency,
                     )
                 continue
-            if outcome.fates[ptxn.txn] == COMMITTED:  # pragma: no cover
-                raise EngineError("closure dropped an executed commit")
             if outcome.fates[ptxn.txn] == LOGIC_ABORT:
                 metrics.logic_aborted += 1
                 reason = "logic"
@@ -298,17 +555,52 @@ class BatchPlanner:
                 if reexec is not None and id(slot) in reexec.removed_ids:
                     continue  # the re-execution pass already removed it
                 self.store.remove(slot)
-        if self.store.placeholder_count():
+                removed.append(slot)
+        for slot in removed:
+            for inflight in plans:
+                self._rebind(inflight, slot)
+        expected = sum(p.n_slots for p in plans)
+        if self.store.placeholder_count() != expected:
             raise EngineError(
-                f"{self.store.placeholder_count()} placeholders survived "
-                "a settled batch"
+                f"{self.store.placeholder_count()} undecided placeholders "
+                f"after settle; {expected} reserved by in-flight plans"
             )
         engine.epochs_closed += 1
         if self.gc is not None:
+            self.gc.unpin(head.first_position)
             self.gc.collect(self._next_position)
         engine.final_versions = self.store.version_count()
         if tracing:
             self.tracer.end(
                 "settle", "settle.batch", "driver",
-                batch=batch_no, committed=len(committed),
+                batch=head.number, committed=len(committed),
             )
+
+    def _rebind(self, inflight: _InFlight, slot) -> None:
+        """Repair one in-flight plan after ``slot`` was removed.
+
+        Every binding bound to the slot moves to the newest surviving
+        version below the plan's first position — on this entity nothing
+        was reserved between (else the plan would have bound to *that*),
+        so the survivor is settled, committed state: the exact version
+        the plan would have bound had the aborted slot never existed.
+        """
+        affected = inflight.by_source.pop(id(slot), ())
+        if not affected:
+            return
+        source = self.store.latest_before(
+            slot.entity, inflight.first_position
+        )
+        for ptxn, index in affected:
+            old = ptxn.bindings[index]
+            bindings = list(ptxn.bindings)
+            bindings[index] = ReadBinding(
+                old.txn, old.step_index, source, T_INIT
+            )
+            ptxn.bindings = tuple(bindings)
+            self.metrics.rebound_reads += 1
+            if self.tracer.enabled:
+                self.tracer.instant(
+                    "plan", "plan.rebind", "driver",
+                    txn=str(old.txn), entity=str(slot.entity),
+                )

@@ -59,6 +59,28 @@ class PlannerMetrics:
     reexecuted: int = 0
     reexec_rounds: int = 0
 
+    #: batches planned ahead of the executing one (configuration; 0 —
+    #: sequential stages).  Everything below stays zero at lookahead=0
+    #: and is kept out of ``as_dict`` — a deterministic run serializes
+    #: byte-identically at every lookahead (pipelining changes when
+    #: planning happens, never what is planned) — so it is either
+    #: wall-clock (excluded exactly like ``elapsed``) or surfaced via
+    #: :meth:`report` and the ``pipeline.*`` telemetry names only.
+    lookahead: int = 0
+    #: read bindings whose source slot was removed by an earlier batch's
+    #: abort and re-bound to the newest surviving version (the seam a
+    #: planning stage running ahead must repair).
+    rebound_reads: int = 0
+    #: base-read bindings that bound to a previous in-flight batch's
+    #: reserved slot at plan time (cross-batch seam traffic).
+    cross_batch_reads: int = 0
+    #: wall-clock: seconds spent planning, and the share of it hidden
+    #: under execution (threaded mode; 0.0 when deterministic).
+    plan_elapsed: float = 0.0
+    overlap_elapsed: float = 0.0
+    #: batches whose planning ran concurrently with an execution window.
+    batches_overlapped: int = 0
+
     @property
     def submitted(self) -> int:
         return self.engine.attempts
@@ -121,7 +143,10 @@ class PlannerMetrics:
 
         ``planner.*`` names on top of the shared ``engine.*`` set (the
         reused engine metrics register themselves, so the zero-abort
-        witness — ``engine.aborted.*`` all zero — rides along).
+        witness — ``engine.aborted.*`` all zero — rides along), plus
+        the logical ``pipeline.*`` seam counters when planning runs
+        ahead.  The wall-clock overlap fields stay out (same rule as
+        ``elapsed``), so deterministic telemetry is byte-identical.
         """
         self.engine.register_into(registry)
         registry.counter("planner.submitted", self.submitted)
@@ -140,12 +165,15 @@ class PlannerMetrics:
         registry.counter("planner.reads.dependent", self.dependent_reads)
         registry.counter("planner.commit_deps", self.commit_deps)
         registry.counter("planner.blocked_reads", self.blocked_reads)
+        if self.lookahead:
+            registry.gauge("pipeline.lookahead", self.lookahead)
+            registry.counter("pipeline.rebound_reads", self.rebound_reads)
+            registry.counter(
+                "pipeline.cross_batch_reads", self.cross_batch_reads
+            )
 
     def report(self) -> str:
         """A human-readable block for the CLI."""
-        return "\n".join(self._report_lines())
-
-    def _report_lines(self) -> list[str]:
         engine = self.engine
         rate = (
             ""
@@ -176,67 +204,21 @@ class PlannerMetrics:
             f"in {engine.gc.collections} collections",
             f"ticks         {engine.ticks}",
         ]
-        return lines
-
-
-@dataclass
-class PipelineMetrics(PlannerMetrics):
-    """Planner metrics plus what the two-stage pipeline adds.
-
-    ``as_dict`` is deliberately **inherited unchanged**: it is the
-    planner determinism contract, and the pipelined mode's contract is
-    that a deterministic run serializes byte-identically to the
-    *sequential* planner's for equal seeds (the pipeline changes when
-    planning happens, never what is planned).  Everything pipeline-only
-    is therefore either wall-clock (excluded from the dict exactly like
-    ``elapsed``) or an attribute surfaced via :meth:`report` only.
-    """
-
-    #: batches planned ahead of the executing one (configuration).
-    lookahead: int = 1
-    #: read bindings whose source slot was removed by an earlier batch's
-    #: abort and re-bound to the newest surviving version (the seam the
-    #: pipeline must repair; the sequential planner never needs to).
-    rebound_reads: int = 0
-    #: base-read bindings that bound to a previous in-flight batch's
-    #: reserved slot at plan time (cross-batch seam traffic).
-    cross_batch_reads: int = 0
-    #: wall-clock: seconds spent planning, and the share of it hidden
-    #: under execution (threaded mode; 0.0 when deterministic).
-    plan_elapsed: float = 0.0
-    overlap_elapsed: float = 0.0
-    #: batches whose planning ran concurrently with an execution window.
-    batches_overlapped: int = 0
-
-    def register_into(self, registry) -> None:
-        """The planner set plus the pipeline's logical seam counters.
-
-        The wall-clock overlap fields stay out (same rule as ``elapsed``)
-        so deterministic telemetry matches the sequential planner's
-        except for the ``pipeline.*`` additions.
-        """
-        super().register_into(registry)
-        registry.gauge("pipeline.lookahead", self.lookahead)
-        registry.counter("pipeline.rebound_reads", self.rebound_reads)
-        registry.counter(
-            "pipeline.cross_batch_reads", self.cross_batch_reads
-        )
-
-    def report(self) -> str:
-        lines = self._report_lines()
-        lines[0] += f"  lookahead {self.lookahead}"
-        overlap = (
-            "deterministic (no overlap)"
-            if self.deterministic
-            else (
-                f"{self.overlap_elapsed:.3f}s of {self.plan_elapsed:.3f}s "
-                f"planning hidden under execution "
-                f"({self.batches_overlapped} batches overlapped)"
+        if self.lookahead:
+            lines[0] += f"  lookahead {self.lookahead}"
+            overlap = (
+                "deterministic (no overlap)"
+                if self.deterministic
+                else (
+                    f"{self.overlap_elapsed:.3f}s of "
+                    f"{self.plan_elapsed:.3f}s planning hidden under "
+                    f"execution ({self.batches_overlapped} batches "
+                    f"overlapped)"
+                )
             )
-        )
-        lines.append(f"pipeline      {overlap}")
-        lines.append(
-            f"seam          {self.cross_batch_reads} cross-batch reads, "
-            f"{self.rebound_reads} re-bound after aborts"
-        )
+            lines.append(f"pipeline      {overlap}")
+            lines.append(
+                f"seam          {self.cross_batch_reads} cross-batch "
+                f"reads, {self.rebound_reads} re-bound after aborts"
+            )
         return "\n".join(lines)

@@ -1,518 +1,11 @@
-"""The pipelined planner: plan batch k+1 while batch k executes.
+"""The one planner driver with ``lookahead`` defaulting to 1."""
 
-The sequential driver (:class:`repro.planner.driver.BatchPlanner`) runs
-its stages strictly one after the other — plan, execute, settle, repeat —
-so the planning partitions sit idle during execution and the execution
-threads sit idle during planning.  This module overlaps the two stages,
-the pipelining Faleiro & Abadi's plan-then-execute design exists to
-enable: while batch *k* executes, a background stage plans batches
-*k+1 … k+lookahead* against the chain state batch *k* has already fixed.
+# benchmarks/perf/perf_layers.py still resolves this name; a follow-up
+# benchmark-only PR drops that target and this module with it.
 
-The whole difficulty lives at the seam between an executing batch and an
-in-flight plan:
-
-* **Base capture against reserved positions.**  Batch *k+1* is planned
-  while batch *k*'s slots are still deciding, so a base read binds to
-  the newest *chain slot* — possibly batch *k*'s pending placeholder.
-  That is exact, not optimistic: a placeholder occupies its final chain
-  position from reservation, so "the newest version below my batch" is
-  already known even though its payload is not.  Cross-batch bindings
-  keep the ``T_INIT`` base classification (they are pre-batch state,
-  exactly what the sequential planner's base capture would see one
-  settle later), so plan shape and metrics are mode-independent.
-* **Aborts re-bind, never replan.**  When batch *k* settles, slots of
-  non-committed transactions are removed.  Each in-flight plan indexes
-  its bindings by source slot, so a removed slot invalidates exactly the
-  bindings bound to it; each re-binds to
-  :meth:`~repro.storage.mvstore.MultiversionStore.latest_before` the
-  plan's first position — the version the plan would have bound had the
-  aborted slot never been reserved.  Nothing else in the plan moves.
-  Re-execution (on by default, :mod:`repro.planner.reexec`) narrows
-  what "aborted" means here: a cascaded reader re-runs at settle with
-  its slots revived and filled *in place*, so lookahead bindings to it
-  stay exact without repair — only genuine logic-abort roots remove
-  slots and trigger the seam re-bind.
-* **GC honors in-flight plans.**  Every plan pins its first install
-  position in the :class:`~repro.engine.gc.WatermarkGC` from plan time
-  to settle; the collector clamps any requested watermark to the lowest
-  pin, and ``prune_before`` keeps the newest version below the watermark
-  per entity — which is precisely every in-flight binding's (possibly
-  re-bound) base source.  Bound versions structurally cannot be pruned.
-* **Execution never crosses the seam.**  Batch *k+1* executes only
-  after batch *k* settled, so every cross-batch source is filled (and a
-  binding to an aborted slot has been re-bound): no read ever waits on,
-  or cascades from, another batch.
-
-Stage concurrency replaces intra-batch execution threads: the pipeline
-executes each planned batch inline in timestamp order (a reader's
-source writer always has a smaller timestamp, so it has already
-published — the executor's deterministic-mode argument, valid for any
-single-threaded timestamp-order run).  Publishes take the shard lock
-(``lock_fills``) because the planning stage reserves slots on the same
-shards concurrently, and planning walks acquire per entity
-(``entity_locked``) so fills interleave with the walk.
-
-Deterministic mode keeps the pipeline's *order* but not its threads:
-plan the next batches inline after executing (pre-settle, so planning
-sees the identical chain state the background stage would), then
-settle.  The plan, the re-binds, the final state and
-``metrics.as_dict()`` are byte-identical to the sequential planner's
-for equal seeds — pipelining changes when planning happens, never what
-is planned — and with ``lookahead=1`` and a single batch the run *is*
-the sequential planner's, stage by stage.
-"""
-
-# repro: deterministic-contract — equal seeds must yield byte-identical output
-
-from __future__ import annotations
-
-import threading
-from collections import deque
-from dataclasses import dataclass, field
-
-from repro.engine.errors import EngineError
-from repro.engine.gc import WatermarkGC
-from repro.model.batching import BatchPlan, ReadBinding
-from repro.model.schedules import T_INIT
-from repro.model.steps import Entity
-from repro.obs.clock import perf_clock
-from repro.obs import NULL_TRACER
-from repro.planner.executor import (
-    COMMITTED,
-    LOGIC_ABORT,
-    ExecutionOutcome,
-    PlanExecutor,
-    verify_settled,
-)
-from repro.planner.driver import emit_planned_data_ops
-from repro.planner.metrics import PipelineMetrics
-from repro.planner.planning import plan_batch
-from repro.planner.reexec import reexecute_poisoned
-from repro.runtime.group_commit import GroupCommitLog
-from repro.storage.sharded import ShardedMultiversionStore
+from repro.planner.driver import BatchPlanner
 
 
-@dataclass(eq=False)
-class _InFlight:
-    """One planned-but-not-settled batch moving through the pipeline."""
-
-    plan: BatchPlan
-    #: admission tick of each transaction, in plan order.
-    born: list[int]
-    #: the tick the batch's settle will be accounted at (reserved at
-    #: admission so latency is identical to the sequential driver's).
-    settle_tick: int
-    #: global install position of the batch's first write (the GC pin).
-    first_position: int
-    n_slots: int = 0
-    #: id(source version) -> [(ptxn, binding index)] for every base
-    #: binding whose source is another batch's reserved slot — the index
-    #: the settle-time re-bind walks.
-    by_source: dict[int, list] = field(default_factory=dict)
-    outcome: ExecutionOutcome | None = None
-
-
-class PipelinedPlanner:
-    """Two-stage plan/execute pipeline over a sharded multiversion store.
-
-    Drop-in interface parity with :class:`repro.planner.driver
-    .BatchPlanner` (``run(stream) -> metrics``, ``final_state()``), plus
-    ``lookahead``: how many batches may be planned ahead of the one
-    executing (default 1 — classic two-stage pipelining).
-    """
-
-    def __init__(
-        self,
-        initial: dict[Entity, object] | None = None,
-        n_workers: int = 4,
-        batch_size: int = 64,
-        lookahead: int = 1,
-        deterministic: bool = False,
-        gc_enabled: bool = True,
-        seed: int = 0,
-        reexecute: bool = True,
-        tracer=NULL_TRACER,
-    ) -> None:
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if lookahead < 1:
-            raise ValueError("lookahead must be >= 1")
-        #: re-bind and re-run cascaded readers at settle instead of
-        #: aborting them (:mod:`repro.planner.reexec`).  Runs after the
-        #: planning stage has joined, so the fixpoint never races the
-        #: lookahead walk; lookahead bindings to a victim's slots stay
-        #: valid (the slots revive in place), and bindings to a removed
-        #: root's slots go through the ordinary seam re-bind below.
-        self.reexecute = reexecute
-        self.store = ShardedMultiversionStore(n_workers, initial)
-        self.n_workers = n_workers
-        self.batch_size = batch_size
-        self.lookahead = lookahead
-        self.deterministic = deterministic
-        #: interface parity with the other modes; the pipeline itself is
-        #: deterministic given the stream.
-        self.seed = seed
-        self.metrics = PipelineMetrics(
-            n_workers=n_workers,
-            batch_size=batch_size,
-            deterministic=deterministic,
-            lookahead=lookahead,
-        )
-        self.tracer = tracer
-        if tracer.enabled and deterministic:
-            # The pipeline's admission/settle tick is shared with the
-            # sequential planner, so equal-seed deterministic traces are
-            # byte-identical.  Threaded runs keep the wall clock — the
-            # overlap between the plan and execute tracks is the point.
-            tracer.use_clock(lambda: self._tick)
-        #: batches planned so far (trace label for the plan track).
-        self._plan_seq = 0
-        self.gc = (
-            WatermarkGC(self.store, tracer=tracer, trace_track="driver")
-            if gc_enabled
-            else None
-        )
-        if self.gc is not None:
-            self.metrics.engine.gc = self.gc.stats
-        #: inline timestamp-order execution; fills are shard-locked
-        #: because the planning stage mutates the same shards concurrently
-        #: (threaded mode only — deterministic mode has no concurrency).
-        self.executor = PlanExecutor(
-            self.store, 1, deterministic, lock_fills=not deterministic
-        )
-        self._commit_rule = GroupCommitLog(batch_size)
-        self._next_timestamp = 0
-        self._next_position = 0
-        self._tick = 0
-        self._stream = None
-        self._drained = False
-        #: first install position of the oldest unsettled batch — the
-        #: seam: a base binding to a slot at or above it may still be
-        #: removed by an abort and is indexed for re-binding.  Written by
-        #: the driver before each planning stage starts, so the planning
-        #: thread reads a stable value.
-        self._seam_floor = 0
-        #: span of the last background planning run (set by the planning
-        #: thread, read by the driver after join).
-        self._plan_span: tuple[float, float, int] | None = None
-        #: exception the planning thread died on (re-raised by the
-        #: driver after join — a dead stage must fail the run, not
-        #: silently truncate the stream).
-        self._plan_error: BaseException | None = None
-        self._ran = False
-
-    def final_state(self) -> dict[Entity, object]:
-        return self.store.final_state()
-
-    # -- main loop ---------------------------------------------------------
-
-    def run(self, stream) -> PipelineMetrics:
-        """Drain ``stream`` of ``(transaction, program)`` pairs."""
-        if self._ran:
-            raise EngineError("a PipelinedPlanner instance is single-use")
-        self._ran = True
-        started = perf_clock()
-        self._stream = iter(stream)
-        plans: deque[_InFlight] = deque()
-        self._refill(plans, target=1)  # prime the pipeline inline
-        while plans:
-            head = plans.popleft()
-            self._seam_floor = head.first_position
-            if self.deterministic:
-                self._execute(head)
-                # Plan ahead pre-settle: the background stage would see
-                # exactly this chain state (head's slots still present).
-                self._refill(plans, target=self.lookahead)
-            else:
-                self._plan_span = None
-                planner = threading.Thread(
-                    target=self._refill_timed,
-                    args=(plans, self.lookahead),
-                    name="pipeline-plan",
-                )
-                exec_started = perf_clock()
-                planner.start()
-                try:
-                    self._execute(head)
-                    exec_ended = perf_clock()
-                finally:
-                    # Always join before unwinding: a failed execute must
-                    # not leave the planning stage draining the caller's
-                    # stream and mutating pins/positions in the background.
-                    planner.join()
-                if self._plan_error is not None:
-                    # The stream iterator or the planner itself raised on
-                    # the background thread; surface it exactly like the
-                    # sequential driver (and deterministic mode) would.
-                    raise self._plan_error
-                self._note_overlap(exec_started, exec_ended)
-            self._settle(head, plans)
-        self.metrics.engine.elapsed = perf_clock() - started
-        return self.metrics
-
-    # -- planning stage ----------------------------------------------------
-
-    def _refill_timed(self, plans: deque, target: int) -> None:
-        begun = perf_clock()
-        try:
-            planned = self._refill(plans, target)
-        except BaseException as error:  # noqa: BLE001 — re-raised by run()
-            self._plan_error = error
-            return
-        self._plan_span = (begun, perf_clock(), planned)
-
-    def _note_overlap(self, exec_started: float, exec_ended: float) -> None:
-        if not self._plan_span:
-            return
-        plan_started, plan_ended, planned = self._plan_span
-        metrics = self.metrics
-        metrics.plan_elapsed += plan_ended - plan_started
-        window = min(exec_ended, plan_ended) - max(exec_started, plan_started)
-        if planned and window > 0:
-            metrics.overlap_elapsed += window
-            metrics.batches_overlapped += planned
-
-    def _refill(self, plans: deque, target: int) -> int:
-        """Plan batches until ``target`` are in flight or the stream ends.
-
-        Runs on the background thread in threaded mode; the driver never
-        touches ``plans``, the stream, positions/timestamps or the
-        plan-shape counters while it does (it is executing the already
-        popped head), so the two stages share no mutable state but the
-        store — which the walk locks per entity.
-        """
-        planned = 0
-        while len(plans) < target and not self._drained:
-            inflight = self._plan_one()
-            if inflight is None:
-                self._drained = True
-                break
-            plans.append(inflight)
-            planned += 1
-        return planned
-
-    def _plan_one(self) -> _InFlight | None:
-        engine = self.metrics.engine
-        tracing = self.tracer.enabled
-        items: list = []
-        born: list[int] = []
-        for item in self._stream:
-            self._tick += 1
-            engine.attempts += 1
-            if tracing:
-                self.tracer.instant(
-                    "txn", "txn.submit", "driver", txn=str(item[0].txn),
-                )
-            items.append(item)
-            born.append(self._tick)
-            if len(items) >= self.batch_size:
-                break
-        if not items:
-            return None
-        batch_no = self._plan_seq
-        self._plan_seq += 1
-        if tracing:
-            self.tracer.begin(
-                "plan", "plan.batch", "plan",
-                batch=batch_no, txns=len(items),
-            )
-        self._tick += 1  # reserved for this batch's settle
-        first_position = self._next_position
-        if self.gc is not None:
-            self.gc.pin(first_position)
-        plan = plan_batch(
-            items,
-            self.store,
-            self._next_timestamp,
-            first_position,
-            threaded=False,
-            over_placeholders=True,
-            entity_locked=not self.deterministic,
-        )
-        self._next_timestamp += len(items)
-        inflight = _InFlight(plan, born, self._tick, first_position)
-        metrics = self.metrics
-        for ptxn in plan:
-            self._next_position += len(ptxn.slots)
-            inflight.n_slots += len(ptxn.slots)
-            metrics.placeholders_reserved += len(ptxn.slots)
-            metrics.commit_deps += len(ptxn.deps)
-            for index, binding in enumerate(ptxn.bindings):
-                if binding.is_base:
-                    metrics.base_reads += 1
-                    if (
-                        binding.source.is_placeholder
-                        and binding.source.position >= self._seam_floor
-                    ):
-                        # Bound to an unsettled batch's reserved slot:
-                        # exact already, but re-bound at that batch's
-                        # settle if the slot's writer aborts.  Keyed on
-                        # position, not fill state, so the count does not
-                        # depend on how far execution got before the scan
-                        # (slots that turn out filled are never removed,
-                        # so a stale index entry is simply never popped).
-                        metrics.cross_batch_reads += 1
-                        inflight.by_source.setdefault(
-                            id(binding.source), []
-                        ).append((ptxn, index))
-                elif binding.is_own:
-                    metrics.own_reads += 1
-                else:
-                    metrics.dependent_reads += 1
-        if tracing:
-            self.tracer.end(
-                "plan", "plan.batch", "plan",
-                batch=batch_no, slots=inflight.n_slots,
-            )
-        return inflight
-
-    # -- execution stage ---------------------------------------------------
-
-    def _execute(self, head: _InFlight) -> None:
-        tracing = self.tracer.enabled
-        if tracing:
-            self.tracer.begin(
-                "execute", "execute.batch", "execute",
-                batch=self.metrics.engine.epochs_closed,
-            )
-        outcome = self.executor.execute(head.plan)
-        verify_settled(head.plan, outcome)
-        self.metrics.blocked_reads += outcome.blocked_reads
-        self.metrics.engine.steps_submitted += outcome.steps_executed
-        head.outcome = outcome
-        if tracing:
-            self.tracer.end(
-                "execute", "execute.batch", "execute",
-                batch=self.metrics.engine.epochs_closed,
-                steps=outcome.steps_executed,
-            )
-
-    # -- settle ------------------------------------------------------------
-
-    def _settle(self, head: _InFlight, plans: deque) -> None:
-        """Commit-closure check, abort removal, seam repair, GC.
-
-        Identical to the sequential driver's settle, plus the two
-        pipeline duties: re-bind in-flight bindings whose source slot was
-        just removed, and release the settled batch's GC pin before
-        collecting (the clamp then moves to the oldest remaining plan).
-        """
-        metrics = self.metrics
-        engine = metrics.engine
-        outcome = head.outcome
-        tracing = self.tracer.enabled
-        if tracing:
-            self.tracer.begin(
-                "settle", "settle.batch", "driver",
-                batch=engine.epochs_closed,
-            )
-        # Re-execution first: the planning stage has joined, so the
-        # fixpoint re-runs cascaded readers inline with the chains
-        # quiescent.  Root slots it removes feed the seam re-bind below
-        # exactly like ordinary abort removals.
-        reexec = None
-        if self.reexecute:
-            reexec = reexecute_poisoned(
-                head.plan, outcome, self.store, self.executor,
-                head.first_position, tracer=self.tracer,
-            )
-            if reexec.reexecuted:
-                verify_settled(head.plan, outcome)
-                metrics.reexecuted += reexec.reexecuted
-                metrics.reexec_rounds += reexec.rounds
-                metrics.blocked_reads += reexec.blocked_reads
-                engine.steps_submitted += reexec.steps_executed
-        votes = {
-            ptxn.txn: outcome.fates[ptxn.txn] == COMMITTED
-            for ptxn in head.plan
-        }
-        committed = self._commit_rule.commit_closure(
-            votes, head.plan.dep_map
-        )
-        if committed != outcome.committed:
-            raise EngineError(
-                "pipeline settle disagrees with execution: "
-                f"closure {sorted(map(repr, committed))} vs executed "
-                f"{sorted(map(repr, outcome.committed))}"
-            )
-        engine.ticks = head.settle_tick
-        removed: list = list(reexec.removed_slots) if reexec else []
-        for ptxn, tick in zip(head.plan, head.born):
-            if ptxn.txn in committed:
-                engine.committed += 1
-                latency = head.settle_tick - tick
-                engine.latency.record(latency)
-                if tracing:
-                    emit_planned_data_ops(self.tracer, ptxn)
-                    self.tracer.instant(
-                        "txn", "txn.commit", "driver",
-                        txn=str(ptxn.txn), latency=latency,
-                    )
-                continue
-            if outcome.fates[ptxn.txn] == LOGIC_ABORT:
-                metrics.logic_aborted += 1
-                reason = "logic"
-            else:
-                metrics.cascade_aborted += 1
-                reason = "cascade"
-            if tracing:
-                self.tracer.instant(
-                    "txn", "txn.abort", "driver",
-                    txn=str(ptxn.txn), reason=reason,
-                )
-            for slot in ptxn.slots:
-                if reexec is not None and id(slot) in reexec.removed_ids:
-                    continue  # the re-execution pass already removed it
-                self.store.remove(slot)
-                removed.append(slot)
-        for slot in removed:
-            for inflight in plans:
-                self._rebind(inflight, slot)
-        expected = sum(p.n_slots for p in plans)
-        if self.store.placeholder_count() != expected:
-            raise EngineError(
-                f"{self.store.placeholder_count()} undecided placeholders "
-                f"after settle; {expected} reserved by in-flight plans"
-            )
-        engine.epochs_closed += 1
-        if self.gc is not None:
-            self.gc.unpin(head.first_position)
-            self.gc.collect(self._next_position)
-        engine.final_versions = self.store.version_count()
-        if tracing:
-            self.tracer.end(
-                "settle", "settle.batch", "driver",
-                batch=engine.epochs_closed - 1,
-                committed=len(committed),
-            )
-
-    def _rebind(self, inflight: _InFlight, slot) -> None:
-        """Repair one in-flight plan after ``slot`` was removed.
-
-        Every binding bound to the slot moves to the newest surviving
-        version below the plan's first position — on this entity nothing
-        was reserved between (else the plan would have bound to *that*),
-        so the survivor is settled, committed state: the exact version
-        the plan would have bound had the aborted slot never existed.
-        """
-        affected = inflight.by_source.pop(id(slot), ())
-        if not affected:
-            return
-        source = self.store.latest_before(
-            slot.entity, inflight.first_position
-        )
-        for ptxn, index in affected:
-            old = ptxn.bindings[index]
-            bindings = list(ptxn.bindings)
-            bindings[index] = ReadBinding(
-                old.txn, old.step_index, source, T_INIT
-            )
-            ptxn.bindings = tuple(bindings)
-            self.metrics.rebound_reads += 1
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    "plan", "plan.rebind", "driver",
-                    txn=str(old.txn), entity=str(slot.entity),
-                )
+class PipelinedPlanner(BatchPlanner):
+    def __init__(self, *args, lookahead: int = 1, **kwargs) -> None:
+        super().__init__(*args, lookahead=lookahead, **kwargs)

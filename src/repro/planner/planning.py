@@ -82,12 +82,12 @@ def plan_batch(
     By default the store must carry no placeholders — a previous batch
     that left any behind was never settled, which is a driver bug, not a
     plannable state.  ``over_placeholders=True`` lifts that precondition
-    for the pipelined planner (:mod:`repro.planner.pipeline`), which
-    deliberately plans batch *k+1* while batch *k*'s reserved slots are
+    for the driver at ``lookahead >= 1`` (:mod:`repro.planner.driver`),
+    which deliberately plans batch *k+1* while batch *k*'s reserved slots are
     still deciding: a base read then binds to the newest chain slot even
     if it is another batch's pending placeholder — the planned final
     chain position is fixed at reservation, so the binding is exact
-    either way, and the pipeline driver re-binds the few bindings whose
+    either way, and the driver re-binds the few bindings whose
     source is later removed by an abort.
 
     ``entity_locked`` trades the default partition-scoped lock hold (one

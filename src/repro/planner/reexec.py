@@ -67,7 +67,7 @@ class ReexecResult:
     #: the id-set makes the settle skip-check O(1) and explicit).
     removed_ids: set[int] = field(default_factory=set)
     #: re-run accounting deltas, for the caller's metrics (never folded
-    #: into the outcome — both drivers consume outcome totals earlier).
+    #: into the outcome — the driver consumes outcome totals earlier).
     blocked_reads: int = 0
     steps_executed: int = 0
 
@@ -131,7 +131,7 @@ def reexecute_poisoned(
     CASCADE never survives), the victims' plan entries (bindings, deps,
     dependency/reader maps) and the store (root slots removed, victim
     slots revived then filled or re-poisoned).  Runs strictly
-    single-threaded: both drivers call it after execution has joined
+    single-threaded: the driver calls it after execution has joined
     and before settle, so nothing else touches the chains.
     """
     result = ReexecResult()

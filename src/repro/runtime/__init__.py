@@ -15,7 +15,6 @@ the execution model.
 from repro.runtime.dispatch import ShardRuntime, TicketState, TxnTicket
 from repro.runtime.group_commit import GroupCommitLog
 from repro.runtime.metrics import GroupCommitStats, RuntimeMetrics
-from repro.runtime.modes import EXECUTION_MODES, run_stream
 from repro.runtime.shared import (
     DomainPlan,
     LockedScheduler,
@@ -25,8 +24,6 @@ from repro.runtime.shared import (
 from repro.runtime.worker import FlushRendezvous, ShardWorker, WorkerFuture
 
 __all__ = [
-    "EXECUTION_MODES",
-    "run_stream",
     "ShardRuntime",
     "TicketState",
     "TxnTicket",

@@ -56,10 +56,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="workers"):
             RunConfig(mode=mode, workers=0)
 
+    @pytest.mark.parametrize("lookahead", [1, 2])
     @pytest.mark.parametrize("mode", ["serial", "parallel", "planner"])
-    def test_lookahead_applies_only_to_pipelined(self, mode):
+    def test_lookahead_applies_only_to_pipelined(self, mode, lookahead):
         with pytest.raises(ValueError, match=f"lookahead.*{mode}"):
-            RunConfig(mode=mode, lookahead=2)
+            RunConfig(mode=mode, lookahead=lookahead)
 
     def test_lookahead_must_be_positive(self):
         with pytest.raises(ValueError, match="lookahead"):

@@ -2,11 +2,13 @@
 byte-identity, and zero cost when off."""
 
 import json
+import re
 
 import pytest
 
 from repro.db import Database, RunConfig
 from repro.obs import Tracer, read_jsonl, summarize, to_jsonl
+from repro.obs.taxonomy import get_event
 
 MODES = ("serial", "parallel", "planner", "pipelined")
 
@@ -85,6 +87,23 @@ class TestLifecycleTaxonomy:
         for phase in ("plan.batch", "execute.batch", "settle.batch"):
             assert phase in summary["phases"], phase
         assert summary["unclosed_spans"] == 0
+
+    @pytest.mark.parametrize("scenario", ("sharded-bank", "abort-heavy"))
+    @pytest.mark.parametrize("mode", MODES)
+    def test_event_args_are_the_declared_payload(self, mode, scenario):
+        """O302 gates event *names*; this gates their args: every key an
+        event carries is back-ticked in its taxonomy payload cell."""
+        tracer = Tracer(capacity=None)
+        config = RunConfig(
+            mode=mode, workers=2, deterministic=True, seed=3, trace=tracer
+        )
+        Database().run(scenario, config, txns=80, cross_fraction=0.5)
+        assert tracer.events
+        for event in tracer.events:
+            declared = set(
+                re.findall(r"`(\w+)`", get_event(event.name).payload)
+            )
+            assert set(event.args) <= declared, (event.name, event.args)
 
     def test_parallel_emits_votes_and_flushes(self):
         tracer = Tracer()

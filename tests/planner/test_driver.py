@@ -1,13 +1,12 @@
-"""The batch planner driver and the execution-mode registry."""
+"""The planner driver at ``lookahead=0`` and the execution-mode registry
+(``tests/planner/test_pipeline.py`` runs the driver at every lookahead)."""
 
 import json
 
 import pytest
 
 from repro.db import Database, RunConfig
-from repro.engine.errors import EngineError
 from repro.planner import BatchPlanner
-from repro.runtime.modes import EXECUTION_MODES
 from repro.workloads.bank import transfer_program, transfer_transaction
 from repro.workloads.streams import ReadMostlyScenario, ShardedBankScenario
 
@@ -56,26 +55,6 @@ class TestDriver:
             metrics = planner.run(scenario.transaction_stream(100))
             dicts.append(json.dumps(metrics.as_dict()))
         assert dicts[0] == dicts[1]
-
-    def test_gc_bounds_version_retention(self):
-        scenario = bank()
-        with_gc = BatchPlanner(
-            initial=scenario.initial_state(), n_workers=4,
-            batch_size=16, deterministic=True,
-        )
-        m = with_gc.run(scenario.transaction_stream(200))
-        without_gc = BatchPlanner(
-            initial=scenario.initial_state(), n_workers=4,
-            batch_size=16, deterministic=True, gc_enabled=False,
-        )
-        n = without_gc.run(scenario.transaction_stream(200))
-        assert m.committed == n.committed == 200
-        # GC keeps only the per-entity bases; without it every published
-        # version is retained.
-        assert m.engine.final_versions < n.engine.final_versions
-        assert m.engine.gc.versions_pruned > 0
-        # Both realize the identical final state.
-        assert with_gc.final_state() == without_gc.final_state()
 
     def test_logic_abort_settles_against_commit_closure(self):
         """With re-execution off, a logic abort still cascades through
@@ -130,39 +109,15 @@ class TestDriver:
         assert state["c"] == 98 and state["d"] == 102
         assert planner.store.placeholder_count() == 0
 
-    def test_single_use(self):
-        planner = BatchPlanner(n_workers=1, batch_size=4)
-        planner.run([])
-        with pytest.raises(EngineError):
-            planner.run([])
-
-    def test_rejects_bad_configuration(self):
-        with pytest.raises(ValueError):
-            BatchPlanner(n_workers=0)
-        with pytest.raises(ValueError):
-            BatchPlanner(batch_size=0)
-
-    def test_latency_measures_batching_delay(self):
-        scenario = bank()
-        planner = BatchPlanner(
-            initial=scenario.initial_state(), n_workers=2,
-            batch_size=10, deterministic=True,
-        )
-        metrics = planner.run(scenario.transaction_stream(10))
-        # First admitted waits out the whole batch; last waits one tick.
-        assert metrics.latency.max == 10
-        assert metrics.latency.min == 1
-
 
 class TestModesRegistry:
-    """The legacy registry view stays in sync with the Database API,
-    and mode comparison runs through typed RunConfigs."""
+    """The four registered modes; mode comparison runs through typed
+    RunConfigs."""
 
     def test_registry_names(self):
-        assert set(EXECUTION_MODES) == {
+        assert set(Database.backends()) == {
             "serial", "parallel", "planner", "pipelined",
         }
-        assert set(EXECUTION_MODES) == set(Database.backends())
 
     @pytest.mark.parametrize(
         "mode", ["serial", "parallel", "planner", "pipelined"]

@@ -1,10 +1,11 @@
-"""The pipelined planner: stage overlap without plan drift.
+"""``lookahead``: stage overlap without plan drift.
 
-Pins the seam contracts of :mod:`repro.planner.pipeline`: the pipelined
-plan is the sequential planner's plan (byte-identical deterministic
-metrics, structurally equal plans), aborts re-bind only the affected
-bindings, GC pins keep bound read sources alive, and the lookahead=1
-single-batch degenerate case *is* the sequential planner.
+The one planner driver (:mod:`repro.planner.driver`) plans ``lookahead``
+batches ahead of the one executing.  Pinned here: the plan at any
+``lookahead`` is the sequential (``lookahead=0``) plan — byte-identical
+deterministic metrics, structurally equal plans, equal final state —
+aborts re-bind only the affected bindings, GC pins keep bound read
+sources alive, and a single batch never has a seam.
 """
 
 import json
@@ -12,12 +13,18 @@ import json
 import pytest
 
 import repro.planner.driver as driver_mod
-import repro.planner.pipeline as pipeline_mod
 from repro.db import Database, RunConfig
 from repro.engine.errors import EngineError
-from repro.planner import BatchPlanner, PipelinedPlanner
+from repro.obs import Tracer
+from repro.planner import BatchPlanner
 from repro.workloads.bank import transfer_program, transfer_transaction
-from repro.workloads.streams import ReadMostlyScenario, ShardedBankScenario
+from repro.workloads.streams import (
+    AbortHeavyScenario,
+    ReadMostlyScenario,
+    ShardedBankScenario,
+)
+
+LOOKAHEADS = [0, 1, 2, 3]
 
 
 def bank(seed=5):
@@ -34,6 +41,13 @@ def read_mostly(seed=2):
     )
 
 
+def abort_heavy(seed=13):
+    return AbortHeavyScenario(
+        n_shards=4, accounts_per_shard=4, abort_fraction=0.25,
+        cross_fraction=0.3, seed=seed,
+    )
+
+
 def boom(write_index, reads):
     raise RuntimeError("logic abort")
 
@@ -47,6 +61,52 @@ def abort_stream():
         (transfer_transaction("t3", "c", "d"), transfer_program(2)),
         (transfer_transaction("t4", "a", "b"), transfer_program(1)),
     ]
+
+
+class _Fixed:
+    """A hand-written stream behind the scenario interface."""
+
+    def __init__(self, initial, stream):
+        self._initial, self._stream = initial, stream
+
+    def initial_state(self):
+        return dict(self._initial)
+
+    def transaction_stream(self, n):
+        return list(self._stream)[:n]
+
+
+#: name -> (scenario factory, driver options, stream length): the
+#: inputs every equivalence property below runs over.
+CASES = {
+    "read-mostly": (read_mostly, {"batch_size": 16}, 120),
+    "sharded-bank": (bank, {"batch_size": 16}, 120),
+    "abort-heavy-reexec": (abort_heavy, {"batch_size": 8}, 120),
+    "abort-heavy-cascade": (
+        abort_heavy, {"batch_size": 8, "reexecute": False}, 120,
+    ),
+    # one batch: nothing is ever in flight during execution.
+    "single-batch": (bank, {"n_workers": 2, "batch_size": 1000}, 30),
+    # an abort on a batch boundary: the seam re-bind is exercised.
+    "boundary-abort": (
+        lambda: _Fixed({k: 100 for k in "abcd"}, abort_stream()),
+        {"n_workers": 2, "batch_size": 2}, 4,
+    ),
+}
+
+
+def run_case(case, lookahead, deterministic=True, tracer=None):
+    factory, options, txns = CASES[case]
+    scenario = factory()
+    options = {"n_workers": 4, **options}
+    if tracer is not None:
+        options["tracer"] = tracer
+    planner = BatchPlanner(
+        initial=scenario.initial_state(), lookahead=lookahead,
+        deterministic=deterministic, **options,
+    )
+    metrics = planner.run(scenario.transaction_stream(txns))
+    return planner, metrics
 
 
 def plan_signature(plan):
@@ -71,101 +131,59 @@ def plan_signature(plan):
     ]
 
 
-def capture_plans(monkeypatch, module):
-    """Record every BatchPlan a driver module produces (by reference, so
-    later re-binds are visible in the recorded plans)."""
+@pytest.fixture
+def plans(monkeypatch):
+    """Every BatchPlan the driver produces, recorded by reference (so
+    settle-time re-binds are visible in the recorded plans)."""
     recorded = []
-    original = module.plan_batch
+    original = driver_mod.plan_batch
 
     def recording(*args, **kwargs):
         plan = original(*args, **kwargs)
         recorded.append(plan)
         return plan
 
-    monkeypatch.setattr(module, "plan_batch", recording)
+    monkeypatch.setattr(driver_mod, "plan_batch", recording)
     return recorded
+
+
+def committed_ids(tracer):
+    return sorted(
+        e.args["txn"] for e in tracer.events if e.name == "txn.commit"
+    )
 
 
 class TestPlanEquivalence:
     """Pipelining changes when planning happens, never what is planned."""
 
-    @pytest.mark.parametrize("lookahead", [1, 2, 3])
-    def test_deterministic_metrics_identical_to_sequential(
-        self, lookahead
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("lookahead", LOOKAHEADS)
+    def test_deterministic_run_identical_to_sequential(
+        self, plans, case, lookahead
     ):
-        scenario = bank()
-        seq = BatchPlanner(
-            initial=scenario.initial_state(), n_workers=4,
-            batch_size=16, deterministic=True,
-        )
-        m_seq = seq.run(scenario.transaction_stream(120))
-        scenario = bank()
-        pipe = PipelinedPlanner(
-            initial=scenario.initial_state(), n_workers=4,
-            batch_size=16, lookahead=lookahead, deterministic=True,
-        )
-        m_pipe = pipe.run(scenario.transaction_stream(120))
-        assert json.dumps(m_seq.as_dict()) == json.dumps(m_pipe.as_dict())
-        assert seq.final_state() == pipe.final_state()
+        seq, m_seq = run_case(case, 0)
+        seq_plans = [plan_signature(p) for p in plans]
+        del plans[:]
+        ahead, m_ahead = run_case(case, lookahead)
+        assert json.dumps(m_seq.as_dict()) == json.dumps(m_ahead.as_dict())
+        assert seq.final_state() == ahead.final_state()
+        assert [plan_signature(p) for p in plans] == seq_plans
+        if lookahead == 0:
+            assert m_ahead.cross_batch_reads == m_ahead.rebound_reads == 0
 
-    @pytest.mark.parametrize("deterministic", [True, False])
-    def test_plans_structurally_equal_to_sequential(
-        self, monkeypatch, deterministic
-    ):
-        seq_plans = capture_plans(monkeypatch, driver_mod)
-        pipe_plans = capture_plans(monkeypatch, pipeline_mod)
-        scenario = bank(seed=9)
-        seq = BatchPlanner(
-            initial=scenario.initial_state(), n_workers=4,
-            batch_size=16, deterministic=True,
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("lookahead", [0, 1, 2])
+    def test_threaded_matches_deterministic(self, plans, case, lookahead):
+        det_trace, thr_trace = Tracer(capacity=None), Tracer(capacity=None)
+        det, m_det = run_case(case, lookahead, tracer=det_trace)
+        det_plans = [plan_signature(p) for p in plans]
+        del plans[:]
+        thr, m_thr = run_case(
+            case, lookahead, deterministic=False, tracer=thr_trace
         )
-        seq.run(scenario.transaction_stream(100))
-        scenario = bank(seed=9)
-        pipe = PipelinedPlanner(
-            initial=scenario.initial_state(), n_workers=4,
-            batch_size=16, lookahead=2, deterministic=deterministic,
-        )
-        pipe.run(scenario.transaction_stream(100))
-        assert len(seq_plans) == len(pipe_plans) > 1
-        for sp, pp in zip(seq_plans, pipe_plans):
-            assert plan_signature(sp) == plan_signature(pp)
-
-    def test_plans_equal_across_batch_boundary_aborts(self, monkeypatch):
-        """Re-binding repairs the pipelined plan into exactly the plan
-        the sequential planner builds against the settled store."""
-        seq_plans = capture_plans(monkeypatch, driver_mod)
-        pipe_plans = capture_plans(monkeypatch, pipeline_mod)
-        initial = {k: 100 for k in "abcd"}
-        seq = BatchPlanner(
-            initial=initial, n_workers=2, batch_size=2,
-            deterministic=True,
-        )
-        m_seq = seq.run(abort_stream())
-        pipe = PipelinedPlanner(
-            initial=initial, n_workers=2, batch_size=2,
-            deterministic=True,
-        )
-        m_pipe = pipe.run(abort_stream())
-        for sp, pp in zip(seq_plans, pipe_plans):
-            assert plan_signature(sp) == plan_signature(pp)
-        assert json.dumps(m_seq.as_dict()) == json.dumps(m_pipe.as_dict())
-        assert m_pipe.rebound_reads > 0  # the seam was actually exercised
-        assert seq.final_state() == pipe.final_state()
-
-    def test_threaded_matches_deterministic(self):
-        scenario = read_mostly()
-        det = PipelinedPlanner(
-            initial=scenario.initial_state(), n_workers=4,
-            batch_size=16, lookahead=2, deterministic=True,
-        )
-        m_det = det.run(scenario.transaction_stream(120))
-        scenario = read_mostly()
-        thr = PipelinedPlanner(
-            initial=scenario.initial_state(), n_workers=4,
-            batch_size=16, lookahead=2, deterministic=False,
-        )
-        m_thr = thr.run(scenario.transaction_stream(120))
+        assert committed_ids(det_trace) == committed_ids(thr_trace)
         assert det.final_state() == thr.final_state()
+        assert [plan_signature(p) for p in plans] == det_plans
         # Same plan shape in both modes; only wall-clock may differ.
         for name in (
             "placeholders_reserved", "base_reads", "own_reads",
@@ -174,6 +192,25 @@ class TestPlanEquivalence:
         ):
             assert getattr(m_det, name) == getattr(m_thr, name), name
 
+    @pytest.mark.parametrize("lookahead", [1, 2, 3])
+    def test_single_batch_has_no_seam(self, lookahead):
+        _, metrics = run_case("single-batch", lookahead)
+        assert metrics.batches == 1
+        assert metrics.cross_batch_reads == metrics.rebound_reads == 0
+
+    @pytest.mark.parametrize("lookahead", LOOKAHEADS)
+    def test_latency_measures_batching_delay(self, lookahead):
+        """Admission/settle ticks do not depend on how far planning runs
+        ahead: first admitted waits out the whole batch, last one tick."""
+        scenario = bank()
+        planner = BatchPlanner(
+            initial=scenario.initial_state(), n_workers=2,
+            batch_size=10, lookahead=lookahead, deterministic=True,
+        )
+        metrics = planner.run(scenario.transaction_stream(10))
+        assert metrics.latency.max == 10
+        assert metrics.latency.min == 1
+
 
 class TestSeam:
     @pytest.mark.parametrize("deterministic", [True, False])
@@ -181,12 +218,7 @@ class TestSeam:
     def test_abort_rebinds_instead_of_cascading(
         self, deterministic, lookahead
     ):
-        pipe = PipelinedPlanner(
-            initial={k: 100 for k in "abcd"}, n_workers=2,
-            batch_size=2, lookahead=lookahead,
-            deterministic=deterministic,
-        )
-        m = pipe.run(abort_stream())
+        pipe, m = run_case("boundary-abort", lookahead, deterministic)
         # t3/t4 were planned against t2's reserved slots, but t2's abort
         # re-binds them to surviving state: they commit, no cross-batch
         # cascade exists by construction.
@@ -201,20 +233,16 @@ class TestSeam:
     def test_rebound_read_binds_to_committed_survivor(self):
         """t4's read of b re-binds to t1's *filled* slot (same settled
         batch), not all the way back to the pre-batch base."""
-        pipe = PipelinedPlanner(
-            initial={k: 100 for k in "abcd"}, n_workers=2,
-            batch_size=2, deterministic=True,
-        )
-        pipe.run(abort_stream())
+        pipe, _ = run_case("boundary-abort", 1)
         state = pipe.final_state()
         # t1 moved 5 a->b, then t4 moved 1 a->b on top of t1's balance.
         assert state["a"] == 94 and state["b"] == 106
 
     def test_cross_batch_reads_counted(self):
         scenario = bank()
-        pipe = PipelinedPlanner(
+        pipe = BatchPlanner(
             initial=scenario.initial_state(), n_workers=4,
-            batch_size=8, deterministic=True,
+            batch_size=8, lookahead=1, deterministic=True,
         )
         m = pipe.run(scenario.transaction_stream(80))
         # With 10 batches over 16 hot accounts, later batches must bind
@@ -222,89 +250,67 @@ class TestSeam:
         assert m.cross_batch_reads > 0
         assert m.committed == 80
 
-    def test_single_batch_degenerates_to_sequential(self):
-        """lookahead=1 with one batch: nothing is ever in flight during
-        execution — the run is the sequential planner stage for stage."""
-        scenario = bank()
-        seq = BatchPlanner(
-            initial=scenario.initial_state(), n_workers=2,
-            batch_size=1000, deterministic=True,
-        )
-        m_seq = seq.run(scenario.transaction_stream(30))
-        scenario = bank()
-        pipe = PipelinedPlanner(
-            initial=scenario.initial_state(), n_workers=2,
-            batch_size=1000, lookahead=1, deterministic=True,
-        )
-        m_pipe = pipe.run(scenario.transaction_stream(30))
-        assert m_pipe.batches == 1
-        assert m_pipe.cross_batch_reads == m_pipe.rebound_reads == 0
-        assert json.dumps(m_seq.as_dict()) == json.dumps(m_pipe.as_dict())
-        assert seq.final_state() == pipe.final_state()
-
 
 class TestDriverContract:
-    def test_single_use(self):
-        pipe = PipelinedPlanner(n_workers=1, batch_size=4)
-        pipe.run([])
+    @pytest.mark.parametrize("lookahead", [0, 1])
+    def test_single_use(self, lookahead):
+        planner = BatchPlanner(
+            n_workers=1, batch_size=4, lookahead=lookahead
+        )
+        planner.run([])
         with pytest.raises(EngineError):
-            pipe.run([])
+            planner.run([])
 
     def test_rejects_bad_configuration(self):
         with pytest.raises(ValueError):
-            PipelinedPlanner(n_workers=0)
+            BatchPlanner(n_workers=0)
         with pytest.raises(ValueError):
-            PipelinedPlanner(batch_size=0)
-        with pytest.raises(ValueError):
-            PipelinedPlanner(lookahead=0)
+            BatchPlanner(batch_size=0)
+        with pytest.raises(ValueError, match="lookahead"):
+            BatchPlanner(lookahead=-1)
 
     @pytest.mark.parametrize("deterministic", [True, False])
+    @pytest.mark.parametrize("lookahead", [0, 1])
     def test_stream_errors_propagate_from_the_planning_stage(
-        self, deterministic
+        self, deterministic, lookahead
     ):
-        """A stream iterator raising mid-run fails the run — in threaded
-        mode the error crosses back from the background planning thread
-        instead of silently truncating the stream."""
+        """A stream iterator raising mid-run fails the run — when
+        planning overlaps execution the error crosses back from the
+        background planning thread instead of silently truncating the
+        stream."""
 
         def broken_stream():
             yield from abort_stream()[:3]
             raise IOError("stream source died")
 
-        pipe = PipelinedPlanner(
+        planner = BatchPlanner(
             initial={k: 100 for k in "abcd"}, n_workers=2,
-            batch_size=2, deterministic=deterministic,
+            batch_size=2, lookahead=lookahead,
+            deterministic=deterministic,
         )
         with pytest.raises(IOError, match="stream source died"):
-            pipe.run(broken_stream())
+            planner.run(broken_stream())
 
-    def test_latency_identical_to_sequential_accounting(self):
-        """Admission/settle ticks replicate the sequential driver's, so
-        batching-delay latency is pipeline-invariant."""
+    @pytest.mark.parametrize("lookahead", [0, 2])
+    def test_gc_bounds_version_retention(self, lookahead):
         scenario = bank()
-        pipe = PipelinedPlanner(
-            initial=scenario.initial_state(), n_workers=2,
-            batch_size=10, deterministic=True,
-        )
-        m = pipe.run(scenario.transaction_stream(10))
-        assert m.latency.max == 10
-        assert m.latency.min == 1
-
-    def test_gc_bounds_version_retention(self):
-        scenario = bank()
-        with_gc = PipelinedPlanner(
+        with_gc = BatchPlanner(
             initial=scenario.initial_state(), n_workers=4,
-            batch_size=16, lookahead=2, deterministic=True,
+            batch_size=16, lookahead=lookahead, deterministic=True,
         )
         m = with_gc.run(scenario.transaction_stream(200))
-        without_gc = PipelinedPlanner(
+        without_gc = BatchPlanner(
             initial=scenario.initial_state(), n_workers=4,
-            batch_size=16, lookahead=2, deterministic=True,
+            batch_size=16, lookahead=lookahead, deterministic=True,
             gc_enabled=False,
         )
         n = without_gc.run(scenario.transaction_stream(200))
         assert m.committed == n.committed == 200
+        # GC keeps only the per-entity bases; without it every published
+        # version is retained.
         assert m.engine.final_versions < n.engine.final_versions
         assert m.engine.gc.versions_pruned > 0
+        # Both realize the identical final state.
         assert with_gc.final_state() == without_gc.final_state()
 
     @pytest.mark.parametrize("deterministic", [True, False])
@@ -321,3 +327,13 @@ class TestDriverContract:
         assert report.cc_aborts == 0
         assert report.invariant_ok
         assert report.metrics.lookahead == 2
+
+    def test_pipelined_planner_is_the_driver_with_lookahead_1(self):
+        """``benchmarks/perf`` wraps ``run`` on whichever class defines
+        it, so the shim must define none of its own."""
+        from repro.planner.pipeline import PipelinedPlanner
+
+        assert issubclass(PipelinedPlanner, BatchPlanner)
+        assert "run" not in vars(PipelinedPlanner)
+        assert PipelinedPlanner().lookahead == 1
+        assert PipelinedPlanner(lookahead=3).lookahead == 3

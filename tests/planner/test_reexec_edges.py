@@ -11,7 +11,7 @@ pruned version).
 
 import pytest
 
-from repro.planner import BatchPlanner, PipelinedPlanner
+from repro.planner import BatchPlanner
 from repro.workloads.bank import transfer_program, transfer_transaction
 from repro.workloads.streams import AbortHeavyScenario
 
@@ -152,7 +152,7 @@ class TestPipelinedGCPins:
             n_shards=2, accounts_per_shard=4, abort_fraction=0.3,
             cross_fraction=0.3, seed=13,
         )
-        pipelined = PipelinedPlanner(
+        pipelined = BatchPlanner(
             initial=scenario.initial_state(), n_workers=2,
             batch_size=4, lookahead=3, deterministic=True,
             gc_enabled=gc_enabled,
@@ -181,7 +181,7 @@ class TestPipelinedGCPins:
             batch_size=4, deterministic=True,
         )
         batch_metrics = batch.run(scenario.transaction_stream(100))
-        pipe = PipelinedPlanner(
+        pipe = BatchPlanner(
             initial=scenario.initial_state(), n_workers=2,
             batch_size=4, lookahead=3, deterministic=True,
         )

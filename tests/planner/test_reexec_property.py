@@ -27,7 +27,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.obs import Tracer
-from repro.planner import BatchPlanner, PipelinedPlanner
+from repro.planner import BatchPlanner
 from repro.storage.executor import write_value
 from repro.workloads.bank import transfer_program, transfer_transaction
 
@@ -157,7 +157,7 @@ def test_pipelined_reexec_matches_serial_oracle(workload):
     oracle_state, oracle_committed = serial_oracle(initial, stream)
 
     tracer = Tracer(capacity=None)
-    planner = PipelinedPlanner(
+    planner = BatchPlanner(
         initial=initial, n_workers=2, batch_size=batch_size,
         lookahead=2, deterministic=True, tracer=tracer,
     )

@@ -86,29 +86,49 @@ class TestArgValidation:
 
     def test_hot_fraction_out_of_range(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["engine", "--hot-fraction", "1.5"])
+            main(["run", "--hot-fraction", "1.5"])
         assert excinfo.value.code == 2
         assert "must be in [0, 1]" in capsys.readouterr().err
 
     def test_hot_fraction_not_a_number(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["engine", "--hot-fraction", "hot"])
+            main(["run", "--hot-fraction", "hot"])
         assert excinfo.value.code == 2
         assert "not a number" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--entities", "--sessions", "--txns"])
-    def test_engine_counts_must_be_positive(self, flag, capsys):
+    def test_fractions_validated_at_parse_time(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["engine", flag, "0"])
+            main(["run", "--mode", "planner", "--scenario", "read-mostly",
+                  "--read-fraction", "2"])
+        assert excinfo.value.code == 2
+        assert "must be in [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "flag",
+        ["--entities", "--workers", "--batch-size", "--txns",
+         "--accounts-per-shard", "--max-retries", "--epoch-steps",
+         "--lookahead"],
+    )
+    def test_counts_must_be_positive(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", flag, value])
         assert excinfo.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--workers", "--batch-size"])
-    def test_runtime_counts_must_be_positive(self, flag, capsys):
+    @pytest.mark.parametrize("flag", ["--gc-every", "--audit-every"])
+    def test_disableable_counts_must_not_be_negative(self, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["runtime", flag, "-3"])
+            main(["run", flag, "-1"])
         assert excinfo.value.code == 2
-        assert "must be >= 1" in capsys.readouterr().err
+        assert "must be >= 0" in capsys.readouterr().err
+
+    def test_removed_aliases_are_usage_errors(self, capsys):
+        for alias in ("engine", "runtime", "planner"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([alias])
+            assert excinfo.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_engine_fault_is_one_clean_line(self, capsys, monkeypatch):
         """EngineError exits 1 with a single stderr line, no traceback."""
@@ -134,7 +154,7 @@ class TestArgValidation:
             return parser
 
         monkeypatch.setattr(cli, "build_parser", patched_build)
-        assert cli.main(["engine", "--txns", "5"]) == 1
+        assert cli.main(["run", "--txns", "5"]) == 1
         err = capsys.readouterr().err
         assert err.strip() == (
             "engine fault: replay rejected a committed step"
@@ -316,6 +336,22 @@ class TestRun:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize(
+        "scheduler", ["2pl", "2v2pl", "mvto", "sgt", "si"]
+    )
+    def test_serial_inventory_under_every_scheduler(
+        self, scheduler, capsys
+    ):
+        assert main([
+            "run", "--mode", "serial", "--scenario", "inventory",
+            "--scheduler", scheduler, "--txns", "20", "--workers", "2",
+            "--no-gc",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert f"txns, {scheduler}," in out
+        assert "inventory via serial backend" in out
+        assert "invariant     ok" in out
+
     def test_inventory_workload(self, capsys):
         assert main([
             "run", "--mode", "parallel", "--scenario", "inventory",
@@ -478,119 +514,6 @@ class TestBench:
         with pytest.raises(SystemExit) as excinfo:
             main(["bench", "compare", "a", "b", "--max-regress", "2"])
         assert excinfo.value.code == 2
-
-
-class TestDeprecatedAliases:
-    """`engine` / `runtime` / `planner` delegate to the Database API:
-    one deprecation line on stderr, same RunReport as the equivalent
-    `repro run` invocation."""
-
-    @pytest.mark.parametrize(
-        "alias_argv, run_argv",
-        [
-            (
-                ["engine", "--txns", "30", "--sessions", "2",
-                 "--seed", "1"],
-                ["run", "--mode", "serial", "--scenario", "bank",
-                 "--txns", "30", "--workers", "2", "--seed", "1",
-                 "--entities", "8", "--hot-fraction", "0.5"],
-            ),
-            (
-                ["runtime", "--workers", "2", "--txns", "40",
-                 "--deterministic", "--batch-size", "4", "--seed", "2"],
-                ["run", "--mode", "parallel", "--scenario",
-                 "sharded-bank", "--workers", "2", "--txns", "40",
-                 "--deterministic", "--batch-size", "4", "--seed", "2",
-                 "--accounts-per-shard", "4", "--cross-fraction", "0.1",
-                 "--hot-fraction", "0.2"],
-            ),
-            (
-                ["planner", "--workload", "readmostly", "--workers", "2",
-                 "--txns", "40", "--deterministic"],
-                ["run", "--mode", "planner", "--scenario", "read-mostly",
-                 "--workers", "2", "--txns", "40", "--deterministic",
-                 "--accounts-per-shard", "4", "--hot-fraction", "0.2",
-                 "--read-fraction", "0.9"],
-            ),
-        ],
-        ids=["engine", "runtime", "planner"],
-    )
-    def test_alias_equals_run(self, alias_argv, run_argv, capsys):
-        assert main(alias_argv + ["--json"]) == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert captured.err.count("\n") == 1  # one-line notice
-        alias_report = json.loads(captured.out)
-        assert main(run_argv + ["--json"]) == 0
-        captured = capsys.readouterr()
-        assert "deprecated" not in captured.err
-        assert alias_report == json.loads(captured.out)
-
-    def test_engine_all_json_is_one_document(self, capsys):
-        assert main([
-            "engine", "--workload", "inventory", "--scheduler", "all",
-            "--txns", "20", "--sessions", "2", "--json",
-        ]) == 0
-        reports = json.loads(capsys.readouterr().out)
-        assert [r["config"]["scheduler"] for r in reports] == [
-            "2pl", "2v2pl", "mvto", "sgt", "si",
-        ]
-
-    def test_engine_all_runs_every_scheduler(self, capsys):
-        assert main([
-            "engine", "--workload", "inventory", "--scheduler", "all",
-            "--txns", "20", "--sessions", "2", "--no-gc",
-        ]) == 0
-        out = capsys.readouterr().out
-        for name in ["2pl", "2v2pl", "mvto", "sgt", "si"]:
-            assert f"txns, {name}," in out
-        assert out.count("via serial backend") == 5
-
-    def test_planner_alias_output_shape(self, capsys):
-        assert main([
-            "planner", "--workers", "4", "--txns", "60",
-            "--deterministic", "--batch-size", "16",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "sharded-bank via planner backend" in out
-        assert "cc aborts     0" in out
-        assert "invariant     ok" in out
-
-    def test_deterministic_output_is_byte_identical(self, capsys):
-        argv = [
-            "planner", "--workers", "4", "--txns", "50",
-            "--deterministic", "--seed", "9", "--batch-size", "8",
-        ]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert main(argv) == 0
-        second = capsys.readouterr().out
-        assert first == second
-
-    @pytest.mark.parametrize(
-        "flag", ["--workers", "--batch-size", "--txns"]
-    )
-    def test_counts_must_be_positive(self, flag, capsys):
-        """The shared execution-args helper validates at parse time for
-        the planner exactly as for engine/runtime."""
-        with pytest.raises(SystemExit) as excinfo:
-            main(["planner", flag, "0"])
-        assert excinfo.value.code == 2
-        assert "must be >= 1" in capsys.readouterr().err
-
-    def test_fractions_validated_at_parse_time(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["planner", "--read-fraction", "2"])
-        assert excinfo.value.code == 2
-        assert "must be in [0, 1]" in capsys.readouterr().err
-
-    def test_planner_has_no_retry_or_epoch_flags(self, capsys):
-        """Flags that cannot apply (nothing aborts, batch == epoch) do
-        not exist on the planner subcommand."""
-        for flag in ("--max-retries", "--epoch-steps", "--gc-every"):
-            with pytest.raises(SystemExit) as excinfo:
-                main(["planner", flag, "4"])
-            assert excinfo.value.code == 2
 
 
 class TestAudit:
