@@ -210,7 +210,6 @@ class SerialEngineBackend(BackendAdapter):
             engine = OnlineEngine(
                 scheduler_factory(config.scheduler),
                 initial=initial,
-                n_shards=max(config.workers, 1),
                 gc_enabled=config.gc,
                 gc_every_commits=config.gc_every,
                 epoch_max_steps=config.epoch_max_steps,

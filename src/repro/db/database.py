@@ -12,7 +12,7 @@ Five lines is the whole story::
 execution backend (``config.mode``), drains one stream through it and
 returns the uniform :class:`~repro.db.RunReport` — invariant verdict
 included.  The four built-in modes (``serial`` / ``parallel`` /
-``planner`` / ``pipelined``) and the four built-in scenarios are
+``planner`` / ``pipelined``) and the five built-in scenarios are
 discoverable via :meth:`Database.backends` and
 :meth:`Database.scenarios`; ``docs/execution-modes.md`` is the design
 reference for what each mode guarantees.

@@ -60,8 +60,7 @@ from repro.model.steps import Entity, Step, TxnId
 from repro.model.transactions import Transaction
 from repro.schedulers.base import Scheduler
 from repro.storage.executor import Program, write_value
-from repro.storage.mvstore import Version
-from repro.storage.sharded import ShardedMultiversionStore
+from repro.storage.mvstore import MultiversionStore, Version, VersionStore
 from repro.engine.errors import EngineError, TransactionAborted
 from repro.engine.gc import WatermarkGC
 from repro.engine.metrics import EngineMetrics
@@ -137,9 +136,8 @@ class OnlineEngine:
     def __init__(
         self,
         scheduler_factory: SchedulerFactory,
-        store=None,
+        store: VersionStore | None = None,
         initial: dict[Entity, Any] | None = None,
-        n_shards: int = 8,
         gc_enabled: bool = True,
         gc_every_commits: int = 32,
         epoch_max_steps: int = 256,
@@ -161,10 +159,8 @@ class OnlineEngine:
         self.hold_commits = hold_commits
         self._lengths: dict[TxnId, int] = {}
         self.scheduler = scheduler_factory(self._lengths)
-        self.store = (
-            store
-            if store is not None
-            else ShardedMultiversionStore(n_shards, initial)
+        self.store: VersionStore = (
+            store if store is not None else MultiversionStore(initial)
         )
         self.metrics = EngineMetrics()
         self.gc = (

@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.obs import NULL_TRACER
+from repro.storage.mvstore import VersionStore
 
 
 @dataclass
@@ -52,15 +53,6 @@ class GCStats:
     #: largest version_count ever observed at a collection point.
     peak_versions: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "collections": self.collections,
-            "versions_pruned": self.versions_pruned,
-            "last_before": self.last_before,
-            "last_after": self.last_after,
-            "peak_versions": self.peak_versions,
-        }
-
 
 class WatermarkGC:
     """Prune version-chain prefixes behind a position watermark."""
@@ -68,7 +60,7 @@ class WatermarkGC:
     def __init__(
         self, store, tracer=NULL_TRACER, trace_track: str = "engine"
     ) -> None:
-        self.store = store
+        self.store: VersionStore = store
         self.stats = GCStats()
         self.tracer = tracer
         self.trace_track = trace_track

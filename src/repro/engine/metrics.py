@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.engine.gc import GCStats
+from repro.obs.registry import FieldTable
 from repro.obs.stats import percentile, summarize_samples
 
 
@@ -125,24 +126,7 @@ class EngineMetrics:
         return self.committed / self.elapsed if self.elapsed > 0 else 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "attempts": self.attempts,
-            "committed": self.committed,
-            "aborted": self.aborted_total,
-            "rejected": self.aborted_rejected,
-            "deadlock": self.aborted_deadlock,
-            "cascade": self.aborted_cascade,
-            "logic": self.aborted_logic,
-            "external": self.aborted_external,
-            "retries": self.retries,
-            "gave_up": self.gave_up,
-            "steps": self.steps_submitted,
-            "epochs": self.epochs_closed,
-            "latency": self.latency.as_dict(),
-            "gc_pruned": self.gc.versions_pruned,
-            "peak_versions": self.gc.peak_versions,
-            "final_versions": self.final_versions,
-        }
+        return _FIELDS.as_dict(self)
 
     def register_into(self, registry) -> None:
         """Publish into a :class:`repro.obs.MetricsRegistry`.
@@ -151,25 +135,7 @@ class EngineMetrics:
         throughput) are deliberately absent so equal-seed deterministic
         telemetry is byte-identical.
         """
-        registry.counter("engine.attempts", self.attempts)
-        registry.counter("engine.committed", self.committed)
-        registry.counter("engine.aborted.rejected", self.aborted_rejected)
-        registry.counter("engine.aborted.deadlock", self.aborted_deadlock)
-        registry.counter("engine.aborted.cascade", self.aborted_cascade)
-        registry.counter("engine.aborted.logic", self.aborted_logic)
-        registry.counter("engine.aborted.external", self.aborted_external)
-        registry.counter("engine.retries", self.retries)
-        registry.counter("engine.gave_up", self.gave_up)
-        registry.counter("engine.steps.submitted", self.steps_submitted)
-        registry.counter("engine.steps.rejected", self.steps_rejected)
-        registry.counter("engine.epochs_closed", self.epochs_closed)
-        registry.counter("engine.replays", self.replays)
-        registry.gauge("engine.ticks", self.ticks)
-        registry.gauge("engine.final_versions", self.final_versions)
-        registry.histogram("engine.latency", self.latency.samples)
-        registry.counter("engine.gc.collections", self.gc.collections)
-        registry.counter("engine.gc.versions_pruned", self.gc.versions_pruned)
-        registry.gauge("engine.gc.peak_versions", self.gc.peak_versions)
+        _FIELDS.register_into(self, registry)
 
     def report(self) -> str:
         """A human-readable block for the CLI."""
@@ -193,3 +159,28 @@ class EngineMetrics:
             f"in {self.gc.collections} collections",
         ]
         return "\n".join(lines)
+
+
+_FIELDS = FieldTable(
+    "engine",
+    ("attempts", "attempts", "attempts", "counter"),
+    ("committed", "committed", "committed", "counter"),
+    ("aborted_total", "aborted", None, None),
+    ("aborted_rejected", "rejected", "aborted.rejected", "counter"),
+    ("aborted_deadlock", "deadlock", "aborted.deadlock", "counter"),
+    ("aborted_cascade", "cascade", "aborted.cascade", "counter"),
+    ("aborted_logic", "logic", "aborted.logic", "counter"),
+    ("aborted_external", "external", "aborted.external", "counter"),
+    ("retries", "retries", "retries", "counter"),
+    ("gave_up", "gave_up", "gave_up", "counter"),
+    ("steps_submitted", "steps", "steps.submitted", "counter"),
+    ("steps_rejected", None, "steps.rejected", "counter"),
+    ("epochs_closed", "epochs", "epochs_closed", "counter"),
+    ("replays", None, "replays", "counter"),
+    ("ticks", None, "ticks", "gauge"),
+    ("latency", "latency", "latency", "histogram"),
+    ("gc.collections", None, "gc.collections", "counter"),
+    ("gc.versions_pruned", "gc_pruned", "gc.versions_pruned", "counter"),
+    ("gc.peak_versions", "peak_versions", "gc.peak_versions", "gauge"),
+    ("final_versions", "final_versions", "final_versions", "gauge"),
+)

@@ -20,6 +20,7 @@ byte-identical telemetry.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from repro.obs.stats import summarize_samples
@@ -124,6 +125,52 @@ class MetricsRegistry:
             "gauges": gauges,
             "histograms": histograms,
         }
+
+
+class FieldTable:
+    """One metrics class's counters, declared once.
+
+    A row is ``(attribute, as_dict key | None, telemetry name | None,
+    kind | None)``: ``attribute`` is a (dotted) attribute path on the
+    metrics object, the telemetry name is relative to the table's
+    ``prefix``, and ``kind`` is the :class:`MetricsRegistry` instrument —
+    ``"counter"``, ``"gauge"`` or ``"histogram"`` (the attribute is then
+    a sample holder with ``samples`` and ``as_dict``).  Both serialized
+    views derive from the rows: :meth:`as_dict` takes those with a key,
+    in row order (the native dicts are byte-pinned by bench records, so
+    order is part of the declaration), :meth:`register_into` those with
+    a telemetry name.  ``None`` says a value is deliberately absent from
+    that view — configuration and derived totals have no instrument, and
+    a counter without a key is published through telemetry only.
+    """
+
+    def __init__(self, prefix: str, *rows: tuple) -> None:
+        self._rows = [
+            (attrgetter(attribute), key, name and f"{prefix}.{name}", kind)
+            for attribute, key, name, kind in rows
+        ]
+
+    def as_dict(self, metrics) -> dict:
+        view = {}
+        for get, key, _, kind in self._rows:
+            if key is None:
+                continue
+            value = get(metrics)
+            if kind == "histogram":
+                value = value.as_dict()
+            elif isinstance(value, float):
+                value = round(value, 3)
+            view[key] = value
+        return view
+
+    def register_into(self, metrics, registry: MetricsRegistry) -> None:
+        for get, _, name, kind in self._rows:
+            if name is None:
+                continue
+            value = get(metrics)
+            if kind == "histogram":
+                value = value.samples
+            getattr(registry, kind)(name, value)
 
 
 def telemetry_view(metrics) -> dict:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.engine.metrics import EngineMetrics
+from repro.obs.registry import FieldTable
 
 
 @dataclass
@@ -117,26 +118,7 @@ class PlannerMetrics:
         return self.committed / self.elapsed if self.elapsed > 0 else 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "workers": self.n_workers,
-            "batch_size": self.batch_size,
-            "deterministic": self.deterministic,
-            "submitted": self.submitted,
-            "committed": self.committed,
-            "cc_aborts": self.cc_aborts,
-            "logic_aborted": self.logic_aborted,
-            "cascade_aborted": self.cascade_aborted,
-            "reexecuted": self.reexecuted,
-            "reexec_rounds": self.reexec_rounds,
-            "batches": self.batches,
-            "placeholders": self.placeholders_reserved,
-            "base_reads": self.base_reads,
-            "own_reads": self.own_reads,
-            "dependent_reads": self.dependent_reads,
-            "commit_deps": self.commit_deps,
-            "blocked_reads": self.blocked_reads,
-            "engine": self.engine.as_dict(),
-        }
+        return {**_FIELDS.as_dict(self), "engine": self.engine.as_dict()}
 
     def register_into(self, registry) -> None:
         """Publish into a :class:`repro.obs.MetricsRegistry`.
@@ -149,28 +131,9 @@ class PlannerMetrics:
         ``elapsed``), so deterministic telemetry is byte-identical.
         """
         self.engine.register_into(registry)
-        registry.counter("planner.submitted", self.submitted)
-        registry.counter("planner.committed", self.committed)
-        registry.counter("planner.cc_aborts", self.cc_aborts)
-        registry.counter("planner.logic_aborted", self.logic_aborted)
-        registry.counter("planner.cascade_aborted", self.cascade_aborted)
-        registry.counter("planner.reexecuted", self.reexecuted)
-        registry.counter("planner.reexec_rounds", self.reexec_rounds)
-        registry.counter("planner.batches", self.batches)
-        registry.counter(
-            "planner.placeholders", self.placeholders_reserved
-        )
-        registry.counter("planner.reads.base", self.base_reads)
-        registry.counter("planner.reads.own", self.own_reads)
-        registry.counter("planner.reads.dependent", self.dependent_reads)
-        registry.counter("planner.commit_deps", self.commit_deps)
-        registry.counter("planner.blocked_reads", self.blocked_reads)
+        _FIELDS.register_into(self, registry)
         if self.lookahead:
-            registry.gauge("pipeline.lookahead", self.lookahead)
-            registry.counter("pipeline.rebound_reads", self.rebound_reads)
-            registry.counter(
-                "pipeline.cross_batch_reads", self.cross_batch_reads
-            )
+            _PIPELINE_FIELDS.register_into(self, registry)
 
     def report(self) -> str:
         """A human-readable block for the CLI."""
@@ -222,3 +185,34 @@ class PlannerMetrics:
                 f"reads, {self.rebound_reads} re-bound after aborts"
             )
         return "\n".join(lines)
+
+
+_FIELDS = FieldTable(
+    "planner",
+    ("n_workers", "workers", None, None),
+    ("batch_size", "batch_size", None, None),
+    ("deterministic", "deterministic", None, None),
+    ("submitted", "submitted", "submitted", "counter"),
+    ("committed", "committed", "committed", "counter"),
+    ("cc_aborts", "cc_aborts", "cc_aborts", "counter"),
+    ("logic_aborted", "logic_aborted", "logic_aborted", "counter"),
+    ("cascade_aborted", "cascade_aborted", "cascade_aborted", "counter"),
+    ("reexecuted", "reexecuted", "reexecuted", "counter"),
+    ("reexec_rounds", "reexec_rounds", "reexec_rounds", "counter"),
+    ("batches", "batches", "batches", "counter"),
+    ("placeholders_reserved", "placeholders", "placeholders", "counter"),
+    ("base_reads", "base_reads", "reads.base", "counter"),
+    ("own_reads", "own_reads", "reads.own", "counter"),
+    ("dependent_reads", "dependent_reads", "reads.dependent", "counter"),
+    ("commit_deps", "commit_deps", "commit_deps", "counter"),
+    ("blocked_reads", "blocked_reads", "blocked_reads", "counter"),
+)
+
+#: published only when planning runs ahead (``lookahead >= 1``); never
+#: ``as_dict`` keys — see the ``lookahead`` field above.
+_PIPELINE_FIELDS = FieldTable(
+    "pipeline",
+    ("lookahead", None, "lookahead", "gauge"),
+    ("rebound_reads", None, "rebound_reads", "counter"),
+    ("cross_batch_reads", None, "cross_batch_reads", "counter"),
+)

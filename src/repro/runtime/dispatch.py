@@ -173,44 +173,26 @@ class ShardRuntime:
             partitionable=self.plan.partitionable,
             deterministic=deterministic,
         )
+        if not (self.plan.partitionable or deterministic):
+            # Shared lock table: the one scheduler is probed across threads.
+            factory = locked_factory(factory)
         self.workers: list[ShardWorker] = []
-        if self.plan.partitionable:
-            for domain in range(n_domains):
-                engine = OnlineEngine(
-                    factory,
-                    store=self.store.shards[domain],
-                    gc_enabled=gc_enabled,
-                    gc_every_commits=gc_every_commits,
-                    epoch_max_steps=epoch_max_steps,
-                    hold_commits=True,
-                    tracer=tracer,
-                    trace_track=f"shard-{domain}",
-                )
-                self.workers.append(
-                    ShardWorker(
-                        domain,
-                        engine,
-                        lock=self.store.locks[domain],
-                        deterministic=deterministic,
-                    )
-                )
-        else:
-            # Shared lock table: one conflict domain over the whole store.
+        for domain in range(n_domains):
             engine = OnlineEngine(
-                factory if deterministic else locked_factory(factory),
-                store=self.store,
+                factory,
+                store=self.store.shards[domain],
                 gc_enabled=gc_enabled,
                 gc_every_commits=gc_every_commits,
                 epoch_max_steps=epoch_max_steps,
                 hold_commits=True,
                 tracer=tracer,
-                trace_track="shard-0",
+                trace_track=f"shard-{domain}",
             )
             self.workers.append(
                 ShardWorker(
-                    0,
+                    domain,
                     engine,
-                    lock=self.store.locked_all(),
+                    lock=self.store.locks[domain],
                     deterministic=deterministic,
                 )
             )

@@ -9,7 +9,8 @@ are attached verbatim for drill-down.
 
 ``as_dict`` deliberately excludes wall-clock fields so that two
 same-seed deterministic runs serialize byte-identically — that is the
-reproducibility contract ``repro runtime --deterministic`` tests against.
+reproducibility contract ``repro run --mode parallel --deterministic``
+tests against.
 """
 
 # repro: deterministic-contract — equal seeds must yield byte-identical output
@@ -19,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.engine.metrics import LatencyStats
+from repro.obs.registry import FieldTable
 
 
 @dataclass
@@ -42,15 +44,7 @@ class GroupCommitStats:
         return self.flushed / self.batches if self.batches else 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "batches": self.batches,
-            "flushed": self.flushed,
-            "mean_batch": round(self.mean_batch, 3),
-            "largest_batch": self.largest_batch,
-            "held_over": self.held_over,
-            "forced": self.forced,
-            "flush_aborts": self.flush_aborts,
-        }
+        return _GROUP_COMMIT_FIELDS.as_dict(self)
 
 
 @dataclass
@@ -97,19 +91,7 @@ class RuntimeMetrics:
 
     def as_dict(self) -> dict:
         return {
-            "workers": self.n_workers,
-            "domains": self.effective_domains,
-            "partitionable": self.partitionable,
-            "deterministic": self.deterministic,
-            "submitted": self.submitted,
-            "committed": self.committed,
-            "aborted": self.aborted,
-            "retries": self.retries,
-            "gave_up": self.gave_up,
-            "single_shard": self.single_shard,
-            "cross_shard": self.cross_shard,
-            "ticks": self.ticks,
-            "latency": self.latency.as_dict(),
+            **_FIELDS.as_dict(self),
             "group_commit": self.group_commit.as_dict(),
             "per_worker": list(self.per_worker),
             "shard_stats": list(self.shard_stats),
@@ -121,28 +103,8 @@ class RuntimeMetrics:
         Dotted ``runtime.*`` names; wall-clock quantities stay out so
         equal-seed deterministic telemetry is byte-identical.
         """
-        registry.counter("runtime.submitted", self.submitted)
-        registry.counter("runtime.committed", self.committed)
-        registry.counter("runtime.aborted", self.aborted)
-        registry.counter("runtime.retries", self.retries)
-        registry.counter("runtime.gave_up", self.gave_up)
-        registry.counter("runtime.single_shard", self.single_shard)
-        registry.counter("runtime.cross_shard", self.cross_shard)
-        registry.gauge("runtime.ticks", self.ticks)
-        registry.gauge("runtime.workers", self.n_workers)
-        registry.gauge("runtime.domains", self.effective_domains)
-        registry.histogram("runtime.latency", self.latency.samples)
-        gc = self.group_commit
-        registry.counter("runtime.group_commit.batches", gc.batches)
-        registry.counter("runtime.group_commit.flushed", gc.flushed)
-        registry.counter("runtime.group_commit.held_over", gc.held_over)
-        registry.counter("runtime.group_commit.forced", gc.forced)
-        registry.counter(
-            "runtime.group_commit.flush_aborts", gc.flush_aborts
-        )
-        registry.gauge(
-            "runtime.group_commit.largest_batch", gc.largest_batch
-        )
+        _FIELDS.register_into(self, registry)
+        _GROUP_COMMIT_FIELDS.register_into(self.group_commit, registry)
 
     def report(self) -> str:
         """A human-readable block for the CLI.
@@ -175,3 +137,32 @@ class RuntimeMetrics:
             f"ticks         {self.ticks}",
         ]
         return "\n".join(lines)
+
+
+_GROUP_COMMIT_FIELDS = FieldTable(
+    "runtime.group_commit",
+    ("batches", "batches", "batches", "counter"),
+    ("flushed", "flushed", "flushed", "counter"),
+    ("mean_batch", "mean_batch", None, None),
+    ("largest_batch", "largest_batch", "largest_batch", "gauge"),
+    ("held_over", "held_over", "held_over", "counter"),
+    ("forced", "forced", "forced", "counter"),
+    ("flush_aborts", "flush_aborts", "flush_aborts", "counter"),
+)
+
+_FIELDS = FieldTable(
+    "runtime",
+    ("n_workers", "workers", "workers", "gauge"),
+    ("effective_domains", "domains", "domains", "gauge"),
+    ("partitionable", "partitionable", None, None),
+    ("deterministic", "deterministic", None, None),
+    ("submitted", "submitted", "submitted", "counter"),
+    ("committed", "committed", "committed", "counter"),
+    ("aborted", "aborted", "aborted", "counter"),
+    ("retries", "retries", "retries", "counter"),
+    ("gave_up", "gave_up", "gave_up", "counter"),
+    ("single_shard", "single_shard", "single_shard", "counter"),
+    ("cross_shard", "cross_shard", "cross_shard", "counter"),
+    ("ticks", "ticks", "ticks", "gauge"),
+    ("latency", "latency", "latency", "histogram"),
+)

@@ -10,7 +10,7 @@ couple entities across shards — their conflict state *is* one shared
 lock table (or graph).
 
 For those, the runtime collapses all concurrency control into a single
-conflict domain: one engine, one scheduler, the whole sharded store.
+conflict domain: one engine, one scheduler, a store of one shard.
 That is the honest rendering of a shared lock table in this codebase —
 requests serialize at the table no matter how many workers front it, so
 the runtime doesn't pretend otherwise.  :class:`LockedScheduler` is the

@@ -9,7 +9,7 @@ validate view equivalence semantically — or concrete transaction programs
 is exactly what preserves integrity constraints.
 """
 
-from repro.storage.mvstore import MultiversionStore, Version
+from repro.storage.mvstore import MultiversionStore, Version, VersionStore
 from repro.storage.sharded import ShardedMultiversionStore, shard_of
 from repro.storage.svstore import SingleVersionStore
 from repro.storage.executor import (
@@ -23,6 +23,7 @@ from repro.storage.txn_manager import TransactionManager, ProgramOutcome
 __all__ = [
     "MultiversionStore",
     "Version",
+    "VersionStore",
     "ShardedMultiversionStore",
     "shard_of",
     "SingleVersionStore",

@@ -102,10 +102,9 @@ def execute(
     for position, step in enumerate(core):
         if step.is_read:
             source = vf.assignments.get(position, T_INIT)
-            if source == T_INIT:
-                version = store.initial(step.entity)
-            else:
-                version = store.at_position(step.entity, source)
+            version = store.at_position(
+                step.entity, None if source == T_INIT else source
+            )
             read_values[position] = version.value
             reads_so_far.setdefault(step.txn, []).append(version.value)
         else:

@@ -5,17 +5,18 @@ value at the end of the set of values of the entity", paper §2); reads are
 served *a chosen* version, not necessarily the latest.  The store is the
 execution substrate under the multiversion schedulers and examples.
 
-Lookups by position (:meth:`MultiversionStore.at_position`) and by writer
-(:meth:`MultiversionStore.latest_by`) are backed by per-entity indexes, so
-they cost O(1) regardless of chain length — both are hot paths under the
-online engine (:mod:`repro.engine`) and the storage benchmarks.  The store
-also supports removing individual versions (transaction abort) and pruning
-chain prefixes (garbage collection); both keep the indexes consistent.
-
-Invariant: a chain's positions are strictly increasing (writes append, so
-callers install in position order; an out-of-order ``install``/``reserve``
-is rejected).  ``remove``, ``latest_before`` and ``prune_before`` rely on
-it: they bisect the chain's positions instead of walking the chain.
+A version is addressed by the *position* of the write that made it, and
+the chain's position list is the store's only index.  Invariant: a
+chain's positions are strictly increasing (writes append, so callers
+install in position order; an out-of-order ``install``/``reserve`` is
+rejected).  Every search — ``at_position``, ``remove`` (transaction
+abort), ``latest_before`` and ``prune_before`` (garbage collection) —
+bisects that list instead of walking the chain.  The drivers
+(:mod:`repro.engine`, :mod:`repro.planner`) hold the ``Version`` objects
+they were served and never look one up; ``at_position`` serves the
+paper-level schedule executor (:mod:`repro.storage.executor`).
+:class:`VersionStore` names the part of this interface those drivers
+call.
 
 Placeholder versions (after Larson et al.'s uncommitted-version records)
 support plan-then-execute execution (:mod:`repro.planner`): a chain slot
@@ -35,7 +36,7 @@ import enum
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, Protocol, runtime_checkable
 
 from repro.model.schedules import T_INIT
 from repro.model.steps import Entity, TxnId
@@ -153,9 +154,53 @@ class PlaceholderVersion(Version):
         object.__setattr__(self, "state", PlaceholderState.PENDING)
 
 
-def _order_key(version: Version) -> int:
-    """Chain-order key of a version; the initial version sorts first."""
-    return -1 if version.position is None else version.position
+def _order_key(position: int | None) -> int:
+    """Chain-order key of a position; the initial version sorts first."""
+    return -1 if position is None else position
+
+
+@runtime_checkable
+class VersionStore(Protocol):
+    """What the drivers call on a store — nothing more.
+
+    :class:`repro.engine.OnlineEngine`, :class:`repro.engine.WatermarkGC`
+    and the planner (:mod:`repro.planner`) are written against exactly
+    these members (``tests/storage/test_protocol.py`` walks their source
+    to keep it so; ``docs/execution-modes.md`` has the member → caller
+    table).  :class:`MultiversionStore` and
+    :class:`repro.storage.sharded.ShardedMultiversionStore` implement it;
+    semantics are documented on the former.
+    """
+
+    def install(
+        self, entity: Entity, writer: TxnId, value: Any, position: int
+    ) -> Version: ...
+
+    def remove(self, version: Version) -> None: ...
+
+    def reserve(
+        self, entity: Entity, writer: TxnId, position: int
+    ) -> PlaceholderVersion: ...
+
+    def fill(self, version: PlaceholderVersion, value: Any) -> None: ...
+
+    def poison(self, version: PlaceholderVersion) -> None: ...
+
+    def revive(self, version: PlaceholderVersion) -> None: ...
+
+    def prune_before(self, entity: Entity, watermark: int) -> int: ...
+
+    def latest(self, entity: Entity) -> Version: ...
+
+    def latest_before(self, entity: Entity, position: int) -> Version: ...
+
+    def entities(self) -> Iterator[Entity]: ...
+
+    def version_count(self) -> int: ...
+
+    def placeholder_count(self) -> int: ...
+
+    def final_state(self) -> dict[Entity, Any]: ...
 
 
 class MultiversionStore:
@@ -167,10 +212,6 @@ class MultiversionStore:
         #: chain, strictly increasing — what the chain searches bisect.
         self._keys: dict[Entity, list[int]] = {}
         self._initial_values = dict(initial or {})
-        #: per-entity position -> version (None keys the initial version).
-        self._by_position: dict[Entity, dict[int | None, Version]] = {}
-        #: per-entity writer -> that writer's versions in chain order.
-        self._by_writer: dict[Entity, dict[TxnId, list[Version]]] = {}
         self._n_versions = 0
         #: reserved-but-unmaterialized slots (PENDING or POISONED).
         self._n_unmaterialized = 0
@@ -180,15 +221,13 @@ class MultiversionStore:
             value = self._initial_values.get(entity, ("init", entity))
             self._chains[entity] = []
             self._keys[entity] = []
-            self._by_position[entity] = {}
-            self._by_writer[entity] = {}
-            self._index(Version(entity, T_INIT, value, None))
+            self._append(Version(entity, T_INIT, value, None))
         return self._chains[entity]
 
-    def _index(self, version: Version) -> None:
+    def _append(self, version: Version) -> None:
         entity = version.entity
         keys = self._keys[entity]
-        key = _order_key(version)
+        key = _order_key(version.position)
         if keys and key <= keys[-1]:
             raise ValueError(
                 f"out-of-order install of {entity!r} at position "
@@ -196,18 +235,9 @@ class MultiversionStore:
             )
         keys.append(key)
         self._chains[entity].append(version)
-        self._by_position[entity][version.position] = version
-        self._by_writer[entity].setdefault(version.writer, []).append(version)
         self._n_versions += 1
 
-    def _unindex(self, version: Version) -> None:
-        entity = version.entity
-        del self._by_position[entity][version.position]
-        owned = self._by_writer[entity][version.writer]
-        # A writer's versions are a subsequence of the chain, so sorted too.
-        del owned[bisect_left(owned, _order_key(version), key=_order_key)]
-        if not owned:
-            del self._by_writer[entity][version.writer]
+    def _dropped(self, version: Version) -> None:
         self._n_versions -= 1
         if not version.materialized:
             self._n_unmaterialized -= 1
@@ -220,7 +250,7 @@ class MultiversionStore:
         """Append a new version to the entity's chain."""
         self._chain(entity)
         version = Version(entity, writer, value, position)
-        self._index(version)
+        self._append(version)
         return version
 
     # -- placeholder lifecycle (plan-then-execute) ------------------------
@@ -236,7 +266,7 @@ class MultiversionStore:
         """
         self._chain(entity)
         version = PlaceholderVersion(entity, writer, position)
-        self._index(version)
+        self._append(version)
         self._n_unmaterialized += 1
         return version
 
@@ -308,7 +338,7 @@ class MultiversionStore:
         if i == len(chain) or chain[i] is not version:
             raise KeyError(f"version {version!r} is not installed")
         del chain[i], keys[i]
-        self._unindex(version)
+        self._dropped(version)
 
     def prune_before(self, entity: Entity, watermark: int) -> int:
         """Drop the chain prefix older than ``watermark`` (GC path).
@@ -327,7 +357,7 @@ class MultiversionStore:
         removed = chain[:cut]
         del chain[:cut], keys[:cut]
         for version in removed:
-            self._unindex(version)
+            self._dropped(version)
         return cut
 
     # -- reads ------------------------------------------------------------
@@ -336,24 +366,20 @@ class MultiversionStore:
         """The newest version (single-version semantics)."""
         return self._chain(entity)[-1]
 
-    def initial(self, entity: Entity) -> Version:
-        """The initial (``T0``) version."""
-        return self._chain(entity)[0]
-
     def at_position(self, entity: Entity, position: int | None) -> Version:
         """The version installed by the write at ``position``.
 
-        ``None`` (or the T0 sentinel upstream) addresses the initial
-        version.  Raises ``KeyError`` when no such version exists —
-        serving a version that was never installed is a bug in the caller.
+        ``None`` addresses the initial (``T0``) version.  Raises
+        ``KeyError`` when no such version exists (never installed, or
+        pruned) — serving some other version instead is a bug in the
+        caller.
         """
-        self._chain(entity)
-        try:
-            return self._by_position[entity][position]
-        except KeyError:
-            raise KeyError(
-                f"no version of {entity!r} at position {position}"
-            ) from None
+        chain = self._chain(entity)
+        i = bisect_left(self._keys[entity], _order_key(position))
+        # Compare positions, not keys: the initial version's key is -1.
+        if i == len(chain) or chain[i].position != position:
+            raise KeyError(f"no version of {entity!r} at position {position}")
+        return chain[i]
 
     def latest_before(self, entity: Entity, position: int) -> Version:
         """The newest version strictly below ``position`` in chain order.
@@ -372,14 +398,6 @@ class MultiversionStore:
                 f"no version of {entity!r} before position {position}"
             )
         return chain[i - 1]
-
-    def latest_by(self, entity: Entity, writer: TxnId) -> Version:
-        """The newest version written by ``writer``."""
-        self._chain(entity)
-        owned = self._by_writer[entity].get(writer)
-        if not owned:
-            raise KeyError(f"{writer!r} wrote no version of {entity!r}")
-        return owned[-1]
 
     def versions(self, entity: Entity) -> list[Version]:
         """The full chain, oldest first."""

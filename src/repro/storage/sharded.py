@@ -1,4 +1,4 @@
-"""Sharded multiversion store: N independent stores behind one interface.
+"""Sharded multiversion store: N independent stores, one lock each.
 
 Partitions entities across ``n_shards`` :class:`MultiversionStore` shards
 by a *stable* hash of the entity name (``zlib.crc32`` — Python's builtin
@@ -7,18 +7,22 @@ Each shard owns its entities outright, so per-entity operations touch a
 single small dict instead of one global one — the layout every later
 scaling step (per-shard locks, per-shard GC, multi-backend) builds on.
 
-The interface is a strict superset of :class:`MultiversionStore`, so the
-online engine and the garbage collector accept either interchangeably.
+It is two things.  To the planner it is the partitioned store: it
+implements :class:`repro.storage.VersionStore` by routing each call to
+the owning shard, and adds ``n_shards``, ``locks`` and ``lock_of`` for
+the per-partition planning threads and the plan executor.  To the
+parallel runtime it is the container of per-domain stores and locks:
+each domain's engine runs on ``shards[d]`` — a plain
+:class:`MultiversionStore` — under ``locks[d]``, and the dispatcher reads
+``final_state`` and ``snapshot_stats`` across them.
 
 Concurrency: every shard carries an :class:`threading.RLock`.  The
 parallel runtime (:mod:`repro.runtime`) confines each shard's mutations
 to that shard's worker, which holds the lock for the duration of each
 task; cross-thread observers (store-wide stats, final state) take the
 locks per shard, so they always see a shard between tasks, never
-mid-mutation.  The locks are reentrant because a worker task may call
-back into store-wide aggregates (epoch close reads ``version_count``)
-while already holding its own shard.  Single-threaded users pay one
-uncontended acquire per aggregate call, which is noise.
+mid-mutation.  The locks are reentrant, so a thread holding a shard may
+itself call those aggregates.
 """
 
 # repro: deterministic-contract — equal seeds must yield byte-identical output
@@ -47,28 +51,6 @@ def shard_of(entity: Entity, n_shards: int) -> int:
     The cache is bounded, so a scan over many cold names cannot grow it.
     """
     return zlib.crc32(str(entity).encode("utf-8")) % n_shards
-
-
-class ShardLockSet:
-    """Reusable, reentrant context manager over a set of shard locks.
-
-    Acquires in index order (so overlapping lock sets cannot cycle) and
-    releases in reverse.  Unlike ``contextlib.contextmanager`` products
-    it can be entered any number of times — the runtime's single-domain
-    worker enters it once per task.
-    """
-
-    def __init__(self, locks: list[threading.RLock]) -> None:
-        self._locks = list(locks)
-
-    def __enter__(self) -> "ShardLockSet":
-        for lock in self._locks:
-            lock.acquire()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        for lock in reversed(self._locks):
-            lock.release()
 
 
 class ShardedMultiversionStore:
@@ -102,11 +84,7 @@ class ShardedMultiversionStore:
         """The lock guarding ``entity``'s shard."""
         return self.locks[shard_of(entity, self.n_shards)]
 
-    def locked_all(self) -> ShardLockSet:
-        """A reusable context manager holding every shard lock."""
-        return ShardLockSet(self.locks)
-
-    # -- MultiversionStore interface, delegated per entity ----------------
+    # -- VersionStore, delegated per entity ---------------------------------
 
     def install(
         self, entity: Entity, writer: TxnId, value: Any, position: int
@@ -136,20 +114,8 @@ class ShardedMultiversionStore:
     def latest(self, entity: Entity) -> Version:
         return self.shard_for(entity).latest(entity)
 
-    def initial(self, entity: Entity) -> Version:
-        return self.shard_for(entity).initial(entity)
-
-    def at_position(self, entity: Entity, position: int | None) -> Version:
-        return self.shard_for(entity).at_position(entity, position)
-
     def latest_before(self, entity: Entity, position: int) -> Version:
         return self.shard_for(entity).latest_before(entity, position)
-
-    def latest_by(self, entity: Entity, writer: TxnId) -> Version:
-        return self.shard_for(entity).latest_by(entity, writer)
-
-    def versions(self, entity: Entity) -> list[Version]:
-        return self.shard_for(entity).versions(entity)
 
     def entities(self) -> Iterator[Entity]:
         for shard, lock in zip(self.shards, self.locks):
@@ -179,14 +145,6 @@ class ShardedMultiversionStore:
         return state
 
     # -- sharding introspection -------------------------------------------
-
-    def shard_sizes(self) -> list[int]:
-        """Version count per shard (balance diagnostic)."""
-        sizes = []
-        for shard, lock in zip(self.shards, self.locks):
-            with lock:
-                sizes.append(shard.version_count())
-        return sizes
 
     def snapshot_stats(self) -> list[dict]:
         """Per-shard stats, each captured under that shard's lock.

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine import (
+    ConcurrentDriver,
     EngineError,
     OnlineEngine,
     TxnState,
@@ -10,9 +11,14 @@ from repro.engine import (
 )
 from repro.model.steps import read, write
 from repro.model.transactions import Transaction
+from repro.obs import Tracer, to_jsonl
 from repro.storage.mvstore import MultiversionStore
 from repro.storage.sharded import ShardedMultiversionStore
-from repro.workloads.bank import transfer_program, transfer_transaction
+from repro.workloads.bank import (
+    BankWorkload,
+    transfer_program,
+    transfer_transaction,
+)
 
 
 def make_engine(name="mvto", **kwargs):
@@ -62,9 +68,38 @@ class TestCommitPath:
             state = engine.store.final_state()
             assert state["a"] == 50 and state["b"] == 150
 
-    def test_default_store_is_sharded(self):
-        engine = make_engine()
-        assert isinstance(engine.store, ShardedMultiversionStore)
+    @pytest.mark.parametrize("scheduler", ["mvto", "sgt"])
+    def test_default_plain_store_runs_like_a_sharded_one(self, scheduler):
+        """The engine's default store is one plain store; the same serial
+        run over an explicitly passed sharded store is the same run."""
+        initial = BankWorkload(n_accounts=6).initial_state()
+
+        def run(**store):
+            workload = BankWorkload(n_accounts=6, seed=2)
+            tracer = Tracer(capacity=None)
+            engine = OnlineEngine(
+                scheduler_factory(scheduler),
+                gc_every_commits=4,
+                epoch_max_steps=48,
+                tracer=tracer,
+                **store,
+            )
+            metrics = ConcurrentDriver(
+                engine, workload.transaction_stream(150), n_sessions=4, seed=1
+            ).run()
+            assert metrics.aborted_total > 0 and metrics.gc.versions_pruned
+            return (
+                type(engine.store),
+                metrics.as_dict(),
+                engine.store.final_state(),
+                to_jsonl(tracer),
+            )
+
+        plain = run(initial=initial)
+        sharded = run(store=ShardedMultiversionStore(4, initial))
+        assert plain[0] is MultiversionStore
+        assert sharded[0] is ShardedMultiversionStore
+        assert plain[1:] == sharded[1:]
 
     def test_accepts_plain_multiversion_store(self):
         engine = OnlineEngine(

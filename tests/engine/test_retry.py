@@ -23,8 +23,8 @@ def make_engine(**kwargs):
     engine = OnlineEngine(scheduler_factory("mvto"), **kwargs)
     # Materialize the initial versions so version_count comparisons are
     # not confused by their lazy creation at first touch.
-    engine.store.initial("x")
-    engine.store.initial("y")
+    engine.store.latest("x")
+    engine.store.latest("y")
     return engine
 
 

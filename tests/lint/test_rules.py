@@ -272,7 +272,7 @@ class TestC202AcquireRelease:
 
     def test_enter_method_is_exempt(self):
         # __enter__ acquires on behalf of a later __exit__ — the
-        # ShardLockSet pattern.
+        # lock-set context-manager pattern.
         report = lint_one("""\
             class LockSet:
                 def __enter__(self):

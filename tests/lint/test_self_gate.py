@@ -9,7 +9,7 @@ Three claims, each pinned:
   source; and
 * the static lock-acquisition-order graph over the concurrent
   subsystems is acyclic — trivially so, because the committed design
-  (worker confinement + ``ShardLockSet``'s index-order acquisition)
+  (worker confinement: every task runs under its own shard's one lock)
   never lexically nests two distinct locks at all.
 """
 
@@ -104,13 +104,13 @@ class TestLockOrderGraph:
         rule = self.run_rule(repo_root)
         assert rule.finalize() == []
         # stronger than acyclic: the committed design never lexically
-        # holds two distinct locks at once (multi-lock acquisition goes
-        # through ShardLockSet, which orders by shard index).
+        # holds two distinct locks at once (a worker task takes its own
+        # shard's lock and no other).
         assert rule.edges == {}
 
     def test_rule_would_catch_an_introduced_cycle(self, repo_root):
         rule = self.run_rule(repo_root)
-        # forge the inversion ShardLockSet exists to prevent.
+        # forge an inversion.
         forged = (
             "def grab(a_lock, b_lock):\n"
             "    with a_lock:\n"

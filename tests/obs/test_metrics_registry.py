@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.engine.metrics import EngineMetrics, LatencyStats
 from repro.obs import MetricsRegistry, telemetry_view
+from repro.obs.registry import FieldTable
 
 
 class TestInstruments:
@@ -72,3 +74,54 @@ class TestTelemetryView:
     def test_object_without_register_into_yields_empty_view(self):
         view = telemetry_view(object())
         assert view == {"counters": {}, "gauges": {}, "histograms": {}}
+
+
+class TestFieldTable:
+    """One declaration, two views: ``as_dict`` and ``register_into``."""
+
+    def test_both_views_derive_from_the_rows(self):
+        class Native:
+            hits = 3
+            ratio = 2 / 3
+            level = 7
+            internal = 11
+            latency = LatencyStats([4, 2])
+
+            class inner:
+                pruned = 5
+
+        table = FieldTable(
+            "custom",
+            ("hits", "hits", "hits.total", "counter"),
+            ("ratio", "ratio", None, None),  # derived: no instrument
+            ("internal", None, "internal", "counter"),  # telemetry only
+            ("level", "level", "level", "gauge"),
+            ("latency", "latency", "latency", "histogram"),
+            ("inner.pruned", "pruned", "inner.pruned", "counter"),
+        )
+        native = Native()
+        view = table.as_dict(native)
+        assert list(view) == ["hits", "ratio", "level", "latency", "pruned"]
+        assert view["ratio"] == 0.667 and view["pruned"] == 5
+        assert view["latency"] == native.latency.as_dict()
+        registry = MetricsRegistry()
+        table.register_into(native, registry)
+        assert registry.as_dict() == {
+            "counters": {
+                "custom.hits.total": 3,
+                "custom.inner.pruned": 5,
+                "custom.internal": 11,
+            },
+            "gauges": {"custom.level": 7},
+            "histograms": {"custom.latency": native.latency.as_dict()},
+        }
+
+    def test_engine_counters_without_a_key_are_telemetry_only(self):
+        metrics = EngineMetrics(replays=4, steps_rejected=2, ticks=9)
+        assert not {"replays", "steps_rejected", "ticks"} & set(
+            metrics.as_dict()
+        )
+        view = telemetry_view(metrics)
+        assert view["counters"]["engine.replays"] == 4
+        assert view["counters"]["engine.steps.rejected"] == 2
+        assert view["gauges"]["engine.ticks"] == 9

@@ -28,7 +28,8 @@ class TestReservation:
         # Positions follow global (timestamp, step) order.
         assert [s.position for s in ptxn.slots] == [0, 1, 2]
         # Chain order of x matches: base, then the two reserved slots.
-        assert [v.position for v in store.versions("x")] == [None, 0, 2]
+        chain = store.shard_for("x").versions("x")
+        assert [v.position for v in chain] == [None, 0, 2]
         assert store.placeholder_count() == 3
         # Reserved slots are not materialized: only x/y initials count.
         assert store.version_count() == 2

@@ -32,7 +32,6 @@ def make_worker(scheduler="mvto", initial=None, **engine_kwargs):
     engine_kwargs.setdefault("gc_enabled", False)
     engine = OnlineEngine(
         scheduler_factory(scheduler),
-        n_shards=1,
         initial=initial or {"x": 0, "y": 0},
         **engine_kwargs,
     )

@@ -41,15 +41,6 @@ class TestVersionChains:
         with pytest.raises(KeyError):
             store.at_position("x", 5)
 
-    def test_latest_by_writer(self):
-        store = MultiversionStore()
-        store.install("x", 1, "a", 0)
-        store.install("x", 2, "b", 1)
-        store.install("x", 1, "c", 2)
-        assert store.latest_by("x", 1).value == "c"
-        with pytest.raises(KeyError):
-            store.latest_by("x", 9)
-
     def test_old_versions_remain_readable(self):
         """The defining property of the multiversion store."""
         store = MultiversionStore()
@@ -84,10 +75,8 @@ class TestChainOrder:
         args = ("C", "c", position) if write == "install" else ("C", position)
         with pytest.raises(ValueError, match="out-of-order install"):
             getattr(store, write)("x", *args)
-        assert store.versions("x")[-1] is tail
+        assert store.latest("x") is tail
         assert (store.version_count(), store.placeholder_count()) == (2, 1)
-        with pytest.raises(KeyError):
-            store.latest_by("x", "C")
         # the tail may go and its position be taken again
         store.remove(tail)
         assert store.install("x", "C", "c", 5).position == 5
@@ -103,8 +92,6 @@ class TestRemove:
         assert store.version_count() == 2
         with pytest.raises(KeyError):
             store.at_position("x", 1)
-        with pytest.raises(KeyError):
-            store.latest_by("x", 2)
 
     def test_remove_mid_chain_version(self):
         store = MultiversionStore()
@@ -116,17 +103,10 @@ class TestRemove:
             ("init", "x"), "a", "c",
         ]
 
-    def test_latest_by_falls_back_to_writers_earlier_version(self):
-        store = MultiversionStore()
-        store.install("x", 1, "a", 0)
-        newer = store.install("x", 1, "b", 1)
-        store.remove(newer)
-        assert store.latest_by("x", 1).value == "a"
-
     def test_remove_initial_version_rejected(self):
         store = MultiversionStore()
         with pytest.raises(ValueError):
-            store.remove(store.initial("x"))
+            store.remove(store.at_position("x", None))
 
     def test_remove_unknown_version_raises(self):
         store = MultiversionStore()
@@ -156,18 +136,6 @@ class TestPrune:
     def test_prune_untouched_entity_is_noop(self):
         store = MultiversionStore()
         assert store.prune_before("ghost", 5) == 0
-
-
-class TestIndexScaling:
-    def test_point_lookups_on_a_long_chain(self):
-        """at_position / latest_by are index hits, not chain scans; this
-        guards the behavior (the benchmark guards the speed)."""
-        store = MultiversionStore()
-        for k in range(500):
-            store.install("x", k % 7, k, k)
-        assert store.at_position("x", 123).value == 123
-        assert store.latest_by("x", 3).value == 493  # 493 % 7 == 3
-        assert store.at_position("x", None).is_initial
 
 
 class CountedPosition(int):
@@ -211,14 +179,14 @@ def work_of(call) -> tuple[int, int]:
 
 
 class TestChainSearchIsLogarithmic:
-    """Counts, not wall-clock: on a 20 000-version chain a removal or a
-    ``latest_before`` runs a fixed handful of the store's lines and at
-    most ~log2(n) position comparisons per bisect — a walk over the
-    chain would run tens of thousands of either."""
+    """Counts, not wall-clock: on a 20 000-version chain a removal, a
+    ``latest_before`` or an ``at_position`` runs a fixed handful of the
+    store's lines and at most ~log2(n) position comparisons — a walk
+    over the chain would run tens of thousands of either."""
 
     N = 20_000
-    #: two bisects (chain, per-writer list), one spare comparison each.
-    COMPARISONS = 2 * (math.ceil(math.log2(N)) + 2)
+    #: one bisect of the position list, with a spare comparison or two.
+    COMPARISONS = math.ceil(math.log2(N)) + 2
     LINES = 64
 
     @pytest.fixture(scope="class")
@@ -242,6 +210,23 @@ class TestChainSearchIsLogarithmic:
         assert found == [versions[where]]
         assert 0 < comparisons <= self.COMPARISONS
         assert lines <= self.LINES
+
+    @pytest.mark.parametrize("where", [0, N // 2, N - 2])
+    def test_at_position(self, chain, where):
+        store, versions = chain
+        found = []
+        lines, comparisons = work_of(
+            lambda: found.append(
+                store.at_position("x", CountedPosition(2 * where))
+            )
+        )
+        assert found == [versions[where]]
+        assert 0 < comparisons <= self.COMPARISONS
+        assert lines <= self.LINES
+        # an odd position was never installed; None is still the initial
+        with pytest.raises(KeyError):
+            store.at_position("x", 2 * where + 1)
+        assert store.at_position("x", None).is_initial
 
     @pytest.mark.parametrize("where", [N - 1, N // 2 + 1, 3])
     def test_remove(self, chain, where):
