@@ -55,6 +55,25 @@ def emit_table(experiment: str, title: str, rows: list[dict]) -> None:
     (OUTPUT_DIR / f"{experiment}.txt").write_text(text + "\n")
 
 
+def report_count_columns(report) -> dict:
+    """The count/tick columns the E15–E18 tables share, read off the
+    guaranteed cross-mode report schema plus the tick clock.  Every
+    engine attempt ends committed or aborted, so ``attempts`` is their
+    sum in every mode."""
+    latency = report.latency
+    return {
+        "committed": report.committed,
+        "attempts": report.committed + report.aborted,
+        "cc_aborts": report.cc_aborts,
+        "gave_up": report.gave_up,
+        "ticks": report.metrics.ticks,
+        "lat_mean": round(latency.mean, 1),
+        "lat_p50": latency.p50,
+        "lat_p95": latency.p95,
+        "lat_p99": latency.p99,
+    }
+
+
 def emit_bench_document(suite_name: str, results) -> pathlib.Path:
     """Write ``BENCH_<suite>.json`` next to the txt tables."""
     from repro.bench import suite_document, write_document
@@ -74,3 +93,8 @@ def table_writer():
 @pytest.fixture
 def bench_document_writer():
     return emit_bench_document
+
+
+@pytest.fixture
+def count_columns():
+    return report_count_columns

@@ -21,15 +21,12 @@ Pinned claims:
   produce byte-identical ``AuditReport`` JSON.
 """
 
-import os
-
-from repro.bench import get_suite, run_case
-from repro.bench.runner import committed_throughput
+from repro.bench import committed_throughput, get_suite, run_suite
 from repro.db import Database, RunConfig
 from repro.obs import Tracer
 
 SUITE = get_suite("audit")
-N_TXNS = int(os.environ.get("REPRO_BENCH_TXNS", "120"))
+N_TXNS = SUITE.case("sharded-bank/serial/plain").txns
 MODES = ("serial", "parallel", "planner", "pipelined")
 
 #: the per-mode deterministic configs of the suite's pairs, reused for
@@ -43,28 +40,25 @@ SCENARIO_PARAMS = dict(
 )
 
 
-def _run(mode, *, audit, txns):
+def _run(mode, *, audit):
     config = RunConfig(
         **MODE_CONFIG[mode],
         trace=Tracer(capacity=None),
         audit=audit,
     )
     return Database().run(
-        "sharded-bank", config, txns=txns, **SCENARIO_PARAMS
+        "sharded-bank", config, txns=N_TXNS, **SCENARIO_PARAMS
     )
 
 
 def test_bench_audit(benchmark, table_writer, bench_document_writer):
     def run_all():
-        suite_results = [
-            run_case(case, repeats=1, txns=N_TXNS)
-            for case in SUITE.cases
-        ]
+        suite_results = run_suite(SUITE)
         direct = {
             mode: {
-                "traced": _run(mode, audit=False, txns=N_TXNS),
-                "audited": _run(mode, audit=True, txns=N_TXNS),
-                "audited2": _run(mode, audit=True, txns=N_TXNS),
+                "traced": _run(mode, audit=False),
+                "audited": _run(mode, audit=True),
+                "audited2": _run(mode, audit=True),
             }
             for mode in MODES
         }
@@ -77,8 +71,8 @@ def test_bench_audit(benchmark, table_writer, bench_document_writer):
 
     rows = []
     for mode in MODES:
-        plain = by_id[f"sharded-bank/{mode}/plain"].best
-        audited_case = by_id[f"sharded-bank/{mode}/audited"].best
+        plain = by_id[f"sharded-bank/{mode}/plain"].report
+        audited_case = by_id[f"sharded-bank/{mode}/audited"].report
         traced = direct[mode]["traced"]
         audited = direct[mode]["audited"]
 

@@ -16,20 +16,18 @@ entity count while the no-GC footprint grows linearly with committed
 writes.
 """
 
-import os
-
 from repro.bench import get_suite, run_suite
 
 SUITE = get_suite("e15")
 SCHEDULERS = ["2pl", "sgt", "2v2pl", "mvto", "si"]
-N_TXNS = int(os.environ.get("REPRO_BENCH_TXNS", "120"))
 
 
-def test_bench_engine(benchmark, table_writer, bench_document_writer):
-    def run_all():
-        return run_suite(SUITE, txns=N_TXNS)
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_bench_engine(
+    benchmark, table_writer, bench_document_writer, count_columns
+):
+    results = benchmark.pedantic(
+        run_suite, args=(SUITE,), rounds=1, iterations=1
+    )
     by_id = {r.case.case_id: r for r in results}
 
     rows = []
@@ -38,25 +36,16 @@ def test_bench_engine(benchmark, table_writer, bench_document_writer):
             # The native EngineMetrics ride along for drill-down
             # counters the uniform schema deliberately leaves
             # mode-specific.
-            m_on = by_id[
-                f"{workload_name}/{scheduler_name}/gc"
-            ].representative.metrics
-            m_off = by_id[
-                f"{workload_name}/{scheduler_name}/nogc"
-            ].representative.metrics
+            gc_on = by_id[f"{workload_name}/{scheduler_name}/gc"]
+            gc_off = by_id[f"{workload_name}/{scheduler_name}/nogc"]
+            m_on, m_off = gc_on.report.metrics, gc_off.report.metrics
             rows.append(
                 {
                     "workload": workload_name,
                     "scheduler": scheduler_name,
-                    "committed": m_on.committed,
-                    "aborted": m_on.aborted_total,
+                    **count_columns(gc_on.report),
                     "retries": m_on.retries,
-                    "gave_up": m_on.gave_up,
                     "rate": round(m_on.commit_rate, 3),
-                    "lat_mean": round(m_on.latency.mean, 1),
-                    "lat_p50": m_on.latency.p50,
-                    "lat_p95": m_on.latency.p95,
-                    "lat_p99": m_on.latency.p99,
                     "lat_max": m_on.latency.max,
                     "gc_pruned": m_on.gc.versions_pruned,
                     "versions(gc)": m_on.final_versions,
@@ -70,12 +59,12 @@ def test_bench_engine(benchmark, table_writer, bench_document_writer):
             # Accounting closes: every attempt ends committed or
             # aborted, and every abort either retried or gave up.
             for m in (m_on, m_off):
-                assert m.committed + m.gave_up <= N_TXNS
+                assert m.committed + m.gave_up <= gc_on.txns
                 assert m.attempts == m.committed + m.aborted_total
                 assert m.aborted_total == m.retries + m.gave_up
             # Retry semantics did their job: despite aborts, most of
             # the stream commits.
-            assert m_on.committed >= 0.7 * N_TXNS
+            assert m_on.committed >= 0.7 * gc_on.txns
             # Every commit carries a latency sample (E16 compares these).
             assert m_on.latency.count == m_on.committed
             # GC reduces retained versions on a write-heavy stream...

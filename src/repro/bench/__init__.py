@@ -6,13 +6,12 @@ The perf-measurement subsystem the E-experiments, the CLI
 * :mod:`~repro.bench.suite` — :class:`BenchCase`/:class:`BenchSuite`
   registry declaring each experiment as a matrix of ``RunConfig``s over
   registered scenarios (built-ins: ``e15``–``e18`` + ``smoke``).
-* :mod:`~repro.bench.runner` — warm-up + N-repeat execution with
-  median/min/CV aggregation; tick-based throughput for deterministic
-  cases, wall-clock for threaded ones.
+* :mod:`~repro.bench.runner` — one deterministic run per case;
+  throughput is committed transactions per logical tick, the only unit
+  (seconds are measured outside the program, by ``benchmarks/perf``).
 * :mod:`~repro.bench.record` — the versioned :data:`SCHEMA_VERSION`
   JSON record (config echo, guaranteed report schema, latency
-  p50/p95/p99, telemetry snapshot, provenance), byte-stable for
-  deterministic cases.
+  p50/p95/p99, telemetry snapshot, provenance), byte-stable.
 * :mod:`~repro.bench.compare` — per-case
   regression/improvement/neutral verdicts against a stored baseline.
 
@@ -32,13 +31,11 @@ from repro.bench.record import (
     git_sha,
     load_document,
     make_record,
-    provenance,
     suite_document,
     write_document,
 )
 from repro.bench.runner import (
     TICK_UNIT,
-    WALL_UNIT,
     CaseResult,
     committed_throughput,
     logical_ticks,
@@ -60,7 +57,6 @@ __all__ = [
     "FAILING_VERDICTS",
     "SCHEMA_VERSION",
     "TICK_UNIT",
-    "WALL_UNIT",
     "committed_throughput",
     "compare_documents",
     "comparison_ok",
@@ -70,7 +66,6 @@ __all__ = [
     "load_document",
     "logical_ticks",
     "make_record",
-    "provenance",
     "register_suite",
     "run_case",
     "run_suite",

@@ -1,9 +1,8 @@
 """Regression gating: baseline vs candidate bench documents.
 
-The gate is the committed-throughput **median** per case (tick-based
-for deterministic cases, wall-clock for threaded ones — compare only
-trusts pairs measured in the same unit).  Each baseline case yields one
-verdict:
+The gate is the committed-throughput **median** per case (tick-based;
+documents arrive from outside the program, so compare still checks that
+a pair names the same unit).  Each baseline case yields one verdict:
 
 * ``regression`` — candidate median fell below
   ``baseline × (1 − max_regress)``.  The boundary itself is *neutral*:
@@ -17,9 +16,9 @@ verdict:
 * ``missing`` — the candidate document has no record for the case.
   Gates fail on this: a silently dropped case is how a regression
   hides.
-* ``unit-mismatch`` — the two records measure different units (a
-  config drifted between baseline and candidate); incomparable, and a
-  gate failure for the same reason.
+* ``unit-mismatch`` — the two records name different units (a
+  document this checkout did not write); incomparable, and a gate
+  failure for the same reason.
 
 Candidate-only cases are reported as ``new`` and never fail the gate.
 :func:`comparison_ok` is the exit-code rule: no regressions, no

@@ -5,11 +5,10 @@ order — suite/case identity, the full resolved ``RunConfig`` echo, the
 guaranteed cross-mode report schema, the latency percentiles
 (p50/p95/p99, the shared nearest-rank rule), the throughput aggregate,
 the PR 6 telemetry snapshot, and provenance (python, platform, git
-sha, seed, repeat count).  A suite of records is one document written
-as ``BENCH_<suite>.json``; for deterministic cases the document is
-**byte-stable**: two equal-seed runs on the same checkout produce
-identical bytes, which is what makes a committed baseline diffable and
-the regression gate trustworthy.
+sha, seed).  A suite of records is one document written as
+``BENCH_<suite>.json``, and it is **byte-stable**: two equal-seed runs
+on the same checkout produce identical bytes, which is what makes a
+committed baseline diffable and the regression gate trustworthy.
 
 ``SCHEMA_VERSION`` names the contract.  Readers reject documents from
 a different major schema instead of mis-parsing them.
@@ -25,7 +24,7 @@ import platform
 import subprocess
 from typing import Any
 
-from repro.bench.runner import CaseResult
+from repro.bench.runner import TICK_UNIT, CaseResult
 
 #: the record contract version; bump on any key change.
 SCHEMA_VERSION = "repro.bench/v1"
@@ -43,30 +42,22 @@ def git_sha(cwd: str | pathlib.Path | None = None) -> str:
     return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
-def provenance(result: CaseResult, *, sha: str | None = None) -> dict:
-    """Where a record came from — enough to judge comparability."""
-    return {
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "git_sha": git_sha() if sha is None else sha,
-        "seed": result.config.seed,
-        "repeats": result.repeats,
-        "warmup": result.warmup,
-    }
-
-
 def make_record(
     suite_name: str, result: CaseResult, *, sha: str | None = None
 ) -> dict[str, Any]:
     """The canonical record dict for one measured case.
 
     Key order is fixed by construction (and ``write_document`` never
-    re-sorts), so deterministic cases serialize byte-identically for
-    equal seeds.  ``sha`` short-circuits the git lookup when the caller
-    stamps a whole suite (one subprocess instead of one per case).
+    re-sorts), so records serialize byte-identically for equal seeds.
+    ``sha`` short-circuits the git lookup when the caller stamps a
+    whole suite (one subprocess instead of one per case).  A case is
+    one deterministic run, so the v1 schema's aggregate and repeat
+    fields are constants: ``median == min == max``, ``cv`` 0.0,
+    ``repeats`` 1, ``warmup`` 0.
     """
     case = result.case
-    report = result.representative
+    report = result.report
+    throughput = result.throughput
     return {
         "schema": SCHEMA_VERSION,
         "suite": suite_name,
@@ -79,13 +70,26 @@ def make_record(
             },
         },
         "txns": result.txns,
-        "deterministic": result.deterministic,
-        "config": result.config.as_dict(),
+        "deterministic": report.deterministic,
+        "config": report.config.as_dict(),
         "report": report.as_dict(),
         "latency": report.latency.as_dict(),
-        "throughput": result.throughput_summary(),
+        "throughput": {
+            "unit": TICK_UNIT,
+            "median": throughput,
+            "min": throughput,
+            "max": throughput,
+            "cv": 0.0,
+        },
         "telemetry": report.telemetry(),
-        "provenance": provenance(result, sha=sha),
+        "provenance": {
+            "python": platform.python_version(),
+            "platform": platform.platform(),
+            "git_sha": git_sha() if sha is None else sha,
+            "seed": report.config.seed,
+            "repeats": 1,
+            "warmup": 0,
+        },
     }
 
 
@@ -110,8 +114,8 @@ def write_document(
     """Persist a suite document as stable, diffable JSON.
 
     ``indent=2`` with construction-order keys and a trailing newline:
-    byte-for-byte reproducible for deterministic suites, reviewable in
-    a git diff for committed baselines.
+    byte-for-byte reproducible, reviewable in a git diff for committed
+    baselines.
     """
     path = pathlib.Path(path)
     path.write_text(

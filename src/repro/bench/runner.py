@@ -1,187 +1,90 @@
-"""Benchmark execution: warm-up, repeats, and throughput aggregation.
+"""Benchmark execution: one deterministic run per case, one unit.
 
 One code path for pytest, the CLI and CI: :func:`run_case` drains a
 :class:`~repro.bench.suite.BenchCase` through the typed Database API
-``repeats`` times (after ``warmup`` discarded runs) and aggregates the
-per-run committed throughput into median/min/max/CV.
-
-Two throughput units, chosen by the case's determinism — the same rule
-every report surface already follows for wall-clock numbers:
-
-* **deterministic** cases measure *tick-based* throughput (committed
-  transactions per logical driver tick).  Machine-independent and
-  byte-stable, so records are comparable across commits and CI runners
-  — this is the number the regression gate trusts.
-* **threaded** cases measure *wall-clock* throughput (committed per
-  second, the ``RunReport.throughput`` property).  Honest about
-  runtime noise: the CV column says how much the repeats disagreed.
+once and checks the scenario invariant.  Throughput is *committed
+transactions per logical driver tick* — machine-independent and
+byte-stable, so records are comparable across commits and CI runners.
+A second run of a deterministic case reproduces the first by contract,
+so there is nothing to repeat, warm up or aggregate; wall-clock
+questions are measured outside the program, by ``benchmarks/perf``.
 """
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 
-from repro.db import Database, RunConfig, RunReport
+from repro.db import Database, RunReport
 
 from repro.bench.suite import BenchCase, BenchSuite
 
-#: throughput units, by case determinism.
+#: the one throughput unit.
 TICK_UNIT = "txn/tick"
-WALL_UNIT = "txn/s"
 
 
 def logical_ticks(report: RunReport) -> int:
-    """The run's logical duration in driver ticks.
-
-    Every native metrics object carries the engine tick clock — the
-    engine and runtime directly (``metrics.ticks``), the planner
-    family through its reused engine metrics (``metrics.engine.ticks``).
-    """
-    metrics = report.metrics
-    ticks = getattr(metrics, "ticks", None)
-    if ticks is None:
-        ticks = getattr(getattr(metrics, "engine", None), "ticks", None)
-    if ticks is None:
+    """The run's logical duration in driver ticks (every native metrics
+    object carries the tick clock as ``metrics.ticks``)."""
+    try:
+        return report.metrics.ticks
+    except AttributeError:
         raise TypeError(
-            f"metrics object {type(metrics).__name__} exposes no tick "
-            "clock (neither .ticks nor .engine.ticks)"
-        )
-    return ticks
+            f"metrics object {type(report.metrics).__name__} exposes "
+            "no tick clock (.ticks)"
+        ) from None
 
 
 def committed_throughput(report: RunReport) -> float:
-    """Committed throughput in the case's unit (ticks when
-    deterministic, wall-clock seconds otherwise), rounded so records
-    serialize stably."""
-    if report.deterministic:
-        ticks = logical_ticks(report)
-        return round(report.committed / ticks, 6) if ticks else 0.0
-    return round(report.throughput, 3)
+    """Committed transactions per tick, rounded so records serialize
+    stably."""
+    ticks = logical_ticks(report)
+    return round(report.committed / ticks, 6) if ticks else 0.0
 
 
 @dataclass(frozen=True)
 class CaseResult:
-    """What measuring one case produced: the kept reports + aggregates."""
+    """What measuring one case produced."""
 
     case: BenchCase
-    config: RunConfig
-    reports: tuple[RunReport, ...]
-    warmup: int
+    #: carries the resolved config (``report.config``) the record echoes.
+    report: RunReport
     #: stream length actually drained (the declared size, or the
     #: runner's override).
     txns: int
 
     @property
-    def deterministic(self) -> bool:
-        return bool(self.config.deterministic)
-
-    @property
-    def repeats(self) -> int:
-        return len(self.reports)
-
-    @property
-    def unit(self) -> str:
-        return TICK_UNIT if self.deterministic else WALL_UNIT
-
-    @property
-    def throughputs(self) -> tuple[float, ...]:
-        return tuple(committed_throughput(r) for r in self.reports)
-
-    @property
-    def representative(self) -> RunReport:
-        """The run whose counters the record quotes: the median-
-        throughput repeat (deterministic repeats are identical, so any
-        pick is the same; for threaded runs the median is the honest
-        single exemplar)."""
-        ranked = sorted(self.reports, key=committed_throughput)
-        return ranked[len(ranked) // 2]
-
-    @property
-    def best(self) -> RunReport:
-        """The max-throughput repeat (wall-clock smoothing, the E18
-        ``best_of`` rule)."""
-        return max(self.reports, key=committed_throughput)
-
-    def throughput_summary(self) -> dict:
-        """The record's throughput block: unit + median/min/max/CV."""
-        values = self.throughputs
-        median = statistics.median(values)
-        cv = 0.0
-        if len(values) > 1:
-            mean = statistics.fmean(values)
-            if mean > 0:
-                cv = round(statistics.stdev(values) / mean, 4)
-        return {
-            "unit": self.unit,
-            "median": round(median, 6),
-            "min": min(values),
-            "max": max(values),
-            "cv": cv,
-        }
+    def throughput(self) -> float:
+        return committed_throughput(self.report)
 
 
-def run_case(
-    case: BenchCase,
-    *,
-    repeats: int = 1,
-    warmup: int = 0,
-    txns: int | None = None,
-) -> CaseResult:
-    """Measure ``case``: ``warmup`` discarded runs, then ``repeats``
-    kept ones.  ``txns`` overrides the declared stream length (smoke
-    sizes); every run checks the scenario invariant."""
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
+def run_case(case: BenchCase, *, txns: int | None = None) -> CaseResult:
+    """Measure ``case``.  ``txns`` overrides the declared stream length
+    (smoke sizes); the run checks the scenario invariant."""
     n_txns = case.txns if txns is None else txns
-    config = case.run_config()
-    db = Database()
-
-    def one_run() -> RunReport:
-        report = db.run(
-            case.scenario, config, txns=n_txns,
-            **dict(case.scenario_params),
-        )
-        if not report.invariant_ok:
-            raise AssertionError(
-                f"case {case.case_id!r}: scenario invariant violated"
-            )
-        return report
-
-    for _ in range(warmup):
-        one_run()
-    reports = tuple(one_run() for _ in range(repeats))
-    return CaseResult(
-        case=case, config=config, reports=reports, warmup=warmup,
-        txns=n_txns,
+    report = Database().run(
+        case.scenario, case.run_config(), txns=n_txns,
+        **dict(case.scenario_params),
     )
+    if not report.invariant_ok:
+        raise AssertionError(
+            f"case {case.case_id!r}: scenario invariant violated"
+        )
+    return CaseResult(case=case, report=report, txns=n_txns)
 
 
 def run_suite(
     suite: BenchSuite,
     *,
-    repeats: int = 1,
-    warmup: int = 0,
     txns: int | None = None,
-    deterministic_only: bool = False,
     progress=None,
 ) -> list[CaseResult]:
     """Measure a suite case by case, in declaration order.
 
-    ``deterministic_only`` restricts to the reproducible sub-matrix
-    (the CLI's default — those records are byte-stable and
-    machine-comparable).  ``progress`` is an optional callable invoked
-    with each finished :class:`CaseResult` (the CLI's live line)."""
-    cases = (
-        suite.deterministic_cases() if deterministic_only else suite.cases
-    )
+    ``progress`` is an optional callable invoked with each finished
+    :class:`CaseResult` (the CLI's live line)."""
     results = []
-    for case in cases:
-        result = run_case(
-            case, repeats=repeats, warmup=warmup, txns=txns
-        )
+    for case in suite.cases:
+        result = run_case(case, txns=txns)
         if progress is not None:
             progress(result)
         results.append(result)

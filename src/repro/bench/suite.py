@@ -57,19 +57,21 @@ class BenchCase:
         object.__setattr__(
             self, "scenario_params", _frozen(self.scenario_params)
         )
-        self.run_config()  # invalid declarations fail at registration
+        # Invalid declarations fail at registration — and so do
+        # threaded ones: the harness counts ticks, and only a
+        # deterministic run's count repeats.  Resolved through the
+        # backend's defaults, so ``serial`` passes without saying so.
+        if not self.run_config().deterministic:
+            raise ValueError(
+                f"case {self.case_id!r} resolves to deterministic=False: "
+                "repro.bench counts ticks, which only repeat for "
+                "deterministic runs — wall-clock questions belong to "
+                "benchmarks/perf"
+            )
 
     def run_config(self) -> RunConfig:
         """A fresh, backend-validated config for this case."""
         return RunConfig(**self.config)
-
-    @property
-    def deterministic(self) -> bool:
-        """Whether runs of this case are reproducible (tick-based
-        throughput, byte-stable records) — resolved through the
-        backend's defaults, so ``serial`` counts even when the
-        declaration never says ``deterministic=True``."""
-        return bool(self.run_config().deterministic)
 
 
 @dataclass(frozen=True)
@@ -98,9 +100,6 @@ class BenchSuite:
             f"suite {self.name!r} has no case {case_id!r}; one of "
             f"{[c.case_id for c in self.cases]}"
         )
-
-    def deterministic_cases(self) -> tuple[BenchCase, ...]:
-        return tuple(c for c in self.cases if c.deterministic)
 
 
 _SUITES: dict[str, BenchSuite] = {}
@@ -193,19 +192,15 @@ def _e16_cases() -> tuple[BenchCase, ...]:
         ))
         for workers in (1, 2, 4):
             for batch in (1, 16):
-                for tag, det in (("det", True), ("thr", False)):
-                    cases.append(BenchCase(
-                        case_id=(
-                            f"{scheduler}/w{workers}/b{batch}/{tag}"
-                        ),
-                        scenario="sharded-bank",
-                        scenario_params=_SHARDED_BANK,
-                        config={"mode": "parallel",
-                                "scheduler": scheduler,
-                                "workers": workers, "batch_size": batch,
-                                "deterministic": det, "seed": 11},
-                        txns=400,
-                    ))
+                cases.append(BenchCase(
+                    case_id=f"{scheduler}/w{workers}/b{batch}/det",
+                    scenario="sharded-bank",
+                    scenario_params=_SHARDED_BANK,
+                    config={"mode": "parallel", "scheduler": scheduler,
+                            "workers": workers, "batch_size": batch,
+                            "deterministic": True, "seed": 11},
+                    txns=400,
+                ))
     return tuple(cases)
 
 
@@ -232,19 +227,18 @@ def _e17_cases() -> tuple[BenchCase, ...]:
             txns=400,
         ))
         for workers in (1, 2, 4):
-            for tag, det in (("det", True), ("thr", False)):
-                cases.append(BenchCase(
-                    case_id=f"{wname}/planner/w{workers}/{tag}",
-                    scenario=wname,
-                    scenario_params=params,
-                    config={"mode": "planner", "workers": workers,
-                            "batch_size": 64, "deterministic": det,
-                            "seed": 11},
-                    txns=400,
-                ))
+            cases.append(BenchCase(
+                case_id=f"{wname}/planner/w{workers}/det",
+                scenario=wname,
+                scenario_params=params,
+                config={"mode": "planner", "workers": workers,
+                        "batch_size": 64, "deterministic": True,
+                        "seed": 11},
+                txns=400,
+            ))
     # The abort-heavy column: serial baseline, planner with the poison
     # cascade, planner with re-execution — committed counts are the
-    # point of comparison, not just throughput.
+    # point of comparison.
     cases.append(BenchCase(
         case_id="abort-heavy/serial",
         scenario="abort-heavy",
@@ -272,27 +266,24 @@ def _e18_cases() -> tuple[BenchCase, ...]:
     }
     cases = []
     for wname, params in scenarios.items():
-        for tag, det in (("det", True), ("thr", False)):
+        cases.append(BenchCase(
+            case_id=f"{wname}/planner/det",
+            scenario=wname,
+            scenario_params=params,
+            config={"mode": "planner", "workers": 4, "batch_size": 64,
+                    "deterministic": True, "seed": 11},
+            txns=400,
+        ))
+        for lookahead in (1, 2):
             cases.append(BenchCase(
-                case_id=f"{wname}/planner/{tag}",
+                case_id=f"{wname}/pipelined/la{lookahead}/det",
                 scenario=wname,
                 scenario_params=params,
-                config={"mode": "planner", "workers": 4,
-                        "batch_size": 64, "deterministic": det,
-                        "seed": 11},
+                config={"mode": "pipelined", "workers": 4,
+                        "batch_size": 64, "lookahead": lookahead,
+                        "deterministic": True, "seed": 11},
                 txns=400,
             ))
-        for lookahead in (1, 2):
-            for tag, det in (("det", True), ("thr", False)):
-                cases.append(BenchCase(
-                    case_id=f"{wname}/pipelined/la{lookahead}/{tag}",
-                    scenario=wname,
-                    scenario_params=params,
-                    config={"mode": "pipelined", "workers": 4,
-                            "batch_size": 64, "lookahead": lookahead,
-                            "deterministic": det, "seed": 11},
-                    txns=400,
-                ))
     # Re-execution inside an in-flight pipeline: both abort-free modes
     # on the abort-heavy stream must realize the same committed set.
     for mode, extra in (
@@ -381,13 +372,14 @@ def _audit_cases() -> tuple[BenchCase, ...]:
     """Plain vs continuously-verified pairs, one per execution mode.
 
     Measures the cost of ``audit=True`` (which traces internally and
-    certifies every epoch online) against the plain run.  Deterministic
-    throughput is tick-based and the auditor consumes no ticks, so the
-    *logical* overhead gates at exactly zero; the pairs still matter
-    for ``--wallclock`` runs and for keeping the audited path exercised
-    under the bench runner.  The traced-only vs traced+audited
-    wall-clock comparison lives in ``benchmarks/test_bench_audit.py``
-    (declarative cases cannot carry a live ``Tracer``).
+    certifies every epoch online) against the plain run.  Throughput
+    is tick-based and the auditor consumes no ticks, so the *logical*
+    overhead gates at exactly zero; the pairs keep the audited path
+    exercised under the bench runner (its wall-clock price is
+    ``benchmarks/perf``'s ``audited-run``).  The traced-only vs
+    traced+audited comparison lives in
+    ``benchmarks/test_bench_audit.py`` (declarative cases cannot carry
+    a live ``Tracer``).
     """
     configs = {
         "serial": {"mode": "serial", "scheduler": "mvto", "workers": 4,
@@ -428,7 +420,7 @@ register_suite(BenchSuite(
     name="e16",
     description=(
         "parallel shard runtime vs serial engine "
-        "(workers × batch × deterministic/threaded, sharded bank)"
+        "(scheduler × workers × batch, sharded bank)"
     ),
     cases=_e16_cases(),
 ))
@@ -444,7 +436,7 @@ register_suite(BenchSuite(
     name="e18",
     description=(
         "pipelined planner vs sequential batch planner "
-        "(lookahead × deterministic/threaded)"
+        "(lookahead 0/1/2, plus abort-heavy re-execution)"
     ),
     cases=_e18_cases(),
 ))

@@ -376,24 +376,22 @@ def cmd_bench_list(args: argparse.Namespace) -> int:
         suite = get_suite(args.suite)
         print(f"{suite.name}: {suite.description}")
         for case in suite.cases:
-            tag = "det" if case.deterministic else "wall"
             print(
-                f"  {case.case_id:<28} [{tag}] "
-                f"{case.scenario} x{case.txns}"
+                f"  {case.case_id:<28} {case.scenario} x{case.txns}"
             )
         return 0
     for name in suite_names():
         suite = get_suite(name)
-        n_det = len(suite.deterministic_cases())
         print(
-            f"  {name:>6}: {len(suite.cases)} cases "
-            f"({n_det} deterministic) — {suite.description}"
+            f"  {name:>6}: {len(suite.cases)} cases — "
+            f"{suite.description}"
         )
     return 0
 
 
 def cmd_bench_run(args: argparse.Namespace) -> int:
     from repro.bench import (
+        TICK_UNIT,
         get_suite,
         run_suite,
         suite_document,
@@ -403,31 +401,12 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
     suite = get_suite(args.suite)
 
     def progress(result) -> None:
-        tp = result.throughput_summary()
         print(
             f"  {result.case.case_id:<28} "
-            f"{tp['median']:g} {tp['unit']}"
-            + (f"  (cv {tp['cv']:g})" if result.repeats > 1 else "")
+            f"{result.throughput:g} {TICK_UNIT}"
         )
 
-    # Deterministic-only is the default: those records are byte-stable
-    # and machine-comparable, which is what a stored baseline needs.
-    # --wallclock opts the threaded cases (and runner noise) in.
-    results = run_suite(
-        suite,
-        repeats=args.repeats,
-        warmup=args.warmup,
-        txns=args.txns,
-        deterministic_only=not args.wallclock,
-        progress=progress,
-    )
-    if not results:
-        print(
-            f"error: suite {suite.name!r} has no deterministic cases; "
-            "re-run with --wallclock",
-            file=sys.stderr,
-        )
-        return 2
+    results = run_suite(suite, txns=args.txns, progress=progress)
     path = args.json or f"BENCH_{suite.name}.json"
     write_document(suite_document(suite.name, results), path)
     print(f"{len(results)} record(s) -> {path}")
@@ -630,19 +609,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--suite", required=True,
                    help="suite name (see 'repro bench list')")
-    p.add_argument("--repeats", type=_positive_int, default=1,
-                   help="kept measurement runs per case")
-    p.add_argument("--warmup", type=_nonnegative_int, default=0,
-                   help="discarded warm-up runs per case")
     p.add_argument("--txns", type=_positive_int, default=None,
                    help="override every case's stream length "
                         "(smoke sizes)")
     p.add_argument("--json", type=_writable_path, default=None,
                    metavar="PATH",
                    help="record path (default: BENCH_<suite>.json)")
-    p.add_argument("--wallclock", action="store_true",
-                   help="also run threaded cases (wall-clock records "
-                        "are not byte-stable)")
     p.set_defaults(func=cmd_bench_run)
     p = bench_sub.add_parser(
         "compare",

@@ -109,6 +109,10 @@ class PlannerMetrics:
         return self.engine.latency
 
     @property
+    def ticks(self) -> int:
+        return self.engine.ticks
+
+    @property
     def elapsed(self) -> float:
         return self.engine.elapsed
 

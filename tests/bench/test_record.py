@@ -1,6 +1,7 @@
 """BenchRecord: schema, provenance, byte-stability, round-trip."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -16,6 +17,9 @@ from repro.bench import (
 )
 
 SMOKE = get_suite("smoke")
+BASELINE = (
+    pathlib.Path(__file__).parents[2] / "benchmarks/baselines/smoke.json"
+)
 SERIAL = SMOKE.case("bank/serial")
 
 #: the contract: every record carries exactly these keys, in order.
@@ -40,18 +44,21 @@ class TestMakeRecord:
         assert record["report"]["committed"] > 0
         for key in ("p50", "p95", "p99"):
             assert key in record["latency"]
-        assert record["throughput"]["unit"] == "txn/tick"
+        # One run per case: the v1 aggregate fields are that one value.
+        tp = record["throughput"]
+        assert tp["unit"] == "txn/tick" and tp["cv"] == 0.0
+        assert tp["median"] == tp["min"] == tp["max"] > 0
 
     def test_provenance_fields(self):
         record = make_record(
-            "smoke", run_case(SERIAL, repeats=2, warmup=1, txns=16),
-            sha="abc123",
+            "smoke", run_case(SERIAL, txns=16), sha="abc123",
         )
         prov = record["provenance"]
         assert prov["git_sha"] == "abc123"
         assert prov["seed"] == 11
-        assert prov["repeats"] == 2
-        assert prov["warmup"] == 1
+        # One run per case: the v1 repeat fields are constants.
+        assert prov["repeats"] == 1
+        assert prov["warmup"] == 0
         assert prov["python"] and prov["platform"]
 
     def test_equal_seed_deterministic_records_are_byte_identical(self):
@@ -70,6 +77,24 @@ class TestMakeRecord:
                 "smoke", run_case(case, txns=12), sha="x"
             )
             assert json.dumps(first) == json.dumps(again), case.case_id
+
+
+class TestCommittedBaseline:
+    def test_smoke_records_equal_the_committed_baseline(self):
+        # The baseline was written by the repeats/warmup-era runner;
+        # the one-run harness reproduces every record of it, down to
+        # the aggregate and repeat fields, wherever it runs.
+        baseline = load_document(BASELINE)
+
+        def portable(document):
+            records = json.loads(json.dumps(document["records"]))
+            for record in records:
+                for key in ("python", "platform", "git_sha"):
+                    del record["provenance"][key]
+            return json.dumps(records, indent=2)
+
+        candidate = suite_document("smoke", run_suite(SMOKE))
+        assert portable(candidate) == portable(baseline)
 
 
 class TestDocumentRoundTrip:

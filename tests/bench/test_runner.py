@@ -1,69 +1,38 @@
-"""The bench runner: repeats, units, aggregation, invariant checks."""
+"""The bench runner: one run per case, one unit, invariant checks."""
 
 import pytest
 
 from repro.bench import (
-    TICK_UNIT,
-    WALL_UNIT,
     committed_throughput,
     get_suite,
     logical_ticks,
     run_case,
     run_suite,
 )
+from repro.db import RunReport
 
 SMOKE = get_suite("smoke")
 SERIAL = SMOKE.case("bank/serial")
 
 
 class TestRunCase:
-    def test_deterministic_case_measures_ticks(self):
+    def test_returns_one_report_measured_in_ticks(self):
         result = run_case(SERIAL, txns=24)
-        assert result.deterministic
-        assert result.unit == TICK_UNIT
         assert result.txns == 24
-        report = result.representative
+        report = result.report
+        assert isinstance(report, RunReport) and report.deterministic
         assert logical_ticks(report) > 0
         assert committed_throughput(report) == pytest.approx(
             report.committed / logical_ticks(report), abs=1e-6
         )
+        assert result.throughput == committed_throughput(report)
 
-    def test_repeats_and_warmup_accounting(self):
-        result = run_case(SERIAL, repeats=3, warmup=1, txns=16)
-        assert result.repeats == 3
-        assert result.warmup == 1
-        # Deterministic repeats are identical — CV is exactly zero.
-        assert result.throughput_summary()["cv"] == 0.0
-        assert len(set(result.throughputs)) == 1
-
-    def test_single_repeat_summary(self):
-        summary = run_case(SERIAL, txns=16).throughput_summary()
-        assert summary["unit"] == TICK_UNIT
-        assert summary["median"] == summary["min"] == summary["max"]
-        assert summary["cv"] == 0.0
-
-    def test_threaded_case_measures_wall_clock(self):
-        e17 = get_suite("e17")
-        result = run_case(
-            e17.case("sharded-bank/planner/w2/thr"), txns=24
-        )
-        assert not result.deterministic
-        assert result.unit == WALL_UNIT
-        assert result.representative.throughput > 0
-
-    def test_best_and_representative_rules(self):
-        result = run_case(SERIAL, repeats=3, txns=16)
-        tps = result.throughputs
-        assert committed_throughput(result.best) == max(tps)
-        assert committed_throughput(result.representative) == sorted(
-            tps
-        )[len(tps) // 2]
-
-    def test_bad_arguments_rejected(self):
-        with pytest.raises(ValueError, match="repeats"):
-            run_case(SERIAL, repeats=0)
-        with pytest.raises(ValueError, match="warmup"):
-            run_case(SERIAL, warmup=-1)
+    def test_every_mode_exposes_the_tick_clock(self):
+        # One attribute, no per-mode ladder: the planner family answers
+        # through PlannerMetrics.ticks like the engine and the runtime.
+        for case in SMOKE.cases:
+            metrics = run_case(case, txns=12).report.metrics
+            assert isinstance(metrics.ticks, int) and metrics.ticks > 0
 
     def test_logical_ticks_rejects_tickless_metrics(self):
         with pytest.raises(TypeError, match="tick"):
@@ -73,19 +42,12 @@ class TestRunCase:
 
 
 class TestRunSuite:
-    def test_runs_cases_in_declaration_order(self):
-        results = run_suite(SMOKE, txns=12)
-        assert [r.case.case_id for r in results] == [
-            c.case_id for c in SMOKE.cases
-        ]
-
-    def test_deterministic_only_filter_and_progress(self):
+    def test_runs_every_case_in_declaration_order(self):
         seen = []
         results = run_suite(
-            get_suite("e18"),
-            txns=12,
-            deterministic_only=True,
-            progress=seen.append,
+            get_suite("e18"), txns=12, progress=seen.append
         )
         assert results == seen
-        assert all(r.deterministic for r in results)
+        assert [r.case.case_id for r in results] == [
+            c.case_id for c in get_suite("e18").cases
+        ]

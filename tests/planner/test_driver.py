@@ -19,11 +19,12 @@ def bank(seed=5):
 
 
 class TestDriver:
+    @pytest.mark.parametrize("n_workers", [1, 2, 4])
     @pytest.mark.parametrize("deterministic", [True, False])
-    def test_bank_stream_commits_everything(self, deterministic):
+    def test_bank_stream_commits_everything(self, deterministic, n_workers):
         scenario = bank()
         planner = BatchPlanner(
-            initial=scenario.initial_state(), n_workers=4,
+            initial=scenario.initial_state(), n_workers=n_workers,
             batch_size=16, deterministic=deterministic,
         )
         metrics = planner.run(scenario.transaction_stream(120))

@@ -328,6 +328,29 @@ class TestDriverContract:
         assert report.invariant_ok
         assert report.metrics.lookahead == 2
 
+    @pytest.mark.parametrize("lookahead", [1, 2])
+    @pytest.mark.parametrize("scenario, params", [
+        ("sharded-bank", {"cross_fraction": 0.1, "hot_fraction": 0.2}),
+        ("read-mostly", {"read_fraction": 0.9, "hot_fraction": 0.6}),
+    ])
+    def test_threaded_stages_overlap(self, scenario, params, lookahead):
+        """The E18 streams under real threads: abort-free, nothing
+        dropped, and planning really ran inside an execution window —
+        as a count of batches.  How many seconds that hides is
+        ``benchmarks/perf``'s question, not asserted here."""
+        report = Database().run(
+            scenario,
+            RunConfig(
+                mode="pipelined", workers=4, batch_size=64,
+                lookahead=lookahead, deterministic=False, seed=11,
+            ),
+            txns=400, n_shards=4, accounts_per_shard=4, seed=5, **params,
+        )
+        assert report.invariant_ok
+        assert report.cc_aborts == 0
+        assert report.committed == report.submitted == 400
+        assert report.metrics.batches_overlapped > 0
+
     def test_pipelined_planner_is_the_driver_with_lookahead_1(self):
         """``benchmarks/perf`` wraps ``run`` on whichever class defines
         it, so the shim must define none of its own."""

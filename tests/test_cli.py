@@ -463,6 +463,17 @@ class TestBench:
         assert document["schema"] == "repro.bench/v1"
         assert len(document["records"]) == 6
 
+    @pytest.mark.parametrize(
+        "flag", [["--repeats", "2"], ["--warmup", "1"]]
+    )
+    def test_run_has_no_repeat_knobs(self, flag, capsys):
+        # One deterministic run per case: nothing to repeat or warm up
+        # (seconds are benchmarks/perf's).
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "run", "--suite", "smoke", *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_run_default_path_is_bench_suite_json(
         self, capsys, tmp_path, monkeypatch
     ):
