@@ -51,7 +51,7 @@ def _run(mode, *, audit):
     )
 
 
-def test_bench_audit(benchmark, table_writer, bench_document_writer):
+def test_bench_audit(table_writer, bench_document_writer):
     def run_all():
         suite_results = run_suite(SUITE)
         direct = {
@@ -64,9 +64,7 @@ def test_bench_audit(benchmark, table_writer, bench_document_writer):
         }
         return suite_results, direct
 
-    suite_results, direct = benchmark.pedantic(
-        run_all, rounds=1, iterations=1
-    )
+    suite_results, direct = run_all()
     by_id = {r.case.case_id: r for r in suite_results}
 
     rows = []

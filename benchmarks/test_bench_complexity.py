@@ -14,13 +14,9 @@ from repro.classes.sat_encodings import is_mvsr_sat
 from repro.model.enumeration import random_schedule
 
 
-def test_bench_decider_scaling(benchmark, table_writer):
-    rows = benchmark.pedantic(
-        scaling_measurements,
-        args=([2, 4, 6, 8, 12, 16],),
-        kwargs={"samples_per_size": 3, "seed": 0},
-        rounds=1,
-        iterations=1,
+def test_bench_decider_scaling(table_writer):
+    rows = scaling_measurements(
+        [2, 4, 6, 8, 12, 16], samples_per_size=3, seed=0
     )
     fmt = [
         {k: (round(v, 3) if isinstance(v, float) else v) for k, v in row.items()}
@@ -39,7 +35,7 @@ def test_bench_decider_scaling(benchmark, table_writer):
     assert isinstance(large["mvcsr_ms"], float)
 
 
-def test_bench_mvsr_engine_ablation(benchmark, table_writer):
+def test_bench_mvsr_engine_ablation(table_writer):
     rng = random.Random(1)
     schedules = [
         random_schedule(n, ["x", "y", "z"], 3, rng)
@@ -68,7 +64,7 @@ def test_bench_mvsr_engine_ablation(benchmark, table_writer):
             )
         return rows
 
-    rows = benchmark.pedantic(ablation, rounds=1, iterations=1)
+    rows = ablation()
     table_writer(
         "E11_mvsr_ablation", "MVSR engines: choice search vs SAT", rows
     )

@@ -21,7 +21,7 @@ def _lengths(schedule):
     return {t: len(schedule.projection(t)) for t in schedule.txn_ids}
 
 
-def test_bench_contention_sweep(benchmark, table_writer):
+def test_bench_contention_sweep(table_writer):
     streams = {
         skew: list(
             schedule_stream(
@@ -46,7 +46,7 @@ def test_bench_contention_sweep(benchmark, table_writer):
             out[skew] = {r.name: r.rate for r in reports}
         return out
 
-    rates = benchmark(sweep)
+    rates = sweep()
 
     rows = []
     for skew in SKEWS:

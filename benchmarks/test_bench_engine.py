@@ -23,11 +23,9 @@ SCHEDULERS = ["2pl", "sgt", "2v2pl", "mvto", "si"]
 
 
 def test_bench_engine(
-    benchmark, table_writer, bench_document_writer, count_columns
+    table_writer, bench_document_writer, count_columns
 ):
-    results = benchmark.pedantic(
-        run_suite, args=(SUITE,), rounds=1, iterations=1
-    )
+    results = run_suite(SUITE)
     by_id = {r.case.case_id: r for r in results}
 
     rows = []

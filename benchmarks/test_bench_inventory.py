@@ -27,7 +27,7 @@ SCHEDULERS = [
 ]
 
 
-def test_bench_inventory_ledger(benchmark, table_writer):
+def test_bench_inventory_ledger(table_writer):
     workload = InventoryWorkload(n_warehouses=4, n_orders=3, seed=9)
     system, programs = workload.system()
     schedules = [workload.schedule(system) for _ in range(40)]
@@ -48,7 +48,7 @@ def test_bench_inventory_ledger(benchmark, table_writer):
             stats[name] = (committed, violations)
         return stats
 
-    stats = benchmark(run_all)
+    stats = run_all()
     rows = []
     for name, (committed, violations) in stats.items():
         rows.append(

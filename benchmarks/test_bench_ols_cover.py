@@ -36,7 +36,7 @@ SYSTEMS = {
 }
 
 
-def test_bench_ols_cover(benchmark, table_writer):
+def test_bench_ols_cover(table_writer):
     universes = {
         name: list(interleavings(system))
         for name, system in SYSTEMS.items()
@@ -48,7 +48,7 @@ def test_bench_ols_cover(benchmark, table_writer):
             for name, schedules in universes.items()
         }
 
-    reports = benchmark.pedantic(run_cover, rounds=1, iterations=1)
+    reports = run_cover()
 
     rows = [{"system": name, **report} for name, report in reports.items()]
     table_writer(

@@ -14,10 +14,10 @@ from repro.schedulers.mvcg import EagerMVCGScheduler, MVCGScheduler
 from repro.schedulers.mvto import MVTOScheduler
 
 
-def test_bench_section4_pair(benchmark, table_writer):
+def test_bench_section4_pair(table_writer):
     s, s_prime = SECTION4_PAIR
 
-    verdict = benchmark(lambda: is_ols([s, s_prime]))
+    verdict = is_ols([s, s_prime])
     assert verdict is False
 
     lcp = s.common_prefix_length(s_prime)

@@ -37,11 +37,9 @@ WORKLOADS = ["sharded-bank", "read-mostly"]
 
 
 def test_bench_planner(
-    benchmark, table_writer, bench_document_writer, count_columns
+    table_writer, bench_document_writer, count_columns
 ):
-    results = benchmark.pedantic(
-        run_suite, args=(SUITE,), rounds=1, iterations=1
-    )
+    results = run_suite(SUITE)
     by_id = {r.case.case_id: r for r in results}
     report = {cid: r.report for cid, r in by_id.items()}
 

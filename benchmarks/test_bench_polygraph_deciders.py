@@ -40,7 +40,7 @@ def _families():
     return families
 
 
-def test_bench_polygraph_decider_ablation(benchmark, table_writer):
+def test_bench_polygraph_decider_ablation(table_writer):
     families = _families()
 
     def run_ablation():
@@ -67,7 +67,7 @@ def test_bench_polygraph_decider_ablation(benchmark, table_writer):
             )
         return rows
 
-    rows = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
+    rows = run_ablation()
     table_writer(
         "E6b_polygraph_deciders", "backtracking vs SAT encoding", rows
     )

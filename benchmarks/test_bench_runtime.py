@@ -28,11 +28,9 @@ BATCH_SIZES = [1, 16]
 
 
 def test_bench_runtime(
-    benchmark, table_writer, bench_document_writer, count_columns
+    table_writer, bench_document_writer, count_columns
 ):
-    results = benchmark.pedantic(
-        run_suite, args=(SUITE,), rounds=1, iterations=1
-    )
+    results = run_suite(SUITE)
     report = {r.case.case_id: r.report for r in results}
 
     rows = []

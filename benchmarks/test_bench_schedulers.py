@@ -38,7 +38,7 @@ FACTORIES = [
 ]
 
 
-def test_bench_scheduler_acceptance(benchmark, table_writer):
+def test_bench_scheduler_acceptance(table_writer):
     streams = {
         "uniform": list(schedule_stream(60, 3, ["x", "y", "z"], 2, seed=0)),
         "hot-key": list(
@@ -52,7 +52,7 @@ def test_bench_scheduler_acceptance(benchmark, table_writer):
             for name, schedules in streams.items()
         }
 
-    reports = benchmark(run_all)
+    reports = run_all()
 
     rows = []
     for name, schedules in streams.items():

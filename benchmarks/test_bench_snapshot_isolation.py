@@ -32,7 +32,7 @@ def _pool(steps_per_txn):
     return schedules
 
 
-def test_bench_si_anomalies(benchmark, table_writer):
+def test_bench_si_anomalies(table_writer):
     pools = {steps: _pool(steps) for steps in (2, 3)}
 
     def measure():
@@ -43,7 +43,7 @@ def test_bench_si_anomalies(benchmark, table_writer):
             out[steps] = (len(schedules), len(accepted), len(anomalies))
         return out
 
-    results = benchmark.pedantic(measure, rounds=1, iterations=1)
+    results = measure()
 
     rows = []
     total_anomalies = 0

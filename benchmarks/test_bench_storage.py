@@ -28,7 +28,7 @@ SCHEDULERS = [
 ]
 
 
-def test_bench_bank_throughput(benchmark, table_writer):
+def test_bench_bank_throughput(table_writer):
     workload = BankWorkload(
         n_accounts=8, n_transfers=2, n_audits=2, seed=5
     )
@@ -55,7 +55,7 @@ def test_bench_bank_throughput(benchmark, table_writer):
             stats[name] = (committed, violations, versions)
         return stats
 
-    stats = benchmark(run_all)
+    stats = run_all()
     rows = []
     for name, (committed, violations, versions) in stats.items():
         rows.append(

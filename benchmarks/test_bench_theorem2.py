@@ -38,13 +38,13 @@ def _ensemble(seed=0, n=40):
     return [random_schedule(2, ["x", "y"], 3, rng) for _ in range(n)]
 
 
-def test_bench_theorem2_swap_distance(benchmark, table_writer):
+def test_bench_theorem2_swap_distance(table_writer):
     schedules = _ensemble()
 
     def distances():
         return [swap_distance(s) for s in schedules]
 
-    dist = benchmark(distances)
+    dist = distances()
 
     rows = []
     histogram = {}

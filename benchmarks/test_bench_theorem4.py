@@ -30,14 +30,14 @@ def _eligible(n_nodes, n_arcs, n_choices, seed):
             return poly
 
 
-def test_bench_theorem4_equivalence(benchmark, table_writer):
+def test_bench_theorem4_equivalence(table_writer):
     polys = [_eligible(4, 3, 2, seed) for seed in range(12)]
     pairs = [theorem4_schedules(p) for p in polys]
 
     def decide_all():
         return [is_ols(list(pair)) for pair in pairs]
 
-    verdicts = benchmark(decide_all)
+    verdicts = decide_all()
 
     rows = []
     for poly, pair, ols in zip(polys, pairs, verdicts):
@@ -58,7 +58,7 @@ def test_bench_theorem4_equivalence(benchmark, table_writer):
     table_writer("E6_theorem4", "OLS({s1,s2}) == polygraph acyclicity", rows)
 
 
-def test_bench_theorem4_scaling(benchmark, table_writer):
+def test_bench_theorem4_scaling(table_writer):
     def scaling_run():
         rows = []
         for n_nodes in (3, 4, 5, 6):
@@ -81,7 +81,7 @@ def test_bench_theorem4_scaling(benchmark, table_writer):
             )
         return rows
 
-    rows = benchmark.pedantic(scaling_run, rounds=1, iterations=1)
+    rows = scaling_run()
     table_writer(
         "E6_theorem4_scaling",
         "exact OLS vs polynomial MVCSR on growing instances",

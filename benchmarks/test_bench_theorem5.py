@@ -24,7 +24,7 @@ def _eligible(seed):
             return poly
 
 
-def test_bench_theorem5_oracle(benchmark, table_writer):
+def test_bench_theorem5_oracle(table_writer):
     polys = [_eligible(seed) for seed in range(12)]
     schedules = [theorem5_schedule(p) for p in polys]
     systems = [s.transaction_system() for s in schedules]
@@ -35,7 +35,7 @@ def test_bench_theorem5_oracle(benchmark, table_writer):
             out.append(MaximalOracleScheduler(system).accepts(s))
         return out
 
-    accepted = benchmark(run_oracle)
+    accepted = run_oracle()
 
     rows = []
     for poly, s, ok in zip(polys, schedules, accepted):

@@ -35,7 +35,7 @@ def _disjoint_polygraphs(n, seed):
     return out
 
 
-def test_bench_theorem6_maximality_gap(benchmark, table_writer):
+def test_bench_theorem6_maximality_gap(table_writer):
     polys = _disjoint_polygraphs(10, seed=0)
 
     def run_constructions():
@@ -49,7 +49,7 @@ def test_bench_theorem6_maximality_gap(benchmark, table_writer):
             ]
         return results
 
-    results = benchmark(run_constructions)
+    results = run_constructions()
 
     rows = []
     stats = {

@@ -13,14 +13,14 @@ SWEEP = [(2, 2), (2, 3), (3, 2)]
 SAMPLES = 120
 
 
-def test_bench_topography_census(benchmark, table_writer):
+def test_bench_topography_census(table_writer):
     def run_census():
         return {
             cfg: census(SAMPLES, cfg[0], ["x", "y"], cfg[1], seed=7)
             for cfg in SWEEP
         }
 
-    counts_by_cfg = benchmark(run_census)
+    counts_by_cfg = run_census()
 
     rows = []
     for cfg, counts in counts_by_cfg.items():

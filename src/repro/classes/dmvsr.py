@@ -14,17 +14,13 @@ from repro.model.steps import Entity, Step, read
 from repro.classes.mvsr import is_mvsr
 
 
-def _core(schedule: Schedule) -> Schedule:
-    return schedule.unpadded() if schedule.is_padded() else schedule
-
-
 def dmvsr_augmented(schedule: Schedule) -> Schedule:
     """Insert ``R_i(x)`` immediately before each readless ``W_i(x)``.
 
     A write is *readless* when the transaction has not read the entity
     earlier in its own step sequence.
     """
-    core = _core(schedule)
+    core = schedule.core()
     reads_so_far: dict[tuple, set[Entity]] = {}
     steps: list[Step] = []
     for step in core:

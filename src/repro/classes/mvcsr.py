@@ -27,13 +27,9 @@ from repro.classes.mvsr import version_function_for_order
 from repro.classes.serial import is_serial
 
 
-def _core(schedule: Schedule) -> Schedule:
-    return schedule.unpadded() if schedule.is_padded() else schedule
-
-
 def mv_conflict_graph(schedule: Schedule) -> Digraph:
     """``MVCG(s)``: arc ``T_i -> T_j`` iff ``W_j(x)`` follows ``R_i(x)``."""
-    return build_mv_conflict_graph(_core(schedule))
+    return build_mv_conflict_graph(schedule.core())
 
 
 def is_mvcsr(schedule: Schedule) -> bool:
@@ -59,7 +55,7 @@ def mvcsr_version_function(schedule: Schedule) -> VersionFunction | None:
     the arc ``i -> j`` putting ``i`` before ``j``), so ``V`` may assign it.
     Returns None when the schedule is not MVCSR.
     """
-    core = _core(schedule)
+    core = schedule.core()
     order = mvcsr_serialization(core)
     if order is None:
         return None
@@ -129,7 +125,7 @@ def is_mvcsr_by_swaps(schedule: Schedule, max_states: int = 500_000) -> bool:
     Exponential in general; raises ``RuntimeError`` past ``max_states`` so
     callers cannot silently misuse it on large schedules.
     """
-    core = _core(schedule)
+    core = schedule.core()
     if is_serial(core):
         return True
     seen = {core.steps}

@@ -26,10 +26,6 @@ from repro.model.steps import Entity, TxnId
 from repro.model.version_functions import VersionFunction
 
 
-def _core(schedule: Schedule) -> Schedule:
-    return schedule.unpadded() if schedule.is_padded() else schedule
-
-
 def _read_profiles(
     core: Schedule,
 ) -> dict[TxnId, list[tuple[str, Entity, int | None]]]:
@@ -73,7 +69,7 @@ def mvsr_serializations(schedule: Schedule) -> Iterator[list[TxnId]]:
     can be served the last earlier writer in ``r`` (its first write of the
     entity must precede the read in ``s``), or ``T0`` when there is none.
     """
-    core = _core(schedule)
+    core = schedule.core()
     profiles = _read_profiles(core)
     first_write = _first_write_position(core)
     txns = list(core.txn_ids)
@@ -127,7 +123,7 @@ def find_mvsr_serialization(
     do; latest is what a multiversion store would naturally serve), own
     reads the own preceding write, and ``T0`` reads the initial version.
     """
-    core = _core(schedule)
+    core = schedule.core()
     for order in mvsr_serializations(core):
         return order, version_function_for_order(core, order)
     return None
@@ -141,7 +137,7 @@ def version_function_for_order(
     Raises ``ValueError`` if the order is not actually a witness (some
     required source is not realizable).
     """
-    core = _core(schedule)
+    core = schedule.core()
     position = {t: k for k, t in enumerate(order)}
     assignments: dict[int, int | str] = {}
     for t in core.txn_ids:
@@ -201,7 +197,7 @@ def is_mvsr_fixed(
     at once.  This is what makes the Theorem 4/5 instances (dozens of
     transactions, heavily forced reads) tractable.
     """
-    core = _core(schedule)
+    core = schedule.core()
     fixed = fixed or {}
 
     writers: dict[Entity, list[TxnId]] = {}

@@ -27,10 +27,6 @@ from repro.model.schedules import Schedule, T_FINAL, T_INIT
 from repro.model.steps import Entity, TxnId
 
 
-def _core(schedule: Schedule) -> Schedule:
-    return schedule.unpadded() if schedule.is_padded() else schedule
-
-
 def _commit_positions(core: Schedule) -> dict[TxnId, int]:
     """Each transaction commits at its last step's position."""
     return {
@@ -41,7 +37,7 @@ def _commit_positions(core: Schedule) -> dict[TxnId, int]:
 
 def is_recoverable(schedule: Schedule) -> bool:
     """RC: every reader commits after each transaction it read from."""
-    core = _core(schedule)
+    core = schedule.core()
     commits = _commit_positions(core)
     for i in core.read_indices():
         reader = core[i].txn
@@ -58,7 +54,7 @@ def is_recoverable(schedule: Schedule) -> bool:
 
 def avoids_cascading_aborts(schedule: Schedule) -> bool:
     """ACA: reads only committed data."""
-    core = _core(schedule)
+    core = schedule.core()
     commits = _commit_positions(core)
     for i in core.read_indices():
         reader = core[i].txn
@@ -75,7 +71,7 @@ def avoids_cascading_aborts(schedule: Schedule) -> bool:
 
 def is_strict(schedule: Schedule) -> bool:
     """ST: reads and overwrites only touch committed data."""
-    core = _core(schedule)
+    core = schedule.core()
     if not avoids_cascading_aborts(core):
         return False
     commits = _commit_positions(core)

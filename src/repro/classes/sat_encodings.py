@@ -29,10 +29,6 @@ from repro.sat.cnf import CNF, Lit
 from repro.sat.solver import solve
 
 
-def _core(schedule: Schedule) -> Schedule:
-    return schedule.unpadded() if schedule.is_padded() else schedule
-
-
 def _profiles(core: Schedule):
     """Per txn: non-own reads [(entity, pos)], and the full write sets."""
     reads: dict[TxnId, list[tuple[Entity, int]]] = {}
@@ -164,7 +160,7 @@ class _Encoder:
 
 def mvsr_cnf(schedule: Schedule) -> CNF:
     """CNF satisfiable iff ``schedule`` is MVSR."""
-    core = _core(schedule)
+    core = schedule.core()
     cnf = CNF()
     enc = _Encoder(cnf, core, "s")
     enc.add_order_axioms()
@@ -188,7 +184,7 @@ def ols_pair_cnf(first: Schedule, second: Schedule) -> CNF:
     families) while agreeing on the sources of every read inside their
     longest common prefix (shared selection variables).
     """
-    a, b = _core(first), _core(second)
+    a, b = first.core(), second.core()
     lcp = a.common_prefix_length(b)
     cnf = CNF()
 

@@ -21,11 +21,6 @@ from repro.model.schedules import Schedule, T_FINAL, T_INIT
 from repro.model.steps import Entity, TxnId
 
 
-def _core(schedule: Schedule) -> Schedule:
-    """Strip any explicit padding; deciders use implicit padding."""
-    return schedule.unpadded() if schedule.is_padded() else schedule
-
-
 def _own_read_violations(schedule: Schedule) -> bool:
     """Detect reads that any serial order forces to be own-reads but whose
     standard source in the schedule is another transaction.
@@ -55,7 +50,7 @@ def find_vsr_serialization(schedule: Schedule) -> list[TxnId] | None:
     not write an entity after the schedule's final writer of that entity
     has been placed.
     """
-    core = _core(schedule)
+    core = schedule.core()
     if _own_read_violations(core):
         return None
     sources = read_from_map(core)
@@ -140,7 +135,7 @@ def vsr_polygraph(schedule: Schedule) -> Polygraph:
     serial order ``k`` must come before ``w`` or after ``r``.  The final
     transaction's reads encode the final-writer constraints.
     """
-    core = _core(schedule)
+    core = schedule.core()
     sources = read_from_map(core)
     txns = list(core.txn_ids)
     writers: dict[Entity, list[TxnId]] = {}
@@ -188,7 +183,7 @@ def is_vsr_polygraph(schedule: Schedule) -> bool:
     Equivalent to :func:`is_vsr`; the tests cross-check the two on
     exhaustive small schedules.
     """
-    core = _core(schedule)
+    core = schedule.core()
     if _own_read_violations(core):
         return False
     return vsr_polygraph(core).is_acyclic()

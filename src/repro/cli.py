@@ -42,7 +42,7 @@ from typing import Sequence
 from repro.analysis.figure1 import figure1_table
 from repro.analysis.topography import census, cumulative_class_sizes
 from repro.classes.hierarchy import REGIONS, classify, membership_profile
-from repro.db import Database, RunConfig, get_backend
+from repro.db import MODE_OPTIONS, Database, RunConfig, get_backend
 from repro.engine.factory import SCHEDULER_FACTORIES
 from repro.model.parsing import format_schedule_by_transaction, parse_schedule
 from repro.ols.decision import is_ols
@@ -108,9 +108,8 @@ def _readable_path(text: str) -> str:
     """argparse type: an existing readable file.
 
     The parse-time twin of :func:`_writable_path`, shared by every
-    subcommand that reads a file (``trace summarize``, ``audit``,
-    ``lint --baseline``) so a typo'd path fails with the same one-line
-    usage error everywhere.
+    subcommand that reads a file (``trace summarize``, ``audit``) so a
+    typo'd path fails with the same one-line usage error everywhere.
     """
     if not os.path.isfile(text):
         raise argparse.ArgumentTypeError(f"no such file: {text!r}")
@@ -247,34 +246,29 @@ def cmd_sat(args: argparse.Namespace) -> int:
 
 # -- the unified execution entry point ------------------------------------
 
-#: which ``repro run`` workload flag maps to which scenario parameter,
-#: per scenario — flag/scenario mismatches are usage errors, never
-#: silent drops (the CLI rendering of the RunConfig contract).
-_SCENARIO_FLAG_PARAMS: dict[str, dict[str, str]] = {
-    "entities": {"bank": "n_accounts", "inventory": "n_warehouses"},
-    "accounts_per_shard": {
-        "sharded-bank": "accounts_per_shard",
-        "abort-heavy": "accounts_per_shard",
-        "read-mostly": "accounts_per_shard",
-    },
-    "hot_fraction": {
-        "bank": "hot_fraction",
-        "sharded-bank": "hot_fraction",
-        "abort-heavy": "hot_fraction",
-        "read-mostly": "hot_fraction",
-    },
-    "cross_fraction": {
-        "sharded-bank": "cross_fraction",
-        "abort-heavy": "cross_fraction",
-    },
-    "read_fraction": {"read-mostly": "read_fraction"},
-    "abort_fraction": {"abort-heavy": "abort_fraction"},
-    "audit_every": {"bank": "audit_every", "sharded-bank": "audit_every"},
-}
+#: the ``repro run`` workload flags, in ``--help`` order.
+_WORKLOAD_FLAGS = (
+    "entities", "accounts_per_shard", "hot_fraction", "cross_fraction",
+    "read_fraction", "abort_fraction", "audit_every",
+)
 
-#: scenarios whose account layout is bucketed per shard; their shard
-#: count follows the worker count.
-_SHARDED_SCENARIOS = frozenset({"sharded-bank", "abort-heavy", "read-mostly"})
+#: the one flag not named after the parameter it sets.
+_FLAG_ALIASES = {"entities": ("n_accounts", "n_warehouses")}
+
+#: which workload flag maps to which scenario parameter, per scenario —
+#: derived from the registry: a flag applies where its name (or alias)
+#: is a parameter the scenario declares.  Flag/scenario mismatches are
+#: usage errors, never silent drops (the CLI rendering of the RunConfig
+#: contract).
+_SCENARIO_FLAG_PARAMS: dict[str, dict[str, str]] = {
+    flag: {
+        name: param
+        for name in scenario_names()
+        for param in _FLAG_ALIASES.get(flag, (flag,))
+        if param in scenario_spec(name).params
+    }
+    for flag in _WORKLOAD_FLAGS
+}
 
 
 def _scenario_flags(scenario: str) -> list[str]:
@@ -327,26 +321,19 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"  {name:>14}: {scenario_spec(name).description}")
         return 0
     params = _translate_scenario_flags(args)
-    config_options = {
-        "scheduler": args.scheduler,
-        "workers": args.workers,
-        "batch_size": args.batch_size,
-        "deterministic": args.deterministic,
-        "retry": args.max_retries,
-        "gc_every": args.gc_every,
-        "epoch_max_steps": args.epoch_steps,
-        "lookahead": args.lookahead,
-        "reexecute": args.reexecute,
-        "trace": args.trace,
-        "audit": args.audit or None,
-    }
+    # Every mode-option flag's ``dest`` is its RunConfig field name.
     config = RunConfig(
         mode=args.mode,
         seed=args.seed,
         gc=not args.no_gc,
-        **{k: v for k, v in config_options.items() if v is not None},
+        **{
+            name: getattr(args, name)
+            for name in MODE_OPTIONS
+            if getattr(args, name) is not None
+        },
     )
-    if args.scenario in _SHARDED_SCENARIOS:
+    if "n_shards" in scenario_spec(args.scenario).params:
+        # Bucketed per shard: the shard count follows the worker count.
         params["n_shards"] = config.workers
     report = Database().run(
         args.scenario, config, txns=args.txns, **params
@@ -451,26 +438,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import lint_paths, write_baseline
+    from repro.lint import lint_paths
 
     # repeatable flags also accept comma-separated ids.
     select = [r for text in args.select for r in text.split(",") if r]
     ignore = [r for text in args.ignore for r in text.split(",") if r]
-    if args.write_baseline:
-        report = lint_paths(args.paths, select=select or None,
-                            ignore=ignore or None)
-        write_baseline(report.findings, args.write_baseline)
-        count = len(report.findings)
-        noun = "entry" if count == 1 else "entries"
-        print(
-            f"wrote {count} baseline {noun} to {args.write_baseline}"
-        )
-        return 0
     report = lint_paths(
-        args.paths,
-        select=select or None,
-        ignore=ignore or None,
-        baseline=args.baseline,
+        args.paths, select=select or None, ignore=ignore or None
     )
     print(report.format())
     if args.json:
@@ -544,8 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="list registered scenarios and exit")
     p.add_argument("--txns", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    # Mode options: None means "not given"; RunConfig resolves the
-    # backend's default, and rejects flags the mode cannot honor.
+    # Mode options (``dest`` is the RunConfig field): None means "not
+    # given"; RunConfig resolves the backend's default, and rejects
+    # flags the mode cannot honor.
     p.add_argument(
         "--scheduler", choices=sorted(SCHEDULER_FACTORIES), default=None,
         help="scheduler for the online modes (default: mvto)",
@@ -554,12 +529,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=_positive_int, default=None)
     p.add_argument("--deterministic", action="store_true", default=None,
                    help="single-threaded reproducible mode")
-    p.add_argument("--max-retries", type=_positive_int, default=None)
+    p.add_argument("--max-retries", type=_positive_int, default=None,
+                   dest="retry", metavar="MAX_RETRIES")
     p.add_argument("--no-gc", action="store_true")
     p.add_argument("--gc-every", type=_nonnegative_int, default=None,
                    help="collect every N commits (online modes)")
     p.add_argument("--epoch-steps", type=_positive_int, default=None,
-                   dest="epoch_steps")
+                   dest="epoch_max_steps", metavar="EPOCH_STEPS")
     p.add_argument("--lookahead", type=_positive_int, default=None,
                    help="pipelined mode: batches planned ahead of the "
                         "executing one (default 1)")
@@ -585,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", type=_writable_path, default=None,
                    metavar="PATH",
                    help="write a JSONL execution trace to PATH")
-    p.add_argument("--audit", action="store_true",
+    p.add_argument("--audit", action="store_true", default=None,
                    help="continuously verify the run: reconstruct the "
                         "schedule from the trace and certify "
                         "1-serializability (nonzero exit on violation)")
@@ -668,14 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ignore", action="append", default=[],
                    metavar="RULE-ID",
                    help="skip these rules (repeatable or comma-separated)")
-    p.add_argument("--baseline", type=_readable_path, default=None,
-                   metavar="PATH",
-                   help="committed baseline of grandfathered findings; "
-                        "stale entries are themselves findings")
-    p.add_argument("--write-baseline", type=_writable_path, default=None,
-                   metavar="PATH",
-                   help="write the current findings out as a fresh "
-                        "baseline and exit 0")
     p.add_argument("--json", type=_writable_path, default=None,
                    metavar="PATH",
                    help="also write the LintReport as JSON to PATH")

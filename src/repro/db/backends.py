@@ -1,33 +1,25 @@
 """Execution backends: the protocol and the three built-in adapters.
 
 An :class:`ExecutionBackend` is what a concurrency-control execution
-model must implement to plug into :class:`repro.db.Database`:
-
-* ``name`` / ``description`` — registry identity, shown by
-  ``repro run --list-modes``;
-* ``applicable`` / ``defaults`` — the :class:`~repro.db.RunConfig`
-  option contract: which mode options the backend honors and what an
-  unset applicable option resolves to (``RunConfig`` validates against
-  these at construction, so no option is ever silently dropped);
-* ``validate(config)`` — extra mode-specific constraints beyond
-  applicability;
-* ``run(stream, initial, config, ...)`` — execute and return a
-  :class:`~repro.db.RunReport`.
+model must implement to plug into :class:`repro.db.Database`: a
+``name``/``description`` (registry identity, shown by ``repro run
+--list-modes``), ``validate``/``run``, and ``defaults`` — the
+:class:`~repro.db.RunConfig` option contract, declared once: the
+backend honors exactly the mode options listed there, and an unset one
+resolves to the listed value (``RunConfig`` validates against it at
+construction, so no option is ever silently dropped).
 
 The three built-in adapters wrap the serial engine, the shard runtime
-and the batch planner; the planner adapter is registered twice
-(``planner`` and ``pipelined`` — the same driver, sequential or
-``lookahead`` batches deep), which makes four modes.
-Engine/runtime/planner imports stay inside ``_execute`` so the registry
-is cycle-free (the planner itself reuses
+and the batch planner (registered twice — see :class:`PlannerBackend` —
+which makes four modes).  Engine/runtime/planner imports stay inside
+``_execute`` so the registry is cycle-free (the planner itself reuses
 :mod:`repro.runtime.group_commit`).
 
-Extending: subclass :class:`BackendAdapter`, implement ``_execute`` and
-``_core``, and :func:`register_backend` an instance — ``Database``,
-``RunConfig`` validation, ``repro run --mode`` and the cross-mode
-metric-contract test all pick the new mode up from the registry.
-``docs/backend-authors.md`` walks the full contract with
-:class:`PlannerBackend` as the worked example.
+Extending: subclass :class:`BackendAdapter` and :func:`register_backend`
+an instance — ``Database``, ``RunConfig`` validation, ``repro run
+--mode`` and the cross-mode metric-contract test all pick the new mode
+up from the registry.  ``docs/backend-authors.md`` walks the full
+contract with :class:`PlannerBackend` as the worked example.
 """
 
 from __future__ import annotations
@@ -36,9 +28,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Protocol, runtime_checkable
 
 from repro.db.report import RunReport
 from repro.engine.retry import RetryPolicy
-
-#: shared default for the retrying modes (RetryPolicy is frozen).
-_DEFAULT_RETRY = RetryPolicy()
+from repro.obs import trace_run
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.config import RunConfig
@@ -50,7 +40,6 @@ class ExecutionBackend(Protocol):
 
     name: str
     description: str
-    applicable: frozenset[str]
     defaults: Mapping[str, Any]
 
     def validate(self, config: "RunConfig") -> None:
@@ -71,27 +60,25 @@ class ExecutionBackend(Protocol):
 class BackendAdapter:
     """Shared :class:`RunReport` assembly for the built-in adapters.
 
-    Subclasses implement ``_execute`` (run, return ``(native_metrics,
-    final_state)``) and ``_core`` (map native counters onto the
-    guaranteed schema); this base turns both into the uniform ``run``.
+    Subclasses declare ``defaults`` and implement ``_execute``; this
+    base resolves the tracer, reads the guaranteed counters off the
+    native metrics object by name and assembles the uniform ``run``.
     """
 
     name: str = ""
     description: str = ""
-    applicable: frozenset[str] = frozenset()
     defaults: Mapping[str, Any] = {}
 
     def validate(self, config: "RunConfig") -> None:
         return None
 
-    def _execute(self, stream, initial, config: "RunConfig"):
+    def _execute(self, stream, initial, config: "RunConfig", tracer):
         """Return ``(metrics, final_state)`` or ``(metrics,
         final_state, notes)`` — backends are registry singletons, so
         per-run data must travel in the return value, never on
-        ``self``."""
-        raise NotImplementedError
-
-    def _core(self, metrics) -> dict[str, int]:
+        ``self``.  ``metrics`` carries ``submitted``/``committed``/
+        ``aborted``/``gave_up``/``cc_aborts``, ``elapsed``, ``latency``
+        and ``as_dict()``; emit through ``tracer``."""
         raise NotImplementedError
 
     def run(
@@ -108,40 +95,21 @@ class BackendAdapter:
                 f"config is for mode {config.mode!r}, "
                 f"backend is {self.name!r}"
             )
-        auditor = live = trace_path = None
-        exec_config = config
-        if getattr(config, "audit", False):
-            # Continuous verification: run through a live tracer with an
-            # auditor subscribed, so every epoch is certified as it
-            # closes.  ``_execute`` signatures stay untouched — the
-            # tracer travels through the existing ``trace`` option
-            # (``trace_run`` yields a passed Tracer verbatim), and a
-            # ``trace`` path is persisted here instead.
-            from dataclasses import replace
+        auditor = audit_report = None
+        with trace_run(config) as tracer:
+            if config.audit:
+                # Continuous verification: an auditor subscribed to the
+                # live tracer certifies every epoch as it closes.
+                from repro.audit import Auditor
 
-            from repro.audit import Auditor
-            from repro.obs import Tracer
-
-            if isinstance(config.trace, Tracer):
-                live = config.trace
-            else:
-                if isinstance(config.trace, str):
-                    trace_path = config.trace
-                live = Tracer(capacity=None)  # unbounded: drops void audits
-            exec_config = replace(config, trace=live)
-            auditor = Auditor.attach(live)
-        metrics, final_state, *rest = self._execute(
-            stream, initial, exec_config
-        )
+                auditor = Auditor.attach(tracer)
+            metrics, final_state, *rest = self._execute(
+                stream, initial, config, tracer
+            )
         notes = rest[0] if rest else ()
-        audit_report = None
         if auditor is not None:
-            from repro.obs import write_jsonl
-
-            live.unsubscribe(auditor.feed)
-            if trace_path is not None:
-                write_jsonl(live, trace_path)
-            audit_report = auditor.finish(dropped=live.log.dropped)
+            tracer.unsubscribe(auditor.feed)
+            audit_report = auditor.finish(dropped=tracer.log.dropped)
         return RunReport(
             mode=self.name,
             scenario=scenario,
@@ -149,16 +117,18 @@ class BackendAdapter:
             deterministic=bool(config.deterministic),
             elapsed=metrics.elapsed,
             latency=metrics.latency,
-            invariant_ok=(
-                bool(invariant(final_state)) if invariant else True
-            ),
+            invariant_ok=invariant is None or bool(invariant(final_state)),
             invariant_checked=invariant is not None,
             mode_specific=metrics.as_dict(),
             notes=notes,
             metrics=metrics,
             final_state=final_state,
             audit=audit_report,
-            **self._core(metrics),
+            submitted=metrics.submitted,
+            committed=metrics.committed,
+            aborted=metrics.aborted,
+            gave_up=metrics.gave_up,
+            cc_aborts=metrics.cc_aborts,
         )
 
 
@@ -176,17 +146,14 @@ class SerialEngineBackend(BackendAdapter):
         "online engine: abort/retry with backoff over one conflict "
         "domain (inherently deterministic)"
     )
-    applicable = frozenset({
-        "scheduler", "workers", "deterministic", "retry",
-        "gc_every", "epoch_max_steps", "trace", "audit",
-    })
     defaults = {
         "scheduler": "mvto",
         "workers": 4,
         "deterministic": True,
-        "retry": _DEFAULT_RETRY,
+        "retry": RetryPolicy(),
         "gc_every": 32,
         "epoch_max_steps": 256,
+        "trace": None,
         "audit": False,
     }
 
@@ -198,102 +165,70 @@ class SerialEngineBackend(BackendAdapter):
                 "honored (omit it or pass True)"
             )
 
-    def _execute(self, stream, initial, config: "RunConfig"):
+    def _execute(self, stream, initial, config: "RunConfig", tracer):
         from repro.engine import (
-            ConcurrentDriver,
-            OnlineEngine,
-            scheduler_factory,
+            ConcurrentDriver, OnlineEngine, scheduler_factory,
         )
-        from repro.obs import trace_run
 
-        with trace_run(config) as tracer:
-            engine = OnlineEngine(
-                scheduler_factory(config.scheduler),
-                initial=initial,
-                gc_enabled=config.gc,
-                gc_every_commits=config.gc_every,
-                epoch_max_steps=config.epoch_max_steps,
-                tracer=tracer,
-            )
-            driver = ConcurrentDriver(
-                engine,
-                stream,
-                n_sessions=config.workers,
-                retry=config.retry,
-                seed=config.seed,
-            )
-            return driver.run(), engine.store.final_state()
-
-    def _core(self, metrics) -> dict[str, int]:
-        # Every engine abort is a concurrency-control abort (rejected
-        # step, deadlock break, cascade, external request).
-        return {
-            "submitted": metrics.committed + metrics.gave_up,
-            "committed": metrics.committed,
-            "aborted": metrics.aborted_total,
-            "gave_up": metrics.gave_up,
-            "cc_aborts": metrics.aborted_total,
-        }
+        engine = OnlineEngine(
+            scheduler_factory(config.scheduler),
+            initial=initial,
+            gc_enabled=config.gc,
+            gc_every_commits=config.gc_every,
+            epoch_max_steps=config.epoch_max_steps,
+            tracer=tracer,
+        )
+        driver = ConcurrentDriver(
+            engine,
+            stream,
+            n_sessions=config.workers,
+            retry=config.retry,
+            seed=config.seed,
+        )
+        return driver.run(), engine.store.final_state()
 
 
 class ShardRuntimeBackend(BackendAdapter):
-    """PR 2's parallel shard runtime: per-shard workers, cross-shard
-    2PC, epoch-batched group commit.  Honors every mode option."""
+    """PR 2's parallel shard runtime (:mod:`repro.runtime.dispatch`)."""
 
     name = "parallel"
     description = (
         "shard runtime: per-shard workers, cross-shard 2PC, "
         "epoch-batched group commit"
     )
-    applicable = frozenset({
-        "scheduler", "workers", "batch_size", "deterministic",
-        "retry", "gc_every", "epoch_max_steps", "trace", "audit",
-    })
     defaults = {
         "scheduler": "mvto",
         "workers": 4,
         "batch_size": 8,
         "deterministic": False,
-        "retry": _DEFAULT_RETRY,
+        "retry": RetryPolicy(),
         "gc_every": 32,
         "epoch_max_steps": 128,
+        "trace": None,
         "audit": False,
     }
 
-    def _execute(self, stream, initial, config: "RunConfig"):
-        from repro.obs import trace_run
+    def _execute(self, stream, initial, config: "RunConfig", tracer):
         from repro.runtime.dispatch import ShardRuntime
 
-        with trace_run(config) as tracer:
-            runtime = ShardRuntime(
-                config.scheduler,
-                initial=initial,
-                n_workers=config.workers,
-                batch_size=config.batch_size,
-                # E16's measured operating point; not a RunConfig knob —
-                # it tunes dispatcher admission, not the execution model.
-                inflight=16,
-                deterministic=config.deterministic,
-                retry=config.retry,
-                seed=config.seed,
-                gc_enabled=config.gc,
-                gc_every_commits=config.gc_every,
-                epoch_max_steps=config.epoch_max_steps,
-                tracer=tracer,
-            )
-            metrics = runtime.run(stream)
-            return metrics, runtime.final_state(), (runtime.plan.note,)
-
-    def _core(self, metrics) -> dict[str, int]:
-        # Runtime aborts are attempt-level CC events: rejected steps,
-        # cross-shard vote-no and flush aborts.
-        return {
-            "submitted": metrics.submitted,
-            "committed": metrics.committed,
-            "aborted": metrics.aborted,
-            "gave_up": metrics.gave_up,
-            "cc_aborts": metrics.aborted,
-        }
+        runtime = ShardRuntime(
+            config.scheduler,
+            initial=initial,
+            n_workers=config.workers,
+            batch_size=config.batch_size,
+            # E16's measured operating point; not a RunConfig knob —
+            # it tunes dispatcher admission, not the execution model.
+            inflight=16,
+            deterministic=config.deterministic,
+            retry=config.retry,
+            seed=config.seed,
+            gc_enabled=config.gc,
+            gc_every_commits=config.gc_every,
+            epoch_max_steps=config.epoch_max_steps,
+            tracer=tracer,
+        )
+        metrics = runtime.run(stream)
+        return metrics, runtime.final_state(), (runtime.plan.note,)
 
 
 class PlannerBackend(BackendAdapter):
@@ -307,8 +242,7 @@ class PlannerBackend(BackendAdapter):
     ``scheduler``/``retry``/``epoch_max_steps``/``gc_every`` cannot
     apply: the plan needs no run-time scheduler, nothing retries
     (nothing CC-aborts), the batch *is* the epoch, and GC runs at every
-    batch settle.  ``docs/backend-authors.md`` walks this class as its
-    worked example.
+    batch settle.
     """
 
     def __init__(
@@ -316,48 +250,31 @@ class PlannerBackend(BackendAdapter):
     ) -> None:
         self.name = name
         self.description = description
-        self.applicable = frozenset({
-            "workers", "batch_size", "deterministic", "reexecute",
-            "trace", "audit",
-        })
         self.defaults = {
             "workers": 4,
             "batch_size": 64,
             "deterministic": False,
             "reexecute": True,
+            "trace": None,
             "audit": False,
         }
         if lookahead is not None:
-            self.applicable |= {"lookahead"}
             self.defaults["lookahead"] = lookahead
 
-    def _execute(self, stream, initial, config: "RunConfig"):
-        from repro.obs import trace_run
+    def _execute(self, stream, initial, config: "RunConfig", tracer):
         from repro.planner.driver import BatchPlanner
 
-        with trace_run(config) as tracer:
-            planner = BatchPlanner(
-                initial=initial,
-                n_workers=config.workers,
-                batch_size=config.batch_size,
-                lookahead=config.lookahead or 0,
-                deterministic=config.deterministic,
-                gc_enabled=config.gc,
-                reexecute=config.reexecute,
-                tracer=tracer,
-            )
-            return planner.run(stream), planner.final_state()
-
-    def _core(self, metrics) -> dict[str, int]:
-        # The only aborts left are logic aborts and their planned
-        # cascades; nothing retries, so nothing can give up.
-        return {
-            "submitted": metrics.submitted,
-            "committed": metrics.committed,
-            "aborted": metrics.logic_aborted + metrics.cascade_aborted,
-            "gave_up": 0,
-            "cc_aborts": metrics.cc_aborts,
-        }
+        planner = BatchPlanner(
+            initial=initial,
+            n_workers=config.workers,
+            batch_size=config.batch_size,
+            lookahead=config.lookahead or 0,
+            deterministic=config.deterministic,
+            gc_enabled=config.gc,
+            reexecute=config.reexecute,
+            tracer=tracer,
+        )
+        return planner.run(stream), planner.final_state()
 
 
 _REGISTRY: dict[str, ExecutionBackend] = {}

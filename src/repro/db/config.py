@@ -10,9 +10,9 @@ applicable option left unset resolves to the backend's documented
 default, so a constructed config is always concrete and printable.
 
 Validation is registry-driven: each :class:`repro.db.backends`
-adapter declares ``applicable`` / ``defaults`` / ``validate``, so a
-future backend plugs its own option contract in without touching this
-module.
+adapter declares ``defaults`` (the options it honors, by key, and what
+each resolves to when unset) and ``validate``, so a future backend
+plugs its own option contract in without touching this module.
 """
 
 from __future__ import annotations
@@ -21,22 +21,6 @@ from dataclasses import dataclass, fields
 from typing import Any
 
 from repro.engine.retry import RetryPolicy
-
-#: the mode-specific option fields (everything except mode/seed/gc,
-#: which every backend honors).  Backends declare which of these apply.
-MODE_OPTIONS: tuple[str, ...] = (
-    "scheduler",
-    "workers",
-    "batch_size",
-    "deterministic",
-    "retry",
-    "gc_every",
-    "epoch_max_steps",
-    "lookahead",
-    "reexecute",
-    "trace",
-    "audit",
-)
 
 
 @dataclass(frozen=True)
@@ -95,11 +79,11 @@ class RunConfig:
         for name in MODE_OPTIONS:
             if getattr(self, name) is None:
                 continue
-            if name not in backend.applicable:
+            if name not in backend.defaults:
                 raise ValueError(
                     f"option {name!r} does not apply to mode "
                     f"{self.mode!r}; applicable options: "
-                    f"{sorted(backend.applicable)}"
+                    f"{sorted(backend.defaults)}"
                 )
         for name, value in backend.defaults.items():
             if getattr(self, name) is None:
@@ -169,3 +153,11 @@ class RunConfig:
                 }
             out[f.name] = value
         return out
+
+
+#: the mode-specific option fields, in declaration order (everything
+#: except mode/seed/gc, which every backend honors).  A backend honors
+#: exactly the ones it lists in its ``defaults``.
+MODE_OPTIONS: tuple[str, ...] = tuple(
+    f.name for f in fields(RunConfig) if f.name not in ("mode", "seed", "gc")
+)

@@ -115,6 +115,17 @@ class EngineMetrics:
             + self.aborted_external
         )
 
+    #: the guaranteed cross-mode names: every engine abort is a
+    #: concurrency-control abort (rejected step, deadlock break,
+    #: cascade, external request).
+    aborted = cc_aborts = aborted_total
+
+    @property
+    def submitted(self) -> int:
+        """Logical transactions drained: each one either durably
+        commits or exhausts its retry budget."""
+        return self.committed + self.gave_up
+
     @property
     def commit_rate(self) -> float:
         """Committed fraction of attempts begun."""

@@ -22,23 +22,14 @@ Three rule families ship:
 
 ``repro lint [PATHS]`` is the CLI; CI runs it on the repo itself
 (``docs/static-analysis.md`` is the rule catalogue and suppression
-policy).  Suppression is per-line and must carry a reason::
+policy).  Suppression is per-line — the one waiver mechanism — and must
+carry a reason::
 
     for txn in doomed:  # repro: lint-ignore[D101] order-insensitive sum
-
-Grandfathered findings live in a committed baseline whose stale
-entries are themselves findings — the baseline only shrinks.
 """
 
 from __future__ import annotations
 
-from repro.lint.baseline import (
-    BASELINE_VERSION,
-    apply_baseline,
-    baseline_document,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.context import ModuleContext, Pragma
 from repro.lint.findings import (
     META_RULES,
@@ -65,7 +56,6 @@ from repro.lint import determinism as _determinism  # noqa: F401
 from repro.lint import observability as _observability  # noqa: F401
 
 __all__ = [
-    "BASELINE_VERSION",
     "Finding",
     "LintReport",
     "LintRule",
@@ -74,16 +64,12 @@ __all__ = [
     "Pragma",
     "REPORT_VERSION",
     "RuleSpec",
-    "apply_baseline",
-    "baseline_document",
     "collect_files",
     "get_rule",
     "lint_paths",
     "lint_sources",
-    "load_baseline",
     "register_rule",
     "rule_ids",
     "rule_specs",
     "unregister_rule",
-    "write_baseline",
 ]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 #: the report schema version (bump on any key change).
-REPORT_VERSION = "repro.lint/v1"
+REPORT_VERSION = "repro.lint/v2"
 
 #: findings the runner itself emits — lint hygiene, not registered
 #: rules: they are always on, never selectable, never suppressible.
@@ -23,7 +23,6 @@ META_RULES: dict[str, str] = {
     "P001": "lint-ignore pragma is missing its reason",
     "P002": "lint-ignore pragma names an unknown rule id",
     "P003": "malformed or unknown `# repro:` pragma",
-    "B001": "stale baseline entry matches no current finding",
 }
 
 
@@ -59,13 +58,11 @@ class LintReport:
         files: int,
         rules: Iterable[str],
         suppressed: int = 0,
-        baselined: int = 0,
     ) -> None:
         self.findings: list[Finding] = sorted(findings)
         self.files = files
         self.rules: list[str] = sorted(rules)
         self.suppressed = suppressed
-        self.baselined = baselined
 
     @property
     def ok(self) -> bool:
@@ -78,7 +75,6 @@ class LintReport:
             "rules": self.rules,
             "findings": [f.as_dict() for f in self.findings],
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
             "ok": self.ok,
         }
 
@@ -95,8 +91,7 @@ class LintReport:
         )
         lines.append(
             f"{tail}: {self.files} file(s), {len(self.rules)} rule(s)"
-            f"  (suppressed {self.suppressed}, "
-            f"baselined {self.baselined})"
+            f"  (suppressed {self.suppressed})"
         )
         return "\n".join(lines)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import os
 from typing import Iterable, Sequence
 
-from repro.lint.baseline import apply_baseline, load_baseline
 from repro.lint.context import ModuleContext
 from repro.lint.findings import META_RULES, Finding, LintReport
 from repro.lint.registry import get_rule, rule_ids
@@ -76,7 +75,6 @@ def lint_sources(
     *,
     select: Sequence[str] | None = None,
     ignore: Sequence[str] | None = None,
-    baseline: str | None = None,
 ) -> LintReport:
     """Lint ``(display_path, source_text)`` pairs."""
     chosen = _resolve_rules(select, ignore)
@@ -109,18 +107,8 @@ def lint_sources(
                     ))
     for rule in rules:
         findings.extend(rule.finalize())
-
-    baselined = 0
-    if baseline is not None:
-        findings, baselined = apply_baseline(
-            findings, load_baseline(baseline), baseline
-        )
     return LintReport(
-        findings,
-        files=files,
-        rules=chosen,
-        suppressed=suppressed,
-        baselined=baselined,
+        findings, files=files, rules=chosen, suppressed=suppressed
     )
 
 
@@ -129,16 +117,13 @@ def lint_paths(
     *,
     select: Sequence[str] | None = None,
     ignore: Sequence[str] | None = None,
-    baseline: str | None = None,
 ) -> LintReport:
     """Lint every ``.py`` file under ``paths`` (the CLI entry point)."""
     named: list[tuple[str, str]] = []
     for absolute, display in collect_files(paths):
         with open(absolute, "r", encoding="utf-8") as source:
             named.append((display, source.read()))
-    return lint_sources(
-        named, select=select, ignore=ignore, baseline=baseline
-    )
+    return lint_sources(named, select=select, ignore=ignore)
 
 
 __all__ = ["collect_files", "lint_paths", "lint_sources"]

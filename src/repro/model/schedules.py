@@ -193,6 +193,11 @@ class Schedule:
             tuple(s for s in self.steps if s.txn not in (T_INIT, T_FINAL))
         )
 
+    def core(self) -> "Schedule":
+        """The schedule with any explicit padding stripped (``self`` when
+        there is none); the deciders use implicit padding."""
+        return self.unpadded() if self.is_padded() else self
+
     def swap(self, index: int) -> "Schedule":
         """Exchange the adjacent steps at ``index`` and ``index + 1``.
 

@@ -50,27 +50,29 @@ from repro.obs.tracer import (
 
 @contextmanager
 def trace_run(config):
-    """Resolve a :class:`~repro.db.RunConfig`'s ``trace`` option.
+    """Resolve a :class:`~repro.db.RunConfig`'s ``trace``/``audit`` pair.
 
     Yields the tracer the backend should emit through: the config's own
     :class:`Tracer` if one was passed (tests inspect it in memory),
-    :data:`NULL_TRACER` when tracing is off, or — when ``trace`` is a
-    path — a fresh tracer whose log is persisted as JSONL when the
-    ``with`` block exits (also on failure: a partial trace of a crashed
-    run is exactly when you want one; the meta header's drop count keeps
-    truncation honest).
+    :data:`NULL_TRACER` when neither tracing nor auditing is on, or a
+    fresh tracer — unbounded under ``audit``, because a dropped event
+    voids the verdict.  When ``trace`` is a path the fresh tracer's log
+    is persisted as JSONL when the ``with`` block exits (also on
+    failure: a partial trace of a crashed run is exactly when you want
+    one; the meta header's drop count keeps truncation honest).
     """
-    trace = getattr(config, "trace", None)
-    if trace is None:
-        yield NULL_TRACER
-    elif isinstance(trace, (Tracer, NullTracer)):
+    trace = config.trace
+    if isinstance(trace, Tracer):
         yield trace
+    elif not config.audit and not isinstance(trace, str):
+        yield trace or NULL_TRACER  # unset, or a passed NullTracer
     else:
-        tracer = Tracer()
+        tracer = Tracer(capacity=None) if config.audit else Tracer()
         try:
             yield tracer
         finally:
-            write_jsonl(tracer, trace)
+            if isinstance(trace, str):
+                write_jsonl(tracer, trace)
 
 
 __all__ = [

@@ -37,10 +37,6 @@ from repro.classes.mvsr import is_mvsr_fixed, mvsr_serializations
 Signature = tuple[tuple[int, TxnId], ...]
 
 
-def _core(schedule: Schedule) -> Schedule:
-    return schedule.unpadded() if schedule.is_padded() else schedule
-
-
 def _non_own_reads(schedule: Schedule, limit: int | None = None) -> list[int]:
     """Read positions whose source is a free choice (not own-reads)."""
     out = []
@@ -93,7 +89,7 @@ def shared_signature(
     DFS over the prefix's non-own reads; each partial assignment is
     validated against *every* schedule with a constrained witness search.
     """
-    cores = [_core(s) for s in schedules]
+    cores = [s.core() for s in schedules]
     prefix = cores[0].prefix(prefix_len)
     reads = _non_own_reads(cores[0], prefix_len)
 
@@ -126,7 +122,7 @@ def prefix_signatures(schedule: Schedule, prefix_len: int) -> set[Signature]:
     Exhaustive (used by tests and the §4 worked example); prefer
     :func:`shared_signature` inside decision procedures.
     """
-    core = _core(schedule)
+    core = schedule.core()
     free_reads = _non_own_reads(core, prefix_len)
     signatures: set[Signature] = set()
     for order in mvsr_serializations(core):
@@ -170,7 +166,7 @@ def is_ols(schedules: list[Schedule]) -> bool:
 
 def ols_certificate(schedules: list[Schedule]) -> OLSCertificate | None:
     """Produce an OLS certificate, or None when the set is not OLS."""
-    cores = [_core(s) for s in schedules]
+    cores = [s.core() for s in schedules]
     # Each schedule alone must be MVSR (prefix = the whole schedule).
     for core in cores:
         if not witness_exists(core, {}):

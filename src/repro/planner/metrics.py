@@ -101,6 +101,15 @@ class PlannerMetrics:
         return self.engine.aborted_total
 
     @property
+    def aborted(self) -> int:
+        """The only aborts left are logic aborts and their planned
+        cascades."""
+        return self.logic_aborted + self.cascade_aborted
+
+    #: nothing retries, so nothing can give up.
+    gave_up = 0
+
+    @property
     def commit_rate(self) -> float:
         return self.committed / self.submitted if self.submitted else 0.0
 

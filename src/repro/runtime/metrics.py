@@ -80,6 +80,12 @@ class RuntimeMetrics:
     shard_stats: list[dict] = field(default_factory=list)
 
     @property
+    def cc_aborts(self) -> int:
+        """Runtime aborts are attempt-level CC events: rejected steps,
+        cross-shard vote-no and flush aborts."""
+        return self.aborted
+
+    @property
     def commit_rate(self) -> float:
         """Committed fraction of submitted transactions."""
         return self.committed / self.submitted if self.submitted else 0.0

@@ -93,6 +93,11 @@ class BankWorkload:
     _rng: random.Random = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
+        if self.n_accounts < 2:
+            # A transfer pair needs two distinct accounts.
+            raise ValueError("n_accounts must be >= 2")
+        if not 0.0 <= self.hot_fraction <= 1.0:
+            raise ValueError("hot_fraction must be in [0, 1]")
         self._rng = random.Random(self.seed)
 
     @property

@@ -60,6 +60,8 @@ class InventoryWorkload:
     _rng: random.Random = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
+        if self.n_warehouses < 1:
+            raise ValueError("n_warehouses must be >= 1")
         self._rng = random.Random(self.seed)
 
     @property

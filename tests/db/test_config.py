@@ -4,8 +4,19 @@ import dataclasses
 
 import pytest
 
-from repro.db import RunConfig
+from repro.db import MODE_OPTIONS, RunConfig
 from repro.engine.retry import RetryPolicy
+
+
+def test_mode_options_are_the_run_config_fields_in_order():
+    """``MODE_OPTIONS`` is computed from ``fields(RunConfig)``; this is
+    the literal tuple it replaced."""
+    assert MODE_OPTIONS == (
+        "scheduler", "workers", "batch_size", "deterministic", "retry",
+        "gc_every", "epoch_max_steps", "lookahead", "reexecute",
+        "trace", "audit",
+    )
+    assert len(dataclasses.fields(RunConfig)) == 14
 
 
 class TestValidation:

@@ -147,43 +147,52 @@ class TestBackendRegistry:
             register_backend(get_backend("serial"))
 
     def test_custom_backend_plugs_into_everything(self):
-        """Registering an adapter is the whole plug-in step: RunConfig
-        validation, Database dispatch and the report contract follow."""
+        """Registering an adapter is the whole plug-in step.  The backend
+        declares ``name``/``description``/``defaults``/``_execute`` and
+        nothing else: option rejection, default resolution, Database
+        dispatch and the report contract all derive from those."""
 
         class EchoBackend(BackendAdapter):
             name = "echo"
             description = "commits nothing, proves the protocol"
-            applicable = frozenset({"workers", "deterministic"})
             defaults = {"workers": 1, "deterministic": True}
 
-            def _execute(self, stream, initial, config):
+            def _execute(self, stream, initial, config, tracer):
                 from repro.engine.metrics import EngineMetrics
 
+                assert not tracer.enabled  # no "trace" key: NULL_TRACER
                 metrics = EngineMetrics()
                 for _ in stream:
-                    metrics.attempts += 1
+                    metrics.gave_up += 1
                 return metrics, dict(initial)
 
-            def _core(self, metrics):
-                return {
-                    "submitted": metrics.attempts,
-                    "committed": 0,
-                    "aborted": 0,
-                    "gave_up": metrics.attempts,
-                    "cc_aborts": 0,
-                }
-
+        assert {n for n in vars(EchoBackend) if not n.startswith("__")} == {
+            "name", "description", "defaults", "_execute",
+        }
         register_backend(EchoBackend())
         try:
             assert "echo" in Database.backends()
-            with pytest.raises(ValueError, match="batch_size"):
-                RunConfig(mode="echo", batch_size=4)
-            report = Database().run(
-                "sharded-bank", RunConfig(mode="echo", seed=3), txns=10
-            )
+            # applicability is the key set of ``defaults`` — including
+            # for ``trace``/``audit``, which this backend never listed.
+            for option in ({"batch_size": 4}, {"trace": "t.jsonl"},
+                           {"audit": True}):
+                with pytest.raises(
+                    ValueError,
+                    match=rf"option '{next(iter(option))}' does not apply "
+                          r"to mode 'echo'; applicable options: "
+                          r"\['deterministic', 'workers'\]",
+                ):
+                    RunConfig(mode="echo", **option)
+            config = RunConfig(mode="echo", seed=3)
+            assert (config.workers, config.deterministic) == (1, True)
+            assert RunConfig(mode="echo", workers=5).workers == 5
+            report = Database().run("sharded-bank", config, txns=10)
             assert isinstance(report, RunReport)
-            assert report.submitted == 10 and report.committed == 0
+            assert (report.submitted, report.committed, report.aborted,
+                    report.gave_up, report.cc_aborts) == (10, 0, 0, 10, 0)
             d = report.as_dict()
             assert list(d) == [name for name, _ in GUARANTEED_SCHEMA]
+            for name, kind in GUARANTEED_SCHEMA:
+                assert type(d[name]) is kind, name
         finally:
             del _REGISTRY["echo"]

@@ -1,6 +1,7 @@
 """Tracing across the four execution modes: one taxonomy, deterministic
 byte-identity, and zero cost when off."""
 
+import itertools
 import json
 import re
 
@@ -9,6 +10,7 @@ import pytest
 from repro.db import Database, RunConfig
 from repro.obs import Tracer, read_jsonl, summarize, to_jsonl
 from repro.obs.taxonomy import get_event
+from repro.workloads.streams import ShardedBankScenario
 
 MODES = ("serial", "parallel", "planner", "pipelined")
 
@@ -140,6 +142,31 @@ class TestTraceRunOption:
         assert meta["events"] == len(events) > 0
         commits = [e for e in events if e.name == "txn.commit"]
         assert len(commits) == report.committed
+
+    @pytest.mark.parametrize("audit", [None, True])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_path_trace_survives_a_crashed_run(self, mode, audit, tmp_path):
+        """A partial trace of a crashed run is exactly when you want
+        one — audited or not (the audited path used to write the file
+        only after a clean finish)."""
+
+        class CrashingScenario(ShardedBankScenario):
+            def transaction_stream(self, n_transactions):
+                yield from itertools.islice(
+                    super().transaction_stream(n_transactions), 30
+                )
+                raise RuntimeError("stream died mid-run")
+
+        path = str(tmp_path / "trace.jsonl")
+        config = RunConfig(
+            mode=mode, workers=2, deterministic=True, seed=3,
+            trace=path, audit=audit,
+        )
+        with pytest.raises(RuntimeError, match="stream died mid-run"):
+            Database().run(CrashingScenario(n_shards=2, seed=3), config)
+        meta, events = read_jsonl(path)
+        assert meta["events"] == len(events) > 0
+        assert any(e.name == "txn.submit" for e in events)
 
     def test_trace_option_rejected_with_bad_type(self):
         with pytest.raises(ValueError, match="trace"):

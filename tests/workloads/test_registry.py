@@ -25,6 +25,39 @@ class TestRegistry:
         with pytest.raises(ValueError, match="n_accounts"):
             scenario_factory("bank", n_warehouses=3)
 
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            # a transfer needs two accounts; the failure used to be
+            # random.sample's "Sample larger than population" mid-stream.
+            ("bank", {"n_accounts": 1}, "n_accounts must be >= 2"),
+            ("bank", {"n_accounts": 0}, "n_accounts must be >= 2"),
+            ("bank", {"hot_fraction": 1.5},
+             r"hot_fraction must be in \[0, 1\]"),
+            ("bank", {"hot_fraction": -0.1},
+             r"hot_fraction must be in \[0, 1\]"),
+            # ...and here an IndexError from rng.choice.
+            ("inventory", {"n_warehouses": 0},
+             "n_warehouses must be >= 1"),
+            # the sharded scenarios' existing construction-time check.
+            ("sharded-bank", {"accounts_per_shard": 1},
+             "accounts_per_shard must be >= 2"),
+        ],
+    )
+    def test_degenerate_sizes_fail_at_construction(
+        self, name, params, message
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            scenario_factory(name, **params)
+
+    def test_smallest_valid_sizes_stream(self):
+        for name, params in (
+            ("bank", {"n_accounts": 2, "hot_fraction": 1.0}),
+            ("inventory", {"n_warehouses": 1}),
+        ):
+            scenario = scenario_factory(name, seed=0, **params)
+            assert len(list(scenario.transaction_stream(5))) == 5
+
     def test_every_spec_documents_itself(self):
         for name, spec in SCENARIOS.items():
             assert spec.name == name
