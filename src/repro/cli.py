@@ -601,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("candidate", help="candidate BENCH json")
     p.add_argument("--max-regress", type=_fraction, default=0.1,
                    metavar="FRAC",
-                   help="allowed per-case median throughput drop "
+                   help="allowed per-case throughput drop "
                         "(fraction, default 0.1)")
     p.set_defaults(func=cmd_bench_compare)
 

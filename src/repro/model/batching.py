@@ -12,8 +12,9 @@ the structures that carry such a plan:
 * :class:`PlannedTransaction` — one transaction with its timestamp, its
   bindings in step order, its reserved write slots, and its commit
   dependencies (the uncommitted transactions its reads are bound to).
-* :class:`BatchPlan` — the whole batch in timestamp order plus the
-  dependency map the settle phase and the poison cascade walk.
+* :class:`BatchPlan` — the whole batch in timestamp order; its
+  ``dep_map`` is a view of the per-transaction ``deps``, which are the
+  one statement of what a commit depends on.
 
 The structures are deliberately storage-agnostic: ``source``/``slots``
 hold whatever version objects the planner's store hands out (the model
@@ -79,6 +80,13 @@ class PlannedTransaction:
     def txn(self) -> TxnId:
         return self.transaction.txn
 
+    def bind(self, bindings: tuple[ReadBinding, ...]) -> None:
+        """Set the read bindings and derive ``deps`` from them."""
+        self.bindings = bindings
+        self.deps = frozenset(
+            b.source_txn for b in bindings if not b.is_base and not b.is_own
+        )
+
 
 @dataclass(eq=False)
 class BatchPlan:
@@ -90,10 +98,6 @@ class BatchPlan:
     """
 
     planned: list[PlannedTransaction]
-    #: txn -> commit dependencies (exactly the per-transaction deps).
-    dep_map: dict[TxnId, set[TxnId]]
-    #: txn -> transactions whose reads are bound to its slots.
-    readers: dict[TxnId, set[TxnId]]
 
     def __iter__(self) -> Iterator[PlannedTransaction]:
         return iter(self.planned)
@@ -101,19 +105,7 @@ class BatchPlan:
     def __len__(self) -> int:
         return len(self.planned)
 
-    def cascade_from(self, roots: set[TxnId]) -> set[TxnId]:
-        """Transitive closure of ``roots`` under the readers relation.
-
-        This is the set of transactions that cannot commit once every
-        transaction in ``roots`` aborts — the poison cascade the
-        executor realizes and the settle fixpoint re-derives.
-        """
-        doomed = set(roots)
-        stack = list(roots)
-        while stack:
-            txn = stack.pop()
-            for reader in self.readers.get(txn, ()):
-                if reader not in doomed:
-                    doomed.add(reader)
-                    stack.append(reader)
-        return doomed
+    @property
+    def dep_map(self) -> dict[TxnId, set[TxnId]]:
+        """txn -> commit dependencies, built per read (settle reads once)."""
+        return {ptxn.txn: set(ptxn.deps) for ptxn in self.planned}

@@ -76,10 +76,9 @@ With ``lookahead >= 1`` stage concurrency replaces intra-batch execution
 threads: each planned batch executes inline in timestamp order (a
 reader's source writer always has a smaller timestamp, so it has already
 published — the executor's deterministic-mode argument, valid for any
-single-threaded timestamp-order run).  Publishes take the shard lock
-(``lock_fills``) because the planning stage reserves slots on the same
-shards concurrently, and planning walks acquire per entity
-(``entity_locked``) so fills interleave with the walk.
+single-threaded timestamp-order run).  The two stages share the store
+under its one rule: every publish and every per-entity planning walk
+holds the entity's shard lock, at every ``lookahead``, threads or not.
 
 Deterministic mode keeps the pipeline's *order* but not its threads:
 plan the next batches inline after executing (pre-settle, so planning
@@ -234,14 +233,9 @@ class BatchPlanner:
         if self.gc is not None:
             self.metrics.engine.gc = self.gc.stats
         #: sequential stages execute on ``n_workers`` threads; behind a
-        #: planning stage each batch executes inline, and fills are
-        #: shard-locked because that stage mutates the same shards
-        #: concurrently.
+        #: planning stage each batch executes inline.
         self.executor = PlanExecutor(
-            self.store,
-            1 if lookahead else n_workers,
-            deterministic,
-            lock_fills=self._overlap,
+            self.store, 1 if lookahead else n_workers, deterministic
         )
         #: reused purely for its commit_closure fixpoint — the planner
         #: batch is the "group" and settle is its flush decision.
@@ -414,7 +408,6 @@ class BatchPlanner:
             threaded=not ahead and not self.deterministic
             and self.n_workers > 1,
             over_placeholders=ahead,
-            entity_locked=self._overlap,
         )
         self._next_timestamp += len(items)
         n_slots = sum(len(ptxn.slots) for ptxn in plan)

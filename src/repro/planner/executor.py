@@ -12,7 +12,11 @@ planning cannot remove) publishes nothing: it poisons its reserved
 slots, and every reader bound to them wakes, observes the poison, and
 cascades — exactly the dependency edges the plan already records.
 
-Two modes, mirroring :class:`repro.runtime.worker.ShardWorker`:
+Every fill and poison publishes under the slot's shard lock
+(``store.lock_of``), on every path — the planning stage may be reserving
+on the same shard from another thread, and the inline path is the
+threaded program minus the threads, not a lock-free second one.  What
+``deterministic`` selects is only which threads are started:
 
 * **deterministic** — transactions run inline in timestamp order.  A
   read's source writer always has a smaller timestamp (or is the reader
@@ -68,26 +72,18 @@ class PlanExecutor:
         store: ShardedMultiversionStore,
         n_workers: int = 4,
         deterministic: bool = False,
-        lock_fills: bool = False,
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.store = store
         self.n_workers = n_workers
         self.deterministic = deterministic
-        #: take the shard lock around fills/poisons even on the inline
-        #: path — required when another thread (the pipelined planner's
-        #: lookahead stage) reserves slots on the same shards while this
-        #: executor publishes.
-        self.lock_fills = lock_fills
 
     def execute(self, plan: BatchPlan) -> ExecutionOutcome:
         outcome = ExecutionOutcome()
         if self.deterministic or self.n_workers == 1:
             for ptxn in plan:
-                fate, blocked, steps = self._run_one(
-                    ptxn, locked=self.lock_fills
-                )
+                fate, blocked, steps = self._run_one(ptxn)
                 outcome.fates[ptxn.txn] = fate
                 outcome.blocked_reads += blocked
                 outcome.steps_executed += steps
@@ -106,14 +102,14 @@ class PlanExecutor:
                 if ptxn is None:
                     return
                 try:
-                    fate, blocked, steps = self._run_one(ptxn, locked=True)
+                    fate, blocked, steps = self._run_one(ptxn)
                 except BaseException as error:  # noqa: BLE001
                     # An executor bug, not a workload condition — but a
                     # silently dead thread would strand readers parked on
                     # this transaction's slots forever.  Poison what is
                     # still pending so they wake and cascade, then
                     # surface the bug after the join.
-                    self._poison_pending(ptxn, locked=True)
+                    self._poison_pending(ptxn)
                     with mutex:
                         crashes.append(error)
                     return
@@ -136,14 +132,10 @@ class PlanExecutor:
             ) from crashes[0]
         return outcome
 
-    def _run_one(
-        self, ptxn: PlannedTransaction, locked: bool
-    ) -> tuple[str, int, int]:
+    def _run_one(self, ptxn: PlannedTransaction) -> tuple[str, int, int]:
         """Run one transaction to publish or poison; no third ending.
 
-        ``locked`` guards the store's placeholder counters with the
-        slot's shard lock (threaded mode: fills of different entities in
-        one shard may race).  Returns (fate, blocked reads, steps run).
+        Returns (fate, blocked reads, steps run).
         """
         reads: list = []
         own_values: dict[int, object] = {}
@@ -164,7 +156,7 @@ class PlanExecutor:
                         blocked += 1
                         source.wait()
                     if source.state is PlaceholderState.POISONED:
-                        self._poison_all(ptxn, locked)
+                        self._poison_all(ptxn)
                         return CASCADE, blocked, steps
                     value = source.value
                 else:
@@ -177,7 +169,7 @@ class PlanExecutor:
                         ptxn.program, ptxn.txn, write_i, reads
                     )
                 except Exception:  # noqa: BLE001 — a raise IS the abort
-                    self._poison_all(ptxn, locked)
+                    self._poison_all(ptxn)
                     return LOGIC_ABORT, blocked, steps
                 own_values[id(slot)] = value
                 computed.append((slot, value))
@@ -186,14 +178,16 @@ class PlanExecutor:
         # to other transactions before this loop, so an abort above never
         # needs to retract consumed values.
         for slot, value in computed:
-            self._with_shard_lock(slot, locked, self.store.fill, slot, value)
+            with self.store.lock_of(slot.entity):
+                self.store.fill(slot, value)
         return COMMITTED, blocked, steps
 
-    def _poison_all(self, ptxn: PlannedTransaction, locked: bool) -> None:
+    def _poison_all(self, ptxn: PlannedTransaction) -> None:
         for slot in ptxn.slots:
-            self._with_shard_lock(slot, locked, self.store.poison, slot)
+            with self.store.lock_of(slot.entity):
+                self.store.poison(slot)
 
-    def _poison_pending(self, ptxn: PlannedTransaction, locked: bool) -> None:
+    def _poison_pending(self, ptxn: PlannedTransaction) -> None:
         """Crash-path cleanup: poison whatever is still undecided.
 
         Unlike the semantic abort paths (where publish-at-commit
@@ -203,14 +197,8 @@ class PlanExecutor:
         """
         for slot in ptxn.slots:
             if not slot.decided:
-                self._with_shard_lock(slot, locked, self.store.poison, slot)
-
-    def _with_shard_lock(self, slot, locked: bool, fn, *args) -> None:
-        if not locked:
-            fn(*args)
-            return
-        with self.store.lock_of(slot.entity):
-            fn(*args)
+                with self.store.lock_of(slot.entity):
+                    self.store.poison(slot)
 
 
 def verify_settled(plan: BatchPlan, outcome: ExecutionOutcome) -> None:

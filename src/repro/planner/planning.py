@@ -19,10 +19,11 @@ mechanics that replace aborts with waits.
 
 Planning is embarrassingly parallel by entity: accesses are partitioned
 with the same crc32 hash the sharded store uses (partition *p* owns
-shard *p* outright), so partition walks touch disjoint store slices and
-run on threads with no coordination.  Deterministic mode walks the
-partitions inline in index order; both modes produce the identical plan,
-because the walk of one entity depends on nothing outside that entity.
+shard *p* outright), so partition walks touch disjoint store slices.
+One rule covers every caller: a walk holds its shard's lock per entity,
+whether the partitions run on threads or inline in index order.  Both
+produce the identical plan, because the walk of one entity depends on
+nothing outside that entity.
 """
 
 # repro: deterministic-contract — equal seeds must yield byte-identical output
@@ -70,7 +71,6 @@ def plan_batch(
     first_position: int,
     threaded: bool = False,
     over_placeholders: bool = False,
-    entity_locked: bool = False,
 ) -> BatchPlan:
     """Plan one batch: reserve every write slot, bind every read.
 
@@ -90,12 +90,8 @@ def plan_batch(
     either way, and the driver re-binds the few bindings whose
     source is later removed by an abort.
 
-    ``entity_locked`` trades the default partition-scoped lock hold (one
-    acquire for a whole shard walk) for per-entity acquires of the same
-    shard lock, so a concurrently *executing* batch's fills on the same
-    shard interleave with the walk instead of stalling behind it.  Both
-    grains produce the identical plan — the walk of one entity depends on
-    nothing outside that entity.
+    A partition-walk thread that raises fails the call with
+    :class:`EngineError` after the join — never a silently short plan.
     """
     if not over_placeholders and store.placeholder_count():
         raise EngineError("plan_batch over unsettled placeholders")
@@ -123,55 +119,45 @@ def plan_batch(
     draft_of = {d.ptxn.txn: d for d in drafts}
 
     def walk_partition(p: int) -> None:
-        # Partition p owns shard p outright, so the walk may mutate its
-        # store slice without coordinating with the other walks.
-        if entity_locked:
-            for entity in sorted(partitions[p]):
-                with store.locks[p]:
-                    _walk_entity(entity, by_entity[entity], store, draft_of)
-        else:
+        # Partition p owns shard p outright; the lock is taken per entity
+        # so an executing batch's fills on the shard interleave with the
+        # walk instead of stalling behind it.
+        for entity in sorted(partitions[p]):
             with store.locks[p]:
-                for entity in sorted(partitions[p]):
-                    _walk_entity(entity, by_entity[entity], store, draft_of)
+                _walk_entity(entity, by_entity[entity], store, draft_of)
 
     if threaded and n_partitions > 1:
+        crashes: list[BaseException] = []
+
+        def relay(p: int) -> None:
+            try:
+                walk_partition(p)
+            except BaseException as error:  # noqa: BLE001 — raised below
+                crashes.append(error)
+
         threads = [
-            threading.Thread(
-                target=walk_partition, args=(p,), name=f"plan-{p}"
-            )
+            threading.Thread(target=relay, args=(p,), name=f"plan-{p}")
             for p in range(n_partitions)
         ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
+        if crashes:
+            # A dead walk leaves its transactions short of bindings and
+            # slots; the plan must not reach the executor.
+            raise EngineError(
+                f"partition planning thread crashed: {crashes[0]!r}"
+            ) from crashes[0]
     else:
         for p in range(n_partitions):
             walk_partition(p)
 
-    planned: list[PlannedTransaction] = []
-    dep_map: dict = {}
-    readers: dict = {}
     for draft in drafts:
         ptxn = draft.ptxn
-        bindings = tuple(
-            draft.bindings[i] for i in sorted(draft.bindings)
-        )
-        slots = tuple(draft.slots[i] for i in sorted(draft.slots))
-        deps = frozenset(
-            b.source_txn
-            for b in bindings
-            if not b.is_base and not b.is_own
-        )
-        ptxn.bindings = bindings
-        ptxn.slots = slots
-        ptxn.deps = deps
-        planned.append(ptxn)
-        dep_map[ptxn.txn] = set(deps)
-        # repro: lint-ignore[D101] readers is only ever .get()-queried
-        for dep in deps:
-            readers.setdefault(dep, set()).add(ptxn.txn)
-    return BatchPlan(planned, dep_map, readers)
+        ptxn.bind(tuple(draft.bindings[i] for i in sorted(draft.bindings)))
+        ptxn.slots = tuple(draft.slots[i] for i in sorted(draft.slots))
+    return BatchPlan([draft.ptxn for draft in drafts])
 
 
 def _walk_entity(

@@ -23,10 +23,9 @@ and settle:
    per-entity planning walk reserves positions in timestamp order, so
    no surviving version can sit between the removed slot and the old
    binding point: the re-bound source is exactly what planning would
-   have bound had the root never been admitted.  Commit dependencies
-   (``ptxn.deps``, ``plan.dep_map``, ``plan.readers``) are re-derived
-   from the new bindings, so settle's commit-closure fixpoint keeps
-   agreeing with the executed fates.
+   have bound had the root never been admitted.  ``ptxn.deps`` is
+   re-derived from the new bindings, so settle's commit-closure
+   fixpoint keeps agreeing with the executed fates.
 4. **Re-run in timestamp order.**  Victims re-execute inline; a
    reader's source writer always has a smaller timestamp, so it has
    already decided — no read ever blocks.  A re-run may itself raise
@@ -72,9 +71,7 @@ class ReexecResult:
     steps_executed: int = 0
 
 
-def _rebind_removed(
-    plan: BatchPlan, ptxn, store, removed_ids, first_position: int
-) -> None:
+def _rebind_removed(ptxn, store, removed_ids, first_position: int) -> None:
     """Move ``ptxn``'s bindings off removed slots; re-derive its deps."""
     changed = False
     bindings = list(ptxn.bindings)
@@ -98,23 +95,8 @@ def _rebind_removed(
             replacement.writer if in_batch else T_INIT,
         )
         changed = True
-    if not changed:
-        return
-    ptxn.bindings = tuple(bindings)
-    old_deps = ptxn.deps
-    new_deps = frozenset(
-        b.source_txn
-        for b in bindings
-        if not b.is_base and not b.is_own
-    )
-    ptxn.deps = new_deps
-    plan.dep_map[ptxn.txn] = set(new_deps)
-    # repro: lint-ignore[D101] per-key set edits are order-insensitive
-    for gone in old_deps - new_deps:
-        plan.readers.get(gone, set()).discard(ptxn.txn)
-    # repro: lint-ignore[D101] per-key set edits are order-insensitive
-    for added in new_deps - old_deps:
-        plan.readers.setdefault(added, set()).add(ptxn.txn)
+    if changed:
+        ptxn.bind(tuple(bindings))
 
 
 def reexecute_poisoned(
@@ -128,8 +110,8 @@ def reexecute_poisoned(
     """Re-bind and re-run every cascaded reader until a fixpoint.
 
     Mutates ``outcome.fates`` (victims become COMMITTED or LOGIC_ABORT;
-    CASCADE never survives), the victims' plan entries (bindings, deps,
-    dependency/reader maps) and the store (root slots removed, victim
+    CASCADE never survives), the victims' plan entries (bindings and
+    the deps derived from them) and the store (root slots removed, victim
     slots revived then filled or re-poisoned).  Runs strictly
     single-threaded: the driver calls it after execution has joined
     and before settle, so nothing else touches the chains.
@@ -158,9 +140,7 @@ def reexecute_poisoned(
             for slot in ptxn.slots:
                 store.revive(slot)
         for ptxn in victims:
-            _rebind_removed(
-                plan, ptxn, store, result.removed_ids, first_position
-            )
+            _rebind_removed(ptxn, store, result.removed_ids, first_position)
         # ``plan`` iterates in timestamp order, so ``victims`` does too:
         # every source a victim reads has decided by the time it runs.
         for ptxn in victims:
@@ -169,7 +149,7 @@ def reexecute_poisoned(
                     "txn", "txn.reexec", "driver",
                     txn=str(ptxn.txn), round=result.rounds,
                 )
-            fate, blocked, steps = executor._run_one(ptxn, locked=False)
+            fate, blocked, steps = executor._run_one(ptxn)
             outcome.fates[ptxn.txn] = fate
             result.reexecuted += 1
             result.blocked_reads += blocked

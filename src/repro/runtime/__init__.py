@@ -15,12 +15,7 @@ the execution model.
 from repro.runtime.dispatch import ShardRuntime, TicketState, TxnTicket
 from repro.runtime.group_commit import GroupCommitLog
 from repro.runtime.metrics import GroupCommitStats, RuntimeMetrics
-from repro.runtime.shared import (
-    DomainPlan,
-    LockedScheduler,
-    locked_factory,
-    plan_domains,
-)
+from repro.runtime.shared import DomainPlan, plan_domains
 from repro.runtime.worker import FlushRendezvous, ShardWorker, WorkerFuture
 
 __all__ = [
@@ -31,8 +26,6 @@ __all__ = [
     "GroupCommitStats",
     "RuntimeMetrics",
     "DomainPlan",
-    "LockedScheduler",
-    "locked_factory",
     "plan_domains",
     "FlushRendezvous",
     "ShardWorker",

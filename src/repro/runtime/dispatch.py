@@ -69,7 +69,7 @@ from repro.storage.executor import Program, write_value
 from repro.storage.sharded import ShardedMultiversionStore, shard_of
 from repro.runtime.group_commit import GroupCommitLog
 from repro.runtime.metrics import RuntimeMetrics
-from repro.runtime.shared import locked_factory, plan_domains
+from repro.runtime.shared import plan_domains
 from repro.runtime.worker import FlushRendezvous, ShardWorker
 
 
@@ -86,8 +86,6 @@ class TicketState(enum.Enum):
 class CrossState:
     """Coordinator state of one cross-domain attempt (see module doc)."""
 
-    #: worker id -> number of this transaction's steps it owns.
-    counts: dict
     phase: str = "begin"  # begin -> steps -> finish
     #: outstanding begin/finish tasks, one per involved worker.
     barrier: list = field(default_factory=list)
@@ -173,9 +171,6 @@ class ShardRuntime:
             partitionable=self.plan.partitionable,
             deterministic=deterministic,
         )
-        if not (self.plan.partitionable or deterministic):
-            # Shared lock table: the one scheduler is probed across threads.
-            factory = locked_factory(factory)
         self.workers: list[ShardWorker] = []
         for domain in range(n_domains):
             engine = OnlineEngine(
@@ -322,7 +317,7 @@ class ShardRuntime:
         for step in ticket.transaction.steps:
             domain = self._domain_of(step.entity)
             counts[domain] = counts.get(domain, 0) + 1
-        ticket.cross = CrossState(counts)
+        ticket.cross = CrossState()
         ticket.cross.barrier = [
             self.workers[domain].post(
                 lambda w=self.workers[domain], n=counts[domain], t=ticket:

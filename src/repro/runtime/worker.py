@@ -3,12 +3,14 @@
 A :class:`ShardWorker` owns everything a conflict domain needs — a
 per-domain :class:`~repro.engine.OnlineEngine` (scheduler instance,
 version-store slice, epoch log, watermark GC) — and executes *tasks*
-posted by the dispatcher.  All domain state is confined to the worker:
-in threaded mode a dedicated thread drains the inbox FIFO while holding
-the domain's store lock, so the engine never sees concurrent calls; in
-deterministic mode there is no thread and ``post`` runs the task inline,
-which makes the whole runtime a sequential program with a fixed task
-order — the reproducible fallback the tests pin behaviour with.
+posted by the dispatcher.  One rule guards all of it: every task runs
+holding ``worker.lock`` (the domain's store lock), and domain state is
+mutated only inside a task — a cross-thread observer takes the same
+lock, as the dispatcher's ``_deps_of`` does.  Threaded mode drains the
+inbox FIFO on a dedicated thread; deterministic mode has no thread and
+``post`` runs the task inline under the same lock, which makes the
+whole runtime a sequential program with a fixed task order — the
+reproducible fallback the tests pin behaviour with.
 
 Durable commits are two-phase across workers (the "all shards vote"
 protocol): the dispatcher posts one flush task per involved worker; each

@@ -38,16 +38,26 @@ class TestEveryScenarioEveryMode:
         assert audit.segments == audit.certified > 0
         assert audit.reads > 0 and audit.writes > 0
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_threaded_runs_audit_clean(self, mode):
+    @pytest.mark.parametrize(
+        "mode, overrides",
+        [pytest.param(mode, {}, id=mode) for mode in MODES]
+        # The shared-table schedulers run as one threaded domain whose
+        # only guard is the worker's domain lock: it must certify 1-SR.
+        + [
+            pytest.param("parallel", {"scheduler": s}, id=f"parallel-{s}")
+            for s in ("sgt", "2pl", "2v2pl")
+        ],
+    )
+    def test_threaded_runs_audit_clean(self, mode, overrides):
         if mode == "serial":
             pytest.skip("serial is inherently deterministic")
         config = RunConfig(
             mode=mode, workers=3, deterministic=False, seed=7,
-            audit=True,
+            audit=True, **overrides,
         )
         report = Database().run("sharded-bank", config, txns=60)
         assert report.audit.ok, report.audit.format()
+        assert report.invariant_ok
 
 
 class TestDeterministicByteIdentity:

@@ -14,6 +14,7 @@ from repro.planner.executor import (
     verify_settled,
 )
 from repro.planner.planning import plan_batch
+from repro.runtime.group_commit import GroupCommitLog
 from repro.storage.executor import execute_serial
 from repro.storage.sharded import ShardedMultiversionStore
 from repro.workloads.bank import transfer_program, transfer_transaction
@@ -109,7 +110,12 @@ class TestPoison:
         assert outcome.fates["t1"] == LOGIC_ABORT
         assert outcome.fates["t2"] == CASCADE  # read b from t1
         assert outcome.fates["t3"] == COMMITTED  # untouched by the poison
-        assert plan.cascade_from({"t1"}) == {"t1", "t2"}
+        # The realized fates are the closure of the planned deps.
+        assert {p.txn: p.deps for p in plan} == {
+            "t1": frozenset(), "t2": {"t1"}, "t3": frozenset(),
+        }
+        votes = {t: fate == COMMITTED for t, fate in outcome.fates.items()}
+        assert GroupCommitLog(3).commit_closure(votes, plan.dep_map) == {"t3"}
         state = store.final_state()
         assert state["d"] == 96 and state["e"] == 104
         assert state["a"] == 100 and state["b"] == 100 and state["c"] == 100
@@ -157,10 +163,10 @@ class TestGuards:
         executor = PlanExecutor(store, 2, deterministic=False)
         original = executor._run_one
 
-        def sabotaged(ptxn, locked):
+        def sabotaged(ptxn):
             if ptxn.txn == "t1":
                 raise KeyError("injected executor bug")
-            return original(ptxn, locked)
+            return original(ptxn)
 
         executor._run_one = sabotaged
         with pytest.raises(EngineError, match="worker crashed"):

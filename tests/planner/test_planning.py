@@ -5,7 +5,14 @@ import pytest
 from repro.engine.errors import EngineError
 from repro.model.schedules import T_INIT
 from repro.model.transactions import Transaction
+from repro.planner.executor import (
+    CASCADE,
+    COMMITTED,
+    LOGIC_ABORT,
+    PlanExecutor,
+)
 from repro.planner.planning import plan_batch
+from repro.runtime.group_commit import GroupCommitLog
 from repro.storage.sharded import ShardedMultiversionStore
 
 
@@ -85,7 +92,7 @@ class TestBinding:
         assert planned["B"].bindings[0].source_txn == "A"
         assert planned["B"].deps == frozenset({"A"})
 
-    def test_dep_map_and_readers_are_inverse(self):
+    def test_dep_map_is_a_view_of_deps(self):
         t1 = Transaction.build("A", ("W", "x"))
         t2 = Transaction.build("B", ("R", "x"), ("W", "y"))
         t3 = Transaction.build("C", ("R", "y"), ("R", "x"))
@@ -93,17 +100,41 @@ class TestBinding:
         assert batch.dep_map == {
             "A": set(), "B": {"A"}, "C": {"A", "B"},
         }
-        assert batch.readers == {"A": {"B", "C"}, "B": {"C"}}
+        # Derived, not stored: re-binding a transaction moves the view.
+        planned = by_txn(batch)
+        planned["C"].bind(planned["C"].bindings[:1])
+        assert planned["C"].deps == frozenset({"B"})
+        assert batch.dep_map["C"] == {"B"}
 
-    def test_cascade_closure(self):
-        t1 = Transaction.build("A", ("W", "x"))
-        t2 = Transaction.build("B", ("R", "x"), ("W", "y"))
-        t3 = Transaction.build("C", ("R", "y"))
-        t4 = Transaction.build("D", ("R", "z"))
-        batch, _ = plan([(t1, None), (t2, None), (t3, None), (t4, None)])
-        assert batch.cascade_from({"A"}) == {"A", "B", "C"}
-        assert batch.cascade_from({"B"}) == {"B", "C"}
-        assert batch.cascade_from({"D"}) == {"D"}
+    @pytest.mark.parametrize(
+        "root, doomed",
+        [("A", {"A", "B", "C"}), ("B", {"B", "C"}), ("D", {"D"})],
+    )
+    def test_cascade_closure(self, root, doomed):
+        """The poison cascade the executor realizes is the closure of
+        ``deps``: exactly what settle's fixpoint re-derives."""
+
+        def boom(write_index, reads):
+            raise RuntimeError("logic abort")
+
+        txns = [
+            Transaction.build("A", ("W", "x")),
+            Transaction.build("B", ("R", "x"), ("W", "y")),
+            Transaction.build("C", ("R", "y")),
+            Transaction.build("D", ("R", "z"), ("W", "z")),
+        ]
+        items = [(t, boom if t.txn == root else None) for t in txns]
+        batch, store = plan(items)
+        outcome = PlanExecutor(store, 1, deterministic=True).execute(batch)
+        fates = outcome.fates
+        assert fates[root] == LOGIC_ABORT
+        assert {t for t, fate in fates.items() if fate == CASCADE} == (
+            doomed - {root}
+        )
+        assert outcome.committed == set("ABCD") - doomed
+        votes = {t: fate == COMMITTED for t, fate in fates.items()}
+        closure = GroupCommitLog(4).commit_closure(votes, batch.dep_map)
+        assert closure == outcome.committed
 
 
 class TestPartitioning:
@@ -157,3 +188,18 @@ class TestGuards:
         assert store.placeholder_count() == 1
         with pytest.raises(EngineError):
             plan_batch([(t1, None)], store, 1, 1)
+
+    def test_threaded_walk_crash_raises_instead_of_a_short_plan(self):
+        """A partition-walk thread that dies must fail the call: its
+        transactions would otherwise come back short of bindings and
+        the executor would serve ``bindings[read_i]`` of the wrong step."""
+        t1 = Transaction.build("A", ("R", "x"), ("R", "y"), ("W", "x"))
+        store = ShardedMultiversionStore(4, {"x": 1, "y": 2})
+        assert store.shard_for("x") is not store.shard_for("y")
+
+        def broken(entity):
+            raise KeyError("injected walk bug")
+
+        store.shard_for("y").latest = broken
+        with pytest.raises(EngineError, match="planning thread crashed"):
+            plan_batch([(t1, None)], store, 0, 0, threaded=True)

@@ -16,15 +16,9 @@ from repro.engine.factory import scheduler_factory
 from repro.model.steps import read, write
 from repro.model.transactions import Transaction
 from repro.runtime.dispatch import TxnTicket
-from repro.runtime.shared import (
-    DomainPlan,
-    LockedScheduler,
-    locked_factory,
-    plan_domains,
-)
+from repro.runtime.shared import DomainPlan, plan_domains
 from repro.runtime.worker import FlushRendezvous, ShardWorker, WorkerFuture
 from repro.schedulers.mvto import MVTOScheduler
-from repro.schedulers.sgt import SGTScheduler
 
 
 def make_worker(scheduler="mvto", initial=None, **engine_kwargs):
@@ -254,42 +248,6 @@ class TestSharedAdapter:
             assert plan.n_domains == 1
             assert not plan.partitionable
             assert "shared lock table" in plan.note
-
-    def test_locked_scheduler_delegates(self):
-        inner = SGTScheduler()
-        locked = LockedScheduler(inner)
-        assert locked.submit(read("t1", "x"))
-        assert locked.accepted_steps == [read("t1", "x")]
-        assert not locked.dead
-        assert locked.source_of_read(0) is None  # single-version
-        locked.reset()
-        assert locked.accepted_steps == []
-        assert locked.name == "sgt+lock"
-        assert not locked.shard_partitionable
-
-    @pytest.mark.parametrize("name", ["sgt", "2pl", "2v2pl"])
-    def test_locked_scheduler_truncate_is_the_inner_native_one(self, name):
-        inner = scheduler_factory(name)({"t1": 2, "t2": 2})
-        locked = LockedScheduler(inner)
-        assert locked.submit(read("t1", "x"))
-        assert locked.submit(write("t2", "y"))
-        assert not locked.submit(write("t2", "x")) or name == "sgt"
-        # The base-class default would reset the inner scheduler and
-        # re-submit the prefix; the journal does neither.
-        called = []
-        inner.reset = lambda: called.append("reset")
-        inner._accept = lambda step: called.append("accept")
-        locked.truncate(1)
-        assert called == []
-        assert locked.accepted_steps == [read("t1", "x")]
-        assert not locked.dead
-        with pytest.raises(ValueError):
-            locked.truncate(2)
-
-    def test_locked_factory_wraps(self):
-        factory = locked_factory(scheduler_factory("sgt"))
-        product = factory({})
-        assert isinstance(product, LockedScheduler)
 
     def test_priming_survives_reset_until_cleared(self):
         scheduler = MVTOScheduler()
