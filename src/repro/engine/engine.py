@@ -58,6 +58,7 @@ from typing import Any, Callable, Iterable
 from repro.model.schedules import T_INIT
 from repro.model.steps import Entity, Step, TxnId
 from repro.model.transactions import Transaction
+from repro.model.version_functions import Source
 from repro.schedulers.base import Scheduler
 from repro.storage.executor import Program, write_value
 from repro.storage.mvstore import MultiversionStore, Version, VersionStore
@@ -183,8 +184,6 @@ class OnlineEngine:
         #: entity -> its base version at epoch start (captured at first
         #: touch; every version older than a base is GC-prunable).
         self._base: dict[Entity, Version] = {}
-        #: install position -> owning attempt, for this epoch's versions.
-        self._version_owner: dict[int, TxnAttempt] = {}
         self._seq = itertools.count()
         self._commits_since_gc = 0
 
@@ -308,7 +307,6 @@ class OnlineEngine:
         )
         entry.version = version
         attempt.versions.append(version)
-        self._version_owner[version.position] = attempt
         if self.tracer.enabled:
             self.tracer.instant(
                 "data", "txn.write", self.trace_track,
@@ -374,7 +372,6 @@ class OnlineEngine:
         self.scheduler.reset()
         self.log.clear()
         self._base.clear()
-        self._version_owner.clear()
         self._lengths.clear()
         self._epoch_start_gpos = next(self._gpos)
         self.metrics.epochs_closed += 1
@@ -449,17 +446,14 @@ class OnlineEngine:
     # -- abort machinery ---------------------------------------------------
 
     def _resolve_source(
-        self, source, entity: Entity
+        self, source: Source, entity: Entity
     ) -> tuple[Version, TxnAttempt | None]:
         """Map a scheduler-committed source to (version, owning attempt).
 
-        ``None`` = single-version scheduler: the latest installed version.
-        ``T_INIT`` = the entity's base version at epoch start.  An int is
-        an epoch log position of the sourcing write.
+        The one read rule: ``T_INIT`` is the entity's base version at
+        epoch start, anything else the epoch log position of the
+        sourcing write.
         """
-        if source is None:
-            version = self.store.latest(entity)
-            return version, self._version_owner.get(version.position)
         if source == T_INIT:
             return self._base[entity], None
         entry = self.log[source]
@@ -523,7 +517,6 @@ class OnlineEngine:
                 self.metrics.aborted_cascade += 1
             for version in attempt.versions:
                 self.store.remove(version)
-                del self._version_owner[version.position]
             for dep in attempt.deps:
                 dep.readers.discard(attempt)
             attempt.deps.clear()
@@ -576,36 +569,13 @@ class OnlineEngine:
     def _verify_reads(self, cut: int) -> set[TxnAttempt]:
         """Attempts whose reads from ``cut`` on are served other versions."""
         source_of_read = self.scheduler.source_of_read
-        log = self.log
-        # For single-version schedulers (source None = "the latest
-        # write"): the latest write per entity below the walk.  Suffix
-        # writes enter as the walk passes them; the prefix is folded in
-        # backwards from ``cut`` only as far as a read needs, one pass at
-        # most — a verification costs O(log), however long the suffix.
-        last_write: dict[Entity, Version] = {}
-        folded = cut
         bad: set[TxnAttempt] = set()
-        for position, entry in enumerate(log[cut:], cut):
-            entity = entry.step.entity
+        for position, entry in enumerate(self.log[cut:], cut):
             if entry.step.is_write:
-                last_write[entity] = entry.version
                 continue
-            source = source_of_read(position)
-            if source is None:
-                while entity not in last_write and folded:
-                    folded -= 1
-                    prior = log[folded]
-                    if prior.step.is_write:
-                        last_write.setdefault(prior.step.entity, prior.version)
-                version = (
-                    last_write[entity]
-                    if entity in last_write
-                    else self._base[entity]
-                )
-            elif source == T_INIT:
-                version = self._base[entity]
-            else:
-                version = log[source].version
+            version, _owner = self._resolve_source(
+                source_of_read(position), entry.step.entity
+            )
             if version is not entry.read_version:
                 if entry.attempt.state is TxnState.COMMITTED:
                     raise EngineError(

@@ -38,7 +38,7 @@ from repro.graphs.polygraph import Polygraph
 from repro.model.schedules import Schedule, T_INIT
 from repro.model.steps import Step, TxnId, read, write
 from repro.reductions.theorem4 import _arc_entity
-from repro.schedulers.base import Scheduler
+from repro.schedulers.base import Scheduler, source_txn_of_last_read
 
 
 @dataclass
@@ -61,20 +61,9 @@ def _probe(
     Returns (all accepted, source txn of the final read or None).
     """
     scheduler = make_scheduler()
-    scheduler.reset()
-    for step in steps:
-        if not scheduler.submit(step):
-            return False, None
-    vf = scheduler.version_function()
-    if vf is None:
-        return True, None
-    read_positions = [n for n, s in enumerate(steps) if s.is_read]
-    if not read_positions:
-        return True, None
-    last = read_positions[-1]
-    if last not in vf:
-        return True, None
-    return True, vf.source_txn(Schedule(tuple(steps)), last)
+    if not scheduler.accepts(Schedule(tuple(steps))):
+        return False, None
+    return True, source_txn_of_last_read(scheduler)
 
 
 def theorem6_adaptive_construction(

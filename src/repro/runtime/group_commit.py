@@ -73,26 +73,19 @@ class GroupCommitLog:
     ) -> tuple[list, dict[TxnKey, set[TxnKey]]]:
         """The flushable subset of the batch, plus its dependency map.
 
-        Greatest fixpoint: start from the whole batch and discard any
-        member with a live read-from dependency outside the candidate
-        set (an earlier-flushed dependency is already committed, so
-        ``deps_of`` no longer reports it).  What survives satisfies the
-        flush rule; dependency cycles survive together.  Members
-        discarded here stay in the batch; :meth:`settle` counts them as
-        held over once per executed flush round (planning itself is
-        free to run every dispatcher tick while the runtime drains).
+        :meth:`commit_closure` over the whole batch voting yes: a member
+        falls out only for a live read-from dependency outside the
+        candidate set (an earlier-flushed dependency is already
+        committed, so ``deps_of`` no longer reports it).  What survives
+        satisfies the flush rule; dependency cycles survive together.
+        Members discarded here stay in the batch; :meth:`settle` counts
+        them as held over once per executed flush round (planning itself
+        is free to run every dispatcher tick while the runtime drains).
         """
         dep_map = {t.key: set(deps_of(t)) for t in self._batch}
-        candidates = {t.key: t for t in self._batch}
-        changed = True
-        while changed:
-            changed = False
-            for key in list(candidates):
-                unmet = dep_map[key] - candidates.keys()
-                if unmet:
-                    del candidates[key]
-                    changed = True
-        return list(candidates.values()), dep_map
+        by_key = {t.key: t for t in self._batch}
+        flushable = self.commit_closure(dict.fromkeys(by_key, True), dep_map)
+        return [t for key, t in by_key.items() if key in flushable], dep_map
 
     def commit_closure(
         self,
@@ -101,10 +94,10 @@ class GroupCommitLog:
     ) -> set[TxnKey]:
         """Which voted candidates may durably commit, given shard votes.
 
-        Same fixpoint as :meth:`plan`, but now a member also falls out
-        when any shard voted it down (its attempt died since batching) —
-        and, transitively, when a dependency fell out.  Pure computation:
-        the flush rendezvous runs it on whichever worker reports last.
+        Greatest fixpoint: start from the yes votes (a no means the
+        attempt died since batching) and discard any member with a
+        dependency outside the set, transitively.  Pure computation: the
+        flush rendezvous runs it on whichever worker reports last.
         """
         committed = {key for key, ok in votes.items() if ok}
         changed = True

@@ -2,9 +2,10 @@
 
 Schedulers are *testers* in the paper's model: they see a stream of steps
 and accept or reject each one; rejecting a step rejects the schedule (no
-blocking/retry semantics — a lock conflict is a rejection).  Multiversion
-schedulers additionally commit a version assignment for every read they
-accept, available through :meth:`Scheduler.version_function`.
+blocking/retry semantics — a lock conflict is a rejection).  A scheduler's
+output is the paper's pair *(s, V)*: every accepted read has a committed
+source, available through :meth:`Scheduler.version_function`; a
+single-version scheduler is the one whose *V* is the standard function.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import abc
 
 from repro.model.schedules import Schedule, T_INIT
-from repro.model.steps import Step, TxnId
+from repro.model.steps import Entity, Step, TxnId
 from repro.model.version_functions import Source, VersionFunction
 
 
@@ -40,9 +41,25 @@ class Scheduler(abc.ABC):
     #: prefix.  A fact about the class's code, not an option to set.
     journaled: bool = False
 
+    #: Whether ``_accept`` chooses the source of each read it accepts and
+    #: records it in ``_assignments`` (a multiversion scheduler).  For one
+    #: that does not (2PL, SGT, serial), :meth:`submit` records the
+    #: standard source.  Like :attr:`journaled`, a fact about the code.
+    chooses_versions: bool = False
+
     def __init__(self) -> None:
         self.accepted_steps: list[Step] = []
         self.dead: bool = False
+        #: committed source per accepted read position — the *V* of (s, V).
+        self._assignments: dict[int, Source] = {}
+        #: position of each entity's last accepted write (standard source).
+        self._last_write: dict[Entity, int] = {}
+        #: declared step counts and accepted steps so far, for
+        #: :meth:`_completes`.  A scheduler that takes ``steps_per_txn``
+        #: rebinds ``_lengths`` to the caller's dict, by reference: the
+        #: online engine registers lengths as sessions begin them.
+        self._lengths: dict[TxnId, int] = {}
+        self._seen: dict[TxnId, int] = {}
         #: undo journal: the inverse ``(fn, args)`` of every mutation a
         #: journaling ``_accept`` made, oldest first (see :meth:`truncate`).
         self._undo_log: list[tuple] = []
@@ -62,6 +79,16 @@ class Scheduler(abc.ABC):
             return False
         mark = len(self._undo_log)
         if self._accept(step):
+            if not self.chooses_versions:
+                position = len(self.accepted_steps)
+                if step.is_write:
+                    self._set(self._last_write, step.entity, position)
+                else:
+                    self._set(
+                        self._assignments,
+                        position,
+                        self._last_write.get(step.entity, T_INIT),
+                    )
             self.accepted_steps.append(step)
             self._marks.append(mark)
             return True
@@ -86,6 +113,9 @@ class Scheduler(abc.ABC):
         self.dead = False
         self._undo_log = []
         self._marks = []
+        self._assignments = {}
+        self._last_write = {}
+        self._seen = {}
         self._reset()
 
     @abc.abstractmethod
@@ -164,6 +194,14 @@ class Scheduler(abc.ABC):
             self._undo_log.append((members.add, (member,)))
             members.discard(member)
 
+    def _completes(self, txn: TxnId) -> bool:
+        """Count this step of ``txn`` (journaled); True iff it brings the
+        transaction to its declared length.  Undeclared: never completes.
+        """
+        seen = self._seen.get(txn, 0) + 1
+        self._set(self._seen, txn, seen)
+        return seen >= self._lengths.get(txn, float("inf"))
+
     def _unwind(self, mark: int) -> None:
         """Run the journal backwards until it is ``mark`` entries long."""
         log = self._undo_log
@@ -195,30 +233,21 @@ class Scheduler(abc.ABC):
 
     # -- multiversion extras -----------------------------------------------
 
-    def version_function(self) -> VersionFunction | None:
-        """The version assignment committed so far (None for single-version).
+    def version_function(self) -> VersionFunction:
+        """The version assignment committed over the accepted prefix.
 
-        Positions index into ``accepted_steps``.  Single-version
-        schedulers serve every read the latest version, i.e. the standard
-        version function; they return None to signal "standard".
+        Positions index into ``accepted_steps``.
         """
-        return None
+        return VersionFunction(dict(self._assignments))
 
-    def source_of_read(self, position: int) -> Source | None:
+    def source_of_read(self, position: int) -> Source:
         """Source committed for the accepted read at ``position``.
 
-        ``None`` means "standard" (a single-version scheduler: the read is
-        served the latest version); otherwise the position of the sourcing
-        write within ``accepted_steps``, or ``T_INIT``.  The default
-        rebuilds the full version function; multiversion schedulers
-        override it with an O(1) lookup — this is the hot path of the
-        online engine (:mod:`repro.engine`), which queries the source of
-        every read the moment it is accepted.
+        The position of the sourcing write within ``accepted_steps``, or
+        ``T_INIT`` — never "unspecified".  O(1): the online engine
+        (:mod:`repro.engine`) asks it of every read it accepts or replays.
         """
-        vf = self.version_function()
-        if vf is None:
-            return None
-        return vf.assignments.get(position, T_INIT)
+        return self._assignments[position]
 
     def accepts(self, schedule: Schedule) -> bool:
         """Reset, then feed the whole schedule; True iff all accepted."""
@@ -236,7 +265,7 @@ class Scheduler(abc.ABC):
 
 def run_schedule(
     scheduler: Scheduler, schedule: Schedule
-) -> tuple[bool, VersionFunction | None]:
+) -> tuple[bool, VersionFunction]:
     """Feed ``schedule``; return (accepted, committed version function)."""
     accepted = scheduler.accepts(schedule)
     return accepted, scheduler.version_function()
@@ -247,16 +276,12 @@ def source_txn_of_last_read(
 ) -> TxnId | None:
     """Source transaction the scheduler assigned to its last accepted read.
 
-    None when there is no accepted read or the scheduler is single-version
-    (standard assignment).
+    None when there is no accepted read.
     """
     reads = [
         n for n, s in enumerate(scheduler.accepted_steps) if s.is_read
     ]
     if not reads:
         return None
-    vf = scheduler.version_function()
-    if vf is None:
-        return None
     prefix = Schedule(tuple(scheduler.accepted_steps))
-    return vf.source_txn(prefix, reads[-1])
+    return scheduler.version_function().source_txn(prefix, reads[-1])

@@ -28,7 +28,6 @@ from repro.graphs.polygraph import Polygraph
 from repro.model.schedules import Schedule, T_INIT
 from repro.model.steps import Entity, Step, TxnId
 from repro.model.transactions import TransactionSystem
-from repro.model.version_functions import VersionFunction
 from repro.schedulers.base import Scheduler
 
 
@@ -36,6 +35,7 @@ class MaximalOracleScheduler(Scheduler):
     """Accepts a step iff an MVSR completion exists (Lemma 1)."""
 
     name = "maximal"
+    chooses_versions = True
 
     def __init__(
         self, system: TransactionSystem, prefer_latest: bool = True
@@ -51,7 +51,6 @@ class MaximalOracleScheduler(Scheduler):
         self._progress: dict[TxnId, int] = {}
         #: committed (reader, entity, source) per read position.
         self._committed: dict[int, tuple[TxnId, Entity, TxnId]] = {}
-        self._assignments: dict[int, int | str] = {}
         #: per txn, entities written so far in the accepted prefix.
         self._own_written: dict[TxnId, set[Entity]] = {}
         #: write positions per (txn, entity) in the accepted prefix.
@@ -78,7 +77,6 @@ class MaximalOracleScheduler(Scheduler):
     def _reset(self) -> None:
         self._progress = {}
         self._committed = {}
-        self._assignments = {}
         self._own_written = {}
         self._write_positions = {}
 
@@ -169,6 +167,3 @@ class MaximalOracleScheduler(Scheduler):
                 self._progress[txn] = k + 1
                 return True
         return False
-
-    def version_function(self) -> VersionFunction:
-        return VersionFunction(dict(self._assignments))

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from repro.model.schedules import Schedule, T_INIT
 from repro.model.steps import Entity, Step, TxnId
-from repro.model.version_functions import VersionFunction
 from repro.schedulers.base import Scheduler
 
 
@@ -30,32 +29,27 @@ class TwoVersionTwoPL(Scheduler):
 
     name = "2v2pl"
     journaled = True
+    chooses_versions = True
     #: Certification inspects *every* entity a transaction wrote against
     #: unfinished readers — a cross-entity (hence cross-shard) check, so
     #: the conflict state is one shared lock table, not per-shard state.
-    #: The parallel runtime runs 2V2PL through the shared-lock-table
-    #: adapter (:mod:`repro.runtime.shared`).
+    #: The parallel runtime runs 2V2PL in one shared conflict domain
+    #: (:func:`repro.runtime.shared.plan_domains`).
     shard_partitionable = False
 
     def __init__(self, steps_per_txn: dict[TxnId, int] | None = None) -> None:
         super().__init__()
-        # Keep the caller's dict by reference: the online engine registers
-        # transaction lengths as sessions begin them, after construction.
         self._lengths = {} if steps_per_txn is None else steps_per_txn
-        self._seen: dict[TxnId, int] = {}
         self._committed: dict[Entity, int | str] = {}
         self._uncommitted: dict[Entity, tuple[TxnId, int]] = {}
         self._read_by: dict[Entity, set[TxnId]] = {}
         self._active: set[TxnId] = set()
-        self._assignments: dict[int, int | str] = {}
 
     def _reset(self) -> None:
-        self._seen = {}
         self._committed = {}
         self._uncommitted = {}
         self._read_by = {}
         self._active = set()
-        self._assignments = {}
 
     def _accept(self, step: Step) -> bool:
         txn, entity = step.txn, step.entity
@@ -76,10 +70,8 @@ class TwoVersionTwoPL(Scheduler):
             if holder is not None and holder[0] != txn:
                 return False  # write-write conflict on the second version
             self._set(self._uncommitted, entity, (txn, position))
-        self._set(self._seen, txn, self._seen.get(txn, 0) + 1)
-        if self._seen[txn] >= self._lengths.get(txn, float("inf")):
-            if not self._certify(txn):
-                return False
+        if self._completes(txn):
+            return self._certify(txn)
         return True
 
     def _certify(self, txn: TxnId) -> bool:
@@ -99,9 +91,3 @@ class TwoVersionTwoPL(Scheduler):
         for readers in self._read_by.values():
             self._discard(readers, txn)
         return True
-
-    def version_function(self) -> VersionFunction:
-        return VersionFunction(dict(self._assignments))
-
-    def source_of_read(self, position: int) -> int | str:
-        return self._assignments.get(position, T_INIT)

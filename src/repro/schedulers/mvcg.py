@@ -24,7 +24,7 @@ from __future__ import annotations
 from repro.graphs.digraph import Digraph
 from repro.model.schedules import Schedule, T_INIT
 from repro.model.steps import Entity, Step, TxnId
-from repro.model.version_functions import VersionFunction
+from repro.model.version_functions import Source, VersionFunction
 from repro.classes.mvsr import version_function_for_order
 from repro.schedulers.base import Scheduler
 
@@ -33,6 +33,8 @@ class MVCGScheduler(Scheduler):
     """Clairvoyant MVCG tester: accepts exactly the MVCSR prefixes."""
 
     name = "mvcg"
+    #: Chooses, but only at end-of-stream: nothing is recorded per read.
+    chooses_versions = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -72,6 +74,9 @@ class MVCGScheduler(Scheduler):
         ]
         return version_function_for_order(prefix, order)
 
+    def source_of_read(self, position: int) -> Source:
+        return self.version_function()[position]
+
 
 class EagerMVCGScheduler(Scheduler):
     """On-line MVCG scheduler with greedy read-latest version assignment.
@@ -86,19 +91,18 @@ class EagerMVCGScheduler(Scheduler):
     """
 
     name = "mvcg-eager"
+    chooses_versions = True
 
     def __init__(self) -> None:
         super().__init__()
         self._graph = Digraph()
         self._readers: dict[Entity, set[TxnId]] = {}
         self._writers: dict[Entity, list[tuple[TxnId, int]]] = {}
-        self._assignments: dict[int, int | str] = {}
 
     def _reset(self) -> None:
         self._graph = Digraph()
         self._readers = {}
         self._writers = {}
-        self._assignments = {}
 
     def _accept(self, step: Step) -> bool:
         txn, entity = step.txn, step.entity
@@ -144,6 +148,3 @@ class EagerMVCGScheduler(Scheduler):
         self._graph = trial
         self._writers.setdefault(entity, []).append((txn, position))
         return True
-
-    def version_function(self) -> VersionFunction:
-        return VersionFunction(dict(self._assignments))

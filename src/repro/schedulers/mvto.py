@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from repro.model.schedules import Schedule, T_INIT
 from repro.model.steps import Entity, Step, TxnId
-from repro.model.version_functions import VersionFunction
 from repro.schedulers.base import Scheduler
 
 
@@ -34,6 +33,7 @@ class MVTOScheduler(Scheduler):
 
     name = "mvto"
     journaled = True
+    chooses_versions = True
     #: Timestamp comparisons only relate accesses to the same entity, so
     #: per-shard MVTO instances with primed (globally agreed) timestamps
     #: decide exactly like one global instance.
@@ -48,12 +48,10 @@ class MVTOScheduler(Scheduler):
         #: use a different counter space.
         self._primed: dict[TxnId, int] = {}
         self._versions: dict[Entity, list[_Version]] = {}
-        self._assignments: dict[int, int | str] = {}
 
     def _reset(self) -> None:
         self._timestamps = {}
         self._versions = {}
-        self._assignments = {}
 
     def prime_transaction(self, txn: TxnId, seq: int) -> None:
         self._primed[txn] = seq
@@ -114,13 +112,6 @@ class MVTOScheduler(Scheduler):
         chain.append(_Version(ts, step.txn, position))
         self._on_undo(chain.pop)
         return True
-
-    def version_function(self) -> VersionFunction:
-        """The committed assignment over the accepted prefix."""
-        return VersionFunction(dict(self._assignments))
-
-    def source_of_read(self, position: int) -> int | str:
-        return self._assignments.get(position, T_INIT)
 
     def serialization_order(self) -> list[TxnId]:
         """Timestamp order — the serial order MVTO realizes."""

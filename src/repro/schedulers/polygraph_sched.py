@@ -32,7 +32,6 @@ from __future__ import annotations
 from repro.graphs.polygraph import Polygraph
 from repro.model.schedules import Schedule, T_INIT
 from repro.model.steps import Entity, Step, TxnId
-from repro.model.version_functions import VersionFunction
 from repro.schedulers.base import Scheduler
 
 
@@ -40,6 +39,7 @@ class PolygraphScheduler(Scheduler):
     """Online multiversion scheduler with deferred order constraints."""
 
     name = "polygraph"
+    chooses_versions = True
 
     def __init__(self, prefer_latest: bool = True) -> None:
         super().__init__()
@@ -50,14 +50,12 @@ class PolygraphScheduler(Scheduler):
         self._commitments: dict[Entity, list[tuple[TxnId, TxnId]]] = {}
         #: writers of each entity seen so far, with last write position.
         self._writers: dict[Entity, list[tuple[TxnId, int]]] = {}
-        self._assignments: dict[int, int | str] = {}
 
     def _reset(self) -> None:
         self._poly = Polygraph()
         self._poly.add_node(T_INIT)
         self._commitments = {}
         self._writers = {}
-        self._assignments = {}
 
     def _constrain_read(
         self, poly: Polygraph, reader: TxnId, entity: Entity, source: TxnId
@@ -130,9 +128,6 @@ class PolygraphScheduler(Scheduler):
         self._poly = trial
         self._writers.setdefault(entity, []).append((txn, position))
         return True
-
-    def version_function(self) -> VersionFunction:
-        return VersionFunction(dict(self._assignments))
 
     def serialization_order(self) -> list[TxnId] | None:
         """A serial order consistent with everything committed so far."""

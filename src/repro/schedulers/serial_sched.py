@@ -20,14 +20,12 @@ class SerialScheduler(Scheduler):
 
     def __init__(self, steps_per_txn: dict[TxnId, int] | None = None) -> None:
         super().__init__()
-        self._lengths = steps_per_txn
+        self._lengths = {} if steps_per_txn is None else steps_per_txn
         self._active: TxnId | None = None
-        self._seen: dict[TxnId, int] = {}
         self._finished: set[TxnId] = set()
 
     def _reset(self) -> None:
         self._active = None
-        self._seen = {}
         self._finished = set()
 
     def _accept(self, step: Step) -> bool:
@@ -36,12 +34,8 @@ class SerialScheduler(Scheduler):
         if self._active is not None and step.txn != self._active:
             # Another transaction may start only if the active one is done.
             return False
-        self._seen[step.txn] = self._seen.get(step.txn, 0) + 1
         self._active = step.txn
-        if (
-            self._lengths is not None
-            and self._seen[step.txn] >= self._lengths.get(step.txn, 0)
-        ):
+        if self._completes(step.txn):
             self._finished.add(step.txn)
             self._active = None
         return True

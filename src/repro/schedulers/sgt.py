@@ -22,8 +22,8 @@ class SGTScheduler(Scheduler):
     #: A conflict-graph cycle can thread through entities on different
     #: shards; per-shard subgraphs would each be acyclic while the union
     #: is not.  The graph is inherently shared state, so the parallel
-    #: runtime routes SGT through the shared-lock-table adapter
-    #: (:mod:`repro.runtime.shared`).
+    #: runtime runs SGT in one shared conflict domain
+    #: (:func:`repro.runtime.shared.plan_domains`).
     shard_partitionable = False
 
     def __init__(self) -> None:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from repro.model.schedules import Schedule, T_INIT
 from repro.model.steps import Entity, Step, TxnId
-from repro.model.version_functions import VersionFunction
 from repro.schedulers.base import Scheduler
 
 
@@ -33,6 +32,7 @@ class SnapshotIsolationScheduler(Scheduler):
 
     name = "si"
     journaled = True
+    chooses_versions = True
     #: Snapshot reads and first-committer-wins both compare accesses to
     #: one entity at a time, so per-shard SI instances decide like SI with
     #: per-shard snapshot points (each shard's snapshot is taken at the
@@ -44,25 +44,19 @@ class SnapshotIsolationScheduler(Scheduler):
 
     def __init__(self, steps_per_txn: dict[TxnId, int] | None = None) -> None:
         super().__init__()
-        # Keep the caller's dict by reference: the online engine registers
-        # transaction lengths as sessions begin them, after construction.
         self._lengths = {} if steps_per_txn is None else steps_per_txn
-        self._seen: dict[TxnId, int] = {}
         self._start: dict[TxnId, int] = {}
         self._committed_at: dict[TxnId, int] = {}
         #: committed versions per entity: (commit position, write position).
         self._committed_versions: dict[Entity, list[tuple[int, int]]] = {}
         #: uncommitted writes per txn: entity -> write position.
         self._pending_writes: dict[TxnId, dict[Entity, int]] = {}
-        self._assignments: dict[int, int | str] = {}
 
     def _reset(self) -> None:
-        self._seen = {}
         self._start = {}
         self._committed_at = {}
         self._committed_versions = {}
         self._pending_writes = {}
-        self._assignments = {}
 
     def _accept(self, step: Step) -> bool:
         txn, entity = step.txn, step.entity
@@ -90,8 +84,7 @@ class SnapshotIsolationScheduler(Scheduler):
                 entity,
                 position,
             )
-        self._set(self._seen, txn, self._seen.get(txn, 0) + 1)
-        if self._seen[txn] >= self._lengths.get(txn, float("inf")):
+        if self._completes(txn):
             return self._commit(txn, position)
         return True
 
@@ -116,12 +109,6 @@ class SnapshotIsolationScheduler(Scheduler):
             self._on_undo(versions.pop)
         self._set(self._committed_at, txn, position)
         return True
-
-    def version_function(self) -> VersionFunction:
-        return VersionFunction(dict(self._assignments))
-
-    def source_of_read(self, position: int) -> int | str:
-        return self._assignments.get(position, T_INIT)
 
 
 def write_skew_schedule() -> Schedule:

@@ -11,7 +11,8 @@ locks rejects under 2PL where SGT accepts).
 Completion detection: the scheduler is given the number of steps of each
 transaction (the transaction system is declared up front, as in the
 storage engine's executor); locks release when the last step is accepted.
-Without lengths, locks are held forever (a degenerate but safe choice).
+A transaction whose length was not declared holds its locks forever (a
+degenerate but safe choice).
 """
 
 from __future__ import annotations
@@ -28,14 +29,12 @@ class TwoPhaseLocking(Scheduler):
 
     def __init__(self, steps_per_txn: dict[TxnId, int] | None = None) -> None:
         super().__init__()
-        self._lengths = steps_per_txn
-        self._seen: dict[TxnId, int] = {}
+        self._lengths = {} if steps_per_txn is None else steps_per_txn
         self._read_locks: dict[Entity, set[TxnId]] = {}
         self._write_locks: dict[Entity, TxnId] = {}
         self._held: dict[TxnId, set[Entity]] = {}
 
     def _reset(self) -> None:
-        self._seen = {}
         self._read_locks = {}
         self._write_locks = {}
         self._held = {}
@@ -52,11 +51,7 @@ class TwoPhaseLocking(Scheduler):
                 return False
             self._set(self._write_locks, entity, txn)
         self._add(self._setdefault(self._held, txn, set()), entity)
-        self._set(self._seen, txn, self._seen.get(txn, 0) + 1)
-        if (
-            self._lengths is not None
-            and self._seen[txn] >= self._lengths.get(txn, 0)
-        ):
+        if self._completes(txn):
             self._release(txn)
         return True
 

@@ -2,10 +2,10 @@
 
 Drives a schedule through a scheduler step by step; accepted steps execute
 against the multiversion store under the scheduler's committed version
-function (multiversion schedulers) or the standard one (single-version
-schedulers).  This is what a database kernel's concurrency-control layer
-does: the scheduler admits and orders accesses, the storage layer serves
-the versions the scheduler picked.
+function (for a single-version scheduler, the standard one).  This is
+what a database kernel's concurrency-control layer does: the scheduler
+admits and orders accesses, the storage layer serves the versions the
+scheduler picked.
 """
 
 from __future__ import annotations

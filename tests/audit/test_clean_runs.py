@@ -12,25 +12,50 @@ import pytest
 
 from repro.audit import Auditor, audit_events, audit_file
 from repro.db import Database, RunConfig, backend_names
+from repro.engine.factory import SCHEDULER_FACTORIES
 from repro.obs import Tracer
 from repro.workloads import scenario_names
 
 MODES = backend_names()
 
 
-def run_audited(mode, scenario, *, seed=3, txns=60, **overrides):
+def run_audited(
+    mode, scenario, *, seed=3, txns=60, scenario_params=None, **overrides
+):
     config = RunConfig(
         mode=mode, workers=2, deterministic=True, seed=seed,
         audit=True, **overrides,
     )
-    return Database().run(scenario, config, txns=txns)
+    return Database().run(
+        scenario, config, txns=txns, **(scenario_params or {})
+    )
 
 
 class TestEveryScenarioEveryMode:
-    @pytest.mark.parametrize("scenario", scenario_names())
-    @pytest.mark.parametrize("mode", MODES)
-    def test_clean_audit(self, mode, scenario):
-        report = run_audited(mode, scenario)
+    @pytest.mark.parametrize(
+        "mode, scenario, scheduler",
+        [
+            pytest.param(mode, scenario, None, id=f"{mode}-{scenario}")
+            for mode in MODES
+            for scenario in scenario_names()
+        ]
+        # The scheduler axis: every engine scheduler's served versions,
+        # on four hot accounts so the abort path (truncate, replay,
+        # re-verified reads) runs too.
+        + [
+            pytest.param("serial", "bank", s, id=f"serial-bank-{s}")
+            for s in sorted(SCHEDULER_FACTORIES)
+        ],
+    )
+    def test_clean_audit(self, mode, scenario, scheduler):
+        if scheduler is None:
+            report = run_audited(mode, scenario)
+        else:
+            report = run_audited(
+                mode, scenario, scheduler=scheduler,
+                scenario_params={"n_accounts": 4},
+            )
+            assert report.aborted > 0  # every abort is a replay
         audit = report.audit
         assert audit is not None
         assert audit.ok, audit.format()

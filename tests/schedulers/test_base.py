@@ -6,6 +6,8 @@ import pytest
 
 from repro.graphs.digraph import Digraph
 from repro.model.parsing import parse_schedule
+from repro.model.schedules import T_INIT
+from repro.model.version_functions import VersionFunction
 from repro.schedulers.base import run_schedule, source_txn_of_last_read
 from repro.schedulers.mv2pl import TwoVersionTwoPL
 from repro.schedulers.mvto import MVTOScheduler
@@ -29,7 +31,9 @@ class TestProtocol:
     def test_single_version_scheduler_standard_vf(self):
         s = parse_schedule("W1(x) R2(x)")
         accepted, vf = run_schedule(SGTScheduler(), s)
-        assert accepted and vf is None  # None signals "standard"
+        # A single-version scheduler commits V_s, explicitly.
+        assert accepted and vf == VersionFunction.standard(s)
+        assert dict(vf.assignments) == {1: 0}
 
     def test_dead_state_and_reset(self):
         sched = MVTOScheduler()
@@ -61,7 +65,14 @@ class TestProtocol:
         sv.reset()
         for step in parse_schedule("W1(x) R2(x)"):
             sv.submit(step)
-        assert source_txn_of_last_read(sv) is None  # single-version
+        # single-version: the standard source, as a definite answer
+        assert source_txn_of_last_read(sv) == 1
+        assert sv.source_of_read(1) == 0
+        sv.reset()
+        for step in parse_schedule("R2(x) W1(x)"):
+            sv.submit(step)
+        assert source_txn_of_last_read(sv) == T_INIT
+        assert sv.source_of_read(0) == T_INIT
 
 
 def _snapshot(scheduler):

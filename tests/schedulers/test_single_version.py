@@ -30,6 +30,15 @@ class TestSerialScheduler:
             s = random_schedule(2, ["x", "y"], 2, rng)
             assert SerialScheduler(_lengths(s)).accepts(s) == is_serial(s)
 
+    def test_undeclared_transaction_never_completes(self):
+        """Regression: a lengths dict lacking the transaction used to make
+        every step its last — T1 "finished" at R1(x) and its own W1(x) was
+        rejected.  Undeclared now means open-ended, as with no dict."""
+        s = parse_schedule("R1(x) W1(x) R2(x)")
+        for lengths in ({}, None, {2: 1}):
+            assert SerialScheduler(lengths).accepted_prefix_length(s) == 2
+        assert SerialScheduler({1: 2}).accepts(s)
+
     def test_dead_after_rejection(self):
         sched = SerialScheduler({1: 2, 2: 1})
         s = parse_schedule("R1(x) R2(x) W1(x)")
@@ -60,6 +69,14 @@ class TestTwoPhaseLocking:
         # T1 finishes, then T2 may write x.
         s = parse_schedule("R1(x) W1(x) W2(x)")
         assert TwoPhaseLocking(_lengths(s)).accepts(s)
+
+    def test_undeclared_transaction_holds_its_locks(self):
+        """Regression: a lengths dict lacking the transaction used to make
+        every step its last — locks released at once, non-CSR accepted."""
+        s = parse_schedule("R1(x) W2(x) W1(x)")
+        assert not is_csr(s)
+        for lengths in ({}, None, {1: 2, 2: 1}, {2: 1}):
+            assert not TwoPhaseLocking(lengths).accepts(s), lengths
 
     def test_output_within_csr(self):
         """[Yannakakis 81]: locking outputs only CSR schedules."""

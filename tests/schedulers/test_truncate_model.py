@@ -15,8 +15,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.model.schedules import T_INIT  # noqa: E402
+from repro.model.schedules import Schedule, T_INIT  # noqa: E402
 from repro.model.steps import Op, Step, read, write  # noqa: E402
+from repro.model.version_functions import VersionFunction  # noqa: E402
 from repro.schedulers import (  # noqa: E402
     EagerMVCGScheduler,
     MVTOScheduler,
@@ -86,10 +87,13 @@ def feed(scheduler: Scheduler, stream) -> list[bool]:
 def observable(scheduler: Scheduler) -> dict:
     accepted = list(scheduler.accepted_steps)
     vf = scheduler.version_function()
+    if not scheduler.chooses_versions:
+        # single-version (2pl, sgt): the committed function is V_s itself
+        assert vf == VersionFunction.standard(Schedule(tuple(accepted)))
     out = {
         "accepted": accepted,
         "dead": scheduler.dead,
-        "assignments": None if vf is None else dict(vf.assignments),
+        "assignments": dict(vf.assignments),
         "sources": [
             scheduler.source_of_read(p)
             for p, step in enumerate(accepted)
