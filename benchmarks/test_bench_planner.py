@@ -84,7 +84,11 @@ def test_bench_planner(
     assert reexec.cc_aborts == cascade.cc_aborts == 0
     assert reexec.committed > cascade.committed
     assert reexec.committed == serial_ah.committed
-    assert reexec.metrics.reexecuted > 0
+    # One re-run per victim: the cascade run of the same stream counts
+    # exactly the readers the pass re-runs (a re-run multiplier fails
+    # here without timing anything).
+    assert reexec.metrics.reexecuted == cascade.metrics.cascade_aborted
+    assert reexec.metrics.reexecuted <= reexec.submitted
     assert reexec.metrics.cascade_aborted == 0
     assert cascade.metrics.cascade_aborted > 0
     assert cascade.metrics.reexecuted == 0

@@ -127,8 +127,8 @@ EVENTS: tuple[EventSpec, ...] = (
     ),
     EventSpec(
         "txn.reexec", "instant", "",
-        "planner family (cascaded reader re-bound and re-run at settle)",
-        "`txn`, `round` (re-execution fixpoint round, 1-based)",
+        "planner family (cascaded reader re-bound and re-run once at settle)",
+        "`txn`",
     ),
     EventSpec(
         "epoch.close", "instant", "",

@@ -10,9 +10,9 @@ into batches (one batch = one epoch), each batch is planned
 (:mod:`repro.planner.executor`), and *settled*:
 
 * cascaded readers are *re-executed*, not aborted (default; see
-  :mod:`repro.planner.reexec`): each is re-bound past the dead writer's
-  removed slots and re-run in timestamp order until no cascade remains,
-  so only genuine logic aborts cost committed throughput.  With
+  :mod:`repro.planner.reexec`): each is re-bound past the dead writers'
+  removed slots and re-run once, in timestamp order, so only genuine
+  logic aborts cost committed throughput.  With
   ``reexecute=False`` the PR 3 cascade behavior is preserved verbatim.
 * the committed set is re-derived through the group-commit fixpoint
   (:meth:`repro.runtime.group_commit.GroupCommitLog.commit_closure`) over
@@ -207,8 +207,8 @@ class BatchPlanner:
         #: re-bind and re-run cascaded readers at settle instead of
         #: aborting them (:mod:`repro.planner.reexec`); off reproduces
         #: the PR 3 cascade behavior for before/after comparison.  Runs
-        #: after the planning stage has joined, so the fixpoint never
-        #: races the lookahead walk.
+        #: after the planning stage has joined, so the pass never races
+        #: the lookahead walk.
         self.reexecute = reexecute
         #: one store shard per worker: planning partition p and the
         #: execution threads' fills both address shard-sliced state.
@@ -488,9 +488,9 @@ class BatchPlanner:
                 "settle", "settle.batch", "driver", batch=head.number,
             )
         # Re-execution first: execution and the planning stage have
-        # joined, so the fixpoint re-binds the poisoned readers past the
+        # joined, so the pass re-binds the poisoned readers past the
         # dead writers and re-runs them inline with the chains quiescent.
-        # Root slots it removes feed the seam re-bind below exactly like
+        # The slots it removes feed the seam re-bind below exactly like
         # ordinary abort removals.
         reexec = None
         if self.reexecute:
@@ -501,8 +501,6 @@ class BatchPlanner:
             if reexec.reexecuted:
                 verify_settled(head.plan, outcome)
                 metrics.reexecuted += reexec.reexecuted
-                metrics.reexec_rounds += reexec.rounds
-                metrics.blocked_reads += reexec.blocked_reads
                 engine.steps_submitted += reexec.steps_executed
         # The group-commit fixpoint over the planned dependency map must
         # re-derive exactly the executed fates — logic aborts vote no,

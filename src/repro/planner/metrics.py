@@ -55,10 +55,9 @@ class PlannerMetrics:
     #: on — cascaded readers re-run instead of aborting).
     logic_aborted: int = 0
     cascade_aborted: int = 0
-    #: re-execution (:mod:`repro.planner.reexec`): cascaded-reader
-    #: re-runs performed, and fixpoint rounds taken doing so.
+    #: re-execution (:mod:`repro.planner.reexec`): cascaded readers
+    #: re-run at settle, each exactly once.
     reexecuted: int = 0
-    reexec_rounds: int = 0
 
     #: batches planned ahead of the executing one (configuration; 0 —
     #: sequential stages).  Everything below stays zero at lookahead=0
@@ -165,8 +164,8 @@ class PlannerMetrics:
             f"(rate {self.commit_rate:.3f}{rate})",
             f"cc aborts     {self.cc_aborts}  (abort-free by construction)",
             f"logic aborts  {self.logic_aborted}  "
-            f"(cascaded {self.cascade_aborted}, re-executed "
-            f"{self.reexecuted} in {self.reexec_rounds} rounds)",
+            f"(cascaded {self.cascade_aborted}, "
+            f"re-executed {self.reexecuted})",
             f"reads         {self.base_reads} base, {self.own_reads} own, "
             f"{self.dependent_reads} dependent "
             f"({self.commit_deps} commit deps, "
@@ -211,7 +210,6 @@ _FIELDS = FieldTable(
     ("logic_aborted", "logic_aborted", "logic_aborted", "counter"),
     ("cascade_aborted", "cascade_aborted", "cascade_aborted", "counter"),
     ("reexecuted", "reexecuted", "reexecuted", "counter"),
-    ("reexec_rounds", "reexec_rounds", "reexec_rounds", "counter"),
     ("batches", "batches", "batches", "counter"),
     ("placeholders_reserved", "placeholders", "placeholders", "counter"),
     ("base_reads", "base_reads", "reads.base", "counter"),

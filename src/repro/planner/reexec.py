@@ -5,8 +5,9 @@ its poisoned slots kill every planned reader transitively, even though
 the plan knows exactly how to save them — the timestamp order is fixed,
 so each doomed reader can be re-bound past the dead writer and re-run
 as if the writer had never been admitted.  That is Faleiro & Abadi's
-re-execution argument, and this module realizes it between execution
-and settle:
+re-execution argument (a reader re-executes because *its* input moved,
+not because the batch had an abort), realized between execution and
+settle in one pass over the first execution's cascade victims:
 
 1. **Remove the roots.**  Every logic-aborted transaction's poisoned
    slots are removed from the store (recorded, so settle skips them and
@@ -16,26 +17,26 @@ and settle:
    (:meth:`~repro.storage.mvstore.MultiversionStore.revive`), so every
    later binding to them — in this batch or an in-flight lookahead
    plan — stays exact.
-3. **Re-bind past the dead.**  Each victim binding whose source slot
-   was just removed moves to
+3. **Re-bind past the dead.**  As a victim's turn comes, each of its
+   bindings whose source slot is gone moves to
    :meth:`~repro.storage.mvstore.MultiversionStore.latest_before` the
    removed slot's position — the newest survivor below it.  The
    per-entity planning walk reserves positions in timestamp order, so
    no surviving version can sit between the removed slot and the old
    binding point: the re-bound source is exactly what planning would
-   have bound had the root never been admitted.  ``ptxn.deps`` is
-   re-derived from the new bindings, so settle's commit-closure
+   have bound had the dead writer never been admitted.  ``ptxn.deps``
+   is re-derived from the new bindings, so settle's commit-closure
    fixpoint keeps agreeing with the executed fates.
-4. **Re-run in timestamp order.**  Victims re-execute inline; a
-   reader's source writer always has a smaller timestamp, so it has
-   already decided — no read ever blocks.  A re-run may itself raise
-   (the program sees *different* reads now), which makes it a new root:
-   the loop repeats until no cascaded transaction remains.  Each
-   continuing round permanently retires at least one transaction to
-   logic-abort, so the fixpoint terminates within the batch size.
+4. **Re-run once, in timestamp order.**  A reader's source writer
+   always has a smaller timestamp, so when a victim runs every source
+   it can bind is filled or gone: no read blocks and the inputs it sees
+   are final.  A re-run may itself raise (the program sees *different*
+   reads now); that victim is retired on the spot, its slots removed
+   like a root's before the next victim re-binds, so no slot is ever
+   left poisoned in front of a later victim and nobody runs twice.
 
-The pass runs at most once per batch member per round and touches only
-aborted transactions, so abort-free streams pay nothing.
+The pass touches only aborted transactions, so abort-free streams pay
+nothing.
 """
 
 # repro: deterministic-contract — equal seeds must yield byte-identical output
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.engine.errors import EngineError
 from repro.model.batching import BatchPlan, ReadBinding
 from repro.model.schedules import T_INIT
 from repro.obs import NULL_TRACER
@@ -52,30 +54,34 @@ from repro.planner.executor import CASCADE, LOGIC_ABORT, ExecutionOutcome
 
 @dataclass
 class ReexecResult:
-    """What one re-execution fixpoint did to a batch."""
+    """What one re-execution pass did to a batch."""
 
-    #: victim re-runs performed (a chained victim counts once per round).
+    #: victim re-runs performed: the first execution's cascade count.
     reexecuted: int = 0
-    #: fixpoint rounds taken (0 = nothing cascaded).
-    rounds: int = 0
-    #: root slots this pass removed from the store, in removal order —
-    #: settle must not remove them again, and the pipelined planner
-    #: feeds them to its lookahead-seam re-bind.
+    #: slots this pass removed from the store (the roots', then each
+    #: re-aborting victim's) — settle must not remove them again, and
+    #: the pipelined planner feeds them to its lookahead-seam re-bind.
     removed_slots: list = field(default_factory=list)
     #: id() set of ``removed_slots`` (slots hash by identity anyway;
     #: the id-set makes the settle skip-check O(1) and explicit).
     removed_ids: set[int] = field(default_factory=set)
-    #: re-run accounting deltas, for the caller's metrics (never folded
+    #: steps the re-runs executed, for the caller's metrics (never folded
     #: into the outcome — the driver consumes outcome totals earlier).
-    blocked_reads: int = 0
     steps_executed: int = 0
+
+
+def _retire(ptxn, store, result: ReexecResult) -> None:
+    """Remove a logic-aborted transaction's slots and record them."""
+    for slot in ptxn.slots:
+        store.remove(slot)
+        result.removed_slots.append(slot)
+        result.removed_ids.add(id(slot))
 
 
 def _rebind_removed(ptxn, store, removed_ids, first_position: int) -> None:
     """Move ``ptxn``'s bindings off removed slots; re-derive its deps."""
-    changed = False
-    bindings = list(ptxn.bindings)
-    for index, binding in enumerate(bindings):
+    bindings = None
+    for index, binding in enumerate(ptxn.bindings):
         source = binding.source
         if id(source) not in removed_ids:
             continue
@@ -88,14 +94,15 @@ def _rebind_removed(ptxn, store, removed_ids, first_position: int) -> None:
             replacement.position is not None
             and replacement.position >= first_position
         )
+        if bindings is None:
+            bindings = list(ptxn.bindings)
         bindings[index] = ReadBinding(
             binding.txn,
             binding.step_index,
             replacement,
             replacement.writer if in_batch else T_INIT,
         )
-        changed = True
-    if changed:
+    if bindings is not None:
         ptxn.bind(tuple(bindings))
 
 
@@ -107,50 +114,48 @@ def reexecute_poisoned(
     first_position: int,
     tracer=NULL_TRACER,
 ) -> ReexecResult:
-    """Re-bind and re-run every cascaded reader until a fixpoint.
+    """Re-bind and re-run every cascaded reader, once, in plan order.
 
     Mutates ``outcome.fates`` (victims become COMMITTED or LOGIC_ABORT;
     CASCADE never survives), the victims' plan entries (bindings and
     the deps derived from them) and the store (root slots removed, victim
-    slots revived then filled or re-poisoned).  Runs strictly
+    slots revived then filled or removed).  Runs strictly
     single-threaded: the driver calls it after execution has joined
     and before settle, so nothing else touches the chains.
     """
     result = ReexecResult()
+    fates = outcome.fates
+    victims = [ptxn for ptxn in plan if fates[ptxn.txn] == CASCADE]
+    if not victims:
+        return result
+    for ptxn in plan:
+        if fates[ptxn.txn] == LOGIC_ABORT:
+            _retire(ptxn, store, result)
+    for ptxn in victims:
+        for slot in ptxn.slots:
+            store.revive(slot)
     tracing = tracer.enabled
-    handled: set = set()
-    while True:
-        victims = [
-            ptxn for ptxn in plan if outcome.fates[ptxn.txn] == CASCADE
-        ]
-        if not victims:
-            return result
-        result.rounds += 1
-        for ptxn in plan:
-            if outcome.fates[ptxn.txn] != LOGIC_ABORT:
-                continue
-            if ptxn.txn in handled:
-                continue
-            handled.add(ptxn.txn)
-            for slot in ptxn.slots:
-                store.remove(slot)
-                result.removed_slots.append(slot)
-                result.removed_ids.add(id(slot))
-        for ptxn in victims:
-            for slot in ptxn.slots:
-                store.revive(slot)
-        for ptxn in victims:
-            _rebind_removed(ptxn, store, result.removed_ids, first_position)
-        # ``plan`` iterates in timestamp order, so ``victims`` does too:
-        # every source a victim reads has decided by the time it runs.
-        for ptxn in victims:
-            if tracing:
-                tracer.instant(
-                    "txn", "txn.reexec", "driver",
-                    txn=str(ptxn.txn), round=result.rounds,
-                )
-            fate, blocked, steps = executor._run_one(ptxn)
-            outcome.fates[ptxn.txn] = fate
-            result.reexecuted += 1
-            result.blocked_reads += blocked
-            result.steps_executed += steps
+    # ``plan`` iterates in timestamp order, so ``victims`` does too:
+    # every source a victim can bind has decided by the time it runs.
+    for ptxn in victims:
+        _rebind_removed(ptxn, store, result.removed_ids, first_position)
+        if tracing:
+            tracer.instant("txn", "txn.reexec", "driver", txn=str(ptxn.txn))
+        fate, _, steps = executor._run_one(ptxn)
+        fates[ptxn.txn] = fate
+        result.reexecuted += 1
+        result.steps_executed += steps
+        if fate == LOGIC_ABORT:
+            _retire(ptxn, store, result)
+        elif fate == CASCADE:
+            dead = next(
+                b.source for b in ptxn.bindings
+                if not b.is_own and not b.source.materialized
+            )
+            raise EngineError(
+                f"re-executed transaction {ptxn.txn!r} still reads a "
+                f"poisoned slot of {dead.entity!r} written by "
+                f"{dead.writer!r}, which no logic abort or cascade of "
+                f"this batch accounts for"
+            )
+    return result

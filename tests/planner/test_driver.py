@@ -102,7 +102,6 @@ class TestDriver:
         assert metrics.logic_aborted == 1
         assert metrics.cascade_aborted == 0
         assert metrics.reexecuted == 1
-        assert metrics.reexec_rounds == 1
         assert metrics.cc_aborts == 0
         state = planner.final_state()
         assert sum(state.values()) == 400

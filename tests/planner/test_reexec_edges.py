@@ -1,6 +1,6 @@
 """Re-binding edge cases: where ``latest_before`` must land.
 
-Directed regressions for the corners of the re-execution fixpoint
+Directed regressions for the corners of the re-execution pass
 (:mod:`repro.planner.reexec`): a poisoned chain *head* (nothing earlier
 in the batch — the replacement is the pre-batch base), chained poisons
 (a re-executed reader that re-aborts, poisoning the next), a removed
@@ -54,7 +54,7 @@ class TestChainHeadPoison:
         assert metrics.committed == 1
         assert metrics.logic_aborted == 1
         assert metrics.cascade_aborted == 0
-        assert metrics.reexecuted == 1 and metrics.reexec_rounds == 1
+        assert metrics.reexecuted == 1
         state = planner.final_state()
         # t2 re-read b = 100 (the base), not t1's poisoned write.
         assert state["b"] == 95 and state["c"] == 105
@@ -65,8 +65,9 @@ class TestChainHeadPoison:
 class TestChainedPoisons:
     def test_reexecuted_reader_that_reaborts_poisons_the_next(self):
         # t1 aborts; t2 re-binds to base b=100, re-runs, and *re-aborts*
-        # (its guard needs 200) — poisoning t3 again, which must then
-        # re-bind past t2 to the base and commit.  Two fixpoint rounds.
+        # (its guard needs 200).  t2 is retired on the spot, so t3 —
+        # bound to t2's slot — re-binds past it to the base and commits
+        # on its one and only re-run.
         stream = [
             (transfer_transaction("t1", "a", "b"), boom),
             (transfer_transaction("t2", "b", "c"), guarded(5, 200)),
@@ -78,9 +79,8 @@ class TestChainedPoisons:
         assert metrics.committed == 1
         assert metrics.logic_aborted == 2
         assert metrics.cascade_aborted == 0
-        # Round 1 re-runs t2 and t3; t2 re-aborts, round 2 re-runs t3.
-        assert metrics.reexecuted == 3
-        assert metrics.reexec_rounds == 2
+        # One re-run per first-execution cascade victim: t2, then t3.
+        assert metrics.reexecuted == 2
         state = planner.final_state()
         assert state == {"a": 100, "b": 100, "c": 98, "d": 102}
         assert planner.store.placeholder_count() == 0
