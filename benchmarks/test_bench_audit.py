@@ -16,7 +16,8 @@ Pinned claims:
   tick throughput, per mode (the acceptance bound; measured equality
   in practice);
 * **every audited run certifies**: all four modes reconstruct and pass
-  1-SR polygraph certification with zero violations;
+  1-SR certification with zero violations, on the commit-order replay
+  alone — the polygraph search never runs;
 * **byte-identical verdicts**: two equal-seed audited runs per mode
   produce byte-identical ``AuditReport`` JSON.
 """
@@ -87,6 +88,7 @@ def test_bench_audit(table_writer, bench_document_writer):
         # Every audited run certifies, and the verdict is byte-stable.
         assert audited_case.audit is not None and audited_case.audit.ok
         assert audited.audit.ok and not audited.audit.violations
+        assert audited.audit.tiers["replay"] == audited.audit.segments
         assert (
             audited.audit.as_json()
             == direct[mode]["audited2"].audit.as_json()

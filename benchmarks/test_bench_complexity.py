@@ -2,16 +2,19 @@
 
 The paper's complexity theory as measurement: CSR and MVCSR (Theorem 1)
 stay flat as schedules grow; exact VSR/MVSR blow up.  Also ablates the
-two MVSR engines (choice-space search vs SAT encoding).
+two MVSR engines (choice-space search vs SAT encoding) by search effort
+— polygraph choices tried vs DPLL decisions, counts that depend on the
+schedule alone.
 """
 
 import random
-import time
 
 from repro.analysis.complexity import scaling_measurements
-from repro.classes.mvsr import is_mvsr
-from repro.classes.sat_encodings import is_mvsr_sat
+from repro.classes.mvsr import is_mvsr_fixed
+from repro.classes.sat_encodings import mvsr_cnf
+from repro.graphs.polygraph import SearchEffort
 from repro.model.enumeration import random_schedule
+from repro.sat.solver import solve_counted
 
 
 def test_bench_decider_scaling(table_writer):
@@ -46,20 +49,17 @@ def test_bench_mvsr_engine_ablation(table_writer):
     def ablation():
         rows = []
         for s in schedules:
-            t0 = time.perf_counter()
-            a = is_mvsr(s)
-            search_ms = 1e3 * (time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            b = is_mvsr_sat(s)
-            sat_ms = 1e3 * (time.perf_counter() - t0)
-            assert a == b
+            effort = SearchEffort()
+            a = is_mvsr_fixed(s, {}, effort)  # is_mvsr, with the counter
+            model, decisions = solve_counted(mvsr_cnf(s))
+            assert a == (model is not None)
             rows.append(
                 {
                     "txns": len(s.txn_ids),
                     "steps": len(s),
                     "mvsr": a,
-                    "choice_search_ms": round(search_ms, 3),
-                    "sat_encoding_ms": round(sat_ms, 3),
+                    "choice_search_choices": effort.tried,
+                    "sat_encoding_decisions": decisions,
                 }
             )
         return rows

@@ -9,8 +9,11 @@ installed chain position — and the auditor folds them back into a
 (:class:`ScheduleReconstructor`), checks the structural invariants the
 engines promise (version-chain integrity, reads-from consistency, the
 group-commit recoverability rule), and certifies 1-serializability of
-every epoch with the polygraph decider
-(:func:`repro.classes.mvsr.is_mvsr_fixed`).  This is Jepsen/Cobra-style
+every epoch witness-first (:func:`repro.classes.mvsr.certify_fixed`):
+the commit order the run claims is checked in one pass, an order derived
+from the serialization graph next, and the polygraph search
+(:func:`repro.classes.mvsr.is_mvsr_fixed`) runs, under a budget, only
+when both fail.  This is Jepsen/Cobra-style
 black-box checking turned inward: the run's *actual produced schedule*
 is reconstructed and judged, online (a tracer subscriber) or post-hoc
 (an exported JSONL trace), in every mode.

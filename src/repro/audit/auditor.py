@@ -3,10 +3,30 @@
 Drives a :class:`~repro.audit.reconstruct.ScheduleReconstructor` and
 certifies every segment the moment it closes: the reconstructed epoch
 schedule, with its observed reads-from relation pinned per read, goes
-through :func:`repro.classes.mvsr.is_mvsr_fixed` — the paper's
-polygraph decider.  A pass means a serial order exists in which every
-read is served exactly the version the run actually served it — 1-SR,
-certified from the trace rather than assumed from the scheduler.
+through :func:`repro.classes.mvsr.certify_fixed`.  A pass means a
+serial order exists in which every read is served exactly the version
+the run actually served it — 1-SR, certified from the trace rather than
+assumed from the scheduler.
+
+Finding such an order is NP-complete (the paper's Theorems 4–5);
+checking a claimed one is a single pass, and every mode names its
+order.  So the judge is witness-first, three tiers on one code path:
+
+0. **replay** the order the run claims — the segment's commit order —
+   against the pinned sources, O(steps);
+1. **graph**: derive an order from the multiversion serialization graph
+   of the pins (install order as version order) and replay that,
+   polynomial;
+2. **search**: the polygraph backtracker
+   (:func:`~repro.classes.mvsr.is_mvsr_fixed`), under
+   :data:`~repro.graphs.polygraph.SEARCH_BUDGET` choices — past it the
+   segment's verdict is ``audit-budget-exceeded``, neither a pass nor
+   ``not-serializable``.
+
+A verified witness is sound however it was guessed: tiers 0 and 1 only
+ever *propose* an order, and the replay accepts it only if it satisfies
+every constraint the search would have had to satisfy.  So no segment
+is certified without a replay-verified order or a completed search.
 
 Structural violations (reads-from consistency, version-chain
 integrity, the recoverability commit rule) are detected during
@@ -15,9 +35,8 @@ by the decider (a forged reads-from relation makes its verdict
 meaningless).  Drops void everything: an incomplete stream certifies
 nothing, which is why audited runs use an unbounded event log.
 
-Epochs keep certification tractable: the NP-complete decision runs on
-epoch-sized instances with every read pinned, where the polygraph
-backtracker's propagation almost always resolves without search.
+Epochs keep the instances small; the budget bounds the rest — a
+pathological segment ends in a named verdict, never a hang.
 """
 
 # repro: deterministic-contract — equal seeds must yield byte-identical output
@@ -29,6 +48,12 @@ import threading
 from repro.audit.reconstruct import ScheduleReconstructor, Segment
 from repro.audit.report import AuditReport
 from repro.audit.violations import Violation
+from repro.classes.mvsr import TIERS, certify_fixed
+from repro.graphs.polygraph import (
+    SEARCH_BUDGET,
+    SearchBudgetExceeded,
+    SearchEffort,
+)
 from repro.obs.tracer import TraceEvent
 
 
@@ -41,6 +66,11 @@ class Auditor:
         )
         #: certification verdicts per segment, in close order.
         self.certified_segments = 0
+        #: judged segments per tier that gave the verdict (the search
+        #: tier's include the rejected and the undecided).
+        self._tiers = dict.fromkeys(TIERS, 0)
+        #: choices tried by the search tier, one entry per segment it saw.
+        self._search_choices: list[int] = []
         self.violations: list[Violation] = []
         self._counts = {"reads": 0, "writes": 0, "committed": 0}
         #: threaded backends emit from worker threads; the fold itself
@@ -67,8 +97,6 @@ class Auditor:
     def _judge(self, segment: Segment) -> None:
         """Certify one closed segment (runs inside the feed lock when
         live — online certification happens as the run progresses)."""
-        from repro.classes.mvsr import is_mvsr_fixed
-
         self._counts["committed"] += len(segment.committed)
         for step in segment.schedule:
             key = "reads" if step.is_read else "writes"
@@ -76,13 +104,35 @@ class Auditor:
         if segment.violations:
             self.violations.extend(segment.violations)
             return
-        if is_mvsr_fixed(segment.schedule, dict(segment.read_sources)):
+        effort = SearchEffort(SEARCH_BUDGET)
+        code = detail = None
+        try:
+            tier = certify_fixed(
+                segment.schedule, segment.read_sources,
+                segment.committed, effort,
+            )
+            if tier is None:
+                tier, code = "search", "not-serializable"
+                detail = (
+                    "no serial order serves the observed reads-from "
+                    "relation"
+                )
+        except SearchBudgetExceeded:
+            tier, code = "search", "audit-budget-exceeded"
+            detail = (
+                "neither the commit order nor the serialization graph is "
+                f"a witness and the search stopped at {SEARCH_BUDGET} "
+                "choices, undecided"
+            )
+        self._tiers[tier] += 1
+        if tier == "search":
+            self._search_choices.append(effort.tried)
+        if code is None:
             self.certified_segments += 1
         else:
             self.violations.append(Violation(
-                "not-serializable", segment.track, segment.index, "",
-                f"no serial order serves the observed reads-from "
-                f"relation ({len(segment.schedule)} steps, "
+                code, segment.track, segment.index, "",
+                f"{detail} ({len(segment.schedule)} steps, "
                 f"{len(segment.committed)} transactions)",
             ))
 
@@ -113,6 +163,8 @@ class Auditor:
                 tracks=len(rec.tracks_with_data),
                 segments=len(rec.segments),
                 certified=self.certified_segments,
+                tiers=dict(self._tiers),
+                search_choices=tuple(self._search_choices),
                 committed_attempts=self._counts["committed"],
                 reads=self._counts["reads"],
                 writes=self._counts["writes"],

@@ -70,9 +70,10 @@ class Segment:
     #: committed attempts' steps, in trace emission order.
     schedule: Schedule
     #: read position in ``schedule`` -> observed source transaction
-    #: (``T_INIT`` for pre-segment state) — ``is_mvsr_fixed``'s pin map.
+    #: (``T_INIT`` for pre-segment state) — ``certify_fixed``'s pin map.
     read_sources: dict[int, str]
-    #: committed transaction ids, in commit-event order.
+    #: committed transaction ids, in commit-event order — the serial
+    #: order the run claims, which the auditor checks first.
     committed: tuple[str, ...]
     #: structural violations found while reconstructing this segment.
     violations: list[Violation] = field(default_factory=list)

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 from repro.audit.violations import Violation
 
+#: the report schema version (bump on any key change).
+REPORT_VERSION = "repro.audit/v2"
+
 
 def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), sort_keys=False)
@@ -31,8 +34,17 @@ class AuditReport:
     tracks: int
     #: segments (epochs/batches) reconstructed.
     segments: int
-    #: segments that passed 1-SR polygraph certification.
+    #: segments certified 1-SR: a replay-verified serial order, or a
+    #: completed search that found one.
     certified: int
+    #: judged segments by the tier that gave the verdict, keyed in
+    #: :data:`repro.classes.mvsr.TIERS` order: the claimed (commit)
+    #: order replayed, an order derived from the serialization graph
+    #: replayed, or the budgeted polygraph search (whose count includes
+    #: the segments it rejected or left undecided).
+    tiers: dict[str, int]
+    #: choices the search tried, per segment that reached it.
+    search_choices: tuple[int, ...]
     #: committed attempts whose data ops entered a schedule.
     committed_attempts: int
     reads: int
@@ -43,20 +55,33 @@ class AuditReport:
         """Fixed key order (declaration order) — byte-stable JSON."""
         return {
             "meta": "audit",
+            "version": REPORT_VERSION,
             "ok": self.ok,
             "events": self.events,
             "dropped": self.dropped,
             "tracks": self.tracks,
             "segments": self.segments,
             "certified": self.certified,
+            "tiers": dict(self.tiers),
+            "search_choices": sum(self.search_choices),
             "committed_attempts": self.committed_attempts,
             "reads": self.reads,
             "writes": self.writes,
             "violations": [v.as_dict() for v in self.violations],
         }
 
+    def register_into(self, registry) -> None:
+        """The telemetry view of the tiers (names: ``repro.obs.taxonomy``)."""
+        for tier, judged in self.tiers.items():
+            registry.counter(f"audit.tier.{tier}", judged)
+        registry.histogram("audit.search.choices", self.search_choices)
+
     def as_json(self) -> str:
         return _dump(self.as_dict())
+
+    def tiers_line(self) -> str:
+        """``replay a, graph b, search c`` — the tier tallies in words."""
+        return ", ".join(f"{tier} {n}" for tier, n in self.tiers.items())
 
     def format(self) -> str:
         """The CLI's human block: verdict first, violations itemized."""
@@ -69,6 +94,8 @@ class AuditReport:
             f"audit         {verdict}",
             f"segments      {self.segments}  "
             f"(certified {self.certified}, tracks {self.tracks})",
+            f"tiers         {self.tiers_line()}  "
+            f"({sum(self.search_choices)} choices tried)",
             f"operations    {self.reads} reads, {self.writes} writes, "
             f"{self.committed_attempts} committed attempts",
             f"events        {self.events}  (dropped {self.dropped})",

@@ -50,7 +50,13 @@ VIOLATION_CODES: dict[str, str] = {
     ),
     "not-serializable": (
         "the epoch's schedule with its observed reads-from relation is "
-        "not 1-serializable (polygraph certification failed)"
+        "not 1-serializable (the polygraph search completed and found "
+        "no serial order)"
+    ),
+    "audit-budget-exceeded": (
+        "neither the claimed nor the derived order is a witness and the "
+        "polygraph search hit its choice budget: the epoch is undecided "
+        "— not certified, and not shown non-serializable either"
     ),
 }
 

@@ -14,13 +14,22 @@ this is precisely how multiversion serializability relaxes VSR.
 The decider is a DFS over transaction placements with per-read pruning;
 :func:`all_mvsr_serializations` enumerates every witness order, which the
 OLS machinery uses to intersect version-function signatures.
+
+*Finding* a witness order is the NP-complete part (Theorems 4–5);
+*checking* a claimed one is a single pass — :func:`order_serves_fixed`.
+:func:`certify_fixed` is the decision arranged around that asymmetry:
+check the order the producer of the schedule claims, then one derived
+in polynomial time (a topological order of
+:func:`mv_serialization_graph`), and search (:func:`is_mvsr_fixed`)
+only when both fail.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Mapping, Sequence
 
-from repro.graphs.polygraph import Polygraph
+from repro.graphs.digraph import Digraph
+from repro.graphs.polygraph import Polygraph, SearchEffort
 from repro.model.schedules import Schedule, T_FINAL, T_INIT
 from repro.model.steps import Entity, TxnId
 from repro.model.version_functions import VersionFunction
@@ -182,7 +191,9 @@ def all_mvsr_serializations(schedule: Schedule) -> list[list[TxnId]]:
 
 
 def is_mvsr_fixed(
-    schedule: Schedule, fixed: dict[int, TxnId] | None = None
+    schedule: Schedule,
+    fixed: Mapping[int, TxnId] | None = None,
+    effort: SearchEffort | None = None,
 ) -> bool:
     """MVSR with (optionally) pinned read sources, via choice search.
 
@@ -195,7 +206,10 @@ def is_mvsr_fixed(
     entity, the polygraph choice "``k`` before ``w`` or after ``t``"; the
     polygraph backtracker's propagation then prunes whole order families
     at once.  This is what makes the Theorem 4/5 instances (dozens of
-    transactions, heavily forced reads) tractable.
+    transactions, heavily forced reads) tractable.  ``effort`` counts the
+    polygraph choices tried over the whole search and, when it carries a
+    budget, ends it with :class:`~repro.graphs.polygraph.
+    SearchBudgetExceeded`.
     """
     core = schedule.core()
     fixed = fixed or {}
@@ -268,7 +282,7 @@ def is_mvsr_fixed(
     free.sort(key=lambda item: len(item[2]))
 
     def search(index: int, poly: Polygraph) -> bool:
-        if poly.acyclic_selection() is None:
+        if poly.acyclic_selection(effort) is None:
             return False
         if index == len(free):
             return True
@@ -281,6 +295,126 @@ def is_mvsr_fixed(
         return False
 
     return search(0, base)
+
+
+def order_serves_fixed(
+    schedule: Schedule, order: Sequence[TxnId], fixed: Mapping[int, TxnId]
+) -> bool:
+    """Is ``order`` a witness for :func:`is_mvsr_fixed`?  One pass.
+
+    Replays the transactions serially in ``order``, keeping the last
+    writer of each entity: every read must find there the source
+    ``fixed`` pins it to (an unpinned read takes what it finds; a read
+    after an own write finds its own transaction), and that source must
+    be realizable — its first write of the entity precedes the read in
+    ``schedule``.  ``order`` must list every transaction exactly once.
+
+    These are exactly the constraints :func:`is_mvsr_fixed` searches an
+    order for, so ``True`` here implies ``True`` there: a verified
+    witness is sound however the order was guessed.
+    """
+    core = schedule.core()
+    #: entity -> (last writer so far, position of its first write).
+    last_writer: dict[Entity, tuple[TxnId, int]] = {}
+    placed: set[TxnId] = set()
+    replayed = 0
+    for t in order:
+        if t in placed:
+            return False
+        placed.add(t)
+        for i in core.step_indices_of(t):
+            step = core[i]
+            replayed += 1
+            source, installed = last_writer.get(step.entity, (T_INIT, -1))
+            if step.is_write:
+                if source != t:
+                    last_writer[step.entity] = (t, i)
+            elif fixed.get(i, source) != source or installed > i:
+                return False
+    return replayed == len(core)
+
+
+def mv_serialization_graph(
+    schedule: Schedule, fixed: Mapping[int, TxnId]
+) -> Digraph:
+    """Bernstein & Goodman's multiversion serialization graph of the
+    pinned reads, with install order as the version order.
+
+    Per read of ``x`` pinned to source ``w`` by reader ``t``: the arc
+    ``w -> t``, and per other writer ``k`` of ``x`` the arc ``k -> w``
+    when ``k`` installed ``x`` before ``w`` did in ``schedule``, else
+    ``t -> k`` (a read of the initial version puts every other writer
+    after ``t``; a read of an own write adds nothing).  Where no
+    transaction writes an entity twice, the ``MVCG(s)`` arc from such a
+    read to every later write is among these; ``MVCG`` alone leaves the
+    version function free, so its topological orders need not serve the
+    *pinned* sources — this graph makes the polygraph choice "``k``
+    before ``w`` or after ``t``" up front, the way the store that
+    produced the pins did.  When it is acyclic every topological order
+    serves the pins.
+    """
+    core = schedule.core()
+    first_write = _first_write_position(core)
+    writers: dict[Entity, list[TxnId]] = {}
+    for (txn, entity) in first_write:
+        writers.setdefault(entity, []).append(txn)
+    graph = Digraph(core.txn_ids)
+    for i, source in fixed.items():
+        step = core[i]
+        reader, entity = step.txn, step.entity
+        if source == reader:
+            continue
+        installed = first_write.get((source, entity), -1)
+        if source != T_INIT:
+            graph.add_arc(source, reader)
+        for k in writers.get(entity, ()):
+            if k == source or k == reader:
+                continue
+            if first_write[(k, entity)] < installed:
+                graph.add_arc(k, source)
+            else:
+                graph.add_arc(reader, k)
+    return graph
+
+
+#: the tiers of :func:`certify_fixed`, cheapest first — the one
+#: declaration the auditor's tallies, report and telemetry loop over.
+TIERS = ("replay", "graph", "search")
+
+
+def certify_fixed(
+    schedule: Schedule,
+    fixed: Mapping[int, TxnId],
+    claimed: Sequence[TxnId],
+    effort: SearchEffort | None = None,
+) -> str | None:
+    """Decide :func:`is_mvsr_fixed` witness-first; name the tier (one
+    of :data:`TIERS`) that did.
+
+    * ``"replay"`` — the ``claimed`` order is a witness, O(steps);
+    * ``"graph"`` — a topological order of
+      :func:`mv_serialization_graph` is, polynomial (a cycle there
+      decides nothing: another version order may still serialize the
+      schedule);
+    * ``"search"`` — neither was, and the polygraph search found one;
+    * ``None`` — the search completed and there is none.
+
+    Only the last tier consumes ``effort`` (and can raise
+    :class:`~repro.graphs.polygraph.SearchBudgetExceeded`).  A positive
+    answer always rests on a replay-verified order or a completed
+    search, so it equals :func:`is_mvsr_fixed`'s.
+    """
+    if order_serves_fixed(schedule, claimed, fixed):
+        return "replay"
+    try:
+        derived = mv_serialization_graph(schedule, fixed).topological_sort()
+    except ValueError:  # a cycle under install order: no order to try
+        derived = None
+    if derived is not None and order_serves_fixed(schedule, derived, fixed):
+        return "graph"
+    if is_mvsr_fixed(schedule, fixed, effort):
+        return "search"
+    return None
 
 
 def is_mvsr(schedule: Schedule) -> bool:

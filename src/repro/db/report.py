@@ -133,11 +133,12 @@ class RunReport:
         guaranteed schema stays frozen while the telemetry view grows
         with the instrumentation.  Backends whose native metrics object
         implements ``register_into(registry)`` populate it; anything
-        else yields the empty view.
+        else yields the empty view.  An audited run adds the auditor's
+        ``audit.*`` instruments.
         """
         from repro.obs import telemetry_view
 
-        return telemetry_view(self.metrics)
+        return telemetry_view(self.metrics, self.audit)
 
     def report(self) -> str:
         """A human-readable block for the CLI: one header line naming
@@ -167,11 +168,12 @@ class RunReport:
             verdict = "ok" if self.invariant_ok else "VIOLATED"
         lines.append(f"invariant     {verdict}")
         if self.audit is not None:
+            audit = self.audit
             lines.append(
                 "audit         certified 1-serializable "
-                f"({self.audit.certified} segment(s))"
-                if self.audit.ok
+                f"({audit.certified} segment(s): {audit.tiers_line()})"
+                if audit.ok
                 else "audit         VIOLATED "
-                f"({len(self.audit.violations)} violation(s))"
+                f"({len(audit.violations)} violation(s))"
             )
         return "\n".join(lines)

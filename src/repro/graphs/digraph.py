@@ -159,14 +159,27 @@ class Digraph:
     def would_close_cycle(self, tail: Node, head: Node) -> bool:
         """True iff adding ``tail -> head`` would create a cycle.
 
-        Used by the incremental schedulers (SGT and the MVCG scheduler):
-        an arc closes a cycle iff ``tail`` is reachable from ``head``.
+        Used by the polygraph backtracker (and through it the polygraph
+        scheduler and the auditor's search tier): an arc closes a cycle
+        iff ``tail`` is reachable from ``head``.  The search stops at
+        ``tail`` rather than collecting the whole reachable set.
         """
         if tail == head:
             return True
-        if head not in self._succ or tail not in self._succ:
+        succ = self._succ
+        if head not in succ or tail not in succ:
             return False
-        return tail in self.reachable_from(head)
+        seen = {head}
+        frontier = [head]
+        while frontier:
+            successors = succ[frontier.pop()]
+            if tail in successors:
+                return True
+            for nxt in successors:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        return False
 
     def find_cycle(self) -> list[Node] | None:
         """Return one directed cycle as a node list, or None if acyclic."""

@@ -15,7 +15,9 @@ written against it.  These rules keep every ``tracer.instant`` /
     The literal must be **in the taxonomy**.  Emitting a new event is
     a one-line edit to ``repro.obs.taxonomy`` (which updates the docs
     table via its pinned render) — this rule makes that edit
-    impossible to forget.
+    impossible to forget.  The same goes for a telemetry instrument
+    created by literal name — ``<…registry>.counter/gauge/histogram(
+    "name", …)`` — against the taxonomy's ``INSTRUMENT_NAMES``.
 
 ``O303``
     The payload must be **literal keyword arguments** — no ``**``
@@ -35,31 +37,40 @@ import ast
 
 from repro.lint.astutil import expr_key
 from repro.lint.registry import LintRule, register_rule
-from repro.obs.taxonomy import EVENT_NAMES
+from repro.obs.taxonomy import EVENT_NAMES, INSTRUMENT_NAMES
 
 _EMIT_METHODS = {"instant", "begin", "end"}
+_INSTRUMENT_METHODS = {"counter", "gauge", "histogram"}
 
 
-def _is_emit_call(node: ast.Call) -> bool:
+def _is_method_call(node: ast.Call, methods: set[str], suffix: str) -> bool:
+    """``<receiver>.<method>(...)`` with the receiver's dotted name
+    ending in ``suffix`` and the method one of ``methods``."""
     func = node.func
-    if not (
-        isinstance(func, ast.Attribute) and func.attr in _EMIT_METHODS
-    ):
+    if not (isinstance(func, ast.Attribute) and func.attr in methods):
         return False
     receiver = expr_key(func.value)
     if receiver is None:
         return False
-    return receiver.split(".")[-1].rstrip("()").lower().endswith("tracer")
+    return receiver.split(".")[-1].rstrip("()").lower().endswith(suffix)
 
 
-def _event_name_node(node: ast.Call) -> ast.expr | None:
-    """The ``name`` argument of an emit call: 2nd positional or kw."""
-    if len(node.args) >= 2:
-        return node.args[1]
+def _is_emit_call(node: ast.Call) -> bool:
+    return _is_method_call(node, _EMIT_METHODS, "tracer")
+
+
+def _name_node(node: ast.Call, position: int) -> ast.expr | None:
+    """The ``name`` argument: positional ``position`` or the keyword."""
+    if len(node.args) > position:
+        return node.args[position]
     for keyword in node.keywords:
         if keyword.arg == "name":
             return keyword.value
     return None
+
+
+def _event_name_node(node: ast.Call) -> ast.expr | None:
+    return _name_node(node, 1)
 
 
 class _EmitSiteRule(LintRule):
@@ -99,9 +110,27 @@ class LiteralEventNameRule(_EmitSiteRule):
 @register_rule(
     "O302",
     family="observability",
-    summary="trace event name missing from the canonical taxonomy",
+    summary="trace event or instrument name missing from the canonical "
+    "taxonomy",
 )
 class TaxonomyEventNameRule(_EmitSiteRule):
+    def visit_Call(self, node: ast.Call) -> None:
+        if _is_method_call(node, _INSTRUMENT_METHODS, "registry"):
+            name = _name_node(node, 0)
+            if (
+                isinstance(name, ast.Constant)
+                and isinstance(name.value, str)
+                and name.value not in INSTRUMENT_NAMES
+            ):
+                self.report(
+                    node,
+                    f"telemetry instrument {name.value!r} is not in the "
+                    "canonical taxonomy; add an InstrumentSpec to "
+                    "repro.obs.taxonomy (which also updates the docs "
+                    "table)",
+                )
+        super().visit_Call(node)
+
     def check_emit(self, node: ast.Call) -> None:
         name = _event_name_node(node)
         if (

@@ -173,15 +173,17 @@ class FieldTable:
             getattr(registry, kind)(name, value)
 
 
-def telemetry_view(metrics) -> dict:
-    """The telemetry dict for any native metrics object.
+def telemetry_view(*sources) -> dict:
+    """The telemetry dict for native metrics objects (and the audit).
 
     Objects exposing ``register_into(registry)`` (all built-in metrics
-    classes) populate a fresh registry; anything else yields the empty
-    view — a third-party backend opts in by implementing the method.
+    classes, :class:`repro.audit.AuditReport`) populate one fresh
+    registry; anything else — ``None`` included — adds nothing, so a
+    third-party backend opts in by implementing the method.
     """
     registry = MetricsRegistry()
-    register = getattr(metrics, "register_into", None)
-    if register is not None:
-        register(registry)
+    for source in sources:
+        register = getattr(source, "register_into", None)
+        if register is not None:
+            register(registry)
     return registry.as_dict()

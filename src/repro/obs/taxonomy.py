@@ -16,6 +16,14 @@ consumers read this module and nothing else:
 Adding an event is therefore one edit: add its :class:`EventSpec`
 below, and the docs table updates (via the pinned render) while the
 linter starts accepting the new name everywhere.
+
+Telemetry instruments registered by *literal name* (``registry.counter(
+"audit.tier.replay", …)``) are declared the same way, in
+:data:`INSTRUMENTS`: ``O302`` checks those call sites against
+:data:`INSTRUMENT_NAMES` and the docs publish
+:func:`instruments_markdown_table`.  (The native metrics classes
+register through a ``FieldTable``, which is its own single
+declaration.)
 """
 
 from __future__ import annotations
@@ -146,6 +154,51 @@ EVENTS: tuple[EventSpec, ...] = (
 EVENT_NAMES: frozenset[str] = frozenset(spec.name for spec in EVENTS)
 
 
+@dataclass(frozen=True)
+class InstrumentSpec:
+    """One telemetry instrument registered by literal name."""
+
+    name: str
+    #: the :class:`repro.obs.MetricsRegistry` method that creates it.
+    kind: str
+    meaning: str
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("counter", "gauge", "histogram"):
+            raise ValueError(
+                f"kind must be 'counter', 'gauge' or 'histogram', "
+                f"got {self.kind!r}"
+            )
+
+
+#: the auditor's instruments (``AuditReport.register_into``).
+INSTRUMENTS: tuple[InstrumentSpec, ...] = (
+    InstrumentSpec(
+        "audit.tier.replay", "counter",
+        "segments certified by replaying the commit order (tier 0)",
+    ),
+    InstrumentSpec(
+        "audit.tier.graph", "counter",
+        "segments certified by replaying an order derived from the "
+        "multiversion serialization graph (tier 1)",
+    ),
+    InstrumentSpec(
+        "audit.tier.search", "counter",
+        "segments that reached the budgeted polygraph search (tier 2), "
+        "whatever it answered",
+    ),
+    InstrumentSpec(
+        "audit.search.choices", "histogram",
+        "choices the polygraph search tried, one sample per tier-2 "
+        "segment",
+    ),
+)
+
+INSTRUMENT_NAMES: frozenset[str] = frozenset(
+    spec.name for spec in INSTRUMENTS
+)
+
+
 def get_event(name: str) -> EventSpec:
     """The spec for ``name``; ``ValueError`` names the valid events."""
     for spec in EVENTS:
@@ -175,10 +228,22 @@ def markdown_table() -> str:
     return "\n".join(lines)
 
 
+def instruments_markdown_table() -> str:
+    """The docs table of :data:`INSTRUMENTS` (pinned like the events')."""
+    lines = ["| instrument | kind | counts |", "|---|---|---|"]
+    for spec in INSTRUMENTS:
+        lines.append(f"| `{spec.name}` | {spec.kind} | {spec.meaning} |")
+    return "\n".join(lines)
+
+
 __all__ = [
     "EVENTS",
     "EVENT_NAMES",
     "EventSpec",
+    "INSTRUMENTS",
+    "INSTRUMENT_NAMES",
+    "InstrumentSpec",
     "get_event",
+    "instruments_markdown_table",
     "markdown_table",
 ]

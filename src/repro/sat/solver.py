@@ -29,12 +29,25 @@ def solve(formula: CNF) -> Mapping[Var, bool] | None:
     assignment; variables eliminated as pure or unconstrained are assigned
     their forced/default value.
     """
+    return solve_counted(formula)[0]
+
+
+def solve_counted(formula: CNF) -> tuple[Mapping[Var, bool] | None, int]:
+    """:func:`solve`, plus the number of decisions the search made.
+
+    A decision is a branch literal picked or flipped — the solver's
+    search effort, a function of the formula alone, which is what the
+    hardness tables report.
+    """
     int_clauses, index = formula.to_ints()
-    model = _solve_ints(int_clauses, len(index))
+    model, decisions = _solve_ints(int_clauses, len(index))
     if model is None:
-        return None
+        return None, decisions
     names = {k: v for v, k in index.items()}
-    return {names[k]: model[k] for k in range(1, len(index) + 1)}
+    return (
+        {names[k]: model[k] for k in range(1, len(index) + 1)},
+        decisions,
+    )
 
 
 def is_satisfiable(formula: CNF) -> bool:
@@ -42,8 +55,10 @@ def is_satisfiable(formula: CNF) -> bool:
     return solve(formula) is not None
 
 
-def _solve_ints(clauses: list[list[int]], n_vars: int) -> dict[int, bool] | None:
-    """DPLL core on integer clauses; returns var -> bool or None."""
+def _solve_ints(
+    clauses: list[list[int]], n_vars: int
+) -> tuple[dict[int, bool] | None, int]:
+    """DPLL core on integer clauses: (var -> bool or None, decisions)."""
     # Preprocess: drop tautologies, deduplicate literals, detect empties.
     processed: list[list[int]] = []
     for clause in clauses:
@@ -57,7 +72,7 @@ def _solve_ints(clauses: list[list[int]], n_vars: int) -> dict[int, bool] | None
         if tautology:
             continue
         if not seen:
-            return None
+            return None, 0
         processed.append(sorted(seen, key=abs))
     clauses = processed
 
@@ -86,7 +101,7 @@ def _solve_ints(clauses: list[list[int]], n_vars: int) -> dict[int, bool] | None
     for ci, clause in enumerate(clauses):
         if len(clause) == 1:
             if not enqueue(clause[0]):
-                return None
+                return None, 0
             watched.append(clause[:1] * 2)
             continue
         watched.append([clause[0], clause[1]])
@@ -141,7 +156,7 @@ def _solve_ints(clauses: list[list[int]], n_vars: int) -> dict[int, bool] | None
             enqueue(var if True in pols else -var)
 
     if not propagate(0):
-        return None
+        return None, 0
 
     def pick_branch_literal() -> int | None:
         """Most frequent literal among the shortest unresolved clauses."""
@@ -172,6 +187,7 @@ def _solve_ints(clauses: list[list[int]], n_vars: int) -> dict[int, bool] | None
     # Iterative DPLL with chronological backtracking.
     decisions: list[int] = []  # the literal decided at each level
     tried_flip: list[bool] = []
+    n_decisions = 0
 
     while True:
         branch = pick_branch_literal()
@@ -180,10 +196,11 @@ def _solve_ints(clauses: list[list[int]], n_vars: int) -> dict[int, bool] | None
             model = dict(assignment)
             for var in range(1, n_vars + 1):
                 model.setdefault(var, False)
-            return model
+            return model, n_decisions
         level_marks.append(len(trail))
         decisions.append(branch)
         tried_flip.append(False)
+        n_decisions += 1
         enqueue(branch)
         while not propagate(level_marks[-1]):
             # Conflict: backtrack to the most recent unflipped decision.
@@ -195,11 +212,12 @@ def _solve_ints(clauses: list[list[int]], n_vars: int) -> dict[int, bool] | None
                     del assignment[abs(lit)]
                 del trail[mark:]
             if not tried_flip:
-                return None
+                return None, n_decisions
             mark = level_marks[-1]
             for lit in trail[mark:]:
                 del assignment[abs(lit)]
             del trail[mark:]
             decisions[-1] = -decisions[-1]
             tried_flip[-1] = True
+            n_decisions += 1
             enqueue(decisions[-1])

@@ -20,10 +20,11 @@ MODES = backend_names()
 
 
 def run_audited(
-    mode, scenario, *, seed=3, txns=60, scenario_params=None, **overrides
+    mode, scenario, *, seed=3, txns=60, workers=2, scenario_params=None,
+    **overrides
 ):
     config = RunConfig(
-        mode=mode, workers=2, deterministic=True, seed=seed,
+        mode=mode, workers=workers, deterministic=True, seed=seed,
         audit=True, **overrides,
     )
     return Database().run(
@@ -62,6 +63,43 @@ class TestEveryScenarioEveryMode:
         assert audit.violations == ()
         assert audit.segments == audit.certified > 0
         assert audit.reads > 0 and audit.writes > 0
+        # Tier coverage: nothing needs the search, and on the rows where
+        # the commit order was measured to be a witness for every
+        # segment — the planner family's timestamp-ordered plans,
+        # `parallel` under its default scheduler (the only one this
+        # sweep runs it with), 2pl/2v2pl's lock-point commits — the
+        # replay alone certifies.  Not an invariant of `parallel`:
+        # under `si` it needs the derived order (pinned below).
+        assert audit.tiers["search"] == 0 and audit.search_choices == ()
+        if (
+            mode in ("planner", "pipelined")
+            or (mode == "parallel" and scheduler is None)
+            or scheduler in ("2pl", "2v2pl")
+        ):
+            assert audit.tiers["replay"] == audit.segments
+            assert audit.tiers["graph"] == 0
+
+    @pytest.mark.parametrize(
+        "mode, scheduler, workers",
+        [("serial", s, 3) for s in ("mvto", "sgt", "si")]
+        + [("parallel", "si", 4)],
+    )
+    def test_derived_order_certifies_late_committing_readers(
+        self, mode, scheduler, workers
+    ):
+        # The rows that prove tier 1 is not dead code: under the
+        # multiversion schedulers a long read-mostly transaction commits
+        # after writers it is serialized before, so the commit order is
+        # no witness — the serialization-graph order is.  Snapshot reads
+        # do the same inside one `parallel` shard epoch.
+        audit = run_audited(
+            mode, "read-mostly", scheduler=scheduler, txns=300,
+            workers=workers,
+        ).audit
+        assert audit.ok, audit.format()
+        assert audit.tiers["graph"] > 0
+        assert audit.tiers["search"] == 0
+        assert audit.tiers["replay"] + audit.tiers["graph"] == audit.segments
 
     @pytest.mark.parametrize(
         "mode, overrides",
@@ -95,10 +133,12 @@ class TestDeterministicByteIdentity:
     def test_report_json_has_fixed_key_order(self):
         doc = json.loads(run_audited("serial", "bank").audit.as_json())
         assert list(doc) == [
-            "meta", "ok", "events", "dropped", "tracks", "segments",
-            "certified", "committed_attempts", "reads", "writes",
-            "violations",
+            "meta", "version", "ok", "events", "dropped", "tracks",
+            "segments", "certified", "tiers", "search_choices",
+            "committed_attempts", "reads", "writes", "violations",
         ]
+        assert doc["version"] == "repro.audit/v2"
+        assert list(doc["tiers"]) == ["replay", "graph", "search"]
 
 
 class TestWiring:
@@ -131,6 +171,24 @@ class TestWiring:
         assert "audit" not in report.as_dict()["config"]
         audited = RunConfig(mode="serial", workers=2, seed=3, audit=True)
         assert "audit" not in audited.as_dict()
+
+    def test_audited_run_publishes_the_tiers_as_telemetry(self):
+        report = run_audited(
+            "serial", "read-mostly", scheduler="sgt", txns=300, workers=3
+        )
+        view, audit = report.telemetry(), report.audit
+        assert audit.tiers["graph"] > 0
+        for tier, judged in audit.tiers.items():
+            assert view["counters"][f"audit.tier.{tier}"] == judged
+        assert view["histograms"]["audit.search.choices"]["count"] == 0
+        plain = Database().run(
+            "read-mostly", RunConfig(mode="serial", workers=3, seed=3),
+            txns=60,
+        )
+        assert not any(
+            name.startswith("audit.")
+            for section in plain.telemetry().values() for name in section
+        )
 
     def test_audit_does_not_change_the_guaranteed_report(self):
         plain = Database().run(

@@ -99,6 +99,58 @@ class TestReachability:
         assert g.reachable_from(3) == {3}
 
 
+class CountedAdjacency(dict):
+    """A ``Digraph._succ`` that counts successor-set lookups — one per
+    node the search expands, whichever way it asks (``[]`` or ``get``)."""
+
+    lookups = 0
+
+    def __getitem__(self, node):
+        self.lookups += 1
+        return super().__getitem__(node)
+
+    def get(self, node, default=None):
+        self.lookups += 1
+        return super().get(node, default)
+
+
+class TestWouldCloseCycleStopsAtTheTarget:
+    """Counts, not wall-clock: the search for ``tail`` from ``head`` ends
+    when it sees ``tail``; collecting the whole reachable set first would
+    expand every node of the path."""
+
+    N = 5_000
+
+    @pytest.fixture
+    def path(self):
+        graph = Digraph(arcs=[(k, k + 1) for k in range(self.N)])
+        graph._succ = CountedAdjacency(graph._succ)
+        return graph
+
+    def test_adjacent_target_is_found_without_walking_the_path(self, path):
+        assert path.would_close_cycle(1, 0)
+        assert path._succ.lookups <= 2
+
+    def test_a_miss_still_walks_what_is_reachable(self, path):
+        # N-3, N-2, N-1 and N are all that is reachable from N-3.
+        assert not path.would_close_cycle(0, self.N - 3)
+        assert path._succ.lookups <= 4
+
+    def test_agrees_with_reachability_on_random_graphs(self):
+        rng = random.Random(1)
+        for _ in range(200):
+            n = rng.randint(2, 9)
+            g = Digraph(range(n), [
+                (rng.randrange(n), rng.randrange(n))
+                for _ in range(rng.randint(0, 14))
+            ])
+            for tail in range(n):
+                for head in range(n):
+                    assert g.would_close_cycle(tail, head) == (
+                        tail in g.reachable_from(head)
+                    )
+
+
 class TestNetworkxCrossCheck:
     def test_random_graphs_agree_on_acyclicity(self):
         rng = random.Random(0)

@@ -4,7 +4,12 @@ import random
 
 import pytest
 
-from repro.graphs.polygraph import Polygraph, random_polygraph
+from repro.graphs.polygraph import (
+    Polygraph,
+    SearchBudgetExceeded,
+    SearchEffort,
+    random_polygraph,
+)
 
 
 def triangle_forced() -> Polygraph:
@@ -105,6 +110,49 @@ class TestAcyclicity:
 
     def test_str(self):
         assert "Polygraph" in str(random_polygraph(3, 1, 1, random.Random(0)))
+
+
+class TestSearchEffort:
+    def test_counts_forcings_and_branches(self):
+        # One choice, one feasible branch: a single forcing.
+        poly = Polygraph.of(nodes=[1, 2, 3], arcs=[(3, 2)])
+        poly.add_choice(2, 3, 1)
+        effort = SearchEffort()
+        assert poly.is_acyclic(effort)
+        assert effort.tried == 1
+        # No choices, nothing tried.
+        effort = SearchEffort()
+        assert Polygraph.of(arcs=[(1, 2)]).is_acyclic(effort)
+        assert effort.tried == 0
+
+    def test_count_is_a_function_of_the_instance(self):
+        rng = random.Random(9)
+        for _ in range(30):
+            poly = random_polygraph(6, 5, 4, rng)
+            first, second = SearchEffort(), SearchEffort()
+            assert poly.is_acyclic(first) == poly.is_acyclic(second)
+            assert first.tried == second.tried
+
+    def test_one_effort_accumulates_over_calls(self):
+        poly = Polygraph.of(nodes=[1, 2, 3], arcs=[(3, 2)])
+        poly.add_choice(2, 3, 1)
+        effort = SearchEffort()
+        poly.is_acyclic(effort)
+        poly.is_acyclic(effort)
+        assert effort.tried == 2
+
+    def test_budget_ends_the_search_with_a_named_error(self):
+        poly = random_polygraph(8, 7, 6, random.Random(1))
+        unbounded = SearchEffort()
+        answer = poly.is_acyclic(unbounded)
+        assert unbounded.tried > 1
+        # Exactly enough is enough; one short raises.
+        exact = SearchEffort(unbounded.tried)
+        assert poly.is_acyclic(exact) == answer
+        short = SearchEffort(unbounded.tried - 1)
+        with pytest.raises(SearchBudgetExceeded, match="choices"):
+            poly.is_acyclic(short)
+        assert short.tried == unbounded.tried
 
 
 class TestRandomPolygraph:

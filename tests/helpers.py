@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.model.parsing import parse_schedule
-from repro.model.schedules import Schedule
+from repro.model.schedules import Schedule, T_INIT
 
 # Figure 1 witnesses (see repro.analysis.figure1 for provenance notes).
 S1_NOT_MVSR = parse_schedule("RA(x) RB(x) WA(x) WB(x)")
@@ -45,3 +45,17 @@ def tiny_schedules(max_txns: int = 2, max_steps: int = 3) -> list[Schedule]:
             )
         )
     return pool
+
+
+def serial_read_sources(schedule: Schedule, order) -> dict[int, str]:
+    """Read position -> the source a serial run in ``order`` would serve
+    (last earlier writer of the entity, own writes included, else T0)."""
+    sources, last_writer = {}, {}
+    for txn in order:
+        for i in schedule.step_indices_of(txn):
+            step = schedule[i]
+            if step.is_write:
+                last_writer[step.entity] = txn
+            else:
+                sources[i] = last_writer.get(step.entity, T_INIT)
+    return sources

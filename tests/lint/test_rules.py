@@ -331,6 +331,26 @@ class TestO302TaxonomyEventName:
         assert rule_ids_of(report) == ["O302"]
 
 
+    def test_undeclared_instrument_name_fires(self):
+        report = lint_one("""\
+            def register_into(self, registry):
+                registry.counter("audit.tier.bogus", 1)
+                self.registry.histogram(name="audit.bogus", samples=())
+            """)
+        assert rule_ids_of(report) == ["O302", "O302"]
+        assert "InstrumentSpec" in report.findings[0].message
+
+    def test_declared_or_computed_instrument_name_passes(self):
+        report = lint_one("""\
+            def register_into(self, registry, name):
+                registry.counter("audit.tier.replay", 1)
+                registry.histogram("audit.search.choices", ())
+                registry.gauge(name, 0)
+                collections.counter("anything")
+            """)
+        assert report.ok
+
+
 class TestO303LiteralPayload:
     def test_double_star_payload_fires(self):
         report = lint_one("""\

@@ -75,6 +75,18 @@ class TestTelemetryView:
         view = telemetry_view(object())
         assert view == {"counters": {}, "gauges": {}, "histograms": {}}
 
+    def test_sources_share_one_registry_and_none_adds_nothing(self):
+        class Native:
+            def register_into(self, registry):
+                registry.counter("custom.hits", 9)
+
+        class Verdict:
+            def register_into(self, registry):
+                registry.counter("custom.checks", 2)
+
+        view = telemetry_view(Native(), None, Verdict())
+        assert view["counters"] == {"custom.checks": 2, "custom.hits": 9}
+
 
 class TestFieldTable:
     """One declaration, two views: ``as_dict`` and ``register_into``."""

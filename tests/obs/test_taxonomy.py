@@ -5,11 +5,16 @@ import pathlib
 
 import pytest
 
+from repro.obs import MetricsRegistry
 from repro.obs.taxonomy import (
     EVENT_NAMES,
     EVENTS,
+    INSTRUMENT_NAMES,
+    INSTRUMENTS,
     EventSpec,
+    InstrumentSpec,
     get_event,
+    instruments_markdown_table,
     markdown_table,
 )
 
@@ -48,6 +53,29 @@ class TestDocsRender:
         lines = markdown_table().splitlines()
         assert lines[0] == "| event | kind | emitted by | args |"
         assert len(lines) == 2 + len(EVENTS)
+
+
+class TestInstruments:
+    def test_names_are_unique_and_kinds_validated(self):
+        assert len(INSTRUMENT_NAMES) == len(INSTRUMENTS)
+        with pytest.raises(ValueError, match="kind"):
+            InstrumentSpec("x.y", "meter", "nothing")
+
+    def test_published_table_is_exactly_the_render(self):
+        docs = (REPO / "docs" / "observability.md").read_text(
+            encoding="utf-8"
+        )
+        assert instruments_markdown_table() in docs
+
+    def test_the_audit_report_registers_exactly_the_declared_ones(self):
+        from repro.audit import audit_events
+
+        registry = MetricsRegistry()
+        audit_events([]).register_into(registry)
+        assert set(registry.names()) == INSTRUMENT_NAMES
+        view = registry.as_dict()
+        for spec in INSTRUMENTS:
+            assert spec.name in view[f"{spec.kind}s"]
 
 
 class TestCoverage:

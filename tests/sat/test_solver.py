@@ -5,7 +5,7 @@ import random
 
 from repro.sat.brute import count_models, solve_bruteforce
 from repro.sat.cnf import CNF, neg, pos
-from repro.sat.solver import is_satisfiable, solve
+from repro.sat.solver import is_satisfiable, solve, solve_counted
 
 
 class TestBasics:
@@ -89,6 +89,20 @@ class TestRandomCrossCheck:
     def test_count_models_sanity(self):
         f = CNF.of([[pos("a"), pos("b")]])
         assert count_models(f) == 3
+
+    def test_decisions_are_counted(self):
+        # Units and pure literals settle without a decision ...
+        model, decisions = solve_counted(
+            CNF.of([[pos("a")], [neg("a"), pos("b")]])
+        )
+        assert model == {"a": True, "b": True} and decisions == 0
+        assert solve_counted(CNF.of([[pos("a")], [neg("a")]])) == (None, 0)
+        # ... a formula with both polarities everywhere needs at least one.
+        xor = CNF.of([[pos("a"), pos("b")], [neg("a"), neg("b")]])
+        model, decisions = solve_counted(xor)
+        assert model is not None and decisions >= 1
+        assert solve_counted(xor) == (model, decisions)
+        assert solve(xor) == model
 
     def test_is_satisfiable_decision(self):
         assert is_satisfiable(CNF.of([[pos("a")]]))

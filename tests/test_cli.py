@@ -598,7 +598,9 @@ class TestAudit:
             "run", "--mode", "parallel", "--scenario", "sharded-bank",
             "--txns", "40", "--deterministic", "--audit",
         ]) == 0
-        assert "certified 1-serializable" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "certified 1-serializable" in out
+        assert "graph 0, search 0)" in out
 
     def test_run_audit_json_carries_the_report(self, capsys):
         assert main([
@@ -608,6 +610,11 @@ class TestAudit:
         doc = json.loads(capsys.readouterr().out)
         assert doc["audit"]["ok"] is True
         assert doc["audit"]["certified"] >= 1
+        assert doc["audit"]["version"] == "repro.audit/v2"
+        assert doc["audit"]["tiers"] == {
+            "replay": doc["audit"]["segments"], "graph": 0, "search": 0,
+        }
+        assert doc["telemetry"]["counters"]["audit.tier.search"] == 0
         assert "audit" not in doc["config"]  # observability knob
 
     def test_trace_then_audit(self, capsys, tmp_path):
@@ -621,6 +628,7 @@ class TestAudit:
         assert main(["audit", path, "--json", json_path]) == 0
         out = capsys.readouterr().out
         assert "CERTIFIED: 1-serializable" in out
+        assert "search 0  (0 choices tried)" in out
         with open(json_path, encoding="utf-8") as source:
             doc = json.load(source)
         assert doc["ok"] is True and doc["violations"] == []
