@@ -29,6 +29,23 @@ from repro.classes.mvsr import version_function_for_order
 from repro.schedulers.base import Scheduler
 
 
+def _add_arcs_into(graph: Digraph, tails, head: TxnId) -> bool:
+    """Add ``tail -> head`` for every tail unless that closes a cycle.
+
+    ``graph`` is acyclic and every new arc ends at ``head``, so a cycle
+    appears iff ``head`` already reaches a tail — tested on the graph as
+    it stands; the arcs go in only after the decision.
+    """
+    tails = [tail for tail in tails if tail != head]
+    for tail in tails:
+        if graph.would_close_cycle(tail, head):
+            return False
+    graph.add_node(head)
+    for tail in tails:
+        graph.add_arc(tail, head)
+    return True
+
+
 class MVCGScheduler(Scheduler):
     """Clairvoyant MVCG tester: accepts exactly the MVCSR prefixes."""
 
@@ -47,20 +64,13 @@ class MVCGScheduler(Scheduler):
 
     def _accept(self, step: Step) -> bool:
         txn, entity = step.txn, step.entity
-        self._graph.add_node(txn)
         if step.is_read:
+            self._graph.add_node(txn)
             self._readers.setdefault(entity, set()).add(txn)
             return True
-        new_arcs = [
-            (r, txn) for r in self._readers.get(entity, ()) if r != txn
-        ]
-        trial = self._graph.copy()
-        for tail, head in new_arcs:
-            trial.add_arc(tail, head)
-        if trial.has_cycle():
-            return False
-        self._graph = trial
-        return True
+        return _add_arcs_into(
+            self._graph, self._readers.get(entity, ()), txn
+        )
 
     def version_function(self) -> VersionFunction:
         """Theorem 3's serializing version function — end-of-stream only.
@@ -106,45 +116,37 @@ class EagerMVCGScheduler(Scheduler):
 
     def _accept(self, step: Step) -> bool:
         txn, entity = step.txn, step.entity
-        self._graph.add_node(txn)
+        graph = self._graph
         position = len(self.accepted_steps)
-        if step.is_read:
-            writers = self._writers.get(entity, [])
-            own = [pos for t, pos in writers if t == txn]
-            if own:
-                # Own read: served the own latest write, no new constraint.
-                self._readers.setdefault(entity, set()).add(txn)
-                self._assignments[position] = own[-1]
-                return True
-            new_arcs = []
-            if writers:
-                source, source_pos = writers[-1]
-                new_arcs.append((source, txn))
-                new_arcs.extend(
-                    (other, source) for other, _ in writers if other != source
-                )
-                assignment: int | str = source_pos
-            else:
-                assignment = T_INIT
-            trial = self._graph.copy()
-            for tail, head in new_arcs:
-                if tail != head:
-                    trial.add_arc(tail, head)
-            if trial.has_cycle():
+        if step.is_write:
+            # Ordinary MVCG arcs from earlier readers.
+            if not _add_arcs_into(graph, self._readers.get(entity, ()), txn):
                 return False
-            self._graph = trial
-            self._readers.setdefault(entity, set()).add(txn)
-            self._assignments[position] = assignment
+            self._writers.setdefault(entity, []).append((txn, position))
             return True
-        # Write: ordinary MVCG arcs from earlier readers.
-        new_arcs = [
-            (r, txn) for r in self._readers.get(entity, ()) if r != txn
-        ]
-        trial = self._graph.copy()
-        for tail, head in new_arcs:
-            trial.add_arc(tail, head)
-        if trial.has_cycle():
-            return False
-        self._graph = trial
-        self._writers.setdefault(entity, []).append((txn, position))
+        writers = self._writers.get(entity, [])
+        own = [pos for t, pos in writers if t == txn]
+        assignment: Source = T_INIT
+        if own:
+            # Own read: served the own latest write, no new constraint.
+            assignment = own[-1]
+        elif writers:
+            source, assignment = writers[-1]
+            others = [other for other, _ in writers if other != source]
+            # Two heads: ``source -> txn`` and ``other -> source``.  A
+            # cycle uses at most one new arc into each, so it needs an
+            # old path from txn to source, from source to some other, or
+            # (through both new arcs) from txn to some other.
+            if graph.would_close_cycle(source, txn) or any(
+                graph.would_close_cycle(other, source)
+                or graph.would_close_cycle(other, txn)
+                for other in others
+            ):
+                return False
+            graph.add_arc(source, txn)
+            for other in others:
+                graph.add_arc(other, source)
+        graph.add_node(txn)
+        self._readers.setdefault(entity, set()).add(txn)
+        self._assignments[position] = assignment
         return True

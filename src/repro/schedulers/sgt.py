@@ -5,6 +5,16 @@ is accepted iff the conflict arcs it introduces keep the graph acyclic.
 Because CSR is prefix-closed and the conflict graph of a prefix is a
 subgraph of the full one, the accepted set is exactly CSR — the largest
 class available to single-version schedulers in polynomial time.
+
+The decision costs what the step touches, not the prefix.  The graph of
+an accepted prefix is acyclic, and every arc a step adds ends at the
+step's own transaction, so the step closes a cycle iff that transaction
+already *reaches* one of the new arcs' tails: one stop-at-target search
+per new arc (:meth:`Digraph.would_close_cycle`), bounded by the
+transaction's descendants — none for a transaction that has only been
+preceded so far, the common case — and no search at all for a step that
+adds no arc.  The step decides first and mutates after, so the journal
+holds only what accepted steps changed.
 """
 
 from __future__ import annotations
@@ -40,23 +50,25 @@ class SGTScheduler(Scheduler):
     def _accept(self, step: Step) -> bool:
         txn, entity = step.txn, step.entity
         graph = self._graph
+        others = self._writers.get(entity, ())
+        if step.is_write:
+            others = (*others, *self._readers.get(entity, ()))
+        # The arcs the step adds: one from each conflicting transaction
+        # that does not precede this one already.
+        preceding = graph.predecessors(txn)
+        preceding.add(txn)
+        tails = [t for t in dict.fromkeys(others) if t not in preceding]
+        # The graph so far is acyclic and every new arc ends at ``txn``:
+        # the step closes a cycle iff ``txn`` already reaches a tail.
+        for tail in tails:
+            if graph.would_close_cycle(tail, txn):
+                return False
         if txn not in graph:
             graph.add_node(txn)
             self._on_undo(graph.remove_node, txn)
-        if step.is_read:
-            others = self._writers.get(entity, [])
-        else:
-            others = self._writers.get(entity, []) + self._readers.get(
-                entity, []
-            )
-        # Add the step's conflict arcs in place and test; on a cycle the
-        # rejection unwinds the journal, which takes them out again.
-        for other in others:
-            if other != txn and not graph.has_arc(other, txn):
-                graph.add_arc(other, txn)
-                self._on_undo(graph.remove_arc, other, txn)
-        if graph.has_cycle():
-            return False
+        for tail in tails:
+            graph.add_arc(tail, txn)
+            self._on_undo(graph.remove_arc, tail, txn)
         bucket = self._readers if step.is_read else self._writers
         entry = self._setdefault(bucket, entity, [])
         if txn not in entry:

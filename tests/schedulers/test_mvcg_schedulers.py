@@ -2,15 +2,23 @@
 
 import random
 
-from repro.classes.mvcsr import is_mvcsr
-from repro.classes.mvsr import is_mvsr
-from repro.classes.serial import serial_schedule_for
-from repro.model.enumeration import random_schedule
-from repro.model.parsing import parse_schedule
-from repro.model.readfrom import view_equivalent
-from repro.schedulers.mvcg import EagerMVCGScheduler, MVCGScheduler
+import pytest
 
-from tests.helpers import SEC4_S, SEC4_S_PRIME
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from repro.classes.mvcsr import is_mvcsr  # noqa: E402
+from repro.classes.mvsr import is_mvsr  # noqa: E402
+from repro.classes.serial import serial_schedule_for  # noqa: E402
+from repro.model.enumeration import random_schedule  # noqa: E402
+from repro.model.parsing import parse_schedule  # noqa: E402
+from repro.model.readfrom import view_equivalent  # noqa: E402
+from repro.model.schedules import T_INIT  # noqa: E402
+from repro.model.steps import Op, Step  # noqa: E402
+from repro.schedulers.mvcg import EagerMVCGScheduler, MVCGScheduler  # noqa: E402
+
+from tests.helpers import SEC4_S, SEC4_S_PRIME  # noqa: E402
 
 
 class TestClairvoyantMVCG:
@@ -101,3 +109,90 @@ class TestEagerMVCG:
         sched = EagerMVCGScheduler()
         assert sched.accepts(s)
         assert sched.version_function()[2] == 1  # position of W2(x)
+
+
+# -- decide-first against the trial-graph rule it replaced -----------------
+
+
+def trial_accepts(scheduler, new_arcs) -> bool:
+    """Copy the graph, add the arcs, check the whole copy, swap it in."""
+    trial = scheduler._graph.copy()
+    for tail, head in new_arcs:
+        if tail != head:
+            trial.add_arc(tail, head)
+    if trial.has_cycle():
+        return False
+    scheduler._graph = trial
+    return True
+
+
+class TrialCopyMVCG(MVCGScheduler):
+    def _accept(self, step):
+        txn, entity = step.txn, step.entity
+        self._graph.add_node(txn)
+        if step.is_read:
+            self._readers.setdefault(entity, set()).add(txn)
+            return True
+        return trial_accepts(
+            self, [(r, txn) for r in self._readers.get(entity, ())]
+        )
+
+
+class TrialCopyEagerMVCG(EagerMVCGScheduler):
+    def _accept(self, step):
+        txn, entity = step.txn, step.entity
+        self._graph.add_node(txn)
+        position = len(self.accepted_steps)
+        writers = self._writers.get(entity, [])
+        if step.is_write:
+            arcs = [(r, txn) for r in self._readers.get(entity, ())]
+            if not trial_accepts(self, arcs):
+                return False
+            self._writers.setdefault(entity, []).append((txn, position))
+            return True
+        own = [pos for t, pos in writers if t == txn]
+        if own:
+            assignment = own[-1]
+        elif writers:
+            source, assignment = writers[-1]
+            arcs = [(source, txn)] + [(other, source) for other, _ in writers]
+            if not trial_accepts(self, arcs):
+                return False
+        else:
+            assignment = T_INIT
+        self._readers.setdefault(entity, set()).add(txn)
+        self._assignments[position] = assignment
+        return True
+
+
+@pytest.mark.parametrize(
+    "native, reference",
+    [(MVCGScheduler, TrialCopyMVCG), (EagerMVCGScheduler, TrialCopyEagerMVCG)],
+    ids=["mvcg", "mvcg-eager"],
+)
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            Step,
+            st.sampled_from("abcd"),
+            st.sampled_from(Op),
+            st.sampled_from("xyz"),
+        ),
+        max_size=16,
+    )
+)
+def test_decides_as_the_trial_graph_rule(native, reference, stream):
+    """Same decisions, same graph and same committed sources as
+    copy-and-check, step by step — the two-headed eager read included —
+    and a rejected step leaves the graph's arcs as they were."""
+    live, model = native(), reference()
+    for step in stream:
+        before = live._graph.arcs
+        decision = live.submit(step)
+        assert decision == model.submit(step), step
+        assert live._graph.arcs == model._graph.arcs
+        assert live._assignments == model._assignments
+        if not decision:
+            assert live._graph.arcs == before
+            break

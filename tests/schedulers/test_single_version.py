@@ -2,13 +2,19 @@
 
 import random
 
+import pytest
+
 from repro.classes.csr import is_csr
 from repro.classes.serial import is_serial
 from repro.model.enumeration import random_schedule
+from repro.graphs.digraph import Digraph
 from repro.model.parsing import parse_schedule
+from repro.model.steps import read, write
 from repro.schedulers.serial_sched import SerialScheduler
 from repro.schedulers.sgt import SGTScheduler
 from repro.schedulers.twopl import TwoPhaseLocking
+
+from tests.graphs.test_digraph import CountedAdjacency
 
 
 def _lengths(schedule):
@@ -119,3 +125,64 @@ class TestSGT:
             sgt_total += SGTScheduler().accepts(s)
             twopl_total += TwoPhaseLocking(_lengths(s)).accepts(s)
         assert sgt_total > twopl_total
+
+
+class TestSGTNeverWalksTheWholeGraph(TestSGT):
+    """``TestSGT`` again, on a graph whose whole-graph operations raise:
+    the scheduler decides from reachability out of the step's own
+    transaction and never copies or colours the graph."""
+
+    @pytest.fixture(autouse=True)
+    def strict_graph(self, monkeypatch):
+        def refuse(self, *args):
+            raise AssertionError("whole-graph walk on the per-step path")
+
+        class StepLocalDigraph(Digraph):
+            has_cycle = is_acyclic = find_cycle = refuse
+            topological_sort = copy = refuse
+
+        monkeypatch.setattr("repro.schedulers.sgt.Digraph", StepLocalDigraph)
+        assert isinstance(SGTScheduler()._graph, StepLocalDigraph)
+
+
+class TestSGTStepCostsWhatItTouches:
+    """Counts, not wall-clock: successor sets fetched per step on a
+    conflict path of 5 000 transactions (T_k wrote e_k and e_k+1, so
+    T_k -> T_k+1)."""
+
+    N = 5_000
+
+    @pytest.fixture(scope="class")
+    def path(self):
+        sched = SGTScheduler()
+        for k in range(self.N):
+            assert sched.submit(write(k, f"e{k}"))
+            assert sched.submit(write(k, f"e{k + 1}"))
+        assert sched._graph.n_arcs() == self.N - 1
+        sched._graph._succ = CountedAdjacency(sched._graph._succ)
+        return sched
+
+    def lookups(self, sched, step, accepted=True):
+        n = len(sched.accepted_steps)
+        sched._graph._succ.lookups = 0
+        assert sched.submit(step) == accepted
+        counted = sched._graph._succ.lookups
+        sched.truncate(n)
+        return counted
+
+    def test_the_newest_transaction_searches_nothing(self, path):
+        # One new arc into a transaction nothing follows: its (empty)
+        # successor set for the search, the tail's for the insert.
+        newest = self.N - 1
+        assert self.lookups(path, read(newest, "e0")) <= 2
+
+    def test_a_step_that_adds_no_arc_does_not_search(self, path):
+        # T_1 follows T_0 already; an entity nobody touched.
+        assert self.lookups(path, read(1, "e1")) == 0
+        assert self.lookups(path, write(self.N // 2, "fresh")) == 0
+
+    def test_an_old_transaction_pays_for_its_descendants_only(self, path):
+        # T_k reading what T_k+3 wrote closes a cycle; the search from
+        # T_k meets T_k+3 after expanding three nodes — not N.
+        k = self.N // 2
+        assert self.lookups(path, read(k, f"e{k + 4}"), accepted=False) <= 3

@@ -159,6 +159,43 @@ def test_mvto_primes_survive_truncate():
     assert sched.serialization_order() == ["b", "a"]
 
 
+def mid_chain_insert(sched):
+    """b (younger) writes x, then a slots its version in *before* b's;
+    cut a's write, then let b read x.  Returns the source b is served."""
+    sched.prime_transaction("a", 0)
+    sched.prime_transaction("b", 1)
+    assert sched.submit(write("b", "x"))
+    assert sched.submit(write("a", "x"))  # inserted mid-chain, not appended
+    sched.truncate(1)
+    assert sched.submit(read("b", "x"))
+    return sched.source_of_read(1)
+
+
+def test_mvto_truncate_takes_a_mid_chain_version_and_its_key_out():
+    assert mid_chain_insert(MVTOScheduler()) == 0  # b's own write
+
+
+@pytest.mark.parametrize("forgotten", ["chain", "keys"])
+def test_mvto_forgetting_either_insert_inverse_is_caught(forgotten):
+    """The two inverses the ordered chain added to the forgot-an-inverse
+    mutants: without ``chain.pop(slot)`` a's version is still served,
+    without ``keys.pop(slot)`` the key list outgrows the chain."""
+
+    class Mutant(MVTOScheduler):
+        def _on_undo(self, fn, *args):
+            owner = getattr(fn, "__self__", None)
+            if fn.__name__ == "pop" and isinstance(owner, list):
+                is_keys = isinstance(owner[0], int)
+                if is_keys == (forgotten == "keys"):
+                    return
+            super()._on_undo(fn, *args)
+
+    try:
+        assert mid_chain_insert(Mutant()) != 0
+    except IndexError:
+        assert forgotten == "keys"
+
+
 def test_2pl_truncate_retakes_a_released_lock():
     sched = TwoPhaseLocking({"a": 2, "b": 1})
     assert sched.submit(read("a", "x"))
