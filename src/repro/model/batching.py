@@ -32,13 +32,19 @@ from repro.model.steps import TxnId
 from repro.model.transactions import Transaction
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, slots=True)
 class ReadBinding:
     """One read step, resolved to its exact source version at plan time.
 
     ``step_index`` is the read's position within its own transaction;
     ``source`` is the version object the read will be served —
     immutable for base reads, a reserved placeholder otherwise.
+
+    Rebuilt, never mutated: a re-bind (the lookahead seam, re-execution)
+    puts a new binding in the transaction's cell.  The class is not
+    ``frozen`` only because a frozen dataclass pays ``object.__setattr__``
+    per field at construction, and planning builds one per read.
+    Bindings compare by identity, like the plan objects that hold them.
     """
 
     txn: TxnId
@@ -68,10 +74,11 @@ class PlannedTransaction:
     timestamp: int
     #: write-value program (None = Herbrand semantics downstream).
     program: Callable | None = None
-    #: bindings of this transaction's reads, in step order.
-    bindings: tuple[ReadBinding, ...] = ()
+    #: bindings of this transaction's reads, in step order (one cell per
+    #: read; planning pre-sizes the list and its walks fill the cells).
+    bindings: list[ReadBinding] = field(default_factory=list)
     #: reserved version slots of this transaction's writes, in step order.
-    slots: tuple = ()
+    slots: list = field(default_factory=list)
     #: transactions whose reserved slots this one's reads are bound to
     #: (commit dependencies; never includes the transaction itself).
     deps: frozenset[TxnId] = frozenset()
@@ -80,12 +87,15 @@ class PlannedTransaction:
     def txn(self) -> TxnId:
         return self.transaction.txn
 
-    def bind(self, bindings: tuple[ReadBinding, ...]) -> None:
+    def bind(self, bindings: list[ReadBinding]) -> None:
         """Set the read bindings and derive ``deps`` from them."""
         self.bindings = bindings
-        self.deps = frozenset(
-            b.source_txn for b in bindings if not b.is_base and not b.is_own
-        )
+        own = self.transaction.txn
+        self.deps = frozenset({
+            b.source_txn
+            for b in bindings
+            if b.source_txn != T_INIT and b.source_txn != own
+        })
 
 
 @dataclass(eq=False)

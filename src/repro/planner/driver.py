@@ -96,6 +96,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field
+from queue import SimpleQueue
 
 from repro.engine.errors import EngineError
 from repro.engine.gc import WatermarkGC
@@ -133,10 +134,11 @@ def emit_planned_data_ops(tracer, ptxn) -> None:
     smaller timestamp, so every read's source write event precedes it
     in the stream.
     """
-    bindings = {b.step_index: b for b in ptxn.bindings}
+    # Both lists are in step order, one cell per read / per write.
+    bindings = iter(ptxn.bindings)
     slots = iter(ptxn.slots)
     txn = str(ptxn.txn)
-    for index, step in enumerate(ptxn.transaction.steps):
+    for step in ptxn.transaction.steps:
         if step.is_write:
             slot = next(slots)
             tracer.instant(
@@ -145,7 +147,7 @@ def emit_planned_data_ops(tracer, ptxn) -> None:
                 pos=slot.position,
             )
             continue
-        source = bindings[index].source
+        source = next(bindings).source
         pos = None if source is None else source.position
         tracer.instant(
             "data", "txn.read", "driver",
@@ -176,6 +178,52 @@ class _InFlight:
     #: the settle-time re-bind walks.
     by_source: dict[int, list] = field(default_factory=dict)
     outcome: ExecutionOutcome | None = None
+
+
+class _PlanStage:
+    """The background planning stage: one thread for the whole run.
+
+    ``begin()`` hands the thread one round of ``work`` and returns once
+    the thread is running it; ``wait()`` returns when the round is done
+    — what ``Thread.start`` and ``Thread.join`` gave the driver when it
+    built a thread per batch, without the thread: creation and teardown
+    (a stack to map and unmap, a new thread's first scheduling) on every
+    hand-off cost little on an idle host and several times the batch
+    itself on a busy one, so the run's speed followed the host's load.
+    Between rounds the thread is parked on its queue.  ``work`` must not
+    raise.
+    """
+
+    def __init__(self, work) -> None:
+        self._work = work
+        #: driver -> stage: True for a round to run, False to stop.
+        self._rounds: SimpleQueue = SimpleQueue()
+        #: stage -> driver, twice a round: picked up, then finished.
+        self._acks: SimpleQueue = SimpleQueue()
+        self._thread = threading.Thread(
+            target=self._serve, name="pipeline-plan"
+        )
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while self._rounds.get():
+            self._acks.put(None)
+            try:
+                self._work()
+            finally:
+                self._acks.put(None)
+
+    def begin(self) -> None:
+        self._rounds.put(True)
+        self._acks.get()
+
+    def wait(self) -> None:
+        self._acks.get()
+
+    def close(self) -> None:
+        """Stop the thread; no round may be in flight."""
+        self._rounds.put(False)
+        self._thread.join()
 
 
 class BatchPlanner:
@@ -282,6 +330,21 @@ class BatchPlanner:
         started = perf_clock()
         self._stream = iter(stream)
         plans: deque[_InFlight] = deque()
+        stage = (
+            _PlanStage(lambda: self._refill_timed(plans, self.lookahead))
+            if self._overlap
+            else None
+        )
+        try:
+            self._drain(plans, stage)
+        finally:
+            if stage is not None:
+                stage.close()
+        engine.elapsed = perf_clock() - started
+        return self.metrics
+
+    def _drain(self, plans: deque, stage: _PlanStage | None) -> None:
+        """The run loop; ``stage`` plans ahead in the background, if set."""
         while True:
             # Inline planning: the first batch, and with lookahead=0
             # (nothing is ever planned ahead) every batch.
@@ -290,20 +353,15 @@ class BatchPlanner:
                 break
             head = plans.popleft()
             self._seam_floor = head.first_position
-            if not self._overlap:
+            if stage is None:
                 self._execute(head)
                 # Plan ahead pre-settle: the background stage would see
                 # exactly this chain state (head's slots still present).
                 self._refill(plans, target=self.lookahead)
             else:
                 self._plan_span = None
-                planner = threading.Thread(
-                    target=self._refill_timed,
-                    args=(plans, self.lookahead),
-                    name="pipeline-plan",
-                )
                 exec_started = perf_clock()
-                planner.start()
+                stage.begin()
                 try:
                     self._execute(head)
                     exec_ended = perf_clock()
@@ -311,7 +369,7 @@ class BatchPlanner:
                     # Always join before unwinding: a failed execute must
                     # not leave the planning stage draining the caller's
                     # stream and mutating pins/positions in the background.
-                    planner.join()
+                    stage.wait()
                 if self._plan_error is not None:
                     # The stream iterator or the planner itself raised on
                     # the background thread; surface it exactly like the
@@ -323,8 +381,6 @@ class BatchPlanner:
             # the run's largest allocation, and holding it across the
             # next planning pass costs lookahead=0 a few percent.
             del head
-        engine.elapsed = perf_clock() - started
-        return self.metrics
 
     # -- planning stage ----------------------------------------------------
 
@@ -416,15 +472,19 @@ class BatchPlanner:
         inflight = _InFlight(
             number, plan, born, engine.ticks, first_position, n_slots
         )
+        seam_floor = self._seam_floor
+        base = own = dependent = 0
         for ptxn in plan:
             metrics.commit_deps += len(ptxn.deps)
+            txn = ptxn.txn
             for index, binding in enumerate(ptxn.bindings):
-                if binding.is_base:
-                    metrics.base_reads += 1
+                source_txn = binding.source_txn
+                if source_txn == T_INIT:
+                    base += 1
                     if (
                         ahead
                         and binding.source.is_placeholder
-                        and binding.source.position >= self._seam_floor
+                        and binding.source.position >= seam_floor
                     ):
                         # Bound to an unsettled batch's reserved slot:
                         # exact already, but re-bound at that batch's
@@ -437,10 +497,13 @@ class BatchPlanner:
                         inflight.by_source.setdefault(
                             id(binding.source), []
                         ).append((ptxn, index))
-                elif binding.is_own:
-                    metrics.own_reads += 1
+                elif source_txn == txn:
+                    own += 1
                 else:
-                    metrics.dependent_reads += 1
+                    dependent += 1
+        metrics.base_reads += base
+        metrics.own_reads += own
+        metrics.dependent_reads += dependent
         if tracing:
             self.tracer.end(
                 "plan", "plan.batch", "plan",
@@ -584,11 +647,9 @@ class BatchPlanner:
         )
         for ptxn, index in affected:
             old = ptxn.bindings[index]
-            bindings = list(ptxn.bindings)
-            bindings[index] = ReadBinding(
+            ptxn.bindings[index] = ReadBinding(
                 old.txn, old.step_index, source, T_INIT
             )
-            ptxn.bindings = tuple(bindings)
             self.metrics.rebound_reads += 1
             if self.tracer.enabled:
                 self.tracer.instant(

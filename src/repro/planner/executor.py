@@ -38,10 +38,16 @@ from dataclasses import dataclass, field
 
 from repro.engine.errors import EngineError
 from repro.model.batching import BatchPlan, PlannedTransaction
-from repro.model.steps import TxnId
+from repro.model.steps import Op, TxnId
 from repro.storage.executor import write_value
 from repro.storage.mvstore import PlaceholderState
 from repro.storage.sharded import ShardedMultiversionStore
+
+#: ``_run_one`` tests these by identity instead of calling the
+#: ``is_read`` / ``decided`` properties once per step of the batch.
+_READ = Op.READ
+_PENDING = PlaceholderState.PENDING
+_POISONED = PlaceholderState.POISONED
 
 #: per-transaction outcome tags.
 COMMITTED = "committed"
@@ -142,20 +148,21 @@ class PlanExecutor:
         computed: list = []
         blocked = 0
         steps = 0
-        read_i = write_i = 0
+        txn = ptxn.txn
+        bindings = iter(ptxn.bindings)
+        slots = iter(ptxn.slots)
         for step in ptxn.transaction.steps:
             steps += 1
-            if step.is_read:
-                binding = ptxn.bindings[read_i]
-                read_i += 1
+            if step.op is _READ:
+                binding = next(bindings)
                 source = binding.source
-                if binding.is_own:
+                if binding.source_txn == txn:
                     value = own_values[id(source)]
                 elif source.is_placeholder:
-                    if not source.decided:
+                    if source.state is _PENDING:
                         blocked += 1
                         source.wait()
-                    if source.state is PlaceholderState.POISONED:
+                    if source.state is _POISONED:
                         self._poison_all(ptxn)
                         return CASCADE, blocked, steps
                     value = source.value
@@ -163,17 +170,16 @@ class PlanExecutor:
                     value = source.value
                 reads.append(value)
             else:
-                slot = ptxn.slots[write_i]
+                slot = next(slots)
                 try:
                     value = write_value(
-                        ptxn.program, ptxn.txn, write_i, reads
+                        ptxn.program, txn, len(computed), reads
                     )
                 except Exception:  # noqa: BLE001 — a raise IS the abort
                     self._poison_all(ptxn)
                     return LOGIC_ABORT, blocked, steps
                 own_values[id(slot)] = value
                 computed.append((slot, value))
-                write_i += 1
         # Publish: the transaction's commit point.  Nothing was visible
         # to other transactions before this loop, so an abort above never
         # needs to retract consumed values.

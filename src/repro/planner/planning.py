@@ -24,6 +24,17 @@ One rule covers every caller: a walk holds its shard's lock per entity,
 whether the partitions run on threads or inline in index order.  Both
 produce the identical plan, because the walk of one entity depends on
 nothing outside that entity.
+
+What a plan allocates: one tuple per step (the record the batch loop
+files under the step's entity), one :class:`ReadBinding` per read, one
+reserved slot per write — nothing per transaction but the
+:class:`PlannedTransaction` itself, whose ``bindings`` and ``slots``
+lists the batch loop pre-sizes with one empty cell per read and per
+write.  The walks write each binding and slot into its cell.  No two
+walks share a cell — a cell belongs to one step, a step to one entity,
+an entity to one partition — the lists keep their length while the walks
+run, and nothing reads a cell before the join, so the threaded walks
+need no lock on the plan, only the shard's lock on the store.
 """
 
 # repro: deterministic-contract — equal seeds must yield byte-identical output
@@ -31,37 +42,27 @@ nothing outside that entity.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from collections import defaultdict
+from typing import Callable, Sequence
 
 from repro.engine.errors import EngineError
 from repro.model.batching import BatchPlan, PlannedTransaction, ReadBinding
 from repro.model.schedules import T_INIT
-from repro.model.steps import Entity
+from repro.model.steps import Entity, Op
 from repro.model.transactions import Transaction
 from repro.storage.sharded import ShardedMultiversionStore, shard_of
 
 
-@dataclass(eq=False)
-class _Access:
-    """One step's slot in the per-entity walk, in (timestamp, index) order."""
+#: The batch loop tests ``step.op`` against this local instead of calling
+#: the ``is_write`` property once per step of the batch.
+_WRITE = Op.WRITE
 
-    ptxn: PlannedTransaction
-    #: step index within the transaction.
-    index: int
-    is_write: bool
-    #: pre-assigned global install position (writes only).
-    position: int | None
-
-
-@dataclass(eq=False)
-class _Draft:
-    """Mutable per-transaction scratch the partition walks fill in."""
-
-    ptxn: PlannedTransaction
-    #: step index -> ReadBinding / reserved slot (merged after the walks).
-    bindings: dict[int, ReadBinding] = field(default_factory=dict)
-    slots: dict[int, Any] = field(default_factory=dict)
+#: One step's record in the per-entity walk: ``(ptxn, step index,
+#: ordinal, position)``.  ``ordinal`` is the step's cell in its
+#: transaction's ``bindings`` (a read) or ``slots`` (a write);
+#: ``position`` is the write's pre-assigned global install position and
+#: ``None`` for a read.
+_Record = tuple[PlannedTransaction, int, int, int | None]
 
 
 def plan_batch(
@@ -95,28 +96,31 @@ def plan_batch(
     """
     if not over_placeholders and store.placeholder_count():
         raise EngineError("plan_batch over unsettled placeholders")
-    drafts: list[_Draft] = []
-    by_entity: dict[Entity, list[_Access]] = {}
+    planned: list[PlannedTransaction] = []
+    by_entity: defaultdict[Entity, list[_Record]] = defaultdict(list)
     position = first_position
     for offset, (transaction, program) in enumerate(items):
         ptxn = PlannedTransaction(
             transaction, first_timestamp + offset, program
         )
-        draft = _Draft(ptxn)
-        drafts.append(draft)
+        planned.append(ptxn)
+        # One empty cell per read and per write; the walks fill the cells
+        # in place.
+        bindings, slots = ptxn.bindings, ptxn.slots
         for index, step in enumerate(transaction.steps):
-            if step.is_write:
-                access = _Access(ptxn, index, True, position)
+            if step.op is _WRITE:
+                record = (ptxn, index, len(slots), position)
+                slots.append(None)
                 position += 1
             else:
-                access = _Access(ptxn, index, False, None)
-            by_entity.setdefault(step.entity, []).append(access)
+                record = (ptxn, index, len(bindings), None)
+                bindings.append(None)
+            by_entity[step.entity].append(record)
 
     n_partitions = store.n_shards
     partitions: list[list[Entity]] = [[] for _ in range(n_partitions)]
     for entity in by_entity:
         partitions[shard_of(entity, n_partitions)].append(entity)
-    draft_of = {d.ptxn.txn: d for d in drafts}
 
     def walk_partition(p: int) -> None:
         # Partition p owns shard p outright; the lock is taken per entity
@@ -124,7 +128,7 @@ def plan_batch(
         # walk instead of stalling behind it.
         for entity in sorted(partitions[p]):
             with store.locks[p]:
-                _walk_entity(entity, by_entity[entity], store, draft_of)
+                _walk_entity(entity, by_entity[entity], store)
 
     if threaded and n_partitions > 1:
         crashes: list[BaseException] = []
@@ -144,8 +148,8 @@ def plan_batch(
         for thread in threads:
             thread.join()
         if crashes:
-            # A dead walk leaves its transactions short of bindings and
-            # slots; the plan must not reach the executor.
+            # A dead walk leaves cells of its transactions empty; the
+            # plan must not reach the executor.
             raise EngineError(
                 f"partition planning thread crashed: {crashes[0]!r}"
             ) from crashes[0]
@@ -153,49 +157,46 @@ def plan_batch(
         for p in range(n_partitions):
             walk_partition(p)
 
-    for draft in drafts:
-        ptxn = draft.ptxn
-        ptxn.bind(tuple(draft.bindings[i] for i in sorted(draft.bindings)))
-        ptxn.slots = tuple(draft.slots[i] for i in sorted(draft.slots))
-    return BatchPlan([draft.ptxn for draft in drafts])
+    for ptxn in planned:
+        if None in ptxn.bindings or None in ptxn.slots:
+            # A walk that skipped an entity must not reach the executor
+            # as an AttributeError on the empty cell.
+            raise EngineError(
+                f"planning left a step of {ptxn.txn!r} unbound"
+            )
+        ptxn.bind(ptxn.bindings)
+    return BatchPlan(planned)
 
 
 def _walk_entity(
     entity: Entity,
-    accesses: list[_Access],
+    records: list[_Record],
     store: ShardedMultiversionStore,
-    draft_of: dict,
 ) -> None:
     """Resolve one entity's accesses in (timestamp, step-index) order.
 
-    ``accesses`` is already in that order: the batch loop appends per
+    ``records`` is already in that order: the batch loop appends per
     transaction in timestamp order and per step in index order.  The
     newest slot walked so far is exactly "the newest version written by
     a smaller-or-equal timestamp", which is both MVTO's read rule and —
     when the writer is the reader itself — the own-write rule.
     """
     base = None
-    last: _Access | None = None
     last_slot = None
-    for access in accesses:
-        draft = draft_of[access.ptxn.txn]
-        if access.is_write:
-            last_slot = store.reserve(
-                entity, access.ptxn.txn, access.position
-            )
-            last = access
-            draft.slots[access.index] = last_slot
-            continue
-        if last is None:
+    last_txn = T_INIT
+    for ptxn, index, ordinal, position in records:
+        txn = ptxn.transaction.txn
+        if position is not None:
+            last_slot = store.reserve(entity, txn, position)
+            last_txn = txn
+            ptxn.slots[ordinal] = last_slot
+        elif last_slot is None:
             if base is None:
                 # Captured before this walk reserves anything on the
                 # entity, so it is the committed pre-batch state.
                 base = store.latest(entity)
-            binding = ReadBinding(
-                access.ptxn.txn, access.index, base, T_INIT
-            )
+            ptxn.bindings[ordinal] = ReadBinding(txn, index, base, T_INIT)
         else:
-            binding = ReadBinding(
-                access.ptxn.txn, access.index, last_slot, last.ptxn.txn
+            ptxn.bindings[ordinal] = ReadBinding(
+                txn, index, last_slot, last_txn
             )
-        draft.bindings[access.index] = binding

@@ -80,8 +80,9 @@ def _retire(ptxn, store, result: ReexecResult) -> None:
 
 def _rebind_removed(ptxn, store, removed_ids, first_position: int) -> None:
     """Move ``ptxn``'s bindings off removed slots; re-derive its deps."""
-    bindings = None
-    for index, binding in enumerate(ptxn.bindings):
+    bindings = ptxn.bindings
+    rebound = False
+    for index, binding in enumerate(bindings):
         source = binding.source
         if id(source) not in removed_ids:
             continue
@@ -94,16 +95,15 @@ def _rebind_removed(ptxn, store, removed_ids, first_position: int) -> None:
             replacement.position is not None
             and replacement.position >= first_position
         )
-        if bindings is None:
-            bindings = list(ptxn.bindings)
         bindings[index] = ReadBinding(
             binding.txn,
             binding.step_index,
             replacement,
             replacement.writer if in_batch else T_INIT,
         )
-    if bindings is not None:
-        ptxn.bind(tuple(bindings))
+        rebound = True
+    if rebound:
+        ptxn.bind(bindings)
 
 
 def reexecute_poisoned(

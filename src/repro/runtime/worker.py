@@ -53,9 +53,22 @@ class WorkerFuture:
     __slots__ = ("_event", "_value", "_error")
 
     def __init__(self) -> None:
-        self._event = threading.Event()
+        #: None on a future that was built settled (:meth:`settled`):
+        #: nobody can ever wait on it, so it carries no event.
+        self._event: threading.Event | None = threading.Event()
         self._value: Any = None
         self._error: BaseException | None = None
+
+    @classmethod
+    def settled(
+        cls, value: Any = None, error: BaseException | None = None
+    ) -> "WorkerFuture":
+        """A future whose task already ran (the inline ``post``)."""
+        future = cls.__new__(cls)
+        future._event = None
+        future._value = value
+        future._error = error
+        return future
 
     def resolve(self, value: Any) -> None:
         self._value = value
@@ -67,14 +80,15 @@ class WorkerFuture:
 
     @property
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._event is None or self._event.is_set()
 
     def wait(self, timeout: float | None = None) -> bool:
-        return self._event.wait(timeout)
+        return self._event is None or self._event.wait(timeout)
 
     def result(self) -> Any:
         """Block until settled; re-raise the task's exception if it failed."""
-        self._event.wait()
+        if self._event is not None:
+            self._event.wait()
         if self._error is not None:
             raise self._error
         return self._value
@@ -168,14 +182,14 @@ class ShardWorker:
         abort posted before a retry's first step is guaranteed to apply
         first.
         """
-        future = WorkerFuture()
         if self._thread is None:
+            # Resolved before anyone holds it: no event to allocate.
             try:
                 with self.lock:
-                    future.resolve(fn())
+                    return WorkerFuture.settled(fn())
             except BaseException as error:  # noqa: BLE001 — relayed to caller
-                future.reject(error)
-            return future
+                return WorkerFuture.settled(error=error)
+        future = WorkerFuture()
         self._inbox.put((fn, future))
         return future
 

@@ -291,6 +291,46 @@ class TestDriverContract:
         with pytest.raises(IOError, match="stream source died"):
             planner.run(broken_stream())
 
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_one_planning_thread_per_run_and_none_after_it(
+        self, monkeypatch, fails
+    ):
+        """The background stage is one thread parked between batches,
+        not a thread per batch (whose creation cost moves with host
+        load), and it is stopped when ``run`` returns or raises."""
+        import threading
+
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+
+        def stream():
+            yield from abort_stream()
+            if fails:
+                raise IOError("stream source died")
+
+        planner = BatchPlanner(
+            initial={k: 100 for k in "abcd"}, n_workers=2,
+            batch_size=1, lookahead=1, deterministic=False,
+        )
+        if fails:
+            with pytest.raises(IOError):
+                planner.run(stream())
+        else:
+            metrics = planner.run(stream())
+            assert metrics.engine.epochs_closed == len(abort_stream()) > 2
+            assert metrics.batches_overlapped > 0
+        assert started == ["pipeline-plan"]
+        assert not [
+            thread for thread in threading.enumerate()
+            if thread.name == "pipeline-plan"
+        ]
+
     @pytest.mark.parametrize("lookahead", [0, 2])
     def test_gc_bounds_version_retention(self, lookahead):
         scenario = bank()

@@ -190,9 +190,9 @@ class TestGuards:
             plan_batch([(t1, None)], store, 1, 1)
 
     def test_threaded_walk_crash_raises_instead_of_a_short_plan(self):
-        """A partition-walk thread that dies must fail the call: its
-        transactions would otherwise come back short of bindings and
-        the executor would serve ``bindings[read_i]`` of the wrong step."""
+        """A partition-walk thread that dies must fail the call, and by
+        the thread's own error: its transactions would otherwise come
+        back with empty binding and slot cells."""
         t1 = Transaction.build("A", ("R", "x"), ("R", "y"), ("W", "x"))
         store = ShardedMultiversionStore(4, {"x": 1, "y": 2})
         assert store.shard_for("x") is not store.shard_for("y")
@@ -203,3 +203,25 @@ class TestGuards:
         store.shard_for("y").latest = broken
         with pytest.raises(EngineError, match="planning thread crashed"):
             plan_batch([(t1, None)], store, 0, 0, threaded=True)
+
+    @pytest.mark.parametrize("skipped", ["x", "y"])
+    def test_a_walk_that_skips_an_entity_is_a_named_error(
+        self, monkeypatch, skipped
+    ):
+        """Every read and write owns one pre-sized cell; a cell the
+        walks left empty (``x``: a slot, ``y``: a binding) fails the
+        call by name instead of reaching the executor as an
+        ``AttributeError`` on ``None``."""
+        from repro.planner import planning
+
+        walk = planning._walk_entity
+
+        def skipping(entity, records, store):
+            if entity != skipped:
+                walk(entity, records, store)
+
+        monkeypatch.setattr(planning, "_walk_entity", skipping)
+        t1 = Transaction.build("A", ("R", "y"), ("W", "x"))
+        store = ShardedMultiversionStore(2, {"x": 1, "y": 2})
+        with pytest.raises(EngineError, match="'A' unbound"):
+            plan_batch([(t1, None)], store, 0, 0)

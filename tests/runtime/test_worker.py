@@ -276,3 +276,33 @@ class TestWorkerFuture:
         future.reject(ValueError("nope"))
         with pytest.raises(ValueError):
             future.result()
+
+    def test_inline_post_returns_a_settled_future_without_an_event(self):
+        """A deterministic worker ran the task before ``post`` returned,
+        so the future is born settled: no ``threading.Event``, and
+        ``done``/``wait``/``result`` answer without blocking."""
+        worker = make_worker()
+        future = worker.post(lambda: 7)
+        assert future._event is None
+        assert future.done and future.wait(0)
+        assert future.result() == 7
+
+        def boom():
+            raise TransactionAborted("t", "rejected")
+
+        failed = worker.post(boom)
+        assert failed._event is None
+        assert failed.done and failed.wait(0)
+        with pytest.raises(TransactionAborted):
+            failed.result()
+
+    def test_threaded_post_keeps_its_event(self):
+        worker = make_worker()
+        worker.deterministic = False
+        worker.start()
+        try:
+            future = worker.post(lambda: 7)
+            assert future._event is not None
+            assert future.wait(5) and future.result() == 7
+        finally:
+            worker.stop()
