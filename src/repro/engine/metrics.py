@@ -115,10 +115,16 @@ class EngineMetrics:
             + self.aborted_external
         )
 
-    #: the guaranteed cross-mode names: every engine abort is a
-    #: concurrency-control abort (rejected step, deadlock break,
-    #: cascade, external request).
-    aborted = cc_aborts = aborted_total
+    #: the guaranteed cross-mode name for every abort, logic aborts
+    #: included (each one cost an attempt).
+    aborted = aborted_total
+
+    @property
+    def cc_aborts(self) -> int:
+        """Concurrency-control aborts only — rejected step, deadlock
+        break, cascade, external request; a program's own rollback is
+        not one."""
+        return self.aborted_total - self.aborted_logic
 
     @property
     def submitted(self) -> int:

@@ -63,6 +63,8 @@ class RuntimeMetrics:
     #: attempt-level aborts observed by the dispatcher, session retries
     #: re-launched, and transactions dropped after exhausting retries.
     aborted: int = 0
+    #: of those, aborts the transaction's own program raised.
+    aborted_logic: int = 0
     retries: int = 0
     gave_up: int = 0
     #: routing mix, counted once per logical transaction.
@@ -81,9 +83,10 @@ class RuntimeMetrics:
 
     @property
     def cc_aborts(self) -> int:
-        """Runtime aborts are attempt-level CC events: rejected steps,
-        cross-shard vote-no and flush aborts."""
-        return self.aborted
+        """Attempt-level concurrency-control aborts: rejected steps,
+        cascades, cross-shard vote-no and flush aborts — every abort but
+        a program's own rollback."""
+        return self.aborted - self.aborted_logic
 
     @property
     def commit_rate(self) -> float:
@@ -165,6 +168,7 @@ _FIELDS = FieldTable(
     ("submitted", "submitted", "submitted", "counter"),
     ("committed", "committed", "committed", "counter"),
     ("aborted", "aborted", "aborted", "counter"),
+    ("aborted_logic", "aborted_logic", "aborted.logic", "counter"),
     ("retries", "retries", "retries", "counter"),
     ("gave_up", "gave_up", "gave_up", "counter"),
     ("single_shard", "single_shard", "single_shard", "counter"),

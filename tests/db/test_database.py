@@ -118,14 +118,21 @@ class TestMetricContract:
         assert dumps[0] == dumps[1]
 
     def test_accounting_closes_per_mode(self):
-        for mode in MODES:
-            r = Database().run("sharded-bank", small_config(mode), txns=50)
-            assert r.submitted == r.committed + r.gave_up + (
-                r.aborted if mode in PLAN_MODES else 0
-            )
-            assert r.cc_aborts == (
-                0 if mode in PLAN_MODES else r.aborted
-            )
+        """``cc_aborts`` counts concurrency-control aborts only: a
+        program's own rollback costs an attempt (``aborted``) in every
+        mode but is a CC abort in none."""
+        for scenario in ("sharded-bank", "abort-heavy"):
+            for mode in MODES:
+                r = Database().run(scenario, small_config(mode), txns=50)
+                assert r.submitted == r.committed + r.gave_up + (
+                    r.aborted if mode in PLAN_MODES else 0
+                )
+                if mode in PLAN_MODES:
+                    assert r.cc_aborts == 0
+                    continue
+                logic = r.metrics.aborted_logic
+                assert r.cc_aborts == r.aborted - logic
+                assert (logic > 0) == (scenario == "abort-heavy"), mode
 
     def test_throughput_zeroed_only_in_dict(self):
         # The attribute keeps wall-clock (benchmarks need it); the dict
