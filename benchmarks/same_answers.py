@@ -67,6 +67,16 @@ def cases() -> list[tuple[str, tuple[str, ...]]]:
                     f"{name}.{suffix}.{scenario}",
                     (*arguments, *extra, *common),
                 ))
+    # The shard runtime at the operating point ``sharded-2pc`` times
+    # (two workers, batches of eight), not only at four workers.
+    for scenario in ("sharded-bank", "abort-heavy"):
+        for scheduler in SCHEDULERS:
+            out.append((
+                f"parallel.{scheduler}.{scenario}.w2-b8",
+                ("--mode", "parallel", "--scheduler", scheduler,
+                 "--scenario", scenario, "--workers", "2",
+                 "--batch-size", "8"),
+            ))
     # The shape of benchmarks/perf's ``sharded-2pc``: small group-commit
     # batches and cross-shard transfers, so 2PC votes and flushes run.
     out.append((

@@ -60,10 +60,6 @@ class GroupCommitLog:
     def full(self) -> bool:
         return len(self._batch) >= self.batch_size
 
-    @property
-    def members(self) -> list:
-        return list(self._batch)
-
     def add(self, ticket) -> None:
         """Admit a voted transaction to the current batch."""
         self._batch.append(ticket)
