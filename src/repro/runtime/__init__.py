@@ -16,7 +16,7 @@ from repro.runtime.dispatch import ShardRuntime, TicketState, TxnTicket
 from repro.runtime.group_commit import GroupCommitLog
 from repro.runtime.metrics import GroupCommitStats, RuntimeMetrics
 from repro.runtime.shared import DomainPlan, plan_domains
-from repro.runtime.worker import FlushRendezvous, ShardWorker, WorkerFuture
+from repro.runtime.worker import ShardWorker, WorkerFuture
 
 __all__ = [
     "ShardRuntime",
@@ -27,7 +27,6 @@ __all__ = [
     "RuntimeMetrics",
     "DomainPlan",
     "plan_domains",
-    "FlushRendezvous",
     "ShardWorker",
     "WorkerFuture",
 ]

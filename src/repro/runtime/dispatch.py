@@ -35,8 +35,8 @@ Execution model
 * **Durable commit** is batched through
   :class:`~repro.runtime.group_commit.GroupCommitLog`: voted
   transactions accumulate; a full batch (or an epoch-close request, or
-  a starved dispatcher) triggers a flush, which runs the vote/decide/
-  apply barrier described in :mod:`repro.runtime.worker`.  Only the
+  a starved dispatcher) triggers a flush, which the dispatcher runs as
+  vote → decide → apply, as :mod:`repro.runtime.worker` describes.  Only the
   flush decides durability — until then every attempt is commit-held in
   its engine, which is what keeps cross-shard atomicity: no shard can
   commit its slice early and strand the others.
@@ -74,7 +74,7 @@ from repro.storage.sharded import ShardedMultiversionStore, shard_of
 from repro.runtime.group_commit import GroupCommitLog
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.shared import plan_domains
-from repro.runtime.worker import FlushRendezvous, ShardWorker
+from repro.runtime.worker import ShardWorker
 
 
 class TicketState(enum.Enum):
@@ -255,7 +255,7 @@ class ShardRuntime:
                             "deterministic runtime made no progress"
                         )
                     self._wait_for_any()
-            per_worker = [worker.call(worker.finalize) for worker in self.workers]
+            per_worker = [w.post(w.finalize).result() for w in self.workers]
         finally:
             for worker in self.workers:
                 worker.stop()
@@ -521,43 +521,32 @@ class ShardRuntime:
                 by_worker.setdefault(domain, []).append(ticket)
         involved = sorted(by_worker)
 
-        def decide(votes: dict) -> set:
-            return self.group_commit.commit_closure(votes, dep_map)
-
-        if self.deterministic:
+        ballots = [
+            self.workers[domain].post(
+                lambda w=self.workers[domain], ts=by_worker[domain]:
+                w.flush_votes(ts)
+            )
+            for domain in involved
+        ]
+        try:
             votes: dict = {}
-            for domain in involved:
-                worker, tickets = self.workers[domain], by_worker[domain]
-                try:
-                    ballot = worker.call(
-                        lambda w=worker, ts=tickets: w.flush_votes(ts)
-                    )
-                except Exception as error:
-                    raise EngineError(
-                        f"group-commit flush abandoned: worker {domain}'s "
-                        "vote raised"
-                    ) from error
-                for key, ok in ballot.items():
+            for ballot in ballots:
+                for key, ok in ballot.result().items():
                     votes[key] = votes.get(key, True) and ok
-            committed = decide(votes)
-            for domain in involved:
-                worker, tickets = self.workers[domain], by_worker[domain]
-                worker.call(
-                    lambda w=worker, ts=tickets, c=committed:
-                    w.flush_apply(ts, c)
-                )
-        else:
-            rendezvous = FlushRendezvous(len(involved), decide)
-            futures = [
-                self.workers[domain].post(
-                    lambda w=self.workers[domain], ts=by_worker[domain]:
-                    w.flush(ts, rendezvous)
-                )
-                for domain in involved
-            ]
-            for future in futures:
-                future.result()
-            committed = rendezvous.decision
+            committed = self.group_commit.commit_closure(votes, dep_map)
+        except Exception as error:
+            raise EngineError(
+                "group-commit flush abandoned: a vote or the decision raised"
+            ) from error
+        applied = [
+            self.workers[domain].post(
+                lambda w=self.workers[domain], ts=by_worker[domain],
+                c=committed: w.flush_apply(ts, c)
+            )
+            for domain in involved
+        ]
+        for future in applied:
+            future.result()
 
         winners = [t for t in candidates if t.key in committed]
         losers = [t for t in candidates if t.key not in committed]

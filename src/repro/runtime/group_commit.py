@@ -93,7 +93,7 @@ class GroupCommitLog:
         Greatest fixpoint: start from the yes votes (a no means the
         attempt died since batching) and discard any member with a
         dependency outside the set, transitively.  Pure computation: the
-        flush rendezvous runs it on whichever worker reports last.
+        dispatcher runs it between a flush's votes and its applies.
         """
         committed = {key for key, ok in votes.items() if ok}
         changed = True

@@ -13,18 +13,17 @@ whole runtime a sequential program with a fixed task order — the
 reproducible fallback the tests pin behaviour with.
 
 Durable commits are two-phase across workers (the "all shards vote"
-protocol): the dispatcher posts one flush task per involved worker; each
-worker reports, for every candidate transaction, whether its local
-attempt is still alive, then blocks on a :class:`FlushRendezvous` until
-all involved workers have reported.  The last reporter computes the
-commit closure (a pure function supplied by the dispatcher) and wakes
-everyone; each worker then releases the decided commits and aborts the
-rest *within the same task*, so no other work interleaves between a
-worker's vote and its apply — the window in which a voted attempt could
-otherwise be invalidated under it.  Workers never wait on each other,
-only on the rendezvous all of them are walking into, so the protocol
-cannot deadlock — and a worker whose vote raises abandons the
-rendezvous, so the others raise too instead of waiting for it.
+protocol), run by the dispatcher in both modes: it posts
+:meth:`ShardWorker.flush_votes` to every involved worker — is each
+candidate's local attempt still alive? — decides the commit closure
+over the AND of the ballots, then posts :meth:`ShardWorker.flush_apply`
+to the same workers.  No barrier is needed to keep a voted attempt from
+being invalidated before its apply: a worker takes tasks only from the
+dispatcher's FIFO inbox, the dispatcher posts nothing between a
+worker's vote and its apply, and cross-domain effects travel only
+through the dispatcher.  ``flush_apply`` asserts it: every worker
+counts the tasks it runs, and an apply that finds another task ran
+since the vote raises :class:`EngineError`.
 """
 
 from __future__ import annotations
@@ -94,63 +93,10 @@ class WorkerFuture:
         return self._value
 
 
+# benchmarks/perf/perf_layers.py still resolves this name; a follow-up
+# benchmark-only PR drops that target and this class with it.
 class FlushRendezvous:
-    """The vote barrier of one group-commit flush.
-
-    ``n_parties`` workers call :meth:`exchange` exactly once each.  Votes
-    for the same transaction from different workers are AND-ed (every
-    shard must see the attempt alive).  The last arriver evaluates
-    ``decide`` over the merged votes and publishes the commit set; every
-    caller returns it.  A party whose vote raised calls :meth:`abandon`
-    instead, and then every party raises :class:`EngineError` chained
-    from that failure (as they do if ``decide`` raises) — nobody waits
-    for a vote that will never come.
-    """
-
-    def __init__(
-        self,
-        n_parties: int,
-        decide: Callable[[dict], set],
-    ) -> None:
-        self._decide = decide
-        self._remaining = n_parties
-        self._votes: dict = {}
-        self._decision: set | None = None
-        self._failure: BaseException | None = None
-        self._ready = threading.Event()
-        self._mutex = threading.Lock()
-
-    def exchange(self, votes: dict) -> set:
-        """Deposit one worker's votes; block until the decision is out."""
-        with self._mutex:
-            for key, ok in votes.items():
-                self._votes[key] = self._votes.get(key, True) and ok
-            self._remaining -= 1
-            if self._remaining == 0:
-                try:
-                    self._decision = self._decide(self._votes)
-                except Exception as error:  # noqa: BLE001 — every party raises it
-                    self._failure = error
-                self._ready.set()
-        self._ready.wait()
-        if self._failure is not None:
-            raise EngineError(
-                "group-commit flush abandoned"
-            ) from self._failure
-        return self._decision
-
-    def abandon(self, error: BaseException) -> None:
-        """One party cannot vote: wake every party, each to raise."""
-        with self._mutex:
-            self._failure = error
-            self._ready.set()
-
-    @property
-    def decision(self) -> set:
-        """The published commit set (only after every party exchanged)."""
-        if not self._ready.is_set():
-            raise RuntimeError("flush decision read before all votes in")
-        return self._decision
+    """Gone: the dispatcher runs every flush (``ShardRuntime._flush``)."""
 
 
 class ShardWorker:
@@ -171,6 +117,9 @@ class ShardWorker:
         self.deterministic = deterministic
         self._inbox: queue.Queue | None = None
         self._thread: threading.Thread | None = None
+        #: tasks run so far, and the count at the last flush vote.
+        self._tasks = 0
+        self._voted_at = 0
 
     # -- task plumbing -----------------------------------------------------
 
@@ -200,6 +149,7 @@ class ShardWorker:
         first.
         """
         if self._thread is None:
+            self._tasks += 1
             # Resolved before anyone holds it: no event to allocate.
             try:
                 with self.lock:
@@ -210,16 +160,13 @@ class ShardWorker:
         self._inbox.put((fn, future))
         return future
 
-    def call(self, fn: Callable[[], Any]) -> Any:
-        """Post and wait (cross-shard step rendezvous)."""
-        return self.post(fn).result()
-
     def _loop(self) -> None:
         while True:
             item = self._inbox.get()
             if item is _STOP:
                 return
             fn, future = item
+            self._tasks += 1
             try:
                 with self.lock:
                     future.resolve(fn())
@@ -265,21 +212,9 @@ class ShardWorker:
 
     # -- group-commit flush ------------------------------------------------
 
-    def flush(self, tickets: list, rendezvous: FlushRendezvous) -> list:
-        """Vote, rendezvous, apply — one atomic task (threaded mode)."""
-        try:
-            votes = self.flush_votes(tickets)
-        except Exception as error:
-            rendezvous.abandon(error)
-            raise EngineError(
-                f"group-commit flush abandoned: worker {self.worker_id}'s "
-                "vote raised"
-            ) from error
-        decision = rendezvous.exchange(votes)
-        return self.flush_apply(tickets, decision)
-
     def flush_votes(self, tickets: list) -> dict:
         """Is each candidate's local attempt still alive (PENDING)?"""
+        self._voted_at = self._tasks
         votes = {}
         for ticket in tickets:
             attempt = ticket.attempts[self.worker_id]
@@ -292,8 +227,14 @@ class ShardWorker:
         Commits are released together and finalized once, so the engine's
         commit fixpoint orders intra-batch read-from dependencies.  A
         released attempt that fails to commit means the flush plan was
-        wrong — that is an engine bug, not a workload condition.
+        wrong — that is an engine bug, not a workload condition, and so is
+        any task run on this worker between its vote and this apply.
         """
+        if self._tasks - self._voted_at > 1:
+            raise EngineError(
+                f"worker {self.worker_id} ran a task between its flush "
+                "vote and its apply"
+            )
         winners = [
             t.attempts[self.worker_id] for t in tickets if t.key in committed
         ]

@@ -8,18 +8,22 @@ dispatcher's cross-domain coordinator posts them) — and check every
 branch of the vote / flush-apply / abort machinery deterministically.
 """
 
+import sys
 import threading
 
 import pytest
 
 from repro.engine import EngineError, OnlineEngine, TransactionAborted, TxnState
 from repro.engine.factory import scheduler_factory
+from repro.engine.retry import RetryPolicy
 from repro.model.steps import read, write
 from repro.model.transactions import Transaction
 from repro.runtime.dispatch import ShardRuntime, TxnTicket
+from repro.runtime.group_commit import GroupCommitLog
 from repro.runtime.shared import DomainPlan, plan_domains
-from repro.runtime.worker import FlushRendezvous, ShardWorker, WorkerFuture
+from repro.runtime.worker import ShardWorker, WorkerFuture
 from repro.schedulers.mvto import MVTOScheduler
+from repro.storage.sharded import shard_of
 from repro.workloads.registry import scenario_factory
 
 
@@ -210,82 +214,89 @@ class TestThreadedWorker:
             worker.stop()
 
 
-class TestRendezvous:
-    def test_last_arriver_decides_and_all_agree(self):
-        decisions = []
-        rendezvous = FlushRendezvous(
-            2, lambda votes: {k for k, ok in votes.items() if ok}
+class TestFlushAtomicity:
+    """The dispatcher posts nothing to a worker between its flush vote
+    and its apply; ``flush_apply`` refuses to run if anything did."""
+
+    def test_task_between_vote_and_apply_raises(self):
+        worker = make_worker()
+        ticket = ticket_for(Transaction("t", (write("t", "x"),)), seq=0)
+        worker.post(lambda: worker.execute(ticket)).result()
+        votes = worker.post(lambda: worker.flush_votes([ticket])).result()
+        assert votes == {"t": True}
+        worker.post(lambda: None).result()  # the forbidden interleaving
+        applied = worker.post(lambda: worker.flush_apply([ticket], {"t"}))
+        with pytest.raises(EngineError, match="between its flush vote"):
+            applied.result()
+        assert ticket.attempts[0].state is TxnState.PENDING  # untouched
+
+    def test_adjacent_vote_and_apply_commit(self):
+        worker = make_worker()
+        ticket = ticket_for(Transaction("t", (write("t", "x"),)), seq=0)
+        worker.post(lambda: worker.execute(ticket)).result()
+        worker.post(lambda: worker.flush_votes([ticket])).result()
+        assert worker.post(
+            lambda: worker.flush_apply([ticket], {"t"})
+        ).result() == []
+        assert ticket.attempts[0].state is TxnState.COMMITTED
+
+    def test_one_no_ballot_aborts_the_transaction_on_every_shard(self):
+        """Ballots are AND-ed: a slice that died on one shard takes the
+        live slice on the other shard down with it."""
+        a = "a"
+        b = next(e for e in "bcdefgh" if shard_of(e, 2) != shard_of(a, 2))
+        runtime = ShardRuntime(
+            "mvto", initial={a: 0, b: 0}, n_workers=2, deterministic=True,
+            retry=RetryPolicy(max_attempts=1),
         )
-
-        def party(votes):
-            decisions.append(rendezvous.exchange(votes))
-
-        threads = [
-            threading.Thread(target=party, args=({"a": True, "b": True},)),
-            threading.Thread(target=party, args=({"b": False, "c": True},)),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        # b was voted down by one party: AND semantics.
-        assert decisions == [{"a", "c"}, {"a", "c"}]
-        assert rendezvous.decision == {"a", "c"}
-
-    def test_decision_before_votes_raises(self):
-        rendezvous = FlushRendezvous(1, lambda votes: set())
-        with pytest.raises(RuntimeError):
-            rendezvous.decision
-
-    def test_abandon_wakes_the_waiting_party(self):
-        """A party that cannot vote must not leave the others waiting
-        for it: each raises the named error, chained from the cause."""
-        rendezvous = FlushRendezvous(2, lambda votes: set(votes))
-        raised = []
-
-        def party():
-            try:
-                rendezvous.exchange({"a": True})
-            except EngineError as error:
-                raised.append(error)
-
-        waiter = threading.Thread(target=party, daemon=True)
-        waiter.start()
-        crash = ValueError("vote crashed")
-        rendezvous.abandon(crash)
-        waiter.join(5)
-        assert not waiter.is_alive()
-        assert len(raised) == 1 and raised[0].__cause__ is crash
-        # A late arriver raises too instead of waiting.
-        with pytest.raises(EngineError):
-            rendezvous.exchange({"b": True})
-
-    def test_raising_decision_reaches_every_party(self):
-        def decide(votes):
-            raise ValueError("decide crashed")
-
-        rendezvous = FlushRendezvous(1, decide)
-        with pytest.raises(EngineError) as raised:
-            rendezvous.exchange({"a": True})
-        assert isinstance(raised.value.__cause__, ValueError)
+        ticket = ticket_for(
+            Transaction("c", (write("c", a), write("c", b))), seq=0
+        )
+        ticket.worker_ids, ticket.attempt_no = (0, 1), 1
+        for worker in runtime.workers:
+            attempt = worker.begin_part(ticket, 1)
+            entity = a if shard_of(a, 2) == worker.worker_id else b
+            worker.engine.submit(attempt, write("c", entity), value=1)
+            worker.engine.finish(attempt)
+        runtime.workers[1].abort_part(ticket.attempts[1], "remote-abort")
+        runtime._inflight.append(ticket)
+        runtime.group_commit.add(ticket)
+        assert runtime._flush() == 1
+        assert ticket.attempts[0].state is TxnState.ABORTED
+        assert runtime.metrics.committed == 0
+        assert runtime.metrics.gave_up == 1
+        assert runtime.final_state() == {a: 0, b: 0}
 
 
 class TestFlushCrash:
-    """A flush vote that raises ends the run in a named error, in both
-    modes — threaded, the other worker used to wait in the rendezvous
-    forever and ``run``'s ``finally`` then blocked joining it."""
+    """A flush vote or commit decision that raises ends the run in a
+    named error, in both modes — threaded, a crashed vote once left the
+    other worker waiting at a flush barrier and ``run``'s ``finally``
+    then blocked joining it."""
 
     @staticmethod
-    def _run(monkeypatch, deterministic):
-        crash = ValueError("vote crashed")
-        honest = ShardWorker.flush_votes
+    def _run(monkeypatch, deterministic, site="vote"):
+        crash = ValueError(f"{site} crashed")
+        honest_votes = ShardWorker.flush_votes
+        honest_closure = GroupCommitLog.commit_closure
 
         def flush_votes(self, tickets):
             if self.worker_id == 0:
                 raise crash
-            return honest(self, tickets)
+            return honest_votes(self, tickets)
 
-        monkeypatch.setattr(ShardWorker, "flush_votes", flush_votes)
+        def commit_closure(self, votes, dep_map):
+            # The flush's decision, not ``plan``'s all-yes pre-filter.
+            if sys._getframe(1).f_code.co_name != "plan":
+                raise crash
+            return honest_closure(self, votes, dep_map)
+
+        if site == "vote":
+            monkeypatch.setattr(ShardWorker, "flush_votes", flush_votes)
+        else:
+            monkeypatch.setattr(
+                GroupCommitLog, "commit_closure", commit_closure
+            )
         scenario = scenario_factory(
             "sharded-bank", cross_fraction=0.5, seed=3
         )
@@ -306,7 +317,7 @@ class TestFlushCrash:
         runner = threading.Thread(target=body, daemon=True)
         runner.start()
         runner.join(5)
-        assert not runner.is_alive(), "runtime hung on a crashed vote"
+        assert not runner.is_alive(), f"runtime hung on a crashed {site}"
         assert len(outcome) == 1
         assert isinstance(outcome[0], EngineError)
         assert outcome[0].__cause__ is crash
@@ -316,6 +327,16 @@ class TestFlushCrash:
 
     def test_deterministic_run_ends_in_engine_error(self, monkeypatch):
         self._run(monkeypatch, deterministic=True)
+
+    def test_threaded_raising_decision_ends_in_engine_error(
+        self, monkeypatch
+    ):
+        self._run(monkeypatch, deterministic=False, site="decision")
+
+    def test_deterministic_raising_decision_ends_in_engine_error(
+        self, monkeypatch
+    ):
+        self._run(monkeypatch, deterministic=True, site="decision")
 
 
 class TestSharedAdapter:
