@@ -96,12 +96,21 @@ class RunConfig:
         backend.validate(self)
 
     def _check_ranges(self) -> None:
-        for name in ("workers", "batch_size", "epoch_max_steps", "lookahead"):
+        for name in ("deterministic", "gc", "reexecute", "audit"):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-        if self.gc_every is not None and self.gc_every < 0:
-            raise ValueError(f"gc_every must be >= 0, got {self.gc_every}")
+            if value is not None and not isinstance(value, bool):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
+        for name in (
+            "workers", "batch_size", "epoch_max_steps", "lookahead", "gc_every"
+        ):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            floor = 0 if name == "gc_every" else 1
+            if value < floor:
+                raise ValueError(f"{name} must be >= {floor}, got {value}")
         if self.retry is not None:
             if not isinstance(self.retry, RetryPolicy):
                 raise ValueError(
@@ -118,16 +127,6 @@ class RunConfig:
                     f"trace must be a JSONL path or a repro.obs.Tracer, "
                     f"got {self.trace!r}"
                 )
-        if self.audit is not None and not isinstance(self.audit, bool):
-            raise ValueError(
-                f"audit must be a bool, got {self.audit!r}"
-            )
-        if self.reexecute is not None and not isinstance(
-            self.reexecute, bool
-        ):
-            raise ValueError(
-                f"reexecute must be a bool, got {self.reexecute!r}"
-            )
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-serializable echo of the resolved configuration.

@@ -77,6 +77,29 @@ class TestValidation:
         with pytest.raises(ValueError, match="lookahead"):
             RunConfig(mode="pipelined", lookahead=0)
 
+    @pytest.mark.parametrize(
+        "mode, option, value",
+        [
+            ("parallel", "deterministic", "false"),
+            ("parallel", "deterministic", 0),
+            ("serial", "gc", "no"),
+            ("planner", "reexecute", 1),
+            ("serial", "audit", "yes"),
+            ("parallel", "workers", 2.5),
+            ("parallel", "workers", True),
+            ("parallel", "batch_size", "8"),
+            ("serial", "epoch_max_steps", 64.0),
+            ("pipelined", "lookahead", False),
+            ("serial", "gc_every", "32"),
+        ],
+    )
+    def test_options_must_have_their_declared_type(self, mode, option, value):
+        """A wrongly typed option is a ``ValueError`` naming it (the CLI's
+        usage error), not a silently truthy flag, a float worker count
+        that dies mid-run, or a ``TypeError`` from the range check."""
+        with pytest.raises(ValueError, match=f"^{option} must be"):
+            RunConfig(mode=mode, **{option: value})
+
     def test_retry_must_be_policy_or_int(self):
         with pytest.raises(ValueError, match="retry"):
             RunConfig(mode="serial", retry="often")
