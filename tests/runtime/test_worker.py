@@ -230,16 +230,6 @@ class TestFlushAtomicity:
             applied.result()
         assert ticket.attempts[0].state is TxnState.PENDING  # untouched
 
-    def test_adjacent_vote_and_apply_commit(self):
-        worker = make_worker()
-        ticket = ticket_for(Transaction("t", (write("t", "x"),)), seq=0)
-        worker.post(lambda: worker.execute(ticket)).result()
-        worker.post(lambda: worker.flush_votes([ticket])).result()
-        assert worker.post(
-            lambda: worker.flush_apply([ticket], {"t"})
-        ).result() == []
-        assert ticket.attempts[0].state is TxnState.COMMITTED
-
     def test_one_no_ballot_aborts_the_transaction_on_every_shard(self):
         """Ballots are AND-ed: a slice that died on one shard takes the
         live slice on the other shard down with it."""
