@@ -3,11 +3,10 @@
     same_answers.py OUT_DIR [--src PATH] [--txns N] [--seed S]
 
 Runs every execution mode over every scenario — the online modes under
-each scheduler, the planner family at each lookahead with re-execution
-on and off — deterministically, with ``--audit --json --trace``, and
-writes each run's report (the audit document is its ``audit`` key) and
-JSONL trace into ``OUT_DIR``, plus the ``repro bench run`` record of the
-tick-based suites.  Fields that legitimately differ between two runs of
+each scheduler, the planner family at each lookahead — deterministically,
+with ``--audit --json --trace``, and writes each run's report (the audit
+document is its ``audit`` key) and JSONL trace into ``OUT_DIR``, plus the
+``repro bench run`` record of the tick-based suites.  Fields that legitimately differ between two runs of
 equal decisions (wall-clock throughput, the commit id) are stripped, so
 
     diff -r DIR_A DIR_B
@@ -60,13 +59,7 @@ def cases() -> list[tuple[str, tuple[str, ...]]]:
                     ("--mode", mode, "--scheduler", scheduler, *common),
                 ))
         for name, arguments in PLANNERS.items():
-            for suffix, extra in (
-                ("reexec", ()), ("cascade", ("--no-reexecute",)),
-            ):
-                out.append((
-                    f"{name}.{suffix}.{scenario}",
-                    (*arguments, *extra, *common),
-                ))
+            out.append((f"{name}.{scenario}", (*arguments, *common)))
     # The shard runtime at the operating point ``sharded-2pc`` times
     # (two workers, batches of eight), not only at four workers.
     for scenario in ("sharded-bank", "abort-heavy"):

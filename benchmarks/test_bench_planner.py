@@ -20,8 +20,10 @@ Pinned claims:
   serial engine at 4 workers attempts the same stream more often than
   it submitted it — the work planning removes, as a count (what it is
   worth in seconds is ``benchmarks/perf``'s ``read-mostly-planned``);
-* on the abort-heavy stream **re-execution commits strictly more than
-  the poison cascade** and exactly what the serial engine commits;
+* on the abort-heavy stream the planner **commits exactly what the
+  serial engine commits**, CC-abort free, and **runs each transaction
+  once** (a reader of a logic-aborted writer re-binds during execution
+  instead of running again);
 * two same-seed planner runs produce **byte-identical bench records**
   (throughput is tick-based, so the whole record — counters, latency
   percentiles, telemetry — is the contract).
@@ -30,6 +32,7 @@ Pinned claims:
 import json
 
 from repro.bench import get_suite, make_record, run_case, run_suite
+from repro.workloads.streams import AbortHeavyScenario
 
 SUITE = get_suite("e17")
 WORKER_COUNTS = [1, 2, 4]
@@ -66,32 +69,30 @@ def test_bench_planner(
             # dropped (these workloads have no logic aborts).
             assert m.cc_aborts == 0, (wname, workers)
             assert m.metrics.logic_aborted == 0
-            assert m.metrics.cascade_aborted == 0
             assert m.metrics.engine.attempts == n_txns
             assert m.committed == m.submitted == n_txns
 
-    # The re-execution claim (abort-heavy column): the planner with
-    # re-execution strictly beats the poison cascade on committed
-    # transactions, matches the serial engine's committed set size
-    # (both realize the serial-oracle outcome), and neither planner
-    # run pays a single concurrency-control abort.
+    # The logic-abort claim (abort-heavy column): the planner matches
+    # the serial engine's committed set size (both realize the
+    # serial-oracle outcome) without a single concurrency-control abort,
+    # and runs each transaction once: one attempt per transaction, and
+    # no more steps than the stream holds (a re-run would count its
+    # steps twice).
     serial_ah = report["abort-heavy/serial"]
-    cascade = report["abort-heavy/planner/cascade"]
-    reexec = report["abort-heavy/planner/reexec"]
+    planner_ah = report["abort-heavy/planner/reexec"]
     rows.append(row("abort-heavy", "serial-engine", 4, serial_ah))
-    rows.append(row("abort-heavy", "planner-cascade", 4, cascade))
-    rows.append(row("abort-heavy", "planner-reexec", 4, reexec))
-    assert reexec.cc_aborts == cascade.cc_aborts == 0
-    assert reexec.committed > cascade.committed
-    assert reexec.committed == serial_ah.committed
-    # One re-run per victim: the cascade run of the same stream counts
-    # exactly the readers the pass re-runs (a re-run multiplier fails
-    # here without timing anything).
-    assert reexec.metrics.reexecuted == cascade.metrics.cascade_aborted
-    assert reexec.metrics.reexecuted <= reexec.submitted
-    assert reexec.metrics.cascade_aborted == 0
-    assert cascade.metrics.cascade_aborted > 0
-    assert cascade.metrics.reexecuted == 0
+    rows.append(row("abort-heavy", "planner", 4, planner_ah))
+    assert planner_ah.cc_aborts == 0
+    assert planner_ah.metrics.logic_aborted > 0
+    assert planner_ah.committed == serial_ah.committed
+    assert planner_ah.metrics.engine.attempts == planner_ah.submitted
+    case = SUITE.case("abort-heavy/planner/reexec")
+    stream = AbortHeavyScenario(**case.scenario_params).transaction_stream(
+        case.txns
+    )
+    assert planner_ah.metrics.engine.steps_submitted <= sum(
+        len(txn.steps) for txn, _ in stream
+    )
 
     # Reproducibility: same seed, byte-identical bench record — the
     # planner's determinism contract, pinned at the record level (what

@@ -147,8 +147,9 @@ _READ_MOSTLY = {
     "n_shards": 4, "accounts_per_shard": 4, "read_fraction": 0.9,
     "hot_fraction": 0.6, "seed": 5,
 }
-#: the re-execution stress: a quarter of the stream logic-aborts, so
-#: committed throughput separates the poison cascade from re-execution.
+#: the logic-abort stress: a quarter of the stream logic-aborts, so
+#: readers of dead writers re-bind and committed throughput must match
+#: the serial engine's.
 _ABORT_HEAVY = {
     "n_shards": 4, "accounts_per_shard": 4, "cross_fraction": 0.2,
     "hot_fraction": 0.2, "abort_fraction": 0.25, "seed": 5,
@@ -236,9 +237,8 @@ def _e17_cases() -> tuple[BenchCase, ...]:
                         "seed": 11},
                 txns=400,
             ))
-    # The abort-heavy column: serial baseline, planner with the poison
-    # cascade, planner with re-execution — committed counts are the
-    # point of comparison.
+    # The abort-heavy column: serial baseline and planner — committed
+    # counts are the point of comparison.
     cases.append(BenchCase(
         case_id="abort-heavy/serial",
         scenario="abort-heavy",
@@ -247,16 +247,14 @@ def _e17_cases() -> tuple[BenchCase, ...]:
                 "seed": 11},
         txns=400,
     ))
-    for tag, reexec in (("cascade", False), ("reexec", True)):
-        cases.append(BenchCase(
-            case_id=f"abort-heavy/planner/{tag}",
-            scenario="abort-heavy",
-            scenario_params=_ABORT_HEAVY,
-            config={"mode": "planner", "workers": 4, "batch_size": 64,
-                    "deterministic": True, "reexecute": reexec,
-                    "seed": 11},
-            txns=400,
-        ))
+    cases.append(BenchCase(
+        case_id="abort-heavy/planner/reexec",
+        scenario="abort-heavy",
+        scenario_params=_ABORT_HEAVY,
+        config={"mode": "planner", "workers": 4, "batch_size": 64,
+                "deterministic": True, "seed": 11},
+        txns=400,
+    ))
     return tuple(cases)
 
 
@@ -284,7 +282,7 @@ def _e18_cases() -> tuple[BenchCase, ...]:
                         "deterministic": True, "seed": 11},
                 txns=400,
             ))
-    # Re-execution inside an in-flight pipeline: both abort-free modes
+    # Logic aborts inside an in-flight pipeline: both abort-free modes
     # on the abort-heavy stream must realize the same committed set.
     for mode, extra in (
         ("planner", {}), ("pipelined", {"lookahead": 2}),
@@ -342,27 +340,16 @@ def _smoke_cases() -> tuple[BenchCase, ...]:
                     "lookahead": 2, "deterministic": True, "seed": 11},
             txns=120,
         ),
-        # The re-execution pair: same abort-heavy stream with the
-        # poison cascade and with re-execution.  The committed baseline
-        # pins the recovered throughput — a regression that silently
-        # stops re-executing shows up as the reexec case's committed
-        # count collapsing onto the cascade case's.
-        BenchCase(
-            case_id="abort-heavy/planner-cascade",
-            scenario="abort-heavy",
-            scenario_params=_ABORT_HEAVY,
-            config={"mode": "planner", "workers": 4, "batch_size": 64,
-                    "deterministic": True, "reexecute": False,
-                    "seed": 11},
-            txns=120,
-        ),
+        # Logic aborts: the committed baseline pins the throughput the
+        # read-time re-bind keeps — a regression that lets a dead
+        # writer take its readers down shows up as this case's
+        # committed count falling.
         BenchCase(
             case_id="abort-heavy/planner-reexec",
             scenario="abort-heavy",
             scenario_params=_ABORT_HEAVY,
             config={"mode": "planner", "workers": 4, "batch_size": 64,
-                    "deterministic": True, "reexecute": True,
-                    "seed": 11},
+                    "deterministic": True, "seed": 11},
             txns=120,
         ),
     )

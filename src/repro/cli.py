@@ -539,10 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lookahead", type=_positive_int, default=None,
                    help="pipelined mode: batches planned ahead of the "
                         "executing one (default 1)")
-    p.add_argument("--no-reexecute", action="store_false", default=None,
-                   dest="reexecute",
-                   help="planner family: cascade logic-abort readers "
-                        "instead of re-binding and re-running them")
     # Scenario options (validated against the chosen scenario).
     p.add_argument("--entities", type=_positive_int, default=None,
                    help="bank accounts / inventory warehouses")

@@ -254,7 +254,6 @@ class PlannerBackend(BackendAdapter):
             "workers": 4,
             "batch_size": 64,
             "deterministic": False,
-            "reexecute": True,
             "trace": None,
             "audit": False,
         }
@@ -271,7 +270,6 @@ class PlannerBackend(BackendAdapter):
             lookahead=config.lookahead or 0,
             deterministic=config.deterministic,
             gc_enabled=config.gc,
-            reexecute=config.reexecute,
             tracer=tracer,
         )
         return planner.run(stream), planner.final_state()

@@ -58,10 +58,6 @@ class RunConfig:
     #: batches the pipelined planner may plan ahead of the executing one
     #: (pipelined mode only; the other modes have no planning stage).
     lookahead: int | None = None
-    #: re-bind and re-run cascaded readers instead of aborting them
-    #: (planner family only; defaults on — off reproduces the poison
-    #: cascade for before/after comparison).
-    reexecute: bool | None = None
     #: structured tracing: a JSONL path to persist the trace to, or a
     #: live :class:`repro.obs.Tracer` to collect in memory (tests).
     #: ``None`` (the default everywhere) runs untraced at no cost.
@@ -96,7 +92,7 @@ class RunConfig:
         backend.validate(self)
 
     def _check_ranges(self) -> None:
-        for name in ("deterministic", "gc", "reexecute", "audit"):
+        for name in ("deterministic", "gc", "audit"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, bool):
                 raise ValueError(f"{name} must be a bool, got {value!r}")

@@ -40,8 +40,9 @@ class ReadBinding:
     ``source`` is the version object the read will be served —
     immutable for base reads, a reserved placeholder otherwise.
 
-    Rebuilt, never mutated: a re-bind (the lookahead seam, re-execution)
-    puts a new binding in the transaction's cell.  The class is not
+    Rebuilt, never mutated: a re-bind (the lookahead seam, the
+    executor's read-time re-bind) puts a new binding in the
+    transaction's cell.  The class is not
     ``frozen`` only because a frozen dataclass pays ``object.__setattr__``
     per field at construction, and planning builds one per read.
     Bindings compare by identity, like the plan objects that hold them.

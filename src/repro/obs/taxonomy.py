@@ -73,7 +73,7 @@ EVENTS: tuple[EventSpec, ...] = (
     ),
     EventSpec(
         "txn.abort", "instant", "",
-        "serial/parallel (CC aborts), planner family (logic/cascade)",
+        "serial/parallel (CC aborts), planner family (logic)",
         "`txn`, `reason`, `seq` (attempt)",
     ),
     EventSpec(
@@ -132,11 +132,6 @@ EVENTS: tuple[EventSpec, ...] = (
         "plan.rebind", "instant", "",
         "pipelined (cross-batch read rebound)",
         "`txn`, `entity`",
-    ),
-    EventSpec(
-        "txn.reexec", "instant", "",
-        "planner family (cascaded reader re-bound and re-run once at settle)",
-        "`txn`",
     ),
     EventSpec(
         "epoch.close", "instant", "",

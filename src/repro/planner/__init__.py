@@ -9,8 +9,9 @@ write reserves a placeholder version at its final chain position, and
 every read is bound to its exact source version — so the execution
 phase has zero concurrency-control aborts by construction: reads of
 unpublished slots wait (Larson-style commit dependencies) instead of
-aborting, and only program-raised *logic* aborts exist, cascading along
-the dependency edges the plan already knows.  See
+aborting, and only program-raised *logic* aborts exist — a reader of a
+logic-aborted writer re-binds to the next version down the chain and
+runs on, so every planned transaction runs exactly once.  See
 :mod:`repro.planner.planning`, :mod:`repro.planner.executor` and
 :mod:`repro.planner.driver` for the three phases; the driver's
 ``lookahead`` is how many batches planning runs ahead of execution (0 —
@@ -20,7 +21,6 @@ batch *k+1* while batch *k* executes).
 
 from repro.planner.driver import BatchPlanner
 from repro.planner.executor import (
-    CASCADE,
     COMMITTED,
     LOGIC_ABORT,
     ExecutionOutcome,
@@ -32,7 +32,6 @@ from repro.planner.planning import plan_batch
 
 __all__ = [
     "BatchPlanner",
-    "CASCADE",
     "COMMITTED",
     "LOGIC_ABORT",
     "ExecutionOutcome",

@@ -9,19 +9,15 @@ into batches (one batch = one epoch), each batch is planned
 (:mod:`repro.planner.planning`), executed abort-free
 (:mod:`repro.planner.executor`), and *settled*:
 
-* cascaded readers are *re-executed*, not aborted (default; see
-  :mod:`repro.planner.reexec`): each is re-bound past the dead writers'
-  removed slots and re-run once, in timestamp order, so only genuine
-  logic aborts cost committed throughput.  With
-  ``reexecute=False`` the PR 3 cascade behavior is preserved verbatim.
 * the committed set is re-derived through the group-commit fixpoint
   (:meth:`repro.runtime.group_commit.GroupCommitLog.commit_closure`) over
-  the plan's dependency map — logic aborts vote "no", and the closure is
-  exactly the poison cascade (or its re-executed repair) the executor
-  realized.  The two computations agreeing is an asserted invariant, not
-  an assumption.
-* poisoned slots are removed from the store; no placeholder of a settled
-  batch survives it.
+  the plan's dependency map — logic aborts vote "no".  A reader of a
+  logic-aborted writer already re-bound past it during execution (see
+  :mod:`repro.planner.executor`), so nothing depends on a dead writer
+  and the closure is exactly the executed committed set.  The two
+  computations agreeing is an asserted invariant, not an assumption.
+* the logic-aborted transactions' poisoned slots are removed from the
+  store; no placeholder of a settled batch survives it.
 * the watermark GC (:class:`repro.engine.gc.WatermarkGC`) prunes behind
   the next batch's first install position — the engine's epoch watermark
   argument verbatim, since a batch's reads only ever bind epoch-local
@@ -57,10 +53,9 @@ lives at the seam between an executing batch and an in-flight plan:
   :meth:`~repro.storage.mvstore.MultiversionStore.latest_before` the
   plan's first position — the version the plan would have bound had the
   aborted slot never been reserved.  Nothing else in the plan moves.
-  Re-execution narrows what "aborted" means here: a cascaded reader
-  re-runs at settle with its slots revived and filled *in place*, so
-  lookahead bindings to it stay exact without repair — only genuine
-  logic-abort roots remove slots and trigger the seam re-bind.
+  Only logic aborts remove slots: a reader of a dead writer re-binds
+  inside its own batch and fills its slots *in place*, so lookahead
+  bindings to it stay exact without repair.
 * **GC honors in-flight plans.**  Every plan pins its first install
   position in the :class:`~repro.engine.gc.WatermarkGC` from plan time
   to settle; the collector clamps any requested watermark to the lowest
@@ -70,15 +65,16 @@ lives at the seam between an executing batch and an in-flight plan:
 * **Execution never crosses the seam.**  Batch *k+1* executes only
   after batch *k* settled, so every cross-batch source is filled (and a
   binding to an aborted slot has been re-bound): no read ever waits on,
-  or cascades from, another batch.
+  or re-binds past, another batch's slot.
 
 With ``lookahead >= 1`` stage concurrency replaces intra-batch execution
 threads: each planned batch executes inline in timestamp order (a
 reader's source writer always has a smaller timestamp, so it has already
-published — the executor's deterministic-mode argument, valid for any
-single-threaded timestamp-order run).  The two stages share the store
-under its one rule: every publish and every per-entity planning walk
-holds the entity's shard lock, at every ``lookahead``, threads or not.
+published or poisoned — the executor's deterministic-mode argument,
+valid for any single-threaded timestamp-order run).  The two stages
+share the store under its one rule: every publish and every per-entity
+planning walk holds the entity's shard lock, at every ``lookahead``,
+threads or not.
 
 Deterministic mode keeps the pipeline's *order* but not its threads:
 plan the next batches inline after executing (pre-settle, so planning
@@ -107,14 +103,12 @@ from repro.obs.clock import perf_clock
 from repro.obs import NULL_TRACER
 from repro.planner.executor import (
     COMMITTED,
-    LOGIC_ABORT,
     ExecutionOutcome,
     PlanExecutor,
     verify_settled,
 )
 from repro.planner.metrics import PlannerMetrics
 from repro.planner.planning import plan_batch
-from repro.planner.reexec import reexecute_poisoned
 from repro.runtime.group_commit import GroupCommitLog
 from repro.storage.sharded import ShardedMultiversionStore
 
@@ -122,13 +116,13 @@ from repro.storage.sharded import ShardedMultiversionStore
 def emit_planned_data_ops(tracer, ptxn) -> None:
     """Emit ``txn.read``/``txn.write`` instants for one committed ptxn.
 
-    Emitted at settle time, when bindings are final (the seam re-binds
-    cross-batch reads whose source slot aborted, so plan-time bindings
-    may not be the served ones) and the fate is known (aborted
-    transactions never read or wrote anything durable — their slots are
-    removed).  ``pos`` is the source/installed chain position — the
-    trace-wide join key between a read and the write that produced its
-    version; ``seq`` is the plan timestamp (planned transactions run
+    Emitted at settle time, when bindings are final (the executor and
+    the lookahead seam re-bind reads whose source's writer aborted, so
+    plan-time bindings may not be the served ones) and the fate is known
+    (aborted transactions never read or wrote anything durable — their
+    slots are removed).  ``pos`` is the source/installed chain position
+    — the trace-wide join key between a read and the write that produced
+    its version; ``seq`` is the plan timestamp (planned transactions run
     exactly once, so it only disambiguates, never cancels).  Settle
     iterates ptxns in timestamp order and a source writer always has a
     smaller timestamp, so every read's source write event precedes it
@@ -241,7 +235,6 @@ class BatchPlanner:
         batch_size: int = 64,
         deterministic: bool = False,
         gc_enabled: bool = True,
-        reexecute: bool = True,
         tracer=NULL_TRACER,
         lookahead: int = 0,
     ) -> None:
@@ -252,12 +245,6 @@ class BatchPlanner:
         if lookahead < 0:
             raise ValueError("lookahead must be >= 0")
         self.tracer = tracer
-        #: re-bind and re-run cascaded readers at settle instead of
-        #: aborting them (:mod:`repro.planner.reexec`); off reproduces
-        #: the PR 3 cascade behavior for before/after comparison.  Runs
-        #: after the planning stage has joined, so the pass never races
-        #: the lookahead walk.
-        self.reexecute = reexecute
         #: one store shard per worker: planning partition p and the
         #: execution threads' fills both address shard-sliced state.
         self.store = ShardedMultiversionStore(n_workers, initial)
@@ -519,7 +506,7 @@ class BatchPlanner:
             self.tracer.begin(
                 "execute", "execute.batch", "execute", batch=head.number,
             )
-        outcome = self.executor.execute(head.plan)
+        outcome = self.executor.execute(head.plan, head.first_position)
         verify_settled(head.plan, outcome)
         self.metrics.blocked_reads += outcome.blocked_reads
         self.metrics.engine.steps_submitted += outcome.steps_executed
@@ -533,8 +520,7 @@ class BatchPlanner:
     # -- settle ------------------------------------------------------------
 
     def _settle(self, head: _InFlight, plans: deque) -> None:
-        """Re-execution, commit-closure check, abort removal, seam
-        repair, GC.
+        """Commit-closure check, abort removal, seam repair, GC.
 
         ``plans`` are the batches planned ahead of ``head`` (none at
         lookahead=0): bindings of theirs whose source slot was just
@@ -550,24 +536,9 @@ class BatchPlanner:
             self.tracer.begin(
                 "settle", "settle.batch", "driver", batch=head.number,
             )
-        # Re-execution first: execution and the planning stage have
-        # joined, so the pass re-binds the poisoned readers past the
-        # dead writers and re-runs them inline with the chains quiescent.
-        # The slots it removes feed the seam re-bind below exactly like
-        # ordinary abort removals.
-        reexec = None
-        if self.reexecute:
-            reexec = reexecute_poisoned(
-                head.plan, outcome, self.store, self.executor,
-                head.first_position, tracer=self.tracer,
-            )
-            if reexec.reexecuted:
-                verify_settled(head.plan, outcome)
-                metrics.reexecuted += reexec.reexecuted
-                engine.steps_submitted += reexec.steps_executed
         # The group-commit fixpoint over the planned dependency map must
-        # re-derive exactly the executed fates — logic aborts vote no,
-        # and the closure is the poison cascade.
+        # re-derive exactly the executed fates: logic aborts vote no, and
+        # no reader still depends on one.
         votes = {
             ptxn.txn: outcome.fates[ptxn.txn] == COMMITTED
             for ptxn in head.plan
@@ -581,7 +552,7 @@ class BatchPlanner:
                 f"closure {sorted(map(repr, committed))} vs executed "
                 f"{sorted(map(repr, outcome.committed))}"
             )
-        removed: list = list(reexec.removed_slots) if reexec else []
+        removed: list = []
         for ptxn, tick in zip(head.plan, head.born):
             if ptxn.txn in committed:
                 engine.committed += 1
@@ -594,20 +565,13 @@ class BatchPlanner:
                         txn=str(ptxn.txn), latency=latency,
                     )
                 continue
-            if outcome.fates[ptxn.txn] == LOGIC_ABORT:
-                metrics.logic_aborted += 1
-                reason = "logic"
-            else:
-                metrics.cascade_aborted += 1
-                reason = "cascade"
+            metrics.logic_aborted += 1
             if tracing:
                 self.tracer.instant(
                     "txn", "txn.abort", "driver",
-                    txn=str(ptxn.txn), reason=reason,
+                    txn=str(ptxn.txn), reason="logic",
                 )
             for slot in ptxn.slots:
-                if reexec is not None and id(slot) in reexec.removed_ids:
-                    continue  # the re-execution pass already removed it
                 self.store.remove(slot)
                 removed.append(slot)
         for slot in removed:

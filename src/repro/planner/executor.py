@@ -9,8 +9,13 @@ transaction's slots are filled together after its last step, so no other
 transaction ever consumes a value its writer might still retract.  A
 transaction whose program raises (a *logic* abort — the one abort class
 planning cannot remove) publishes nothing: it poisons its reserved
-slots, and every reader bound to them wakes, observes the poison, and
-cascades — exactly the dependency edges the plan already records.
+slots.  A reader that finds its source poisoned re-binds on the spot to
+the next version down the chain — the version the MVTO rule serves had
+the dead writer never been admitted — and runs on.  Nothing needs
+undoing: a slot goes PENDING -> FILLED or PENDING -> POISONED, never
+FILLED -> POISONED, so the reader has consumed nothing of the dead
+writer's and its own slots are still pending.  Each planned transaction
+runs exactly once; only a logic abort poisons.
 
 Every fill and poison publishes under the slot's shard lock
 (``store.lock_of``), on every path — the planning stage may be reserving
@@ -20,12 +25,17 @@ threaded program minus the threads, not a lock-free second one.  What
 
 * **deterministic** — transactions run inline in timestamp order.  A
   read's source writer always has a smaller timestamp (or is the reader
-  itself), so it has already published and no read ever blocks: the
-  whole batch is a sequential program.
+  itself), so it has already published or poisoned and no read ever
+  blocks: the whole batch is a sequential program.
 * **threaded** — ``n_workers`` threads pull transactions from a shared
   queue in timestamp order; blocked reads park on the slot's event.
   Deadlock-free by induction: a transaction only ever waits on smaller
-  timestamps, and the smallest unfinished transaction never waits.
+  timestamps (a re-bind only moves down the chain), and the smallest
+  unfinished transaction never waits.
+
+A crash inside ``_run_one`` — an executor or store bug, not a workload
+condition — ends the batch in one :class:`EngineError` chained from the
+cause, inline or threaded.
 """
 
 # repro: deterministic-contract — equal seeds must yield byte-identical output
@@ -37,7 +47,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.engine.errors import EngineError
-from repro.model.batching import BatchPlan, PlannedTransaction
+from repro.model.batching import BatchPlan, PlannedTransaction, ReadBinding
+from repro.model.schedules import T_INIT
 from repro.model.steps import Op, TxnId
 from repro.storage.executor import write_value
 from repro.storage.mvstore import PlaceholderState
@@ -52,14 +63,13 @@ _POISONED = PlaceholderState.POISONED
 #: per-transaction outcome tags.
 COMMITTED = "committed"
 LOGIC_ABORT = "logic-abort"
-CASCADE = "cascade"
 
 
 @dataclass
 class ExecutionOutcome:
     """What one batch's execution produced."""
 
-    #: txn -> COMMITTED | LOGIC_ABORT | CASCADE.
+    #: txn -> COMMITTED | LOGIC_ABORT.
     fates: dict[TxnId, str] = field(default_factory=dict)
     #: reads that found their source slot still pending and parked.
     blocked_reads: int = 0
@@ -85,14 +95,22 @@ class PlanExecutor:
         self.n_workers = n_workers
         self.deterministic = deterministic
 
-    def execute(self, plan: BatchPlan) -> ExecutionOutcome:
+    def execute(
+        self, plan: BatchPlan, first_position: int
+    ) -> ExecutionOutcome:
+        """Run ``plan``; ``first_position`` is its first install position
+        (a re-bound source below it is pre-batch state, not a dependency).
+        """
         outcome = ExecutionOutcome()
         if self.deterministic or self.n_workers == 1:
-            for ptxn in plan:
-                fate, blocked, steps = self._run_one(ptxn)
-                outcome.fates[ptxn.txn] = fate
-                outcome.blocked_reads += blocked
-                outcome.steps_executed += steps
+            try:
+                for ptxn in plan:
+                    fate, blocked, steps = self._run_one(ptxn, first_position)
+                    outcome.fates[ptxn.txn] = fate
+                    outcome.blocked_reads += blocked
+                    outcome.steps_executed += steps
+            except Exception as error:
+                raise _crashed(error) from error
             return outcome
         queue = deque(plan)
         mutex = threading.Lock()
@@ -108,13 +126,13 @@ class PlanExecutor:
                 if ptxn is None:
                     return
                 try:
-                    fate, blocked, steps = self._run_one(ptxn)
+                    fate, blocked, steps = self._run_one(ptxn, first_position)
                 except BaseException as error:  # noqa: BLE001
                     # An executor bug, not a workload condition — but a
                     # silently dead thread would strand readers parked on
                     # this transaction's slots forever.  Poison what is
-                    # still pending so they wake and cascade, then
-                    # surface the bug after the join.
+                    # still pending so they wake and re-bind past it,
+                    # then surface the bug after the join.
                     self._poison_pending(ptxn)
                     with mutex:
                         crashes.append(error)
@@ -133,12 +151,12 @@ class PlanExecutor:
         for thread in threads:
             thread.join()
         if crashes:
-            raise EngineError(
-                f"plan execution worker crashed: {crashes[0]!r}"
-            ) from crashes[0]
+            raise _crashed(crashes[0]) from crashes[0]
         return outcome
 
-    def _run_one(self, ptxn: PlannedTransaction) -> tuple[str, int, int]:
+    def _run_one(
+        self, ptxn: PlannedTransaction, first_position: int
+    ) -> tuple[str, int, int]:
         """Run one transaction to publish or poison; no third ending.
 
         Returns (fate, blocked reads, steps run).
@@ -163,8 +181,9 @@ class PlanExecutor:
                         blocked += 1
                         source.wait()
                     if source.state is _POISONED:
-                        self._poison_all(ptxn)
-                        return CASCADE, blocked, steps
+                        source = self._rebind(
+                            ptxn, len(reads), source, first_position
+                        )
                     value = source.value
                 else:
                     value = source.value
@@ -188,6 +207,45 @@ class PlanExecutor:
                 self.store.fill(slot, value)
         return COMMITTED, blocked, steps
 
+    def _rebind(
+        self,
+        ptxn: PlannedTransaction,
+        index: int,
+        dead,
+        first_position: int,
+    ):
+        """Re-bind read ``index`` of ``ptxn`` past its poisoned source.
+
+        Walks down ``dead``'s chain to the newest version whose writer did
+        not logic-abort, waiting on a pending slot (its writer has a
+        smaller timestamp) and stepping past a poisoned one.  Planning
+        reserves each entity's slots in timestamp order, so that version
+        is exactly what planning would have bound had the dead writers
+        never been admitted.  A source at or above ``first_position`` is
+        a commit dependency on its writer; anything below is pre-batch
+        state — a previous batch's slot included — and a base read.
+        Returns the new source.
+        """
+        store = self.store
+        entity = dead.entity
+        source = dead
+        while source.is_placeholder and source.state is _POISONED:
+            with store.lock_of(entity):
+                source = store.latest_before(entity, source.position)
+            if source.is_placeholder and source.state is _PENDING:
+                source.wait()
+        in_batch = (
+            source.position is not None and source.position >= first_position
+        )
+        bindings = ptxn.bindings
+        old = bindings[index]
+        bindings[index] = ReadBinding(
+            old.txn, old.step_index, source,
+            source.writer if in_batch else T_INIT,
+        )
+        ptxn.bind(bindings)
+        return source
+
     def _poison_all(self, ptxn: PlannedTransaction) -> None:
         for slot in ptxn.slots:
             with self.store.lock_of(slot.entity):
@@ -205,6 +263,10 @@ class PlanExecutor:
             if not slot.decided:
                 with self.store.lock_of(slot.entity):
                     self.store.poison(slot)
+
+
+def _crashed(error: BaseException) -> EngineError:
+    return EngineError(f"plan execution worker crashed: {error!r}")
 
 
 def verify_settled(plan: BatchPlan, outcome: ExecutionOutcome) -> None:

@@ -10,7 +10,7 @@ counters, so ``engine.aborted_total`` (surfaced here as ``cc_aborts``)
 staying at zero is a *recorded measurement*, not a definition.
 
 Planner-specific counters (plan shape, commit dependencies, blocked
-reads, logic/cascade aborts) live on top.  ``as_dict`` excludes
+reads, logic aborts) live on top.  ``as_dict`` excludes
 wall-clock fields, so two same-seed deterministic runs serialize
 byte-identically — the same reproducibility contract as the runtime.
 """
@@ -50,14 +50,9 @@ class PlannerMetrics:
     #: reads that parked on a pending slot (threaded mode only; always 0
     #: when deterministic — timestamp-order execution never blocks).
     blocked_reads: int = 0
-    #: the aborts planning cannot remove: programs that raised, and the
-    #: readers their poisoned slots cascaded to (zero with re-execution
-    #: on — cascaded readers re-run instead of aborting).
+    #: the one abort planning cannot remove: programs that raised (their
+    #: readers re-bind past them and run on).
     logic_aborted: int = 0
-    cascade_aborted: int = 0
-    #: re-execution (:mod:`repro.planner.reexec`): cascaded readers
-    #: re-run at settle, each exactly once.
-    reexecuted: int = 0
 
     #: batches planned ahead of the executing one (configuration; 0 —
     #: sequential stages).  Everything below stays zero at lookahead=0
@@ -101,9 +96,8 @@ class PlannerMetrics:
 
     @property
     def aborted(self) -> int:
-        """The only aborts left are logic aborts and their planned
-        cascades."""
-        return self.logic_aborted + self.cascade_aborted
+        """The only aborts left are logic aborts."""
+        return self.logic_aborted
 
     #: nothing retries, so nothing can give up.
     gave_up = 0
@@ -163,9 +157,7 @@ class PlannerMetrics:
             f"committed     {self.committed}  "
             f"(rate {self.commit_rate:.3f}{rate})",
             f"cc aborts     {self.cc_aborts}  (abort-free by construction)",
-            f"logic aborts  {self.logic_aborted}  "
-            f"(cascaded {self.cascade_aborted}, "
-            f"re-executed {self.reexecuted})",
+            f"logic aborts  {self.logic_aborted}",
             f"reads         {self.base_reads} base, {self.own_reads} own, "
             f"{self.dependent_reads} dependent "
             f"({self.commit_deps} commit deps, "
@@ -208,8 +200,6 @@ _FIELDS = FieldTable(
     ("committed", "committed", "committed", "counter"),
     ("cc_aborts", "cc_aborts", "cc_aborts", "counter"),
     ("logic_aborted", "logic_aborted", "logic_aborted", "counter"),
-    ("cascade_aborted", "cascade_aborted", "cascade_aborted", "counter"),
-    ("reexecuted", "reexecuted", "reexecuted", "counter"),
     ("batches", "batches", "batches", "counter"),
     ("placeholders_reserved", "placeholders", "placeholders", "counter"),
     ("base_reads", "base_reads", "reads.base", "counter"),

@@ -91,8 +91,10 @@ def plan_batch(
     either way, and the driver re-binds the few bindings whose
     source is later removed by an abort.
 
-    A partition-walk thread that raises fails the call with
-    :class:`EngineError` after the join — never a silently short plan.
+    A partition walk that raises fails the call with one
+    :class:`EngineError` chained from the cause — after the join when
+    the walks are threaded, at once when they run inline — never a
+    silently short plan.
     """
     if not over_placeholders and store.placeholder_count():
         raise EngineError("plan_batch over unsettled placeholders")
@@ -150,12 +152,13 @@ def plan_batch(
         if crashes:
             # A dead walk leaves cells of its transactions empty; the
             # plan must not reach the executor.
-            raise EngineError(
-                f"partition planning thread crashed: {crashes[0]!r}"
-            ) from crashes[0]
+            raise _crashed(crashes[0]) from crashes[0]
     else:
-        for p in range(n_partitions):
-            walk_partition(p)
+        try:
+            for p in range(n_partitions):
+                walk_partition(p)
+        except Exception as error:
+            raise _crashed(error) from error
 
     for ptxn in planned:
         if None in ptxn.bindings or None in ptxn.slots:
@@ -166,6 +169,10 @@ def plan_batch(
             )
         ptxn.bind(ptxn.bindings)
     return BatchPlan(planned)
+
+
+def _crashed(error: BaseException) -> EngineError:
+    return EngineError(f"partition planning thread crashed: {error!r}")
 
 
 def _walk_entity(

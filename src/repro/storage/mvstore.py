@@ -69,9 +69,8 @@ class Version:
 
 class PlaceholderState(enum.Enum):
     """Lifecycle of a reserved version slot (PENDING is the only state
-    from which both forward transitions are legal; FILLED is terminal,
-    POISONED may return to PENDING via :meth:`MultiversionStore.revive`
-    when the planner re-executes a cascaded reader)."""
+    from which both forward transitions are legal; FILLED and POISONED
+    are terminal)."""
 
     PENDING = "pending"
     FILLED = "filled"
@@ -147,12 +146,6 @@ class PlaceholderVersion(Version):
         if self._event is not None:
             self._event.set()
 
-    def _revive(self) -> None:
-        # Clear first: no waiter may find PENDING and the poison's event set.
-        if self._event is not None:
-            self._event.clear()
-        object.__setattr__(self, "state", PlaceholderState.PENDING)
-
 
 def _order_key(position: int | None) -> int:
     """Chain-order key of a position; the initial version sorts first."""
@@ -185,8 +178,6 @@ class VersionStore(Protocol):
     def fill(self, version: PlaceholderVersion, value: Any) -> None: ...
 
     def poison(self, version: PlaceholderVersion) -> None: ...
-
-    def revive(self, version: PlaceholderVersion) -> None: ...
 
     def prune_before(self, entity: Entity, watermark: int) -> int: ...
 
@@ -291,8 +282,9 @@ class MultiversionStore:
         """Mark a reserved slot dead (writer aborted); idempotent.
 
         Wakes blocked readers, which observe the poisoned state and
-        cascade.  Poisoning a *filled* slot is a caller bug — published
-        values are immutable, so an abort must happen before publish.
+        re-bind past the slot.  Poisoning a *filled* slot is a caller bug
+        — published values are immutable, so an abort must happen before
+        publish.
         """
         if not version.is_placeholder:
             raise ValueError(f"poison on non-placeholder version {version!r}")
@@ -303,26 +295,6 @@ class MultiversionStore:
                 f"poison on filled placeholder of {version.writer!r}"
             )
         version._poison()
-
-    def revive(self, version: PlaceholderVersion) -> None:
-        """Return a poisoned slot to PENDING (re-execution path).
-
-        The planner's re-execution pass re-runs a cascaded reader in
-        place: its reserved slots — poisoned when the reader observed a
-        poisoned source — become reservations again, at the same chain
-        positions, so every later binding to them stays exact.  Only
-        POISONED slots revive: a PENDING slot needs no revival and a
-        FILLED slot's value is published, immutable state.  Both states
-        count as unmaterialized, so no counter moves.
-        """
-        if not version.is_placeholder:
-            raise ValueError(f"revive on non-placeholder version {version!r}")
-        if version.state is not PlaceholderState.POISONED:
-            raise ValueError(
-                f"revive on {version.state.value} placeholder of "
-                f"{version.writer!r}"
-            )
-        version._revive()
 
     def remove(self, version: Version) -> None:
         """Remove one installed version (transaction abort path).

@@ -105,9 +105,6 @@ class ShardedMultiversionStore:
     def poison(self, version: PlaceholderVersion) -> None:
         self.shard_for(version.entity).poison(version)
 
-    def revive(self, version: PlaceholderVersion) -> None:
-        self.shard_for(version.entity).revive(version)
-
     def prune_before(self, entity: Entity, watermark: int) -> int:
         return self.shard_for(entity).prune_before(entity, watermark)
 

@@ -132,7 +132,7 @@ SCENARIOS: dict[str, ScenarioSpec] = {
             }),
             description=(
                 "sharded transfers where a seeded fraction logic-"
-                "aborts — the planner family's re-execution stress"
+                "aborts — the planner family's logic-abort stress"
             ),
         ),
         ScenarioSpec(

@@ -242,13 +242,11 @@ class AbortHeavyScenario(ShardedBankScenario):
 
     Identical to :class:`ShardedBankScenario` except that each transfer
     independently carries an always-raising program with probability
-    ``abort_fraction`` — the abort pressure the planner family's
-    re-execution path (:mod:`repro.planner.reexec`) exists to absorb.
-    Under the PR 3 cascade, every planned reader of an aborted writer
-    dies with it; with re-execution on, only the aborting transfers are
-    lost.  E17/E18 pin that committed count strictly improves, and the
-    property tests replay the same seeded stream against a serial
-    oracle.
+    ``abort_fraction`` — the abort pressure the planner family absorbs
+    by re-binding each reader of an aborted writer to the next version
+    down the chain, so only the aborting transfers are lost.  E17 pins
+    that the planner commits what the serial engine commits, and the
+    property tests replay such streams against a serial oracle.
 
     Aborting transfers write nothing, so the conservation invariant
     holds for whatever subset of the stream commits — under any mode.

@@ -1,13 +1,14 @@
-"""Auditing re-executed schedules: certification and forgery.
+"""Auditing re-bound schedules: certification and forgery.
 
-Re-execution (:mod:`repro.planner.reexec`) commits transactions whose
-reads were re-bound after a logic abort.  The auditor must hold those
-runs to the same standard as any other: a traced re-executed run
-certifies 1-SR only because every committed read cites the version it
-*actually* used after re-binding — so a forged trace where a re-bound
+The planner family commits readers of logic-aborted writers by
+re-binding their reads to the next version down the chain during
+execution (:meth:`repro.planner.executor.PlanExecutor._rebind`).  The
+auditor must hold those runs to the same standard as any other: a traced
+run certifies 1-SR only because every committed read cites the version
+it *actually* used after re-binding — so a forged trace where a re-bound
 read still cites its removed source must be flagged, never certified.
 
-Negative half: synthetic and mutated traces of the re-execution shape.
+Negative half: synthetic and mutated traces of the re-bind shape.
 Positive half: real abort-heavy runs through both abort-free modes
 certify, and equal seeds certify byte-identically.
 """
@@ -19,6 +20,7 @@ import pytest
 from repro.audit import audit_events, audit_file
 from repro.db import Database, RunConfig
 from repro.obs import Tracer
+from repro.planner.executor import PlanExecutor
 
 from tests.audit.test_clean_runs import run_audited
 from tests.audit.test_reconstruct import abort, close, commit, rd, wr
@@ -28,12 +30,11 @@ def codes(report):
     return sorted({v.code for v in report.violations})
 
 
-def run_traced(mode, *, seed=3, txns=80, reexecute=None, path=None):
+def run_traced(mode, *, seed=3, txns=80, path=None):
     tracer = Tracer(capacity=None) if path is None else str(path)
-    options = {} if reexecute is None else {"reexecute": reexecute}
     config = RunConfig(
         mode=mode, workers=2, batch_size=8, deterministic=True,
-        seed=seed, trace=tracer, **options,
+        seed=seed, trace=tracer,
     )
     report = Database().run(
         "abort-heavy", config, txns=txns, abort_fraction=0.3
@@ -42,7 +43,7 @@ def run_traced(mode, *, seed=3, txns=80, reexecute=None, path=None):
 
 
 class TestForgedReexecTraces:
-    """The negative half: re-execution shapes that must not certify."""
+    """The negative half: re-bind shapes that must not certify."""
 
     def test_rebound_read_citing_removed_source(self):
         # The honest story: "a" writes x@1 and logic-aborts; "b" is
@@ -70,19 +71,24 @@ class TestForgedReexecTraces:
         assert not report.ok
         assert "read-from-mismatch" in codes(report)
 
-    def test_mutated_real_reexec_trace(self, tmp_path):
-        """Take a genuinely re-executed run and forge one re-bound
-        read back to its pre-rebind source: the audit must flag it."""
+    def test_mutated_real_reexec_trace(self, tmp_path, monkeypatch):
+        """Take a run with genuine read-time re-binds and forge one
+        re-bound reader's read back to an aborted writer: the audit must
+        flag it."""
+        reexecuted = set()
+        rebind = PlanExecutor._rebind
+
+        def recording(self, ptxn, *args):
+            reexecuted.add(str(ptxn.txn))
+            return rebind(self, ptxn, *args)
+
+        monkeypatch.setattr(PlanExecutor, "_rebind", recording)
         path = tmp_path / "reexec.jsonl"
         report, _ = run_traced("planner", path=path)
         assert report.invariant_ok
         lines = path.read_text().splitlines()
         records = [json.loads(line) for line in lines]
-        reexecuted = {
-            r["args"]["txn"] for r in records
-            if r.get("name") == "txn.reexec"
-        }
-        assert reexecuted, "run produced no re-executions"
+        assert reexecuted, "run produced no re-binds"
         aborted = {
             r["args"]["txn"] for r in records
             if r.get("name") == "txn.abort"
@@ -95,7 +101,7 @@ class TestForgedReexecTraces:
                 lines[i] = json.dumps(record)
                 break
         else:
-            pytest.fail("no in-batch read by a re-executed txn to forge")
+            pytest.fail("no in-batch read by a re-bound txn to forge")
         forged = tmp_path / "forged.jsonl"
         forged.write_text("\n".join(lines) + "\n")
         audit = audit_file(str(forged))
@@ -114,7 +120,7 @@ class TestForgedReexecTraces:
 
 
 class TestReexecRunsCertify:
-    """The positive half: re-executed runs pass continuous audit."""
+    """The positive half: re-bound runs pass continuous audit."""
 
     @pytest.mark.parametrize("mode", ["planner", "pipelined"])
     def test_abort_heavy_certifies_1sr(self, mode):
@@ -124,8 +130,7 @@ class TestReexecRunsCertify:
         audit = report.audit
         assert audit is not None and audit.ok, audit.format()
         assert audit.violations == ()
-        assert report.mode_specific["reexecuted"] > 0
-        assert report.mode_specific["cascade_aborted"] == 0
+        assert report.mode_specific["logic_aborted"] > 0
         assert report.cc_aborts == 0
 
     @pytest.mark.parametrize("mode", ["planner", "pipelined"])
@@ -134,13 +139,3 @@ class TestReexecRunsCertify:
         second = run_audited(mode, "abort-heavy", seed=11, batch_size=8)
         assert first.audit.as_json() == second.audit.as_json()
         assert json.dumps(first.as_dict()) == json.dumps(second.as_dict())
-
-    def test_reexec_off_also_certifies(self):
-        """The cascade baseline is still a correct (smaller) history."""
-        report = run_audited(
-            "planner", "abort-heavy", txns=80, batch_size=8,
-            reexecute=False,
-        )
-        assert report.audit.ok, report.audit.format()
-        assert report.mode_specific["reexecuted"] == 0
-        assert report.mode_specific["cascade_aborted"] > 0

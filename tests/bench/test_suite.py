@@ -117,5 +117,5 @@ class TestRegistry:
         assert modes == {"serial", "parallel", "planner", "pipelined"}
         assert [len(get_suite(n).cases) for n in
                 ("e15", "e16", "e17", "e18", "smoke", "audit")] == [
-            20, 14, 13, 8, 6, 8,
+            20, 14, 12, 8, 5, 8,
         ]

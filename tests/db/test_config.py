@@ -13,10 +13,9 @@ def test_mode_options_are_the_run_config_fields_in_order():
     the literal tuple it replaced."""
     assert MODE_OPTIONS == (
         "scheduler", "workers", "batch_size", "deterministic", "retry",
-        "gc_every", "epoch_max_steps", "lookahead", "reexecute",
-        "trace", "audit",
+        "gc_every", "epoch_max_steps", "lookahead", "trace", "audit",
     )
-    assert len(dataclasses.fields(RunConfig)) == 14
+    assert len(dataclasses.fields(RunConfig)) == 13
 
 
 class TestValidation:
@@ -83,7 +82,7 @@ class TestValidation:
             ("parallel", "deterministic", "false"),
             ("parallel", "deterministic", 0),
             ("serial", "gc", "no"),
-            ("planner", "reexecute", 1),
+            ("planner", "audit", 1),
             ("serial", "audit", "yes"),
             ("parallel", "workers", 2.5),
             ("parallel", "workers", True),

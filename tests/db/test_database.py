@@ -19,7 +19,7 @@ from repro.db.backends import _REGISTRY
 from repro.workloads.streams import ShardedBankScenario
 
 MODES = ("serial", "parallel", "planner", "pipelined")
-#: modes whose only aborts are logic aborts + planned cascades.
+#: modes whose only aborts are logic aborts.
 PLAN_MODES = ("planner", "pipelined")
 
 

@@ -57,34 +57,9 @@ class TestDriver:
             dicts.append(json.dumps(metrics.as_dict()))
         assert dicts[0] == dicts[1]
 
-    def test_logic_abort_settles_against_commit_closure(self):
-        """With re-execution off, a logic abort still cascades through
-        its readers — the pre-reexec baseline, kept comparable."""
-        def boom(write_index, reads):
-            raise RuntimeError("logic abort")
-
-        stream = [
-            (transfer_transaction("t1", "a", "b"), transfer_program(5)),
-            (transfer_transaction("t2", "b", "c"), boom),
-            (transfer_transaction("t3", "c", "d"), transfer_program(2)),
-        ]
-        planner = BatchPlanner(
-            initial={k: 100 for k in "abcd"}, n_workers=2,
-            batch_size=8, deterministic=True, reexecute=False,
-        )
-        metrics = planner.run(stream)
-        assert metrics.committed == 1
-        assert metrics.logic_aborted == 1
-        assert metrics.cascade_aborted == 1
-        assert metrics.reexecuted == 0
-        assert metrics.cc_aborts == 0
-        state = planner.final_state()
-        assert sum(state.values()) == 400
-        assert planner.store.placeholder_count() == 0
-
-    def test_logic_abort_reexecutes_readers(self):
-        """With re-execution on (the default), the poisoned reader is
-        re-bound to the latest surviving version and commits."""
+    def test_logic_abort_readers_rebind_and_commit(self):
+        """The reader of a logic-aborted writer re-binds to the latest
+        surviving version during execution, runs once and commits."""
         def boom(write_index, reads):
             raise RuntimeError("logic abort")
 
@@ -99,13 +74,14 @@ class TestDriver:
         )
         metrics = planner.run(stream)
         assert metrics.committed == 2
-        assert metrics.logic_aborted == 1
-        assert metrics.cascade_aborted == 0
-        assert metrics.reexecuted == 1
+        assert metrics.logic_aborted == metrics.aborted == 1
         assert metrics.cc_aborts == 0
+        # One execution per transaction, nothing re-run: 4 steps each,
+        # but t2 raises at its first write.
+        assert metrics.engine.steps_submitted == 4 + 3 + 4
         state = planner.final_state()
         assert sum(state.values()) == 400
-        # t3 re-read c from the initial base: 100 - 2 moved to d.
+        # t3 read c from the initial base: 100 - 2 moved to d.
         assert state["c"] == 98 and state["d"] == 102
         assert planner.store.placeholder_count() == 0
 

@@ -81,10 +81,7 @@ class _Fixed:
 CASES = {
     "read-mostly": (read_mostly, {"batch_size": 16}, 120),
     "sharded-bank": (bank, {"batch_size": 16}, 120),
-    "abort-heavy-reexec": (abort_heavy, {"batch_size": 8}, 120),
-    "abort-heavy-cascade": (
-        abort_heavy, {"batch_size": 8, "reexecute": False}, 120,
-    ),
+    "abort-heavy": (abort_heavy, {"batch_size": 8}, 120),
     # one batch: nothing is ever in flight during execution.
     "single-batch": (bank, {"n_workers": 2, "batch_size": 1000}, 30),
     # an abort on a batch boundary: the seam re-bind is exercised.
@@ -220,11 +217,9 @@ class TestSeam:
     ):
         pipe, m = run_case("boundary-abort", lookahead, deterministic)
         # t3/t4 were planned against t2's reserved slots, but t2's abort
-        # re-binds them to surviving state: they commit, no cross-batch
-        # cascade exists by construction.
+        # re-binds them to surviving state: they commit.
         assert m.committed == 3
-        assert m.logic_aborted == 1
-        assert m.cascade_aborted == 0
+        assert m.logic_aborted == m.aborted == 1
         assert m.rebound_reads == 2
         assert m.cc_aborts == 0
         assert sum(pipe.final_state().values()) == 400

@@ -6,7 +6,6 @@ from repro.engine.errors import EngineError
 from repro.model.schedules import T_INIT
 from repro.model.transactions import Transaction
 from repro.planner.executor import (
-    CASCADE,
     COMMITTED,
     LOGIC_ABORT,
     PlanExecutor,
@@ -106,13 +105,11 @@ class TestBinding:
         assert planned["C"].deps == frozenset({"B"})
         assert batch.dep_map["C"] == {"B"}
 
-    @pytest.mark.parametrize(
-        "root, doomed",
-        [("A", {"A", "B", "C"}), ("B", {"B", "C"}), ("D", {"D"})],
-    )
-    def test_cascade_closure(self, root, doomed):
-        """The poison cascade the executor realizes is the closure of
-        ``deps``: exactly what settle's fixpoint re-derives."""
+    @pytest.mark.parametrize("root", ["A", "B", "D"])
+    def test_only_the_root_aborts(self, root):
+        """Readers of the dead root re-bind past it during execution, so
+        the root aborts alone, no ``deps`` name it afterwards, and the
+        closure settle's fixpoint re-derives is the executed set."""
 
         def boom(write_index, reads):
             raise RuntimeError("logic abort")
@@ -125,13 +122,13 @@ class TestBinding:
         ]
         items = [(t, boom if t.txn == root else None) for t in txns]
         batch, store = plan(items)
-        outcome = PlanExecutor(store, 1, deterministic=True).execute(batch)
+        outcome = PlanExecutor(store, 1, deterministic=True).execute(
+            batch, 0
+        )
         fates = outcome.fates
         assert fates[root] == LOGIC_ABORT
-        assert {t for t, fate in fates.items() if fate == CASCADE} == (
-            doomed - {root}
-        )
-        assert outcome.committed == set("ABCD") - doomed
+        assert outcome.committed == set("ABCD") - {root}
+        assert all(root not in ptxn.deps for ptxn in batch)
         votes = {t: fate == COMMITTED for t, fate in fates.items()}
         closure = GroupCommitLog(4).commit_closure(votes, batch.dep_map)
         assert closure == outcome.committed

@@ -301,7 +301,7 @@ def test_driver_counts_the_same_plan_shape(
         )
     for name in (
         "placeholders_reserved", "cross_batch_reads", "rebound_reads",
-        "committed", "logic_aborted", "cascade_aborted", "reexecuted",
+        "committed", "logic_aborted",
     ):
         assert getattr(fast_metrics, name) == getattr(model_metrics, name)
     assert fast.final_state() == model.final_state()

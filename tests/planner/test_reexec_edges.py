@@ -1,12 +1,14 @@
 """Re-binding edge cases: where ``latest_before`` must land.
 
-Directed regressions for the corners of the re-execution pass
-(:mod:`repro.planner.reexec`): a poisoned chain *head* (nothing earlier
-in the batch — the replacement is the pre-batch base), chained poisons
-(a re-executed reader that re-aborts, poisoning the next), a removed
-source whose replacement is a *previous batch's* committed version, and
-the pipelined interaction with GC pins (re-binding must never address a
-pruned version).
+Directed regressions for the corners of the read-time re-bind
+(:meth:`repro.planner.executor.PlanExecutor._rebind`): a poisoned chain
+*head* (nothing earlier in the batch — the replacement is the pre-batch
+base), chained poisons (a re-bound reader that aborts, poisoning the
+next), a poisoned source whose replacement is a *previous batch's*
+committed version, and the pipelined interaction with GC pins
+(re-binding must never address a pruned version).  Every planned
+transaction runs exactly once, so ``steps_submitted`` never exceeds the
+stream's steps.
 """
 
 import pytest
@@ -37,6 +39,9 @@ def run_planner(stream, *, initial, batch_size=8, **options):
         deterministic=True, **options,
     )
     metrics = planner.run(stream)
+    assert metrics.engine.steps_submitted <= sum(
+        len(txn.steps) for txn, _ in stream
+    )
     return planner, metrics
 
 
@@ -53,10 +58,8 @@ class TestChainHeadPoison:
         )
         assert metrics.committed == 1
         assert metrics.logic_aborted == 1
-        assert metrics.cascade_aborted == 0
-        assert metrics.reexecuted == 1
         state = planner.final_state()
-        # t2 re-read b = 100 (the base), not t1's poisoned write.
+        # t2 read b = 100 (the base), not t1's poisoned write.
         assert state["b"] == 95 and state["c"] == 105
         assert state["a"] == 100
         assert planner.store.placeholder_count() == 0
@@ -64,10 +67,9 @@ class TestChainHeadPoison:
 
 class TestChainedPoisons:
     def test_reexecuted_reader_that_reaborts_poisons_the_next(self):
-        # t1 aborts; t2 re-binds to base b=100, re-runs, and *re-aborts*
-        # (its guard needs 200).  t2 is retired on the spot, so t3 —
-        # bound to t2's slot — re-binds past it to the base and commits
-        # on its one and only re-run.
+        # t1 aborts; t2 re-binds to base b=100 and aborts too (its guard
+        # needs 200), so t3 — bound to t2's slot — re-binds past it to
+        # the base and commits.  Each runs once.
         stream = [
             (transfer_transaction("t1", "a", "b"), boom),
             (transfer_transaction("t2", "b", "c"), guarded(5, 200)),
@@ -78,9 +80,6 @@ class TestChainedPoisons:
         )
         assert metrics.committed == 1
         assert metrics.logic_aborted == 2
-        assert metrics.cascade_aborted == 0
-        # One re-run per first-execution cascade victim: t2, then t3.
-        assert metrics.reexecuted == 2
         state = planner.final_state()
         assert state == {"a": 100, "b": 100, "c": 98, "d": 102}
         assert planner.store.placeholder_count() == 0
@@ -97,7 +96,6 @@ class TestChainedPoisons:
             stream, initial={k: 100 for k in "abc"}
         )
         assert metrics.committed == 1
-        assert metrics.reexecuted == 1
         assert planner.final_state()["c"] == 105
 
 
@@ -117,7 +115,7 @@ class TestCrossBatchRebind:
             stream, initial=initial, batch_size=2,
         )
         assert metrics.committed == 3
-        assert metrics.reexecuted == 1
+        assert metrics.logic_aborted == 1
         # Untouched entities keep their base; overlay for a total sum.
         state = {**initial, **planner.final_state()}
         assert state["c"] == 93  # 95 from batch 1, minus t3's 2
@@ -134,8 +132,7 @@ class TestCrossBatchRebind:
             batch_size=8, deterministic=True,
         )
         metrics = planner.run(scenario.transaction_stream(80))
-        assert metrics.reexecuted > 0
-        assert metrics.cascade_aborted == 0
+        assert metrics.logic_aborted > 0
         assert metrics.cc_aborts == 0
         assert scenario.invariant_holds(planner.final_state())
         assert planner.store.placeholder_count() == 0
@@ -143,7 +140,7 @@ class TestCrossBatchRebind:
 
 class TestPipelinedGCPins:
     """Re-binding in flight: lookahead plans pin their read sources, so
-    ``latest_before`` during re-execution can never land on a pruned
+    ``latest_before`` during a re-bind can never land on a pruned
     version — the run stays equal to the unpruned one."""
 
     @pytest.mark.parametrize("gc_enabled", [True, False])
@@ -158,8 +155,7 @@ class TestPipelinedGCPins:
             gc_enabled=gc_enabled,
         )
         metrics = pipelined.run(scenario.transaction_stream(100))
-        assert metrics.reexecuted > 0
-        assert metrics.cascade_aborted == 0
+        assert metrics.logic_aborted > 0
         assert scenario.invariant_holds(pipelined.final_state())
         if gc_enabled:
             assert metrics.engine.gc.versions_pruned > 0
@@ -187,5 +183,5 @@ class TestPipelinedGCPins:
         )
         pipe_metrics = pipe.run(scenario.transaction_stream(100))
         assert pipe_metrics.committed == batch_metrics.committed
-        assert pipe_metrics.reexecuted > 0
+        assert pipe_metrics.logic_aborted > 0
         assert pipe.final_state() == batch.final_state()

@@ -1,21 +1,23 @@
-"""Reference model: the round fixpoint the single pass replaced.
+"""Reference model: the two-pass design the read-time re-bind replaced.
 
-:func:`repro.planner.reexec.reexecute_poisoned` re-runs each cascade
-victim exactly once, in timestamp order, retiring a re-aborting victim
-before the next one re-binds.  The claim is that this is the *same
-function* of a batch as the PR 10 round fixpoint — per round: remove the
-roots found so far, revive, re-bind and re-run **every** remaining
-victim, repeat until no cascade fate is left — only cheaper.  The
-fixpoint is kept here, as a list-scan model in test code only, and
-Hypothesis drives both through the real driver over generated streams
-mixing always-raising programs, value-dependent guards and plain
-transfers: equal fates, bindings, deps and surviving version chains (so
-equal removed slots), and one re-run per first-execution victim on the
-fast side.
+A reader whose source writer logic-aborted used to poison its own slots
+and end with a third fate, ``CASCADE``; at settle one pass removed the
+aborted roots' slots, revived every victim's poisoned slots to PENDING,
+re-bound the victims' reads off the removed slots and ran each victim a
+second time, in timestamp order, retiring a victim that aborted again
+before the next one re-bound.  Now the reader re-binds on the spot
+(:meth:`repro.planner.executor.PlanExecutor._run_one`) and runs once.
 
-A second test forges the one input the fixpoint could not survive — a
-victim whose source stays poisoned while no root accounts for it — and
-demands a named error after a single re-run, not a spin.
+The two-pass design is kept here, in test code only — an executor whose
+``_run_one`` poisons and returns the cascade fate, the settle pass, and
+the ``revive`` it needed — and Hypothesis drives both through the real
+driver over generated streams mixing always-raising programs,
+value-dependent guards and plain transfers: equal fates, equal final
+bindings (source position and ``source_txn``), equal ``deps``, equal
+surviving version chains and an equal final state.
+
+One count pin replaces "re-runs == the cascade's count": on E17's
+abort-heavy stream every transaction runs exactly once.
 """
 
 import pytest
@@ -24,21 +26,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.engine.errors import EngineError
+from repro.bench import get_suite, run_case
 from repro.model.batching import ReadBinding
 from repro.model.schedules import T_INIT
-from repro.planner import BatchPlanner, driver
-from repro.planner.executor import (
-    CASCADE,
-    COMMITTED,
-    LOGIC_ABORT,
-    PlanExecutor,
-)
-from repro.planner.planning import plan_batch
-from repro.planner.reexec import ReexecResult, reexecute_poisoned
-from repro.storage.sharded import ShardedMultiversionStore
+from repro.planner import BatchPlanner
+from repro.planner.executor import COMMITTED, LOGIC_ABORT, PlanExecutor
+from repro.storage.executor import write_value
+from repro.storage.mvstore import PlaceholderState
 from repro.workloads.bank import transfer_program, transfer_transaction
 from repro.workloads.streams import failing_program
+
+CASCADE = "cascade"
 
 
 def guarded(amount, floor):
@@ -53,66 +51,105 @@ def guarded(amount, floor):
     return program
 
 
-def fixpoint_model(
-    plan, outcome, store, executor, first_position, tracer=None
-):
-    """The round fixpoint, verbatim but for its list scans."""
-    result = ReexecResult()
-    handled = []
-    while True:
-        victims = [p for p in plan if outcome.fates[p.txn] == CASCADE]
-        if not victims:
-            result.removed_ids = {id(s) for s in result.removed_slots}
-            return result
-        for ptxn in plan:
-            if outcome.fates[ptxn.txn] == LOGIC_ABORT:
-                if ptxn.txn not in handled:
-                    handled.append(ptxn.txn)
-                    for slot in ptxn.slots:
-                        store.remove(slot)
-                        result.removed_slots.append(slot)
-        for ptxn in victims:
-            for slot in ptxn.slots:
-                store.revive(slot)
-        for ptxn in victims:
-            bindings = list(ptxn.bindings)
-            for index, old in enumerate(bindings):
-                if not any(old.source is s for s in result.removed_slots):
+def revive(slot):
+    """The deleted ``MultiversionStore.revive``: POISONED back to PENDING
+    (both count as unmaterialized, so no store counter moves)."""
+    assert slot.state is PlaceholderState.POISONED
+    # Clear first: no waiter may find PENDING and the poison's event set.
+    if slot._event is not None:
+        slot._event.clear()
+    object.__setattr__(slot, "state", PlaceholderState.PENDING)
+
+
+class CascadeExecutor(PlanExecutor):
+    """The replaced ``_run_one``: a poisoned source poisons the reader."""
+
+    def _run_one(self, ptxn, first_position):
+        reads, own_values, computed = [], {}, []
+        bindings, slots = iter(ptxn.bindings), iter(ptxn.slots)
+        steps = 0
+        for step in ptxn.transaction.steps:
+            steps += 1
+            if step.is_read:
+                binding = next(bindings)
+                source = binding.source
+                if binding.source_txn == ptxn.txn:
+                    reads.append(own_values[id(source)])
                     continue
-                new = store.latest_before(
-                    old.source.entity, old.source.position
+                if source.is_placeholder:
+                    source.wait()
+                    if source.state is PlaceholderState.POISONED:
+                        self._poison_all(ptxn)
+                        return CASCADE, 0, steps
+                reads.append(source.value)
+                continue
+            slot = next(slots)
+            try:
+                value = write_value(
+                    ptxn.program, ptxn.txn, len(computed), reads
                 )
-                in_batch = (
-                    new.position is not None
-                    and new.position >= first_position
-                )
-                bindings[index] = ReadBinding(
-                    old.txn, old.step_index, new,
-                    new.writer if in_batch else T_INIT,
-                )
-            ptxn.bind(tuple(bindings))
-        for ptxn in victims:
-            fate, blocked, steps = executor._run_one(ptxn)
-            assert not blocked  # settle is single-threaded and ordered
-            outcome.fates[ptxn.txn] = fate
-            result.reexecuted += 1
-            result.steps_executed += steps
+            except Exception:  # noqa: BLE001 — a raise IS the abort
+                self._poison_all(ptxn)
+                return LOGIC_ABORT, 0, steps
+            own_values[id(slot)] = value
+            computed.append((slot, value))
+        for slot, value in computed:
+            with self.store.lock_of(slot.entity):
+                self.store.fill(slot, value)
+        return COMMITTED, 0, steps
 
 
-def observed_run(implementation, stream, initial, **options):
-    """Run the driver over ``implementation``; record what every settle
-    saw going in (first-execution fates) and coming out."""
-    batches = []
+def settle_pass(plan, fates, store, executor, first_position):
+    """The replaced settle pass; returns the ids of the slots it removed."""
+    removed = set()
 
-    def recording(plan, outcome, *args, **kwargs):
-        first_fates = dict(outcome.fates)
-        result = implementation(plan, outcome, *args, **kwargs)
-        batches.append({
-            "first_cascades": sum(
-                fate == CASCADE for fate in first_fates.values()
-            ),
-            "reexecuted": result.reexecuted,
-            "fates": dict(outcome.fates),
+    def retire(ptxn):
+        for slot in ptxn.slots:
+            store.remove(slot)
+            removed.add(id(slot))
+
+    victims = [ptxn for ptxn in plan if fates[ptxn.txn] == CASCADE]
+    if not victims:
+        return removed
+    for ptxn in plan:
+        if fates[ptxn.txn] == LOGIC_ABORT:
+            retire(ptxn)
+    for ptxn in victims:
+        for slot in ptxn.slots:
+            revive(slot)
+    for ptxn in victims:
+        bindings = ptxn.bindings
+        for index, old in enumerate(bindings):
+            if id(old.source) not in removed:
+                continue
+            new = store.latest_before(old.source.entity, old.source.position)
+            in_batch = (
+                new.position is not None and new.position >= first_position
+            )
+            bindings[index] = ReadBinding(
+                old.txn, old.step_index, new,
+                new.writer if in_batch else T_INIT,
+            )
+        ptxn.bind(bindings)
+        fate, _, _ = executor._run_one(ptxn, first_position)
+        assert fate != CASCADE
+        fates[ptxn.txn] = fate
+        if fate == LOGIC_ABORT:
+            retire(ptxn)
+    return removed
+
+
+class RecordingPlanner(BatchPlanner):
+    """Records what every settled batch decided."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.batches = []
+
+    def _settle(self, head, plans):
+        super()._settle(head, plans)
+        self.batches.append({
+            "fates": dict(head.outcome.fates),
             "bindings": [
                 (
                     b.step_index,
@@ -120,28 +157,35 @@ def observed_run(implementation, stream, initial, **options):
                     b.source.position,
                     b.source_txn,
                 )
-                for ptxn in plan
+                for ptxn in head.plan
                 for b in ptxn.bindings
             ],
-            "deps": {ptxn.txn: ptxn.deps for ptxn in plan},
-            "removed": {
-                (slot.entity, slot.position)
-                for slot in result.removed_slots
-            },
-            "dead": {
-                (slot.entity, slot.position)
-                for ptxn in plan
-                if outcome.fates[ptxn.txn] == LOGIC_ABORT
-                for slot in ptxn.slots
-            },
+            "deps": {ptxn.txn: ptxn.deps for ptxn in head.plan},
         })
-        return result
 
-    planner = BatchPlanner(initial=initial, n_workers=2, **options)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(driver, "reexecute_poisoned", recording)
-        metrics = planner.run(stream)
-    return planner, metrics, batches
+
+class TwoPassPlanner(RecordingPlanner):
+    """The driver over the replaced design: cascade, then settle pass."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.executor = CascadeExecutor(
+            self.store, self.executor.n_workers, self.deterministic
+        )
+
+    def _settle(self, head, plans):
+        # Settle removes every logic abort's slots; the pass already
+        # removed those it retired.
+        gone = settle_pass(
+            head.plan, head.outcome.fates, self.store, self.executor,
+            head.first_position,
+        )
+        remove = self.store.remove
+        self.store.remove = lambda v: None if id(v) in gone else remove(v)
+        try:
+            super()._settle(head, plans)
+        finally:
+            del self.store.remove
 
 
 def chains(store):
@@ -159,7 +203,7 @@ def chains(store):
 @st.composite
 def abort_streams(draw):
     """Transfer streams over a small hot pool, so poison chains form and
-    re-run victims re-abort against their re-bound reads."""
+    re-bound readers abort in turn against their new reads."""
     accounts = [f"a{i}" for i in range(draw(st.integers(3, 5)))]
     stream = []
     for k in range(draw(st.integers(1, 16))):
@@ -181,40 +225,21 @@ def abort_streams(draw):
 @pytest.mark.parametrize("lookahead", [0, 1, 2])
 @given(workload=abort_streams())
 @settings(max_examples=60, deadline=None)
-def test_single_pass_equals_the_round_fixpoint(
-    lookahead, deterministic, workload
-):
+def test_rebind_equals_the_two_pass_design(lookahead, deterministic, workload):
     accounts, stream, batch_size = workload
-    initial = {account: 100 for account in accounts}
     options = dict(
+        initial={account: 100 for account in accounts}, n_workers=2,
         batch_size=batch_size, lookahead=lookahead,
         deterministic=deterministic,
     )
-    model, model_metrics, model_batches = observed_run(
-        fixpoint_model, stream, initial, **options
-    )
-    fast, fast_metrics, fast_batches = observed_run(
-        reexecute_poisoned, stream, initial, **options
-    )
+    model = TwoPassPlanner(**options)
+    model_metrics = model.run(stream)
+    fast = RecordingPlanner(**options)
+    fast_metrics = fast.run(stream)
 
-    assert len(fast_batches) == len(model_batches)
-    for ours, theirs in zip(fast_batches, model_batches):
-        assert ours["first_cascades"] == theirs["first_cascades"]
-        assert ours["fates"] == theirs["fates"]
-        assert CASCADE not in ours["fates"].values()
-        assert ours["bindings"] == theirs["bindings"]
-        assert ours["deps"] == theirs["deps"]
-        # Once it has a victim the pass retires every dead writer
-        # itself; the model leaves its last round's re-aborters to
-        # settle — same set at the end, which the chain comparison
-        # below sees.
-        assert theirs["removed"] <= ours["removed"]
-        assert ours["removed"] == (
-            ours["dead"] if ours["first_cascades"] else set()
-        )
-        # Once per victim — the model re-runs a chained victim per round.
-        assert ours["reexecuted"] == ours["first_cascades"]
-        assert theirs["reexecuted"] >= ours["reexecuted"]
+    assert fast.batches == model.batches
+    for batch in fast.batches:
+        assert set(batch["fates"].values()) <= {COMMITTED, LOGIC_ABORT}
     assert fast.final_state() == model.final_state()
     assert chains(fast.store) == chains(model.store)
     assert fast.store.placeholder_count() == 0
@@ -222,62 +247,50 @@ def test_single_pass_equals_the_round_fixpoint(
     assert fast_metrics.committed == model_metrics.committed
     assert fast_metrics.logic_aborted == model_metrics.logic_aborted
     assert fast_metrics.rebound_reads == model_metrics.rebound_reads
-    assert fast_metrics.reexecuted == sum(
-        batch["first_cascades"] for batch in fast_batches
-    )
 
 
-def test_model_really_iterates_where_the_pass_does_not():
-    """The model is not the pass in disguise: on a chained re-abort it
-    takes the extra round (3 re-runs) the pass saves (2)."""
+def test_model_really_takes_two_passes():
+    """The model is not the re-bind in disguise: on a chained abort its
+    first execution cascades both readers, and the pass re-runs them."""
     stream = [
         (transfer_transaction("t1", "a", "b"), failing_program("t1")),
         (transfer_transaction("t2", "b", "c"), guarded(5, 200)),
         (transfer_transaction("t3", "c", "d"), transfer_program(2)),
     ]
-    initial = {k: 100 for k in "abcd"}
-    options = dict(batch_size=8, deterministic=True)
-    _, model_metrics, _ = observed_run(
-        fixpoint_model, stream, initial, **options
+    options = dict(
+        initial={k: 100 for k in "abcd"}, n_workers=2, batch_size=8,
+        deterministic=True,
     )
-    _, fast_metrics, _ = observed_run(
-        reexecute_poisoned, stream, initial, **options
-    )
-    assert (model_metrics.reexecuted, fast_metrics.reexecuted) == (3, 2)
+    model = TwoPassPlanner(**options)
+    first = {}
+    execute = model.executor.execute
+
+    def recording(plan, first_position):
+        outcome = execute(plan, first_position)
+        first.update(outcome.fates)
+        return outcome
+
+    model.executor.execute = recording
+    model.run(stream)
+    assert first == {"t1": LOGIC_ABORT, "t2": CASCADE, "t3": CASCADE}
+    assert model.batches[0]["fates"] == {
+        "t1": LOGIC_ABORT, "t2": LOGIC_ABORT, "t3": COMMITTED,
+    }
 
 
-class CountingExecutor(PlanExecutor):
-    runs = 0
+def test_each_transaction_runs_once(monkeypatch):
+    """On E17's abort-heavy stream ``_run_one`` runs exactly once per
+    submitted transaction, and no step runs twice."""
+    ran = []
+    run_one = PlanExecutor._run_one
 
-    def _run_one(self, ptxn):
-        self.runs += 1
-        return super()._run_one(ptxn)
+    def counting(self, ptxn, first_position):
+        ran.append(ptxn.transaction)
+        return run_one(self, ptxn, first_position)
 
-
-def test_unaccounted_poison_is_a_named_error_not_a_spin():
-    """A victim whose source stays poisoned while no ``LOGIC_ABORT`` or
-    ``CASCADE`` transaction of the batch owns it can never be repaired
-    by re-binding.  The round fixpoint re-ran it forever (``victims``
-    non-empty every round, nothing retiring); the pass re-runs it once
-    and raises."""
-    store = ShardedMultiversionStore(2, {k: 100 for k in "abc"})
-    plan = plan_batch(
-        [
-            (transfer_transaction("t1", "a", "b"), failing_program("t1")),
-            (transfer_transaction("t2", "b", "c"), transfer_program(5)),
-        ],
-        store, 0, 0,
-    )
-    executor = CountingExecutor(store, 1, deterministic=True)
-    outcome = executor.execute(plan)
-    assert outcome.fates == {"t1": LOGIC_ABORT, "t2": CASCADE}
-    # Forge the unaccounted poison: t1's slots stay poisoned, but the
-    # fates no longer say why.
-    outcome.fates["t1"] = COMMITTED
-    executor.runs = 0
-    with pytest.raises(EngineError) as raised:
-        reexecute_poisoned(plan, outcome, store, executor, 0)
-    message = str(raised.value)
-    assert "'t2'" in message and "'b'" in message and "'t1'" in message
-    assert "poisoned" in message
-    assert executor.runs == 1
+    monkeypatch.setattr(PlanExecutor, "_run_one", counting)
+    report = run_case(get_suite("e17").case("abort-heavy/planner/reexec"))
+    metrics = report.report.metrics
+    assert metrics.logic_aborted > 0
+    assert len(ran) == len({t.txn for t in ran}) == metrics.submitted
+    assert metrics.engine.steps_submitted <= sum(len(t.steps) for t in ran)

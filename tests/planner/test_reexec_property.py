@@ -1,31 +1,29 @@
-"""Property test: re-execution equals the serial oracle.
+"""Property test: the planner family equals the serial oracle.
 
-The re-execution fixpoint (:mod:`repro.planner.reexec`) claims that a
-planner batch with logic aborts still realizes *exactly* the state a
-serial executor would: run the stream one transaction at a time in
-timestamp order, skip any transaction whose program raises, commit the
-rest.  That claim is what makes re-execution safe to default on — it
-recovers committed throughput without changing what a run means.
+A planner batch with logic aborts realizes *exactly* the state a serial
+executor would: run the stream one transaction at a time in timestamp
+order, skip any transaction whose program raises, commit the rest.  The
+read-time re-bind (a reader of a logic-aborted writer moves to the next
+version down the chain and runs on) is what makes that so.
 
 This file states the oracle independently (a dozen lines over a plain
 dict, sharing only :func:`repro.storage.executor.write_value` so write
 semantics cannot diverge) and checks, on randomized workloads mixing
 clean transfers, unconditional aborts, and *value-dependent* aborts
-(the chained-re-abort case the fixpoint loop exists for):
+(a re-bound reader that aborts in turn, so its own readers re-bind):
 
-* committed set and final state are identical to the oracle, in both
-  abort-free modes;
-* re-execution never commits less than the poison cascade it replaces
-  *when every logic abort is injected* — with value-dependent aborts it
-  can commit less, and one such stream is pinned;
-* concurrency-control aborts stay zero — re-execution must not
-  reintroduce the failure mode the planner family eliminates.
+* committed set and final state are identical to the oracle — batch and
+  pipelined, inline and threaded (where a parked reader can wake to a
+  poisoned slot and re-bind while other workers run);
+* concurrency-control aborts stay zero, and no placeholder survives.
 """
+
+import sys
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.obs import Tracer
@@ -52,8 +50,8 @@ def boom_program(label):
 def guarded_program(amount, floor):
     """Debit only while the source stays above ``floor`` — a
     *value-dependent* abort, so whether it fires depends on which
-    earlier transactions committed.  This is what forces re-executed
-    transactions to re-abort and the fixpoint to iterate."""
+    earlier transactions committed.  This is what makes a re-bound
+    reader abort in turn, so its own readers re-bind past it."""
 
     def program(write_index, reads):
         if reads[0] - amount < floor:
@@ -148,7 +146,6 @@ def test_reexec_matches_serial_oracle(workload):
     assert committed_ids(tracer) == sorted(oracle_committed)
     assert metrics.committed == len(oracle_committed)
     assert metrics.cc_aborts == 0
-    assert metrics.cascade_aborted == 0
     assert planner.store.placeholder_count() == 0
 
 
@@ -170,54 +167,37 @@ def test_pipelined_reexec_matches_serial_oracle(workload):
     assert committed_ids(tracer) == sorted(oracle_committed)
     assert metrics.committed == len(oracle_committed)
     assert metrics.cc_aborts == 0
-    assert metrics.cascade_aborted == 0
 
 
-def cascade_and_reexec(workload):
+@pytest.fixture
+def forced_switching():
+    """Switch threads every 10 µs, so parked readers wake mid-batch."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    yield
+    sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("lookahead", [0, 2])
+@given(abort_workloads())
+@settings(
+    max_examples=100, deadline=None,
+    # one interval for every example: nothing to reset between them.
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_threaded_matches_serial_oracle(forced_switching, lookahead, workload):
     accounts, stream, batch_size = workload
     initial = {a: INITIAL_BALANCE for a in accounts}
-    return [
-        BatchPlanner(
-            initial=initial, n_workers=2, batch_size=batch_size,
-            deterministic=True, reexecute=reexecute,
-        ).run(stream)
-        for reexecute in (False, True)
-    ]
+    oracle_state, oracle_committed = serial_oracle(initial, stream)
 
+    tracer = Tracer(capacity=None)
+    planner = BatchPlanner(
+        initial=initial, n_workers=4, batch_size=batch_size,
+        lookahead=lookahead, deterministic=False, tracer=tracer,
+    )
+    metrics = planner.run(stream)
 
-#: Not a theorem once aborts depend on values.  The cascade takes t1
-#: down with t0 (it read t0's a2), so t2 and t3 see untouched balances
-#: and both guards pass: 2 commits.  Re-execution commits t1, which
-#: drains a0 below t2's floor; t2's abort leaves a1 below t3's: 1 commit.
-GUARDS_FIRE_AFTER_REEXEC = (
-    ["a0", "a1", "a2"],
-    [
-        (transfer_transaction("t0", "a2", "a1"), boom_program("t0")),
-        (transfer_transaction("t1", "a0", "a2"), transfer_program(26)),
-        (transfer_transaction("t2", "a0", "a1"), guarded_program(26, 62)),
-        (transfer_transaction("t3", "a1", "a0"), guarded_program(13, 103)),
-    ],
-    2,
-)
-
-
-def test_reexec_can_commit_less_when_aborts_depend_on_values():
-    baseline, recovered = cascade_and_reexec(GUARDS_FIRE_AFTER_REEXEC)
-    assert (baseline.committed, recovered.committed) == (2, 1)
-
-
-@given(abort_workloads())
-@example(GUARDS_FIRE_AFTER_REEXEC)
-@settings(max_examples=40, deadline=None, derandomize=True)
-def test_reexec_never_commits_less_than_the_cascade(workload):
-    baseline, recovered = cascade_and_reexec(workload)
-
-    assert recovered.cascade_aborted == 0
-    assert recovered.cc_aborts == baseline.cc_aborts == 0
-    # Injected aborts fire whatever was read: re-execution commits every
-    # other transaction, the cascade a subset of them.
-    if not any(
-        getattr(program, "value_dependent", False)
-        for _, program in workload[1]
-    ):
-        assert recovered.committed >= baseline.committed
+    assert {**initial, **planner.final_state()} == oracle_state
+    assert committed_ids(tracer) == sorted(oracle_committed)
+    assert metrics.cc_aborts == 0
+    assert planner.store.placeholder_count() == 0

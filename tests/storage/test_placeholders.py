@@ -166,8 +166,6 @@ class TestWaitOnDemand:
     def test_reserved_filled_never_waited_on_never_allocates(self):
         store = MultiversionStore()
         slot = store.reserve("x", "A", 0)
-        store.poison(slot)
-        store.revive(slot)
         store.fill(slot, 1)
         assert slot._event is None
 
@@ -178,29 +176,6 @@ class TestWaitOnDemand:
         assert slot._event is not None
         store.fill(slot, 1)
         assert slot.wait(0) is True
-
-    @pytest.mark.parametrize("early_waiter", [False, True])
-    def test_waiter_arriving_after_a_revive_is_woken_by_the_fill(
-        self, early_waiter
-    ):
-        store = MultiversionStore()
-        slot = store.reserve("x", "A", 0)
-        if early_waiter:  # the poison below then sets an existing event
-            assert slot.wait(0.01) is False
-        store.poison(slot)
-        assert slot.wait(0) is True
-        store.revive(slot)
-        # PENDING again: the poison's wake-up must not leak into this wait.
-        assert slot.wait(0.01) is False
-        seen = []
-        waiter = threading.Thread(
-            target=lambda: seen.append((slot.wait(10), slot.state))
-        )
-        waiter.start()
-        store.fill(slot, 7)
-        waiter.join(10)
-        assert not waiter.is_alive()
-        assert seen == [(True, PlaceholderState.FILLED)]
 
     @pytest.mark.parametrize("decide", ["fill", "poison"])
     @pytest.mark.parametrize("line", [1, 2, 3])

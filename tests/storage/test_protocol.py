@@ -19,7 +19,7 @@ from repro.storage import (
 )
 
 MEMBERS = {
-    "install", "remove", "reserve", "fill", "poison", "revive",
+    "install", "remove", "reserve", "fill", "poison",
     "prune_before", "latest", "latest_before", "entities",
     "version_count", "placeholder_count", "final_state",
 }

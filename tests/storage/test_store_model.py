@@ -88,11 +88,6 @@ class NaiveStore:
             raise ValueError("poison")
         record.state = "poisoned"
 
-    def revive(self, record):
-        if record.state != "poisoned":
-            raise ValueError("revive")
-        record.state = "pending"
-
     def remove(self, record):
         if record.position is None:
             raise ValueError("initial")
@@ -202,7 +197,7 @@ class Pair:
             assert real == record
 
     def transition(self, op, record, value):
-        """``fill``/``poison``/``revive``/``remove`` of one version."""
+        """``fill``/``poison``/``remove`` of one version."""
         payload = (value,) if op == "fill" else ()
         real, naive = self.both(
             lambda: getattr(self.real, op)(record.real, *payload),
@@ -256,7 +251,7 @@ class Pair:
 
 OPS = (
     "install", "install", "reserve", "reserve", "stale-write", "fill",
-    "poison", "revive", "remove", "prune_before", "latest_before",
+    "poison", "remove", "prune_before", "latest_before",
     "at_position",
 )
 steps = st.lists(
@@ -284,7 +279,7 @@ def run(pair: Pair, script) -> None:
                 ("install", "reserve")[y % 2], entity, writer, ("v", y),
                 tail - y % 3,
             )
-        elif op in ("fill", "poison", "revive", "remove"):
+        elif op in ("fill", "poison", "remove"):
             records = pair.records if op == "remove" else pair.live()
             record = records[x % len(records)] if records else None
             # Never empty a chain: what a prune leaves behind is a

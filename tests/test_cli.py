@@ -524,7 +524,7 @@ class TestBench:
         assert first.read_bytes() == second.read_bytes()
         document = json.loads(first.read_text())
         assert document["schema"] == "repro.bench/v1"
-        assert len(document["records"]) == 6
+        assert len(document["records"]) == 5
 
     @pytest.mark.parametrize(
         "flag", [["--repeats", "2"], ["--warmup", "1"]]
