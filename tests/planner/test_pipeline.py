@@ -63,6 +63,21 @@ def abort_stream():
     ]
 
 
+def abort_chain_stream():
+    """t2 and t3 both write b and abort inside batch 1, so t4's read of b
+    (bound to t3's slot) re-binds past two poisoned slots to t1's.  Batch
+    2 reads batch 1's survivors and t3's removed slot of c across the
+    seam.  batch_size=4 splits here."""
+    return [
+        (transfer_transaction("t1", "a", "b"), transfer_program(5)),
+        (transfer_transaction("t2", "b", "c"), boom),
+        (transfer_transaction("t3", "c", "b"), boom),
+        (transfer_transaction("t4", "b", "d"), transfer_program(1)),
+        (transfer_transaction("t5", "c", "d"), transfer_program(2)),
+        (transfer_transaction("t6", "b", "a"), transfer_program(3)),
+    ]
+
+
 class _Fixed:
     """A hand-written stream behind the scenario interface."""
 
@@ -88,6 +103,11 @@ CASES = {
     "boundary-abort": (
         lambda: _Fixed({k: 100 for k in "abcd"}, abort_stream()),
         {"n_workers": 2, "batch_size": 2}, 4,
+    ),
+    # two aborted writers of one entity in a batch: a multi-step re-bind.
+    "abort-chain": (
+        lambda: _Fixed({k: 100 for k in "abcd"}, abort_chain_stream()),
+        {"n_workers": 2, "batch_size": 4}, 6,
     ),
 }
 
@@ -232,6 +252,21 @@ class TestSeam:
         state = pipe.final_state()
         # t1 moved 5 a->b, then t4 moved 1 a->b on top of t1's balance.
         assert state["a"] == 94 and state["b"] == 106
+
+    @pytest.mark.parametrize("deterministic", [True, False])
+    @pytest.mark.parametrize("lookahead", [0, 1])
+    def test_rebind_walks_past_every_aborted_writer(
+        self, deterministic, lookahead
+    ):
+        """t4 re-binds past t3's and t2's poisoned slots of b onto t1's
+        filled one; batch 2 then builds on the survivors only."""
+        pipe, m = run_case("abort-chain", lookahead, deterministic)
+        assert m.committed == 4
+        assert m.logic_aborted == m.aborted == 2
+        assert m.cc_aborts == 0
+        # t1: a->b 5; t4: b->d 1; t5: c->d 2; t6: b->a 3.
+        assert pipe.final_state() == {"a": 98, "b": 101, "c": 98, "d": 103}
+        assert pipe.store.placeholder_count() == 0
 
     def test_cross_batch_reads_counted(self):
         scenario = bank()

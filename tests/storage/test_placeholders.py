@@ -177,6 +177,34 @@ class TestWaitOnDemand:
         store.fill(slot, 1)
         assert slot.wait(0) is True
 
+    @pytest.mark.parametrize("early_waiter", [False, True])
+    def test_poison_wakes_every_waiter_for_good(self, early_waiter):
+        """A reader re-binds past a poisoned slot only because poison is
+        terminal: a parked waiter wakes to POISONED, every later wait
+        returns at once, and the slot can never be filled after all."""
+        store = MultiversionStore()
+        slot = store.reserve("x", "A", 0)
+        if early_waiter:  # the poison below then sets an existing event
+            assert slot.wait(0.01) is False
+        seen = []
+        parked = threading.Event()
+
+        def wait_for_it():
+            parked.set()
+            seen.append((slot.wait(10), slot.state))
+
+        waiter = threading.Thread(target=wait_for_it)
+        waiter.start()
+        parked.wait(10)
+        store.poison(slot)
+        waiter.join(10)
+        assert not waiter.is_alive()
+        assert seen == [(True, PlaceholderState.POISONED)]
+        assert slot.wait(0) is True
+        with pytest.raises(ValueError):
+            store.fill(slot, 7)
+        assert slot.state is PlaceholderState.POISONED
+
     @pytest.mark.parametrize("decide", ["fill", "poison"])
     @pytest.mark.parametrize("line", [1, 2, 3])
     def test_decision_landing_inside_wait_is_not_lost(self, decide, line):
