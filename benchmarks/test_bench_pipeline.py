@@ -66,8 +66,8 @@ def test_bench_pipeline(
     # abort-heavy stream both abort-free modes re-bind readers past the
     # dead writers, commit the same set, stay CC-abort free, and
     # serialize byte-identical native metrics.
-    planner_ah = report["abort-heavy/planner/reexec-det"]
-    pipelined_ah = report["abort-heavy/pipelined/reexec-det"]
+    planner_ah = report["abort-heavy/planner/det"]
+    pipelined_ah = report["abort-heavy/pipelined/det"]
     for r in (planner_ah, pipelined_ah):
         assert r.cc_aborts == 0
         assert r.metrics.logic_aborted > 0

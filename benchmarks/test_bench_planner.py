@@ -79,14 +79,14 @@ def test_bench_planner(
     # no more steps than the stream holds (a re-run would count its
     # steps twice).
     serial_ah = report["abort-heavy/serial"]
-    planner_ah = report["abort-heavy/planner/reexec"]
+    planner_ah = report["abort-heavy/planner"]
     rows.append(row("abort-heavy", "serial-engine", 4, serial_ah))
     rows.append(row("abort-heavy", "planner", 4, planner_ah))
     assert planner_ah.cc_aborts == 0
     assert planner_ah.metrics.logic_aborted > 0
     assert planner_ah.committed == serial_ah.committed
     assert planner_ah.metrics.engine.attempts == planner_ah.submitted
-    case = SUITE.case("abort-heavy/planner/reexec")
+    case = SUITE.case("abort-heavy/planner")
     stream = AbortHeavyScenario(**case.scenario_params).transaction_stream(
         case.txns
     )
@@ -99,7 +99,7 @@ def test_bench_planner(
     # `repro bench compare` consumes).
     for case_id in [
         f"{wname}/planner/w4/det" for wname in WORKLOADS
-    ] + ["abort-heavy/planner/reexec"]:
+    ] + ["abort-heavy/planner"]:
         first = make_record("e17", by_id[case_id], sha="pinned")
         again = make_record(
             "e17", run_case(SUITE.case(case_id)), sha="pinned"

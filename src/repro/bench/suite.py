@@ -248,7 +248,7 @@ def _e17_cases() -> tuple[BenchCase, ...]:
         txns=400,
     ))
     cases.append(BenchCase(
-        case_id="abort-heavy/planner/reexec",
+        case_id="abort-heavy/planner",
         scenario="abort-heavy",
         scenario_params=_ABORT_HEAVY,
         config={"mode": "planner", "workers": 4, "batch_size": 64,
@@ -288,7 +288,7 @@ def _e18_cases() -> tuple[BenchCase, ...]:
         ("planner", {}), ("pipelined", {"lookahead": 2}),
     ):
         cases.append(BenchCase(
-            case_id=f"abort-heavy/{mode}/reexec-det",
+            case_id=f"abort-heavy/{mode}/det",
             scenario="abort-heavy",
             scenario_params=_ABORT_HEAVY,
             config={"mode": mode, "workers": 4, "batch_size": 64,
@@ -345,7 +345,7 @@ def _smoke_cases() -> tuple[BenchCase, ...]:
         # writer take its readers down shows up as this case's
         # committed count falling.
         BenchCase(
-            case_id="abort-heavy/planner-reexec",
+            case_id="abort-heavy/planner-det",
             scenario="abort-heavy",
             scenario_params=_ABORT_HEAVY,
             config={"mode": "planner", "workers": 4, "batch_size": 64,

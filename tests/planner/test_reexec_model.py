@@ -289,7 +289,7 @@ def test_each_transaction_runs_once(monkeypatch):
         return run_one(self, ptxn, first_position)
 
     monkeypatch.setattr(PlanExecutor, "_run_one", counting)
-    report = run_case(get_suite("e17").case("abort-heavy/planner/reexec"))
+    report = run_case(get_suite("e17").case("abort-heavy/planner"))
     metrics = report.report.metrics
     assert metrics.logic_aborted > 0
     assert len(ran) == len({t.txn for t in ran}) == metrics.submitted
