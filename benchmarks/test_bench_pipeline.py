@@ -5,11 +5,15 @@ through the ``planner`` (PR 3, strictly plan-execute-settle in
 sequence) and ``pipelined`` (PR 5, plans batch k+1 while batch k
 executes) backends via the typed Database API, on the two E17
 workloads: the sharded bank (write-heavy) and the read-mostly hot-key
-scenario.  Both modes build the *same plan* — the pipeline only moves
-planning off the execution's critical path — so what this table can
-show is the seam: the reads planned against an in-flight batch
-(``cross_batch_reads``) and the ones re-bound when that batch settled.
-The run leaves ``BENCH_e18.json`` next to the txt table.
+scenario, plus the abort-heavy stream.  Both modes build the *same
+plan* — the pipeline only moves planning off the execution's critical
+path — so the counts agree row for row except ``rebound_reads``: every
+read that found its source writer logic-aborted and re-bound down the
+chain.  Planned ahead, a read bound to an in-flight batch's slot whose
+writer then aborts re-binds when its own batch executes, where the
+sequential planner binds the survivor directly, so the pipelined
+abort-heavy row re-binds more.  The run leaves ``BENCH_e18.json`` next
+to the txt table.
 
 Pinned claims:
 
@@ -73,6 +77,11 @@ def test_bench_pipeline(
         assert r.metrics.logic_aborted > 0
         assert r.committed < r.submitted
     assert metrics_json(planner_ah) == metrics_json(pipelined_ah)
+    assert (
+        pipelined_ah.metrics.rebound_reads
+        >= planner_ah.metrics.rebound_reads
+        > 0
+    )
 
     # A re-run of any case reproduces its record byte for byte.
     for result in results:
@@ -89,7 +98,6 @@ def test_bench_pipeline(
             "mode": r.mode,
             "lookahead": r.metrics.lookahead,
             **count_columns(r),
-            "cross_batch_reads": r.metrics.cross_batch_reads,
             "rebound_reads": r.metrics.rebound_reads,
         }
         for r in report.values()

@@ -12,9 +12,9 @@ the structures that carry such a plan:
 * :class:`PlannedTransaction` — one transaction with its timestamp, its
   bindings in step order, its reserved write slots, and its commit
   dependencies (the uncommitted transactions its reads are bound to).
-* :class:`BatchPlan` — the whole batch in timestamp order; its
-  ``dep_map`` is a view of the per-transaction ``deps``, which are the
-  one statement of what a commit depends on.
+* :class:`BatchPlan` — the whole batch in timestamp order.  The
+  per-transaction ``deps`` are the one statement of what a commit
+  depends on.
 
 The structures are deliberately storage-agnostic: ``source``/``slots``
 hold whatever version objects the planner's store hands out (the model
@@ -40,11 +40,11 @@ class ReadBinding:
     ``source`` is the version object the read will be served —
     immutable for base reads, a reserved placeholder otherwise.
 
-    Rebuilt, never mutated: a re-bind (the lookahead seam, the
-    executor's read-time re-bind) puts a new binding in the
-    transaction's cell.  The class is not
-    ``frozen`` only because a frozen dataclass pays ``object.__setattr__``
-    per field at construction, and planning builds one per read.
+    Rebuilt, never mutated: the executor's read-time re-bind past a
+    logic-aborted writer puts a new binding in the transaction's cell.
+    The class is not ``frozen`` only because a frozen dataclass pays
+    ``object.__setattr__`` per field at construction, and planning
+    builds one per read.
     Bindings compare by identity, like the plan objects that hold them.
     """
 
@@ -115,8 +115,3 @@ class BatchPlan:
 
     def __len__(self) -> int:
         return len(self.planned)
-
-    @property
-    def dep_map(self) -> dict[TxnId, set[TxnId]]:
-        """txn -> commit dependencies, built per read (settle reads once)."""
-        return {ptxn.txn: set(ptxn.deps) for ptxn in self.planned}

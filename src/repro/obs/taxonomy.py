@@ -129,11 +129,6 @@ EVENTS: tuple[EventSpec, ...] = (
         "`batch`, `committed`",
     ),
     EventSpec(
-        "plan.rebind", "instant", "",
-        "pipelined (cross-batch read rebound)",
-        "`txn`, `entity`",
-    ),
-    EventSpec(
         "epoch.close", "instant", "",
         "engine",
         "`epoch`, `steps`",

@@ -9,13 +9,12 @@ into batches (one batch = one epoch), each batch is planned
 (:mod:`repro.planner.planning`), executed abort-free
 (:mod:`repro.planner.executor`), and *settled*:
 
-* the committed set is re-derived through the group-commit fixpoint
-  (:meth:`repro.runtime.group_commit.GroupCommitLog.commit_closure`) over
-  the plan's dependency map — logic aborts vote "no".  A reader of a
-  logic-aborted writer already re-bound past it during execution (see
-  :mod:`repro.planner.executor`), so nothing depends on a dead writer
-  and the closure is exactly the executed committed set.  The two
-  computations agreeing is an asserted invariant, not an assumption.
+* the committed set is the executed one.  A reader of a logic-aborted
+  writer already re-bound past it during execution (see
+  :mod:`repro.planner.executor`), and
+  :func:`~repro.planner.executor.verify_settled` has checked, right
+  after execution, that every committed transaction's ``deps`` are
+  committed — the set is closed under commit dependencies.
 * the logic-aborted transactions' poisoned slots are removed from the
   store; no placeholder of a settled batch survives it.
 * the watermark GC (:class:`repro.engine.gc.WatermarkGC`) prunes behind
@@ -35,7 +34,7 @@ in sequence: planning is partition-threaded, execution uses
 ``n_workers`` threads, and nothing is ever in flight across a settle.
 At 1 or more (the ``pipelined`` mode) a background stage plans batches
 *k+1 … k+lookahead* while batch *k* executes, and the whole difficulty
-lives at the seam between an executing batch and an in-flight plan:
+lives at the boundary between an executing batch and an in-flight plan:
 
 * **Base capture against reserved positions.**  Batch *k+1* is planned
   while batch *k*'s slots are still deciding, so a base read binds to
@@ -45,27 +44,25 @@ lives at the seam between an executing batch and an in-flight plan:
   already known even though its payload is not.  Cross-batch bindings
   keep the ``T_INIT`` base classification (they are pre-batch state,
   exactly what base capture would see one settle later), so plan shape
-  and metrics do not depend on ``lookahead``.
-* **Aborts re-bind, never replan.**  When batch *k* settles, slots of
-  non-committed transactions are removed.  Each in-flight plan indexes
-  its bindings by source slot, so a removed slot invalidates exactly the
-  bindings bound to it; each re-binds to
-  :meth:`~repro.storage.mvstore.MultiversionStore.latest_before` the
-  plan's first position — the version the plan would have bound had the
-  aborted slot never been reserved.  Nothing else in the plan moves.
-  Only logic aborts remove slots: a reader of a dead writer re-binds
-  inside its own batch and fills its slots *in place*, so lookahead
-  bindings to it stay exact without repair.
+  and the native metrics do not depend on ``lookahead``.
+* **Aborts re-bind where they are read, never replan.**  Batch *k+1*
+  executes only after batch *k* settled, so every cross-batch source is
+  decided and no read ever waits on another batch's slot.  A binding to
+  a slot whose writer logic-aborted stays as planned: settle removed the
+  slot, but it stays POISONED, so when *k+1* executes the reader
+  re-binds exactly as a reader inside batch *k* would — one walk down
+  the chain (:meth:`~repro.planner.executor.PlanExecutor._rebind`) to
+  the newest survivor, which lies below *k+1*'s first position (on that
+  entity nothing was reserved between, or planning would have bound to
+  it) and is therefore a ``T_INIT`` base read: the version the plan
+  would have bound had the aborted slot never been reserved.
 * **GC honors in-flight plans.**  Every plan pins its first install
   position in the :class:`~repro.engine.gc.WatermarkGC` from plan time
   to settle; the collector clamps any requested watermark to the lowest
   pin, and ``prune_before`` keeps the newest version below the watermark
-  per entity — which is precisely every in-flight binding's (possibly
-  re-bound) base source.  Bound versions structurally cannot be pruned.
-* **Execution never crosses the seam.**  Batch *k+1* executes only
-  after batch *k* settled, so every cross-batch source is filled (and a
-  binding to an aborted slot has been re-bound): no read ever waits on,
-  or re-binds past, another batch's slot.
+  per entity — which is precisely every in-flight binding's base
+  source, or the survivor a binding to a removed slot re-binds to.
+  Bound versions structurally cannot be pruned.
 
 With ``lookahead >= 1`` stage concurrency replaces intra-batch execution
 threads: each planned batch executes inline in timestamp order (a
@@ -79,10 +76,10 @@ threads or not.
 Deterministic mode keeps the pipeline's *order* but not its threads:
 plan the next batches inline after executing (pre-settle, so planning
 sees the identical chain state the background stage would), then
-settle.  The plan, the re-binds, the final state and
-``metrics.as_dict()`` are byte-identical at every ``lookahead`` for
-equal seeds — pipelining changes when planning happens, never what is
-planned.
+settle.  The settled plan, the final state and ``metrics.as_dict()``
+are byte-identical at every ``lookahead`` for equal seeds — pipelining
+changes when planning happens, never what is planned; only how many
+reads reach a dead writer's slot, and so re-bind, moves with it.
 """
 
 # repro: deterministic-contract — equal seeds must yield byte-identical output
@@ -91,34 +88,32 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from queue import SimpleQueue
 
 from repro.engine.errors import EngineError
 from repro.engine.gc import WatermarkGC
-from repro.model.batching import BatchPlan, ReadBinding
+from repro.model.batching import BatchPlan
 from repro.model.schedules import T_INIT
 from repro.model.steps import Entity
 from repro.obs.clock import perf_clock
 from repro.obs import NULL_TRACER
 from repro.planner.executor import (
-    COMMITTED,
     ExecutionOutcome,
     PlanExecutor,
     verify_settled,
 )
 from repro.planner.metrics import PlannerMetrics
 from repro.planner.planning import plan_batch
-from repro.runtime.group_commit import GroupCommitLog
 from repro.storage.sharded import ShardedMultiversionStore
 
 
 def emit_planned_data_ops(tracer, ptxn) -> None:
     """Emit ``txn.read``/``txn.write`` instants for one committed ptxn.
 
-    Emitted at settle time, when bindings are final (the executor and
-    the lookahead seam re-bind reads whose source's writer aborted, so
-    plan-time bindings may not be the served ones) and the fate is known
+    Emitted at settle time, when bindings are final (the executor
+    re-binds reads whose source's writer aborted, so plan-time bindings
+    may not be the served ones) and the fate is known
     (aborted transactions never read or wrote anything durable — their
     slots are removed).  ``pos`` is the source/installed chain position
     — the trace-wide join key between a read and the write that produced
@@ -167,10 +162,6 @@ class _InFlight:
     first_position: int
     #: write slots the plan reserved (pending until the batch settles).
     n_slots: int
-    #: id(source version) -> [(ptxn, binding index)] for every base
-    #: binding whose source is another batch's reserved slot — the index
-    #: the settle-time re-bind walks.
-    by_source: dict[int, list] = field(default_factory=dict)
     outcome: ExecutionOutcome | None = None
 
 
@@ -272,9 +263,6 @@ class BatchPlanner:
         self.executor = PlanExecutor(
             self.store, 1 if lookahead else n_workers, deterministic
         )
-        #: reused purely for its commit_closure fixpoint — the planner
-        #: batch is the "group" and settle is its flush decision.
-        self._commit_rule = GroupCommitLog(batch_size)
         self._next_timestamp = 0
         self._next_position = 0
         #: batches planned so far.
@@ -282,12 +270,6 @@ class BatchPlanner:
         #: the stream being drained (None until ``run``; single-use).
         self._stream = None
         self._drained = False
-        #: first install position of the oldest unsettled batch — the
-        #: seam: a base binding to a slot at or above it may still be
-        #: removed by an abort and is indexed for re-binding.  Written by
-        #: the driver before each planning stage starts, so the planning
-        #: thread reads a stable value.
-        self._seam_floor = 0
         #: span of the last background planning run (set by the planning
         #: thread, read by the driver after join).
         self._plan_span: tuple[float, float, int] | None = None
@@ -339,7 +321,6 @@ class BatchPlanner:
             if not plans:
                 break
             head = plans.popleft()
-            self._seam_floor = head.first_position
             if stage is None:
                 self._execute(head)
                 # Plan ahead pre-settle: the background stage would see
@@ -456,34 +437,14 @@ class BatchPlanner:
         n_slots = sum(len(ptxn.slots) for ptxn in plan)
         self._next_position += n_slots
         metrics.placeholders_reserved += n_slots
-        inflight = _InFlight(
-            number, plan, born, engine.ticks, first_position, n_slots
-        )
-        seam_floor = self._seam_floor
         base = own = dependent = 0
         for ptxn in plan:
             metrics.commit_deps += len(ptxn.deps)
             txn = ptxn.txn
-            for index, binding in enumerate(ptxn.bindings):
+            for binding in ptxn.bindings:
                 source_txn = binding.source_txn
                 if source_txn == T_INIT:
                     base += 1
-                    if (
-                        ahead
-                        and binding.source.is_placeholder
-                        and binding.source.position >= seam_floor
-                    ):
-                        # Bound to an unsettled batch's reserved slot:
-                        # exact already, but re-bound at that batch's
-                        # settle if the slot's writer aborts.  Keyed on
-                        # position, not fill state, so the count does not
-                        # depend on how far execution got before the scan
-                        # (slots that turn out filled are never removed,
-                        # so a stale index entry is simply never popped).
-                        metrics.cross_batch_reads += 1
-                        inflight.by_source.setdefault(
-                            id(binding.source), []
-                        ).append((ptxn, index))
                 elif source_txn == txn:
                     own += 1
                 else:
@@ -496,7 +457,9 @@ class BatchPlanner:
                 "plan", "plan.batch", "plan",
                 batch=number, txns=len(items),
             )
-        return inflight
+        return _InFlight(
+            number, plan, born, engine.ticks, first_position, n_slots
+        )
 
     # -- execution stage ---------------------------------------------------
 
@@ -509,6 +472,7 @@ class BatchPlanner:
         outcome = self.executor.execute(head.plan, head.first_position)
         verify_settled(head.plan, outcome)
         self.metrics.blocked_reads += outcome.blocked_reads
+        self.metrics.rebound_reads += outcome.rebound_reads
         self.metrics.engine.steps_submitted += outcome.steps_executed
         head.outcome = outcome
         if tracing:
@@ -520,13 +484,12 @@ class BatchPlanner:
     # -- settle ------------------------------------------------------------
 
     def _settle(self, head: _InFlight, plans: deque) -> None:
-        """Commit-closure check, abort removal, seam repair, GC.
+        """Commit accounting, abort removal, GC.
 
         ``plans`` are the batches planned ahead of ``head`` (none at
-        lookahead=0): bindings of theirs whose source slot was just
-        removed are re-bound, and the settled batch's GC pin is released
-        before collecting (the clamp then moves to the oldest remaining
-        plan).
+        lookahead=0): their slots are the only placeholders left, and the
+        settled batch's GC pin is released before collecting (the clamp
+        then moves to the oldest remaining plan).
         """
         metrics = self.metrics
         engine = metrics.engine
@@ -536,23 +499,7 @@ class BatchPlanner:
             self.tracer.begin(
                 "settle", "settle.batch", "driver", batch=head.number,
             )
-        # The group-commit fixpoint over the planned dependency map must
-        # re-derive exactly the executed fates: logic aborts vote no, and
-        # no reader still depends on one.
-        votes = {
-            ptxn.txn: outcome.fates[ptxn.txn] == COMMITTED
-            for ptxn in head.plan
-        }
-        committed = self._commit_rule.commit_closure(
-            votes, head.plan.dep_map
-        )
-        if committed != outcome.committed:
-            raise EngineError(
-                "planner settle disagrees with execution: "
-                f"closure {sorted(map(repr, committed))} vs executed "
-                f"{sorted(map(repr, outcome.committed))}"
-            )
-        removed: list = []
+        committed = outcome.committed
         for ptxn, tick in zip(head.plan, head.born):
             if ptxn.txn in committed:
                 engine.committed += 1
@@ -573,10 +520,6 @@ class BatchPlanner:
                 )
             for slot in ptxn.slots:
                 self.store.remove(slot)
-                removed.append(slot)
-        for slot in removed:
-            for inflight in plans:
-                self._rebind(inflight, slot)
         expected = sum(p.n_slots for p in plans)
         if self.store.placeholder_count() != expected:
             raise EngineError(
@@ -593,30 +536,3 @@ class BatchPlanner:
                 "settle", "settle.batch", "driver",
                 batch=head.number, committed=len(committed),
             )
-
-    def _rebind(self, inflight: _InFlight, slot) -> None:
-        """Repair one in-flight plan after ``slot`` was removed.
-
-        Every binding bound to the slot moves to the newest surviving
-        version below the plan's first position — on this entity nothing
-        was reserved between (else the plan would have bound to *that*),
-        so the survivor is settled, committed state: the exact version
-        the plan would have bound had the aborted slot never existed.
-        """
-        affected = inflight.by_source.pop(id(slot), ())
-        if not affected:
-            return
-        source = self.store.latest_before(
-            slot.entity, inflight.first_position
-        )
-        for ptxn, index in affected:
-            old = ptxn.bindings[index]
-            ptxn.bindings[index] = ReadBinding(
-                old.txn, old.step_index, source, T_INIT
-            )
-            self.metrics.rebound_reads += 1
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    "plan", "plan.rebind", "driver",
-                    txn=str(old.txn), entity=str(slot.entity),
-                )

@@ -15,7 +15,9 @@ the dead writer never been admitted — and runs on.  Nothing needs
 undoing: a slot goes PENDING -> FILLED or PENDING -> POISONED, never
 FILLED -> POISONED, so the reader has consumed nothing of the dead
 writer's and its own slots are still pending.  Each planned transaction
-runs exactly once; only a logic abort poisons.
+runs exactly once; only a logic abort poisons.  A read planned ahead
+against an earlier batch's slot whose writer aborted re-binds the same
+way: settle removed the slot from the chain, but the slot stays POISONED.
 
 Every fill and poison publishes under the slot's shard lock
 (``store.lock_of``), on every path — the planning stage may be reserving
@@ -73,6 +75,8 @@ class ExecutionOutcome:
     fates: dict[TxnId, str] = field(default_factory=dict)
     #: reads that found their source slot still pending and parked.
     blocked_reads: int = 0
+    #: reads whose source writer logic-aborted, re-bound down the chain.
+    rebound_reads: int = 0
     steps_executed: int = 0
 
     @property
@@ -105,9 +109,12 @@ class PlanExecutor:
         if self.deterministic or self.n_workers == 1:
             try:
                 for ptxn in plan:
-                    fate, blocked, steps = self._run_one(ptxn, first_position)
+                    fate, blocked, rebound, steps = self._run_one(
+                        ptxn, first_position
+                    )
                     outcome.fates[ptxn.txn] = fate
                     outcome.blocked_reads += blocked
+                    outcome.rebound_reads += rebound
                     outcome.steps_executed += steps
             except Exception as error:
                 raise _crashed(error) from error
@@ -126,7 +133,9 @@ class PlanExecutor:
                 if ptxn is None:
                     return
                 try:
-                    fate, blocked, steps = self._run_one(ptxn, first_position)
+                    fate, blocked, rebound, steps = self._run_one(
+                        ptxn, first_position
+                    )
                 except BaseException as error:  # noqa: BLE001
                     # An executor bug, not a workload condition — but a
                     # silently dead thread would strand readers parked on
@@ -140,6 +149,7 @@ class PlanExecutor:
                 with mutex:
                     outcome.fates[ptxn.txn] = fate
                     outcome.blocked_reads += blocked
+                    outcome.rebound_reads += rebound
                     outcome.steps_executed += steps
 
         threads = [
@@ -156,15 +166,15 @@ class PlanExecutor:
 
     def _run_one(
         self, ptxn: PlannedTransaction, first_position: int
-    ) -> tuple[str, int, int]:
+    ) -> tuple[str, int, int, int]:
         """Run one transaction to publish or poison; no third ending.
 
-        Returns (fate, blocked reads, steps run).
+        Returns (fate, blocked reads, re-bound reads, steps run).
         """
         reads: list = []
         own_values: dict[int, object] = {}
         computed: list = []
-        blocked = 0
+        blocked = rebound = 0
         steps = 0
         txn = ptxn.txn
         bindings = iter(ptxn.bindings)
@@ -181,6 +191,7 @@ class PlanExecutor:
                         blocked += 1
                         source.wait()
                     if source.state is _POISONED:
+                        rebound += 1
                         source = self._rebind(
                             ptxn, len(reads), source, first_position
                         )
@@ -196,7 +207,7 @@ class PlanExecutor:
                     )
                 except Exception:  # noqa: BLE001 — a raise IS the abort
                     self._poison_all(ptxn)
-                    return LOGIC_ABORT, blocked, steps
+                    return LOGIC_ABORT, blocked, rebound, steps
                 own_values[id(slot)] = value
                 computed.append((slot, value))
         # Publish: the transaction's commit point.  Nothing was visible
@@ -205,7 +216,7 @@ class PlanExecutor:
         for slot, value in computed:
             with self.store.lock_of(slot.entity):
                 self.store.fill(slot, value)
-        return COMMITTED, blocked, steps
+        return COMMITTED, blocked, rebound, steps
 
     def _rebind(
         self,

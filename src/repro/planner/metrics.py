@@ -10,7 +10,7 @@ counters, so ``engine.aborted_total`` (surfaced here as ``cc_aborts``)
 staying at zero is a *recorded measurement*, not a definition.
 
 Planner-specific counters (plan shape, commit dependencies, blocked
-reads, logic aborts) live on top.  ``as_dict`` excludes
+and re-bound reads, logic aborts) live on top.  ``as_dict`` excludes
 wall-clock fields, so two same-seed deterministic runs serialize
 byte-identically — the same reproducibility contract as the runtime.
 """
@@ -53,6 +53,12 @@ class PlannerMetrics:
     #: the one abort planning cannot remove: programs that raised (their
     #: readers re-bind past them and run on).
     logic_aborted: int = 0
+    #: reads that found their source writer logic-aborted and re-bound
+    #: down the chain during execution.  Kept out of ``as_dict``: at
+    #: ``lookahead >= 1`` a read planned against an earlier batch's slot
+    #: re-binds too, where sequential planning would have bound the
+    #: survivor directly, so the count depends on ``lookahead``.
+    rebound_reads: int = 0
 
     #: batches planned ahead of the executing one (configuration; 0 —
     #: sequential stages).  Everything below stays zero at lookahead=0
@@ -60,15 +66,8 @@ class PlannerMetrics:
     #: byte-identically at every lookahead (pipelining changes when
     #: planning happens, never what is planned) — so it is either
     #: wall-clock (excluded exactly like ``elapsed``) or surfaced via
-    #: :meth:`report` and the ``pipeline.*`` telemetry names only.
+    #: :meth:`report` and the ``pipeline.lookahead`` gauge only.
     lookahead: int = 0
-    #: read bindings whose source slot was removed by an earlier batch's
-    #: abort and re-bound to the newest surviving version (the seam a
-    #: planning stage running ahead must repair).
-    rebound_reads: int = 0
-    #: base-read bindings that bound to a previous in-flight batch's
-    #: reserved slot at plan time (cross-batch seam traffic).
-    cross_batch_reads: int = 0
     #: wall-clock: seconds spent planning, and the share of it hidden
     #: under execution (threaded mode; 0.0 when deterministic).
     plan_elapsed: float = 0.0
@@ -132,9 +131,9 @@ class PlannerMetrics:
         ``planner.*`` names on top of the shared ``engine.*`` set (the
         reused engine metrics register themselves, so the zero-abort
         witness — ``engine.aborted.*`` all zero — rides along), plus
-        the logical ``pipeline.*`` seam counters when planning runs
-        ahead.  The wall-clock overlap fields stay out (same rule as
-        ``elapsed``), so deterministic telemetry is byte-identical.
+        the ``pipeline.lookahead`` gauge when planning runs ahead.  The
+        wall-clock overlap fields stay out (same rule as ``elapsed``),
+        so deterministic telemetry is byte-identical.
         """
         self.engine.register_into(registry)
         _FIELDS.register_into(self, registry)
@@ -157,7 +156,8 @@ class PlannerMetrics:
             f"committed     {self.committed}  "
             f"(rate {self.commit_rate:.3f}{rate})",
             f"cc aborts     {self.cc_aborts}  (abort-free by construction)",
-            f"logic aborts  {self.logic_aborted}",
+            f"logic aborts  {self.logic_aborted}  "
+            f"({self.rebound_reads} reads re-bound past them)",
             f"reads         {self.base_reads} base, {self.own_reads} own, "
             f"{self.dependent_reads} dependent "
             f"({self.commit_deps} commit deps, "
@@ -184,10 +184,6 @@ class PlannerMetrics:
                 )
             )
             lines.append(f"pipeline      {overlap}")
-            lines.append(
-                f"seam          {self.cross_batch_reads} cross-batch "
-                f"reads, {self.rebound_reads} re-bound after aborts"
-            )
         return "\n".join(lines)
 
 
@@ -207,6 +203,7 @@ _FIELDS = FieldTable(
     ("dependent_reads", "dependent_reads", "reads.dependent", "counter"),
     ("commit_deps", "commit_deps", "commit_deps", "counter"),
     ("blocked_reads", "blocked_reads", "blocked_reads", "counter"),
+    ("rebound_reads", None, "rebound_reads", "counter"),
 )
 
 #: published only when planning runs ahead (``lookahead >= 1``); never
@@ -214,6 +211,4 @@ _FIELDS = FieldTable(
 _PIPELINE_FIELDS = FieldTable(
     "pipeline",
     ("lookahead", None, "lookahead", "gauge"),
-    ("rebound_reads", None, "rebound_reads", "counter"),
-    ("cross_batch_reads", None, "cross_batch_reads", "counter"),
 )

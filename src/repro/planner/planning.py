@@ -88,8 +88,8 @@ def plan_batch(
     still deciding: a base read then binds to the newest chain slot even
     if it is another batch's pending placeholder — the planned final
     chain position is fixed at reservation, so the binding is exact
-    either way, and the driver re-binds the few bindings whose
-    source is later removed by an abort.
+    either way, and a binding whose source's writer later logic-aborts
+    re-binds when its batch executes (:mod:`repro.planner.executor`).
 
     A partition walk that raises fails the call with one
     :class:`EngineError` chained from the cause — after the join when

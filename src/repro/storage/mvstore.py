@@ -356,12 +356,11 @@ class MultiversionStore:
     def latest_before(self, entity: Entity, position: int) -> Version:
         """The newest version strictly below ``position`` in chain order.
 
-        The re-binding primitive of the pipelined planner: when a reserved
-        slot a later plan bound to is removed (its writer aborted), the
-        affected reads re-bind to the newest survivor below the plan's
-        first install position — the version the plan would have bound had
-        the aborted slot never been reserved.  The initial version always
-        qualifies, so the lookup cannot miss on an unpruned chain.
+        The re-binding primitive of the planner's executor: a read whose
+        source slot's writer logic-aborted walks down the chain from that
+        slot — the version the plan would have bound had the aborted slot
+        never been reserved.  The initial version always qualifies, so
+        the lookup cannot miss on an unpruned chain.
         """
         chain = self._chain(entity)
         i = bisect_left(self._keys[entity], position)

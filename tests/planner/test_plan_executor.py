@@ -116,6 +116,7 @@ class TestPoison:
         assert outcome.fates == {
             "t1": LOGIC_ABORT, "t2": COMMITTED, "t3": COMMITTED,
         }
+        assert outcome.rebound_reads == 1
         # t2 was planned to read b from t1; it read the base instead, so
         # it no longer depends on the dead writer.
         t2 = plan.planned[1]
@@ -125,9 +126,8 @@ class TestPoison:
             "t1": frozenset(), "t2": frozenset(), "t3": frozenset(),
         }
         votes = {t: fate == COMMITTED for t, fate in outcome.fates.items()}
-        assert GroupCommitLog(3).commit_closure(votes, plan.dep_map) == {
-            "t2", "t3",
-        }
+        deps = {p.txn: set(p.deps) for p in plan}
+        assert GroupCommitLog(3).commit_closure(votes, deps) == {"t2", "t3"}
         state = store.final_state()
         assert state["b"] == 97 and state["c"] == 103
         assert state["d"] == 96 and state["e"] == 104

@@ -91,25 +91,24 @@ class TestBinding:
         assert planned["B"].bindings[0].source_txn == "A"
         assert planned["B"].deps == frozenset({"A"})
 
-    def test_dep_map_is_a_view_of_deps(self):
+    def test_deps_are_derived_from_bindings(self):
         t1 = Transaction.build("A", ("W", "x"))
         t2 = Transaction.build("B", ("R", "x"), ("W", "y"))
         t3 = Transaction.build("C", ("R", "y"), ("R", "x"))
         batch, _ = plan([(t1, None), (t2, None), (t3, None)])
-        assert batch.dep_map == {
-            "A": set(), "B": {"A"}, "C": {"A", "B"},
+        assert {p.txn: p.deps for p in batch} == {
+            "A": frozenset(), "B": {"A"}, "C": {"A", "B"},
         }
-        # Derived, not stored: re-binding a transaction moves the view.
+        # Derived, not stored: re-binding a transaction moves its deps.
         planned = by_txn(batch)
         planned["C"].bind(planned["C"].bindings[:1])
         assert planned["C"].deps == frozenset({"B"})
-        assert batch.dep_map["C"] == {"B"}
 
     @pytest.mark.parametrize("root", ["A", "B", "D"])
     def test_only_the_root_aborts(self, root):
         """Readers of the dead root re-bind past it during execution, so
         the root aborts alone, no ``deps`` name it afterwards, and the
-        closure settle's fixpoint re-derives is the executed set."""
+        group-commit closure over the ``deps`` is the executed set."""
 
         def boom(write_index, reads):
             raise RuntimeError("logic abort")
@@ -130,7 +129,8 @@ class TestBinding:
         assert outcome.committed == set("ABCD") - {root}
         assert all(root not in ptxn.deps for ptxn in batch)
         votes = {t: fate == COMMITTED for t, fate in fates.items()}
-        closure = GroupCommitLog(4).commit_closure(votes, batch.dep_map)
+        deps = {p.txn: set(p.deps) for p in batch}
+        closure = GroupCommitLog(4).commit_closure(votes, deps)
         assert closure == outcome.committed
 
 

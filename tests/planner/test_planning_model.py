@@ -300,7 +300,7 @@ def test_driver_counts_the_same_plan_shape(
             fast_tally["dependent"], fast_tally["commit_deps"],
         )
     for name in (
-        "placeholders_reserved", "cross_batch_reads", "rebound_reads",
+        "placeholders_reserved", "rebound_reads",
         "committed", "logic_aborted",
     ):
         assert getattr(fast_metrics, name) == getattr(model_metrics, name)
