@@ -21,9 +21,11 @@ is reconstructed and judged, online (a tracer subscriber) or post-hoc
 Entry points:
 
 * live — ``auditor = Auditor.attach(tracer)`` before the run, then
-  ``auditor.finish(dropped=tracer.dropped)`` after; ``RunConfig(
-  audit=True)`` wires exactly this and surfaces the report on
-  :class:`repro.db.RunReport`.
+  ``auditor.finish()`` after; ``RunConfig(audit=True)`` wires exactly
+  this and surfaces the report on :class:`repro.db.RunReport`.  The
+  subscriber sees every event, so the tracer may keep any log or none
+  (an audit-only run keeps none), and the auditor itself keeps only
+  each track's open segment and committed chain.
 * post-hoc — :func:`audit_file` replays any ``repro run --trace`` JSONL
   file (the ``repro audit PATH`` CLI), :func:`audit_events` any event
   list.
@@ -34,18 +36,13 @@ contract extended to the verdict itself.
 """
 
 from repro.audit.auditor import Auditor, audit_events, audit_file
-from repro.audit.reconstruct import (
-    DataOp,
-    ScheduleReconstructor,
-    Segment,
-)
+from repro.audit.reconstruct import ScheduleReconstructor, Segment
 from repro.audit.report import AuditReport
 from repro.audit.violations import Violation, VIOLATION_CODES
 
 __all__ = [
     "Auditor",
     "AuditReport",
-    "DataOp",
     "ScheduleReconstructor",
     "Segment",
     "Violation",

@@ -1,9 +1,9 @@
 """The auditor: structural checks + online 1-SR certification.
 
 Drives a :class:`~repro.audit.reconstruct.ScheduleReconstructor` and
-certifies every segment the moment it closes: the reconstructed epoch
-schedule, with its observed reads-from relation pinned per read, goes
-through :func:`repro.classes.mvsr.certify_fixed`.  A pass means a
+certifies every segment the moment it closes: the epoch's steps, with
+their observed reads-from relation pinned per read, are checked against
+:func:`repro.classes.mvsr.certify_fixed`'s decision.  A pass means a
 serial order exists in which every read is served exactly the version
 the run actually served it — 1-SR, certified from the trace rather than
 assumed from the scheduler.
@@ -13,7 +13,9 @@ checking a claimed one is a single pass, and every mode names its
 order.  So the judge is witness-first, three tiers on one code path:
 
 0. **replay** the order the run claims — the segment's commit order —
-   against the pinned sources, O(steps);
+   against the pinned sources, O(steps), straight over the joined ops
+   (:func:`replays_claimed_order`); only a miss builds the segment's
+   :class:`~repro.model.schedules.Schedule` for the tiers below;
 1. **graph**: derive an order from the multiversion serialization graph
    of the pins (install order as version order) and replay that,
    polynomial;
@@ -32,8 +34,11 @@ Structural violations (reads-from consistency, version-chain
 integrity, the recoverability commit rule) are detected during
 reconstruction; a segment carrying any is reported broken and skipped
 by the decider (a forged reads-from relation makes its verdict
-meaningless).  Drops void everything: an incomplete stream certifies
-nothing, which is why audited runs use an unbounded event log.
+meaningless).  A post-hoc audit of a stream with drops refuses it
+(``trace-dropped``): an incomplete stream certifies nothing.  A live
+auditor is a tracer subscriber, which sees every event whatever the
+tracer's log keeps — an audit-only run keeps no log at all — so its
+verdict never depends on the log's drop count.
 
 Epochs keep the instances small; the budget bounds the rest — a
 pathological segment ends in a named verdict, never a hang.
@@ -45,7 +50,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.audit.reconstruct import ScheduleReconstructor, Segment
+from repro.audit.reconstruct import Joined, ScheduleReconstructor, Segment
 from repro.audit.report import AuditReport
 from repro.audit.violations import Violation
 from repro.classes.mvsr import TIERS, certify_fixed
@@ -54,7 +59,42 @@ from repro.graphs.polygraph import (
     SearchBudgetExceeded,
     SearchEffort,
 )
+from repro.model.schedules import T_FINAL, T_INIT
 from repro.obs.tracer import TraceEvent
+
+
+def replays_claimed_order(joined: Joined) -> bool:
+    """Tier 0 over a joined segment: does its commit order serve every
+    pinned read?  :func:`~repro.classes.mvsr.order_serves_fixed`'s
+    replay, without the schedule.
+
+    The transactions run serially in ``joined.committed`` order, each
+    one's steps in trace order (positions bucketed by commit rank, no
+    sort), keeping per entity the last writer and the position of that
+    writer's first write there: every read must find its pinned source,
+    installed before the read's own position.
+    """
+    ops, committed = joined.ops, joined.committed
+    if T_INIT in committed or T_FINAL in committed:
+        return False  # padding ids: the schedule path owns that case
+    rank = {txn: r for r, txn in enumerate(committed)}
+    buckets: list[list[int]] = [[] for _ in committed]
+    for at, op in enumerate(ops):
+        buckets[rank[op[0]]].append(at)
+    last: dict[str, tuple[str, int]] = {}
+    for bucket in buckets:
+        for at in bucket:
+            txn, entity, source = ops[at]
+            found = last.get(entity)
+            if source is None:
+                if found is None or found[0] != txn:
+                    last[entity] = (txn, at)
+            elif found is None:
+                if source != T_INIT:
+                    return False
+            elif source != found[0] or found[1] > at:
+                return False
+    return True
 
 
 class Auditor:
@@ -62,7 +102,7 @@ class Auditor:
 
     def __init__(self) -> None:
         self._reconstructor = ScheduleReconstructor(
-            on_segment=self._judge
+            on_close=self._judge_joined
         )
         #: certification verdicts per segment, in close order.
         self.certified_segments = 0
@@ -93,6 +133,18 @@ class Auditor:
             self._reconstructor.feed(event)
 
     # -- judgment ----------------------------------------------------------
+
+    def _judge_joined(self, joined: Joined) -> None:
+        """Certify one closed segment from its joined ops when its claimed
+        order replays; build the :class:`Segment` only otherwise."""
+        if joined.violations or not replays_claimed_order(joined):
+            self._judge(joined.segment())
+            return
+        self._counts["committed"] += len(joined.committed)
+        self._counts["reads"] += joined.reads
+        self._counts["writes"] += len(joined.ops) - joined.reads
+        self._tiers["replay"] += 1
+        self.certified_segments += 1
 
     def _judge(self, segment: Segment) -> None:
         """Certify one closed segment (runs inside the feed lock when
@@ -137,7 +189,11 @@ class Auditor:
             ))
 
     def finish(self, dropped: int = 0) -> AuditReport:
-        """Flush residual segments and assemble the report (idempotent)."""
+        """Flush residual segments and assemble the report (idempotent).
+
+        ``dropped`` is the drop count of a stream read back from a log
+        (post-hoc); a live auditor saw every event and passes none.
+        """
         with self._lock:
             if self._report is not None:
                 return self._report
@@ -161,7 +217,7 @@ class Auditor:
                 events=rec.events_seen,
                 dropped=dropped,
                 tracks=len(rec.tracks_with_data),
-                segments=len(rec.segments),
+                segments=rec.closed,
                 certified=self.certified_segments,
                 tiers=dict(self._tiers),
                 search_choices=tuple(self._search_choices),

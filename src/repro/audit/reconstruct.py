@@ -25,6 +25,14 @@ engines' base-capture rule verbatim — after checking it was served the
 *newest* committed pre-segment version.  Structural violations
 (:mod:`repro.audit.violations`) are attached to the segment they occur
 in; certification is the :class:`repro.audit.auditor.Auditor`'s job.
+
+A track buffers only its open segment's raw events.  At the delimiter
+one join pass over them resolves attempts, joins every read to its
+source and flags every structural violation, leaving a :class:`Joined`
+— plain ``(txn, entity, source)`` tuples, no schedule.  Standalone, the
+reconstructor turns each into a :class:`Segment` and keeps it; the live
+auditor (``on_close``) judges the :class:`Joined` and nothing of the
+segment outlives its verdict except the committed-chain map.
 """
 
 # repro: deterministic-contract — equal seeds must yield byte-identical output
@@ -32,33 +40,16 @@ in; certification is the :class:`repro.audit.auditor.Auditor`'s job.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.model.schedules import Schedule, T_INIT
-from repro.model.steps import Step, read, write
+from repro.model.steps import read, write
 from repro.obs.tracer import END, TraceEvent
 from repro.audit.violations import Violation
 
 #: segment delimiters: the engines' quiescent points.
 _EPOCH_CLOSE = "epoch.close"
 _SETTLE_BATCH = "settle.batch"
-
-
-@dataclass(frozen=True)
-class DataOp:
-    """One data operation as the trace recorded it."""
-
-    kind: str  # "R" | "W"
-    txn: str
-    #: attempt sequence number (engine tracks) / plan timestamp
-    #: (planner tracks); pairs with ``txn`` to name one attempt.
-    seq: int | None
-    entity: str
-    #: chain position: the version read (reads) or installed (writes);
-    #: None is the pre-trace initial version.
-    pos: int | None
-    #: reads only — the writer the trace claims the version came from.
-    writer: str | None = None
 
 
 @dataclass
@@ -79,12 +70,51 @@ class Segment:
     violations: list[Violation] = field(default_factory=list)
 
 
+class Joined(NamedTuple):
+    """One closed segment as the join pass leaves it — no schedule yet.
+
+    ``ops[i]`` is the step at position ``i`` of the segment's schedule:
+    ``(txn, entity, source)`` with ``source`` the pinned reads-from
+    transaction of a read and ``None`` for a write.
+    """
+
+    track: str
+    index: int
+    ops: list[tuple[str, str, str | None]]
+    #: as :attr:`Segment.committed`.
+    committed: tuple[str, ...]
+    violations: list[Violation]
+    #: how many of ``ops`` are reads.
+    reads: int
+
+    def segment(self) -> Segment:
+        """The :class:`Segment` these ops spell."""
+        steps = []
+        read_sources: dict[int, str] = {}
+        for at, (txn, entity, source) in enumerate(self.ops):
+            if source is None:
+                steps.append(write(txn, entity))
+            else:
+                steps.append(read(txn, entity))
+                read_sources[at] = source
+        return Segment(
+            self.track, self.index, Schedule.of(steps), read_sources,
+            self.committed, self.violations,
+        )
+
+
 @dataclass
 class _TrackState:
     """Per-track fold state: the open segment plus the committed chain."""
 
     name: str
-    ops: list[DataOp] = field(default_factory=list)
+    #: the open segment's ``txn.read``/``txn.write`` events, as emitted.
+    #: Their args: ``txn``; ``seq``, the attempt sequence number (engine
+    #: tracks) or plan timestamp (planner tracks), which pairs with
+    #: ``txn`` to name one attempt; ``entity``; ``pos``, the chain
+    #: position read or installed (None: the pre-trace initial
+    #: version); and on reads ``writer``, the claimed installer.
+    ops: list[TraceEvent] = field(default_factory=list)
     #: commit events in order: (txn, seq-or-None).
     commits: list[tuple[str, int | None]] = field(default_factory=list)
     aborted: set[tuple[str, int | None]] = field(default_factory=set)
@@ -104,15 +134,24 @@ class ScheduleReconstructor:
     loaded event list; call :meth:`finish` once to flush residual
     segments.  ``on_segment`` fires at every segment close, which is
     what makes certification *online*: the auditor judges epoch *k*
-    while the run is producing epoch *k+1*.
+    while the run is producing epoch *k+1*.  ``on_close`` instead
+    receives each segment's :class:`Joined`, and then no
+    :class:`Segment` is built or kept.
     """
 
     def __init__(
-        self, on_segment: Callable[[Segment], None] | None = None
+        self,
+        on_segment: Callable[[Segment], None] | None = None,
+        *,
+        on_close: Callable[[Joined], None] | None = None,
     ) -> None:
         self._tracks: dict[str, _TrackState] = {}
         self._on_segment = on_segment
+        self._on_close = on_close
+        #: every closed segment, in close order (empty under ``on_close``).
         self.segments: list[Segment] = []
+        #: segments closed so far (stretches without data ops excluded).
+        self.closed = 0
         self.events_seen = 0
         self._finished = False
 
@@ -123,16 +162,7 @@ class ScheduleReconstructor:
         self.events_seen += 1
         name = event.name
         if name == "txn.read" or name == "txn.write":
-            track = self._track(event.track)
-            args = event.args
-            track.ops.append(DataOp(
-                kind="R" if name == "txn.read" else "W",
-                txn=str(args.get("txn")),
-                seq=args.get("seq"),
-                entity=str(args.get("entity")),
-                pos=args.get("pos"),
-                writer=args.get("writer"),
-            ))
+            self._track(event.track).ops.append(event)
         elif name == "txn.commit":
             track = self._track(event.track)
             track.commits.append(
@@ -173,195 +203,175 @@ class ScheduleReconstructor:
     # -- one segment -------------------------------------------------------
 
     def _close_segment(self, track: _TrackState) -> None:
-        """Resolve attempts, join reads to writers, emit the Segment."""
+        """Join the open segment and hand it on (see the module doc)."""
         if not track.ops:
             # Lifecycle-only stretches (the parallel driver track, empty
             # epochs) reconstruct to nothing; drop the bookkeeping.
             track.commits.clear()
             track.aborted.clear()
             return
-        ops, commits = track.ops, track.commits
-        track.ops, track.commits = [], []
-        aborted_attempts = track.aborted
-        track.aborted = set()
-        index = track.segments
-        track.segments += 1
-        violations: list[Violation] = []
-
-        def flag(code: str, txn: str, detail: str) -> None:
-            violations.append(
-                Violation(code, track.name, index, txn, detail)
-            )
-
-        # Commit rank per attempt: engine commits carry the attempt seq,
-        # planner commits only the txn (planned txns run exactly once).
-        commit_rank: dict[tuple[str, int | None], int] = {}
-        commit_rank_by_txn: dict[str, int] = {}
-        committed_txns: list[str] = []
-        for rank, (txn, seq) in enumerate(commits):
-            commit_rank[(txn, seq)] = rank
-            commit_rank_by_txn.setdefault(txn, rank)
-            committed_txns.append(txn)
-
-        unresolved_flagged: set[tuple[str, int | None]] = set()
-
-        def resolve(op: DataOp) -> int | None:
-            """Commit rank of the op's attempt; None when canceled."""
-            key = (op.txn, op.seq)
-            if key in aborted_attempts or (op.txn, None) in aborted_attempts:
-                return None
-            if key in commit_rank:
-                return commit_rank[key]
-            if (op.txn, None) in commit_rank:
-                return commit_rank[(op.txn, None)]
-            if op.seq is None and op.txn in commit_rank_by_txn:
-                return commit_rank_by_txn[op.txn]
-            if key not in unresolved_flagged:
-                unresolved_flagged.add(key)
-                flag(
-                    "unresolved-attempt", op.txn,
-                    f"data ops of attempt seq={op.seq} have no commit "
-                    f"or abort by segment end",
-                )
-            return None
-
-        #: positions installed by attempts that aborted in this segment.
-        aborted_pos: dict[int, str] = {
-            op.pos: op.txn
-            for op in ops
-            if op.kind == "W" and op.pos is not None and (
-                (op.txn, op.seq) in aborted_attempts
-                or (op.txn, None) in aborted_attempts
-            )
-        }
-
-        steps: list[Step] = []
-        read_sources: dict[int, str] = {}
-        #: this segment's committed writes so far: pos -> (txn, entity).
-        seg_writes: dict[int, tuple[str, str]] = {}
-        for op in ops:
-            rank = resolve(op)
-            if rank is None:
-                continue
-            at = len(steps)
-            if op.kind == "W":
-                if op.pos is None:
-                    flag(
-                        "missing-write", op.txn,
-                        f"write of {op.entity!r} carries no position",
-                    )
-                    continue
-                if op.pos in seg_writes or op.pos in track.chain:
-                    flag(
-                        "duplicate-position", op.txn,
-                        f"position {op.pos} of {op.entity!r} installed "
-                        f"twice",
-                    )
-                if track.last_pos is not None and op.pos <= track.last_pos:
-                    flag(
-                        "chain-regression", op.txn,
-                        f"position {op.pos} of {op.entity!r} not above "
-                        f"the last committed install {track.last_pos}",
-                    )
-                track.last_pos = (
-                    op.pos if track.last_pos is None
-                    else max(track.last_pos, op.pos)
-                )
-                seg_writes[op.pos] = (op.txn, op.entity)
-                steps.append(write(op.txn, op.entity))
-                continue
-            # -- reads: join the claimed source through the position ----
-            steps.append(read(op.txn, op.entity))
-            if op.pos is None:
-                read_sources[at] = T_INIT
-                if op.writer not in (None, T_INIT):
-                    flag(
-                        "read-from-mismatch", op.txn,
-                        f"read of {op.entity!r} claims writer "
-                        f"{op.writer!r} but sources the initial version",
-                    )
-                continue
-            if op.pos in seg_writes:
-                source = seg_writes[op.pos][0]
-                read_sources[at] = source
-                if op.writer != source:
-                    flag(
-                        "read-from-mismatch", op.txn,
-                        f"read of {op.entity!r} at position {op.pos} "
-                        f"claims writer {op.writer!r}, installed by "
-                        f"{source!r}",
-                    )
-                if source != op.txn:
-                    src_rank = commit_rank_by_txn.get(source)
-                    my_rank = commit_rank_by_txn.get(op.txn)
-                    if (
-                        src_rank is not None
-                        and my_rank is not None
-                        and src_rank >= my_rank
-                    ):
-                        flag(
-                            "commit-order", op.txn,
-                            f"committed before its reads-from source "
-                            f"{source!r} (read of {op.entity!r} at "
-                            f"position {op.pos})",
-                        )
-                continue
-            if op.pos in aborted_pos:
-                flag(
-                    "read-from-aborted", op.txn,
-                    f"read of {op.entity!r} at position {op.pos} "
-                    f"sources aborted writer {aborted_pos[op.pos]!r}",
-                )
-                read_sources[at] = T_INIT
-                continue
-            if op.pos in track.chain:
-                entity, source = track.chain[op.pos]
-                # Pre-segment state: the engines' base-capture rule says
-                # this must be the *newest* committed version, and it
-                # folds to T_INIT of the segment schedule.
-                read_sources[at] = T_INIT
-                if op.writer != source:
-                    flag(
-                        "read-from-mismatch", op.txn,
-                        f"read of {op.entity!r} at position {op.pos} "
-                        f"claims writer {op.writer!r}, installed by "
-                        f"{source!r}",
-                    )
-                newest = track.chain_latest.get(op.entity)
-                if newest is not None and newest != op.pos:
-                    flag(
-                        "stale-base-read", op.txn,
-                        f"read of {op.entity!r} at position {op.pos} "
-                        f"bypasses newer committed position {newest}",
-                    )
-                continue
-            flag(
-                "missing-write", op.txn,
-                f"read of {op.entity!r} at position {op.pos} has no "
-                f"matching committed write",
-            )
-            read_sources[at] = T_INIT
-
-        # Promote this segment's committed writes into the track chain.
-        for pos, (txn, entity) in seg_writes.items():
-            track.chain[pos] = (entity, txn)
-            newest = track.chain_latest.get(entity)
-            if newest is None or pos > newest:
-                track.chain_latest[entity] = pos
-
-        seen: set[str] = set()
-        committed_unique = tuple(
-            t for t in committed_txns
-            if not (t in seen or seen.add(t))
-        )
-        segment = Segment(
-            track=track.name,
-            index=index,
-            schedule=Schedule.of(steps),
-            read_sources=read_sources,
-            committed=committed_unique,
-            violations=violations,
-        )
+        joined = _join(track)
+        self.closed += 1
+        if self._on_close is not None:
+            self._on_close(joined)
+            return
+        segment = joined.segment()
         self.segments.append(segment)
         if self._on_segment is not None:
             self._on_segment(segment)
+
+
+def _join(track: _TrackState) -> Joined:
+    """One pass over the open segment's events: resolve each attempt,
+    join each read to its source, flag structural violations, and
+    promote the committed writes into the track's chain."""
+    events, commits, aborted = track.ops, track.commits, track.aborted
+    track.ops, track.commits, track.aborted = [], [], set()
+    index = track.segments
+    track.segments += 1
+    violations: list[Violation] = []
+
+    def flag(code: str, txn: str, detail: str) -> None:
+        violations.append(Violation(code, track.name, index, txn, detail))
+
+    # Engine commits carry the attempt seq, planner commits only the
+    # txn (planned txns run exactly once).  ``rank`` is a transaction's
+    # place in the claimed order: its first commit event.
+    committed_attempts = set(commits)
+    rank: dict[str, int] = {}
+    for txn, _seq in commits:
+        if txn not in rank:
+            rank[txn] = len(rank)
+
+    def canceled(txn: str, seq: int | None) -> bool:
+        return (txn, seq) in aborted or (txn, None) in aborted
+
+    #: positions installed by attempts that aborted in this segment.
+    aborted_pos: dict[int, str] = {}
+    if aborted:
+        for event in events:
+            args = event.args
+            txn, pos = str(args.get("txn")), args.get("pos")
+            if (
+                event.name == "txn.write" and pos is not None
+                and canceled(txn, args.get("seq"))
+            ):
+                aborted_pos[pos] = txn
+
+    chain, chain_latest = track.chain, track.chain_latest
+    last_pos = track.last_pos
+    ops: list[tuple[str, str, str | None]] = []
+    reads = 0
+    #: this segment's committed writes so far: pos -> (txn, entity).
+    seg_writes: dict[int, tuple[str, str]] = {}
+    unresolved_flagged: set[tuple[str, int | None]] = set()
+    for event in events:
+        args = event.args
+        txn, seq = str(args.get("txn")), args.get("seq")
+        if aborted and canceled(txn, seq):
+            continue
+        if not (
+            (txn, seq) in committed_attempts
+            or (txn, None) in committed_attempts
+            or (seq is None and txn in rank)
+        ):
+            if (txn, seq) not in unresolved_flagged:
+                unresolved_flagged.add((txn, seq))
+                flag(
+                    "unresolved-attempt", txn,
+                    f"data ops of attempt seq={seq} have no commit "
+                    f"or abort by segment end",
+                )
+            continue
+        entity, pos = str(args.get("entity")), args.get("pos")
+        if event.name == "txn.write":
+            if pos is None:
+                flag(
+                    "missing-write", txn,
+                    f"write of {entity!r} carries no position",
+                )
+                continue
+            if pos in seg_writes or pos in chain:
+                flag(
+                    "duplicate-position", txn,
+                    f"position {pos} of {entity!r} installed twice",
+                )
+            if last_pos is not None and pos <= last_pos:
+                flag(
+                    "chain-regression", txn,
+                    f"position {pos} of {entity!r} not above the last "
+                    f"committed install {last_pos}",
+                )
+            last_pos = pos if last_pos is None else max(last_pos, pos)
+            seg_writes[pos] = (txn, entity)
+            source = None
+        else:
+            # -- reads: join the claimed source through the position ----
+            reads += 1
+            writer = args.get("writer")
+            source = T_INIT
+            if pos is None:
+                if writer not in (None, T_INIT):
+                    flag(
+                        "read-from-mismatch", txn,
+                        f"read of {entity!r} claims writer {writer!r} "
+                        f"but sources the initial version",
+                    )
+            elif pos in seg_writes:
+                source = seg_writes[pos][0]
+                if writer != source:
+                    flag(
+                        "read-from-mismatch", txn,
+                        f"read of {entity!r} at position {pos} claims "
+                        f"writer {writer!r}, installed by {source!r}",
+                    )
+                if source != txn:
+                    src_rank = rank.get(source)
+                    if src_rank is not None and src_rank >= rank[txn]:
+                        flag(
+                            "commit-order", txn,
+                            f"committed before its reads-from source "
+                            f"{source!r} (read of {entity!r} at "
+                            f"position {pos})",
+                        )
+            elif pos in aborted_pos:
+                flag(
+                    "read-from-aborted", txn,
+                    f"read of {entity!r} at position {pos} sources "
+                    f"aborted writer {aborted_pos[pos]!r}",
+                )
+            elif pos in chain:
+                # Pre-segment state: the engines' base-capture rule says
+                # this must be the *newest* committed version, and it
+                # folds to T_INIT of the segment schedule.
+                installer = chain[pos][1]
+                if writer != installer:
+                    flag(
+                        "read-from-mismatch", txn,
+                        f"read of {entity!r} at position {pos} claims "
+                        f"writer {writer!r}, installed by {installer!r}",
+                    )
+                newest = chain_latest.get(entity)
+                if newest is not None and newest != pos:
+                    flag(
+                        "stale-base-read", txn,
+                        f"read of {entity!r} at position {pos} bypasses "
+                        f"newer committed position {newest}",
+                    )
+            else:
+                flag(
+                    "missing-write", txn,
+                    f"read of {entity!r} at position {pos} has no "
+                    f"matching committed write",
+                )
+        ops.append((txn, entity, source))
+    track.last_pos = last_pos
+
+    # Promote this segment's committed writes into the track chain.
+    for pos, (txn, entity) in seg_writes.items():
+        chain[pos] = (entity, txn)
+        newest = chain_latest.get(entity)
+        if newest is None or pos > newest:
+            chain_latest[entity] = pos
+
+    return Joined(track.name, index, ops, tuple(rank), violations, reads)

@@ -64,8 +64,9 @@ class RunConfig:
     trace: Any = None
     #: continuous verification: audit the run's trace online and attach
     #: the :class:`repro.audit.AuditReport` to the ``RunReport``.
-    #: Implies tracing (an unbounded in-memory tracer is created when
-    #: ``trace`` is unset or a path).  Default False everywhere.
+    #: Implies tracing: with ``trace`` unset the auditor subscribes to a
+    #: tracer that keeps no log; a path gets the complete, unbounded
+    #: trace.  Default False everywhere.
     audit: bool | None = None
 
     def __post_init__(self) -> None:

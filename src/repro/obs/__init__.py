@@ -55,11 +55,13 @@ def trace_run(config):
     Yields the tracer the backend should emit through: the config's own
     :class:`Tracer` if one was passed (tests inspect it in memory),
     :data:`NULL_TRACER` when neither tracing nor auditing is on, or a
-    fresh tracer — unbounded under ``audit``, because a dropped event
-    voids the verdict.  When ``trace`` is a path the fresh tracer's log
-    is persisted as JSONL when the ``with`` block exits (also on
-    failure: a partial trace of a crashed run is exactly when you want
-    one; the meta header's drop count keeps truncation honest).
+    fresh tracer.  Under ``audit`` alone the fresh tracer keeps no log:
+    the live auditor subscribes to it and is the stream's one consumer.
+    When ``trace`` is a path the fresh tracer's log — unbounded under
+    ``audit``, so ``repro audit PATH`` can certify the file — is
+    persisted as JSONL when the ``with`` block exits (also on failure:
+    a partial trace of a crashed run is exactly when you want one; the
+    meta header's drop count keeps truncation honest).
     """
     trace = config.trace
     if isinstance(trace, Tracer):
@@ -67,7 +69,10 @@ def trace_run(config):
     elif not config.audit and not isinstance(trace, str):
         yield trace or NULL_TRACER  # unset, or a passed NullTracer
     else:
-        tracer = Tracer(capacity=None) if config.audit else Tracer()
+        if isinstance(trace, str):
+            tracer = Tracer(capacity=None) if config.audit else Tracer()
+        else:  # audit alone: the live auditor is the one consumer
+            tracer = Tracer(capacity=0)
         try:
             yield tracer
         finally:

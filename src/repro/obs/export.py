@@ -30,12 +30,13 @@ def _dump(obj: dict) -> str:
 
 def to_jsonl(tracer: Tracer) -> str:
     """Serialize a tracer's log: one meta line, then one line per event."""
+    events = tracer.events
     lines = [_dump({
         "meta": "trace",
-        "events": len(tracer.log),
+        "events": len(events),
         "dropped": tracer.dropped,
     })]
-    lines.extend(_dump(event.as_dict()) for event in tracer.events)
+    lines.extend(_dump(event.as_dict()) for event in events)
     return "\n".join(lines) + "\n"
 
 

@@ -1,8 +1,9 @@
 """Structured tracing: lifecycle spans and events for every backend.
 
 A :class:`Tracer` records :class:`TraceEvent`\\ s — begin/end span pairs
-and instants — into a bounded ring-buffer :class:`EventLog`.  The four
-execution modes emit the same taxonomy through it (``docs/
+and instants — into a bounded ring-buffer :class:`EventLog`, or into no
+log at all when only its subscribers (the live auditor) consume them.
+The four execution modes emit the same taxonomy through it (``docs/
 observability.md`` is the reference), so one trace format covers the
 serial engine, the shard runtime, the batch planner and the pipeline.
 
@@ -27,8 +28,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 from repro.obs.clock import wall_clock_us
 
@@ -39,8 +39,7 @@ END = "E"
 INSTANT = "I"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One trace record: what happened, when, on which track.
 
     ``ts`` is the tracer clock's value at emit time — logical ticks in
@@ -49,7 +48,9 @@ class TraceEvent:
     ``"execute"``, ``"shard-2"`` …); the Chrome exporter maps tracks to
     threads so phase overlap is directly visible.  ``args`` carries the
     event's payload (txn id, abort reason, counts) and must stay
-    JSON-serializable.
+    JSON-serializable.  Immutable and built once per emit, which is
+    why it is a named tuple (a frozen dataclass costs several times as
+    much to build); the default ``args`` is shared, never mutate it.
     """
 
     ts: int | float
@@ -57,7 +58,7 @@ class TraceEvent:
     cat: str
     name: str
     track: str
-    args: dict[str, Any] = field(default_factory=dict)
+    args: dict[str, Any] = {}
 
     def as_dict(self) -> dict[str, Any]:
         """Stable key order; ``args`` keys sorted — byte-stable JSONL."""
@@ -69,6 +70,11 @@ class TraceEvent:
             "track": self.track,
             "args": sorted_payload(self.args),
         }
+
+
+#: builds a :class:`TraceEvent` from a 6-tuple without the generated
+#: ``__new__``'s keyword handling — the emit path's one allocation.
+_new_event = tuple.__new__
 
 
 def sorted_payload(value: Any) -> Any:
@@ -93,9 +99,10 @@ class EventLog:
     never grow without bound no matter how long the run, and the drop
     count rides along so a truncated trace says so instead of silently
     posing as complete.  ``capacity=None`` lifts the bound entirely for
-    consumers that need the complete stream (the auditor refuses
-    truncated traces, so audited runs record everything).  Appends take
-    a lock: threaded backends emit from worker and pipeline threads.
+    consumers that need the complete stream later (a post-hoc audit
+    refuses truncated traces, so ``--trace PATH`` under ``--audit``
+    records everything).  Appends take a lock: threaded backends emit
+    from worker and pipeline threads.
     """
 
     def __init__(self, capacity: int | None = 65536) -> None:
@@ -169,6 +176,10 @@ class Tracer:
     microseconds since construction.  Deterministic subsystems replace
     it with their logical tick counter via :meth:`use_clock` — the
     subsystem, not the caller, knows which counter is its clock.
+
+    ``capacity`` bounds the :class:`EventLog` (``None``: unbounded);
+    ``capacity=0`` keeps no log at all — events reach the subscribers
+    and nothing else, so an audit-only run retains no event.
     """
 
     enabled = True
@@ -178,7 +189,7 @@ class Tracer:
         capacity: int | None = 65536,
         clock: Callable[[], int | float] | None = None,
     ) -> None:
-        self.log = EventLog(capacity)
+        self.log = None if capacity == 0 else EventLog(capacity)
         if clock is None:
             clock = wall_clock_us()
         self._clock = clock
@@ -210,8 +221,11 @@ class Tracer:
 
     def _emit(self, ph: str, cat: str, name: str, track: str,
               args: dict[str, Any]) -> None:
-        event = TraceEvent(self._clock(), ph, cat, name, track, args)
-        self.log.append(event)
+        event = _new_event(
+            TraceEvent, (self._clock(), ph, cat, name, track, args)
+        )
+        if self.log is not None:
+            self.log.append(event)
         for sink in self._sinks:
             sink(event)
 
@@ -233,8 +247,8 @@ class Tracer:
 
     @property
     def events(self) -> list[TraceEvent]:
-        return list(self.log)
+        return [] if self.log is None else list(self.log)
 
     @property
     def dropped(self) -> int:
-        return self.log.dropped
+        return 0 if self.log is None else self.log.dropped

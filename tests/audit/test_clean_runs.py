@@ -6,17 +6,37 @@ scenario, reconstruct into certifiable schedules with zero violations —
 and equal-seed deterministic runs certify byte-identically.
 """
 
+import gc
 import json
+import types
 
 import pytest
 
-from repro.audit import Auditor, audit_events, audit_file
+from repro.audit import Auditor, Segment, audit_events, audit_file
 from repro.db import Database, RunConfig, backend_names
 from repro.engine.factory import SCHEDULER_FACTORIES
-from repro.obs import Tracer
+from repro.model.schedules import Schedule
+from repro.obs import EventLog, Tracer
 from repro.workloads import scenario_names
 
 MODES = backend_names()
+
+
+#: code and namespaces: what an instance refers to without holding it.
+_SHARED = (type, types.ModuleType, types.FunctionType, types.CodeType,
+           types.BuiltinFunctionType)
+
+
+def reachable(root) -> list:
+    """Every object ``root`` holds, through references (functions,
+    classes and modules are shared, not held, and not walked)."""
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if id(ref) not in seen and not isinstance(ref, _SHARED):
+                seen[id(ref)] = ref
+                stack.append(ref)
+    return list(seen.values())
 
 
 def run_audited(
@@ -141,6 +161,48 @@ class TestDeterministicByteIdentity:
         assert list(doc["tiers"]) == ["replay", "graph", "search"]
 
 
+class TestLiveEqualsPostHoc:
+    """One verdict per run, however it is reached: the audit-only run
+    (no event log at all), the run that also writes ``--trace PATH``,
+    and ``repro audit PATH`` on that file."""
+
+    @pytest.mark.parametrize(
+        "mode, scenario, deterministic",
+        [
+            pytest.param(
+                mode, scenario, deterministic,
+                id=f"{mode}-{scenario}-{'det' if deterministic else 'thr'}",
+            )
+            for mode in MODES
+            for scenario in scenario_names()
+            # serial is inherently deterministic
+            for deterministic in ((True,) if mode == "serial" else
+                                  (True, False))
+        ],
+    )
+    def test_audit_only_traced_and_post_hoc_agree(
+        self, mode, scenario, deterministic, tmp_path
+    ):
+        path = tmp_path / "run.jsonl"
+        config = dict(
+            mode=mode, workers=2, deterministic=deterministic, seed=3,
+            audit=True,
+        )
+        alone = Database().run(scenario, RunConfig(**config), txns=60)
+        traced = Database().run(
+            scenario, RunConfig(trace=str(path), **config), txns=60
+        )
+        assert alone.audit.ok and traced.audit.ok, traced.audit.format()
+        if deterministic:
+            assert alone.audit.as_json() == traced.audit.as_json()
+        else:
+            # Threaded runs interleave differently; the verdict and the
+            # tiers that gave it do not move.
+            assert alone.audit.tiers == traced.audit.tiers
+            assert alone.audit.certified == traced.audit.certified
+        assert audit_file(str(path)).as_json() == traced.audit.as_json()
+
+
 class TestWiring:
     def test_audit_rides_a_passed_tracer(self):
         tracer = Tracer(capacity=None)
@@ -211,17 +273,50 @@ class TestWiring:
         report = run_audited("serial", "bank")
         assert "certified 1-serializable" in report.report()
 
-    def test_bounded_tracer_drops_void_the_audit(self):
-        # A deliberately tiny ring buffer overflows; the audit refuses.
-        tracer = Tracer(capacity=8)
-        config = RunConfig(
-            mode="serial", workers=2, seed=3, trace=tracer, audit=True,
+    @pytest.mark.parametrize("mode", ["serial", "planner"])
+    def test_bounded_tracer_does_not_void_a_live_audit(self, mode):
+        # A deliberately tiny ring buffer overflows, but the subscribed
+        # auditor saw every event: the live verdict is the audit-only
+        # run's, byte for byte.  Only the log is truncated, and a
+        # post-hoc audit of that log still refuses it.
+        tracer = Tracer(capacity=100)
+        config = dict(mode=mode, seed=1, audit=True)
+        report = Database().run(
+            "read-mostly", RunConfig(trace=tracer, **config), txns=200
         )
-        report = Database().run("bank", config, txns=40)
-        assert not report.audit.ok
-        assert [v.code for v in report.audit.violations] == [
-            "trace-dropped"
-        ]
+        assert tracer.dropped > 0
+        assert report.audit.ok and report.audit.dropped == 0
+        assert report.audit.events == len(tracer.events) + tracer.dropped
+        alone = Database().run("read-mostly", RunConfig(**config), txns=200)
+        assert report.audit.as_json() == alone.audit.as_json()
+        posthoc = audit_events(tracer.events, dropped=tracer.dropped)
+        assert [v.code for v in posthoc.violations] == ["trace-dropped"]
+
+    def test_audit_only_run_keeps_no_event_log(self, monkeypatch):
+        appended = []
+        monkeypatch.setattr(
+            EventLog, "append", lambda log, event: appended.append(event)
+        )
+        report = run_audited("planner", "read-mostly", txns=200)
+        assert report.audit.ok and report.audit.events > 0
+        assert appended == []
+
+    def test_live_auditor_keeps_no_segment_after_finish(self):
+        tracer = Tracer(capacity=0)
+        auditor = Auditor.attach(tracer)
+        Database().run(
+            "read-mostly",
+            RunConfig(mode="planner", seed=3, trace=tracer, audit=False),
+            txns=200,
+        )
+        report = auditor.finish()
+        assert report.ok and report.segments > 1
+        kept = reachable(auditor)
+        assert not any(isinstance(o, (Segment, Schedule)) for o in kept)
+        # Only the committed chain outlives the segments' verdicts.
+        (track,) = auditor._reconstructor._tracks.values()
+        assert track.ops == [] and track.commits == []
+        assert len(track.chain) == report.writes
 
     def test_live_auditor_attach_detach(self):
         tracer = Tracer(capacity=None)

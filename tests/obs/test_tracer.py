@@ -121,6 +121,19 @@ class TestSubscribers:
         assert len(tracer.events) == 2
         assert [e.args["n"] for e in seen] == [0, 1, 2, 3, 4]
 
+    def test_capacity_zero_keeps_no_log(self):
+        seen = []
+        tracer = Tracer(capacity=0)
+        tracer.use_clock(lambda: 0)
+        tracer.subscribe(seen.append)
+        for i in range(5):
+            tracer.instant("t", "e", n=i)
+        # Nothing retained, nothing dropped: the subscriber is the only
+        # consumer and saw the whole stream.
+        assert tracer.log is None
+        assert tracer.events == [] and tracer.dropped == 0
+        assert [e.args["n"] for e in seen] == [0, 1, 2, 3, 4]
+
     def test_unsubscribe_stops_delivery(self):
         seen = []
         tracer = Tracer()
