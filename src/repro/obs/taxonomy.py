@@ -99,7 +99,7 @@ EVENTS: tuple[EventSpec, ...] = (
     ),
     EventSpec(
         "txn.park", "instant", "",
-        "serial (session blocked on a lock)",
+        "serial (all steps in, waiting on commit dependencies)",
         "`txn`",
     ),
     EventSpec(

@@ -30,7 +30,7 @@ in deterministic and threaded mode and at every ``lookahead``.
 ``lookahead`` is how many batches planning may run ahead of the one
 executing — the pipelining Faleiro & Abadi's plan-then-execute design
 exists to enable.  At 0 (the ``planner`` mode) the stages run strictly
-in sequence: planning is partition-threaded, execution uses
+in sequence: planning walks its partitions inline, execution uses
 ``n_workers`` threads, and nothing is ever in flight across a settle.
 At 1 or more (the ``pipelined`` mode) a background stage plans batches
 *k+1 … k+lookahead* while batch *k* executes, and the whole difficulty
@@ -239,7 +239,6 @@ class BatchPlanner:
         #: one store shard per worker: planning partition p and the
         #: execution threads' fills both address shard-sliced state.
         self.store = ShardedMultiversionStore(n_workers, initial)
-        self.n_workers = n_workers
         self.batch_size = batch_size
         self.lookahead = lookahead
         self.deterministic = deterministic
@@ -421,17 +420,14 @@ class BatchPlanner:
         first_position = self._next_position
         if self.gc is not None:
             self.gc.pin(first_position)
-        # Nothing to overlap with at lookahead=0: the partition walks
-        # thread instead, and a leftover placeholder is a driver bug.
-        ahead = self.lookahead > 0
+        # At lookahead=0 nothing overlaps planning, so a leftover
+        # placeholder is a driver bug.
         plan = plan_batch(
             items,
             self.store,
             self._next_timestamp,
             first_position,
-            threaded=not ahead and not self.deterministic
-            and self.n_workers > 1,
-            over_placeholders=ahead,
+            over_placeholders=self.lookahead > 0,
         )
         self._next_timestamp += len(items)
         n_slots = sum(len(ptxn.slots) for ptxn in plan)

@@ -17,31 +17,28 @@ slot becomes a *commit dependency* (the reader consumes the value only
 once the writer publishes), not a rejection — the Larson et al.
 mechanics that replace aborts with waits.
 
-Planning is embarrassingly parallel by entity: accesses are partitioned
-with the same crc32 hash the sharded store uses (partition *p* owns
-shard *p* outright), so partition walks touch disjoint store slices.
-One rule covers every caller: a walk holds its shard's lock per entity,
-whether the partitions run on threads or inline in index order.  Both
-produce the identical plan, because the walk of one entity depends on
-nothing outside that entity.
+Planning is partitioned by entity: accesses are split with the same
+crc32 hash the sharded store uses (partition *p* owns shard *p*
+outright), so partition walks touch disjoint store slices.  The walks
+run inline, in partition order, each holding its shard's lock per
+entity — the lock an executing batch's fills take at ``lookahead >= 1``.
+The walk of one entity depends on nothing outside that entity, so the
+order of the walks cannot change the plan.
 
 What a plan allocates: one tuple per step (the record the batch loop
 files under the step's entity), one :class:`ReadBinding` per read, one
 reserved slot per write — nothing per transaction but the
 :class:`PlannedTransaction` itself, whose ``bindings`` and ``slots``
 lists the batch loop pre-sizes with one empty cell per read and per
-write.  The walks write each binding and slot into its cell.  No two
-walks share a cell — a cell belongs to one step, a step to one entity,
-an entity to one partition — the lists keep their length while the walks
-run, and nothing reads a cell before the join, so the threaded walks
-need no lock on the plan, only the shard's lock on the store.
+write.  The walks write each binding and slot into its cell — a cell
+belongs to one step, a step to one entity — and nothing reads a cell
+before every walk is done.
 """
 
 # repro: deterministic-contract — equal seeds must yield byte-identical output
 
 from __future__ import annotations
 
-import threading
 from collections import defaultdict
 from typing import Callable, Sequence
 
@@ -70,7 +67,6 @@ def plan_batch(
     store: ShardedMultiversionStore,
     first_timestamp: int,
     first_position: int,
-    threaded: bool = False,
     over_placeholders: bool = False,
 ) -> BatchPlan:
     """Plan one batch: reserve every write slot, bind every read.
@@ -91,10 +87,9 @@ def plan_batch(
     either way, and a binding whose source's writer later logic-aborts
     re-binds when its batch executes (:mod:`repro.planner.executor`).
 
-    A partition walk that raises fails the call with one
-    :class:`EngineError` chained from the cause — after the join when
-    the walks are threaded, at once when they run inline — never a
-    silently short plan.
+    A partition walk that raises fails the call at once with one
+    :class:`EngineError` chained from the cause, never a silently short
+    plan.
     """
     if not over_placeholders and store.placeholder_count():
         raise EngineError("plan_batch over unsettled placeholders")
@@ -124,41 +119,18 @@ def plan_batch(
     for entity in by_entity:
         partitions[shard_of(entity, n_partitions)].append(entity)
 
-    def walk_partition(p: int) -> None:
-        # Partition p owns shard p outright; the lock is taken per entity
-        # so an executing batch's fills on the shard interleave with the
-        # walk instead of stalling behind it.
-        for entity in sorted(partitions[p]):
-            with store.locks[p]:
-                _walk_entity(entity, by_entity[entity], store)
-
-    if threaded and n_partitions > 1:
-        crashes: list[BaseException] = []
-
-        def relay(p: int) -> None:
-            try:
-                walk_partition(p)
-            except BaseException as error:  # noqa: BLE001 — raised below
-                crashes.append(error)
-
-        threads = [
-            threading.Thread(target=relay, args=(p,), name=f"plan-{p}")
-            for p in range(n_partitions)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if crashes:
-            # A dead walk leaves cells of its transactions empty; the
-            # plan must not reach the executor.
-            raise _crashed(crashes[0]) from crashes[0]
-    else:
-        try:
-            for p in range(n_partitions):
-                walk_partition(p)
-        except Exception as error:
-            raise _crashed(error) from error
+    try:
+        for p in range(n_partitions):
+            # Partition p owns shard p outright; the lock is taken per
+            # entity so an executing batch's fills on the shard interleave
+            # with the walk instead of stalling behind it.
+            for entity in sorted(partitions[p]):
+                with store.locks[p]:
+                    _walk_entity(entity, by_entity[entity], store)
+    except Exception as error:
+        raise EngineError(
+            f"partition planning walk crashed: {error!r}"
+        ) from error
 
     for ptxn in planned:
         if None in ptxn.bindings or None in ptxn.slots:
@@ -169,10 +141,6 @@ def plan_batch(
             )
         ptxn.bind(ptxn.bindings)
     return BatchPlan(planned)
-
-
-def _crashed(error: BaseException) -> EngineError:
-    return EngineError(f"partition planning thread crashed: {error!r}")
 
 
 def _walk_entity(

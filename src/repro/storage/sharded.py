@@ -10,7 +10,7 @@ scaling step (per-shard locks, per-shard GC, multi-backend) builds on.
 It is two things.  To the planner it is the partitioned store: it
 implements :class:`repro.storage.VersionStore` by routing each call to
 the owning shard, and adds ``n_shards``, ``locks`` and ``lock_of`` for
-the per-partition planning threads and the plan executor.  To the
+the per-partition planning walks and the plan executor.  To the
 parallel runtime it is the container of per-domain stores and locks:
 each domain's engine runs on ``shards[d]`` — a plain
 :class:`MultiversionStore` — under ``locks[d]``, and the dispatcher reads

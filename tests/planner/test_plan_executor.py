@@ -259,7 +259,7 @@ class TestCrashEndsInEngineError:
     @pytest.mark.parametrize(
         "stage, method, message",
         [
-            ("planning", "reserve", "partition planning thread crashed"),
+            ("planning", "reserve", "partition planning walk crashed"),
             ("execution", "fill", "plan execution worker crashed"),
         ],
     )

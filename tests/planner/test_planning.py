@@ -15,9 +15,9 @@ from repro.runtime.group_commit import GroupCommitLog
 from repro.storage.sharded import ShardedMultiversionStore
 
 
-def plan(items, n_shards=4, initial=None, threaded=False):
+def plan(items, n_shards=4, initial=None):
     store = ShardedMultiversionStore(n_shards, initial or {})
-    return plan_batch(items, store, 0, 0, threaded=threaded), store
+    return plan_batch(items, store, 0, 0), store
 
 
 def by_txn(batch_plan):
@@ -171,11 +171,6 @@ class TestPartitioning:
                 reference = summary
             assert summary == reference
 
-    def test_threaded_planning_matches_inline(self):
-        inline, _ = plan(self.txns(), n_shards=4, threaded=False)
-        threaded, _ = plan(self.txns(), n_shards=4, threaded=True)
-        assert self.summarize(inline) == self.summarize(threaded)
-
 
 class TestGuards:
     def test_refuses_unsettled_placeholders(self):
@@ -186,10 +181,10 @@ class TestGuards:
         with pytest.raises(EngineError):
             plan_batch([(t1, None)], store, 1, 1)
 
-    def test_threaded_walk_crash_raises_instead_of_a_short_plan(self):
-        """A partition-walk thread that dies must fail the call, and by
-        the thread's own error: its transactions would otherwise come
-        back with empty binding and slot cells."""
+    def test_walk_crash_raises_instead_of_a_short_plan(self):
+        """A partition walk that raises must fail the call, chained from
+        the walk's own error: its transactions would otherwise come back
+        with empty binding and slot cells."""
         t1 = Transaction.build("A", ("R", "x"), ("R", "y"), ("W", "x"))
         store = ShardedMultiversionStore(4, {"x": 1, "y": 2})
         assert store.shard_for("x") is not store.shard_for("y")
@@ -198,8 +193,11 @@ class TestGuards:
             raise KeyError("injected walk bug")
 
         store.shard_for("y").latest = broken
-        with pytest.raises(EngineError, match="planning thread crashed"):
-            plan_batch([(t1, None)], store, 0, 0, threaded=True)
+        with pytest.raises(
+            EngineError, match="planning walk crashed"
+        ) as raised:
+            plan_batch([(t1, None)], store, 0, 0)
+        assert isinstance(raised.value.__cause__, KeyError)
 
     @pytest.mark.parametrize("skipped", ["x", "y"])
     def test_a_walk_that_skips_an_entity_is_a_named_error(

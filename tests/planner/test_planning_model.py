@@ -11,8 +11,7 @@ index) per transaction, a ``sorted`` merge of both dicts after the walks
 batches (seeded with the textbook shapes: a read before the reader's own
 write, an own write re-read, an entity written twice by one transaction,
 two writers with a reader between, and a batch planned over the pending
-slots of a previous one): equal bindings, slots and ``deps``, partition
-walks inline and threaded.  A second property runs both through the real
+slots of a previous one): equal bindings, slots and ``deps``.  A second property runs both through the real
 driver and demands equal plan-shape counters, which
 ``BatchPlanner._plan_one`` classifies with one ``source_txn`` comparison
 per binding where the model's plans are tallied with the public
@@ -59,7 +58,7 @@ class _Draft:
 
 def naive_plan_batch(
     items, store, first_timestamp, first_position,
-    threaded=False, over_placeholders=False,
+    over_placeholders=False,
 ):
     """The parent's planner, verbatim but for its containers (the merged
     bindings and slots are lists, as every consumer now expects) and its
@@ -173,7 +172,6 @@ def shape(plan):
     ]
 
 
-@pytest.mark.parametrize("threaded", [False, True])
 @given(
     previous=st.one_of(st.just([]), batches),
     batch=batches,
@@ -188,9 +186,7 @@ def shape(plan):
 )
 @example(previous=WRITTEN_TWICE, batch=[[("R", "x"), ("R", "y")]], n_shards=4)
 @settings(max_examples=120, deadline=None, derandomize=True)
-def test_in_place_walk_equals_the_draft_planner(
-    threaded, previous, batch, n_shards
-):
+def test_in_place_walk_equals_the_draft_planner(previous, batch, n_shards):
     initial = {entity: 0 for entity in ENTITIES}
     plans = {}
     for name, planner in (("model", naive_plan_batch), ("fast", plan_batch)):
@@ -201,13 +197,13 @@ def test_in_place_walk_equals_the_draft_planner(
             # Left pending: the batch below is planned over its slots,
             # as the driver does at ``lookahead >= 1``.
             pending = planner(
-                build(previous, "p"), store, 0, 0, threaded=threaded
+                build(previous, "p"), store, 0, 0
             )
             first_position = sum(len(ptxn.slots) for ptxn in pending)
             before = shape(pending)
         plan = planner(
             build(batch, "t"), store, len(previous), first_position,
-            threaded=threaded, over_placeholders=bool(previous),
+            over_placeholders=bool(previous),
         )
         plans[name] = (before, shape(plan), store.placeholder_count())
     assert plans["fast"] == plans["model"]
