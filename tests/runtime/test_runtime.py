@@ -282,6 +282,28 @@ class TestThreaded:
         assert scenario.invariant_holds(runtime.final_state())
         check_accounting(metrics)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_threaded_retry_budget_exhaustion_counts_gave_up(self, seed):
+        """Every abort is final, so unawaited ``abort_part`` tasks are
+        what dooms the batched readers of a given-up transaction's
+        writes; the dispatcher must wait for them, not give up."""
+        scenario = hot_scenario(seed)
+        runtime, metrics = run_bank(
+            scenario,
+            "mvto",
+            n_txns=120,
+            deterministic=False,
+            cross_stride=1,
+            inflight=16,
+            batch_size=4,
+            seed=seed,
+            retry=RetryPolicy(max_attempts=1, backoff_base=0, jitter=False),
+        )
+        assert metrics.retries == 0
+        assert metrics.gave_up == metrics.aborted
+        assert scenario.invariant_holds(runtime.final_state())
+        check_accounting(metrics)
+
     def test_threaded_shared_lock_table(self):
         scenario = mild_scenario()
         runtime, metrics = run_bank(
