@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from repro.model.schedules import T_INIT
-from repro.model.steps import Entity, Step, TxnId
+from repro.model.steps import Entity, Op, Step, TxnId
 from repro.model.transactions import Transaction
 from repro.model.version_functions import Source
 from repro.schedulers.base import Scheduler
@@ -82,8 +82,15 @@ class TxnState(enum.Enum):
 #: sentinel: "no explicit write value supplied" for :meth:`OnlineEngine.submit`.
 NO_VALUE = object()
 
+# Module-level aliases: the per-step path reads them without an
+# attribute lookup on the enum class.
+_ACTIVE, _COMMITTED, _ABORTED = (
+    TxnState.ACTIVE, TxnState.COMMITTED, TxnState.ABORTED
+)
+_READ = Op.READ
 
-@dataclass(eq=False)
+
+@dataclass(eq=False, slots=True)
 class TxnAttempt:
     """One attempt at running a logical transaction through the engine."""
 
@@ -119,7 +126,7 @@ class TxnAttempt:
         return self.steps_done >= self.n_steps
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class _LogEntry:
     """One accepted step: its position is its index in the engine log."""
 
@@ -230,39 +237,43 @@ class OnlineEngine:
         (cascade/deadlock break between ticks) or the scheduler rejects
         the step — in both cases the caller must retry via a new attempt.
         """
-        if attempt.state is TxnState.ABORTED:
-            raise TransactionAborted(
-                attempt.txn, attempt.abort_reason or "aborted"
-            )
-        if attempt.state is not TxnState.ACTIVE:
+        if attempt.state is not _ACTIVE:
+            if attempt.state is _ABORTED:
+                raise TransactionAborted(
+                    attempt.txn, attempt.abort_reason or "aborted"
+                )
             raise EngineError(
                 f"submit on {attempt.state.value} attempt of {attempt.txn!r}"
             )
         if step.txn != attempt.txn:
             raise EngineError(f"step {step} does not belong to {attempt.txn!r}")
         entity = step.entity
-        if entity not in self._base:
+        base = self._base
+        if entity not in base:
             # Base must be captured before the entity gains epoch-local
             # versions; "latest at first touch" is exactly the committed
             # state at epoch start.
-            self._base[entity] = self.store.latest(entity)
-        position = len(self.log)
-        self.metrics.steps_submitted += 1
-        if not self.scheduler.submit(step):
-            self.metrics.steps_rejected += 1
+            base[entity] = self.store.latest(entity)
+        log, metrics, scheduler = self.log, self.metrics, self.scheduler
+        position = len(log)
+        metrics.steps_submitted += 1
+        if not scheduler.submit(step):
+            metrics.steps_rejected += 1
             self._abort_cascade(attempt, "rejected")
             raise TransactionAborted(attempt.txn, "rejected")
         entry = _LogEntry(step, attempt)
-        self.log.append(entry)
+        log.append(entry)
         if attempt.first is None:
             attempt.first = position
         attempt.steps_done += 1
-        if step.is_read:
-            source = self.scheduler.source_of_read(position)
-            version, owner = self._resolve_source(source, entity)
+        tracer = self.tracer
+        if step.op is _READ:
+            version, owner = self._resolve_source(
+                scheduler.source_of_read(position), entity
+            )
             entry.read_version = version
             attempt.reads.append(version.value)
-            if self.tracer.enabled:
+            if tracer.enabled:
                 # The reads-from edge, as observed: (entity, pos) names
                 # the exact version served (positions are globally
                 # unique per track), ``writer`` the transaction that
@@ -270,7 +281,7 @@ class OnlineEngine:
                 # Replay never re-emits and committed reads are
                 # identity-verified, so for committed attempts this
                 # record is final.
-                self.tracer.instant(
+                tracer.instant(
                     "data", "txn.read", self.trace_track,
                     txn=str(attempt.txn), seq=attempt.seq, entity=entity,
                     pos=version.position,
@@ -282,7 +293,7 @@ class OnlineEngine:
             if (
                 owner is not None
                 and owner is not attempt
-                and owner.state is not TxnState.COMMITTED
+                and owner.state is not _COMMITTED
             ):
                 attempt.deps.add(owner)
                 owner.readers.add(attempt)
@@ -307,8 +318,8 @@ class OnlineEngine:
         )
         entry.version = version
         attempt.versions.append(version)
-        if self.tracer.enabled:
-            self.tracer.instant(
+        if tracer.enabled:
+            tracer.instant(
                 "data", "txn.write", self.trace_track,
                 txn=str(attempt.txn), seq=attempt.seq, entity=entity,
                 pos=version.position,

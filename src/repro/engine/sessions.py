@@ -36,6 +36,15 @@ class SessionState(enum.Enum):
     WAITING = "waiting"
 
 
+# Module-level aliases: a tick reads them without an attribute lookup on
+# the enum class.
+_IDLE, _RUNNING, _BACKOFF, _WAITING = (
+    SessionState.IDLE, SessionState.RUNNING, SessionState.BACKOFF,
+    SessionState.WAITING,
+)
+_COMMITTED, _ABORTED = TxnState.COMMITTED, TxnState.ABORTED
+
+
 class Session:
     """One client: runs transactions through the engine with retries."""
 
@@ -50,7 +59,7 @@ class Session:
         self.session_id = session_id
         self.retry = retry
         self.rng = rng
-        self.state = SessionState.IDLE
+        self.state = _IDLE
         self.transaction: Transaction | None = None
         self.program: Program | None = None
         self.attempt = None
@@ -66,7 +75,7 @@ class Session:
 
     @property
     def busy(self) -> bool:
-        return self.state is not SessionState.IDLE
+        return self.state is not _IDLE
 
     def start(self, transaction: Transaction, program: Program | None) -> None:
         if self.busy:
@@ -92,7 +101,7 @@ class Session:
             born_tick=self.born_tick,
         )
         self.step_index = 0
-        self.state = SessionState.RUNNING
+        self.state = _RUNNING
 
     def tick(self) -> str:
         """Advance one turn; returns what happened (driver diagnostics):
@@ -101,39 +110,42 @@ class Session:
         ``"waiting"``, ``"blocked"``, ``"retry"``, or ``"gave-up"``.
         Only ``"blocked"`` means no state changed at all.
         """
-        if self.state is SessionState.IDLE:
+        state = self.state
+        if state is _IDLE:
             return "idle"
-        if self.state is SessionState.BACKOFF:
+        if state is _BACKOFF:
             self.backoff_left -= 1
             if self.backoff_left <= 0:
                 self._begin_attempt()
             return "backoff"
+        attempt = self.attempt
         # Cascades and deadlock breaks abort attempts between ticks.
-        if self.attempt.state is TxnState.ABORTED:
+        if attempt.state is _ABORTED:
             return self._handle_abort()
-        if self.state is SessionState.RUNNING:
-            step = self.transaction.steps[self.step_index]
+        if state is _RUNNING:
+            engine = self.engine
+            steps = self.transaction.steps
             try:
-                self.engine.submit(self.attempt, step)
+                engine.submit(attempt, steps[self.step_index])
             except TransactionAborted:
                 return self._handle_abort()
             self.step_index += 1
-            if self.step_index < len(self.transaction.steps):
+            if self.step_index < len(steps):
                 return "progress"
-            self.engine.finish(self.attempt)
-            if self.attempt.state is TxnState.COMMITTED:
+            engine.finish(attempt)
+            if attempt.state is _COMMITTED:
                 return self._settle_commit()
-            self.state = SessionState.WAITING
-            tracer = self.engine.tracer
+            self.state = _WAITING
+            tracer = engine.tracer
             if tracer.enabled:
                 # Parked: all steps in, blocked on commit dependencies.
                 tracer.instant(
-                    "txn", "txn.park", self.engine.trace_track,
+                    "txn", "txn.park", engine.trace_track,
                     txn=str(self.transaction.txn),
                 )
             return "waiting"
         # WAITING: poll the attempt's fate.
-        if self.attempt.state is TxnState.COMMITTED:
+        if attempt.state is _COMMITTED:
             return self._settle_commit()
         return "blocked"
 
@@ -164,13 +176,13 @@ class Session:
                 attempt=self.attempt_no, backoff=self.backoff_left,
             )
         if self.backoff_left > 0:
-            self.state = SessionState.BACKOFF
+            self.state = _BACKOFF
         else:
             self._begin_attempt()
         return "retry"
 
     def _reset_to_idle(self) -> None:
-        self.state = SessionState.IDLE
+        self.state = _IDLE
         self.transaction = None
         self.program = None
         self.attempt = None
@@ -211,7 +223,7 @@ class ConcurrentDriver:
         if self._exhausted or self.engine.wants_epoch_close:
             return
         for session in self.sessions:
-            if session.busy:
+            if session.state is not _IDLE:
                 continue
             item = self._next_transaction()
             if item is None:
@@ -227,10 +239,12 @@ class ConcurrentDriver:
             # deterministic — so the trace clock is always the tick.
             engine.tracer.use_clock(lambda: engine.metrics.ticks)
         started = perf_clock()
+        metrics, sessions = engine.metrics, self.sessions
+        shuffle = self.rng.shuffle
         while True:
-            engine.metrics.ticks += 1
+            metrics.ticks += 1
             self._feed_idle_sessions()
-            busy = [s for s in self.sessions if s.busy]
+            busy = [s for s in sessions if s.state is not _IDLE]
             if not busy:
                 if engine.wants_epoch_close:
                     engine.close_epoch()
@@ -238,9 +252,12 @@ class ConcurrentDriver:
                 if self._exhausted:
                     break
                 continue  # next round feeds the idle sessions
-            self.rng.shuffle(busy)
-            outcomes = [session.tick() for session in busy]
-            if all(outcome == "blocked" for outcome in outcomes):
+            shuffle(busy)
+            blocked = True
+            for session in busy:
+                if session.tick() != "blocked":
+                    blocked = False
+            if blocked:
                 # Every in-flight transaction is pending on another pending
                 # one: a commit-dependency cycle.  Break it; the victims'
                 # sessions observe the abort on their next tick.

@@ -36,7 +36,8 @@ class Scheduler(abc.ABC):
     shard_partitionable: bool = False
 
     #: Whether ``_accept`` journals *every* mutation it makes (through
-    #: :meth:`_on_undo` and the journaled dict/set operations beside it),
+    #: :meth:`_on_undo` and the journaled dict/set operations beside it,
+    #: or by appending the inverse to ``_undo_log`` itself),
     #: so that :meth:`truncate` can undo steps instead of re-deriving the
     #: prefix.  A fact about the class's code, not an option to set.
     journaled: bool = False
@@ -79,18 +80,19 @@ class Scheduler(abc.ABC):
             return False
         mark = len(self._undo_log)
         if self._accept(step):
-            if not self.chooses_versions:
-                position = len(self.accepted_steps)
-                if step.is_write:
-                    self._set(self._last_write, step.entity, position)
-                else:
-                    self._set(
-                        self._assignments,
-                        position,
-                        self._last_write.get(step.entity, T_INIT),
-                    )
             self.accepted_steps.append(step)
             self._marks.append(mark)
+            if self.chooses_versions:
+                return True
+            position = len(self.accepted_steps) - 1
+            if step.is_write:
+                self._set(self._last_write, step.entity, position)
+            else:
+                self._set(
+                    self._assignments,
+                    position,
+                    self._last_write.get(step.entity, T_INIT),
+                )
             return True
         self._unwind(mark)
         self.dead = True

@@ -24,12 +24,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.model.schedules import T_INIT
-from repro.model.steps import Entity, Step, TxnId
+from repro.model.steps import Entity, Op, Step, TxnId
 from repro.model.version_functions import Source
 from repro.schedulers.base import Scheduler
 
 
-@dataclass
+@dataclass(slots=True)
 class _Version:
     """One write; its writer's timestamp is the chain's key beside it."""
 
@@ -70,53 +70,61 @@ class MVTOScheduler(Scheduler):
     def clear_primes(self) -> None:
         self._primed.clear()
 
-    def _timestamp(self, txn: TxnId) -> int:
-        if txn not in self._timestamps:
-            self._set(
-                self._timestamps,
-                txn,
-                self._primed.get(txn, len(self._timestamps)),
-            )
-        return self._timestamps[txn]
-
-    def _chain(self, entity: Entity) -> tuple[list[int], list[_Version]]:
-        if entity not in self._chains:
-            # The initial version, written by T0 "at minus infinity".
-            self._set(self._chains, entity, ([-1], [_Version(T_INIT)]))
-        return self._chains[entity]
-
     def _accept(self, step: Step) -> bool:
-        ts = self._timestamp(step.txn)
-        position = len(self.accepted_steps)
-        keys, chain = self._chain(step.entity)
+        # Decide first: a fresh timestamp and an untouched entity's
+        # initial chain are only stored, journaled, once the step stands.
+        txn, entity = step.txn, step.entity
+        timestamps = self._timestamps
+        fresh = txn not in timestamps
+        ts = (
+            self._primed.get(txn, len(timestamps)) if fresh
+            else timestamps[txn]
+        )
+        pair = self._chains.get(entity)
+        if pair is None:
+            # The initial version, written by T0 "at minus infinity".
+            keys, chain = [-1], [_Version(T_INIT)]
+        else:
+            keys, chain = pair
         # Versions left of ``slot`` have writer timestamp <= ts.
         slot = bisect_right(keys, ts)
-        if step.is_read:
-            # The latest of them; a transaction re-reading after several
-            # own writes sees its own latest write (arrival order).
-            version = chain[slot - 1]
-            if ts > version.max_reader_ts:
-                self._on_undo(
-                    setattr, version, "max_reader_ts", version.max_reader_ts
-                )
-                version.max_reader_ts = ts
-            self._set(self._assignments, position, version.source)
-            return True
-        # Write.  A second own write shadows the first, so a younger
-        # reader of an earlier own version would be invalidated ...
-        idx = slot - 1
-        while keys[idx] == ts:
+        is_read = step.op is Op.READ
+        if not is_read:
+            # A second own write shadows the first, so a younger reader
+            # of an earlier own version would be invalidated ...
+            idx = slot - 1
+            while keys[idx] == ts:
+                if chain[idx].max_reader_ts > ts:
+                    return False
+                idx -= 1
+            # ... and so would one of the version this write slots right
+            # after, the last with a smaller timestamp (classic MVTO rule).
             if chain[idx].max_reader_ts > ts:
                 return False
-            idx -= 1
-        # ... and so would one of the version this write slots right
-        # after, the last with a smaller timestamp (classic MVTO rule).
-        if chain[idx].max_reader_ts > ts:
-            return False
+        journal = self._undo_log
+        if fresh:
+            timestamps[txn] = ts
+            journal.append((timestamps.pop, (txn,)))
+        if pair is None:
+            self._chains[entity] = keys, chain
+            journal.append((self._chains.pop, (entity,)))
+        position = len(self.accepted_steps)
+        if is_read:
+            # The latest version at or below ts; a transaction re-reading
+            # after several own writes sees its own latest write (arrival
+            # order).
+            version = chain[slot - 1]
+            seen = version.max_reader_ts
+            if ts > seen:
+                journal.append((setattr, (version, "max_reader_ts", seen)))
+                version.max_reader_ts = ts
+            self._assignments[position] = version.source
+            journal.append((self._assignments.pop, (position,)))
+            return True
         chain.insert(slot, _Version(position))
-        self._on_undo(chain.pop, slot)
+        journal.append((chain.pop, (slot,)))
         keys.insert(slot, ts)
-        self._on_undo(keys.pop, slot)
+        journal.append((keys.pop, (slot,)))
         return True
 
     def serialization_order(self) -> list[TxnId]:

@@ -1,0 +1,166 @@
+"""Mutants of MVTO's step kernel, each killed by a named check.
+
+A mutant is a wrong ``MVTOScheduler._accept``, monkeypatched in by a
+fixture (never a switch in ``src``).  Each wraps the real method and
+bends one thing it sees or leaves behind:
+
+* ``first-below`` — PR 22's bug: the write check reads the *first*
+  version of the last older writer, not its last (the one its younger
+  readers are recorded on);
+* ``no-r-timestamp`` — writes ignore ``max_reader_ts``: the
+  ``R-timestamp`` rejection is gone;
+* ``forget-chain-inverse`` / ``forget-keys-inverse`` — an accepted
+  write's insert into the chain, or into its key list, is not journaled,
+  so a truncate leaves it behind.
+
+Each mutant names the check that kills it: ``drive_both`` against
+``NaiveMVTO`` (the step model) or ``truncate_then_continue`` (the
+truncate model), run over ``test_truncate_model.scripts()`` under a
+derandomized Hypothesis budget.  A mutant its check does not kill fails
+its test: a gap to close, never an ``xfail``.
+"""
+
+from bisect import bisect_right
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import Phase, find, settings  # noqa: E402
+
+from repro.schedulers import MVTOScheduler  # noqa: E402
+
+from tests.schedulers.test_step_models import (  # noqa: E402
+    NaiveMVTO,
+    build,
+    drive_both,
+)
+from tests.schedulers.test_truncate_model import (  # noqa: E402
+    mid_chain_insert,
+    scripts,
+    truncate_then_continue,
+)
+
+_accept = MVTOScheduler._accept
+
+
+def first_below(sched, step):
+    pair = sched._chains.get(step.entity)
+    if step.is_read or pair is None:
+        return _accept(sched, step)
+    keys, chain = pair
+    stamps = sched._timestamps
+    ts = stamps.get(step.txn, sched._primed.get(step.txn, len(stamps)))
+    idx = bisect_right(keys, ts) - 1
+    while keys[idx] == ts:
+        idx -= 1
+    first = idx
+    while first > 0 and keys[first - 1] == keys[idx]:
+        first -= 1
+    # The check reads ``chain[idx]``: show it the first version's readers.
+    checked, kept = chain[idx], chain[idx].max_reader_ts
+    checked.max_reader_ts = chain[first].max_reader_ts
+    try:
+        return _accept(sched, step)
+    finally:
+        checked.max_reader_ts = kept
+
+
+def no_r_timestamp(sched, step):
+    pair = sched._chains.get(step.entity)
+    if step.is_read or pair is None:
+        return _accept(sched, step)
+    versions = list(pair[1])
+    kept = [version.max_reader_ts for version in versions]
+    for version in versions:
+        version.max_reader_ts = -1
+    try:
+        return _accept(sched, step)
+    finally:
+        for version, ts in zip(versions, kept):
+            version.max_reader_ts = ts
+
+
+def forgetting(list_kind):
+    """An ``_accept`` that drops the ``pop`` inverse of an accepted
+    write's insert into the chain (``"chain"``) or its keys."""
+
+    def forget(sched, step):
+        mark = len(sched._undo_log)
+        accepted = _accept(sched, step)
+        journal = sched._undo_log
+        for n in range(len(journal) - 1, mark - 1, -1):
+            fn, _args = journal[n]
+            owner = getattr(fn, "__self__", None)
+            if fn.__name__ == "pop" and isinstance(owner, list):
+                if isinstance(owner[0], int) == (list_kind == "keys"):
+                    del journal[n]
+        return accepted
+
+    return forget
+
+
+def _fails(check, *args):
+    try:
+        check(*args)
+    except (AssertionError, IndexError):
+        return True
+    return False
+
+
+def killed_by_step_model(script):
+    """``drive_both`` against ``NaiveMVTO``, arrival order and primed."""
+    return any(
+        _fails(drive_both, build(MVTOScheduler, primes),
+               build(NaiveMVTO, primes), script)
+        for primes in (None, script[1])
+    )
+
+
+def killed_by_truncate_model(script):
+    return any(
+        _fails(truncate_then_continue, kind, script)
+        for kind in ("mvto", "mvto-primed")
+    )
+
+
+#: mutant -> (its ``_accept``, the check that kills it).
+MUTANTS = {
+    "first-below": (first_below, killed_by_step_model),
+    "no-r-timestamp": (no_r_timestamp, killed_by_step_model),
+    "forget-chain-inverse": (forgetting("chain"), killed_by_truncate_model),
+    "forget-keys-inverse": (forgetting("keys"), killed_by_truncate_model),
+}
+
+BUDGET = settings(
+    derandomize=True,
+    database=None,
+    max_examples=2000,
+    phases=[Phase.generate],
+)
+
+
+@pytest.fixture(params=sorted(MUTANTS))
+def mutant(request, monkeypatch):
+    """Install one mutant; yields the check that must kill it."""
+    accept, killer = MUTANTS[request.param]
+    monkeypatch.setattr(MVTOScheduler, "_accept", accept)
+    return killer
+
+
+def test_the_mutant_is_killed(mutant):
+    # ``find`` raises ``NoSuchExample`` if the mutant survives the budget.
+    find(scripts(), mutant, settings=BUDGET)
+
+
+@pytest.mark.parametrize("forgotten", ["chain", "keys"])
+def test_a_forgotten_insert_inverse_breaks_the_mid_chain_truncate(
+    monkeypatch, forgotten
+):
+    """Pinned without Hypothesis: without ``chain.pop(slot)`` a's version
+    is still served, without ``keys.pop(slot)`` the key list outgrows
+    the chain."""
+    monkeypatch.setattr(MVTOScheduler, "_accept", forgetting(forgotten))
+    try:
+        assert mid_chain_insert(MVTOScheduler()) != 0
+    except IndexError:
+        assert forgotten == "keys"

@@ -27,6 +27,7 @@ from hypothesis import find, given, settings  # noqa: E402
 from repro.classes.csr import is_csr  # noqa: E402
 from repro.model.enumeration import random_schedule  # noqa: E402
 from repro.model.schedules import T_INIT  # noqa: E402
+from repro.model.steps import read, write  # noqa: E402
 from repro.schedulers import MVTOScheduler, SGTScheduler  # noqa: E402
 from repro.schedulers.base import Scheduler  # noqa: E402
 
@@ -160,6 +161,48 @@ def test_sgt_decides_and_leaves_what_add_check_unwind_did(script):
 def test_mvto_decides_as_the_list_scan_rules(primed, script):
     primes = script[1] if primed else None
     drive_both(build(MVTOScheduler, primes), build(NaiveMVTO, primes), script)
+
+
+def journal_growth_on_rejections(scheduler, script):
+    """Drive ``script``; per rejected step, the journal entries its
+    decision made (``submit`` unwinds them before it returns)."""
+    growth = []
+    decide = scheduler._accept
+
+    def watched(step):
+        mark = len(scheduler._undo_log)
+        accepted = decide(step)
+        if not accepted:
+            growth.append(len(scheduler._undo_log) - mark)
+        return accepted
+
+    scheduler._accept = watched
+    _lengths, _primes, first, rounds = script
+    for pick, stream in [(None, first), *rounds]:
+        if pick is not None:
+            scheduler.truncate(pick % (len(scheduler.accepted_steps) + 1))
+        test_truncate_model.feed(scheduler, stream)
+    return growth
+
+
+@pytest.mark.parametrize("kind", ["mvto", "mvto-primed", "sgt", "2pl"])
+@settings(max_examples=300, deadline=None)
+@given(script=scripts())
+def test_a_rejected_step_journals_nothing(kind, script):
+    """These decide first and mutate after (SI and 2V2PL journal, then
+    unwind: ``submit`` allows both)."""
+    lengths, primes, _first, _rounds = script
+    scheduler = test_truncate_model.build(kind, lengths, primes)
+    assert set(journal_growth_on_rejections(scheduler, script)) <= {0}
+
+
+def test_mvto_rejects_a_fresh_transaction_before_timestamping_it():
+    sched = build(MVTOScheduler, {"a": 0, "b": 1})
+    script = ({}, {}, [read("b", "x"), write("a", "x")], [])
+    # a's first step is rejected: b, younger, already read x's initial
+    # version.  a's timestamp is computed, never stored.
+    assert journal_growth_on_rejections(sched, script) == [0]
+    assert sched.serialization_order() == ["b"]
 
 
 def test_the_streams_reach_rejections_and_rewrites():
