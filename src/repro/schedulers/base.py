@@ -13,8 +13,10 @@ from __future__ import annotations
 import abc
 
 from repro.model.schedules import Schedule, T_INIT
-from repro.model.steps import Entity, Step, TxnId
+from repro.model.steps import Entity, Op, Step, TxnId
 from repro.model.version_functions import Source, VersionFunction
+
+_READ = Op.READ
 
 
 class Scheduler(abc.ABC):
@@ -84,15 +86,24 @@ class Scheduler(abc.ABC):
             self._marks.append(mark)
             if self.chooses_versions:
                 return True
+            # Record the standard source, journaled as ``_set`` would.
+            # A read's position is new: truncation unwinds the positions
+            # it drops, so the inverse is always ``pop``.
             position = len(self.accepted_steps) - 1
-            if step.is_write:
-                self._set(self._last_write, step.entity, position)
-            else:
-                self._set(
-                    self._assignments,
-                    position,
-                    self._last_write.get(step.entity, T_INIT),
+            entity, last_write = step.entity, self._last_write
+            journal = self._undo_log
+            if step.op is _READ:
+                assignments = self._assignments
+                assignments[position] = last_write.get(entity, T_INIT)
+                journal.append((assignments.pop, (position,)))
+                return True
+            if entity in last_write:
+                journal.append(
+                    (last_write.__setitem__, (entity, last_write[entity]))
                 )
+            else:
+                journal.append((last_write.pop, (entity,)))
+            last_write[entity] = position
             return True
         self._unwind(mark)
         self.dead = True
@@ -206,9 +217,9 @@ class Scheduler(abc.ABC):
 
     def _unwind(self, mark: int) -> None:
         """Run the journal backwards until it is ``mark`` entries long."""
-        log = self._undo_log
-        while len(log) > mark:
-            fn, args = log.pop()
+        pop = self._undo_log.pop
+        for _ in range(len(self._undo_log) - mark):
+            fn, args = pop()
             fn(*args)
 
     # -- shard-parallel extras ---------------------------------------------

@@ -11,17 +11,19 @@ an accepted prefix is acyclic, and every arc a step adds ends at the
 step's own transaction, so the step closes a cycle iff that transaction
 already *reaches* one of the new arcs' tails: one stop-at-target search
 per new arc (:meth:`Digraph.would_close_cycle`), bounded by the
-transaction's descendants — none for a transaction that has only been
-preceded so far, the common case — and no search at all for a step that
-adds no arc.  The step decides first and mutates after, so the journal
-holds only what accepted steps changed.
+transaction's descendants — a one-node search for a transaction that has
+only been preceded so far, the common case — and no search at all for a
+step that adds no arc.  The step decides first and mutates after, so the
+journal holds only what accepted steps changed.
 """
 
 from __future__ import annotations
 
 from repro.graphs.digraph import Digraph
-from repro.model.steps import Entity, Step, TxnId
+from repro.model.steps import Entity, Op, Step, TxnId
 from repro.schedulers.base import Scheduler
+
+_READ = Op.READ
 
 
 class SGTScheduler(Scheduler):
@@ -50,28 +52,42 @@ class SGTScheduler(Scheduler):
     def _accept(self, step: Step) -> bool:
         txn, entity = step.txn, step.entity
         graph = self._graph
-        others = self._writers.get(entity, ())
-        if step.is_write:
-            others = (*others, *self._readers.get(entity, ()))
+        succ, pred = graph._succ, graph._pred
+        preds = pred.get(txn, ())
+        is_read = step.op is _READ
         # The arcs the step adds: one from each conflicting transaction
-        # that does not precede this one already.
-        preceding = graph.predecessors(txn)
-        preceding.add(txn)
-        tails = [t for t in dict.fromkeys(others) if t not in preceding]
+        # that does not precede this one already.  No list holds a
+        # transaction twice, so only a write's readers need deduplicating.
+        tails = [
+            t for t in self._writers.get(entity, ())
+            if t != txn and t not in preds
+        ]
+        if not is_read:
+            for t in self._readers.get(entity, ()):
+                if t != txn and t not in preds and t not in tails:
+                    tails.append(t)
         # The graph so far is acyclic and every new arc ends at ``txn``:
         # the step closes a cycle iff ``txn`` already reaches a tail.
         for tail in tails:
             if graph.would_close_cycle(tail, txn):
                 return False
-        if txn not in graph:
-            graph.add_node(txn)
-            self._on_undo(graph.remove_node, txn)
+        # The step stands: store the node, the arcs and the entry on the
+        # graph's own adjacency, each inverse journaled in place.
+        journal = self._undo_log
+        if txn not in succ:
+            succ[txn] = set()
+            pred[txn] = preds = set()
+            journal.append((graph.remove_node, (txn,)))
         for tail in tails:
-            graph.add_arc(tail, txn)
-            self._on_undo(graph.remove_arc, tail, txn)
-        bucket = self._readers if step.is_read else self._writers
-        entry = self._setdefault(bucket, entity, [])
-        if txn not in entry:
+            succ[tail].add(txn)
+            preds.add(tail)
+            journal.append((graph.remove_arc, (tail, txn)))
+        bucket = self._readers if is_read else self._writers
+        entry = bucket.get(entity)
+        if entry is None:
+            bucket[entity] = [txn]
+            journal.append((bucket.pop, (entity,)))
+        elif txn not in entry:
             entry.append(txn)
-            self._on_undo(entry.pop)
+            journal.append((entry.pop, ()))
         return True

@@ -1,0 +1,140 @@
+"""Mutants of SGT's step kernel, each killed by a named check.
+
+A mutant is a wrong ``SGTScheduler._accept``, monkeypatched in by a
+fixture (never a switch in ``src``).  Each wraps the real method and
+bends one thing it sees or leaves behind:
+
+* ``no-rw-arc`` — a write ignores the entity's readers, so the
+  read-write arcs it should add are dropped;
+* ``first-tail-only`` — only the first new tail is searched for a
+  cycle, the others are taken on trust;
+* ``forget-arc-inverse`` — an accepted arc's ``remove_arc`` inverse is
+  not journaled, so a truncate leaves the arc behind;
+* ``forget-bucket-inverse`` — an append to a reader/writer list is not
+  journaled, so a truncated step's transaction still conflicts.
+
+Each mutant names the check that kills it: ``drive_both`` against
+``NaiveSGT`` (the step model) or ``truncate_then_continue`` (the
+truncate model), run over ``test_truncate_model.scripts()`` under a
+derandomized Hypothesis budget.  A mutant its check does not kill fails
+its test: a gap to close, never an ``xfail``.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import find  # noqa: E402
+
+from repro.graphs.digraph import Digraph  # noqa: E402
+from repro.schedulers import SGTScheduler  # noqa: E402
+
+from tests.mutants.test_mvto import BUDGET  # noqa: E402
+from tests.schedulers.test_step_models import (  # noqa: E402
+    NaiveSGT,
+    drive_both,
+)
+from tests.schedulers.test_truncate_model import (  # noqa: E402
+    scripts,
+    truncate_then_continue,
+)
+
+_accept = SGTScheduler._accept
+
+
+def no_rw_arc(sched, step):
+    if step.is_read:
+        return _accept(sched, step)
+    # A write only adds to ``_writers``: hiding the readers is safe.
+    readers = sched._readers.pop(step.entity, None)
+    try:
+        return _accept(sched, step)
+    finally:
+        if readers is not None:
+            sched._readers[step.entity] = readers
+
+
+def first_tail_only(sched, step):
+    graph = sched._graph
+    searched = []
+
+    def search(tail, head):
+        searched.append(tail)
+        return len(searched) == 1 and Digraph.would_close_cycle(
+            graph, tail, head
+        )
+
+    graph.would_close_cycle = search
+    try:
+        return _accept(sched, step)
+    finally:
+        del graph.would_close_cycle
+
+
+def forgetting(forgotten):
+    """An ``_accept`` that drops the inverses ``forgotten(fn)`` picks
+    out of what the real one journaled."""
+
+    def forget(sched, step):
+        mark = len(sched._undo_log)
+        accepted = _accept(sched, step)
+        journal = sched._undo_log
+        journal[mark:] = [
+            (fn, args) for fn, args in journal[mark:] if not forgotten(fn)
+        ]
+        return accepted
+
+    return forget
+
+
+def is_arc_inverse(fn):
+    return getattr(fn, "__func__", None) is Digraph.remove_arc
+
+
+def is_append_inverse(fn):
+    return fn.__name__ == "pop" and isinstance(
+        getattr(fn, "__self__", None), list
+    )
+
+
+def _fails(check, *args):
+    # A journal mutant can leave the buckets naming a transaction the
+    # graph no longer holds; the kernel meets that as a ``KeyError``.
+    try:
+        check(*args)
+    except (AssertionError, KeyError):
+        return True
+    return False
+
+
+def killed_by_step_model(script):
+    return _fails(drive_both, SGTScheduler(), NaiveSGT(), script)
+
+
+def killed_by_truncate_model(script):
+    return _fails(truncate_then_continue, "sgt", script)
+
+
+#: mutant -> (its ``_accept``, the check that kills it).
+MUTANTS = {
+    "no-rw-arc": (no_rw_arc, killed_by_step_model),
+    "first-tail-only": (first_tail_only, killed_by_step_model),
+    "forget-arc-inverse": (
+        forgetting(is_arc_inverse), killed_by_truncate_model
+    ),
+    "forget-bucket-inverse": (
+        forgetting(is_append_inverse), killed_by_truncate_model
+    ),
+}
+
+
+@pytest.fixture(params=sorted(MUTANTS))
+def mutant(request, monkeypatch):
+    """Install one mutant; yields the check that must kill it."""
+    accept, killer = MUTANTS[request.param]
+    monkeypatch.setattr(SGTScheduler, "_accept", accept)
+    return killer
+
+
+def test_the_mutant_is_killed(mutant):
+    # ``find`` raises ``NoSuchExample`` if the mutant survives the budget.
+    find(scripts(), mutant, settings=BUDGET)
