@@ -2,12 +2,12 @@
 
 Runs the ``e18`` bench suite (:mod:`repro.bench`): the identical stream
 through the ``planner`` (PR 3, strictly plan-execute-settle in
-sequence) and ``pipelined`` (PR 5, plans batch k+1 while batch k
-executes) backends via the typed Database API, on the two E17
-workloads: the sharded bank (write-heavy) and the read-mostly hot-key
-scenario, plus the abort-heavy stream.  Both modes build the *same
-plan* — the pipeline only moves planning off the execution's critical
-path — so the counts agree row for row except ``rebound_reads``: every
+sequence) and ``pipelined`` (plans batch k+1 after batch k executes
+and before it settles) backends via the typed Database API,
+on the two E17 workloads: the sharded bank (write-heavy) and the
+read-mostly hot-key scenario, plus the abort-heavy stream.  Both modes
+build the *same plan* — the pipeline only moves when planning happens
+— so the counts agree row for row except ``rebound_reads``: every
 read that found its source writer logic-aborted and re-bound down the
 chain.  Planned ahead, a read bound to an in-flight batch's slot whose
 writer then aborts re-binds when its own batch executes, where the
@@ -27,10 +27,9 @@ Pinned claims:
   aborts, and a re-run of any case reproduces its bench record byte for
   byte.
 
-Whether hiding planning under execution buys seconds is not claimed
-here: ``benchmarks/perf`` measures that pair (``read-mostly-planned``
-vs ``pipelined-threaded``).  That threaded runs really overlap the two
-stages is a count pinned in ``tests/planner/test_pipeline.py``.
+Seconds are not claimed here: ``benchmarks/perf`` measures that pair
+(``read-mostly-planned`` vs ``pipelined-threaded``).  Both modes run on
+one thread, so no stage overlaps another.
 """
 
 import json

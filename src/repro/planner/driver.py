@@ -25,37 +25,37 @@ into batches (one batch = one epoch), each batch is planned
 Ticks count admissions and settles (a batch's settle tick is reserved
 when its admissions close), so commit latency (in ticks, via the
 engine's :class:`LatencyStats`) measures batching delay and is identical
-in deterministic and threaded mode and at every ``lookahead``.
+at every ``deterministic`` setting and every ``lookahead``.
 
 ``lookahead`` is how many batches planning may run ahead of the one
 executing — the pipelining Faleiro & Abadi's plan-then-execute design
 exists to enable.  At 0 (the ``planner`` mode) the stages run strictly
-in sequence: planning walks its partitions inline, execution uses
-``n_workers`` threads, and nothing is ever in flight across a settle.
-At 1 or more (the ``pipelined`` mode) a background stage plans batches
-*k+1 … k+lookahead* while batch *k* executes, and the whole difficulty
-lives at the boundary between an executing batch and an in-flight plan:
+in sequence and nothing is ever in flight across a settle.  At 1 or more
+(the ``pipelined`` mode) batches *k+1 … k+lookahead* are planned after
+batch *k* executes and before it settles, and the whole difficulty
+lives at the boundary between a settling batch and an in-flight plan:
 
 * **Base capture against reserved positions.**  Batch *k+1* is planned
-  while batch *k*'s slots are still deciding, so a base read binds to
-  the newest *chain slot* — possibly batch *k*'s pending placeholder.
-  That is exact, not optimistic: a placeholder occupies its final chain
-  position from reservation, so "the newest version below my batch" is
-  already known even though its payload is not.  Cross-batch bindings
-  keep the ``T_INIT`` base classification (they are pre-batch state,
-  exactly what base capture would see one settle later), so plan shape
-  and the native metrics do not depend on ``lookahead``.
+  before batch *k* settles (and batch *k+2* before *k+1* has run), so a
+  base read binds to the newest *chain slot* — possibly another batch's
+  placeholder.  That is exact, not optimistic: a placeholder occupies
+  its final chain position from reservation, so "the newest version
+  below my batch" is already known whatever its writer's fate.
+  Cross-batch bindings keep the ``T_INIT`` base classification (they
+  are pre-batch state, exactly what base capture would see one settle
+  later), so plan shape and the native metrics do not depend on
+  ``lookahead``.
 * **Aborts re-bind where they are read, never replan.**  Batch *k+1*
   executes only after batch *k* settled, so every cross-batch source is
-  decided and no read ever waits on another batch's slot.  A binding to
-  a slot whose writer logic-aborted stays as planned: settle removed the
-  slot, but it stays POISONED, so when *k+1* executes the reader
-  re-binds exactly as a reader inside batch *k* would — one walk down
-  the chain (:meth:`~repro.planner.executor.PlanExecutor._rebind`) to
-  the newest survivor, which lies below *k+1*'s first position (on that
-  entity nothing was reserved between, or planning would have bound to
-  it) and is therefore a ``T_INIT`` base read: the version the plan
-  would have bound had the aborted slot never been reserved.
+  decided.  A binding to a slot whose writer logic-aborted stays as
+  planned: settle removed the slot, but it stays POISONED, so when *k+1*
+  executes the reader re-binds exactly as a reader inside batch *k*
+  would — one walk down the chain
+  (:meth:`~repro.planner.executor.PlanExecutor._rebind`) to the newest
+  survivor, which lies below *k+1*'s first position (on that entity
+  nothing was reserved between, or planning would have bound to it) and
+  is therefore a ``T_INIT`` base read: the version the plan would have
+  bound had the aborted slot never been reserved.
 * **GC honors in-flight plans.**  Every plan pins its first install
   position in the :class:`~repro.engine.gc.WatermarkGC` from plan time
   to settle; the collector clamps any requested watermark to the lowest
@@ -64,32 +64,25 @@ lives at the boundary between an executing batch and an in-flight plan:
   source, or the survivor a binding to a removed slot re-binds to.
   Bound versions structurally cannot be pruned.
 
-With ``lookahead >= 1`` stage concurrency replaces intra-batch execution
-threads: each planned batch executes inline in timestamp order (a
-reader's source writer always has a smaller timestamp, so it has already
-published or poisoned — the executor's deterministic-mode argument,
-valid for any single-threaded timestamp-order run).  The two stages
-share the store under its one rule: every publish and every per-entity
-planning walk holds the entity's shard lock, at every ``lookahead``,
-threads or not.
-
-Deterministic mode keeps the pipeline's *order* but not its threads:
-plan the next batches inline after executing (pre-settle, so planning
-sees the identical chain state the background stage would), then
-settle.  The settled plan, the final state and ``metrics.as_dict()``
-are byte-identical at every ``lookahead`` for equal seeds — pipelining
-changes when planning happens, never what is planned; only how many
-reads reach a dead writer's slot, and so re-bind, moves with it.
+Everything runs on the caller's thread, at every ``lookahead`` and every
+``deterministic`` setting: plan, execute inline in timestamp order
+(:mod:`repro.planner.executor`), plan ahead, settle.  The whole version
+function is fixed before a batch runs, so threads could only change
+*when* work happens, never what is decided — and under the GIL not how
+fast either.  ``deterministic`` selects only the trace clock and
+whether the report prints a txn/s figure.  The settled plan, the final
+state and ``metrics.as_dict()`` are byte-identical at every
+``lookahead`` for equal seeds — pipelining changes when planning
+happens, never what is planned; only how many reads reach a dead
+writer's slot, and so re-bind, moves with it.
 """
 
 # repro: deterministic-contract — equal seeds must yield byte-identical output
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass
-from queue import SimpleQueue
 
 from repro.engine.errors import EngineError
 from repro.engine.gc import WatermarkGC
@@ -165,52 +158,6 @@ class _InFlight:
     outcome: ExecutionOutcome | None = None
 
 
-class _PlanStage:
-    """The background planning stage: one thread for the whole run.
-
-    ``begin()`` hands the thread one round of ``work`` and returns once
-    the thread is running it; ``wait()`` returns when the round is done
-    — what ``Thread.start`` and ``Thread.join`` gave the driver when it
-    built a thread per batch, without the thread: creation and teardown
-    (a stack to map and unmap, a new thread's first scheduling) on every
-    hand-off cost little on an idle host and several times the batch
-    itself on a busy one, so the run's speed followed the host's load.
-    Between rounds the thread is parked on its queue.  ``work`` must not
-    raise.
-    """
-
-    def __init__(self, work) -> None:
-        self._work = work
-        #: driver -> stage: True for a round to run, False to stop.
-        self._rounds: SimpleQueue = SimpleQueue()
-        #: stage -> driver, twice a round: picked up, then finished.
-        self._acks: SimpleQueue = SimpleQueue()
-        self._thread = threading.Thread(
-            target=self._serve, name="pipeline-plan"
-        )
-        self._thread.start()
-
-    def _serve(self) -> None:
-        while self._rounds.get():
-            self._acks.put(None)
-            try:
-                self._work()
-            finally:
-                self._acks.put(None)
-
-    def begin(self) -> None:
-        self._rounds.put(True)
-        self._acks.get()
-
-    def wait(self) -> None:
-        self._acks.get()
-
-    def close(self) -> None:
-        """Stop the thread; no round may be in flight."""
-        self._rounds.put(False)
-        self._thread.join()
-
-
 class BatchPlanner:
     """Plan-then-execute MVCC over a sharded multiversion store.
 
@@ -236,14 +183,11 @@ class BatchPlanner:
         if lookahead < 0:
             raise ValueError("lookahead must be >= 0")
         self.tracer = tracer
-        #: one store shard per worker: planning partition p and the
-        #: execution threads' fills both address shard-sliced state.
+        #: one store shard per worker: planning partition p owns shard p.
         self.store = ShardedMultiversionStore(n_workers, initial)
         self.batch_size = batch_size
         self.lookahead = lookahead
         self.deterministic = deterministic
-        #: planning runs on a background thread while a batch executes.
-        self._overlap = lookahead > 0 and not deterministic
         self.metrics = PlannerMetrics(
             n_workers=n_workers,
             batch_size=batch_size,
@@ -257,11 +201,7 @@ class BatchPlanner:
         )
         if self.gc is not None:
             self.metrics.engine.gc = self.gc.stats
-        #: sequential stages execute on ``n_workers`` threads; behind a
-        #: planning stage each batch executes inline.
-        self.executor = PlanExecutor(
-            self.store, 1 if lookahead else n_workers, deterministic
-        )
+        self.executor = PlanExecutor(self.store)
         self._next_timestamp = 0
         self._next_position = 0
         #: batches planned so far.
@@ -269,13 +209,6 @@ class BatchPlanner:
         #: the stream being drained (None until ``run``; single-use).
         self._stream = None
         self._drained = False
-        #: span of the last background planning run (set by the planning
-        #: thread, read by the driver after join).
-        self._plan_span: tuple[float, float, int] | None = None
-        #: exception the planning thread died on (re-raised by the
-        #: driver after join — a dead stage must fail the run, not
-        #: silently truncate the stream).
-        self._plan_error: BaseException | None = None
 
     def final_state(self) -> dict[Entity, object]:
         return self.store.final_state()
@@ -291,104 +224,39 @@ class BatchPlanner:
         engine = self.metrics.engine
         if self.tracer.enabled and self.deterministic:
             # The tick counts admissions and settles and is identical
-            # across runs — the deterministic trace clock.  Threaded
-            # runs keep the wall clock: the overlap between the plan
-            # and execute tracks is the point.
+            # across runs — the deterministic trace clock.
             self.tracer.use_clock(lambda: engine.ticks)
         started = perf_clock()
         self._stream = iter(stream)
         plans: deque[_InFlight] = deque()
-        stage = (
-            _PlanStage(lambda: self._refill_timed(plans, self.lookahead))
-            if self._overlap
-            else None
-        )
-        try:
-            self._drain(plans, stage)
-        finally:
-            if stage is not None:
-                stage.close()
-        engine.elapsed = perf_clock() - started
-        return self.metrics
-
-    def _drain(self, plans: deque, stage: _PlanStage | None) -> None:
-        """The run loop; ``stage`` plans ahead in the background, if set."""
         while True:
-            # Inline planning: the first batch, and with lookahead=0
-            # (nothing is ever planned ahead) every batch.
+            # The first batch, and with lookahead=0 (nothing is ever
+            # planned ahead) every batch.
             self._refill(plans, target=1)
             if not plans:
                 break
             head = plans.popleft()
-            if stage is None:
-                self._execute(head)
-                # Plan ahead pre-settle: the background stage would see
-                # exactly this chain state (head's slots still present).
-                self._refill(plans, target=self.lookahead)
-            else:
-                self._plan_span = None
-                exec_started = perf_clock()
-                stage.begin()
-                try:
-                    self._execute(head)
-                    exec_ended = perf_clock()
-                finally:
-                    # Always join before unwinding: a failed execute must
-                    # not leave the planning stage draining the caller's
-                    # stream and mutating pins/positions in the background.
-                    stage.wait()
-                if self._plan_error is not None:
-                    # The stream iterator or the planner itself raised on
-                    # the background thread; surface it exactly like the
-                    # inline path would.
-                    raise self._plan_error
-                self._note_overlap(exec_started, exec_ended)
+            self._execute(head)
+            # Plan ahead pre-settle: head's slots are still in the chains.
+            self._refill(plans, target=self.lookahead)
             self._settle(head, plans)
             # Free the settled plan before the next one is built: it is
             # the run's largest allocation, and holding it across the
             # next planning pass costs lookahead=0 a few percent.
             del head
+        engine.elapsed = perf_clock() - started
+        return self.metrics
 
     # -- planning stage ----------------------------------------------------
 
-    def _refill_timed(self, plans: deque, target: int) -> None:
-        begun = perf_clock()
-        try:
-            planned = self._refill(plans, target)
-        except BaseException as error:  # noqa: BLE001 — re-raised by run()
-            self._plan_error = error
-            return
-        self._plan_span = (begun, perf_clock(), planned)
-
-    def _note_overlap(self, exec_started: float, exec_ended: float) -> None:
-        if not self._plan_span:
-            return
-        plan_started, plan_ended, planned = self._plan_span
-        metrics = self.metrics
-        metrics.plan_elapsed += plan_ended - plan_started
-        window = min(exec_ended, plan_ended) - max(exec_started, plan_started)
-        if planned and window > 0:
-            metrics.overlap_elapsed += window
-            metrics.batches_overlapped += planned
-
-    def _refill(self, plans: deque, target: int) -> int:
-        """Plan batches until ``target`` are in flight or the stream ends.
-
-        Runs on the background thread when planning overlaps execution;
-        the driver never touches ``plans``, the stream, positions,
-        timestamps, ticks or the plan-shape counters while it does (it
-        is executing the already popped head), so the two stages share
-        no mutable state but the store — which the walk locks per entity.
-        """
-        planned = 0
+    def _refill(self, plans: deque, target: int) -> None:
+        """Plan batches until ``target`` are in flight or the stream ends."""
         while len(plans) < target and not self._drained:
             inflight = self._plan_one()
             if inflight is None:
                 self._drained = True
                 break
             plans.append(inflight)
-            planned += 1
-        return planned
 
     def _plan_one(self) -> _InFlight | None:
         metrics = self.metrics
@@ -420,8 +288,8 @@ class BatchPlanner:
         first_position = self._next_position
         if self.gc is not None:
             self.gc.pin(first_position)
-        # At lookahead=0 nothing overlaps planning, so a leftover
-        # placeholder is a driver bug.
+        # At lookahead=0 nothing is in flight while planning, so a
+        # leftover placeholder is a driver bug.
         plan = plan_batch(
             items,
             self.store,
@@ -467,7 +335,6 @@ class BatchPlanner:
             )
         outcome = self.executor.execute(head.plan, head.first_position)
         verify_settled(head.plan, outcome)
-        self.metrics.blocked_reads += outcome.blocked_reads
         self.metrics.rebound_reads += outcome.rebound_reads
         self.metrics.engine.steps_submitted += outcome.steps_executed
         head.outcome = outcome

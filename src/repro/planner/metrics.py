@@ -9,8 +9,8 @@ the zero-abort witness: the planner never touches the engine's abort
 counters, so ``engine.aborted_total`` (surfaced here as ``cc_aborts``)
 staying at zero is a *recorded measurement*, not a definition.
 
-Planner-specific counters (plan shape, commit dependencies, blocked
-and re-bound reads, logic aborts) live on top.  ``as_dict`` excludes
+Planner-specific counters (plan shape, commit dependencies, re-bound
+reads, logic aborts) live on top.  ``as_dict`` excludes
 wall-clock fields, so two same-seed deterministic runs serialize
 byte-identically — the same reproducibility contract as the runtime.
 """
@@ -47,9 +47,6 @@ class PlannerMetrics:
     #: several reads to one writer counts once here (``dependent_reads``
     #: carries the per-read count).
     commit_deps: int = 0
-    #: reads that parked on a pending slot (threaded mode only; always 0
-    #: when deterministic — timestamp-order execution never blocks).
-    blocked_reads: int = 0
     #: the one abort planning cannot remove: programs that raised (their
     #: readers re-bind past them and run on).
     logic_aborted: int = 0
@@ -61,19 +58,11 @@ class PlannerMetrics:
     rebound_reads: int = 0
 
     #: batches planned ahead of the executing one (configuration; 0 —
-    #: sequential stages).  Everything below stays zero at lookahead=0
-    #: and is kept out of ``as_dict`` — a deterministic run serializes
-    #: byte-identically at every lookahead (pipelining changes when
-    #: planning happens, never what is planned) — so it is either
-    #: wall-clock (excluded exactly like ``elapsed``) or surfaced via
+    #: sequential stages).  Kept out of ``as_dict`` — a deterministic run
+    #: serializes byte-identically at every lookahead (pipelining changes
+    #: when planning happens, never what is planned) — and surfaced via
     #: :meth:`report` and the ``pipeline.lookahead`` gauge only.
     lookahead: int = 0
-    #: wall-clock: seconds spent planning, and the share of it hidden
-    #: under execution (threaded mode; 0.0 when deterministic).
-    plan_elapsed: float = 0.0
-    overlap_elapsed: float = 0.0
-    #: batches whose planning ran concurrently with an execution window.
-    batches_overlapped: int = 0
 
     @property
     def submitted(self) -> int:
@@ -131,9 +120,9 @@ class PlannerMetrics:
         ``planner.*`` names on top of the shared ``engine.*`` set (the
         reused engine metrics register themselves, so the zero-abort
         witness — ``engine.aborted.*`` all zero — rides along), plus
-        the ``pipeline.lookahead`` gauge when planning runs ahead.  The
-        wall-clock overlap fields stay out (same rule as ``elapsed``),
-        so deterministic telemetry is byte-identical.
+        the ``pipeline.lookahead`` gauge when planning runs ahead.
+        Wall-clock fields stay out, so deterministic telemetry is
+        byte-identical.
         """
         self.engine.register_into(registry)
         _FIELDS.register_into(self, registry)
@@ -148,7 +137,7 @@ class PlannerMetrics:
             if self.deterministic or self.elapsed <= 0
             else f", {self.throughput:.0f} txn/s"
         )
-        mode = "deterministic" if self.deterministic else "threaded"
+        mode = "deterministic" if self.deterministic else "wall clock"
         lines = [
             f"workers       {self.n_workers}  "
             f"(batch {self.batch_size}, {mode})",
@@ -160,8 +149,7 @@ class PlannerMetrics:
             f"({self.rebound_reads} reads re-bound past them)",
             f"reads         {self.base_reads} base, {self.own_reads} own, "
             f"{self.dependent_reads} dependent "
-            f"({self.commit_deps} commit deps, "
-            f"{self.blocked_reads} blocked)",
+            f"({self.commit_deps} commit deps)",
             f"batches       {self.batches}  "
             f"({self.placeholders_reserved} slots reserved)",
             f"latency       {engine.latency.summary()}",
@@ -173,17 +161,7 @@ class PlannerMetrics:
         ]
         if self.lookahead:
             lines[0] += f"  lookahead {self.lookahead}"
-            overlap = (
-                "deterministic (no overlap)"
-                if self.deterministic
-                else (
-                    f"{self.overlap_elapsed:.3f}s of "
-                    f"{self.plan_elapsed:.3f}s planning hidden under "
-                    f"execution ({self.batches_overlapped} batches "
-                    f"overlapped)"
-                )
-            )
-            lines.append(f"pipeline      {overlap}")
+            lines.append("pipeline      planned ahead inline (no overlap)")
         return "\n".join(lines)
 
 
@@ -202,7 +180,6 @@ _FIELDS = FieldTable(
     ("own_reads", "own_reads", "reads.own", "counter"),
     ("dependent_reads", "dependent_reads", "reads.dependent", "counter"),
     ("commit_deps", "commit_deps", "commit_deps", "counter"),
-    ("blocked_reads", "blocked_reads", "blocked_reads", "counter"),
     ("rebound_reads", None, "rebound_reads", "counter"),
 )
 

@@ -14,16 +14,16 @@ batch is visible up front, no read can ever arrive "too late" for its
 version, so execution needs no scheduler and can never be aborted by
 concurrency control.  A read bound to another transaction's reserved
 slot becomes a *commit dependency* (the reader consumes the value only
-once the writer publishes), not a rejection — the Larson et al.
-mechanics that replace aborts with waits.
+once the writer publishes), not a rejection — Larson et al.'s commit
+dependencies, which here never even wait: execution runs in timestamp
+order, so a writer always publishes before its readers run.
 
 Planning is partitioned by entity: accesses are split with the same
 crc32 hash the sharded store uses (partition *p* owns shard *p*
 outright), so partition walks touch disjoint store slices.  The walks
-run inline, in partition order, each holding its shard's lock per
-entity — the lock an executing batch's fills take at ``lookahead >= 1``.
-The walk of one entity depends on nothing outside that entity, so the
-order of the walks cannot change the plan.
+run inline, in partition order.  The walk of one entity depends on
+nothing outside that entity, so the order of the walks cannot change
+the plan.
 
 What a plan allocates: one tuple per step (the record the batch loop
 files under the step's entity), one :class:`ReadBinding` per read, one
@@ -80,12 +80,13 @@ def plan_batch(
     that left any behind was never settled, which is a driver bug, not a
     plannable state.  ``over_placeholders=True`` lifts that precondition
     for the driver at ``lookahead >= 1`` (:mod:`repro.planner.driver`),
-    which deliberately plans batch *k+1* while batch *k*'s reserved slots are
-    still deciding: a base read then binds to the newest chain slot even
-    if it is another batch's pending placeholder — the planned final
-    chain position is fixed at reservation, so the binding is exact
-    either way, and a binding whose source's writer later logic-aborts
-    re-binds when its batch executes (:mod:`repro.planner.executor`).
+    which deliberately plans batch *k+1* before batch *k* has settled
+    (and, planning further ahead, before it has run): a base read then
+    binds to the newest chain slot even if it is another batch's
+    placeholder — the planned final chain position is fixed at
+    reservation, so the binding is exact either way, and a binding whose
+    source's writer logic-aborts re-binds when its batch executes
+    (:mod:`repro.planner.executor`).
 
     A partition walk that raises fails the call at once with one
     :class:`EngineError` chained from the cause, never a silently short
@@ -120,13 +121,9 @@ def plan_batch(
         partitions[shard_of(entity, n_partitions)].append(entity)
 
     try:
-        for p in range(n_partitions):
-            # Partition p owns shard p outright; the lock is taken per
-            # entity so an executing batch's fills on the shard interleave
-            # with the walk instead of stalling behind it.
-            for entity in sorted(partitions[p]):
-                with store.locks[p]:
-                    _walk_entity(entity, by_entity[entity], store)
+        for partition in partitions:
+            for entity in sorted(partition):
+                _walk_entity(entity, by_entity[entity], store)
     except Exception as error:
         raise EngineError(
             f"partition planning walk crashed: {error!r}"

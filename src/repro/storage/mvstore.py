@@ -33,7 +33,6 @@ aggregate built on it report only materialized versions.
 from __future__ import annotations
 
 import enum
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Iterator, Protocol, runtime_checkable
@@ -88,17 +87,14 @@ class PlaceholderVersion(Version):
     exactly like a normal version — that is what lets a batch planner
     bind reads to it before the writer has run.  Only the payload cell
     transitions: PENDING -> FILLED (value published) or PENDING ->
-    POISONED (writer aborted).  Waiters block on an event that both
-    transitions set, so a blocked reader always wakes to a decided fate.
+    POISONED (writer aborted).  Nobody waits on a slot: the planner runs
+    its batches in timestamp order, so a reader only ever finds its
+    source decided.
 
     Equality and hashing are by identity, not by field value — the
     ``value`` field mutates on fill, and the engine/planner compare
     versions by identity anyway.
     """
-
-    #: wake-up event; a slot gets its own from its first blocked
-    #: :meth:`wait` — until then its transitions have nobody to wake.
-    _event: threading.Event | None = None
 
     def __init__(self, entity: Entity, writer: TxnId, position: int) -> None:
         super().__init__(entity, writer, UNWRITTEN, position)
@@ -119,32 +115,14 @@ class PlaceholderVersion(Version):
     def decided(self) -> bool:
         return self.state is not PlaceholderState.PENDING
 
-    def wait(self, timeout: float | None = None) -> bool:
-        """Block until filled or poisoned; True iff decided in time.
-
-        A waiter that finds the slot PENDING publishes the wake-up event
-        (``setdefault`` is atomic: racing waiters share one), then checks
-        the state *again*.  A transition writes the state before it looks
-        for the event, so it either finds and sets the event or decided
-        before the re-check — no wake-up is lost.
-        """
-        if self.decided:
-            return True
-        event = vars(self).setdefault("_event", threading.Event())
-        return self.decided or event.wait(timeout)
-
     # -- store-internal transitions (go through MultiversionStore) --------
 
     def _fill(self, value: Any) -> None:
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "state", PlaceholderState.FILLED)
-        if self._event is not None:
-            self._event.set()
 
     def _poison(self) -> None:
         object.__setattr__(self, "state", PlaceholderState.POISONED)
-        if self._event is not None:
-            self._event.set()
 
 
 def _order_key(position: int | None) -> int:
@@ -264,9 +242,8 @@ class MultiversionStore:
     def fill(self, version: PlaceholderVersion, value: Any) -> None:
         """Publish the computed value of a reserved slot (commit point).
 
-        Wakes every reader blocked on the placeholder.  Filling a
-        non-pending slot is a caller bug: values publish exactly once and
-        a poisoned slot's writer is gone.
+        Filling a non-pending slot is a caller bug: values publish exactly
+        once and a poisoned slot's writer is gone.
         """
         if not version.is_placeholder:
             raise ValueError(f"fill on non-placeholder version {version!r}")
@@ -281,8 +258,8 @@ class MultiversionStore:
     def poison(self, version: PlaceholderVersion) -> None:
         """Mark a reserved slot dead (writer aborted); idempotent.
 
-        Wakes blocked readers, which observe the poisoned state and
-        re-bind past the slot.  Poisoning a *filled* slot is a caller bug
+        Readers bound to it observe the poisoned state and re-bind past
+        the slot.  Poisoning a *filled* slot is a caller bug
         — published values are immutable, so an abort must happen before
         publish.
         """

@@ -9,12 +9,12 @@ scaling step (per-shard locks, per-shard GC, multi-backend) builds on.
 
 It is two things.  To the planner it is the partitioned store: it
 implements :class:`repro.storage.VersionStore` by routing each call to
-the owning shard, and adds ``n_shards``, ``locks`` and ``lock_of`` for
-the per-partition planning walks and the plan executor.  To the
-parallel runtime it is the container of per-domain stores and locks:
-each domain's engine runs on ``shards[d]`` — a plain
-:class:`MultiversionStore` — under ``locks[d]``, and the dispatcher reads
-``final_state`` and ``snapshot_stats`` across them.
+the owning shard, and its ``n_shards`` is the planning walks' partition
+count.  The planner runs on one thread and takes no lock of its own.
+To the parallel runtime it is the container of per-domain stores and
+locks: each domain's engine runs on ``shards[d]`` — a plain
+:class:`MultiversionStore` — under ``locks[d]``, and the dispatcher
+reads ``final_state`` and ``snapshot_stats`` across them.
 
 Concurrency: every shard carries an :class:`threading.RLock`.  The
 parallel runtime (:mod:`repro.runtime`) confines each shard's mutations
@@ -77,12 +77,6 @@ class ShardedMultiversionStore:
     def shard_for(self, entity: Entity) -> MultiversionStore:
         """The shard that owns ``entity``."""
         return self.shards[shard_of(entity, self.n_shards)]
-
-    # -- per-shard locking -------------------------------------------------
-
-    def lock_of(self, entity: Entity) -> threading.RLock:
-        """The lock guarding ``entity``'s shard."""
-        return self.locks[shard_of(entity, self.n_shards)]
 
     # -- VersionStore, delegated per entity ---------------------------------
 

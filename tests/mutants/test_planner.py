@@ -1,0 +1,150 @@
+"""Mutants of the planner's abort handling, each killed by a named check.
+
+A mutant is a wrong planner method, monkeypatched in by a fixture (never
+a switch in ``src``):
+
+* ``rebind-stops-at-first-poisoned`` — ``PlanExecutor._rebind`` takes
+  one ``latest_before`` step and serves whatever it lands on, so a read
+  whose next version down is a second dead writer's slot is not walked
+  past it (an abort chain);
+* ``settle-keeps-dead-slot`` — ``BatchPlanner._settle`` skips
+  ``store.remove`` for one logic-aborted slot of the batch.
+
+Each mutant names the check that kills it: the serial oracle of
+``tests/planner/test_reexec_property.py`` (equal final state and
+committed set), or the driver's own placeholder check (a settled batch
+leaves exactly the in-flight plans' slots behind, else
+:class:`EngineError`), run over that file's generated abort workloads
+under a derandomized Hypothesis budget.  A mutant its check does not
+kill fails its test: a gap to close, never an ``xfail``.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import find, given, settings  # noqa: E402
+
+from repro.engine.errors import EngineError  # noqa: E402
+from repro.model.batching import ReadBinding  # noqa: E402
+from repro.model.schedules import T_INIT  # noqa: E402
+from repro.obs import Tracer  # noqa: E402
+from repro.planner import BatchPlanner, PlanExecutor  # noqa: E402
+
+from tests.mutants.test_mvto import BUDGET  # noqa: E402
+from tests.planner.test_reexec_property import (  # noqa: E402
+    INITIAL_BALANCE,
+    abort_workloads,
+    committed_ids,
+    serial_oracle,
+)
+
+_settle = BatchPlanner._settle
+
+
+def rebind_one_step(executor, ptxn, index, dead, first_position):
+    """``_rebind`` with its walk cut to a single step down the chain."""
+    source = executor.store.latest_before(dead.entity, dead.position)
+    in_batch = (
+        source.position is not None and source.position >= first_position
+    )
+    bindings = ptxn.bindings
+    old = bindings[index]
+    bindings[index] = ReadBinding(
+        old.txn, old.step_index, source,
+        source.writer if in_batch else T_INIT,
+    )
+    ptxn.bind(bindings)
+    return source
+
+
+def settle_keeps_dead_slot(planner, head, plans):
+    """``_settle`` with the first ``store.remove`` of the batch skipped
+    (settle removes only logic-aborted transactions' slots)."""
+    store = planner.store
+    remove = store.remove
+    skipped = []
+
+    def remove_but_the_first(version):
+        if skipped:
+            remove(version)
+        else:
+            skipped.append(version)
+
+    store.remove = remove_but_the_first
+    try:
+        return _settle(planner, head, plans)
+    finally:
+        del store.remove
+
+
+def run(workload, lookahead):
+    accounts, stream, batch_size = workload
+    tracer = Tracer(capacity=None)
+    planner = BatchPlanner(
+        initial={a: INITIAL_BALANCE for a in accounts}, n_workers=2,
+        batch_size=batch_size, lookahead=lookahead, deterministic=True,
+        tracer=tracer,
+    )
+    planner.run(stream)
+    return planner, tracer
+
+
+def killed_by_serial_oracle(workload):
+    """Final state or committed set differs from the serial oracle."""
+    accounts, stream, _ = workload
+    initial = {a: INITIAL_BALANCE for a in accounts}
+    state, committed = serial_oracle(initial, stream)
+    for lookahead in (0, 2):
+        planner, tracer = run(workload, lookahead)
+        if (
+            {**initial, **planner.final_state()} != state
+            or committed_ids(tracer) != sorted(committed)
+        ):
+            return True
+    return False
+
+
+def killed_by_placeholder_check(workload):
+    """The driver's settle found a placeholder no in-flight plan owns."""
+    for lookahead in (0, 2):
+        try:
+            run(workload, lookahead)
+        except EngineError as error:
+            if "undecided placeholders after settle" in str(error):
+                return True
+            raise
+    return False
+
+
+#: mutant -> (the patched class, attribute, wrong method, the check
+#: that kills it).
+MUTANTS = {
+    "rebind-stops-at-first-poisoned": (
+        PlanExecutor, "_rebind", rebind_one_step, killed_by_serial_oracle,
+    ),
+    "settle-keeps-dead-slot": (
+        BatchPlanner, "_settle", settle_keeps_dead_slot,
+        killed_by_placeholder_check,
+    ),
+}
+
+
+@pytest.fixture(params=sorted(MUTANTS))
+def mutant(request, monkeypatch):
+    """Install one mutant; yields the check that must kill it."""
+    owner, attribute, method, killer = MUTANTS[request.param]
+    monkeypatch.setattr(owner, attribute, method)
+    return killer
+
+
+def test_the_mutant_is_killed(mutant):
+    # ``find`` raises ``NoSuchExample`` if the mutant survives the budget.
+    find(abort_workloads(), mutant, settings=BUDGET)
+
+
+@given(abort_workloads())
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_no_check_fires_on_the_real_planner(workload):
+    """A check that fired on correct code would kill every mutant."""
+    assert not killed_by_serial_oracle(workload)
+    assert not killed_by_placeholder_check(workload)

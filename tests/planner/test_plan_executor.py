@@ -1,6 +1,6 @@
 """The execution phase: abort-free runs, publish-at-commit, poison,
-the read-time re-bind past a dead writer, and crashes that end in one
-:class:`EngineError` whichever way the work was spread."""
+the read-time re-bind past a dead writer, and crashes — or a source
+still pending at read time — that end in one :class:`EngineError`."""
 
 import itertools
 import random
@@ -24,13 +24,13 @@ from repro.storage.executor import execute_serial
 from repro.storage.mvstore import MultiversionStore
 from repro.storage.sharded import ShardedMultiversionStore
 from repro.workloads.bank import transfer_program, transfer_transaction
+from repro.workloads.streams import failing_program
 
 
-def run_batch(items, n_workers=2, deterministic=True, initial=None):
-    store = ShardedMultiversionStore(n_workers, initial or {})
+def run_batch(items, n_shards=2, initial=None):
+    store = ShardedMultiversionStore(n_shards, initial or {})
     plan = plan_batch(items, store, 0, 0)
-    executor = PlanExecutor(store, n_workers, deterministic)
-    outcome = executor.execute(plan, 0)
+    outcome = PlanExecutor(store).execute(plan, 0)
     verify_settled(plan, outcome)
     return plan, outcome, store
 
@@ -63,7 +63,7 @@ class TestHappyPath:
                 ]
                 txns.append(Transaction.build(f"t{i}", *steps))
             items = [(t, None) for t in txns]
-            _, outcome, store = run_batch(items, n_workers=3)
+            _, outcome, store = run_batch(items, n_shards=3)
             assert set(outcome.fates.values()) == {COMMITTED}
             from repro.model.schedules import Schedule
             serial = execute_serial(
@@ -72,21 +72,69 @@ class TestHappyPath:
             )
             assert store.final_state() == serial.final_state
 
-    def test_threaded_matches_deterministic(self):
+
+class TestTimestampOrder:
+    @pytest.mark.parametrize("n_shards", [1, 2, 3])
+    def test_each_transaction_runs_once_whole_in_timestamp_order(
+        self, n_shards
+    ):
+        """Execution is one sequential program over the plan: every
+        program is called for one transaction at a time, start to end,
+        each transaction exactly once, in timestamp order — the shard
+        count only partitions planning."""
+        calls = []
+
+        def recorded(txn, program):
+            def run(write_index, reads):
+                calls.append((txn, write_index))
+                return program(write_index, reads)
+            return run
+
+        items = []
+        for k in range(12):
+            txn = f"t{k}"
+            program = (
+                failing_program(txn) if k % 5 == 2 else transfer_program(k)
+            )
+            items.append((
+                transfer_transaction(txn, f"a{k % 4}", f"a{(k + 1) % 4}"),
+                recorded(txn, program),
+            ))
+        plan, outcome, _ = run_batch(
+            items, n_shards=n_shards,
+            initial={f"a{k}": 100 for k in range(4)},
+        )
+        order = [ptxn.txn for ptxn in plan]
+        assert [ptxn.timestamp for ptxn in plan] == sorted(
+            ptxn.timestamp for ptxn in plan
+        )
+        # A run's calls are contiguous: grouping them yields each txn once.
+        runs = [txn for txn, _ in itertools.groupby(t for t, _ in calls)]
+        assert runs == order
+        for ptxn in plan:
+            indexes = [i for txn, i in calls if txn == ptxn.txn]
+            if outcome.fates[ptxn.txn] == COMMITTED:
+                assert indexes == list(range(len(ptxn.slots)))
+            else:  # the program raised on its first write
+                assert indexes == [0]
+
+    def test_a_plan_run_out_of_timestamp_order_fails_fast(self):
+        """A reader run before its in-batch writer finds the source still
+        PENDING: a broken order, named at once, not waited out."""
         items = [
-            (transfer_transaction(f"t{k}", f"a{k % 3}", f"a{(k + 1) % 3}"),
-             transfer_program(k))
-            for k in range(1, 20)
+            (transfer_transaction("t1", "a", "x"), transfer_program(5)),
+            (
+                Transaction.build("t2", ("R", "x"), ("W", "y")),
+                lambda write_index, reads: reads[0],
+            ),
         ]
-        initial = {f"a{k}": 100 for k in range(3)}
-        _, _, det_store = run_batch(
-            items, n_workers=4, deterministic=True, initial=initial
-        )
-        _, thr_outcome, thr_store = run_batch(
-            items, n_workers=4, deterministic=False, initial=initial
-        )
-        assert set(thr_outcome.fates.values()) == {COMMITTED}
-        assert det_store.final_state() == thr_store.final_state()
+        store = ShardedMultiversionStore(2, {"a": 100, "x": 100, "y": 0})
+        plan = plan_batch(items, store, 0, 0)
+        plan.planned.reverse()
+        with pytest.raises(EngineError, match="still pending") as raised:
+            PlanExecutor(store).execute(plan, 0)
+        assert "'x'" in str(raised.value) and "'t2'" in str(raised.value)
+        assert store.final_state() == {"a": 100, "x": 100, "y": 0}
 
 
 class TestPoison:
@@ -148,43 +196,58 @@ class TestPoison:
         assert plan.planned[2].deps == {"t0"}
         assert store.final_state()["b"] == 107
 
-    def test_threaded_rebind(self):
+    @pytest.mark.parametrize("survivor", ["in-batch", "base"])
+    def test_rebind_walks_past_an_abort_chain(self, survivor):
+        """t4's read of x is bound to t3's slot; t3 and t2, both blind
+        writers of x, die.  One re-bind walks past both poisoned slots to
+        the newest survivor: t1's published slot (a dependency on t1) or,
+        without t1, the pre-batch base (no dependency)."""
         items = [
-            (transfer_transaction("t1", "a", "b"), self.boom),
-            (transfer_transaction("t2", "b", "c"), transfer_program(3)),
+            (Transaction.build("t2", ("W", "x")), self.boom),
+            (Transaction.build("t3", ("W", "x")), self.boom),
+            (
+                Transaction.build("t4", ("R", "x"), ("W", "y")),
+                lambda write_index, reads: reads[0],
+            ),
         ]
-        _, outcome, store = run_batch(
-            items, n_workers=4, deterministic=False,
-            initial={"a": 100, "b": 100, "c": 100},
+        if survivor == "in-batch":
+            items.insert(0, (
+                Transaction.build("t1", ("W", "x")),
+                lambda write_index, reads: 7,
+            ))
+        plan, outcome, store = run_batch(
+            items, initial={"x": 100, "y": 0},
         )
-        assert outcome.fates == {"t1": LOGIC_ABORT, "t2": COMMITTED}
-        assert store.final_state()["c"] == 103
+        reader = plan.planned[-1]
+        assert outcome.fates["t2"] == outcome.fates["t3"] == LOGIC_ABORT
+        assert outcome.fates["t4"] == COMMITTED
+        assert outcome.rebound_reads == 1
+        [binding] = reader.bindings
+        if survivor == "in-batch":
+            assert binding.source_txn == "t1"
+            assert reader.deps == {"t1"}
+            assert store.final_state()["y"] == 7
+        else:
+            assert binding.source_txn == T_INIT
+            assert binding.source.position is None
+            assert reader.deps == frozenset()
+            assert store.final_state()["y"] == 100
 
-    def test_threaded_rebind_waits_on_a_pending_replacement(self):
+    def test_rebind_past_a_blind_writer_lands_on_the_published_slot(self):
         """t3 reads x from t2, a blind writer that dies at once; the next
-        version down is t1's slot, still pending while t1's program
-        blocks, so the re-bound read must park until t1 publishes."""
-        release = threading.Event()
-
-        def slow(write_index, reads):
-            assert release.wait(10)
-            return transfer_program(5)(write_index, reads)
-
+        version down is t1's slot, which t1 — earlier in timestamp order
+        — has already published, so t3 commits on it and depends on t1."""
         items = [
-            (transfer_transaction("t1", "a", "x"), slow),
+            (transfer_transaction("t1", "a", "x"), transfer_program(5)),
             (Transaction.build("t2", ("W", "x")), self.boom),
             (
                 Transaction.build("t3", ("R", "x"), ("W", "y")),
                 lambda write_index, reads: reads[0],
             ),
         ]
-        timer = threading.Timer(0.2, release.set)
-        timer.start()
         plan, outcome, store = run_batch(
-            items, n_workers=3, deterministic=False,
-            initial={"a": 100, "x": 100, "y": 0},
+            items, n_shards=3, initial={"a": 100, "x": 100, "y": 0},
         )
-        timer.join()
         assert outcome.fates == {
             "t1": COMMITTED, "t2": LOGIC_ABORT, "t3": COMMITTED,
         }
@@ -198,7 +261,7 @@ class TestPoison:
         ]
         store = ShardedMultiversionStore(2, {k: 100 for k in "abc"})
         plan = plan_batch(items, store, 0, 0)
-        outcome = PlanExecutor(store, 2, True).execute(plan, 0)
+        outcome = PlanExecutor(store).execute(plan, 0)
         assert outcome.fates == {"t1": LOGIC_ABORT, "t2": COMMITTED}
         # Forge a dependency the executed fates violate: t2 re-bound past
         # the dead t1, so only a forged plan can still depend on it.
@@ -207,34 +270,44 @@ class TestPoison:
             verify_settled(plan, outcome)
 
 
-class TestGuards:
-    def test_rejects_nonpositive_workers(self):
-        with pytest.raises(ValueError):
-            PlanExecutor(ShardedMultiversionStore(1), 0)
+class TestPendingSource:
+    @pytest.mark.parametrize("reached", ["as-planned", "by-rebind"])
+    def test_pending_source_is_a_named_error_not_a_wait(self, reached):
+        """A slot reserved for a writer outside the plan stays PENDING:
+        in timestamp order no source can, so reading it — as planned, or
+        by a re-bind past a dead writer above it — ends the batch in an
+        :class:`EngineError` naming the entity and the reader, at once,
+        never a hang."""
+        store = ShardedMultiversionStore(2, {"x": 100, "y": 0})
+        store.reserve("x", "ghost", 0)
+        reader = (
+            Transaction.build("t1", ("R", "x"), ("W", "y")),
+            lambda write_index, reads: reads[0],
+        )
+        items = [reader]
+        if reached == "by-rebind":
+            items.insert(
+                0, (Transaction.build("t0", ("W", "x")), failing_program("t0"))
+            )
+        plan = plan_batch(items, store, 0, 1, over_placeholders=True)
+        raised: list[BaseException] = []
 
-    def test_threaded_worker_crash_surfaces_instead_of_hanging(self):
-        """An executor bug in a threaded worker must raise after the
-        join (with parked readers poisoned awake), never hang."""
-        items = [
-            (transfer_transaction("t1", "a", "b"), transfer_program(1)),
-            (transfer_transaction("t2", "b", "c"), transfer_program(2)),
-        ]
-        store = ShardedMultiversionStore(2, {k: 100 for k in "abc"})
-        plan = plan_batch(items, store, 0, 0)
-        executor = PlanExecutor(store, 2, deterministic=False)
-        original = executor._run_one
+        def run() -> None:
+            try:
+                PlanExecutor(store).execute(plan, 1)
+            except BaseException as error:  # noqa: BLE001 — inspected below
+                raised.append(error)
 
-        def sabotaged(ptxn, first_position):
-            if ptxn.txn == "t1":
-                raise KeyError("injected executor bug")
-            return original(ptxn, first_position)
-
-        executor._run_one = sabotaged
-        with pytest.raises(EngineError, match="worker crashed"):
-            executor.execute(plan, 0)
-        # The crashed transaction's slots were poisoned, so a reader
-        # parked on them re-bound past them rather than blocking forever.
-        assert all(not slot.materialized for slot in plan.planned[0].slots)
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(5)
+        assert not thread.is_alive(), "the read blocked"
+        [error] = raised
+        assert isinstance(error, EngineError)
+        assert "'x'" in str(error) and "'t1'" in str(error)
+        assert "still pending" in str(error)
+        # Nothing was published: t1 never reached its commit point.
+        assert store.final_state()["y"] == 0
 
 
 def fails_on_call(method, n):
@@ -251,16 +324,16 @@ def fails_on_call(method, n):
 
 class TestCrashEndsInEngineError:
     """A store fault inside planning or execution ends the run in one
-    :class:`EngineError` chained from the cause — inline (deterministic)
-    or threaded — never a raw ``ValueError`` (a usage error to the CLI)
-    and never a hang."""
+    :class:`EngineError` chained from the cause — deterministic or not —
+    never a raw ``ValueError`` (a usage error to the CLI) and never a
+    hang."""
 
     @pytest.mark.parametrize("deterministic", [True, False])
     @pytest.mark.parametrize(
         "stage, method, message",
         [
             ("planning", "reserve", "partition planning walk crashed"),
-            ("execution", "fill", "plan execution worker crashed"),
+            ("execution", "fill", "plan execution crashed"),
         ],
     )
     def test_crash(self, monkeypatch, stage, method, message, deterministic):

@@ -121,9 +121,7 @@ class TestBinding:
         ]
         items = [(t, boom if t.txn == root else None) for t in txns]
         batch, store = plan(items)
-        outcome = PlanExecutor(store, 1, deterministic=True).execute(
-            batch, 0
-        )
+        outcome = PlanExecutor(store).execute(batch, 0)
         fates = outcome.fates
         assert fates[root] == LOGIC_ABORT
         assert outcome.committed == set("ABCD") - {root}

@@ -63,9 +63,6 @@ def revive(slot):
     """The deleted ``MultiversionStore.revive``: POISONED back to PENDING
     (both count as unmaterialized, so no store counter moves)."""
     assert slot.state is PlaceholderState.POISONED
-    # Clear first: no waiter may find PENDING and the poison's event set.
-    if slot._event is not None:
-        slot._event.clear()
     object.__setattr__(slot, "state", PlaceholderState.PENDING)
 
 
@@ -85,10 +82,11 @@ class CascadeExecutor(PlanExecutor):
                     reads.append(own_values[id(source)])
                     continue
                 if source.is_placeholder:
-                    source.wait()
+                    # Timestamp order: the source's writer already ran.
+                    assert source.decided
                     if source.state is PlaceholderState.POISONED:
                         self._poison_all(ptxn)
-                        return CASCADE, 0, 0, steps
+                        return CASCADE, 0, steps
                 reads.append(source.value)
                 continue
             slot = next(slots)
@@ -98,13 +96,12 @@ class CascadeExecutor(PlanExecutor):
                 )
             except Exception:  # noqa: BLE001 — a raise IS the abort
                 self._poison_all(ptxn)
-                return LOGIC_ABORT, 0, 0, steps
+                return LOGIC_ABORT, 0, steps
             own_values[id(slot)] = value
             computed.append((slot, value))
         for slot, value in computed:
-            with self.store.lock_of(slot.entity):
-                self.store.fill(slot, value)
-        return COMMITTED, 0, 0, steps
+            self.store.fill(slot, value)
+        return COMMITTED, 0, steps
 
 
 def settle_pass(plan, fates, store, executor, first_position):
@@ -142,7 +139,7 @@ def settle_pass(plan, fates, store, executor, first_position):
             )
             rebound += 1
         ptxn.bind(bindings)
-        fate, _, _, _ = executor._run_one(ptxn, first_position)
+        fate, _, _ = executor._run_one(ptxn, first_position)
         assert fate != CASCADE
         fates[ptxn.txn] = fate
         if fate == LOGIC_ABORT:
@@ -187,9 +184,7 @@ class TwoPassPlanner(RecordingPlanner):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.executor = CascadeExecutor(
-            self.store, self.executor.n_workers, self.deterministic
-        )
+        self.executor = CascadeExecutor(self.store)
         #: reads the model re-bound: settle pass and seam repair.
         self.rebound = 0
         #: in-flight plan -> id(source slot) -> [(ptxn, binding index)]

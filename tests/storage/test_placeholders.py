@@ -1,8 +1,5 @@
 """Placeholder versions: lifecycle, counting, sharded aggregation."""
 
-import sys
-import threading
-
 import pytest
 
 from repro.storage.mvstore import (
@@ -25,7 +22,7 @@ class TestLifecycle:
         later = store.install("x", "B", 9, 1)
         assert store.versions("x")[-2:] == [slot, later]
 
-    def test_fill_publishes_and_wakes(self):
+    def test_fill_publishes(self):
         store = MultiversionStore()
         slot = store.reserve("x", "A", 0)
         assert not slot.decided
@@ -33,7 +30,6 @@ class TestLifecycle:
         assert slot.state is PlaceholderState.FILLED
         assert slot.materialized
         assert slot.value == 42
-        assert slot.wait(0)  # event already set
 
     def test_fill_twice_is_a_bug(self):
         store = MultiversionStore()
@@ -48,7 +44,7 @@ class TestLifecycle:
         store.poison(slot)
         store.poison(slot)  # idempotent
         assert slot.state is PlaceholderState.POISONED
-        assert slot.wait(0)
+        assert slot.decided
         with pytest.raises(ValueError):
             store.fill(slot, 1)
 
@@ -58,6 +54,50 @@ class TestLifecycle:
         store.fill(slot, 1)
         with pytest.raises(ValueError):
             store.poison(slot)
+
+    @pytest.mark.parametrize("start, action, end", [
+        ("pending", "fill", PlaceholderState.FILLED),
+        ("pending", "poison", PlaceholderState.POISONED),
+        ("filled", "fill", ValueError),
+        ("filled", "poison", ValueError),
+        ("poisoned", "fill", ValueError),
+        ("poisoned", "poison", PlaceholderState.POISONED),
+    ])
+    def test_transition_table(self, start, action, end):
+        """The whole lifecycle the executor relies on: PENDING decides
+        once, FILLED and POISONED are terminal, and a rejected transition
+        moves neither the slot nor the store's counters."""
+        store = MultiversionStore({"x": 1})
+        slot = store.reserve("x", "A", 0)
+        if start == "filled":
+            store.fill(slot, 5)
+        elif start == "poisoned":
+            store.poison(slot)
+        before = (
+            slot.state, slot.value,
+            store.version_count(), store.placeholder_count(),
+        )
+        act = {
+            "fill": lambda: store.fill(slot, 9),
+            "poison": lambda: store.poison(slot),
+        }[action]
+        if end is ValueError:
+            with pytest.raises(ValueError):
+                act()
+            after = (
+                slot.state, slot.value,
+                store.version_count(), store.placeholder_count(),
+            )
+            assert after == before
+            return
+        act()
+        assert slot.state is end
+        assert slot.decided
+        filled = end is PlaceholderState.FILLED
+        assert slot.materialized is filled
+        assert store.version_count() == 1 + filled
+        assert store.placeholder_count() == 1 - filled
+        assert store.final_state() == {"x": 9 if filled else 1}
 
     def test_lifecycle_methods_reject_normal_versions(self):
         store = MultiversionStore()
@@ -147,136 +187,3 @@ class TestShardedAggregation:
         assert state["e2"] == 99
         assert state["e0"] == 0  # pending slot skipped, base shows
 
-
-class TestWaitOnDemand:
-    """The wake-up event exists only once a reader actually blocks."""
-
-    @pytest.mark.parametrize("decide", ["fill", "poison"])
-    def test_wait_on_a_decided_slot_allocates_nothing(self, decide):
-        store = MultiversionStore()
-        slot = store.reserve("x", "A", 0)
-        if decide == "fill":
-            store.fill(slot, 1)
-        else:
-            store.poison(slot)
-        assert slot.wait() is True
-        assert slot.wait(0) is True
-        assert slot._event is None
-
-    def test_reserved_filled_never_waited_on_never_allocates(self):
-        store = MultiversionStore()
-        slot = store.reserve("x", "A", 0)
-        store.fill(slot, 1)
-        assert slot._event is None
-
-    def test_timed_out_wait_reports_undecided(self):
-        store = MultiversionStore()
-        slot = store.reserve("x", "A", 0)
-        assert slot.wait(0.01) is False
-        assert slot._event is not None
-        store.fill(slot, 1)
-        assert slot.wait(0) is True
-
-    @pytest.mark.parametrize("early_waiter", [False, True])
-    def test_poison_wakes_every_waiter_for_good(self, early_waiter):
-        """A reader re-binds past a poisoned slot only because poison is
-        terminal: a parked waiter wakes to POISONED, every later wait
-        returns at once, and the slot can never be filled after all."""
-        store = MultiversionStore()
-        slot = store.reserve("x", "A", 0)
-        if early_waiter:  # the poison below then sets an existing event
-            assert slot.wait(0.01) is False
-        seen = []
-        parked = threading.Event()
-
-        def wait_for_it():
-            parked.set()
-            seen.append((slot.wait(10), slot.state))
-
-        waiter = threading.Thread(target=wait_for_it)
-        waiter.start()
-        parked.wait(10)
-        store.poison(slot)
-        waiter.join(10)
-        assert not waiter.is_alive()
-        assert seen == [(True, PlaceholderState.POISONED)]
-        assert slot.wait(0) is True
-        with pytest.raises(ValueError):
-            store.fill(slot, 7)
-        assert slot.state is PlaceholderState.POISONED
-
-    @pytest.mark.parametrize("decide", ["fill", "poison"])
-    @pytest.mark.parametrize("line", [1, 2, 3])
-    def test_decision_landing_inside_wait_is_not_lost(self, decide, line):
-        """The race the stress test below can only hope to hit, forced:
-        the slot is decided just before the ``line``-th line of ``wait``
-        runs — before the PENDING check, between the check and the
-        event's publication, between publication and the re-check."""
-        store = MultiversionStore()
-        slot = store.reserve("x", "A", 0)
-        land = {
-            "fill": lambda: store.fill(slot, 1),
-            "poison": lambda: store.poison(slot),
-        }[decide]
-        lines = 0
-
-        def trace(frame, event, arg):
-            nonlocal lines
-            if frame.f_code is not type(slot).wait.__code__:
-                return None
-            if event == "line":
-                lines += 1
-                if lines == line:
-                    land()
-            return trace
-
-        before = sys.gettrace()
-        sys.settrace(trace)
-        try:
-            woke = slot.wait(0.5)
-        finally:
-            sys.settrace(before)
-        assert slot.decided  # the line was reached, the decision landed
-        assert woke is True  # a lost wake-up sleeps out the timeout
-
-    def test_racing_waiters_all_wake_to_a_decided_slot(self):
-        """No lost wake-up: the first waiter publishes the event while
-        another thread decides the slot; whichever order the two land in,
-        every waiter returns True and sees the decision."""
-        waiters, rounds = 8, 300
-        store = MultiversionStore()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for round_ in range(rounds):
-                slot = store.reserve("x", "A", round_)
-                line = threading.Barrier(waiters + 1)
-                seen = []
-
-                def wait_for_it():
-                    line.wait(10)
-                    seen.append((slot.wait(10), slot.decided))
-
-                def decide():
-                    line.wait(10)
-                    if round_ % 2:
-                        store.fill(slot, round_)
-                    else:
-                        store.poison(slot)
-
-                threads = [
-                    threading.Thread(target=wait_for_it)
-                    for _ in range(waiters)
-                ]
-                # the decider joins the line early, in the middle or last
-                threads.insert(
-                    round_ % (waiters + 1), threading.Thread(target=decide)
-                )
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(10)
-                assert not any(thread.is_alive() for thread in threads)
-                assert seen == [(True, True)] * waiters, round_
-        finally:
-            sys.setswitchinterval(interval)
