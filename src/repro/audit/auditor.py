@@ -60,7 +60,6 @@ from repro.graphs.polygraph import (
     SearchEffort,
 )
 from repro.model.schedules import T_FINAL, T_INIT
-from repro.obs.tracer import TraceEvent
 
 
 def replays_claimed_order(joined: Joined) -> bool:
@@ -97,13 +96,19 @@ def replays_claimed_order(joined: Joined) -> bool:
     return True
 
 
-class Auditor:
-    """Folds a trace stream and certifies each segment as it closes."""
+class Auditor(ScheduleReconstructor):
+    """Folds a trace stream and certifies each segment as it closes.
+
+    The auditor *is* the reconstructor whose segment close judges: its
+    :meth:`feed` is the fold itself, so a subscribed auditor is one
+    frame below the tracer's emit.  The fold touches only the event's
+    own track, and each track has one emitting thread, so no event
+    takes a lock.  Tracks meet only in the judgment of a closed segment
+    (the verdict tallies) and in :meth:`finish`; those hold ``_lock``.
+    """
 
     def __init__(self) -> None:
-        self._reconstructor = ScheduleReconstructor(
-            on_close=self._judge_joined
-        )
+        super().__init__()
         #: certification verdicts per segment, in close order.
         self.certified_segments = 0
         #: judged segments per tier that gave the verdict (the search
@@ -113,9 +118,11 @@ class Auditor:
         self._search_choices: list[int] = []
         self.violations: list[Violation] = []
         self._counts = {"reads": 0, "writes": 0, "committed": 0}
-        #: threaded backends emit from worker threads; the fold itself
-        #: is per-track but the shared tallies need the lock.
-        self._lock = threading.Lock()
+        #: threaded backends close segments of different tracks on
+        #: different threads; the tallies they share need the lock.
+        #: Reentrant: :meth:`finish` judges the residual segments
+        #: while holding it.
+        self._lock = threading.RLock()
         self._report: AuditReport | None = None
 
     # -- live wiring -------------------------------------------------------
@@ -127,28 +134,30 @@ class Auditor:
         tracer.subscribe(auditor.feed)
         return auditor
 
-    def feed(self, event: TraceEvent) -> None:
-        """The tracer-sink entry point (also usable post-hoc)."""
-        with self._lock:
-            self._reconstructor.feed(event)
+    #: The tracer-sink entry point (also usable post-hoc): the
+    #: reconstructor's fold, bound on this class so the sink is the
+    #: fold and ``Auditor.feed`` names it.
+    feed = ScheduleReconstructor.feed
 
     # -- judgment ----------------------------------------------------------
 
-    def _judge_joined(self, joined: Joined) -> None:
+    def _closed(self, joined: Joined) -> None:
         """Certify one closed segment from its joined ops when its claimed
         order replays; build the :class:`Segment` only otherwise."""
-        if joined.violations or not replays_claimed_order(joined):
-            self._judge(joined.segment())
-            return
-        self._counts["committed"] += len(joined.committed)
-        self._counts["reads"] += joined.reads
-        self._counts["writes"] += len(joined.ops) - joined.reads
-        self._tiers["replay"] += 1
-        self.certified_segments += 1
+        with self._lock:
+            if joined.violations or not replays_claimed_order(joined):
+                self._judge(joined.segment())
+                return
+            self._counts["committed"] += len(joined.committed)
+            self._counts["reads"] += joined.reads
+            self._counts["writes"] += len(joined.ops) - joined.reads
+            self._tiers["replay"] += 1
+            self.certified_segments += 1
 
     def _judge(self, segment: Segment) -> None:
-        """Certify one closed segment (runs inside the feed lock when
-        live — online certification happens as the run progresses)."""
+        """Certify one closed segment through the schedule tiers (called
+        under ``_lock`` by :meth:`_closed`, on the thread that closed
+        it — online certification happens as the run progresses)."""
         self._counts["committed"] += len(segment.committed)
         for step in segment.schedule:
             key = "reads" if step.is_read else "writes"
@@ -206,18 +215,17 @@ class Auditor:
                     f"run with an unbounded log (capacity=None) to audit",
                 ))
             else:
-                self._reconstructor.finish()
-            rec = self._reconstructor
+                super().finish()
             violations = tuple(sorted(
                 self.violations,
                 key=lambda v: (v.track, v.segment, v.code, v.txn, v.detail),
             ))
             self._report = AuditReport(
                 ok=not violations,
-                events=rec.events_seen,
+                events=self.events_seen,
                 dropped=dropped,
-                tracks=len(rec.tracks_with_data),
-                segments=rec.closed,
+                tracks=len(self.tracks_with_data),
+                segments=self.closed,
                 certified=self.certified_segments,
                 tiers=dict(self._tiers),
                 search_choices=tuple(self._search_choices),

@@ -30,9 +30,14 @@ A track buffers only its open segment's raw events.  At the delimiter
 one join pass over them resolves attempts, joins every read to its
 source and flags every structural violation, leaving a :class:`Joined`
 — plain ``(txn, entity, source)`` tuples, no schedule.  Standalone, the
-reconstructor turns each into a :class:`Segment` and keeps it; the live
-auditor (``on_close``) judges the :class:`Joined` and nothing of the
-segment outlives its verdict except the committed-chain map.
+reconstructor turns each into a :class:`Segment` and keeps it; the
+auditor, a subclass whose :meth:`ScheduleReconstructor._closed` judges,
+keeps nothing of the segment past its verdict except the committed-chain
+map.
+
+The fold keeps all of its state per track, so a live fold needs no lock
+as long as each track has one emitting thread — which every backend
+guarantees (``docs/observability.md``, "Subscribers").
 """
 
 # repro: deterministic-contract — equal seeds must yield byte-identical output
@@ -103,9 +108,13 @@ class Joined(NamedTuple):
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class _TrackState:
-    """Per-track fold state: the open segment plus the committed chain."""
+    """Per-track fold state: the open segment plus the committed chain.
+
+    Written only by the track's one emitting thread (see
+    :meth:`ScheduleReconstructor.feed`), so it needs no lock.
+    """
 
     name: str
     #: the open segment's ``txn.read``/``txn.write`` events, as emitted.
@@ -118,6 +127,9 @@ class _TrackState:
     #: commit events in order: (txn, seq-or-None).
     commits: list[tuple[str, int | None]] = field(default_factory=list)
     aborted: set[tuple[str, int | None]] = field(default_factory=set)
+    #: events folded on this track.
+    events: int = 0
+    #: segments closed with data ops on this track.
     segments: int = 0
     #: committed chain from finalized segments: pos -> (entity, txn).
     chain: dict[int, tuple[str, str]] = field(default_factory=dict)
@@ -134,49 +146,48 @@ class ScheduleReconstructor:
     loaded event list; call :meth:`finish` once to flush residual
     segments.  ``on_segment`` fires at every segment close, which is
     what makes certification *online*: the auditor judges epoch *k*
-    while the run is producing epoch *k+1*.  ``on_close`` instead
-    receives each segment's :class:`Joined`, and then no
-    :class:`Segment` is built or kept.
+    while the run is producing epoch *k+1*.  A subclass that overrides
+    :meth:`_closed` receives each segment's :class:`Joined` instead,
+    and then no :class:`Segment` is built or kept.
     """
 
     def __init__(
-        self,
-        on_segment: Callable[[Segment], None] | None = None,
-        *,
-        on_close: Callable[[Joined], None] | None = None,
+        self, on_segment: Callable[[Segment], None] | None = None
     ) -> None:
         self._tracks: dict[str, _TrackState] = {}
         self._on_segment = on_segment
-        self._on_close = on_close
-        #: every closed segment, in close order (empty under ``on_close``).
+        #: every closed segment, in close order (empty when
+        #: :meth:`_closed` is overridden).
         self.segments: list[Segment] = []
-        #: segments closed so far (stretches without data ops excluded).
-        self.closed = 0
-        self.events_seen = 0
         self._finished = False
 
     # -- folding -----------------------------------------------------------
 
     def feed(self, event: TraceEvent) -> None:
-        """Fold one event (the tracer-sink entry point)."""
-        self.events_seen += 1
+        """Fold one event (the tracer-sink entry point).
+
+        Touches only the event's own track.  A live sink runs on the
+        emitting thread and each track has one emitting thread, so the
+        fold takes no lock; a segment close hands its :class:`Joined`
+        to :meth:`_closed`, which is where tracks meet.
+        """
+        track = self._tracks.get(event.track)
+        if track is None:
+            track = self._tracks[event.track] = _TrackState(event.track)
+        track.events += 1
         name = event.name
         if name == "txn.read" or name == "txn.write":
-            self._track(event.track).ops.append(event)
+            track.ops.append(event)
         elif name == "txn.commit":
-            track = self._track(event.track)
-            track.commits.append(
-                (str(event.args.get("txn")), event.args.get("seq"))
-            )
+            args = event.args
+            track.commits.append((str(args.get("txn")), args.get("seq")))
         elif name == "txn.abort":
-            track = self._track(event.track)
-            track.aborted.add(
-                (str(event.args.get("txn")), event.args.get("seq"))
-            )
+            args = event.args
+            track.aborted.add((str(args.get("txn")), args.get("seq")))
         elif name == _EPOCH_CLOSE or (
             name == _SETTLE_BATCH and event.ph == END
         ):
-            self._close_segment(self._track(event.track))
+            self._close_segment(track)
 
     def finish(self) -> list[Segment]:
         """Flush residual segments; idempotent; returns all segments."""
@@ -186,11 +197,15 @@ class ScheduleReconstructor:
                 self._close_segment(track)
         return self.segments
 
-    def _track(self, name: str) -> _TrackState:
-        state = self._tracks.get(name)
-        if state is None:
-            state = self._tracks[name] = _TrackState(name)
-        return state
+    @property
+    def events_seen(self) -> int:
+        """Events folded so far, over every track."""
+        return sum(t.events for t in self._tracks.values())
+
+    @property
+    def closed(self) -> int:
+        """Segments closed so far (stretches without data ops excluded)."""
+        return sum(t.segments for t in self._tracks.values())
 
     @property
     def tracks_with_data(self) -> tuple[str, ...]:
@@ -210,11 +225,10 @@ class ScheduleReconstructor:
             track.commits.clear()
             track.aborted.clear()
             return
-        joined = _join(track)
-        self.closed += 1
-        if self._on_close is not None:
-            self._on_close(joined)
-            return
+        self._closed(_join(track))
+
+    def _closed(self, joined: Joined) -> None:
+        """Keep one closed segment as a :class:`Segment`."""
         segment = joined.segment()
         self.segments.append(segment)
         if self._on_segment is not None:
@@ -234,29 +248,32 @@ def _join(track: _TrackState) -> Joined:
     def flag(code: str, txn: str, detail: str) -> None:
         violations.append(Violation(code, track.name, index, txn, detail))
 
-    # Engine commits carry the attempt seq, planner commits only the
-    # txn (planned txns run exactly once).  ``rank`` is a transaction's
-    # place in the claimed order: its first commit event.
+    # Engine commits and aborts carry the attempt seq; planner commits
+    # and logic aborts carry only the txn (planned txns run exactly
+    # once), so they settle every attempt of the txn.  Those txns are
+    # collected into sets once per segment, so a planner op resolves
+    # with one lookup of its txn.  ``rank`` is a transaction's place in
+    # the claimed order: its first commit event.
     committed_attempts = set(commits)
+    seqless = {txn for txn, seq in commits if seq is None}
     rank: dict[str, int] = {}
     for txn, _seq in commits:
         if txn not in rank:
             rank[txn] = len(rank)
-
-    def canceled(txn: str, seq: int | None) -> bool:
-        return (txn, seq) in aborted or (txn, None) in aborted
+    aborted_txns = {txn for txn, seq in aborted if seq is None}
 
     #: positions installed by attempts that aborted in this segment.
     aborted_pos: dict[int, str] = {}
     if aborted:
         for event in events:
-            args = event.args
-            txn, pos = str(args.get("txn")), args.get("pos")
-            if (
-                event.name == "txn.write" and pos is not None
-                and canceled(txn, args.get("seq"))
-            ):
-                aborted_pos[pos] = txn
+            if event.name == "txn.write":
+                args = event.args
+                txn, pos = str(args.get("txn")), args.get("pos")
+                if pos is not None and (
+                    txn in aborted_txns
+                    or (txn, args.get("seq")) in aborted
+                ):
+                    aborted_pos[pos] = txn
 
     chain, chain_latest = track.chain, track.chain_latest
     last_pos = track.last_pos
@@ -268,11 +285,11 @@ def _join(track: _TrackState) -> Joined:
     for event in events:
         args = event.args
         txn, seq = str(args.get("txn")), args.get("seq")
-        if aborted and canceled(txn, seq):
+        if aborted and (txn in aborted_txns or (txn, seq) in aborted):
             continue
         if not (
-            (txn, seq) in committed_attempts
-            or (txn, None) in committed_attempts
+            txn in seqless
+            or (txn, seq) in committed_attempts
             or (seq is None and txn in rank)
         ):
             if (txn, seq) not in unresolved_flagged:

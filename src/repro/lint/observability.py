@@ -28,7 +28,8 @@ written against it.  These rules keep every ``tracer.instant`` /
 
 An emit site is any call ``<receiver>.instant/begin/end(...)`` whose
 receiver's dotted name ends in ``tracer`` (``tracer``, ``self.tracer``,
-``engine.tracer``, ``self._tracer`` …) — the repo-wide hook idiom.
+``engine.tracer``, ``self._tracer`` …) — the repo-wide hook idiom —
+or a call through a name the module bound to such a method.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from __future__ import annotations
 import ast
 
 from repro.lint.astutil import expr_key
+from repro.lint.context import ModuleContext
+from repro.lint.findings import Finding
 from repro.lint.registry import LintRule, register_rule
 from repro.obs.taxonomy import EVENT_NAMES, INSTRUMENT_NAMES
 
@@ -43,20 +46,15 @@ _EMIT_METHODS = {"instant", "begin", "end"}
 _INSTRUMENT_METHODS = {"counter", "gauge", "histogram"}
 
 
-def _is_method_call(node: ast.Call, methods: set[str], suffix: str) -> bool:
-    """``<receiver>.<method>(...)`` with the receiver's dotted name
-    ending in ``suffix`` and the method one of ``methods``."""
-    func = node.func
+def _is_method(func: ast.expr, methods: set[str], suffix: str) -> bool:
+    """``<receiver>.<method>`` with the receiver's dotted name ending in
+    ``suffix`` and the method one of ``methods``."""
     if not (isinstance(func, ast.Attribute) and func.attr in methods):
         return False
     receiver = expr_key(func.value)
     if receiver is None:
         return False
     return receiver.split(".")[-1].rstrip("()").lower().endswith(suffix)
-
-
-def _is_emit_call(node: ast.Call) -> bool:
-    return _is_method_call(node, _EMIT_METHODS, "tracer")
 
 
 def _name_node(node: ast.Call, position: int) -> ast.expr | None:
@@ -74,10 +72,30 @@ def _event_name_node(node: ast.Call) -> ast.expr | None:
 
 
 class _EmitSiteRule(LintRule):
-    """Shared traversal: subclasses implement :meth:`check_emit`."""
+    """Shared traversal: subclasses implement :meth:`check_emit`.
+
+    A name bound to a tracer's emit method (``instant =
+    tracer.instant``, hoisted out of a hot loop) is an emit site
+    wherever the module calls it.
+    """
+
+    def check_module(self, ctx: ModuleContext) -> list[Finding]:
+        self._aliases: set[str] = set()
+        return super().check_module(ctx)
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        if _is_method(node.value, _EMIT_METHODS, "tracer"):
+            self._aliases.update(
+                target.id for target in node.targets
+                if isinstance(target, ast.Name)
+            )
+        self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
-        if _is_emit_call(node):
+        func = node.func
+        if _is_method(func, _EMIT_METHODS, "tracer") or (
+            isinstance(func, ast.Name) and func.id in self._aliases
+        ):
             self.check_emit(node)
         self.generic_visit(node)
 
@@ -115,7 +133,7 @@ class LiteralEventNameRule(_EmitSiteRule):
 )
 class TaxonomyEventNameRule(_EmitSiteRule):
     def visit_Call(self, node: ast.Call) -> None:
-        if _is_method_call(node, _INSTRUMENT_METHODS, "registry"):
+        if _is_method(node.func, _INSTRUMENT_METHODS, "registry"):
             name = _name_node(node, 0)
             if (
                 isinstance(name, ast.Constant)

@@ -206,9 +206,12 @@ class Tracer:
 
         This is the live-audit hook: a subscriber sees the complete
         stream regardless of ring-buffer capacity, because it is fed
-        before the log can drop anything.  Sinks run on the emitting
-        thread under the same guarantee as the log append — keep them
-        cheap (the auditor just folds the event into its state).
+        whatever the log keeps.  A sink runs synchronously on the
+        emitting thread, after the log append and outside its lock:
+        events of one track arrive in emit order (each track has one
+        emitting thread), events of different tracks may arrive
+        concurrently.  Keep sinks cheap — the live auditor folds the
+        event into its track's state and locks only at segment close.
         """
         self._sinks = (*self._sinks, sink)
 
@@ -219,29 +222,41 @@ class Tracer:
 
     # -- emit --------------------------------------------------------------
 
-    def _emit(self, ph: str, cat: str, name: str, track: str,
-              args: dict[str, Any]) -> None:
+    # Each emitter builds its event and hands it on in its own frame:
+    # an audited run emits tens of thousands of events, and a shared
+    # helper would cost one more call per event.
+
+    def instant(self, cat: str, name: str, track: str = "driver",
+                **args: Any) -> None:
+        """A point event (commit, abort, GC cycle, vote …)."""
         event = _new_event(
-            TraceEvent, (self._clock(), ph, cat, name, track, args)
+            TraceEvent, (self._clock(), INSTANT, cat, name, track, args)
         )
         if self.log is not None:
             self.log.append(event)
         for sink in self._sinks:
             sink(event)
 
-    def instant(self, cat: str, name: str, track: str = "driver",
-                **args: Any) -> None:
-        """A point event (commit, abort, GC cycle, vote …)."""
-        self._emit(INSTANT, cat, name, track, args)
-
     def begin(self, cat: str, name: str, track: str = "driver",
               **args: Any) -> None:
         """Open a span on ``track``; close it with :meth:`end`."""
-        self._emit(BEGIN, cat, name, track, args)
+        event = _new_event(
+            TraceEvent, (self._clock(), BEGIN, cat, name, track, args)
+        )
+        if self.log is not None:
+            self.log.append(event)
+        for sink in self._sinks:
+            sink(event)
 
     def end(self, cat: str, name: str, track: str = "driver",
             **args: Any) -> None:
-        self._emit(END, cat, name, track, args)
+        event = _new_event(
+            TraceEvent, (self._clock(), END, cat, name, track, args)
+        )
+        if self.log is not None:
+            self.log.append(event)
+        for sink in self._sinks:
+            sink(event)
 
     # -- inspection --------------------------------------------------------
 

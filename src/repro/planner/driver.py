@@ -88,7 +88,7 @@ from repro.engine.errors import EngineError
 from repro.engine.gc import WatermarkGC
 from repro.model.batching import BatchPlan
 from repro.model.schedules import T_INIT
-from repro.model.steps import Entity
+from repro.model.steps import Entity, Op
 from repro.obs.clock import perf_clock
 from repro.obs import NULL_TRACER
 from repro.planner.executor import (
@@ -99,6 +99,8 @@ from repro.planner.executor import (
 from repro.planner.metrics import PlannerMetrics
 from repro.planner.planning import plan_batch
 from repro.storage.sharded import ShardedMultiversionStore
+
+_WRITE = Op.WRITE
 
 
 def emit_planned_data_ops(tracer, ptxn) -> None:
@@ -120,20 +122,23 @@ def emit_planned_data_ops(tracer, ptxn) -> None:
     bindings = iter(ptxn.bindings)
     slots = iter(ptxn.slots)
     txn = str(ptxn.txn)
+    seq = ptxn.timestamp
+    # One emit per step of every committed transaction: the loop reads
+    # nothing through a property or a repeated attribute lookup.
+    instant = tracer.instant
     for step in ptxn.transaction.steps:
-        if step.is_write:
-            slot = next(slots)
-            tracer.instant(
+        if step.op is _WRITE:
+            instant(
                 "data", "txn.write", "driver",
-                txn=txn, seq=ptxn.timestamp, entity=step.entity,
-                pos=slot.position,
+                txn=txn, seq=seq, entity=step.entity,
+                pos=next(slots).position,
             )
             continue
         source = next(bindings).source
         pos = None if source is None else source.position
-        tracer.instant(
+        instant(
             "data", "txn.read", "driver",
-            txn=txn, seq=ptxn.timestamp, entity=step.entity,
+            txn=txn, seq=seq, entity=step.entity,
             pos=pos,
             writer=T_INIT if pos is None else str(source.writer),
         )

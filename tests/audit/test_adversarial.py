@@ -118,6 +118,31 @@ class TestSyntheticViolations:
         assert codes(report) == ["not-serializable"]
         assert report.certified == 0
 
+    def test_not_serializable_snapshot_write_skew(self):
+        # Write skew as snapshot isolation produces it: both reads come
+        # after both writes and are pinned to the initial versions.  In
+        # the commit order each write is installed before the other
+        # transaction's read, so only the pin comparison rejects it.
+        report = audit_events([
+            wr("a", "y", 1), wr("b", "x", 2),
+            rd("a", "x", None, T_INIT), rd("b", "y", None, T_INIT),
+            commit("a"), commit("b"), close(),
+        ])
+        assert codes(report) == ["not-serializable"]
+        assert report.tiers == {"replay": 0, "graph": 0, "search": 1}
+
+    def test_not_serializable_source_installs_after_the_read(self):
+        # The read of y names a position a installed for x, so its pin
+        # is a; a writes y only after the read.  The commit order puts
+        # a's write of y last before b, so only the install-order
+        # check rejects it, and no serial order can serve the pin.
+        report = audit_events([
+            wr("a", "x", 1), rd("b", "y", 1, "a"), wr("a", "y", 2),
+            commit("a"), commit("b"), close(),
+        ])
+        assert codes(report) == ["not-serializable"]
+        assert report.tiers == {"replay": 0, "graph": 0, "search": 1}
+
     def test_trace_dropped_voids_everything(self):
         report = audit_events(
             [wr("a", "x", 1), commit("a"), close()], dropped=1

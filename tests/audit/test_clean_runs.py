@@ -8,6 +8,8 @@ and equal-seed deterministic runs certify byte-identically.
 
 import gc
 import json
+import sys
+import threading
 import types
 
 import pytest
@@ -50,6 +52,16 @@ def run_audited(
     return Database().run(
         scenario, config, txns=txns, **(scenario_params or {})
     )
+
+
+@pytest.fixture
+def forced_switching():
+    """Switch threads every 10 µs, so emitting threads interleave
+    mid-fold."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    yield
+    sys.setswitchinterval(interval)
 
 
 class TestEveryScenarioEveryMode:
@@ -202,6 +214,38 @@ class TestLiveEqualsPostHoc:
             assert alone.audit.certified == traced.audit.certified
         assert audit_file(str(path)).as_json() == traced.audit.as_json()
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("scheduler", ["mvto", "sgt"])
+    def test_threaded_live_audit_equals_post_hoc(
+        self, scheduler, seed, forced_switching
+    ):
+        # The live fold takes no lock per event: worker threads fold
+        # their own ``shard-N`` tracks while the dispatcher folds
+        # ``driver``.  Half the transactions cross shards, so both
+        # threads emit throughout; mvto runs one domain per shard, sgt
+        # one shared domain.  Whatever the interleaving, the live
+        # verdict must be the post-hoc audit of the complete stream.
+        tracer = Tracer(capacity=None)
+        config = RunConfig(
+            mode="parallel", scheduler=scheduler, workers=2,
+            deterministic=False, seed=seed, audit=True, trace=tracer,
+        )
+        reports = []
+        runner = threading.Thread(
+            target=lambda: reports.append(Database().run(
+                "sharded-bank", config, txns=120, cross_fraction=0.5,
+            )),
+            daemon=True,
+        )
+        runner.start()
+        runner.join(30)
+        assert not runner.is_alive(), f"seed {seed} hung"
+        (report,) = reports
+        events = tracer.events
+        assert report.audit == audit_events(events)
+        assert report.audit.events == len(events)
+        assert report.audit.ok, report.audit.format()
+
 
 class TestWiring:
     def test_audit_rides_a_passed_tracer(self):
@@ -314,9 +358,10 @@ class TestWiring:
         kept = reachable(auditor)
         assert not any(isinstance(o, (Segment, Schedule)) for o in kept)
         # Only the committed chain outlives the segments' verdicts.
-        (track,) = auditor._reconstructor._tracks.values()
-        assert track.ops == [] and track.commits == []
-        assert len(track.chain) == report.writes
+        tracks = auditor._tracks
+        assert all(t.ops == [] and t.commits == [] for t in tracks.values())
+        assert [name for name, t in tracks.items() if t.chain] == ["driver"]
+        assert len(tracks["driver"].chain) == report.writes
 
     def test_live_auditor_attach_detach(self):
         tracer = Tracer(capacity=None)

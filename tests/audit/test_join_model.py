@@ -13,7 +13,9 @@ miss builds the schedule for the graph and search tiers.
 The old pipeline is kept here, in test code only, and Hypothesis drives
 both over generated event streams — engine epochs of interleaved
 attempts with ``seq`` retries and aborts, planner batches of contiguous
-commits, base reads across segments (stale ones included), forged
+commits, one txn id settled by seq'd and seq-less commits and aborts
+with an attempt left open, two shard tracks interleaved as their threads
+emit them, base reads across segments (stale ones included), forged
 writers, positions and delimiters — plus the adversarial fixtures, the
 tiered judge's forged segments and mutated real traces: the
 :class:`~repro.audit.AuditReport` must be equal field for field
@@ -415,15 +417,24 @@ class _Run:
         return self.chain.setdefault(track, {}).setdefault(entity, [])
 
 
-def _read_source(draw, run, track, entity, installs):
+def _read_source(draw, run, track, entity, installs, other=None):
     """(pos, writer) for a read: the initial version, a version written
     in this segment (committed or not), a base version (newest or
-    stale), or a position nothing installed; the writer sometimes forged."""
+    stale), or a position nothing installed; rarely a position another
+    entity was installed at, or the newest base version of the
+    ``other`` track; the writer sometimes forged."""
     options = [(None, T_INIT)]
     options += [(pos, txn) for pos, txn in installs.get(entity, ())]
     base = run.committed(track, entity)
     options += base[-1:] * 3 + base[:-1]
     options.append((10_000 + draw(st.integers(0, 3)), "ghost"))
+    if draw(st.integers(0, 9)) == 0:
+        options += [
+            (pos, txn) for other_entity, ops in installs.items()
+            if other_entity != entity for pos, txn in ops
+        ]
+    if other is not None:
+        options += run.committed(other, entity)[-1:]
     pos, writer = draw(st.sampled_from(options))
     if draw(st.integers(0, 19)) == 0:
         writer = draw(st.sampled_from(["forged", T_INIT, None]))
@@ -445,17 +456,22 @@ def _write_pos(draw, run, installs):
     return pos
 
 
+def _program(draw):
+    return draw(st.lists(
+        st.tuples(st.booleans(), st.sampled_from(ENTITIES)),
+        min_size=1, max_size=4,
+    ))
+
+
 @st.composite
-def engine_epoch(draw, run, number, track="engine"):
-    """Interleaved attempts; a retried attempt aborts and comes back
-    with the next ``seq``; commits carry the attempt's ``seq``."""
-    names = [f"e{number}t{k}" for k in range(draw(st.integers(1, 4)))]
+def engine_epoch(draw, run, number, track="engine", other=None, txns=4):
+    """Up to ``txns`` interleaved attempts; a retried attempt aborts and
+    comes back with the next ``seq``; commits carry the attempt's
+    ``seq``.  Reads may name a base version of the ``other`` track."""
+    names = [f"e{number}t{k}" for k in range(draw(st.integers(1, txns)))]
     attempts = {}
     for txn in names:
-        program = draw(st.lists(
-            st.tuples(st.booleans(), st.sampled_from(ENTITIES)),
-            min_size=1, max_size=4,
-        ))
+        program = _program(draw)
         fates = ["abort"] * draw(st.integers(0, 2))
         fates.append(draw(st.sampled_from(
             ["commit"] * 8 + ["abort", "open"]
@@ -478,7 +494,9 @@ def engine_epoch(draw, run, number, track="engine"):
                 events.append(wr(txn, entity, pos, seq=seq, track=track))
                 state.setdefault("writes", []).append((entity, pos))
             else:
-                pos, writer = _read_source(draw, run, track, entity, installs)
+                pos, writer = _read_source(
+                    draw, run, track, entity, installs, other
+                )
                 events.append(
                     rd(txn, entity, pos, writer, seq=seq, track=track)
                 )
@@ -514,10 +532,7 @@ def planner_batch(draw, run, number, track="driver"):
         if draw(st.integers(0, 5)) == 0:
             events.append(ev("txn.abort", track=track, txn=txn))
             continue
-        for is_write, entity in draw(st.lists(
-            st.tuples(st.booleans(), st.sampled_from(ENTITIES)),
-            min_size=1, max_size=4,
-        )):
+        for is_write, entity in _program(draw):
             if is_write:
                 pos = next(run.positions)
                 installs.setdefault(entity, []).append((pos, txn))
@@ -536,13 +551,135 @@ def planner_batch(draw, run, number, track="driver"):
 
 
 @st.composite
+def mixed_attempts(draw, run, number, track="engine"):
+    """One txn id settled both ways on one track: seq'd attempts that
+    commit, abort or stay open (an attempt's data ops sometimes carry
+    no seq), plus a seq-less commit or abort of the same id, or
+    neither; and a second transaction reading from it.  A seq-less
+    commit settles every attempt no abort cancels, a seq'd commit only
+    its own: an open attempt next to a seq'd commit stays unresolved."""
+    txn, reader = f"m{number}", f"r{number}"
+    settle = draw(st.sampled_from(["commit", "abort", None]))
+    events, installs, committed_writes = [], {}, []
+    for seq, fate in enumerate(draw(st.lists(
+        st.sampled_from(["commit", "abort", "open"]),
+        min_size=1, max_size=3,
+    ))):
+        op_seq = None if draw(st.integers(0, 4)) == 0 else seq
+        writes = []
+        for is_write, entity in _program(draw):
+            if is_write:
+                pos = next(run.positions)
+                installs.setdefault(entity, []).append((pos, txn))
+                writes.append((entity, pos, txn))
+                events.append(wr(txn, entity, pos, seq=op_seq, track=track))
+            else:
+                pos, writer = _read_source(draw, run, track, entity, installs)
+                events.append(
+                    rd(txn, entity, pos, writer, seq=op_seq, track=track)
+                )
+        if fate != "open":
+            events.append(ev(f"txn.{fate}", track=track, txn=txn, seq=seq))
+        if fate == "commit" or (fate == "open" and settle == "commit"):
+            committed_writes += writes
+    for entity in draw(st.lists(st.sampled_from(ENTITIES), max_size=2)):
+        pos, writer = _read_source(draw, run, track, entity, installs)
+        events.append(rd(reader, entity, pos, writer, track=track))
+    events.insert(
+        draw(st.integers(0, len(events))), commit(reader, track=track)
+    )
+    if settle is not None:
+        # No ``seq`` key at all, as the planner family emits it.
+        events.insert(
+            draw(st.integers(0, len(events))),
+            ev(f"txn.{settle}", track=track, txn=txn),
+        )
+    if draw(st.booleans()):
+        events.append(close(track))
+    for entity, pos, writer in committed_writes:
+        run.committed(track, entity).append((pos, writer))
+    return events
+
+
+@st.composite
+def two_track_epochs(draw, run, number):
+    """Two rounds of epochs on two shard tracks, each round merged event
+    by event as two emitting threads interleave them; reads may name
+    either track's base versions."""
+    events = []
+    for turn in range(2):
+        label = f"{number}r{turn}"
+        left = draw(engine_epoch(
+            run, label, "shard-0", other="shard-1", txns=2
+        ))
+        right = draw(engine_epoch(
+            run, label, "shard-1", other="shard-0", txns=2
+        ))
+        while left and right:
+            events.append((left if draw(st.booleans()) else right).pop(0))
+        events += left + right
+    return events
+
+
+@st.composite
 def streams(draw):
     run = _Run()
     events = []
     for number in range(draw(st.integers(1, 4))):
-        style = draw(st.sampled_from([engine_epoch, planner_batch]))
+        style = draw(st.sampled_from([
+            engine_epoch, planner_batch, mixed_attempts, two_track_epochs,
+        ]))
         events += draw(style(run, number))
     return events
+
+
+def membership_cases(events) -> set[str]:
+    """The attempt-membership cases ``events`` put before the join: an
+    attempt left open by a txn whose other attempts committed or
+    aborted by seq, with and without a seq-less commit or abort of the
+    txn, and reads of a base version (a position an earlier segment of
+    the same track installed), per track."""
+    cases: set[str] = set()
+    open_segments: dict[str, list] = {}
+    installed: dict[str, set] = {}
+
+    def close_segment(track):
+        segment = open_segments.pop(track, [])
+        settled = {
+            (e.args["txn"], e.args.get("seq")) for e in segment
+            if e.name in ("txn.commit", "txn.abort")
+        }
+        for e in segment:
+            if e.name not in ("txn.read", "txn.write"):
+                continue
+            txn, seq = e.args["txn"], e.args["seq"]
+            seqs = {q for t, q in settled if t == txn}
+            if seq is not None and seq not in seqs and seqs - {None}:
+                # An open attempt of a txn with seq'd commits or aborts.
+                cases.add(
+                    "open attempt beside seq'd and seq-less settles"
+                    if None in seqs else
+                    "open attempt beside seq'd settles"
+                )
+            if (
+                e.name == "txn.read"
+                and e.args["pos"] in installed.get(track, ())
+            ):
+                cases.add(f"base read on {track}")
+        installed.setdefault(track, set()).update(
+            e.args["pos"] for e in segment if e.name == "txn.write"
+        )
+
+    for event in events:
+        if event.name == "epoch.close" or (
+            event.name == "settle.batch" and event.ph == END
+        ):
+            close_segment(event.track)
+        else:
+            open_segments.setdefault(event.track, []).append(event)
+    for track in list(open_segments):
+        close_segment(track)
+    return cases
 
 
 def events_of(segment: Segment, track: str = "engine"):
@@ -588,7 +725,8 @@ class TestSameReportAsTheSegmentPipeline:
 
     def test_generated_streams_reach_every_tier(self):
         # The generator is no use if every segment replays: pin that it
-        # produces graph- and search-tier verdicts and violations.
+        # produces graph- and search-tier verdicts, violations and the
+        # attempt-membership cases.
         seen = set()
 
         @settings(
@@ -600,12 +738,20 @@ class TestSameReportAsTheSegmentPipeline:
             report = assert_same_audit(events)
             seen.update(t for t, n in report.tiers.items() if n)
             seen.update(v.code for v in report.violations)
+            seen.update(membership_cases(events))
 
         collect()
         assert {"replay", "graph", "search"} <= seen
         assert {
             "commit-order", "stale-base-read", "read-from-aborted",
-            "not-serializable",
+            "not-serializable", "unresolved-attempt",
+        } <= seen
+        # The join settles a planner op by its txn alone; the reference
+        # judges that rule only on the cases the generator reaches.
+        assert {
+            "open attempt beside seq'd and seq-less settles",
+            "open attempt beside seq'd settles",
+            "base read on shard-0", "base read on shard-1",
         } <= seen
 
     @pytest.mark.parametrize("dropped", [0, 2])

@@ -330,6 +330,15 @@ class TestO302TaxonomyEventName:
             """)
         assert rule_ids_of(report) == ["O302"]
 
+    def test_hoisted_emit_method_is_still_an_emit_site(self):
+        report = lint_one("""\
+            def f(tracer, steps, extras):
+                instant = tracer.instant
+                for step in steps:
+                    instant("data", "txn.bogus", "driver", txn=step)
+                    instant("data", "txn.write", "driver", **extras)
+            """)
+        assert rule_ids_of(report) == ["O302", "O303"]
 
     def test_undeclared_instrument_name_fires(self):
         report = lint_one("""\
