@@ -48,8 +48,6 @@ pathological segment ends in a named verdict, never a hang.
 
 from __future__ import annotations
 
-import threading
-
 from repro.audit.reconstruct import Joined, ScheduleReconstructor, Segment
 from repro.audit.report import AuditReport
 from repro.audit.violations import Violation
@@ -102,9 +100,8 @@ class Auditor(ScheduleReconstructor):
     The auditor *is* the reconstructor whose segment close judges: its
     :meth:`feed` is the fold itself, so a subscribed auditor is one
     frame below the tracer's emit.  The fold touches only the event's
-    own track, and each track has one emitting thread, so no event
-    takes a lock.  Tracks meet only in the judgment of a closed segment
-    (the verdict tallies) and in :meth:`finish`; those hold ``_lock``.
+    own track; tracks meet only in the judgment of a closed segment
+    (the verdict tallies) and in :meth:`finish`.
     """
 
     def __init__(self) -> None:
@@ -118,11 +115,6 @@ class Auditor(ScheduleReconstructor):
         self._search_choices: list[int] = []
         self.violations: list[Violation] = []
         self._counts = {"reads": 0, "writes": 0, "committed": 0}
-        #: threaded backends close segments of different tracks on
-        #: different threads; the tallies they share need the lock.
-        #: Reentrant: :meth:`finish` judges the residual segments
-        #: while holding it.
-        self._lock = threading.RLock()
         self._report: AuditReport | None = None
 
     # -- live wiring -------------------------------------------------------
@@ -144,20 +136,19 @@ class Auditor(ScheduleReconstructor):
     def _closed(self, joined: Joined) -> None:
         """Certify one closed segment from its joined ops when its claimed
         order replays; build the :class:`Segment` only otherwise."""
-        with self._lock:
-            if joined.violations or not replays_claimed_order(joined):
-                self._judge(joined.segment())
-                return
-            self._counts["committed"] += len(joined.committed)
-            self._counts["reads"] += joined.reads
-            self._counts["writes"] += len(joined.ops) - joined.reads
-            self._tiers["replay"] += 1
-            self.certified_segments += 1
+        if joined.violations or not replays_claimed_order(joined):
+            self._judge(joined.segment())
+            return
+        self._counts["committed"] += len(joined.committed)
+        self._counts["reads"] += joined.reads
+        self._counts["writes"] += len(joined.ops) - joined.reads
+        self._tiers["replay"] += 1
+        self.certified_segments += 1
 
     def _judge(self, segment: Segment) -> None:
         """Certify one closed segment through the schedule tiers (called
-        under ``_lock`` by :meth:`_closed`, on the thread that closed
-        it — online certification happens as the run progresses)."""
+        by :meth:`_closed` as the segment closes — online certification
+        happens as the run progresses)."""
         self._counts["committed"] += len(segment.committed)
         for step in segment.schedule:
             key = "reads" if step.is_read else "writes"
@@ -203,38 +194,37 @@ class Auditor(ScheduleReconstructor):
         ``dropped`` is the drop count of a stream read back from a log
         (post-hoc); a live auditor saw every event and passes none.
         """
-        with self._lock:
-            if self._report is not None:
-                return self._report
-            if dropped:
-                # An incomplete stream voids every conclusion: refuse
-                # rather than certify a schedule with holes in it.
-                self.violations.append(Violation(
-                    "trace-dropped", "", -1, "",
-                    f"{dropped} event(s) dropped by the ring buffer; "
-                    f"run with an unbounded log (capacity=None) to audit",
-                ))
-            else:
-                super().finish()
-            violations = tuple(sorted(
-                self.violations,
-                key=lambda v: (v.track, v.segment, v.code, v.txn, v.detail),
-            ))
-            self._report = AuditReport(
-                ok=not violations,
-                events=self.events_seen,
-                dropped=dropped,
-                tracks=len(self.tracks_with_data),
-                segments=self.closed,
-                certified=self.certified_segments,
-                tiers=dict(self._tiers),
-                search_choices=tuple(self._search_choices),
-                committed_attempts=self._counts["committed"],
-                reads=self._counts["reads"],
-                writes=self._counts["writes"],
-                violations=violations,
-            )
+        if self._report is not None:
             return self._report
+        if dropped:
+            # An incomplete stream voids every conclusion: refuse
+            # rather than certify a schedule with holes in it.
+            self.violations.append(Violation(
+                "trace-dropped", "", -1, "",
+                f"{dropped} event(s) dropped by the ring buffer; "
+                f"run with an unbounded log (capacity=None) to audit",
+            ))
+        else:
+            super().finish()
+        violations = tuple(sorted(
+            self.violations,
+            key=lambda v: (v.track, v.segment, v.code, v.txn, v.detail),
+        ))
+        self._report = AuditReport(
+            ok=not violations,
+            events=self.events_seen,
+            dropped=dropped,
+            tracks=len(self.tracks_with_data),
+            segments=self.closed,
+            certified=self.certified_segments,
+            tiers=dict(self._tiers),
+            search_choices=tuple(self._search_choices),
+            committed_attempts=self._counts["committed"],
+            reads=self._counts["reads"],
+            writes=self._counts["writes"],
+            violations=violations,
+        )
+        return self._report
 
 
 def audit_events(events, dropped: int = 0) -> AuditReport:

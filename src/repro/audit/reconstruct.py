@@ -35,9 +35,9 @@ auditor, a subclass whose :meth:`ScheduleReconstructor._closed` judges,
 keeps nothing of the segment past its verdict except the committed-chain
 map.
 
-The fold keeps all of its state per track, so a live fold needs no lock
-as long as each track has one emitting thread — which every backend
-guarantees (``docs/observability.md``, "Subscribers").
+The fold keeps all of its state per track, and a live fold sees the
+events one at a time, in emit order (``docs/observability.md``,
+"Subscribers").
 """
 
 # repro: deterministic-contract — equal seeds must yield byte-identical output
@@ -112,8 +112,8 @@ class Joined(NamedTuple):
 class _TrackState:
     """Per-track fold state: the open segment plus the committed chain.
 
-    Written only by the track's one emitting thread (see
-    :meth:`ScheduleReconstructor.feed`), so it needs no lock.
+    Written only by :meth:`ScheduleReconstructor.feed` for events of
+    this track.
     """
 
     name: str
@@ -166,10 +166,9 @@ class ScheduleReconstructor:
     def feed(self, event: TraceEvent) -> None:
         """Fold one event (the tracer-sink entry point).
 
-        Touches only the event's own track.  A live sink runs on the
-        emitting thread and each track has one emitting thread, so the
-        fold takes no lock; a segment close hands its :class:`Joined`
-        to :meth:`_closed`, which is where tracks meet.
+        Touches only the event's own track; a segment close hands its
+        :class:`Joined` to :meth:`_closed`, which is where tracks
+        meet.
         """
         track = self._tracks.get(event.track)
         if track is None:

@@ -58,15 +58,14 @@ class BenchCase:
             self, "scenario_params", _frozen(self.scenario_params)
         )
         # Invalid declarations fail at registration — and so do
-        # threaded ones: the harness counts ticks, and only a
-        # deterministic run's count repeats.  Resolved through the
-        # backend's defaults, so ``serial`` passes without saying so.
+        # wall-clock ones: the harness records tick-clocked runs.
+        # Resolved through the backend's defaults, so ``serial``
+        # passes without saying so.
         if not self.run_config().deterministic:
             raise ValueError(
                 f"case {self.case_id!r} resolves to deterministic=False: "
-                "repro.bench counts ticks, which only repeat for "
-                "deterministic runs — wall-clock questions belong to "
-                "benchmarks/perf"
+                "repro.bench records tick-clocked runs — wall-clock "
+                "questions belong to benchmarks/perf"
             )
 
     def run_config(self) -> RunConfig:

@@ -129,16 +129,16 @@ def is_mvcsr_by_swaps(schedule: Schedule, max_states: int = 500_000) -> bool:
     if is_serial(core):
         return True
     seen = {core.steps}
-    queue = deque([core])
-    while queue:
-        current = queue.popleft()
+    frontier = deque([core])
+    while frontier:
+        current = frontier.popleft()
         for nxt in neighbours_by_swap(current):
             if nxt.steps in seen:
                 continue
             if is_serial(nxt):
                 return True
             seen.add(nxt.steps)
-            queue.append(nxt)
+            frontier.append(nxt)
             if len(seen) > max_states:
                 raise RuntimeError(
                     f"swap search exceeded {max_states} states; "

@@ -528,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_positive_int, default=None)
     p.add_argument("--batch-size", type=_positive_int, default=None)
     p.add_argument("--deterministic", action="store_true", default=None,
-                   help="single-threaded reproducible mode")
+                   help="tick trace clock, no txn/s figure")
     p.add_argument("--max-retries", type=_positive_int, default=None,
                    dest="retry", metavar="MAX_RETRIES")
     p.add_argument("--no-gc", action="store_true")

@@ -190,7 +190,13 @@ class SerialEngineBackend(BackendAdapter):
 
 
 class ShardRuntimeBackend(BackendAdapter):
-    """PR 2's parallel shard runtime (:mod:`repro.runtime.dispatch`)."""
+    """PR 2's parallel shard runtime (:mod:`repro.runtime.dispatch`).
+
+    Per-shard workers and the dispatcher run on the caller's thread, in
+    one fixed task order; equal seeds give equal runs.
+    ``deterministic`` selects only the trace clock and whether the
+    report prints txn/s.
+    """
 
     name = "parallel"
     description = (

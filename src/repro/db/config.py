@@ -38,14 +38,14 @@ class RunConfig:
     #: scheduler the online modes wrap (planner plans, needs none).
     scheduler: str | None = None
     #: parallelism: driver sessions (serial) / shard workers (parallel)
-    #: / planning partitions = store shards (planner family, which runs
-    #: on the caller's thread).
+    #: / planning partitions = store shards (planner family); every mode
+    #: runs on the caller's thread.
     workers: int | None = None
     #: group-commit batch (parallel) / planning batch = epoch (planner).
     batch_size: int | None = None
-    #: reproducible inline execution (parallel); the tick trace clock and
-    #: no txn/s figure (planner family, always inline); serial is
-    #: inherently deterministic.
+    #: the tick trace clock and no txn/s figure (parallel and the planner
+    #: family, all inline whatever the flag); serial is inherently
+    #: deterministic.
     deterministic: bool | None = None
     seed: int = 0
     #: abort/retry policy; an ``int`` is shorthand for ``max_attempts``.

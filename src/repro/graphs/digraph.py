@@ -129,17 +129,17 @@ class Digraph:
         results are reproducible across runs.
         """
         indegree = {n: len(self._pred[n]) for n in self._succ}
-        queue = [n for n in self._succ if indegree[n] == 0]
+        ready = [n for n in self._succ if indegree[n] == 0]
         order: list[Node] = []
         head = 0
-        while head < len(queue):
-            node = queue[head]
+        while head < len(ready):
+            node = ready[head]
             head += 1
             order.append(node)
             for nxt in self._succ[node]:
                 indegree[nxt] -= 1
                 if indegree[nxt] == 0:
-                    queue.append(nxt)
+                    ready.append(nxt)
         if len(order) != len(self._succ):
             raise ValueError("graph has a cycle; no topological order exists")
         return order

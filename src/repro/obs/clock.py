@@ -20,15 +20,15 @@ from typing import Callable
 def perf_clock() -> float:
     """Monotonic seconds for elapsed-time measurement.
 
-    The one sanctioned spelling of ``time.perf_counter()``: threaded
-    backends bracket their runs with it to fill ``metrics.elapsed``
+    The one sanctioned spelling of ``time.perf_counter()``: backends
+    bracket their runs with it to fill ``metrics.elapsed``
     (a wall-clock field, zeroed out of deterministic reports).
     """
     return time.perf_counter()
 
 
 def wall_clock_us() -> Callable[[], int]:
-    """A zero-based microsecond clock (the tracer's threaded default).
+    """A zero-based microsecond clock (the tracer's default).
 
     Returns a closure over its own epoch so each tracer's timestamps
     start near zero; deterministic subsystems replace it with their

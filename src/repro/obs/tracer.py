@@ -13,7 +13,7 @@ Two contracts shape the design:
   tracer's clock at its logical tick counter (:meth:`Tracer.use_clock`),
   so two equal-seed runs emit byte-identical traces — the same
   reproducibility rule the metrics dicts already honor, extended to the
-  event stream.  Threaded runs keep the wall clock (microseconds since
+  event stream.  Other runs keep the wall clock (microseconds since
   tracer construction) and give up byte-identity, exactly like their
   ``elapsed`` fields.
 * **Zero-cost when off.**  The default tracer is :data:`NULL_TRACER`,
@@ -26,7 +26,6 @@ Two contracts shape the design:
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from typing import Any, Callable, Iterator, NamedTuple
 
@@ -101,8 +100,7 @@ class EventLog:
     posing as complete.  ``capacity=None`` lifts the bound entirely for
     consumers that need the complete stream later (a post-hoc audit
     refuses truncated traces, so ``--trace PATH`` under ``--audit``
-    records everything).  Appends take a lock: threaded backends emit
-    from worker and pipeline threads.
+    records everything).
     """
 
     def __init__(self, capacity: int | None = 65536) -> None:
@@ -111,15 +109,12 @@ class EventLog:
         self.capacity = capacity
         self._events: deque[TraceEvent] = deque()
         self._dropped = 0
-        self._mutex = threading.Lock()
 
     def append(self, event: TraceEvent) -> None:
-        with self._mutex:
-            if (self.capacity is not None
-                    and len(self._events) >= self.capacity):
-                self._events.popleft()
-                self._dropped += 1
-            self._events.append(event)
+        if self.capacity is not None and len(self._events) >= self.capacity:
+            self._events.popleft()
+            self._dropped += 1
+        self._events.append(event)
 
     @property
     def dropped(self) -> int:
@@ -206,12 +201,10 @@ class Tracer:
 
         This is the live-audit hook: a subscriber sees the complete
         stream regardless of ring-buffer capacity, because it is fed
-        whatever the log keeps.  A sink runs synchronously on the
-        emitting thread, after the log append and outside its lock:
-        events of one track arrive in emit order (each track has one
-        emitting thread), events of different tracks may arrive
-        concurrently.  Keep sinks cheap — the live auditor folds the
-        event into its track's state and locks only at segment close.
+        whatever the log keeps.  A sink runs synchronously in the
+        emitting frame, after the log append, so events arrive one at a
+        time in emit order.  Keep sinks cheap — the live auditor folds
+        the event into its track's state as it arrives.
         """
         self._sinks = (*self._sinks, sink)
 

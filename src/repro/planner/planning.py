@@ -20,10 +20,10 @@ order, so a writer always publishes before its readers run.
 
 Planning is partitioned by entity: accesses are split with the same
 crc32 hash the sharded store uses (partition *p* owns shard *p*
-outright), so partition walks touch disjoint store slices.  The walks
-run inline, in partition order.  The walk of one entity depends on
-nothing outside that entity, so the order of the walks cannot change
-the plan.
+outright), so partition walks touch disjoint store slices, and each
+walk takes its shard directly.  The walks run inline, in partition
+order.  The walk of one entity depends on nothing outside that entity,
+so the order of the walks cannot change the plan.
 
 What a plan allocates: one tuple per step (the record the batch loop
 files under the step's entity), one :class:`ReadBinding` per read, one
@@ -47,6 +47,7 @@ from repro.model.batching import BatchPlan, PlannedTransaction, ReadBinding
 from repro.model.schedules import T_INIT
 from repro.model.steps import Entity, Op
 from repro.model.transactions import Transaction
+from repro.storage.mvstore import MultiversionStore
 from repro.storage.sharded import ShardedMultiversionStore, shard_of
 
 
@@ -121,9 +122,9 @@ def plan_batch(
         partitions[shard_of(entity, n_partitions)].append(entity)
 
     try:
-        for partition in partitions:
+        for shard, partition in zip(store.shards, partitions):
             for entity in sorted(partition):
-                _walk_entity(entity, by_entity[entity], store)
+                _walk_entity(entity, by_entity[entity], shard)
     except Exception as error:
         raise EngineError(
             f"partition planning walk crashed: {error!r}"
@@ -143,9 +144,12 @@ def plan_batch(
 def _walk_entity(
     entity: Entity,
     records: list[_Record],
-    store: ShardedMultiversionStore,
+    store: MultiversionStore,
 ) -> None:
     """Resolve one entity's accesses in (timestamp, step-index) order.
+
+    ``store`` is the shard that owns ``entity`` (the walk's partition),
+    so each ``reserve``/``latest`` goes straight to it.
 
     ``records`` is already in that order: the batch loop appends per
     transaction in timestamp order and per step in index order.  The

@@ -118,7 +118,7 @@ class RuntimeMetrics:
     def report(self) -> str:
         """A human-readable block for the CLI.
 
-        Wall-clock throughput is only shown for threaded runs;
+        Wall-clock throughput is only shown for runs on the wall clock;
         deterministic mode keeps the report byte-stable across runs.
         """
         gc = self.group_commit
@@ -127,7 +127,7 @@ class RuntimeMetrics:
             if self.deterministic or self.elapsed <= 0
             else f", {self.throughput:.0f} txn/s"
         )
-        mode = "deterministic" if self.deterministic else "threaded"
+        mode = "deterministic" if self.deterministic else "wall clock"
         lines = [
             f"workers       {self.n_workers}  "
             f"({self.effective_domains} conflict domain"

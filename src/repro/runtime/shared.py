@@ -14,9 +14,8 @@ conflict domain: one engine, one scheduler, a store of one shard.
 That is the honest rendering of a shared lock table in this codebase —
 requests serialize at the table no matter how many workers front it, so
 the runtime doesn't pretend otherwise.  The shared scheduler needs no
-lock of its own: like every domain's state it is touched only inside
-tasks of its :class:`~repro.runtime.worker.ShardWorker`, which holds
-the domain lock around each one.
+lock: like every domain's state it is touched only inside tasks of its
+:class:`~repro.runtime.worker.ShardWorker`, and tasks never overlap.
 """
 
 from __future__ import annotations

@@ -1,28 +1,21 @@
-"""Sharded multiversion store: N independent stores, one lock each.
+"""Sharded multiversion store: N independent stores.
 
 Partitions entities across ``n_shards`` :class:`MultiversionStore` shards
 by a *stable* hash of the entity name (``zlib.crc32`` — Python's builtin
 ``hash`` is salted per process, which would make runs irreproducible).
 Each shard owns its entities outright, so per-entity operations touch a
 single small dict instead of one global one — the layout every later
-scaling step (per-shard locks, per-shard GC, multi-backend) builds on.
+scaling step (per-shard engines, per-shard GC, multi-backend) builds on.
 
 It is two things.  To the planner it is the partitioned store: it
 implements :class:`repro.storage.VersionStore` by routing each call to
 the owning shard, and its ``n_shards`` is the planning walks' partition
-count.  The planner runs on one thread and takes no lock of its own.
-To the parallel runtime it is the container of per-domain stores and
-locks: each domain's engine runs on ``shards[d]`` — a plain
-:class:`MultiversionStore` — under ``locks[d]``, and the dispatcher
-reads ``final_state`` and ``snapshot_stats`` across them.
-
-Concurrency: every shard carries an :class:`threading.RLock`.  The
-parallel runtime (:mod:`repro.runtime`) confines each shard's mutations
-to that shard's worker, which holds the lock for the duration of each
-task; cross-thread observers (store-wide stats, final state) take the
-locks per shard, so they always see a shard between tasks, never
-mid-mutation.  The locks are reentrant, so a thread holding a shard may
-itself call those aggregates.
+count.  To the parallel runtime it is the container of per-domain
+stores: each domain's engine runs on ``shards[d]`` — a plain
+:class:`MultiversionStore` — and the dispatcher reads ``final_state``
+and ``snapshot_stats`` across them.  Everything runs on the caller's
+thread, and a runtime task never overlaps another one, so no shard
+takes a lock and an aggregate always sees every shard between tasks.
 """
 
 # repro: deterministic-contract — equal seeds must yield byte-identical output
@@ -30,7 +23,6 @@ itself call those aggregates.
 from __future__ import annotations
 
 import functools
-import threading
 import zlib
 from typing import Any, Iterator
 
@@ -70,9 +62,6 @@ class ShardedMultiversionStore:
         self.shards: list[MultiversionStore] = [
             MultiversionStore(part) for part in partitioned
         ]
-        self.locks: list[threading.RLock] = [
-            threading.RLock() for _ in range(n_shards)
-        ]
 
     def shard_for(self, entity: Entity) -> MultiversionStore:
         """The shard that owns ``entity``."""
@@ -109,53 +98,36 @@ class ShardedMultiversionStore:
         return self.shard_for(entity).latest_before(entity, position)
 
     def entities(self) -> Iterator[Entity]:
-        for shard, lock in zip(self.shards, self.locks):
-            with lock:
-                snapshot = list(shard.entities())
-            yield from snapshot
+        for shard in self.shards:
+            yield from shard.entities()
 
     def version_count(self) -> int:
-        total = 0
-        for shard, lock in zip(self.shards, self.locks):
-            with lock:
-                total += shard.version_count()
-        return total
+        return sum(shard.version_count() for shard in self.shards)
 
     def placeholder_count(self) -> int:
-        total = 0
-        for shard, lock in zip(self.shards, self.locks):
-            with lock:
-                total += shard.placeholder_count()
-        return total
+        return sum(shard.placeholder_count() for shard in self.shards)
 
     def final_state(self) -> dict[Entity, Any]:
         state: dict[Entity, Any] = {}
-        for shard, lock in zip(self.shards, self.locks):
-            with lock:
-                state.update(shard.final_state())
+        for shard in self.shards:
+            state.update(shard.final_state())
         return state
 
     # -- sharding introspection -------------------------------------------
 
     def snapshot_stats(self) -> list[dict]:
-        """Per-shard stats, each captured under that shard's lock.
+        """Per-shard stats, one row per shard.
 
-        Safe to call from any thread while workers run; each row is
-        internally consistent (taken between worker tasks), though rows
-        of different shards may be from slightly different moments.
         ``versions`` counts materialized versions only; in-flight
         reserved slots appear under ``placeholders`` — the same skip rule
         as :meth:`version_count`, so the rows always sum to the aggregate.
         """
-        stats = []
-        for index, (shard, lock) in enumerate(zip(self.shards, self.locks)):
-            with lock:
-                stats.append(
-                    {
-                        "shard": index,
-                        "versions": shard.version_count(),
-                        "placeholders": shard.placeholder_count(),
-                        "entities": sum(1 for _ in shard.entities()),
-                    }
-                )
-        return stats
+        return [
+            {
+                "shard": index,
+                "versions": shard.version_count(),
+                "placeholders": shard.placeholder_count(),
+                "entities": sum(1 for _ in shard.entities()),
+            }
+            for index, shard in enumerate(self.shards)
+        ]

@@ -8,8 +8,6 @@ and equal-seed deterministic runs certify byte-identically.
 
 import gc
 import json
-import sys
-import threading
 import types
 
 import pytest
@@ -52,16 +50,6 @@ def run_audited(
     return Database().run(
         scenario, config, txns=txns, **(scenario_params or {})
     )
-
-
-@pytest.fixture
-def forced_switching():
-    """Switch threads every 10 µs, so emitting threads interleave
-    mid-fold."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    yield
-    sys.setswitchinterval(interval)
 
 
 class TestEveryScenarioEveryMode:
@@ -136,14 +124,14 @@ class TestEveryScenarioEveryMode:
     @pytest.mark.parametrize(
         "mode, overrides",
         [pytest.param(mode, {}, id=mode) for mode in MODES]
-        # The shared-table schedulers run as one threaded domain whose
-        # only guard is the worker's domain lock: it must certify 1-SR.
+        # The shared-table schedulers run as one shared conflict
+        # domain: it must certify 1-SR.
         + [
             pytest.param("parallel", {"scheduler": s}, id=f"parallel-{s}")
             for s in ("sgt", "2pl", "2v2pl")
         ],
     )
-    def test_threaded_runs_audit_clean(self, mode, overrides):
+    def test_wall_clock_runs_audit_clean(self, mode, overrides):
         if mode == "serial":
             pytest.skip("serial is inherently deterministic")
         config = RunConfig(
@@ -183,7 +171,7 @@ class TestLiveEqualsPostHoc:
         [
             pytest.param(
                 mode, scenario, deterministic,
-                id=f"{mode}-{scenario}-{'det' if deterministic else 'thr'}",
+                id=f"{mode}-{scenario}-{'det' if deterministic else 'wall'}",
             )
             for mode in MODES
             for scenario in scenario_names()
@@ -205,42 +193,29 @@ class TestLiveEqualsPostHoc:
             scenario, RunConfig(trace=str(path), **config), txns=60
         )
         assert alone.audit.ok and traced.audit.ok, traced.audit.format()
-        if deterministic:
-            assert alone.audit.as_json() == traced.audit.as_json()
-        else:
-            # Threaded runs interleave differently; the verdict and the
-            # tiers that gave it do not move.
-            assert alone.audit.tiers == traced.audit.tiers
-            assert alone.audit.certified == traced.audit.certified
+        assert alone.audit.as_json() == traced.audit.as_json()
         assert audit_file(str(path)).as_json() == traced.audit.as_json()
 
-    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("completion_order", range(5), indirect=True)
     @pytest.mark.parametrize("scheduler", ["mvto", "sgt"])
-    def test_threaded_live_audit_equals_post_hoc(
-        self, scheduler, seed, forced_switching
+    def test_seeded_live_audit_equals_post_hoc(
+        self, scheduler, completion_order
     ):
-        # The live fold takes no lock per event: worker threads fold
-        # their own ``shard-N`` tracks while the dispatcher folds
-        # ``driver``.  Half the transactions cross shards, so both
-        # threads emit throughout; mvto runs one domain per shard, sgt
-        # one shared domain.  Whatever the interleaving, the live
-        # verdict must be the post-hoc audit of the complete stream.
+        # The live fold takes no lock per event: it folds the
+        # ``shard-N`` tracks and ``driver`` as their events arrive, and
+        # under a seeded completion order the shard tasks settle late
+        # and interleave.  Half the transactions cross shards, so every
+        # track emits throughout; mvto runs one domain per shard, sgt
+        # one shared domain.  Whatever the order, the live verdict must
+        # be the post-hoc audit of the complete stream.
         tracer = Tracer(capacity=None)
         config = RunConfig(
             mode="parallel", scheduler=scheduler, workers=2,
-            deterministic=False, seed=seed, audit=True, trace=tracer,
+            seed=completion_order.seed, audit=True, trace=tracer,
         )
-        reports = []
-        runner = threading.Thread(
-            target=lambda: reports.append(Database().run(
-                "sharded-bank", config, txns=120, cross_fraction=0.5,
-            )),
-            daemon=True,
+        report = Database().run(
+            "sharded-bank", config, txns=120, cross_fraction=0.5,
         )
-        runner.start()
-        runner.join(30)
-        assert not runner.is_alive(), f"seed {seed} hung"
-        (report,) = reports
         events = tracer.events
         assert report.audit == audit_events(events)
         assert report.audit.events == len(events)

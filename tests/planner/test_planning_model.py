@@ -90,8 +90,7 @@ def naive_plan_batch(
     draft_of = {d.ptxn.txn: d for d in drafts}
     for p in range(n_partitions):
         for entity in sorted(partitions[p]):
-            with store.locks[p]:
-                _naive_walk_entity(entity, by_entity[entity], store, draft_of)
+            _naive_walk_entity(entity, by_entity[entity], store, draft_of)
 
     for draft in drafts:
         ptxn = draft.ptxn

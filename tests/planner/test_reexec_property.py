@@ -13,17 +13,15 @@ clean transfers, unconditional aborts, and *value-dependent* aborts
 (a re-bound reader that aborts in turn, so its own readers re-bind):
 
 * committed set and final state are identical to the oracle — batch and
-  pipelined, inline and threaded (where a parked reader can wake to a
-  poisoned slot and re-bind while other workers run);
+  pipelined, with ``deterministic`` on and off (it selects only the
+  trace clock);
 * concurrency-control aborts stay zero, and no placeholder survives.
 """
-
-import sys
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.obs import Tracer
@@ -169,23 +167,10 @@ def test_pipelined_reexec_matches_serial_oracle(workload):
     assert metrics.cc_aborts == 0
 
 
-@pytest.fixture
-def forced_switching():
-    """Switch threads every 10 µs, so parked readers wake mid-batch."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    yield
-    sys.setswitchinterval(interval)
-
-
 @pytest.mark.parametrize("lookahead", [0, 2])
 @given(abort_workloads())
-@settings(
-    max_examples=100, deadline=None,
-    # one interval for every example: nothing to reset between them.
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-def test_threaded_matches_serial_oracle(forced_switching, lookahead, workload):
+@settings(max_examples=100, deadline=None)
+def test_wall_clock_matches_serial_oracle(lookahead, workload):
     accounts, stream, batch_size = workload
     initial = {a: INITIAL_BALANCE for a in accounts}
     oracle_state, oracle_committed = serial_oracle(initial, stream)

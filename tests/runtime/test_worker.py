@@ -10,6 +10,7 @@ branch of the vote / flush-apply / abort machinery deterministically.
 
 import sys
 import threading
+from collections import deque
 
 import pytest
 
@@ -26,6 +27,8 @@ from repro.schedulers.mvto import MVTOScheduler
 from repro.storage.sharded import shard_of
 from repro.workloads.registry import scenario_factory
 
+from tests.runtime.completion_order import install
+
 
 def make_worker(scheduler="mvto", initial=None, **engine_kwargs):
     engine_kwargs.setdefault("hold_commits", True)
@@ -35,7 +38,7 @@ def make_worker(scheduler="mvto", initial=None, **engine_kwargs):
         initial=initial or {"x": 0, "y": 0},
         **engine_kwargs,
     )
-    return ShardWorker(0, engine, deterministic=True)
+    return ShardWorker(0, engine)
 
 
 def ticket_for(transaction, seq, program=None):
@@ -44,7 +47,7 @@ def ticket_for(transaction, seq, program=None):
     )
 
 
-def run_to_error(deterministic):
+def run_to_error(deterministic=True):
     """Run a 60-transaction bank stream on two workers that must fail;
     return its one error, which must come within a 5 s join."""
     scenario = scenario_factory("sharded-bank", cross_fraction=0.5, seed=3)
@@ -211,50 +214,42 @@ class TestEpochs:
             worker.finalize()
 
 
-class TestThreadedWorker:
-    """A threaded worker runs its tasks FIFO on its own thread and puts
-    every future it settles on its completion queue — the only signal a
-    waiter gets."""
+class TestOwingWorker:
+    """Under a completion order a worker owes its tasks: ``post`` queues
+    them, and ``run_owed`` runs the oldest first, settling each future."""
 
     @staticmethod
-    def _threaded():
+    def _owing():
         worker = make_worker()
-        worker.deterministic = False
-        worker.start()
+        worker.owed = deque()
         return worker
 
-    def test_tasks_run_on_worker_thread_in_order(self):
-        worker = self._threaded()
-        try:
-            order = []
-            futures = [
-                worker.post(
-                    lambda k=k: order.append(
-                        (k, threading.current_thread().name)
-                    ) or k
-                )
-                for k in range(20)
-            ]
-            settled = [worker.completions.get(timeout=5) for _ in futures]
-            assert settled == futures  # completed in posting order
-            assert [f.result() for f in futures] == list(range(20))
-            assert order == [(k, "shard-worker-0") for k in range(20)]
-        finally:
-            worker.stop()
+    def test_owed_tasks_run_in_posting_order(self):
+        worker = self._owing()
+        order = []
+        futures = [
+            worker.post(lambda k=k: order.append(k) or k) for k in range(20)
+        ]
+        assert not any(f.done for f in futures) and order == []
+        worker.run_owed(5)
+        assert [f.done for f in futures] == [True] * 5 + [False] * 15
+        worker.run_owed(15)
+        assert [f.result() for f in futures] == list(range(20))
+        assert order == list(range(20))
+        assert not worker.owed
 
     def test_exceptions_relayed(self):
-        worker = self._threaded()
-        try:
-            def boom():
-                raise TransactionAborted("t", "rejected")
+        worker = self._owing()
 
-            future = worker.post(boom)
-            assert worker.completions.get(timeout=5) is future
-            assert future.done
-            with pytest.raises(TransactionAborted):
-                future.result()
-        finally:
-            worker.stop()
+        def boom():
+            raise TransactionAborted("t", "rejected")
+
+        future = worker.post(boom)
+        assert not future.done
+        worker.run_owed()
+        assert future.done
+        with pytest.raises(TransactionAborted):
+            future.result()
 
 
 class TestFlushAtomicity:
@@ -303,12 +298,13 @@ class TestFlushAtomicity:
 
 class TestFlushCrash:
     """A flush vote or commit decision that raises ends the run in a
-    named error, in both modes — threaded, a crashed vote once left the
-    other worker waiting at a flush barrier and ``run``'s ``finally``
-    then blocked joining it."""
+    named error, at post and under seeded completion orders — with
+    worker threads, a crashed vote once left the other worker waiting
+    at a flush barrier and ``run``'s ``finally`` then blocked joining
+    it."""
 
     @staticmethod
-    def _run(monkeypatch, deterministic, site="vote"):
+    def _run(monkeypatch, site="vote"):
         crash = ValueError(f"{site} crashed")
         honest_votes = ShardWorker.flush_votes
         honest_closure = GroupCommitLog.commit_closure
@@ -330,63 +326,86 @@ class TestFlushCrash:
             monkeypatch.setattr(
                 GroupCommitLog, "commit_closure", commit_closure
             )
-        assert run_to_error(deterministic).__cause__ is crash
+        assert run_to_error().__cause__ is crash
 
-    def test_threaded_run_ends_in_engine_error(self, monkeypatch):
-        self._run(monkeypatch, deterministic=False)
+    @pytest.mark.parametrize("completion_order", range(3), indirect=True)
+    def test_seeded_order_run_ends_in_engine_error(
+        self, monkeypatch, completion_order
+    ):
+        self._run(monkeypatch)
 
     def test_deterministic_run_ends_in_engine_error(self, monkeypatch):
-        self._run(monkeypatch, deterministic=True)
+        self._run(monkeypatch)
 
-    def test_threaded_raising_decision_ends_in_engine_error(
-        self, monkeypatch
+    @pytest.mark.parametrize("completion_order", range(3), indirect=True)
+    def test_seeded_order_raising_decision_ends_in_engine_error(
+        self, monkeypatch, completion_order
     ):
-        self._run(monkeypatch, deterministic=False, site="decision")
+        self._run(monkeypatch, site="decision")
 
     def test_deterministic_raising_decision_ends_in_engine_error(
         self, monkeypatch
     ):
-        self._run(monkeypatch, deterministic=True, site="decision")
+        self._run(monkeypatch, site="decision")
 
 
 class TestNoProgress:
-    """A run whose flush rule can never be met ends in one named error
-    in both modes — threaded, the dispatcher once polled for a
-    completion that could never come, forever."""
+    """A run whose flush rule can never be met ends in one named error,
+    at post and under seeded completion orders — with worker threads,
+    the dispatcher once polled for a completion that could never come,
+    forever."""
 
-    @pytest.mark.parametrize("deterministic", [True, False])
     def test_flush_without_candidates_ends_in_engine_error(
-        self, monkeypatch, deterministic
+        self, monkeypatch
     ):
         monkeypatch.setattr(
             GroupCommitLog, "plan", lambda self, deps_of: ([], {})
         )
-        error = run_to_error(deterministic)
+        error = run_to_error()
         assert str(error) == "runtime made no progress"
 
-    def test_owed_task_is_awaited_before_raising(self):
+    @pytest.mark.parametrize("completion_order", range(3), indirect=True)
+    def test_seeded_order_flush_without_candidates_ends_in_engine_error(
+        self, monkeypatch, completion_order
+    ):
+        monkeypatch.setattr(
+            GroupCommitLog, "plan", lambda self, deps_of: ([], {})
+        )
+        error = run_to_error(deterministic=False)
+        assert str(error) == "runtime made no progress"
+
+    @pytest.mark.parametrize("completion_order", range(3), indirect=True)
+    def test_owed_task_is_run_before_raising(self, completion_order):
         """Only batched tickets, none executing: an abort posted without
         a wait may still doom a batched ticket's live dependency, so the
-        idle round blocks for the owed task and raises only once the
-        workers owe nothing."""
-        runtime = ShardRuntime("mvto", n_workers=2, deterministic=False)
+        idle round runs the owed task and raises only once the workers
+        owe nothing."""
+        runtime = ShardRuntime("mvto", n_workers=2)
         batched = ticket_for(Transaction("t", (read("t", "x"),)), seq=0)
         batched.state = TicketState.BATCHED
         runtime._inflight.append(batched)
-        gate = threading.Event()
-        for worker in runtime.workers:
-            worker.start()
-        try:
-            owed = runtime.workers[1].post(gate.wait)
-            threading.Timer(0.05, gate.set).start()
+        owed = runtime.workers[1].post(lambda: None)
+        assert not owed.done
+        runtime._idle()
+        assert owed.done
+        with pytest.raises(EngineError, match="made no progress"):
             runtime._idle()
-            assert owed.done
+
+    def test_an_order_that_runs_nothing_ends_in_engine_error(self):
+        """An idle round whose completion order runs none of the owed
+        tasks cannot progress either."""
+        class RunsNothing:
+            def __call__(self, workers, point, awaited):
+                pass
+
+        with install(RunsNothing()):
+            runtime = ShardRuntime("mvto", n_workers=2)
+            batched = ticket_for(Transaction("t", (read("t", "x"),)), 0)
+            batched.state = TicketState.BATCHED
+            runtime._inflight.append(batched)
+            runtime.workers[0].post(lambda: None)
             with pytest.raises(EngineError, match="made no progress"):
                 runtime._idle()
-        finally:
-            gate.set()
-            for worker in runtime.workers:
-                worker.stop()
 
 
 class TestSharedAdapter:
@@ -429,8 +448,8 @@ class TestWorkerFuture:
             WorkerFuture(True, error=ValueError("nope")).result()
 
     def test_inline_post_returns_a_settled_future(self):
-        """A deterministic worker ran the task before ``post`` returned,
-        so the future is born settled and nothing is queued."""
+        """By default a worker runs the task before ``post`` returns,
+        so the future is born settled and nothing is owed."""
         worker = make_worker()
         future = worker.post(lambda: 7)
         assert future.done and future.result() == 7
@@ -442,4 +461,4 @@ class TestWorkerFuture:
         assert failed.done
         with pytest.raises(TransactionAborted):
             failed.result()
-        assert worker.completions.empty()
+        assert worker.owed is None

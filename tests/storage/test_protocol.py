@@ -25,7 +25,7 @@ MEMBERS = {
 }
 #: what the planner and the runtime use of ``ShardedMultiversionStore``
 #: on top of the protocol.
-SHARDED_EXTRAS = {"shards", "locks", "n_shards", "snapshot_stats"}
+SHARDED_EXTRAS = {"shards", "n_shards", "snapshot_stats"}
 DRIVERS = ("engine", "planner", "runtime")
 
 
