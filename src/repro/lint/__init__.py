@@ -1,21 +1,18 @@
 """`repro.lint`: the AST-based contract linter.
 
 The repo's standing contracts — byte-identical equal-seed reports and
-traces, deadlock-free shard coordination, a closed trace-event
-taxonomy — are enforced *dynamically* by E15–E18 and the auditor.
-This package enforces them *statically*, at review time, before any
-run happens: a custom AST pass over the source tree, structured as a
-rule registry mirroring the backend/scenario/suite registries (one
-``register_rule`` call per rule).
+traces, a closed trace-event taxonomy — are enforced *dynamically* by
+E15–E18 and the auditor.  This package enforces them *statically*, at
+review time, before any run happens: a custom AST pass over the source
+tree, structured as a rule registry mirroring the
+backend/scenario/suite registries (one ``register_rule`` call per
+rule).
 
-Three rule families ship:
+Two rule families ship:
 
 * **determinism** (``D101``–``D103``): unordered set iteration in
   deterministic-contract modules, wall-clock reads outside the
   :mod:`repro.obs.clock` seam, unseeded randomness.
-* **concurrency** (``C201``–``C202``): cycles in the static
-  lock-acquisition-order graph, ``acquire()`` without ``try/finally``
-  ``release()``.
 * **observability** (``O301``–``O303``): trace emit sites whose event
   names are non-literal, undocumented in :mod:`repro.obs.taxonomy`,
   or carry dynamic payloads.
@@ -51,7 +48,6 @@ from repro.lint.runner import collect_files, lint_paths, lint_sources
 # Importing the rule modules registers the built-in rules (one
 # register_rule decorator per rule), exactly like backends and
 # scenarios register on package import.
-from repro.lint import concurrency as _concurrency  # noqa: F401
 from repro.lint import determinism as _determinism  # noqa: F401
 from repro.lint import observability as _observability  # noqa: F401
 

@@ -47,7 +47,6 @@ class TestExtension:
             by_family.setdefault(spec.family, []).append(spec.rule_id)
         assert by_family == {
             "determinism": ["D101", "D102", "D103"],
-            "concurrency": ["C201", "C202"],
             "observability": ["O301", "O302", "O303"],
         }
 

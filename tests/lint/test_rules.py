@@ -184,105 +184,6 @@ class TestD103UnseededRandom:
         assert rule_ids_of(report) == ["D103"]
 
 
-class TestC201LockOrder:
-    def test_opposite_nesting_orders_cycle(self):
-        report = lint_one("""\
-            def forward(a_lock, b_lock):
-                with a_lock:
-                    with b_lock:
-                        pass
-
-            def backward(a_lock, b_lock):
-                with b_lock:
-                    with a_lock:
-                        pass
-            """)
-        assert rule_ids_of(report) == ["C201"]
-        assert "cycle" in report.findings[0].message
-
-    def test_cycle_across_modules_is_found(self):
-        fwd = (
-            "def f(a_lock, b_lock):\n"
-            "    with a_lock:\n"
-            "        with b_lock:\n"
-            "            pass\n"
-        )
-        bwd = (
-            "def g(a_lock, b_lock):\n"
-            "    with b_lock:\n"
-            "        with a_lock:\n"
-            "            pass\n"
-        )
-        report = lint_sources([("fwd.py", fwd), ("bwd.py", bwd)])
-        assert rule_ids_of(report) == ["C201"]
-
-    def test_consistent_order_passes(self):
-        report = lint_one("""\
-            def one(a_lock, b_lock):
-                with a_lock:
-                    with b_lock:
-                        pass
-
-            def two(a_lock, b_lock, c_lock):
-                with b_lock:
-                    with c_lock:
-                        pass
-            """)
-        assert report.ok
-
-    def test_reentrant_self_nesting_passes(self):
-        report = lint_one("""\
-            def f(self):
-                with self.lock:
-                    with self.lock:
-                        pass
-            """)
-        assert report.ok
-
-    def test_non_lock_withs_ignored(self):
-        report = lint_one("""\
-            def f(path):
-                with open(path) as a:
-                    with open(path) as b:
-                        pass
-            """)
-        assert report.ok
-
-
-class TestC202AcquireRelease:
-    def test_bare_acquire_fires(self):
-        report = lint_one("""\
-            def f(lock):
-                lock.acquire()
-                work()
-                lock.release()
-            """)
-        assert rule_ids_of(report) == ["C202"]
-
-    def test_try_finally_release_passes(self):
-        report = lint_one("""\
-            def f(lock):
-                lock.acquire()
-                try:
-                    work()
-                finally:
-                    lock.release()
-            """)
-        assert report.ok
-
-    def test_enter_method_is_exempt(self):
-        # __enter__ acquires on behalf of a later __exit__ — the
-        # lock-set context-manager pattern.
-        report = lint_one("""\
-            class LockSet:
-                def __enter__(self):
-                    for lock in self._locks:
-                        lock.acquire()
-                    return self
-            """)
-        assert report.ok
-
-
 class TestO301LiteralEventName:
     def test_variable_event_name_fires(self):
         report = lint_one("""\

@@ -1,17 +1,14 @@
 """The linter turned on its own repository — the CI gate, as a test.
 
-Three claims, each pinned:
+Two claims, each pinned:
 
 * the committed tree lints clean — zero findings, nothing
   grandfathered (reasoned ``lint-ignore`` pragmas are the one waiver);
+  and
 * the rules would catch a regression: stripping a hand-placed
   ``sorted(...)`` out of the engine, or emitting an undocumented event
   name, is flagged by the named rule on a forged copy of the real
-  source; and
-* the static lock-acquisition-order graph over the concurrent
-  subsystems is acyclic — trivially so, because the committed design
-  (worker confinement: every task runs under its own shard's one lock)
-  never lexically nests two distinct locks at all.
+  source.
 """
 
 from repro.lint import get_rule, lint_paths, lint_sources
@@ -80,48 +77,3 @@ class TestForgedRegressions:
         )
         report = lint_sources([(ENGINE, forged)], select=["D102"])
         assert [f.rule_id for f in report.findings] == ["D102"]
-
-
-class TestLockOrderGraph:
-    CONCURRENT_TREES = ("src/repro/runtime", "src/repro/storage",
-                       "src/repro/planner")
-
-    def run_rule(self, repo_root):
-        from repro.lint import collect_files
-
-        rule = get_rule("C201").factory()
-        paths = [str(repo_root / tree) for tree in self.CONCURRENT_TREES]
-        for absolute, display in collect_files(paths):
-            with open(absolute, encoding="utf-8") as source:
-                rule.check_module(
-                    ModuleContext.from_source(display, source.read())
-                )
-        return rule
-
-    def test_committed_tree_is_acyclic(self, repo_root):
-        rule = self.run_rule(repo_root)
-        assert rule.finalize() == []
-        # stronger than acyclic: the committed design never lexically
-        # holds two distinct locks at once (a worker task takes its own
-        # shard's lock and no other).
-        assert rule.edges == {}
-
-    def test_rule_would_catch_an_introduced_cycle(self, repo_root):
-        rule = self.run_rule(repo_root)
-        # forge an inversion.
-        forged = (
-            "def grab(a_lock, b_lock):\n"
-            "    with a_lock:\n"
-            "        with b_lock:\n"
-            "            pass\n"
-            "def grab_reversed(a_lock, b_lock):\n"
-            "    with b_lock:\n"
-            "        with a_lock:\n"
-            "            pass\n"
-        )
-        rule.check_module(
-            ModuleContext.from_source("src/repro/runtime/forged.py", forged)
-        )
-        findings = rule.finalize()
-        assert [f.rule_id for f in findings] == ["C201"]
-        assert "cycle" in findings[0].message
