@@ -247,8 +247,8 @@ class PlannerBackend(BackendAdapter):
     Same plan, same settle rule and the same zero-CC-abort guarantee in
     both, run on the caller's thread; deterministic runs serialize
     byte-identically for equal seeds.  ``workers`` is the number of
-    planning partitions (store shards); ``deterministic`` selects only
-    the trace clock and whether the report prints txn/s.
+    store shards; ``deterministic`` selects only the trace clock and
+    whether the report prints txn/s.
     ``scheduler``/``retry``/``epoch_max_steps``/``gc_every`` cannot
     apply: the plan needs no run-time scheduler, nothing retries
     (nothing CC-aborts), the batch *is* the epoch, and GC runs at every

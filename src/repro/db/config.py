@@ -38,8 +38,8 @@ class RunConfig:
     #: scheduler the online modes wrap (planner plans, needs none).
     scheduler: str | None = None
     #: parallelism: driver sessions (serial) / shard workers (parallel)
-    #: / planning partitions = store shards (planner family); every mode
-    #: runs on the caller's thread.
+    #: / store shards (planner family); every mode runs on the caller's
+    #: thread.
     workers: int | None = None
     #: group-commit batch (parallel) / planning batch = epoch (planner).
     batch_size: int | None = None

@@ -75,8 +75,7 @@ class PlannedTransaction:
     timestamp: int
     #: write-value program (None = Herbrand semantics downstream).
     program: Callable | None = None
-    #: bindings of this transaction's reads, in step order (one cell per
-    #: read; planning pre-sizes the list and its walks fill the cells).
+    #: bindings of this transaction's reads, in step order.
     bindings: list[ReadBinding] = field(default_factory=list)
     #: reserved version slots of this transaction's writes, in step order.
     slots: list = field(default_factory=list)
@@ -109,6 +108,14 @@ class BatchPlan:
     """
 
     planned: list[PlannedTransaction]
+    #: the plan's shape, counted as planning binds it: write slots
+    #: reserved; reads served the base version, the reader's own write
+    #: or another transaction's slot; the summed sizes of the ``deps``.
+    reserved: int = 0
+    base_reads: int = 0
+    own_reads: int = 0
+    dependent_reads: int = 0
+    commit_deps: int = 0
 
     def __iter__(self) -> Iterator[PlannedTransaction]:
         return iter(self.planned)

@@ -188,7 +188,7 @@ class BatchPlanner:
         if lookahead < 0:
             raise ValueError("lookahead must be >= 0")
         self.tracer = tracer
-        #: one store shard per worker: planning partition p owns shard p.
+        #: one store shard per worker.
         self.store = ShardedMultiversionStore(n_workers, initial)
         self.batch_size = batch_size
         self.lookahead = lookahead
@@ -303,24 +303,13 @@ class BatchPlanner:
             over_placeholders=self.lookahead > 0,
         )
         self._next_timestamp += len(items)
-        n_slots = sum(len(ptxn.slots) for ptxn in plan)
+        n_slots = plan.reserved
         self._next_position += n_slots
         metrics.placeholders_reserved += n_slots
-        base = own = dependent = 0
-        for ptxn in plan:
-            metrics.commit_deps += len(ptxn.deps)
-            txn = ptxn.txn
-            for binding in ptxn.bindings:
-                source_txn = binding.source_txn
-                if source_txn == T_INIT:
-                    base += 1
-                elif source_txn == txn:
-                    own += 1
-                else:
-                    dependent += 1
-        metrics.base_reads += base
-        metrics.own_reads += own
-        metrics.dependent_reads += dependent
+        metrics.base_reads += plan.base_reads
+        metrics.own_reads += plan.own_reads
+        metrics.dependent_reads += plan.dependent_reads
+        metrics.commit_deps += plan.commit_deps
         if tracing:
             self.tracer.end(
                 "plan", "plan.batch", "plan",

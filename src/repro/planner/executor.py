@@ -7,9 +7,12 @@ timestamp order — the order the plan serializes them in.  A read's
 source writer always has a smaller timestamp (or is the reader itself),
 so by the time the reader runs that writer has already published or
 poisoned: the whole batch is a sequential program and no read ever
-waits.  A source still PENDING at read time is therefore an executor
-bug, and the batch ends in an :class:`EngineError` naming the entity
-and the reader.
+waits.  A read takes its source's value first: a committed version
+and a filled slot carry theirs, so only the unwritten sentinel leads on
+to the three other cases — the reader's own pending write (served from
+its local values), a poisoned slot (re-bind, below), or a slot still
+PENDING, which in timestamp order is an executor bug: the batch ends in
+an :class:`EngineError` naming the entity and the reader.
 
 Transactions publish at commit: write values are computed locally and
 all of a transaction's slots are filled together after its last step.
@@ -42,7 +45,7 @@ from repro.model.batching import BatchPlan, PlannedTransaction, ReadBinding
 from repro.model.schedules import T_INIT
 from repro.model.steps import Op, TxnId
 from repro.storage.executor import write_value
-from repro.storage.mvstore import PlaceholderState
+from repro.storage.mvstore import UNWRITTEN, PlaceholderState
 from repro.storage.sharded import ShardedMultiversionStore
 
 #: ``_run_one`` tests these by identity instead of calling the
@@ -116,19 +119,20 @@ class PlanExecutor:
             if step.op is _READ:
                 binding = next(bindings)
                 source = binding.source
-                if binding.source_txn == txn:
-                    value = own_values[id(source)]
-                elif source.is_placeholder:
-                    if source.state is _POISONED:
+                value = source.value
+                if value is UNWRITTEN:
+                    # Not a committed version nor a filled slot: the
+                    # reader's own pending write, a dead writer's slot,
+                    # or a slot whose writer has not run.
+                    if binding.source_txn == txn:
+                        value = own_values[id(source)]
+                    elif source.state is _POISONED:
                         rebound += 1
-                        source = self._rebind(
+                        value = self._rebind(
                             ptxn, len(reads), source, first_position
-                        )
-                    elif source.state is _PENDING:
+                        ).value
+                    else:
                         raise _undecided(source, txn)
-                    value = source.value
-                else:
-                    value = source.value
                 reads.append(value)
             else:
                 slot = next(slots)

@@ -18,28 +18,30 @@ once the writer publishes), not a rejection — Larson et al.'s commit
 dependencies, which here never even wait: execution runs in timestamp
 order, so a writer always publishes before its readers run.
 
-Planning is partitioned by entity: accesses are split with the same
-crc32 hash the sharded store uses (partition *p* owns shard *p*
-outright), so partition walks touch disjoint store slices, and each
-walk takes its shard directly.  The walks run inline, in partition
-order.  The walk of one entity depends on nothing outside that entity,
-so the order of the walks cannot change the plan.
+Planning is one pass over the batch in (timestamp, step-index) order.
+Each entity's walk state — its owning shard and the source its next
+read is served, the newest slot reserved on it (else its base version),
+with that source's writer — is made at the entity's first touch in the
+batch, so every ``reserve``/``latest`` goes straight to the shard that
+owns the entity.  Visiting the steps in
+timestamp order visits each entity's steps in that order too, so the
+newest slot walked so far is exactly "the newest version written by a
+smaller-or-equal timestamp": both MVTO's read rule and — when the
+writer is the reader itself — the own-write rule.
 
-What a plan allocates: one tuple per step (the record the batch loop
-files under the step's entity), one :class:`ReadBinding` per read, one
-reserved slot per write — nothing per transaction but the
-:class:`PlannedTransaction` itself, whose ``bindings`` and ``slots``
-lists the batch loop pre-sizes with one empty cell per read and per
-write.  The walks write each binding and slot into its cell — a cell
-belongs to one step, a step to one entity — and nothing reads a cell
-before every walk is done.
+What a plan allocates: one :class:`ReadBinding` per read, one reserved
+slot per write, one walk state per entity touched, and per transaction
+the :class:`PlannedTransaction` itself, whose ``bindings``, ``slots``
+and ``deps`` are appended in step order as the pass binds them.  The
+plan-shape tally (base, own and dependent reads, commit dependencies,
+reserved slots) is counted in the same pass and returned on the
+:class:`BatchPlan`.
 """
 
 # repro: deterministic-contract — equal seeds must yield byte-identical output
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Callable, Sequence
 
 from repro.engine.errors import EngineError
@@ -55,12 +57,20 @@ from repro.storage.sharded import ShardedMultiversionStore, shard_of
 #: the ``is_write`` property once per step of the batch.
 _WRITE = Op.WRITE
 
-#: One step's record in the per-entity walk: ``(ptxn, step index,
-#: ordinal, position)``.  ``ordinal`` is the step's cell in its
-#: transaction's ``bindings`` (a read) or ``slots`` (a write);
-#: ``position`` is the write's pre-assigned global install position and
-#: ``None`` for a read.
-_Record = tuple[PlannedTransaction, int, int, int | None]
+
+class _Walk:
+    """One entity's walk state within a batch, made at its first touch."""
+
+    __slots__ = ("store", "source", "writer")
+
+    def __init__(self, store: MultiversionStore) -> None:
+        #: the shard that owns the entity.
+        self.store = store
+        #: what a read of the entity is served next: the newest slot
+        #: reserved on it so far, else the committed pre-batch version
+        #: (captured at the first read), else None — and its writer.
+        self.source = None
+        self.writer = T_INIT
 
 
 def plan_batch(
@@ -89,90 +99,61 @@ def plan_batch(
     source's writer logic-aborts re-binds when its batch executes
     (:mod:`repro.planner.executor`).
 
-    A partition walk that raises fails the call at once with one
-    :class:`EngineError` chained from the cause, never a silently short
-    plan.
+    A store call that raises fails the call at once with one
+    :class:`EngineError` chained from the cause, never a short plan.
     """
     if not over_placeholders and store.placeholder_count():
         raise EngineError("plan_batch over unsettled placeholders")
+    shards = store.shards
+    n_shards = store.n_shards
+    walks: dict[Entity, _Walk] = {}
     planned: list[PlannedTransaction] = []
-    by_entity: defaultdict[Entity, list[_Record]] = defaultdict(list)
     position = first_position
-    for offset, (transaction, program) in enumerate(items):
-        ptxn = PlannedTransaction(
-            transaction, first_timestamp + offset, program
-        )
-        planned.append(ptxn)
-        # One empty cell per read and per write; the walks fill the cells
-        # in place.
-        bindings, slots = ptxn.bindings, ptxn.slots
-        for index, step in enumerate(transaction.steps):
-            if step.op is _WRITE:
-                record = (ptxn, index, len(slots), position)
-                slots.append(None)
-                position += 1
-            else:
-                record = (ptxn, index, len(bindings), None)
-                bindings.append(None)
-            by_entity[step.entity].append(record)
-
-    n_partitions = store.n_shards
-    partitions: list[list[Entity]] = [[] for _ in range(n_partitions)]
-    for entity in by_entity:
-        partitions[shard_of(entity, n_partitions)].append(entity)
-
+    base_reads = own_reads = dependent_reads = commit_deps = 0
     try:
-        for shard, partition in zip(store.shards, partitions):
-            for entity in sorted(partition):
-                _walk_entity(entity, by_entity[entity], shard)
+        for timestamp, (transaction, program) in enumerate(
+            items, first_timestamp
+        ):
+            txn = transaction.txn
+            bindings: list[ReadBinding] = []
+            slots: list = []
+            deps: set = set()
+            for index, step in enumerate(transaction.steps):
+                entity = step.entity
+                walk = walks.get(entity)
+                if walk is None:
+                    walk = walks[entity] = _Walk(
+                        shards[shard_of(entity, n_shards)]
+                    )
+                if step.op is _WRITE:
+                    slot = walk.store.reserve(entity, txn, position)
+                    position += 1
+                    walk.source = slot
+                    walk.writer = txn
+                    slots.append(slot)
+                    continue
+                source = walk.source
+                if source is None:
+                    # Nothing reserved on the entity yet: the newest
+                    # chain version is the pre-batch state.
+                    source = walk.source = walk.store.latest(entity)
+                writer = walk.writer
+                bindings.append(ReadBinding(txn, index, source, writer))
+                if writer == T_INIT:
+                    base_reads += 1
+                elif writer == txn:
+                    own_reads += 1
+                else:
+                    dependent_reads += 1
+                    deps.add(writer)
+            commit_deps += len(deps)
+            planned.append(PlannedTransaction(
+                transaction, timestamp, program, bindings, slots,
+                frozenset(deps),
+            ))
     except Exception as error:
-        raise EngineError(
-            f"partition planning walk crashed: {error!r}"
-        ) from error
-
-    for ptxn in planned:
-        if None in ptxn.bindings or None in ptxn.slots:
-            # A walk that skipped an entity must not reach the executor
-            # as an AttributeError on the empty cell.
-            raise EngineError(
-                f"planning left a step of {ptxn.txn!r} unbound"
-            )
-        ptxn.bind(ptxn.bindings)
-    return BatchPlan(planned)
-
-
-def _walk_entity(
-    entity: Entity,
-    records: list[_Record],
-    store: MultiversionStore,
-) -> None:
-    """Resolve one entity's accesses in (timestamp, step-index) order.
-
-    ``store`` is the shard that owns ``entity`` (the walk's partition),
-    so each ``reserve``/``latest`` goes straight to it.
-
-    ``records`` is already in that order: the batch loop appends per
-    transaction in timestamp order and per step in index order.  The
-    newest slot walked so far is exactly "the newest version written by
-    a smaller-or-equal timestamp", which is both MVTO's read rule and —
-    when the writer is the reader itself — the own-write rule.
-    """
-    base = None
-    last_slot = None
-    last_txn = T_INIT
-    for ptxn, index, ordinal, position in records:
-        txn = ptxn.transaction.txn
-        if position is not None:
-            last_slot = store.reserve(entity, txn, position)
-            last_txn = txn
-            ptxn.slots[ordinal] = last_slot
-        elif last_slot is None:
-            if base is None:
-                # Captured before this walk reserves anything on the
-                # entity, so it is the committed pre-batch state.
-                base = store.latest(entity)
-            ptxn.bindings[ordinal] = ReadBinding(txn, index, base, T_INIT)
-        else:
-            ptxn.bindings[ordinal] = ReadBinding(
-                txn, index, last_slot, last_txn
-            )
+        raise EngineError(f"planning walk crashed: {error!r}") from error
+    return BatchPlan(
+        planned, position - first_position,
+        base_reads, own_reads, dependent_reads, commit_deps,
+    )

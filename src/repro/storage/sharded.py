@@ -9,13 +9,14 @@ scaling step (per-shard engines, per-shard GC, multi-backend) builds on.
 
 It is two things.  To the planner it is the partitioned store: it
 implements :class:`repro.storage.VersionStore` by routing each call to
-the owning shard, and its ``n_shards`` is the planning walks' partition
-count.  To the parallel runtime it is the container of per-domain
-stores: each domain's engine runs on ``shards[d]`` — a plain
-:class:`MultiversionStore` — and the dispatcher reads ``final_state``
-and ``snapshot_stats`` across them.  Everything runs on the caller's
-thread, and a runtime task never overlaps another one, so no shard
-takes a lock and an aggregate always sees every shard between tasks.
+the owning shard, and the planning pass finds each entity's owning
+shard through its ``shards`` and ``n_shards``.  To the parallel runtime
+it is the container of per-domain stores: each domain's engine runs on
+``shards[d]`` — a plain :class:`MultiversionStore` — and the dispatcher
+reads ``final_state`` and ``snapshot_stats`` across them.  Everything
+runs on the caller's thread, and a runtime task never overlaps another
+one, so no shard takes a lock and an aggregate always sees every shard
+between tasks.
 """
 
 # repro: deterministic-contract — equal seeds must yield byte-identical output

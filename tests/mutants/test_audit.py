@@ -26,6 +26,7 @@ an ``xfail``.
 
 import __future__
 import inspect
+import textwrap
 
 import pytest
 
@@ -45,11 +46,12 @@ from tests.mutants.test_mvto import BUDGET  # noqa: E402
 
 
 def mutated(function, old: str, new: str):
-    """Module-level ``function`` recompiled from its source with ``old``
-    (which must occur exactly once) replaced by ``new``, over a copy of
-    its module's globals; line numbers stay those of the file."""
+    """``function`` recompiled from its source with ``old`` (which must
+    occur exactly once) replaced by ``new``, over a copy of its module's
+    globals; line numbers stay those of the file.  A method's source is
+    dedented, and the result is a plain function to set on the class."""
     lines, first = inspect.getsourcelines(function)
-    source = "".join(lines)
+    source = textwrap.dedent("".join(lines))
     assert source.count(old) == 1, f"mutation site moved: {old!r}"
     namespace = dict(vars(inspect.getmodule(function)))
     exec(compile(

@@ -1,20 +1,29 @@
-"""Mutants of the planner's abort handling, each killed by a named check.
+"""Mutants of the planner, each killed by a named check.
 
-A mutant is a wrong planner method, monkeypatched in by a fixture (never
-a switch in ``src``):
+A mutant is a wrong planner function, monkeypatched in by a fixture
+(never a switch in ``src``):
 
 * ``rebind-stops-at-first-poisoned`` — ``PlanExecutor._rebind`` takes
   one ``latest_before`` step and serves whatever it lands on, so a read
   whose next version down is a second dead writer's slot is not walked
   past it (an abort chain);
 * ``settle-keeps-dead-slot`` — ``BatchPlanner._settle`` skips
-  ``store.remove`` for one logic-aborted slot of the batch.
+  ``store.remove`` for one logic-aborted slot of the batch;
+* ``walk-keeps-stale-slot`` — ``plan_batch`` recompiled without the
+  statement that advances an entity's newest slot after a write, so a
+  later read binds past that write;
+* ``read-serves-unwritten`` — ``PlanExecutor._run_one`` recompiled
+  without its pending check, so a read of a slot whose writer has not
+  run is served the unwritten sentinel.
 
 Each mutant names the check that kills it: the serial oracle of
 ``tests/planner/test_reexec_property.py`` (equal final state and
 committed set), or the driver's own placeholder check (a settled batch
 leaves exactly the in-flight plans' slots behind, else
-:class:`EngineError`), run over that file's generated abort workloads
+:class:`EngineError`), each run over that file's generated abort
+workloads; the reference-model comparison of
+``tests/planner/test_planning_model.py`` over its generated batches; or
+``TestPendingSource`` of ``tests/planner/test_plan_executor.py`` — all
 under a derandomized Hypothesis budget.  A mutant its check does not
 kill fails its test: a gap to close, never an ``xfail``.
 """
@@ -23,14 +32,22 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import find, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
 
 from repro.engine.errors import EngineError  # noqa: E402
 from repro.model.batching import ReadBinding  # noqa: E402
 from repro.model.schedules import T_INIT  # noqa: E402
 from repro.obs import Tracer  # noqa: E402
-from repro.planner import BatchPlanner, PlanExecutor  # noqa: E402
+from repro.planner import BatchPlanner, PlanExecutor, planning  # noqa: E402
 
+from tests.mutants.test_audit import mutated  # noqa: E402
 from tests.mutants.test_mvto import BUDGET  # noqa: E402
+from tests.planner import test_plan_executor  # noqa: E402
+from tests.planner.test_planning_model import (  # noqa: E402
+    naive_plan_batch,
+    planned,
+    planning_cases,
+)
 from tests.planner.test_reexec_property import (  # noqa: E402
     INITIAL_BALANCE,
     abort_workloads,
@@ -116,35 +133,86 @@ def killed_by_placeholder_check(workload):
     return False
 
 
-#: mutant -> (the patched class, attribute, wrong method, the check
-#: that kills it).
+def killed_by_reference_model(case):
+    """The planner fixes another plan than the draft-and-merge model."""
+    return planned(planning.plan_batch, *case) != planned(
+        naive_plan_batch, *case
+    )
+
+
+def killed_by_pending_source_check(reached):
+    """``TestPendingSource`` fails for a source ``reached`` as planned or
+    by a re-bind."""
+    check = test_plan_executor.TestPendingSource()
+    try:
+        check.test_pending_source_is_a_named_error_not_a_wait(reached)
+    except AssertionError:
+        return True
+    return False
+
+
+#: mutant -> (the patched class or module, attribute, the wrong function
+#: or the ``(old, new)`` source edit that recompiles the real one wrong,
+#: the cases its check runs over, the check that kills it).
 MUTANTS = {
     "rebind-stops-at-first-poisoned": (
-        PlanExecutor, "_rebind", rebind_one_step, killed_by_serial_oracle,
+        PlanExecutor, "_rebind", rebind_one_step,
+        abort_workloads(), killed_by_serial_oracle,
     ),
     "settle-keeps-dead-slot": (
         BatchPlanner, "_settle", settle_keeps_dead_slot,
-        killed_by_placeholder_check,
+        abort_workloads(), killed_by_placeholder_check,
+    ),
+    "walk-keeps-stale-slot": (
+        planning, "plan_batch", ("walk.source = slot\n", "pass\n"),
+        planning_cases, killed_by_reference_model,
+    ),
+    "read-serves-unwritten": (
+        PlanExecutor, "_run_one", ("raise _undecided(source, txn)", "pass"),
+        st.sampled_from(["as-planned", "by-rebind"]),
+        killed_by_pending_source_check,
     ),
 }
 
 
+def install(patch, name, mutate=True):
+    """Set mutant ``name`` on its owner — or, with ``mutate=False``, its
+    site recompiled unmutated (a hand-written mutant's site is left
+    alone) — and return its cases and check."""
+    owner, attribute, wrong, cases, killer = MUTANTS[name]
+    if isinstance(wrong, tuple):
+        old, new = wrong
+        patch.setattr(owner, attribute, mutated(
+            getattr(owner, attribute), old, new if mutate else old
+        ))
+    elif mutate:
+        patch.setattr(owner, attribute, wrong)
+    return cases, killer
+
+
 @pytest.fixture(params=sorted(MUTANTS))
 def mutant(request, monkeypatch):
-    """Install one mutant; yields the check that must kill it."""
-    owner, attribute, method, killer = MUTANTS[request.param]
-    monkeypatch.setattr(owner, attribute, method)
-    return killer
+    """Install one mutant; yields its cases and the check that must
+    kill it."""
+    return install(monkeypatch, request.param)
 
 
 def test_the_mutant_is_killed(mutant):
     # ``find`` raises ``NoSuchExample`` if the mutant survives the budget.
-    find(abort_workloads(), mutant, settings=BUDGET)
+    cases, killer = mutant
+    find(cases, killer, settings=BUDGET)
 
 
-@given(abort_workloads())
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-def test_no_check_fires_on_the_real_planner(workload):
-    """A check that fired on correct code would kill every mutant."""
-    assert not killed_by_serial_oracle(workload)
-    assert not killed_by_placeholder_check(workload)
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_no_check_fires_on_the_real_planner(name, monkeypatch):
+    """A check that fired on correct code would kill every mutant.  A
+    recompiled site runs recompiled unmutated, so that a kill is the
+    mutation's doing, not the recompile's."""
+    cases, killer = install(monkeypatch, name, mutate=False)
+
+    @given(cases)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def fires(case):
+        assert not killer(case)
+
+    fires()

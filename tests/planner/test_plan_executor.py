@@ -302,6 +302,7 @@ class TestPendingSource:
         thread.start()
         thread.join(5)
         assert not thread.is_alive(), "the read blocked"
+        assert raised, "the pending source was served"
         [error] = raised
         assert isinstance(error, EngineError)
         assert "'x'" in str(error) and "'t1'" in str(error)
@@ -332,7 +333,7 @@ class TestCrashEndsInEngineError:
     @pytest.mark.parametrize(
         "stage, method, message",
         [
-            ("planning", "reserve", "partition planning walk crashed"),
+            ("planning", "reserve", "planning walk crashed"),
             ("execution", "fill", "plan execution crashed"),
         ],
     )

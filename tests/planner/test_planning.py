@@ -180,9 +180,9 @@ class TestGuards:
             plan_batch([(t1, None)], store, 1, 1)
 
     def test_walk_crash_raises_instead_of_a_short_plan(self):
-        """A partition walk that raises must fail the call, chained from
-        the walk's own error: its transactions would otherwise come back
-        with empty binding and slot cells."""
+        """A store call that raises mid-walk must fail the call, chained
+        from the walk's own error, never return a plan whose later
+        transactions were left unbound."""
         t1 = Transaction.build("A", ("R", "x"), ("R", "y"), ("W", "x"))
         store = ShardedMultiversionStore(4, {"x": 1, "y": 2})
         assert store.shard_for("x") is not store.shard_for("y")
@@ -196,25 +196,3 @@ class TestGuards:
         ) as raised:
             plan_batch([(t1, None)], store, 0, 0)
         assert isinstance(raised.value.__cause__, KeyError)
-
-    @pytest.mark.parametrize("skipped", ["x", "y"])
-    def test_a_walk_that_skips_an_entity_is_a_named_error(
-        self, monkeypatch, skipped
-    ):
-        """Every read and write owns one pre-sized cell; a cell the
-        walks left empty (``x``: a slot, ``y``: a binding) fails the
-        call by name instead of reaching the executor as an
-        ``AttributeError`` on ``None``."""
-        from repro.planner import planning
-
-        walk = planning._walk_entity
-
-        def skipping(entity, records, store):
-            if entity != skipped:
-                walk(entity, records, store)
-
-        monkeypatch.setattr(planning, "_walk_entity", skipping)
-        t1 = Transaction.build("A", ("R", "y"), ("W", "x"))
-        store = ShardedMultiversionStore(2, {"x": 1, "y": 2})
-        with pytest.raises(EngineError, match="'A' unbound"):
-            plan_batch([(t1, None)], store, 0, 0)

@@ -1,21 +1,23 @@
-"""Reference model: the draft-and-merge planner the in-place walk replaced.
+"""Reference model: the draft-and-merge planner the one-pass planner replaced.
 
-:func:`repro.planner.planning.plan_batch` appends one tuple per step,
-pre-sizes each transaction's ``bindings``/``slots`` and lets the
-per-entity walks write every cell where it lives.  The claim is that
-this is the *same function* of a batch as the planner it replaced — one
-``_Access`` object per step, one ``_Draft`` (two dicts keyed by step
-index) per transaction, a ``sorted`` merge of both dicts after the walks
-— only cheaper.  That planner is kept here, in test code only, as
+:func:`repro.planner.planning.plan_batch` visits a batch's steps once,
+in timestamp order, keeps each entity's walk state in a dict and appends
+every binding and slot where its transaction's lists end, counting the
+plan's shape as it binds.  The claim is that this is the *same function*
+of a batch as the planner it replaced — one ``_Access`` object per step
+bucketed by entity, the entities partitioned by the store's hash, each
+partition walked in sorted order into one ``_Draft`` (two dicts keyed by
+step index) per transaction, a ``sorted`` merge of both dicts after the
+walks — only cheaper.  That planner is kept here, in test code only, as
 :func:`naive_plan_batch`, and Hypothesis drives both over generated
 batches (seeded with the textbook shapes: a read before the reader's own
 write, an own write re-read, an entity written twice by one transaction,
 two writers with a reader between, and a batch planned over the pending
-slots of a previous one): equal bindings, slots and ``deps``.  A second property runs both through the real
-driver and demands equal plan-shape counters, which
-``BatchPlanner._plan_one`` classifies with one ``source_txn`` comparison
-per binding where the model's plans are tallied with the public
-``is_base``/``is_own`` spelling.
+slots of a previous one): equal bindings, slots, ``deps`` and tally.
+The model's tally is derived from its finished bindings with the public
+``is_base``/``is_own`` spelling, so the two tallies are independent
+derivations; a second property runs both planners through the real
+driver and demands equal plan-shape counters and equal answers.
 """
 
 from dataclasses import dataclass, field
@@ -60,10 +62,11 @@ def naive_plan_batch(
     items, store, first_timestamp, first_position,
     over_placeholders=False,
 ):
-    """The parent's planner, verbatim but for its containers (the merged
-    bindings and slots are lists, as every consumer now expects) and its
-    partition walks, which always run inline — the walk of one entity
-    depends on nothing outside that entity."""
+    """The draft-and-merge planner, verbatim but for its containers (the
+    merged bindings and slots are lists, as every consumer now expects),
+    its partition walks, which always run inline — the walk of one
+    entity depends on nothing outside that entity — and the plan's
+    tally, which it derives from its bindings once they are merged."""
     if not over_placeholders and store.placeholder_count():
         raise EngineError("plan_batch over unsettled placeholders")
     drafts = []
@@ -96,7 +99,23 @@ def naive_plan_batch(
         ptxn = draft.ptxn
         ptxn.bind([draft.bindings[i] for i in sorted(draft.bindings)])
         ptxn.slots = [draft.slots[i] for i in sorted(draft.slots)]
-    return BatchPlan([draft.ptxn for draft in drafts])
+    return tallied([draft.ptxn for draft in drafts])
+
+
+def tallied(planned):
+    """A :class:`BatchPlan` whose shape is counted off its finished
+    bindings, one property call per binding."""
+    bindings = [b for ptxn in planned for b in ptxn.bindings]
+    base = sum(b.is_base for b in bindings)
+    own = sum(b.is_own for b in bindings)
+    return BatchPlan(
+        planned,
+        reserved=sum(len(ptxn.slots) for ptxn in planned),
+        base_reads=base,
+        own_reads=own,
+        dependent_reads=len(bindings) - base - own,
+        commit_deps=sum(len(ptxn.deps) for ptxn in planned),
+    )
 
 
 def _naive_walk_entity(entity, accesses, store, draft_of):
@@ -152,8 +171,12 @@ def build(batch, prefix):
 
 
 def shape(plan):
-    """Everything a plan fixes, in plain values."""
-    return [
+    """Everything a plan fixes, in plain values, and its tally."""
+    tally = (
+        plan.reserved, plan.base_reads, plan.own_reads,
+        plan.dependent_reads, plan.commit_deps,
+    )
+    return tally, [
         (
             ptxn.txn,
             ptxn.timestamp,
@@ -171,48 +194,52 @@ def shape(plan):
     ]
 
 
-@given(
-    previous=st.one_of(st.just([]), batches),
-    batch=batches,
-    n_shards=st.integers(1, 4),
+def planned(planner, previous, batch, n_shards):
+    """What ``planner`` fixes for ``batch``, planned over the pending
+    slots of ``previous`` (if any), and the placeholders it leaves."""
+    store = ShardedMultiversionStore(
+        n_shards, {entity: 0 for entity in ENTITIES}
+    )
+    first_position = 0
+    before = []
+    if previous:
+        # Left pending: the batch below is planned over its slots, as
+        # the driver does at ``lookahead >= 1``.
+        pending = planner(build(previous, "p"), store, 0, 0)
+        first_position = pending.reserved
+        before = shape(pending)
+    plan = planner(
+        build(batch, "t"), store, len(previous), first_position,
+        over_placeholders=bool(previous),
+    )
+    return before, shape(plan), store.placeholder_count()
+
+
+#: ``(previous, batch, n_shards)`` for :func:`planned`.
+planning_cases = st.tuples(
+    st.one_of(st.just([]), batches), batches, st.integers(1, 4)
 )
-@example(previous=[], batch=READ_BEFORE_OWN_WRITE, n_shards=2)
-@example(previous=[], batch=OWN_WRITE_REREAD, n_shards=2)
-@example(previous=[], batch=WRITTEN_TWICE, n_shards=1)
-@example(previous=[], batch=READER_BETWEEN_WRITERS, n_shards=3)
-@example(
-    previous=READER_BETWEEN_WRITERS, batch=READ_BEFORE_OWN_WRITE, n_shards=2
-)
-@example(previous=WRITTEN_TWICE, batch=[[("R", "x"), ("R", "y")]], n_shards=4)
+
+
+@given(case=planning_cases)
+@example(case=([], READ_BEFORE_OWN_WRITE, 2))
+@example(case=([], OWN_WRITE_REREAD, 2))
+@example(case=([], WRITTEN_TWICE, 1))
+@example(case=([], READER_BETWEEN_WRITERS, 3))
+@example(case=(READER_BETWEEN_WRITERS, READ_BEFORE_OWN_WRITE, 2))
+@example(case=(WRITTEN_TWICE, [[("R", "x"), ("R", "y")]], 4))
 @settings(max_examples=120, deadline=None, derandomize=True)
-def test_in_place_walk_equals_the_draft_planner(previous, batch, n_shards):
-    initial = {entity: 0 for entity in ENTITIES}
-    plans = {}
-    for name, planner in (("model", naive_plan_batch), ("fast", plan_batch)):
-        store = ShardedMultiversionStore(n_shards, initial)
-        first_position = 0
-        before = []
-        if previous:
-            # Left pending: the batch below is planned over its slots,
-            # as the driver does at ``lookahead >= 1``.
-            pending = planner(
-                build(previous, "p"), store, 0, 0
-            )
-            first_position = sum(len(ptxn.slots) for ptxn in pending)
-            before = shape(pending)
-        plan = planner(
-            build(batch, "t"), store, len(previous), first_position,
-            over_placeholders=bool(previous),
-        )
-        plans[name] = (before, shape(plan), store.placeholder_count())
-    assert plans["fast"] == plans["model"]
-    _, planned, placeholders = plans["fast"]
+def test_one_pass_planner_equals_the_draft_planner(case):
+    previous, batch, n_shards = case
+    fast = planned(plan_batch, previous, batch, n_shards)
+    assert fast == planned(naive_plan_batch, previous, batch, n_shards)
+    _, (_, transactions), placeholders = fast
     writes = sum(
         kind == "W" for spec in previous + batch for kind, _ in spec
     )
     assert placeholders == writes
-    for (_, _, bindings, slots, _), spec in zip(planned, batch):
-        # One cell per read and per write, in step order.
+    for (_, _, bindings, slots, _), spec in zip(transactions, batch):
+        # One binding per read and one slot per write, in step order.
         assert [b[1] for b in bindings] == [
             i for i, (kind, _) in enumerate(spec) if kind == "R"
         ]
@@ -222,32 +249,16 @@ def test_in_place_walk_equals_the_draft_planner(previous, batch, n_shards):
 # -- through the driver: the plan-shape counters ---------------------------
 
 
-def counted_run(planner_function, stream, **options):
-    """Drain ``stream`` with ``planner_function`` as the driver's planner;
-    tally every plan with the public ``is_base``/``is_own`` spelling."""
-    tally = dict(base=0, own=0, dependent=0, commit_deps=0)
-
-    def recording(*args, **kwargs):
-        plan = planner_function(*args, **kwargs)
-        for ptxn in plan:
-            tally["commit_deps"] += len(ptxn.deps)
-            for binding in ptxn.bindings:
-                if binding.is_base:
-                    tally["base"] += 1
-                elif binding.is_own:
-                    tally["own"] += 1
-                else:
-                    tally["dependent"] += 1
-        return plan
-
+def run_with(planner_function, stream, **options):
+    """Drain ``stream`` with ``planner_function`` as the driver's planner."""
     planner = BatchPlanner(
         initial={entity: 0 for entity in ENTITIES}, n_workers=2, **options
     )
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(driver, "plan_batch", recording)
+        patch.setattr(driver, "plan_batch", planner_function)
         metrics = planner.run(stream)
     assert planner.store.placeholder_count() == 0
-    return planner, metrics, tally
+    return planner, metrics
 
 
 @pytest.mark.parametrize("deterministic", [True, False])
@@ -264,7 +275,7 @@ def test_driver_counts_the_same_plan_shape(
     lookahead, deterministic, batch, doomed, batch_size
 ):
     """``doomed`` transactions raise, so settle removes their slots and —
-    at ``lookahead=1`` — re-binds the next plan's cells in place."""
+    at ``lookahead=1`` — the next plan's readers of them re-bind."""
     def stream():
         return [
             (
@@ -278,25 +289,15 @@ def test_driver_counts_the_same_plan_shape(
         batch_size=batch_size, lookahead=lookahead,
         deterministic=deterministic,
     )
-    model, model_metrics, model_tally = counted_run(
-        naive_plan_batch, stream(), **options
-    )
-    fast, fast_metrics, fast_tally = counted_run(
-        plan_batch, stream(), **options
-    )
-    assert fast_tally == model_tally
-    for metrics in (fast_metrics, model_metrics):
-        # One comparison per binding counts what the properties spell.
-        assert (
-            metrics.base_reads, metrics.own_reads,
-            metrics.dependent_reads, metrics.commit_deps,
-        ) == (
-            fast_tally["base"], fast_tally["own"],
-            fast_tally["dependent"], fast_tally["commit_deps"],
-        )
+    model, model_metrics = run_with(naive_plan_batch, stream(), **options)
+    fast, fast_metrics = run_with(plan_batch, stream(), **options)
     for name in (
+        "base_reads", "own_reads", "dependent_reads", "commit_deps",
         "placeholders_reserved", "rebound_reads",
         "committed", "logic_aborted",
     ):
         assert getattr(fast_metrics, name) == getattr(model_metrics, name)
+    assert fast_metrics.base_reads + fast_metrics.own_reads + (
+        fast_metrics.dependent_reads
+    ) == sum(kind == "R" for spec in batch for kind, _ in spec)
     assert fast.final_state() == model.final_state()
