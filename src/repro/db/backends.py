@@ -15,6 +15,13 @@ which makes four modes).  Engine/runtime/planner imports stay inside
 ``_execute`` so the registry is cycle-free (the planner itself reuses
 :mod:`repro.runtime.group_commit`).
 
+Every mode runs on the caller's thread in one fixed order, so equal
+seeds give equal runs whatever ``deterministic`` says.  The flag is
+read here and in :class:`~repro.db.report.RunReport`, nowhere below:
+an adapter whose config sets it points the tracer at its driver's tick
+counter (``Tracer.use_clock``), for byte-identical traces, and the
+report then leaves out its wall-clock txn/s.
+
 Extending: subclass :class:`BackendAdapter` and :func:`register_backend`
 an instance — ``Database``, ``RunConfig`` validation, ``repro run
 --mode`` and the cross-mode metric-contract test all pick the new mode
@@ -179,6 +186,9 @@ class SerialEngineBackend(BackendAdapter):
             epoch_max_steps=config.epoch_max_steps,
             tracer=tracer,
         )
+        if config.deterministic:
+            # Always, in this mode: the driver's round is the clock.
+            tracer.use_clock(lambda: engine.metrics.ticks)
         driver = ConcurrentDriver(
             engine,
             stream,
@@ -226,7 +236,6 @@ class ShardRuntimeBackend(BackendAdapter):
             # E16's measured operating point; not a RunConfig knob —
             # it tunes dispatcher admission, not the execution model.
             inflight=16,
-            deterministic=config.deterministic,
             retry=config.retry,
             seed=config.seed,
             gc_enabled=config.gc,
@@ -234,6 +243,10 @@ class ShardRuntimeBackend(BackendAdapter):
             epoch_max_steps=config.epoch_max_steps,
             tracer=tracer,
         )
+        if config.deterministic:
+            # Dispatch is tick-driven: stamping events with the
+            # dispatcher round makes equal-seed traces byte-identical.
+            tracer.use_clock(lambda: runtime.metrics.ticks)
         metrics = runtime.run(stream)
         return metrics, runtime.final_state(), (runtime.plan.note,)
 
@@ -278,10 +291,14 @@ class PlannerBackend(BackendAdapter):
             n_workers=config.workers,
             batch_size=config.batch_size,
             lookahead=config.lookahead or 0,
-            deterministic=config.deterministic,
             gc_enabled=config.gc,
             tracer=tracer,
         )
+        if config.deterministic:
+            # The tick counts admissions and settles and is identical
+            # across runs — the deterministic trace clock.
+            engine = planner.metrics.engine
+            tracer.use_clock(lambda: engine.ticks)
         return planner.run(stream), planner.final_state()
 
 

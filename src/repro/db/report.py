@@ -9,10 +9,11 @@ under ``mode_specific``.
 
 Reproducibility rule: wall-clock numbers live only in the
 ``throughput``/``elapsed`` attributes.  ``as_dict()`` reports
-``throughput`` as ``0.0`` for deterministic runs, so two same-seed
-deterministic runs serialize byte-identically — the same contract the
-runtime and planner metrics already honor, lifted to the unified
-report.
+``throughput`` as ``0.0`` for deterministic runs, and ``report()``
+prints no txn/s line for them, so two same-seed deterministic runs
+serialize and print byte-identically.  The native metrics objects hold
+no wall-clock figure in either, so this is the one place the flag is
+decided.
 """
 
 from __future__ import annotations
@@ -142,8 +143,9 @@ class RunReport:
 
     def report(self) -> str:
         """A human-readable block for the CLI: one header line naming
-        the scenario/backend/knobs, the backend's native report, then
-        the invariant verdict."""
+        the scenario/backend/knobs, the backend's native report, the
+        wall-clock txn/s unless the run is deterministic, then the
+        invariant verdict."""
         cfg = self.config
         bits = [f"{self.submitted} txns"]
         if cfg.scheduler is not None:
@@ -162,6 +164,11 @@ class RunReport:
         native = self.metrics.report() if self.metrics is not None else ""
         if native:
             lines.append(native)
+        if not self.deterministic:
+            # The one wall-clock line; a deterministic report is
+            # byte-identical for equal seeds.
+            lines.append(f"throughput    {self.throughput:.0f} txn/s "
+                         "(wall clock)")
         if not self.invariant_checked:
             verdict = "unchecked (scenario declares no oracle)"
         else:

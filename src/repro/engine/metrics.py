@@ -137,20 +137,14 @@ class EngineMetrics:
         """Committed fraction of attempts begun."""
         return self.committed / self.attempts if self.attempts else 0.0
 
-    @property
-    def throughput(self) -> float:
-        """Committed transactions per wall-clock second."""
-        return self.committed / self.elapsed if self.elapsed > 0 else 0.0
-
     def as_dict(self) -> dict:
         return _FIELDS.as_dict(self)
 
     def register_into(self, registry) -> None:
         """Publish into a :class:`repro.obs.MetricsRegistry`.
 
-        Dotted ``engine.*`` names; wall-clock quantities (``elapsed``,
-        throughput) are deliberately absent so equal-seed deterministic
-        telemetry is byte-identical.
+        Dotted ``engine.*`` names; the wall-clock ``elapsed`` is
+        deliberately absent so equal-seed telemetry is byte-identical.
         """
         _FIELDS.register_into(self, registry)
 
@@ -159,7 +153,7 @@ class EngineMetrics:
         lines = [
             f"attempts      {self.attempts}",
             f"committed     {self.committed}  "
-            f"(rate {self.commit_rate:.3f}, {self.throughput:.0f} txn/s)",
+            f"(rate {self.commit_rate:.3f})",
             f"aborted       {self.aborted_total}  "
             f"(rejected {self.aborted_rejected}, cascade "
             f"{self.aborted_cascade}, deadlock {self.aborted_deadlock}, "

@@ -234,10 +234,6 @@ class ConcurrentDriver:
     def run(self) -> EngineMetrics:
         """Drain the stream; returns the engine's metrics."""
         engine = self.engine
-        if engine.tracer.enabled:
-            # The serial driver is single-threaded and seeded — always
-            # deterministic — so the trace clock is always the tick.
-            engine.tracer.use_clock(lambda: engine.metrics.ticks)
         started = perf_clock()
         metrics, sessions = engine.metrics, self.sessions
         shuffle = self.rng.shuffle

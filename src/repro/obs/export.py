@@ -7,9 +7,9 @@ event/drop counts, all with sorted keys and compact separators so a
 deterministic run's trace file is byte-identical across runs.
 
 The Chrome format (also read by Perfetto's legacy importer) is a
-*view*: tracks become named threads, so the pipelined mode's
-plan-vs-execute overlap renders as two lanes whose spans visibly
-interleave.  ``docs/observability.md`` walks the round trip.
+*view*: tracks become named threads, so each stage (plan, execute,
+every shard) renders as its own lane.  ``docs/observability.md`` walks
+the round trip.
 """
 
 # repro: deterministic-contract — equal seeds must yield byte-identical output

@@ -3,14 +3,15 @@
 Consumes the event stream (from a live :class:`~repro.obs.Tracer` or a
 JSONL file) and reduces it to what a perf investigation starts from:
 where the time went per phase, how often each lifecycle event fired,
-and how busy each track was relative to the whole run — the number that
-shows whether the pipelined mode actually overlapped planning with
-execution (plan busy + execute busy exceeding the span is overlap,
-measured rather than claimed).
+and how busy each track was relative to the whole run.  Busy time
+beyond the span is time two tracks ran at once: every mode runs its
+stages on one thread, so on the wall clock it stays 0, and on the tick
+clock spans of different tracks can share ticks.
 
 Durations are in the trace's own clock: logical ticks for deterministic
-runs, microseconds otherwise (the meta/summary carries no unit — the
-trace's determinism decides it, exactly as for latency).
+runs, microseconds otherwise (the meta/summary carries no unit —
+``repro.db`` picks the clock from the run's ``deterministic``, exactly
+as for latency).
 """
 
 # repro: deterministic-contract — equal seeds must yield byte-identical output
@@ -119,8 +120,8 @@ def format_summary(summary: dict) -> str:
         total_busy = sum(row["busy"] for row in summary["tracks"].values())
         span = summary["span"]
         if span:
-            # busy time beyond the span is time two tracks ran at once —
-            # the pipelined mode's overlap, measured from the trace.
+            # busy time beyond the span is time two tracks ran at once,
+            # measured from the trace.
             overlap = max(0, total_busy - span)
             lines.append(
                 f"critical path {span}  "

@@ -9,12 +9,13 @@ serial engine, the shard runtime, the batch planner and the pipeline.
 
 Two contracts shape the design:
 
-* **Determinism.**  In deterministic mode every subsystem points the
-  tracer's clock at its logical tick counter (:meth:`Tracer.use_clock`),
-  so two equal-seed runs emit byte-identical traces — the same
-  reproducibility rule the metrics dicts already honor, extended to the
-  event stream.  Other runs keep the wall clock (microseconds since
-  tracer construction) and give up byte-identity, exactly like their
+* **Determinism.**  For a deterministic run, the :mod:`repro.db`
+  adapter that builds the driver points the tracer's clock at that
+  driver's logical tick counter (:meth:`Tracer.use_clock`), so two
+  equal-seed runs emit byte-identical traces — the same reproducibility
+  rule the metrics dicts already honor, extended to the event stream.
+  Other runs keep the wall clock (microseconds since tracer
+  construction) and give up byte-identity, exactly like their
   ``elapsed`` fields.
 * **Zero-cost when off.**  The default tracer is :data:`NULL_TRACER`,
   whose ``enabled`` is False; every instrumentation hook is guarded as
@@ -41,8 +42,8 @@ INSTANT = "I"
 class TraceEvent(NamedTuple):
     """One trace record: what happened, when, on which track.
 
-    ``ts`` is the tracer clock's value at emit time — logical ticks in
-    deterministic runs, microseconds otherwise.  ``track`` names the
+    ``ts`` is the tracer clock's value at emit time — logical ticks when
+    the run is deterministic, microseconds otherwise.  ``track`` names the
     logical lane the event belongs to (``"driver"``, ``"plan"``,
     ``"execute"``, ``"shard-2"`` …); the Chrome exporter maps tracks to
     threads so phase overlap is directly visible.  ``args`` carries the
@@ -168,9 +169,10 @@ class Tracer:
     """Collects trace events for one run.
 
     ``clock`` supplies timestamps; the default is wall-clock
-    microseconds since construction.  Deterministic subsystems replace
-    it with their logical tick counter via :meth:`use_clock` — the
-    subsystem, not the caller, knows which counter is its clock.
+    microseconds since construction.  For a deterministic run the
+    :mod:`repro.db` adapter replaces it with its driver's tick counter
+    via :meth:`use_clock`: the adapter builds the driver, so it knows
+    which counter is the clock.
 
     ``capacity`` bounds the :class:`EventLog` (``None``: unbounded);
     ``capacity=0`` keeps no log at all — events reach the subscribers
@@ -191,7 +193,7 @@ class Tracer:
         self._sinks: tuple[Callable[[TraceEvent], None], ...] = ()
 
     def use_clock(self, clock: Callable[[], int | float]) -> None:
-        """Point timestamps at a logical clock (deterministic mode)."""
+        """Point timestamps at a logical clock (a deterministic run)."""
         self._clock = clock
 
     # -- subscribers -------------------------------------------------------

@@ -25,7 +25,7 @@ into batches (one batch = one epoch), each batch is planned
 Ticks count admissions and settles (a batch's settle tick is reserved
 when its admissions close), so commit latency (in ticks, via the
 engine's :class:`LatencyStats`) measures batching delay and is identical
-at every ``deterministic`` setting and every ``lookahead``.
+at every ``lookahead``.
 
 ``lookahead`` is how many batches planning may run ahead of the one
 executing — the pipelining Faleiro & Abadi's plan-then-execute design
@@ -64,14 +64,12 @@ lives at the boundary between a settling batch and an in-flight plan:
   source, or the survivor a binding to a removed slot re-binds to.
   Bound versions structurally cannot be pruned.
 
-Everything runs on the caller's thread, at every ``lookahead`` and every
-``deterministic`` setting: plan, execute inline in timestamp order
-(:mod:`repro.planner.executor`), plan ahead, settle.  The whole version
-function is fixed before a batch runs, so threads could only change
-*when* work happens, never what is decided — and under the GIL not how
-fast either.  ``deterministic`` selects only the trace clock and
-whether the report prints a txn/s figure.  The settled plan, the final
-state and ``metrics.as_dict()`` are byte-identical at every
+Everything runs on the caller's thread, at every ``lookahead``: plan,
+execute inline in timestamp order (:mod:`repro.planner.executor`), plan
+ahead, settle.  The whole version function is fixed before a batch
+runs, so threads could only change *when* work happens, never what is
+decided — and under the GIL not how fast either.  The settled plan, the
+final state and ``metrics.as_dict()`` are byte-identical at every
 ``lookahead`` for equal seeds — pipelining changes when planning
 happens, never what is planned; only how many reads reach a dead
 writer's slot, and so re-bind, moves with it.
@@ -176,7 +174,6 @@ class BatchPlanner:
         initial: dict[Entity, object] | None = None,
         n_workers: int = 4,
         batch_size: int = 64,
-        deterministic: bool = False,
         gc_enabled: bool = True,
         tracer=NULL_TRACER,
         lookahead: int = 0,
@@ -192,11 +189,9 @@ class BatchPlanner:
         self.store = ShardedMultiversionStore(n_workers, initial)
         self.batch_size = batch_size
         self.lookahead = lookahead
-        self.deterministic = deterministic
         self.metrics = PlannerMetrics(
             n_workers=n_workers,
             batch_size=batch_size,
-            deterministic=deterministic,
             lookahead=lookahead,
         )
         self.gc = (
@@ -226,11 +221,6 @@ class BatchPlanner:
             raise EngineError(
                 f"a {type(self).__name__} instance is single-use"
             )
-        engine = self.metrics.engine
-        if self.tracer.enabled and self.deterministic:
-            # The tick counts admissions and settles and is identical
-            # across runs — the deterministic trace clock.
-            self.tracer.use_clock(lambda: engine.ticks)
         started = perf_clock()
         self._stream = iter(stream)
         plans: deque[_InFlight] = deque()
@@ -249,7 +239,7 @@ class BatchPlanner:
             # the run's largest allocation, and holding it across the
             # next planning pass costs lookahead=0 a few percent.
             del head
-        engine.elapsed = perf_clock() - started
+        self.metrics.engine.elapsed = perf_clock() - started
         return self.metrics
 
     # -- planning stage ----------------------------------------------------

@@ -10,9 +10,9 @@ counters, so ``engine.aborted_total`` (surfaced here as ``cc_aborts``)
 staying at zero is a *recorded measurement*, not a definition.
 
 Planner-specific counters (plan shape, commit dependencies, re-bound
-reads, logic aborts) live on top.  ``as_dict`` excludes
-wall-clock fields, so two same-seed deterministic runs serialize
-byte-identically — the same reproducibility contract as the runtime.
+reads, logic aborts) live on top.  ``as_dict`` and ``report`` exclude
+wall-clock fields, so two same-seed runs serialize byte-identically —
+the same reproducibility contract as the runtime.
 """
 
 # repro: deterministic-contract — equal seeds must yield byte-identical output
@@ -32,7 +32,6 @@ class PlannerMetrics:
     #: configuration (fixed at construction).
     n_workers: int = 0
     batch_size: int = 0
-    deterministic: bool = False
 
     #: shared execution counters, in engine units (see module docstring).
     engine: EngineMetrics = field(default_factory=EngineMetrics)
@@ -58,9 +57,9 @@ class PlannerMetrics:
     rebound_reads: int = 0
 
     #: batches planned ahead of the executing one (configuration; 0 —
-    #: sequential stages).  Kept out of ``as_dict`` — a deterministic run
-    #: serializes byte-identically at every lookahead (pipelining changes
-    #: when planning happens, never what is planned) — and surfaced via
+    #: sequential stages).  Kept out of ``as_dict`` — a run serializes
+    #: byte-identically at every lookahead (pipelining changes when
+    #: planning happens, never what is planned) — and surfaced via
     #: :meth:`report` and the ``pipeline.lookahead`` gauge only.
     lookahead: int = 0
 
@@ -106,11 +105,6 @@ class PlannerMetrics:
     def elapsed(self) -> float:
         return self.engine.elapsed
 
-    @property
-    def throughput(self) -> float:
-        """Committed transactions per wall-clock second."""
-        return self.committed / self.elapsed if self.elapsed > 0 else 0.0
-
     def as_dict(self) -> dict:
         return {**_FIELDS.as_dict(self), "engine": self.engine.as_dict()}
 
@@ -121,7 +115,7 @@ class PlannerMetrics:
         reused engine metrics register themselves, so the zero-abort
         witness — ``engine.aborted.*`` all zero — rides along), plus
         the ``pipeline.lookahead`` gauge when planning runs ahead.
-        Wall-clock fields stay out, so deterministic telemetry is
+        Wall-clock fields stay out, so equal-seed telemetry is
         byte-identical.
         """
         self.engine.register_into(registry)
@@ -132,18 +126,11 @@ class PlannerMetrics:
     def report(self) -> str:
         """A human-readable block for the CLI."""
         engine = self.engine
-        rate = (
-            ""
-            if self.deterministic or self.elapsed <= 0
-            else f", {self.throughput:.0f} txn/s"
-        )
-        mode = "deterministic" if self.deterministic else "wall clock"
         lines = [
-            f"workers       {self.n_workers}  "
-            f"(batch {self.batch_size}, {mode})",
+            f"workers       {self.n_workers}  (batch {self.batch_size})",
             f"submitted     {self.submitted}",
             f"committed     {self.committed}  "
-            f"(rate {self.commit_rate:.3f}{rate})",
+            f"(rate {self.commit_rate:.3f})",
             f"cc aborts     {self.cc_aborts}  (abort-free by construction)",
             f"logic aborts  {self.logic_aborted}  "
             f"({self.rebound_reads} reads re-bound past them)",
@@ -169,7 +156,6 @@ _FIELDS = FieldTable(
     "planner",
     ("n_workers", "workers", None, None),
     ("batch_size", "batch_size", None, None),
-    ("deterministic", "deterministic", None, None),
     ("submitted", "submitted", "submitted", "counter"),
     ("committed", "committed", "committed", "counter"),
     ("cc_aborts", "cc_aborts", "cc_aborts", "counter"),

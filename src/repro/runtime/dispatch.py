@@ -45,10 +45,8 @@ Execution model
   exponential backoff in dispatcher ticks).
 
 Every task runs on the dispatcher's thread, in a fixed order, so two
-same-seed runs produce equal metrics, commits and final state;
-``deterministic`` selects only the trace clock (dispatcher ticks, for
-byte-identical traces, or the wall clock) and whether the report shows
-txn/s.  The order in which posted tasks settle is the one thing a
+same-seed runs produce equal metrics, commits and final state.  The
+order in which posted tasks settle is the one thing a
 concurrent runtime could vary; :attr:`ShardRuntime.completion_order`
 varies it reproducibly (``docs/execution-modes.md``, "Shard runtime").
 """
@@ -132,7 +130,6 @@ class ShardRuntime:
         n_workers: int = 4,
         batch_size: int = 8,
         inflight: int = 8,
-        deterministic: bool = False,
         retry: RetryPolicy | None = None,
         seed: int = 0,
         epoch_max_steps: int = 128,
@@ -158,19 +155,12 @@ class ShardRuntime:
         )
         self.plan = plan_domains(factory, n_workers)
         n_domains = self.plan.n_domains
-        self.deterministic = deterministic
         self.tracer = tracer
-        if tracer.enabled and deterministic:
-            # Dispatch is tick-driven: stamping events with the
-            # dispatcher round makes equal-seed traces byte-identical.
-            # Otherwise the trace keeps the wall clock.
-            tracer.use_clock(lambda: self.metrics.ticks)
         self.store = ShardedMultiversionStore(n_domains, initial)
         self.metrics = RuntimeMetrics(
             n_workers=n_workers,
             effective_domains=n_domains,
             partitionable=self.plan.partitionable,
-            deterministic=deterministic,
         )
         self.workers: list[ShardWorker] = []
         for domain in range(n_domains):

@@ -8,9 +8,8 @@ one engine commit per involved worker.  The per-worker engine metrics
 are attached verbatim for drill-down.
 
 ``as_dict`` deliberately excludes wall-clock fields so that two
-same-seed deterministic runs serialize byte-identically — that is the
-reproducibility contract ``repro run --mode parallel --deterministic``
-tests against.
+same-seed runs serialize byte-identically — the reproducibility
+contract ``repro run --mode parallel --deterministic`` tests against.
 """
 
 # repro: deterministic-contract — equal seeds must yield byte-identical output
@@ -55,7 +54,6 @@ class RuntimeMetrics:
     n_workers: int = 0
     effective_domains: int = 0
     partitionable: bool = True
-    deterministic: bool = False
 
     #: logical transactions pulled from the stream / durably committed.
     submitted: int = 0
@@ -93,11 +91,6 @@ class RuntimeMetrics:
         """Committed fraction of submitted transactions."""
         return self.committed / self.submitted if self.submitted else 0.0
 
-    @property
-    def throughput(self) -> float:
-        """Committed transactions per wall-clock second."""
-        return self.committed / self.elapsed if self.elapsed > 0 else 0.0
-
     def as_dict(self) -> dict:
         return {
             **_FIELDS.as_dict(self),
@@ -116,25 +109,16 @@ class RuntimeMetrics:
         _GROUP_COMMIT_FIELDS.register_into(self.group_commit, registry)
 
     def report(self) -> str:
-        """A human-readable block for the CLI.
-
-        Wall-clock throughput is only shown for runs on the wall clock;
-        deterministic mode keeps the report byte-stable across runs.
-        """
+        """A human-readable block for the CLI; no wall-clock field, so
+        equal seeds give equal reports."""
         gc = self.group_commit
-        rate = (
-            ""
-            if self.deterministic or self.elapsed <= 0
-            else f", {self.throughput:.0f} txn/s"
-        )
-        mode = "deterministic" if self.deterministic else "wall clock"
         lines = [
             f"workers       {self.n_workers}  "
             f"({self.effective_domains} conflict domain"
-            f"{'s' if self.effective_domains != 1 else ''}, {mode})",
+            f"{'s' if self.effective_domains != 1 else ''})",
             f"submitted     {self.submitted}",
             f"committed     {self.committed}  "
-            f"(rate {self.commit_rate:.3f}{rate})",
+            f"(rate {self.commit_rate:.3f})",
             f"aborted       {self.aborted}  "
             f"(retries {self.retries}, gave up {self.gave_up})",
             f"routing       {self.single_shard} single-shard, "
@@ -164,7 +148,6 @@ _FIELDS = FieldTable(
     ("n_workers", "workers", "workers", "gauge"),
     ("effective_domains", "domains", "domains", "gauge"),
     ("partitionable", "partitionable", None, None),
-    ("deterministic", "deterministic", None, None),
     ("submitted", "submitted", "submitted", "counter"),
     ("committed", "committed", "committed", "counter"),
     ("aborted", "aborted", "aborted", "counter"),

@@ -16,6 +16,7 @@ from repro.db import (
     register_backend,
 )
 from repro.db.backends import _REGISTRY
+from repro.obs import Tracer
 from repro.workloads.streams import ShardedBankScenario
 
 MODES = ("serial", "parallel", "planner", "pipelined")
@@ -142,6 +143,53 @@ class TestMetricContract:
         )
         assert report.as_dict()["throughput"] == 0.0
         assert report.elapsed > 0
+
+    @pytest.mark.parametrize("mode, options", [
+        ("parallel", {}),
+        ("planner", {}),
+        ("pipelined", {"lookahead": 2, "batch_size": 16}),
+    ])
+    def test_wall_clock_run_answers_as_its_deterministic_twin(
+        self, mode, options
+    ):
+        """``deterministic`` picks only the trace clock and whether the
+        report shows txn/s: the wall-clock run commits the same
+        transactions, reaches the same state and reports the same
+        counters as its deterministic twin."""
+
+        def run(deterministic):
+            tracer = Tracer(capacity=None)
+            report = Database().run(
+                "abort-heavy",
+                small_config(mode, deterministic=deterministic,
+                             trace=tracer, **options),
+                txns=200, cross_fraction=0.3,
+            )
+            commits = [
+                e.args for e in tracer.events if e.name == "txn.commit"
+            ]
+            return report, commits
+
+        det, det_commits = run(True)
+        wall, wall_commits = run(False)
+
+        def answers(report):
+            d = report.as_dict()
+            assert d.pop("deterministic") is report.deterministic
+            assert d["config"].pop("deterministic") is report.deterministic
+            d.pop("throughput")
+            return d
+
+        assert answers(wall) == answers(det)
+        assert wall_commits == det_commits and det_commits
+        assert dict(wall.final_state) == dict(det.final_state)
+        assert det.as_dict()["throughput"] == 0.0 and wall.elapsed > 0
+        # The reports differ in the clock label and the rate line only.
+        rate = f"throughput    {wall.throughput:.0f} txn/s (wall clock)\n"
+        assert rate in wall.report() and "txn/s" not in det.report()
+        assert wall.report().replace(rate, "") == det.report().replace(
+            ", deterministic) ==", ") =="
+        )
 
 
 class TestBackendRegistry:

@@ -20,6 +20,8 @@ from repro.workloads.bank import (
     transfer_transaction,
 )
 
+from tests.helpers import tick_clock
+
 
 def make_engine(name="mvto", **kwargs):
     kwargs.setdefault("initial", {"x": 10, "y": 20})
@@ -84,6 +86,7 @@ class TestCommitPath:
                 tracer=tracer,
                 **store,
             )
+            tick_clock(tracer, engine.metrics)
             metrics = ConcurrentDriver(
                 engine, workload.transaction_stream(150), n_sessions=4, seed=1
             ).run()

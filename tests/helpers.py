@@ -59,3 +59,23 @@ def serial_read_sources(schedule: Schedule, order) -> dict[int, str]:
             else:
                 sources[i] = last_writer.get(step.entity, T_INIT)
     return sources
+
+
+def tick_clock(tracer, counter) -> None:
+    """Stamp ``tracer``'s events with ``counter.ticks`` — the clock
+    :mod:`repro.db` installs for a deterministic run.  A test that
+    builds a driver itself and compares trace bytes installs it here:
+    ``engine.metrics`` (serial), ``runtime.metrics`` or
+    ``planner.metrics``."""
+    tracer.use_clock(lambda: counter.ticks)
+
+
+def clocked(driver, deterministic: bool):
+    """``driver`` (a ``ShardRuntime`` or ``BatchPlanner`` built with a
+    ``Tracer``) on the trace clock a :mod:`repro.db` run with this
+    ``deterministic`` would give it: the tick counter, else the wall
+    clock.  A test parametrized over ``deterministic`` pins that the
+    clock changes nothing the driver decides."""
+    if deterministic:
+        tick_clock(driver.tracer, driver.metrics)
+    return driver

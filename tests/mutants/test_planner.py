@@ -99,7 +99,7 @@ def run(workload, lookahead):
     tracer = Tracer(capacity=None)
     planner = BatchPlanner(
         initial={a: INITIAL_BALANCE for a in accounts}, n_workers=2,
-        batch_size=batch_size, lookahead=lookahead, deterministic=True,
+        batch_size=batch_size, lookahead=lookahead,
         tracer=tracer,
     )
     planner.run(stream)

@@ -6,9 +6,12 @@ import json
 import pytest
 
 from repro.db import Database, RunConfig
+from repro.obs import Tracer
 from repro.planner import BatchPlanner
 from repro.workloads.bank import transfer_program, transfer_transaction
 from repro.workloads.streams import ReadMostlyScenario, ShardedBankScenario
+
+from tests.helpers import clocked
 
 
 def bank(seed=5):
@@ -23,10 +26,10 @@ class TestDriver:
     @pytest.mark.parametrize("deterministic", [True, False])
     def test_bank_stream_commits_everything(self, deterministic, n_workers):
         scenario = bank()
-        planner = BatchPlanner(
+        planner = clocked(BatchPlanner(
             initial=scenario.initial_state(), n_workers=n_workers,
-            batch_size=16, deterministic=deterministic,
-        )
+            batch_size=16, tracer=Tracer(capacity=0),
+        ), deterministic)
         metrics = planner.run(scenario.transaction_stream(120))
         assert metrics.committed == metrics.submitted == 120
         assert metrics.cc_aborts == 0
@@ -39,7 +42,7 @@ class TestDriver:
         scenario = bank()
         planner = BatchPlanner(
             initial=scenario.initial_state(), n_workers=2,
-            batch_size=1000, deterministic=True,
+            batch_size=1000,
         )
         metrics = planner.run(scenario.transaction_stream(30))
         assert metrics.committed == 30
@@ -51,7 +54,7 @@ class TestDriver:
             scenario = bank()
             planner = BatchPlanner(
                 initial=scenario.initial_state(), n_workers=4,
-                batch_size=32, deterministic=True,
+                batch_size=32,
             )
             metrics = planner.run(scenario.transaction_stream(100))
             dicts.append(json.dumps(metrics.as_dict()))
@@ -70,7 +73,7 @@ class TestDriver:
         ]
         planner = BatchPlanner(
             initial={k: 100 for k in "abcd"}, n_workers=2,
-            batch_size=8, deterministic=True,
+            batch_size=8,
         )
         metrics = planner.run(stream)
         assert metrics.committed == 2

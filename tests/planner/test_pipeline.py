@@ -10,7 +10,6 @@ sources alive, and a single batch never has a seam.
 """
 
 import json
-import re
 
 import pytest
 
@@ -26,6 +25,8 @@ from repro.workloads.streams import (
     ReadMostlyScenario,
     ShardedBankScenario,
 )
+
+from tests.helpers import clocked
 
 LOOKAHEADS = [0, 1, 2, 3]
 
@@ -116,15 +117,15 @@ CASES = {
 
 
 def run_case(case, lookahead, deterministic=True, tracer=None):
+    """Run ``case`` traced (into ``tracer``, else a log-less one) on the
+    clock a run with this ``deterministic`` gets."""
     factory, options, txns = CASES[case]
     scenario = factory()
-    options = {"n_workers": 4, **options}
-    if tracer is not None:
-        options["tracer"] = tracer
-    planner = BatchPlanner(
+    planner = clocked(BatchPlanner(
         initial=scenario.initial_state(), lookahead=lookahead,
-        deterministic=deterministic, **options,
-    )
+        tracer=Tracer(capacity=0) if tracer is None else tracer,
+        **{"n_workers": 4, **options},
+    ), deterministic)
     metrics = planner.run(scenario.transaction_stream(txns))
     return planner, metrics
 
@@ -198,6 +199,8 @@ class TestPlanEquivalence:
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("lookahead", [0, 1, 2])
     def test_threaded_matches_deterministic(self, plans, case, lookahead):
+        """The ``threaded`` run, traced on the wall clock, decides what
+        the one traced on the tick clock does."""
         det_trace, thr_trace = Tracer(capacity=None), Tracer(capacity=None)
         det, m_det = run_case(case, lookahead, tracer=det_trace)
         det_plans = [plan_signature(p) for p in plans]
@@ -229,7 +232,7 @@ class TestPlanEquivalence:
         scenario = bank()
         planner = BatchPlanner(
             initial=scenario.initial_state(), n_workers=2,
-            batch_size=10, lookahead=lookahead, deterministic=True,
+            batch_size=10, lookahead=lookahead,
         )
         metrics = planner.run(scenario.transaction_stream(10))
         assert metrics.latency.max == 10
@@ -325,11 +328,10 @@ class TestDriverContract:
             yield from abort_stream()[:3]
             raise IOError("stream source died")
 
-        planner = BatchPlanner(
+        planner = clocked(BatchPlanner(
             initial={k: 100 for k in "abcd"}, n_workers=2,
-            batch_size=2, lookahead=lookahead,
-            deterministic=deterministic,
-        )
+            batch_size=2, lookahead=lookahead, tracer=Tracer(capacity=0),
+        ), deterministic)
         with pytest.raises(IOError, match="stream source died"):
             planner.run(broken_stream())
 
@@ -337,8 +339,8 @@ class TestDriverContract:
     @pytest.mark.parametrize("fails", [False, True])
     def test_runs_on_the_callers_thread(self, monkeypatch, fails, lookahead):
         """Planning, planning ahead and execution all run inline: a run
-        that is not deterministic starts no thread at any ``lookahead``,
-        whether it returns or raises."""
+        starts no thread at any ``lookahead``, whether it returns or
+        raises."""
         import threading
 
         started = []
@@ -357,7 +359,7 @@ class TestDriverContract:
 
         planner = BatchPlanner(
             initial={k: 100 for k in "abcd"}, n_workers=2,
-            batch_size=1, lookahead=lookahead, deterministic=False,
+            batch_size=1, lookahead=lookahead,
         )
         if fails:
             with pytest.raises(IOError):
@@ -372,12 +374,12 @@ class TestDriverContract:
         scenario = bank()
         with_gc = BatchPlanner(
             initial=scenario.initial_state(), n_workers=4,
-            batch_size=16, lookahead=lookahead, deterministic=True,
+            batch_size=16, lookahead=lookahead,
         )
         m = with_gc.run(scenario.transaction_stream(200))
         without_gc = BatchPlanner(
             initial=scenario.initial_state(), n_workers=4,
-            batch_size=16, lookahead=lookahead, deterministic=True,
+            batch_size=16, lookahead=lookahead,
             gc_enabled=False,
         )
         n = without_gc.run(scenario.transaction_stream(200))
@@ -403,58 +405,6 @@ class TestDriverContract:
         assert report.cc_aborts == 0
         assert report.invariant_ok
         assert report.metrics.lookahead == 2
-
-    @pytest.mark.parametrize("lookahead", [1, 2])
-    @pytest.mark.parametrize("scenario, params", [
-        ("sharded-bank", {"cross_fraction": 0.1, "hot_fraction": 0.2}),
-        ("read-mostly", {"read_fraction": 0.9, "hot_fraction": 0.6}),
-    ])
-    def test_wall_clock_run_decides_what_a_deterministic_one_does(
-        self, scenario, params, lookahead
-    ):
-        """The E18 streams with ``deterministic=False`` (the config of the
-        ``pipelined-threaded`` perf workload): abort-free, nothing
-        dropped, and the deterministic run's final state and native
-        metrics — the flag only names the trace clock."""
-
-        def run(deterministic):
-            return Database().run(
-                scenario,
-                RunConfig(
-                    mode="pipelined", workers=4, batch_size=64,
-                    lookahead=lookahead, deterministic=deterministic,
-                    seed=11,
-                ),
-                txns=400, n_shards=4, accounts_per_shard=4, seed=5,
-                **params,
-            )
-
-        wall, det = run(False), run(True)
-        assert wall.invariant_ok
-        assert wall.cc_aborts == 0
-        assert wall.committed == wall.submitted == 400
-        assert dict(wall.final_state) == dict(det.final_state)
-        assert det.metrics.as_dict() == {
-            **wall.metrics.as_dict(), "deterministic": True,
-        }
-
-    @pytest.mark.parametrize("lookahead", [0, 2])
-    def test_deterministic_changes_only_the_clock_in_the_report(
-        self, lookahead
-    ):
-        """The report of a wall-clock run is the deterministic run's with
-        the clock named and a txn/s figure added — nothing else moves."""
-        reports = {}
-        for deterministic in (True, False):
-            _, metrics = run_case("abort-heavy", lookahead, deterministic)
-            reports[deterministic] = metrics.report()
-        assert "txn/s" not in reports[True]
-        assert "txn/s" in reports[False]
-        normalized = re.sub(
-            r", \d+ txn/s", "",
-            reports[False].replace("wall clock", "deterministic"),
-        )
-        assert normalized == reports[True]
 
     def test_pipelined_planner_is_the_driver_with_lookahead_1(self):
         """``benchmarks/perf`` wraps ``run`` on whichever class defines

@@ -11,6 +11,7 @@ import pytest
 from repro.engine.errors import EngineError
 from repro.model.schedules import T_INIT
 from repro.model.transactions import Transaction
+from repro.obs import Tracer
 from repro.planner import BatchPlanner
 from repro.planner.executor import (
     COMMITTED,
@@ -25,6 +26,8 @@ from repro.storage.mvstore import MultiversionStore
 from repro.storage.sharded import ShardedMultiversionStore
 from repro.workloads.bank import transfer_program, transfer_transaction
 from repro.workloads.streams import failing_program
+
+from tests.helpers import clocked
 
 
 def run_batch(items, n_shards=2, initial=None):
@@ -325,7 +328,7 @@ def fails_on_call(method, n):
 
 class TestCrashEndsInEngineError:
     """A store fault inside planning or execution ends the run in one
-    :class:`EngineError` chained from the cause — deterministic or not —
+    :class:`EngineError` chained from the cause — on either trace clock —
     never a raw ``ValueError`` (a usage error to the CLI) and never a
     hang."""
 
@@ -347,10 +350,10 @@ class TestCrashEndsInEngineError:
              transfer_program(1))
             for k in range(16)
         ]
-        planner = BatchPlanner(
+        planner = clocked(BatchPlanner(
             initial={f"a{k}": 100 for k in range(4)}, n_workers=2,
-            batch_size=8, deterministic=deterministic,
-        )
+            batch_size=8, tracer=Tracer(capacity=0),
+        ), deterministic)
         raised: list[BaseException] = []
 
         def run() -> None:

@@ -33,10 +33,13 @@ from repro.engine.errors import EngineError
 from repro.model.batching import BatchPlan, PlannedTransaction, ReadBinding
 from repro.model.schedules import T_INIT
 from repro.model.transactions import Transaction
+from repro.obs import Tracer
 from repro.planner import BatchPlanner, driver
 from repro.planner.planning import plan_batch
 from repro.storage.sharded import ShardedMultiversionStore, shard_of
 from repro.workloads.streams import failing_program
+
+from tests.helpers import clocked
 
 
 @dataclass(eq=False)
@@ -249,11 +252,13 @@ def test_one_pass_planner_equals_the_draft_planner(case):
 # -- through the driver: the plan-shape counters ---------------------------
 
 
-def run_with(planner_function, stream, **options):
-    """Drain ``stream`` with ``planner_function`` as the driver's planner."""
-    planner = BatchPlanner(
-        initial={entity: 0 for entity in ENTITIES}, n_workers=2, **options
-    )
+def run_with(planner_function, stream, deterministic=True, **options):
+    """Drain ``stream`` with ``planner_function`` as the driver's planner,
+    traced on the clock a run with this ``deterministic`` gets."""
+    planner = clocked(BatchPlanner(
+        initial={entity: 0 for entity in ENTITIES}, n_workers=2,
+        tracer=Tracer(capacity=0), **options,
+    ), deterministic)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(driver, "plan_batch", planner_function)
         metrics = planner.run(stream)

@@ -36,7 +36,7 @@ def guarded(amount, floor):
 def run_planner(stream, *, initial, batch_size=8, **options):
     planner = BatchPlanner(
         initial=initial, n_workers=2, batch_size=batch_size,
-        deterministic=True, **options,
+        **options,
     )
     metrics = planner.run(stream)
     assert metrics.engine.steps_submitted <= sum(
@@ -129,7 +129,7 @@ class TestCrossBatchRebind:
         )
         planner = BatchPlanner(
             initial=scenario.initial_state(), n_workers=2,
-            batch_size=8, deterministic=True,
+            batch_size=8,
         )
         metrics = planner.run(scenario.transaction_stream(80))
         assert metrics.logic_aborted > 0
@@ -151,7 +151,7 @@ class TestPipelinedGCPins:
         )
         pipelined = BatchPlanner(
             initial=scenario.initial_state(), n_workers=2,
-            batch_size=4, lookahead=3, deterministic=True,
+            batch_size=4, lookahead=3,
             gc_enabled=gc_enabled,
         )
         metrics = pipelined.run(scenario.transaction_stream(100))
@@ -174,12 +174,12 @@ class TestPipelinedGCPins:
         )
         batch = BatchPlanner(
             initial=scenario.initial_state(), n_workers=2,
-            batch_size=4, deterministic=True,
+            batch_size=4,
         )
         batch_metrics = batch.run(scenario.transaction_stream(100))
         pipe = BatchPlanner(
             initial=scenario.initial_state(), n_workers=2,
-            batch_size=4, lookahead=3, deterministic=True,
+            batch_size=4, lookahead=3,
         )
         pipe_metrics = pipe.run(scenario.transaction_stream(100))
         assert pipe_metrics.committed == batch_metrics.committed

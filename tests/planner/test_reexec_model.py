@@ -36,6 +36,7 @@ from hypothesis import strategies as st  # noqa: E402
 from repro.bench import get_suite, run_case
 from repro.model.batching import ReadBinding
 from repro.model.schedules import T_INIT
+from repro.obs import Tracer
 from repro.planner import BatchPlanner
 from repro.planner.executor import COMMITTED, LOGIC_ABORT, PlanExecutor
 from repro.runtime.group_commit import GroupCommitLog
@@ -43,6 +44,8 @@ from repro.storage.executor import write_value
 from repro.storage.mvstore import PlaceholderState
 from repro.workloads.bank import transfer_program, transfer_transaction
 from repro.workloads.streams import failing_program
+
+from tests.helpers import clocked
 
 CASCADE = "cascade"
 
@@ -286,11 +289,14 @@ def test_rebind_equals_the_two_pass_design(lookahead, deterministic, workload):
     options = dict(
         initial={account: 100 for account in accounts}, n_workers=2,
         batch_size=batch_size, lookahead=lookahead,
-        deterministic=deterministic,
     )
-    model = TwoPassPlanner(**options)
+    model = clocked(
+        TwoPassPlanner(tracer=Tracer(capacity=0), **options), deterministic
+    )
     model_metrics = model.run(stream)
-    fast = RecordingPlanner(**options)
+    fast = clocked(
+        RecordingPlanner(tracer=Tracer(capacity=0), **options), deterministic
+    )
     fast_metrics = fast.run(stream)
 
     assert fast.batches == model.batches
@@ -319,7 +325,6 @@ def test_model_really_takes_two_passes():
     ]
     options = dict(
         initial={k: 100 for k in "abcd"}, n_workers=2, batch_size=8,
-        deterministic=True,
     )
     model = TwoPassPlanner(**options)
     first = {}

@@ -13,8 +13,7 @@ clean transfers, unconditional aborts, and *value-dependent* aborts
 (a re-bound reader that aborts in turn, so its own readers re-bind):
 
 * committed set and final state are identical to the oracle — batch and
-  pipelined, with ``deterministic`` on and off (it selects only the
-  trace clock);
+  pipelined, on the wall clock as on the tick;
 * concurrency-control aborts stay zero, and no placeholder survives.
 """
 
@@ -134,7 +133,7 @@ def test_reexec_matches_serial_oracle(workload):
     tracer = Tracer(capacity=None)
     planner = BatchPlanner(
         initial=initial, n_workers=2, batch_size=batch_size,
-        deterministic=True, tracer=tracer,
+        tracer=tracer,
     )
     metrics = planner.run(stream)
 
@@ -157,7 +156,7 @@ def test_pipelined_reexec_matches_serial_oracle(workload):
     tracer = Tracer(capacity=None)
     planner = BatchPlanner(
         initial=initial, n_workers=2, batch_size=batch_size,
-        lookahead=2, deterministic=True, tracer=tracer,
+        lookahead=2, tracer=tracer,
     )
     metrics = planner.run(stream)
 
@@ -178,7 +177,7 @@ def test_wall_clock_matches_serial_oracle(lookahead, workload):
     tracer = Tracer(capacity=None)
     planner = BatchPlanner(
         initial=initial, n_workers=4, batch_size=batch_size,
-        lookahead=lookahead, deterministic=False, tracer=tracer,
+        lookahead=lookahead, tracer=tracer,
     )
     metrics = planner.run(stream)
 

@@ -31,7 +31,7 @@ def observed(scheduler, seed, **runtime):
     tracer = Tracer(capacity=None)
     rt = ShardRuntime(
         scheduler, initial=scenario.initial_state(), n_workers=2,
-        inflight=16, batch_size=4, seed=seed, deterministic=True,
+        inflight=16, batch_size=4, seed=seed,
         tracer=tracer, **runtime,
     )
     metrics = rt.run(scenario.transaction_stream(120))
@@ -45,14 +45,12 @@ def observed(scheduler, seed, **runtime):
         e.args["txn"] for e in tracer.events
         if e.name == "txn.commit" and e.track == "driver"
     ]
-    as_dict = metrics.as_dict()
-    as_dict.pop("deterministic")
-    return data, commits, rt.final_state(), as_dict
+    return data, commits, rt.final_state(), metrics.as_dict()
 
 
 class TestSeeded:
     def test_default_order_owes_nothing(self):
-        rt = ShardRuntime("mvto", n_workers=2, deterministic=True)
+        rt = ShardRuntime("mvto", n_workers=2)
         assert all(worker.owed is None for worker in rt.workers)
 
     @pytest.mark.parametrize("seed", range(3))

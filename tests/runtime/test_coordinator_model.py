@@ -28,6 +28,8 @@ from repro.runtime.dispatch import ShardRuntime, TicketState
 from repro.storage.executor import write_value
 from repro.workloads.registry import scenario_factory
 
+from tests.helpers import tick_clock
+
 
 @dataclass(eq=False)
 class CrossState:
@@ -179,9 +181,8 @@ class StateMachineRuntime(ShardRuntime):
                 ticket.backoff_left -= 1
                 if ticket.backoff_left <= 0:
                     self._launch(ticket)
-                    progress += 1
-                elif self.deterministic:
-                    progress += 1
+                # A round spent backing off counts as progress.
+                progress += 1
         return progress
 
 
@@ -214,12 +215,12 @@ def drive(runtime_class, scheduler, scenario_name, stride, retry):
         initial=scenario.initial_state(),
         n_workers=4,
         batch_size=6,
-        deterministic=True,
         retry=RETRIES[retry](),
         seed=11,
         cross_stride=stride,
         tracer=tracer,
     )
+    tick_clock(tracer, runtime.metrics)
     metrics = runtime.run(scenario.transaction_stream(90))
     return metrics.as_dict(), runtime.final_state(), tracer.events
 

@@ -6,10 +6,12 @@ import pytest
 
 from repro.db import Database, RunConfig
 from repro.engine import EngineError, RetryPolicy
+from repro.obs import Tracer
 from repro.runtime import ShardRuntime, TicketState
 from repro.workloads.inventory import InventoryWorkload
 from repro.workloads.streams import ShardedBankScenario
 
+from tests.helpers import clocked
 from tests.runtime.completion_order import SeededOrder, install
 
 PARTITIONABLE = ["mvto", "si"]
@@ -62,9 +64,11 @@ class TestInvariants:
         self, scheduler, deterministic
     ):
         scenario = mild_scenario()
-        runtime, metrics = run_bank(
-            scenario, scheduler, deterministic=deterministic
-        )
+        runtime = clocked(ShardRuntime(
+            scheduler, initial=scenario.initial_state(), n_workers=4,
+            batch_size=8, seed=11, tracer=Tracer(capacity=0),
+        ), deterministic)
+        metrics = runtime.run(scenario.transaction_stream(120))
         assert scenario.invariant_holds(runtime.final_state())
         check_accounting(metrics)
         assert metrics.committed >= 0.7 * metrics.submitted
@@ -79,7 +83,6 @@ class TestInvariants:
             scenario,
             scheduler,
             n_txns=150,
-            deterministic=True,
             inflight=16,
             batch_size=4,
             cross_stride=1,
@@ -99,7 +102,6 @@ class TestInvariants:
             initial=workload.initial_state(),
             n_workers=4,
             batch_size=6,
-            deterministic=True,
             seed=1,
         )
         metrics = runtime.run(workload.transaction_stream(80))
@@ -117,7 +119,6 @@ class TestDeterminism:
             runtime, metrics = run_bank(
                 scenario,
                 scheduler,
-                deterministic=True,
                 cross_stride=1,
                 inflight=12,
             )
@@ -131,7 +132,6 @@ class TestDeterminism:
             runtime, metrics = run_bank(
                 scenario,
                 "mvto",
-                deterministic=True,
                 cross_stride=1,
                 inflight=12,
                 seed=seed,
@@ -143,7 +143,7 @@ class TestDeterminism:
 class TestTopology:
     def test_partitionable_gets_one_domain_per_worker(self):
         runtime, metrics = run_bank(
-            mild_scenario(), "mvto", deterministic=True
+            mild_scenario(), "mvto"
         )
         assert metrics.effective_domains == 4
         assert len(runtime.workers) == 4
@@ -154,7 +154,7 @@ class TestTopology:
 
     def test_shared_lock_table_collapses_to_one_domain(self):
         runtime, metrics = run_bank(
-            mild_scenario(), "sgt", deterministic=True
+            mild_scenario(), "sgt"
         )
         assert metrics.effective_domains == 1
         assert not metrics.partitionable
@@ -166,7 +166,7 @@ class TestTopology:
     def test_single_worker_runs_everything_locally(self):
         scenario = mild_scenario()
         runtime, metrics = run_bank(
-            scenario, "mvto", n_workers=1, deterministic=True
+            scenario, "mvto", n_workers=1
         )
         assert metrics.cross_shard == 0
         assert metrics.single_shard == metrics.submitted
@@ -176,7 +176,7 @@ class TestTopology:
 class TestGroupCommitEndToEnd:
     def test_batches_respect_batch_size_threshold(self):
         _, metrics = run_bank(
-            mild_scenario(), "mvto", deterministic=True, batch_size=4
+            mild_scenario(), "mvto", batch_size=4
         )
         gc = metrics.group_commit
         assert gc.batches >= metrics.committed / 16
@@ -185,7 +185,7 @@ class TestGroupCommitEndToEnd:
     def test_batch_size_one_is_eager_commit(self):
         scenario = mild_scenario()
         runtime, metrics = run_bank(
-            scenario, "mvto", deterministic=True, batch_size=1
+            scenario, "mvto", batch_size=1
         )
         assert scenario.invariant_holds(runtime.final_state())
         assert metrics.group_commit.batches >= metrics.committed / 16
@@ -198,7 +198,6 @@ class TestGroupCommitEndToEnd:
             scenario,
             "mvto",
             n_txns=150,
-            deterministic=True,
             batch_size=64,  # would starve without forcing
             epoch_max_steps=32,
         )
@@ -209,7 +208,7 @@ class TestGroupCommitEndToEnd:
         assert sum(w["gc_pruned"] for w in metrics.per_worker) > 0
 
     def test_latency_recorded_per_commit(self):
-        _, metrics = run_bank(mild_scenario(), "mvto", deterministic=True)
+        _, metrics = run_bank(mild_scenario(), "mvto")
         assert metrics.latency.count == metrics.committed
         assert metrics.latency.min <= metrics.latency.p95 <= metrics.latency.max
 
@@ -217,7 +216,7 @@ class TestGroupCommitEndToEnd:
 class TestLifecycle:
     def test_runtime_is_single_use(self):
         scenario = mild_scenario()
-        runtime, _ = run_bank(scenario, "mvto", deterministic=True)
+        runtime, _ = run_bank(scenario, "mvto")
         with pytest.raises(EngineError):
             runtime.run(scenario.transaction_stream(1))
 
@@ -227,7 +226,6 @@ class TestLifecycle:
             scenario,
             "mvto",
             n_txns=120,
-            deterministic=True,
             cross_stride=1,
             inflight=16,
             batch_size=4,
@@ -242,7 +240,7 @@ class TestLifecycle:
 
     def test_empty_stream(self):
         runtime = ShardRuntime(
-            "mvto", initial={"x": 0}, n_workers=2, deterministic=True
+            "mvto", initial={"x": 0}, n_workers=2
         )
         metrics = runtime.run(iter(()))
         assert metrics.submitted == 0
@@ -250,7 +248,7 @@ class TestLifecycle:
 
     def test_ticket_states_terminal(self):
         runtime, metrics = run_bank(
-            mild_scenario(), "mvto", deterministic=True
+            mild_scenario(), "mvto"
         )
         assert not runtime._inflight
         assert len(runtime.group_commit) == 0
@@ -389,34 +387,6 @@ def run_e16(scheduler, workers, batch):
 
 
 class TestDeterministicSelectsOnlyTheClock:
-    def test_wall_clock_run_answers_as_its_deterministic_twin(self):
-        """``deterministic`` selects only the clock: a run without it —
-        the default, once threaded — gives the same metrics, commits and
-        final state, differing only in its wall-clock fields."""
-        from repro.obs import Tracer
-
-        def run(deterministic):
-            tracer = Tracer(capacity=None)
-            report = Database().run(
-                "sharded-bank",
-                RunConfig(mode="parallel", deterministic=deterministic,
-                          seed=3, trace=tracer),
-                txns=200, cross_fraction=0.3,
-            )
-            metrics = report.metrics.as_dict()
-            assert metrics.pop("deterministic") is deterministic
-            commits = [e.args for e in tracer.events
-                       if e.name == "txn.commit"]
-            return metrics, commits, report.final_state, report.metrics
-
-        metrics, commits, state, twin = run(True)
-        wall = run(False)
-        assert wall[:3] == (metrics, commits, state)
-        assert twin.elapsed >= 0 and wall[3].elapsed > 0
-        report = wall[3].report()
-        assert "txn/s" in report and "wall clock" in report
-        assert "txn/s" not in twin.report()
-
     def test_runs_on_the_callers_thread(self, monkeypatch):
         """No run starts a thread, whatever ``deterministic`` says."""
         import threading

@@ -47,7 +47,7 @@ def ticket_for(transaction, seq, program=None):
     )
 
 
-def run_to_error(deterministic=True):
+def run_to_error():
     """Run a 60-transaction bank stream on two workers that must fail;
     return its one error, which must come within a 5 s join."""
     scenario = scenario_factory("sharded-bank", cross_fraction=0.5, seed=3)
@@ -55,7 +55,6 @@ def run_to_error(deterministic=True):
         "mvto",
         initial=scenario.initial_state(),
         n_workers=2,
-        deterministic=deterministic,
     )
     outcome = []
 
@@ -274,7 +273,7 @@ class TestFlushAtomicity:
         a = "a"
         b = next(e for e in "bcdefgh" if shard_of(e, 2) != shard_of(a, 2))
         runtime = ShardRuntime(
-            "mvto", initial={a: 0, b: 0}, n_workers=2, deterministic=True,
+            "mvto", initial={a: 0, b: 0}, n_workers=2,
             retry=RetryPolicy(max_attempts=1),
         )
         ticket = ticket_for(
@@ -371,7 +370,7 @@ class TestNoProgress:
         monkeypatch.setattr(
             GroupCommitLog, "plan", lambda self, deps_of: ([], {})
         )
-        error = run_to_error(deterministic=False)
+        error = run_to_error()
         assert str(error) == "runtime made no progress"
 
     @pytest.mark.parametrize("completion_order", range(3), indirect=True)

@@ -387,6 +387,23 @@ class TestRun:
         assert report["mode"] == mode
         assert report["invariant_ok"] is True
 
+    @pytest.mark.parametrize(
+        "mode", ["serial", "parallel", "planner", "pipelined"]
+    )
+    def test_deterministic_text_report_is_byte_identical(
+        self, mode, capsys
+    ):
+        """No wall-clock figure reaches a deterministic text report."""
+        argv = [
+            "run", "--mode", mode, "--scenario", "sharded-bank",
+            "--txns", "50", "--deterministic", "--seed", "9",
+        ]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert "deterministic" in first and "txn/s" not in first
+
     def test_deterministic_output_is_byte_identical(self, capsys):
         argv = [
             "run", "--mode", "parallel", "--scenario", "sharded-bank",
