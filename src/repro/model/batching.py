@@ -66,7 +66,7 @@ class ReadBinding:
         return self.source_txn == self.txn
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class PlannedTransaction:
     """One transaction's fixed place in a batch plan."""
 

@@ -28,7 +28,7 @@ class Op(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, order=False, slots=True)
 class Step:
     """One atomic access: ``R_txn(entity)`` or ``W_txn(entity)``.
 

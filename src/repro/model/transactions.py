@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Mapping
 from repro.model.steps import Entity, Op, Step, TxnId, read, write
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """A finite sequence of read/write steps with a single transaction id.
 

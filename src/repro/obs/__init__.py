@@ -61,11 +61,19 @@ def trace_run(config):
     ``audit``, so ``repro audit PATH`` can certify the file — is
     persisted as JSONL when the ``with`` block exits (also on failure:
     a partial trace of a crashed run is exactly when you want one; the
-    meta header's drop count keeps truncation honest).
+    meta header's drop count keeps truncation honest).  A deterministic
+    run points the tracer at its driver's tick counter
+    (``Tracer.use_clock``); the caller's own tracer is handed back on the
+    clock it came with, so a later run into it is not stamped with this
+    run's last tick.
     """
     trace = config.trace
     if isinstance(trace, Tracer):
-        yield trace
+        clock = trace._clock
+        try:
+            yield trace
+        finally:
+            trace.use_clock(clock)
     elif not config.audit and not isinstance(trace, str):
         yield trace or NULL_TRACER  # unset, or a passed NullTracer
     else:

@@ -41,7 +41,7 @@ from repro.model.schedules import T_INIT
 from repro.model.steps import Entity, TxnId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Version:
     """One version in an entity's chain."""
 
@@ -96,12 +96,23 @@ class PlaceholderVersion(Version):
     versions by identity anyway.
     """
 
+    __slots__ = ("state",)
+
     def __init__(self, entity: Entity, writer: TxnId, position: int) -> None:
         super().__init__(entity, writer, UNWRITTEN, position)
         object.__setattr__(self, "state", PlaceholderState.PENDING)
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+
+    # The slotted base pickles and copies its fields only; carry ``state``.
+    def __getstate__(self) -> tuple[list, PlaceholderState]:
+        return Version.__getstate__(self), self.state
+
+    def __setstate__(self, state: tuple[list, PlaceholderState]) -> None:
+        fields, placeholder_state = state
+        Version.__setstate__(self, fields)
+        object.__setattr__(self, "state", placeholder_state)
 
     @property
     def is_placeholder(self) -> bool:

@@ -107,10 +107,15 @@ class BankWorkload:
     def initial_state(self) -> dict[Entity, int]:
         return {a: self.initial_balance for a in self.accounts}
 
-    def _pick_accounts(self) -> tuple[Entity, Entity]:
-        accounts = self.accounts
+    def _hot_accounts(self, accounts: list[Entity]) -> list[Entity]:
+        return accounts[: max(2, self.n_accounts // 4)]
+
+    def _pick_accounts(
+        self, accounts: list[Entity], hot: list[Entity]
+    ) -> tuple[Entity, Entity]:
+        """A transfer pair; ``accounts`` and ``hot`` are built once per
+        call of :meth:`system` or :meth:`transaction_stream`."""
         if self.hot_fraction > 0 and self._rng.random() < self.hot_fraction:
-            hot = accounts[: max(2, self.n_accounts // 4)]
             pair = self._rng.sample(hot, 2)
         else:
             pair = self._rng.sample(accounts, 2)
@@ -122,15 +127,17 @@ class BankWorkload:
         The returned amounts map only covers transfer transactions;
         audits have no writes, so they need no program.
         """
+        accounts = self.accounts
+        hot = self._hot_accounts(accounts)
         txns = []
         amounts: dict[TxnId, int] = {}
         for k in range(1, self.n_transfers + 1):
-            source, target = self._pick_accounts()
+            source, target = self._pick_accounts(accounts, hot)
             txns.append(transfer_transaction(k, source, target))
             amounts[k] = self._rng.randint(1, 20)
         for k in range(1, self.n_audits + 1):
             width = min(self.audit_width, self.n_accounts)
-            audited = self._rng.sample(self.accounts, width)
+            audited = self._rng.sample(accounts, width)
             txns.append(audit_transaction(f"audit{k}", audited))
         return TransactionSystem.of(txns), amounts
 
@@ -159,15 +166,17 @@ class BankWorkload:
         ``None``).  Conservation holds whatever subset of the stream
         commits, so the invariant check stays valid under abort/retry.
         """
+        accounts = self.accounts
+        hot = self._hot_accounts(accounts)
         audits = 0
         for k in range(1, n_transactions + 1):
             if audit_every and k % audit_every == 0:
                 audits += 1
                 width = min(self.audit_width, self.n_accounts)
-                audited = self._rng.sample(self.accounts, width)
+                audited = self._rng.sample(accounts, width)
                 yield audit_transaction(f"a{audits}", audited), None
                 continue
-            source, target = self._pick_accounts()
+            source, target = self._pick_accounts(accounts, hot)
             amount = self._rng.randint(1, 20)
             yield (
                 transfer_transaction(f"t{k}", source, target),

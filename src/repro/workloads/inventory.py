@@ -74,10 +74,11 @@ class InventoryWorkload:
         return state
 
     def system(self) -> tuple[TransactionSystem, dict[TxnId, Program]]:
+        warehouses = self.warehouses
         txns = []
         programs: dict[TxnId, Program] = {}
         for k in range(1, self.n_orders + 1):
-            warehouse = self._rng.choice(self.warehouses)
+            warehouse = self._rng.choice(warehouses)
             quantity = self._rng.randint(1, 5)
             txns.append(order_transaction(k, warehouse))
             programs[k] = order_program(quantity)
@@ -102,7 +103,8 @@ class InventoryWorkload:
         engine's high-contention stress; reconciliation holds whatever
         subset of the stream commits.
         """
+        warehouses = self.warehouses
         for k in range(1, n_transactions + 1):
-            warehouse = self._rng.choice(self.warehouses)
+            warehouse = self._rng.choice(warehouses)
             quantity = self._rng.randint(1, 5)
             yield order_transaction(f"o{k}", warehouse), order_program(quantity)

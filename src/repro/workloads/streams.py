@@ -167,14 +167,19 @@ class ShardedBankScenario(ShardedAccountsScenario):
             raise ValueError("hot_shards must be in [1, n_shards]")
         super().__post_init__()
 
-    def _pick_pair(self, rng: random.Random) -> tuple[Entity, Entity]:
+    def _hot_accounts(self) -> list[Entity]:
+        """The hot shards' accounts, in layout order."""
+        return [
+            a for bucket in self.by_shard[: self.hot_shards] for a in bucket
+        ]
+
+    def _pick_pair(
+        self, rng: random.Random, hot: Sequence[Entity]
+    ) -> tuple[Entity, Entity]:
+        """A transfer pair; ``hot`` is :meth:`_hot_accounts`, built once
+        per stream by the caller."""
         if self.hot_fraction > 0 and rng.random() < self.hot_fraction:
-            pool = [
-                a
-                for bucket in self.by_shard[: self.hot_shards]
-                for a in bucket
-            ]
-            pair = rng.sample(pool, 2)
+            pair = rng.sample(hot, 2)
         # A single-shard layout has no second shard to cross into:
         # every transfer is shard-local there.
         elif self.n_shards > 1 and rng.random() < self.cross_fraction:
@@ -200,15 +205,17 @@ class ShardedBankScenario(ShardedAccountsScenario):
         engine and the runtime.
         """
         rng = random.Random(f"sharded-bank-stream:{self.seed}")
+        accounts = self.accounts
+        hot = self._hot_accounts()
         audits = 0
         for k in range(1, n_transactions + 1):
             if self.audit_every and k % self.audit_every == 0:
                 audits += 1
-                width = min(self.audit_width, len(self.accounts))
-                audited = rng.sample(self.accounts, width)
+                width = min(self.audit_width, len(accounts))
+                audited = rng.sample(accounts, width)
                 yield audit_transaction(f"a{audits}", audited), None
                 continue
-            source, target = self._pick_pair(rng)
+            source, target = self._pick_pair(rng, hot)
             amount = rng.randint(1, 20)
             yield (
                 transfer_transaction(f"t{k}", source, target),
@@ -269,8 +276,9 @@ class AbortHeavyScenario(ShardedBankScenario):
         abort set — feeds every mode under comparison.
         """
         rng = random.Random(f"abort-heavy-stream:{self.seed}")
+        hot = self._hot_accounts()
         for k in range(1, n_transactions + 1):
-            source, target = self._pick_pair(rng)
+            source, target = self._pick_pair(rng, hot)
             amount = rng.randint(1, 20)
             fails = rng.random() < self.abort_fraction
             yield (
@@ -320,25 +328,29 @@ class ReadMostlyScenario(ShardedAccountsScenario):
     def hot_pool(self) -> list[Entity]:
         return self.accounts[: self.hot_keys]
 
-    def _pick_distinct(self, rng: random.Random, n: int) -> list[Entity]:
+    def _pick_distinct(
+        self,
+        rng: random.Random,
+        n: int,
+        accounts: Sequence[Entity],
+        hot: Sequence[Entity],
+    ) -> list[Entity]:
         """``n`` distinct accounts, each drawn hot-first.
 
         Each slot tries the hot pool with probability ``hot_fraction``
         and falls back to the full account list once the chosen pool has
         no unpicked member left — so the skew saturates gracefully
         instead of rejection-sampling forever when ``hot_fraction`` is
-        high and ``n`` exceeds the hot pool.
+        high and ``n`` exceeds the hot pool.  ``accounts`` and ``hot``
+        (:attr:`accounts`, :attr:`hot_pool`) are built once per stream
+        by the caller, not per pick.
         """
         picked: list[Entity] = []
         for _ in range(n):
-            pool = (
-                self.hot_pool
-                if rng.random() < self.hot_fraction
-                else self.accounts
-            )
+            pool = hot if rng.random() < self.hot_fraction else accounts
             candidates = [a for a in pool if a not in picked]
             if not candidates:
-                candidates = [a for a in self.accounts if a not in picked]
+                candidates = [a for a in accounts if a not in picked]
             picked.append(rng.choice(candidates))
         return picked
 
@@ -352,13 +364,17 @@ class ReadMostlyScenario(ShardedAccountsScenario):
         execution mode under comparison.
         """
         rng = random.Random(f"read-mostly-stream:{self.seed}")
+        # Per call, not cached: the dataclass fields may change between
+        # streams.
+        accounts = self.accounts
+        hot = self.hot_pool
+        width = min(self.read_width, len(accounts))
         for k in range(1, n_transactions + 1):
             if rng.random() < self.read_fraction:
-                width = min(self.read_width, len(self.accounts))
-                audited = self._pick_distinct(rng, width)
+                audited = self._pick_distinct(rng, width, accounts, hot)
                 yield audit_transaction(f"q{k}", audited), None
                 continue
-            source, target = self._pick_distinct(rng, 2)
+            source, target = self._pick_distinct(rng, 2, accounts, hot)
             amount = rng.randint(1, 20)
             yield (
                 transfer_transaction(f"t{k}", source, target),

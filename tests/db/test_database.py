@@ -192,6 +192,36 @@ class TestMetricContract:
         )
 
 
+class TestCallersTracerClock:
+    """A deterministic run stamps the caller's tracer with its driver's
+    tick counter, and hands the tracer back on the clock it came with."""
+
+    @pytest.mark.parametrize("mode", ("parallel",) + PLAN_MODES)
+    def test_wall_clock_run_after_a_deterministic_one(self, mode):
+        tracer = Tracer(capacity=None)
+        Database().run("sharded-bank", small_config(mode, trace=tracer),
+                       txns=40)
+        first = len(tracer.events)
+        Database().run(
+            "sharded-bank",
+            small_config(mode, trace=tracer, deterministic=False),
+            txns=40,
+        )
+        stamps = [e.ts for e in tracer.events[first:]]
+        # Not every event at the deterministic run's last tick.
+        assert len(stamps) > 1 and len(set(stamps)) > 1
+        assert stamps == sorted(stamps)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_caller_clock_restored(self, mode):
+        tracer = Tracer(capacity=None, clock=lambda: -1)
+        Database().run("sharded-bank", small_config(mode, trace=tracer),
+                       txns=20)
+        assert tracer.events[-1].ts >= 0  # the run's own tick clock
+        tracer.instant("db", "probe")
+        assert tracer.events[-1].ts == -1
+
+
 class TestBackendRegistry:
     def test_unknown_backend_lists_choices(self):
         with pytest.raises(ValueError, match="one of"):
