@@ -259,9 +259,11 @@ class PlannerBackend(BackendAdapter):
 
     Same plan, same settle rule and the same zero-CC-abort guarantee in
     both, run on the caller's thread; deterministic runs serialize
-    byte-identically for equal seeds.  ``workers`` is the number of
-    store shards; ``deterministic`` selects only the trace clock and
-    whether the report prints txn/s.
+    byte-identically for equal seeds.  Both run on one
+    :class:`~repro.storage.MultiversionStore`: ``workers`` is accepted and
+    echoed (config, ``workers`` report line) but changes no answer;
+    ``deterministic`` selects only the trace clock and whether the report
+    prints txn/s.
     ``scheduler``/``retry``/``epoch_max_steps``/``gc_every`` cannot
     apply: the plan needs no run-time scheduler, nothing retries
     (nothing CC-aborts), the batch *is* the epoch, and GC runs at every

@@ -37,9 +37,9 @@ class RunConfig:
     mode: str = "serial"
     #: scheduler the online modes wrap (planner plans, needs none).
     scheduler: str | None = None
-    #: parallelism: driver sessions (serial) / shard workers (parallel)
-    #: / store shards (planner family); every mode runs on the caller's
-    #: thread.
+    #: parallelism: driver sessions (serial) / shard workers (parallel);
+    #: the planner family echoes it and plans the same whatever its value.
+    #: Every mode runs on the caller's thread.
     workers: int | None = None
     #: group-commit batch (parallel) / planning batch = epoch (planner).
     batch_size: int | None = None

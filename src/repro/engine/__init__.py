@@ -4,7 +4,7 @@ Where :class:`repro.storage.txn_manager.TransactionManager` treats a
 rejection the paper's way (the whole schedule dies), this subsystem runs
 *open-ended streams*: sessions submit transactions step by step, a
 rejected step aborts just that transaction, and the session retries it
-with backoff.  Versions live in a sharded multiversion store and a
+with backoff.  Versions live in a multiversion store and a
 watermark garbage collector prunes chain prefixes no live reader can
 address.  See :mod:`repro.engine.engine` for the execution model
 (epochs, abort-replay, commit dependencies).

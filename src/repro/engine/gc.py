@@ -11,7 +11,7 @@ it is invisible to current and future reads *except* the newest such
 version per entity, which is exactly the base version a reader positioned
 at the watermark is served.  :meth:`MultiversionStore.prune_before`
 implements that retention rule; the collector orchestrates it across
-entities (and shards) and keeps retention statistics.
+entities and keeps retention statistics.
 
 The engine picks the watermark (the current epoch's start position): reads
 inside an epoch are only ever assigned epoch-local writes or the entity's

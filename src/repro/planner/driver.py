@@ -96,7 +96,7 @@ from repro.planner.executor import (
 )
 from repro.planner.metrics import PlannerMetrics
 from repro.planner.planning import plan_batch
-from repro.storage.sharded import ShardedMultiversionStore
+from repro.storage.mvstore import MultiversionStore
 
 _WRITE = Op.WRITE
 
@@ -162,11 +162,13 @@ class _InFlight:
 
 
 class BatchPlanner:
-    """Plan-then-execute MVCC over a sharded multiversion store.
+    """Plan-then-execute MVCC over one multiversion store.
 
     ``run(stream) -> metrics`` and ``final_state()``; ``lookahead`` is
     how many batches may be planned ahead of the one executing (0 —
     strictly sequential stages; 1 — classic two-stage pipelining).
+    ``n_workers`` is echoed in the metrics and changes nothing that is
+    planned, executed or reported besides.
     """
 
     def __init__(
@@ -185,8 +187,7 @@ class BatchPlanner:
         if lookahead < 0:
             raise ValueError("lookahead must be >= 0")
         self.tracer = tracer
-        #: one store shard per worker.
-        self.store = ShardedMultiversionStore(n_workers, initial)
+        self.store = MultiversionStore(initial)
         self.batch_size = batch_size
         self.lookahead = lookahead
         self.metrics = PlannerMetrics(

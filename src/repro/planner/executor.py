@@ -45,8 +45,7 @@ from repro.model.batching import BatchPlan, PlannedTransaction, ReadBinding
 from repro.model.schedules import T_INIT
 from repro.model.steps import Op, TxnId
 from repro.storage.executor import write_value
-from repro.storage.mvstore import UNWRITTEN, PlaceholderState
-from repro.storage.sharded import ShardedMultiversionStore
+from repro.storage.mvstore import UNWRITTEN, PlaceholderState, VersionStore
 
 #: ``_run_one`` tests these by identity instead of calling the
 #: ``is_read`` / ``decided`` properties once per step of the batch.
@@ -75,9 +74,9 @@ class ExecutionOutcome:
 
 
 class PlanExecutor:
-    """Execute planned batches over the planner's sharded store."""
+    """Execute planned batches over the planner's store."""
 
-    def __init__(self, store: ShardedMultiversionStore) -> None:
+    def __init__(self, store: VersionStore) -> None:
         self.store = store
 
     def execute(

@@ -19,15 +19,15 @@ dependencies, which here never even wait: execution runs in timestamp
 order, so a writer always publishes before its readers run.
 
 Planning is one pass over the batch in (timestamp, step-index) order.
-Each entity's walk state — its owning shard and the source its next
-read is served, the newest slot reserved on it (else its base version),
-with that source's writer — is made at the entity's first touch in the
-batch, so every ``reserve``/``latest`` goes straight to the shard that
-owns the entity.  Visiting the steps in
-timestamp order visits each entity's steps in that order too, so the
-newest slot walked so far is exactly "the newest version written by a
-smaller-or-equal timestamp": both MVTO's read rule and — when the
-writer is the reader itself — the own-write rule.
+Each entity's walk state — the source its next read is served, the
+newest slot reserved on it (else its base version), with that source's
+writer — is made at the entity's first touch in the batch, and every
+``reserve``/``latest`` goes straight to the planner's one store.
+Visiting the steps in timestamp order visits each entity's steps in
+that order too, so the newest slot walked so far is exactly "the
+newest version written by a smaller-or-equal timestamp": both MVTO's
+read rule and — when the writer is the reader itself — the own-write
+rule.
 
 What a plan allocates: one :class:`ReadBinding` per read, one reserved
 slot per write, one walk state per entity touched, and per transaction
@@ -49,8 +49,7 @@ from repro.model.batching import BatchPlan, PlannedTransaction, ReadBinding
 from repro.model.schedules import T_INIT
 from repro.model.steps import Entity, Op
 from repro.model.transactions import Transaction
-from repro.storage.mvstore import MultiversionStore
-from repro.storage.sharded import ShardedMultiversionStore, shard_of
+from repro.storage.mvstore import VersionStore
 
 
 #: The batch loop tests ``step.op`` against this local instead of calling
@@ -61,11 +60,9 @@ _WRITE = Op.WRITE
 class _Walk:
     """One entity's walk state within a batch, made at its first touch."""
 
-    __slots__ = ("store", "source", "writer")
+    __slots__ = ("source", "writer")
 
-    def __init__(self, store: MultiversionStore) -> None:
-        #: the shard that owns the entity.
-        self.store = store
+    def __init__(self) -> None:
         #: what a read of the entity is served next: the newest slot
         #: reserved on it so far, else the committed pre-batch version
         #: (captured at the first read), else None — and its writer.
@@ -75,7 +72,7 @@ class _Walk:
 
 def plan_batch(
     items: Sequence[tuple[Transaction, Callable | None]],
-    store: ShardedMultiversionStore,
+    store: VersionStore,
     first_timestamp: int,
     first_position: int,
     over_placeholders: bool = False,
@@ -104,8 +101,8 @@ def plan_batch(
     """
     if not over_placeholders and store.placeholder_count():
         raise EngineError("plan_batch over unsettled placeholders")
-    shards = store.shards
-    n_shards = store.n_shards
+    reserve = store.reserve
+    latest = store.latest
     walks: dict[Entity, _Walk] = {}
     planned: list[PlannedTransaction] = []
     position = first_position
@@ -122,11 +119,9 @@ def plan_batch(
                 entity = step.entity
                 walk = walks.get(entity)
                 if walk is None:
-                    walk = walks[entity] = _Walk(
-                        shards[shard_of(entity, n_shards)]
-                    )
+                    walk = walks[entity] = _Walk()
                 if step.op is _WRITE:
-                    slot = walk.store.reserve(entity, txn, position)
+                    slot = reserve(entity, txn, position)
                     position += 1
                     walk.source = slot
                     walk.writer = txn
@@ -136,7 +131,7 @@ def plan_batch(
                 if source is None:
                     # Nothing reserved on the entity yet: the newest
                     # chain version is the pre-batch state.
-                    source = walk.source = walk.store.latest(entity)
+                    source = walk.source = latest(entity)
                 writer = walk.writer
                 bindings.append(ReadBinding(txn, index, source, writer))
                 if writer == T_INIT:

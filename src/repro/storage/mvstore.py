@@ -79,6 +79,15 @@ class PlaceholderState(enum.Enum):
 #: value of a placeholder that has not been filled yet.
 UNWRITTEN = object()
 
+#: The frozen fields' slot setters.  The generated ``__init__`` of a
+#: frozen dataclass sets each field through ``object.__setattr__``; a
+#: placeholder — one per planned write — sets its cells through these,
+#: at a third of the cost.
+_set_entity = Version.entity.__set__
+_set_writer = Version.writer.__set__
+_set_value = Version.value.__set__
+_set_position = Version.position.__set__
+
 
 class PlaceholderVersion(Version):
     """A reserved chain slot whose payload arrives at execution time.
@@ -99,8 +108,11 @@ class PlaceholderVersion(Version):
     __slots__ = ("state",)
 
     def __init__(self, entity: Entity, writer: TxnId, position: int) -> None:
-        super().__init__(entity, writer, UNWRITTEN, position)
-        object.__setattr__(self, "state", PlaceholderState.PENDING)
+        _set_entity(self, entity)
+        _set_writer(self, writer)
+        _set_value(self, UNWRITTEN)
+        _set_position(self, position)
+        _set_state(self, PlaceholderState.PENDING)
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -112,7 +124,7 @@ class PlaceholderVersion(Version):
     def __setstate__(self, state: tuple[list, PlaceholderState]) -> None:
         fields, placeholder_state = state
         Version.__setstate__(self, fields)
-        object.__setattr__(self, "state", placeholder_state)
+        _set_state(self, placeholder_state)
 
     @property
     def is_placeholder(self) -> bool:
@@ -129,11 +141,14 @@ class PlaceholderVersion(Version):
     # -- store-internal transitions (go through MultiversionStore) --------
 
     def _fill(self, value: Any) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "state", PlaceholderState.FILLED)
+        _set_value(self, value)
+        _set_state(self, PlaceholderState.FILLED)
 
     def _poison(self) -> None:
-        object.__setattr__(self, "state", PlaceholderState.POISONED)
+        _set_state(self, PlaceholderState.POISONED)
+
+
+_set_state = PlaceholderVersion.state.__set__
 
 
 def _order_key(position: int | None) -> int:
@@ -149,9 +164,10 @@ class VersionStore(Protocol):
     and the planner (:mod:`repro.planner`) are written against exactly
     these members (``tests/storage/test_protocol.py`` walks their source
     to keep it so; ``docs/execution-modes.md`` has the member → caller
-    table).  :class:`MultiversionStore` and
-    :class:`repro.storage.sharded.ShardedMultiversionStore` implement it;
-    semantics are documented on the former.
+    table).  :class:`MultiversionStore` is its one implementation, and
+    its semantics are documented there; the shard runtime's
+    :class:`repro.storage.sharded.ShardedMultiversionStore` is a
+    container of such stores, not one itself.
     """
 
     def install(

@@ -1,22 +1,17 @@
-"""Sharded multiversion store: N independent stores.
+"""The parallel runtime's per-domain stores: N independent stores.
 
 Partitions entities across ``n_shards`` :class:`MultiversionStore` shards
 by a *stable* hash of the entity name (``zlib.crc32`` — Python's builtin
 ``hash`` is salted per process, which would make runs irreproducible).
-Each shard owns its entities outright, so per-entity operations touch a
-single small dict instead of one global one — the layout every later
-scaling step (per-shard engines, per-shard GC, multi-backend) builds on.
-
-It is two things.  To the planner it is the partitioned store: it
-implements :class:`repro.storage.VersionStore` by routing each call to
-the owning shard, and the planning pass finds each entity's owning
-shard through its ``shards`` and ``n_shards``.  To the parallel runtime
-it is the container of per-domain stores: each domain's engine runs on
-``shards[d]`` — a plain :class:`MultiversionStore` — and the dispatcher
-reads ``final_state`` and ``snapshot_stats`` across them.  Everything
-runs on the caller's thread, and a runtime task never overlaps another
-one, so no shard takes a lock and an aggregate always sees every shard
-between tasks.
+Each conflict domain of :class:`repro.runtime.ShardRuntime` runs its
+engine on ``shards[d]`` — a plain :class:`MultiversionStore`, the one
+:class:`repro.storage.VersionStore` — and the dispatcher routes an
+entity with :func:`shard_of` and reads ``final_state`` and
+``snapshot_stats`` across the shards.  The container itself is not a
+store: nothing calls a version operation on it.  Everything runs on the
+caller's thread, and a runtime task never overlaps another one, so no
+shard takes a lock and an aggregate always sees every shard between
+tasks.
 """
 
 # repro: deterministic-contract — equal seeds must yield byte-identical output
@@ -25,22 +20,18 @@ from __future__ import annotations
 
 import functools
 import zlib
-from typing import Any, Iterator
+from typing import Any
 
-from repro.model.steps import Entity, TxnId
-from repro.storage.mvstore import (
-    MultiversionStore,
-    PlaceholderVersion,
-    Version,
-)
+from repro.model.steps import Entity
+from repro.storage.mvstore import MultiversionStore
 
 
 @functools.lru_cache(maxsize=1 << 16)
 def shard_of(entity: Entity, n_shards: int) -> int:
     """Stable shard index of an entity (crc32 of its name).
 
-    Memoised: the store routes every call through here, and a hot entity
-    is hashed once instead of ``str -> encode -> crc32`` per operation.
+    Memoised: the dispatcher routes every step through here, and a hot
+    entity is hashed once instead of ``str -> encode -> crc32`` per step.
     The cache is bounded, so a scan over many cold names cannot grow it.
     """
     return zlib.crc32(str(entity).encode("utf-8")) % n_shards
@@ -64,51 +55,8 @@ class ShardedMultiversionStore:
             MultiversionStore(part) for part in partitioned
         ]
 
-    def shard_for(self, entity: Entity) -> MultiversionStore:
-        """The shard that owns ``entity``."""
-        return self.shards[shard_of(entity, self.n_shards)]
-
-    # -- VersionStore, delegated per entity ---------------------------------
-
-    def install(
-        self, entity: Entity, writer: TxnId, value: Any, position: int
-    ) -> Version:
-        return self.shard_for(entity).install(entity, writer, value, position)
-
-    def remove(self, version: Version) -> None:
-        self.shard_for(version.entity).remove(version)
-
-    def reserve(
-        self, entity: Entity, writer: TxnId, position: int
-    ) -> PlaceholderVersion:
-        return self.shard_for(entity).reserve(entity, writer, position)
-
-    def fill(self, version: PlaceholderVersion, value: Any) -> None:
-        self.shard_for(version.entity).fill(version, value)
-
-    def poison(self, version: PlaceholderVersion) -> None:
-        self.shard_for(version.entity).poison(version)
-
-    def prune_before(self, entity: Entity, watermark: int) -> int:
-        return self.shard_for(entity).prune_before(entity, watermark)
-
-    def latest(self, entity: Entity) -> Version:
-        return self.shard_for(entity).latest(entity)
-
-    def latest_before(self, entity: Entity, position: int) -> Version:
-        return self.shard_for(entity).latest_before(entity, position)
-
-    def entities(self) -> Iterator[Entity]:
-        for shard in self.shards:
-            yield from shard.entities()
-
-    def version_count(self) -> int:
-        return sum(shard.version_count() for shard in self.shards)
-
-    def placeholder_count(self) -> int:
-        return sum(shard.placeholder_count() for shard in self.shards)
-
     def final_state(self) -> dict[Entity, Any]:
+        """Every shard's :meth:`~MultiversionStore.final_state`, merged."""
         state: dict[Entity, Any] = {}
         for shard in self.shards:
             state.update(shard.final_state())
@@ -120,8 +68,8 @@ class ShardedMultiversionStore:
         """Per-shard stats, one row per shard.
 
         ``versions`` counts materialized versions only; in-flight
-        reserved slots appear under ``placeholders`` — the same skip rule
-        as :meth:`version_count`, so the rows always sum to the aggregate.
+        reserved slots appear under ``placeholders`` — each shard's
+        :meth:`~MultiversionStore.version_count` skip rule.
         """
         return [
             {

@@ -17,6 +17,8 @@ from repro.db import (
 )
 from repro.db.backends import _REGISTRY
 from repro.obs import Tracer
+from repro.obs.export import to_jsonl
+from repro.workloads import scenario_factory
 from repro.workloads.streams import ShardedBankScenario
 
 MODES = ("serial", "parallel", "planner", "pipelined")
@@ -190,6 +192,35 @@ class TestMetricContract:
         assert wall.report().replace(rate, "") == det.report().replace(
             ", deterministic) ==", ") =="
         )
+
+
+@pytest.mark.parametrize("mode", PLAN_MODES)
+def test_planner_answers_do_not_depend_on_workers(mode):
+    """The planner family runs on one store: ``workers`` is echoed in
+    the config and the native metrics, and moves nothing else — not the
+    report, the final state, nor a byte of the trace."""
+    scenarios = [
+        scenario_factory(name, seed=3) for name in ("abort-heavy",
+                                                    "read-mostly")
+    ]
+
+    def run(scenario, workers):
+        tracer = Tracer(capacity=None)
+        report = Database().run(
+            scenario,
+            small_config(mode, workers=workers, trace=tracer),
+            txns=300,
+        )
+        answers = report.as_dict()
+        assert answers["config"].pop("workers") == workers
+        assert answers["mode_specific"].pop("workers") == workers
+        return answers, dict(report.final_state), to_jsonl(tracer)
+
+    for scenario in scenarios:
+        first = run(scenario, 1)
+        assert first[0]["committed"] and first[1]
+        for workers in (2, 4, 8):
+            assert run(scenario, workers) == first, (scenario, workers)
 
 
 class TestCallersTracerClock:

@@ -23,15 +23,14 @@ from repro.planner.planning import plan_batch
 from repro.runtime.group_commit import GroupCommitLog
 from repro.storage.executor import execute_serial
 from repro.storage.mvstore import MultiversionStore
-from repro.storage.sharded import ShardedMultiversionStore
 from repro.workloads.bank import transfer_program, transfer_transaction
 from repro.workloads.streams import failing_program
 
 from tests.helpers import clocked
 
 
-def run_batch(items, n_shards=2, initial=None):
-    store = ShardedMultiversionStore(n_shards, initial or {})
+def run_batch(items, initial=None):
+    store = MultiversionStore(initial or {})
     plan = plan_batch(items, store, 0, 0)
     outcome = PlanExecutor(store).execute(plan, 0)
     verify_settled(plan, outcome)
@@ -66,7 +65,7 @@ class TestHappyPath:
                 ]
                 txns.append(Transaction.build(f"t{i}", *steps))
             items = [(t, None) for t in txns]
-            _, outcome, store = run_batch(items, n_shards=3)
+            _, outcome, store = run_batch(items)
             assert set(outcome.fates.values()) == {COMMITTED}
             from repro.model.schedules import Schedule
             serial = execute_serial(
@@ -77,14 +76,10 @@ class TestHappyPath:
 
 
 class TestTimestampOrder:
-    @pytest.mark.parametrize("n_shards", [1, 2, 3])
-    def test_each_transaction_runs_once_whole_in_timestamp_order(
-        self, n_shards
-    ):
+    def test_each_transaction_runs_once_whole_in_timestamp_order(self):
         """Execution is one sequential program over the plan: every
         program is called for one transaction at a time, start to end,
-        each transaction exactly once, in timestamp order — the shard
-        count only partitions planning."""
+        each transaction exactly once, in timestamp order."""
         calls = []
 
         def recorded(txn, program):
@@ -104,8 +99,7 @@ class TestTimestampOrder:
                 recorded(txn, program),
             ))
         plan, outcome, _ = run_batch(
-            items, n_shards=n_shards,
-            initial={f"a{k}": 100 for k in range(4)},
+            items, initial={f"a{k}": 100 for k in range(4)},
         )
         order = [ptxn.txn for ptxn in plan]
         assert [ptxn.timestamp for ptxn in plan] == sorted(
@@ -131,7 +125,7 @@ class TestTimestampOrder:
                 lambda write_index, reads: reads[0],
             ),
         ]
-        store = ShardedMultiversionStore(2, {"a": 100, "x": 100, "y": 0})
+        store = MultiversionStore({"a": 100, "x": 100, "y": 0})
         plan = plan_batch(items, store, 0, 0)
         plan.planned.reverse()
         with pytest.raises(EngineError, match="still pending") as raised:
@@ -249,7 +243,7 @@ class TestPoison:
             ),
         ]
         plan, outcome, store = run_batch(
-            items, n_shards=3, initial={"a": 100, "x": 100, "y": 0},
+            items, initial={"a": 100, "x": 100, "y": 0},
         )
         assert outcome.fates == {
             "t1": COMMITTED, "t2": LOGIC_ABORT, "t3": COMMITTED,
@@ -262,7 +256,7 @@ class TestPoison:
             (transfer_transaction("t1", "a", "b"), self.boom),
             (transfer_transaction("t2", "b", "c"), transfer_program(3)),
         ]
-        store = ShardedMultiversionStore(2, {k: 100 for k in "abc"})
+        store = MultiversionStore({k: 100 for k in "abc"})
         plan = plan_batch(items, store, 0, 0)
         outcome = PlanExecutor(store).execute(plan, 0)
         assert outcome.fates == {"t1": LOGIC_ABORT, "t2": COMMITTED}
@@ -281,7 +275,7 @@ class TestPendingSource:
         by a re-bind past a dead writer above it — ends the batch in an
         :class:`EngineError` naming the entity and the reader, at once,
         never a hang."""
-        store = ShardedMultiversionStore(2, {"x": 100, "y": 0})
+        store = MultiversionStore({"x": 100, "y": 0})
         store.reserve("x", "ghost", 0)
         reader = (
             Transaction.build("t1", ("R", "x"), ("W", "y")),

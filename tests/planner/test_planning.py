@@ -12,11 +12,11 @@ from repro.planner.executor import (
 )
 from repro.planner.planning import plan_batch
 from repro.runtime.group_commit import GroupCommitLog
-from repro.storage.sharded import ShardedMultiversionStore
+from repro.storage.mvstore import MultiversionStore
 
 
-def plan(items, n_shards=4, initial=None):
-    store = ShardedMultiversionStore(n_shards, initial or {})
+def plan(items, initial=None):
+    store = MultiversionStore(initial or {})
     return plan_batch(items, store, 0, 0), store
 
 
@@ -34,7 +34,7 @@ class TestReservation:
         # Positions follow global (timestamp, step) order.
         assert [s.position for s in ptxn.slots] == [0, 1, 2]
         # Chain order of x matches: base, then the two reserved slots.
-        chain = store.shard_for("x").versions("x")
+        chain = store.versions("x")
         assert [v.position for v in chain] == [None, 0, 2]
         assert store.placeholder_count() == 3
         # Reserved slots are not materialized: only x/y initials count.
@@ -132,48 +132,10 @@ class TestBinding:
         assert closure == outcome.committed
 
 
-class TestPartitioning:
-    def txns(self):
-        entities = [f"e{k}" for k in range(12)]
-        txns = []
-        for i in range(8):
-            a, b = entities[i % 12], entities[(i * 5 + 3) % 12]
-            txns.append(
-                (
-                    Transaction.build(
-                        f"t{i}", ("R", a), ("R", b), ("W", a), ("W", b)
-                    ),
-                    None,
-                )
-            )
-        return txns
-
-    def summarize(self, batch):
-        return [
-            (
-                p.txn,
-                p.timestamp,
-                [(b.step_index, b.source_txn) for b in p.bindings],
-                [(s.entity, s.position) for s in p.slots],
-                sorted(p.deps, key=repr),
-            )
-            for p in batch
-        ]
-
-    def test_partition_count_does_not_change_the_plan(self):
-        reference = None
-        for n_shards in (1, 2, 4, 8):
-            batch, _ = plan(self.txns(), n_shards=n_shards)
-            summary = self.summarize(batch)
-            if reference is None:
-                reference = summary
-            assert summary == reference
-
-
 class TestGuards:
     def test_refuses_unsettled_placeholders(self):
         t1 = Transaction.build("A", ("W", "x"))
-        store = ShardedMultiversionStore(2)
+        store = MultiversionStore()
         plan_batch([(t1, None)], store, 0, 0)
         assert store.placeholder_count() == 1
         with pytest.raises(EngineError):
@@ -184,13 +146,15 @@ class TestGuards:
         from the walk's own error, never return a plan whose later
         transactions were left unbound."""
         t1 = Transaction.build("A", ("R", "x"), ("R", "y"), ("W", "x"))
-        store = ShardedMultiversionStore(4, {"x": 1, "y": 2})
-        assert store.shard_for("x") is not store.shard_for("y")
+        store = MultiversionStore({"x": 1, "y": 2})
+        latest = store.latest
 
         def broken(entity):
-            raise KeyError("injected walk bug")
+            if entity == "y":
+                raise KeyError("injected walk bug")
+            return latest(entity)
 
-        store.shard_for("y").latest = broken
+        store.latest = broken
         with pytest.raises(
             EngineError, match="planning walk crashed"
         ) as raised:

@@ -5,10 +5,9 @@ in timestamp order, keeps each entity's walk state in a dict and appends
 every binding and slot where its transaction's lists end, counting the
 plan's shape as it binds.  The claim is that this is the *same function*
 of a batch as the planner it replaced — one ``_Access`` object per step
-bucketed by entity, the entities partitioned by the store's hash, each
-partition walked in sorted order into one ``_Draft`` (two dicts keyed by
-step index) per transaction, a ``sorted`` merge of both dicts after the
-walks — only cheaper.  That planner is kept here, in test code only, as
+bucketed by entity, the entities walked in sorted order into one
+``_Draft`` (two dicts keyed by step index) per transaction, a ``sorted``
+merge of both dicts after the walks — only cheaper.  That planner is kept here, in test code only, as
 :func:`naive_plan_batch`, and Hypothesis drives both over generated
 batches (seeded with the textbook shapes: a read before the reader's own
 write, an own write re-read, an entity written twice by one transaction,
@@ -36,7 +35,7 @@ from repro.model.transactions import Transaction
 from repro.obs import Tracer
 from repro.planner import BatchPlanner, driver
 from repro.planner.planning import plan_batch
-from repro.storage.sharded import ShardedMultiversionStore, shard_of
+from repro.storage.mvstore import MultiversionStore
 from repro.workloads.streams import failing_program
 
 from tests.helpers import clocked
@@ -67,9 +66,10 @@ def naive_plan_batch(
 ):
     """The draft-and-merge planner, verbatim but for its containers (the
     merged bindings and slots are lists, as every consumer now expects),
-    its partition walks, which always run inline — the walk of one
-    entity depends on nothing outside that entity — and the plan's
-    tally, which it derives from its bindings once they are merged."""
+    its entity walks, which run inline in sorted order over one store —
+    the walk of one entity depends on nothing outside that entity — and
+    the plan's tally, which it derives from its bindings once they are
+    merged."""
     if not over_placeholders and store.placeholder_count():
         raise EngineError("plan_batch over unsettled placeholders")
     drafts = []
@@ -89,14 +89,9 @@ def naive_plan_batch(
                 access = _Access(ptxn, index, False, None)
             by_entity.setdefault(step.entity, []).append(access)
 
-    n_partitions = store.n_shards
-    partitions = [[] for _ in range(n_partitions)]
-    for entity in by_entity:
-        partitions[shard_of(entity, n_partitions)].append(entity)
     draft_of = {d.ptxn.txn: d for d in drafts}
-    for p in range(n_partitions):
-        for entity in sorted(partitions[p]):
-            _naive_walk_entity(entity, by_entity[entity], store, draft_of)
+    for entity in sorted(by_entity):
+        _naive_walk_entity(entity, by_entity[entity], store, draft_of)
 
     for draft in drafts:
         ptxn = draft.ptxn
@@ -197,12 +192,10 @@ def shape(plan):
     ]
 
 
-def planned(planner, previous, batch, n_shards):
+def planned(planner, previous, batch):
     """What ``planner`` fixes for ``batch``, planned over the pending
     slots of ``previous`` (if any), and the placeholders it leaves."""
-    store = ShardedMultiversionStore(
-        n_shards, {entity: 0 for entity in ENTITIES}
-    )
+    store = MultiversionStore({entity: 0 for entity in ENTITIES})
     first_position = 0
     before = []
     if previous:
@@ -218,24 +211,22 @@ def planned(planner, previous, batch, n_shards):
     return before, shape(plan), store.placeholder_count()
 
 
-#: ``(previous, batch, n_shards)`` for :func:`planned`.
-planning_cases = st.tuples(
-    st.one_of(st.just([]), batches), batches, st.integers(1, 4)
-)
+#: ``(previous, batch)`` for :func:`planned`.
+planning_cases = st.tuples(st.one_of(st.just([]), batches), batches)
 
 
 @given(case=planning_cases)
-@example(case=([], READ_BEFORE_OWN_WRITE, 2))
-@example(case=([], OWN_WRITE_REREAD, 2))
-@example(case=([], WRITTEN_TWICE, 1))
-@example(case=([], READER_BETWEEN_WRITERS, 3))
-@example(case=(READER_BETWEEN_WRITERS, READ_BEFORE_OWN_WRITE, 2))
-@example(case=(WRITTEN_TWICE, [[("R", "x"), ("R", "y")]], 4))
+@example(case=([], READ_BEFORE_OWN_WRITE))
+@example(case=([], OWN_WRITE_REREAD))
+@example(case=([], WRITTEN_TWICE))
+@example(case=([], READER_BETWEEN_WRITERS))
+@example(case=(READER_BETWEEN_WRITERS, READ_BEFORE_OWN_WRITE))
+@example(case=(WRITTEN_TWICE, [[("R", "x"), ("R", "y")]]))
 @settings(max_examples=120, deadline=None, derandomize=True)
 def test_one_pass_planner_equals_the_draft_planner(case):
-    previous, batch, n_shards = case
-    fast = planned(plan_batch, previous, batch, n_shards)
-    assert fast == planned(naive_plan_batch, previous, batch, n_shards)
+    previous, batch = case
+    fast = planned(plan_batch, previous, batch)
+    assert fast == planned(naive_plan_batch, previous, batch)
     _, (_, transactions), placeholders = fast
     writes = sum(
         kind == "W" for spec in previous + batch for kind, _ in spec
@@ -256,7 +247,7 @@ def run_with(planner_function, stream, deterministic=True, **options):
     """Drain ``stream`` with ``planner_function`` as the driver's planner,
     traced on the clock a run with this ``deterministic`` gets."""
     planner = clocked(BatchPlanner(
-        initial={entity: 0 for entity in ENTITIES}, n_workers=2,
+        initial={entity: 0 for entity in ENTITIES},
         tracer=Tracer(capacity=0), **options,
     ), deterministic)
     with pytest.MonkeyPatch.context() as patch:

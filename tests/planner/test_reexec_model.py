@@ -253,7 +253,7 @@ def chains(store):
     return {
         entity: [
             (version.position, version.writer, version.value)
-            for version in store.shard_for(entity).versions(entity)
+            for version in store.versions(entity)
         ]
         for entity in store.entities()
     }

@@ -8,7 +8,6 @@ import pytest
 from repro.model.schedules import T_INIT
 from repro.storage import mvstore
 from repro.storage.mvstore import MultiversionStore
-from repro.storage.sharded import ShardedMultiversionStore
 
 
 class TestVersionChains:
@@ -61,15 +60,10 @@ class TestChainOrder:
     """Regression: an out-of-order write used to corrupt the chain
     silently; the bisecting lookups rely on the order, so it is refused."""
 
-    @pytest.mark.parametrize(
-        "make", [MultiversionStore, lambda: ShardedMultiversionStore(4)]
-    )
     @pytest.mark.parametrize("write", ["install", "reserve"])
     @pytest.mark.parametrize("position", [5, 4, 0, -1])
-    def test_position_at_or_below_the_tail_is_refused(
-        self, make, write, position
-    ):
-        store = make()
+    def test_position_at_or_below_the_tail_is_refused(self, write, position):
+        store = MultiversionStore()
         store.install("x", "A", "a", 2)
         tail = store.reserve("x", "B", 5)
         args = ("C", "c", position) if write == "install" else ("C", position)

@@ -1,4 +1,4 @@
-"""Placeholder versions: lifecycle, counting, sharded aggregation."""
+"""Placeholder versions: lifecycle and counting."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.storage.mvstore import (
     PlaceholderState,
     UNWRITTEN,
 )
-from repro.storage.sharded import ShardedMultiversionStore
 
 
 class TestLifecycle:
@@ -148,42 +147,3 @@ class TestCounting:
         store.install("x", "A", 2, 0)
         store.reserve("x", "B", 1)
         assert store.final_state() == {"x": 2}
-
-
-class TestShardedAggregation:
-    """Regression: sharded stats use the same skip rule as the shards."""
-
-    def build(self):
-        store = ShardedMultiversionStore(4, {f"e{k}": k for k in range(8)})
-        slots = [
-            store.reserve(f"e{k}", f"w{k}", k) for k in range(8)
-        ]
-        return store, slots
-
-    def test_version_count_and_placeholder_count(self):
-        store, slots = self.build()
-        assert store.version_count() == 8  # initials only
-        assert store.placeholder_count() == 8
-        for slot in slots[:3]:
-            store.fill(slot, 0)
-        assert store.version_count() == 11
-        assert store.placeholder_count() == 5
-
-    def test_snapshot_stats_split_versions_and_placeholders(self):
-        store, slots = self.build()
-        store.fill(slots[0], 0)
-        stats = store.snapshot_stats()
-        assert sum(row["versions"] for row in stats) == store.version_count()
-        assert (
-            sum(row["placeholders"] for row in stats)
-            == store.placeholder_count()
-            == 7
-        )
-
-    def test_final_state_skips_pending_slots(self):
-        store, slots = self.build()
-        store.fill(slots[2], 99)
-        state = store.final_state()
-        assert state["e2"] == 99
-        assert state["e0"] == 0  # pending slot skipped, base shows
-
