@@ -7,7 +7,7 @@ rejected step aborts just that transaction, and the session retries it
 with backoff.  Versions live in a multiversion store and a
 watermark garbage collector prunes chain prefixes no live reader can
 address.  See :mod:`repro.engine.engine` for the execution model
-(epochs, abort-replay, commit dependencies).
+(epochs, abort by retraction, commit dependencies).
 """
 
 from repro.engine.engine import NO_VALUE, OnlineEngine, TxnAttempt, TxnState

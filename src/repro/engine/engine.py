@@ -16,27 +16,26 @@ Mechanics
   asks the driver to stop admitting new transactions; once in-flight ones
   drain, the epoch closes: scheduler reset, log cleared, GC run.  Epochs
   bound scheduler state (the undo journal included), version retention
-  and the longest suffix an abort can have to replay.
+  and the longest suffix an abort can have to re-submit.
 
-* **Abort and replay.**  Schedulers have no abort operation — rejection
-  kills them — but they are on-line testers: their state, and every
-  version they assigned, is a function of the accepted prefix alone.  So
-  the engine removes the aborted transaction's steps from the log (and
-  its versions from the store), notes the first log position it removed
-  (``cut``), has the scheduler :meth:`~Scheduler.truncate` to the state
-  it had after ``log[:cut]`` — which also revives it — and re-submits
-  only the surviving suffix ``log[cut:]``.  An abort costs the steps
-  after the aborted attempt's first one, not the epoch.  The suffix is
-  then *verified*: each of its reads must still be served the identical
-  version object.  Reads before ``cut`` need no check: their sources
-  precede them, so both lie in the untouched prefix.  A suffix read whose
-  source changed (it had read from the aborted transaction, directly or
-  through scheduler reassignment), or a suffix step the scheduler now
-  rejects, cascades: that attempt aborts too, which can only lower
-  ``cut``, and the replay repeats.  Committed transactions may never be
-  touched by this — the commit rule below makes that an invariant, and
-  the engine raises :class:`EngineError` rather than silently revoking a
-  commit.
+* **Abort by retraction.**  Schedulers have no abort operation —
+  rejection kills them — but they are on-line testers: their state, and
+  every version they assigned, is a function of the accepted prefix
+  alone.  So the engine removes the aborted transaction's steps from the
+  log (and its versions from the store) and hands the scheduler the
+  removed positions: :meth:`~Scheduler.retract` leaves it as if it had
+  accepted only the surviving log, which also revives it.  MVTO and SGT
+  drop the doomed transactions' versions, timestamps, graph nodes and
+  arcs in place and re-decide nobody; any other scheduler truncates to
+  the first removed position and re-submits the survivors after it.  A
+  survivor that re-submission rejects cascades: that attempt aborts too
+  and the next round retracts it.  Every reader of a doomed version is
+  in the doomed set already (the cascade follows ``readers``), so each
+  survivor keeps the version it was served; a survivor found reading a
+  removed version is a bookkeeping bug and raises.  Committed
+  transactions may never be touched by this — the commit rule below
+  makes that an invariant, and the engine raises :class:`EngineError`
+  rather than silently revoking a commit.
 
 * **Commit dependencies.**  A transaction that finished all its steps is
   only *durably* committed once every transaction it read from has
@@ -278,8 +277,8 @@ class OnlineEngine:
                 # the exact version served (positions are globally
                 # unique per track), ``writer`` the transaction that
                 # installed it — T0 for pre-trace initial versions.
-                # Replay never re-emits and committed reads are
-                # identity-verified, so for committed attempts this
+                # An abort never re-emits, and a survivor keeps the
+                # version it was served, so for committed attempts this
                 # record is final.
                 tracer.instant(
                     "data", "txn.read", self.trace_track,
@@ -473,15 +472,34 @@ class OnlineEngine:
         return entry.version, entry.attempt
 
     def _abort_cascade(self, root: TxnAttempt, reason: str) -> None:
-        """Abort ``root`` plus every uncommitted reader, then replay."""
-        self._replay(self._doom(root, reason))
+        """Abort ``root`` plus every uncommitted reader; retract them.
+
+        Each round retracts the doomed steps from the scheduler.  One
+        that re-submits the survivors may reject one of them: that
+        (still uncommitted) attempt is doomed too and the next round
+        retracts it; a committed one is an engine bug and raises.
+        """
+        removed = self._doom(root, reason)
+        scheduler = self.scheduler
+        while True:
+            self.metrics.replays += 1
+            rejected = scheduler.retract(removed)
+            if rejected is None:
+                break
+            attempt = self.log[rejected].attempt
+            if attempt.state is TxnState.COMMITTED:
+                raise EngineError(
+                    f"replay rejected a step of committed transaction "
+                    f"{attempt.txn!r}"
+                )
+            removed = self._doom(attempt, "replay-rejected")
         self._finalize_ready()
 
-    def _doom(self, root: TxnAttempt, reason: str) -> int:
+    def _doom(self, root: TxnAttempt, reason: str) -> list[int]:
         """Mark the cascade closure of ``root`` aborted; strip its traces.
 
-        Returns the smallest log index it removed (the log's length when
-        the closure had no accepted step): the log before it is untouched.
+        Returns the log positions it removed, in order: the survivors
+        move down over them, as :meth:`Scheduler.retract` moves its own.
         """
         doomed: set[TxnAttempt] = set()
         stack = [root]
@@ -497,6 +515,7 @@ class OnlineEngine:
             doomed.add(attempt)
             stack.extend(attempt.readers)
         cut = len(self.log)
+        lost: set[int] = set()
         # Oldest-first: per-attempt work is order-independent, but the
         # trace events are not — set order varies across processes.
         for attempt in sorted(doomed, key=lambda a: a.seq):
@@ -528,73 +547,34 @@ class OnlineEngine:
                 self.metrics.aborted_cascade += 1
             for version in attempt.versions:
                 self.store.remove(version)
+                lost.add(id(version))
             for dep in attempt.deps:
                 dep.readers.discard(attempt)
             attempt.deps.clear()
             attempt.readers.clear()
         self._live -= doomed
         self._pending -= doomed
-        survivors = [e for e in self.log[cut:] if e.attempt not in doomed]
+        log = self.log
+        suffix = log[cut:]
+        removed = [
+            position for position, entry in enumerate(suffix, cut)
+            if entry.attempt in doomed
+        ]
+        survivors = [e for e in suffix if e.attempt not in doomed]
         for position, entry in enumerate(survivors, cut):
+            attempt = entry.attempt
             # Entries only move down; an attempt's first one is met first.
-            if position < entry.attempt.first:
-                entry.attempt.first = position
-        self.log[cut:] = survivors
-        return cut
-
-    def _replay(self, cut: int) -> None:
-        """Bring the scheduler back in line with the log from ``cut`` on.
-
-        ``log[:cut]`` is what the scheduler accepted before the first
-        removed step, so its state after that prefix — and every read
-        source it committed there — still stands: truncate to it and
-        re-submit only the surviving suffix, verifying the suffix's
-        reads.  A replay rejection or a changed read source dooms that
-        (still uncommitted) attempt too, which can only lower ``cut``,
-        and the replay restarts; committed attempts hitting either case
-        is an engine bug and raises.
-        """
-        scheduler = self.scheduler
-        while True:
-            self.metrics.replays += 1
-            scheduler.truncate(cut)
-            rejected = None
-            for entry in self.log[cut:]:
-                if not scheduler.submit(entry.step):
-                    rejected = entry.attempt
-                    break
-            if rejected is not None:
-                if rejected.state is TxnState.COMMITTED:
-                    raise EngineError(
-                        f"replay rejected a step of committed transaction "
-                        f"{rejected.txn!r}"
-                    )
-                cut = min(cut, self._doom(rejected, "replay-rejected"))
-                continue
-            invalidated = self._verify_reads(cut)
-            if not invalidated:
-                return
-            for attempt in invalidated:
-                cut = min(cut, self._doom(attempt, "read-invalidated"))
-
-    def _verify_reads(self, cut: int) -> set[TxnAttempt]:
-        """Attempts whose reads from ``cut`` on are served other versions."""
-        source_of_read = self.scheduler.source_of_read
-        bad: set[TxnAttempt] = set()
-        for position, entry in enumerate(self.log[cut:], cut):
-            if entry.step.is_write:
-                continue
-            version, _owner = self._resolve_source(
-                source_of_read(position), entry.step.entity
-            )
-            if version is not entry.read_version:
-                if entry.attempt.state is TxnState.COMMITTED:
-                    raise EngineError(
-                        f"replay changed a read of committed transaction "
-                        f"{entry.attempt.txn!r}"
-                    )
-                bad.add(entry.attempt)
-        return bad
+            if position < attempt.first:
+                attempt.first = position
+            if lost and id(entry.read_version) in lost:
+                # The readers closure dooms every reader of a doomed
+                # version: a survivor here is a bookkeeping bug.
+                raise EngineError(
+                    f"abort left {attempt.state.value} transaction "
+                    f"{attempt.txn!r} reading a removed version"
+                )
+        log[cut:] = survivors
+        return removed
 
     # -- commit machinery --------------------------------------------------
 

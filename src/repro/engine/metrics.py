@@ -78,7 +78,8 @@ class EngineMetrics:
     attempts: int = 0
     committed: int = 0
     #: abort roots by cause; cascaded counts attempts dragged down by a
-    #: root abort (dirty read from it, or read invalidated by replay).
+    #: root abort (a dirty read from it, or a step the scheduler rejected
+    #: when the survivors were re-submitted).
     aborted_rejected: int = 0
     aborted_deadlock: int = 0
     aborted_cascade: int = 0
@@ -95,6 +96,7 @@ class EngineMetrics:
     steps_submitted: int = 0
     steps_rejected: int = 0
     epochs_closed: int = 0
+    #: repair rounds of aborts: one :meth:`Scheduler.retract` each.
     replays: int = 0
     #: wall-clock seconds of the driving run (set by the driver).
     elapsed: float = 0.0

@@ -39,9 +39,11 @@ class Scheduler(abc.ABC):
 
     #: Whether ``_accept`` journals *every* mutation it makes (through
     #: :meth:`_on_undo` and the journaled dict/set operations beside it,
-    #: or by appending the inverse to ``_undo_log`` itself),
-    #: so that :meth:`truncate` can undo steps instead of re-deriving the
-    #: prefix.  A fact about the class's code, not an option to set.
+    #: or by appending the inverse to ``_undo_log`` itself) — the read
+    #: sources in ``_assignments`` aside, which :meth:`truncate` drops
+    #: by position, and whatever :meth:`_forget_reads` undoes — so that
+    #: :meth:`truncate` can undo steps instead of re-deriving the prefix.
+    #: A fact about the class's code, not an option to set.
     journaled: bool = False
 
     #: Whether ``_accept`` chooses the source of each read it accepts and
@@ -66,7 +68,11 @@ class Scheduler(abc.ABC):
         #: undo journal: the inverse ``(fn, args)`` of every mutation a
         #: journaling ``_accept`` made, oldest first (see :meth:`truncate`).
         self._undo_log: list[tuple] = []
-        #: ``_marks[i]`` = journal length before accepted step ``i``.
+        #: the first accepted position the journal covers: an in-place
+        #: :meth:`retract` starts a new journal after the survivors.
+        self._journal_start = 0
+        #: ``_marks[i]`` = journal length before accepted step
+        #: ``_journal_start + i``.
         self._marks: list[int] = []
 
     # -- core protocol ---------------------------------------------------
@@ -86,17 +92,14 @@ class Scheduler(abc.ABC):
             self._marks.append(mark)
             if self.chooses_versions:
                 return True
-            # Record the standard source, journaled as ``_set`` would.
-            # A read's position is new: truncation unwinds the positions
-            # it drops, so the inverse is always ``pop``.
+            # Record the standard source.  A read's is dropped with its
+            # position (:meth:`truncate`); a write's is journaled.
             position = len(self.accepted_steps) - 1
             entity, last_write = step.entity, self._last_write
-            journal = self._undo_log
             if step.op is _READ:
-                assignments = self._assignments
-                assignments[position] = last_write.get(entity, T_INIT)
-                journal.append((assignments.pop, (position,)))
+                self._assignments[position] = last_write.get(entity, T_INIT)
                 return True
+            journal = self._undo_log
             if entity in last_write:
                 journal.append(
                     (last_write.__setitem__, (entity, last_write[entity]))
@@ -125,6 +128,7 @@ class Scheduler(abc.ABC):
         self.accepted_steps = []
         self.dead = False
         self._undo_log = []
+        self._journal_start = 0
         self._marks = []
         self._assignments = {}
         self._last_write = {}
@@ -148,17 +152,25 @@ class Scheduler(abc.ABC):
         undo journal to the mark of step ``n``, which costs the steps
         undone; any other re-derives the state — reset, then re-submit
         ``accepted_steps[:n]`` — which costs the prefix and is the
-        reference the journaled schedulers are tested against.
+        reference the journaled schedulers are tested against.  So does a
+        journaled one asked for a prefix its journal no longer covers
+        (one an in-place :meth:`retract` rewrote).
         """
         if not 0 <= n <= len(self.accepted_steps):
             raise ValueError(
                 f"truncate({n}) with {len(self.accepted_steps)} accepted steps"
             )
-        if self.journaled:
-            if n < len(self._marks):
-                self._unwind(self._marks[n])
-                del self._marks[n:]
-                del self.accepted_steps[n:]
+        if self.journaled and n >= self._journal_start:
+            kept = n - self._journal_start
+            if kept < len(self._marks):
+                reads = self._reads_from(n)
+                self._forget_reads(reads)
+                self._unwind(self._marks[kept])
+                del self._marks[kept:]
+                # Read sources go with their positions: not journaled.
+                for position in reads:
+                    self._assignments.pop(position, None)
+            del self.accepted_steps[n:]
             self.dead = False
             return
         prefix = self.accepted_steps[:n]
@@ -169,6 +181,121 @@ class Scheduler(abc.ABC):
                     f"{self.name}: truncate({n}) re-submitted the accepted "
                     f"prefix and {step} was rejected"
                 )
+
+    # -- retraction ----------------------------------------------------------
+
+    def retract(self, removed: list[int]) -> int | None:
+        """Forget the accepted steps at the sorted positions ``removed``.
+
+        ``removed`` holds every step of a set of transactions, closed
+        under reads-from: no surviving read was served a removed write.
+        Afterwards the scheduler cannot be told apart from one truncated
+        to the first removed position (``cut``) that re-submitted the
+        surviving ``accepted_steps[cut:]``: the same accepted steps, read
+        sources and decisions on any continuation, and a dead scheduler
+        is alive again.  Survivors move down by the number of removed
+        positions below them, as they do in the online engine's log.
+
+        This default *is* truncate plus re-submit.  It returns the
+        position of the first survivor it rejects, or None.  A rejection
+        leaves the scheduler dead after the survivors before that one,
+        with ``accepted_steps`` still listing every survivor: the next
+        ``retract`` must remove the rejected step, so it cuts at or below
+        it and re-submits the rest.  A scheduler whose state can drop a
+        transaction in place overrides this (MVTO, SGT) and rejects none.
+        """
+        cut = removed[0] if removed else len(self.accepted_steps)
+        gone = set(removed)
+        survivors = [
+            step
+            for position, step in enumerate(self.accepted_steps[cut:], cut)
+            if position not in gone
+        ]
+        self.truncate(cut)
+        for position, step in enumerate(survivors, cut):
+            if not self.submit(step):
+                self.accepted_steps.extend(survivors[position - cut:])
+                return position
+        return None
+
+    def _retract_log(self, removed: list[int]) -> dict[Source, int]:
+        """What every in-place :meth:`retract` does to the base state.
+
+        Drops the removed steps, their read sources and their
+        transactions' step counts, restores each entity's last write to
+        its last surviving one, moves every survivor above the cut down
+        over the removed positions below it, and starts a new journal
+        after the survivors.  Returns old position -> new for each
+        surviving write above the cut.  One pass over the suffix.
+        """
+        self.dead = False
+        if not removed:
+            return {}
+        steps = self.accepted_steps
+        cut = removed[0]
+        gone = set(removed)
+        seen, last_write = self._seen, self._last_write
+        if seen:
+            for position in removed:
+                seen.pop(steps[position].txn, None)
+        if last_write:
+            for position in removed:
+                entity = steps[position].entity
+                if last_write.get(entity) != position:
+                    continue
+                # The doomed wrote last: fall back to the last survivor.
+                position -= 1
+                while position >= 0:
+                    step = steps[position]
+                    if (
+                        step.entity == entity and step.op is not _READ
+                        and position not in gone
+                    ):
+                        last_write[entity] = position
+                        break
+                    position -= 1
+                else:
+                    del last_write[entity]
+        # Ascending, so each new key is free: everything between it and
+        # its old one has moved already.  A source precedes its read.
+        assignments = self._assignments
+        moved: dict[Source, int] = {}
+        new = cut
+        for position in range(cut, len(steps)):
+            source = assignments.pop(position, None)
+            if position in gone:
+                continue
+            if source is not None:
+                assignments[new] = moved.get(source, source)
+            elif steps[position].op is not _READ:
+                moved[position] = new
+            new += 1
+        for entity, position in last_write.items():
+            if position > cut:
+                last_write[entity] = moved[position]
+        for position in reversed(removed):
+            del steps[position]
+        # The journal undoes steps that are gone: a new one starts after
+        # the survivors, and ``truncate`` re-derives any shorter prefix.
+        self._undo_log = []
+        self._marks = []
+        self._journal_start = len(steps)
+        return moved
+
+    def _forget_reads(self, reads: list[int]) -> None:
+        """Undo what the accepted reads at ``reads`` (last first) did
+        outside the journal, before :meth:`truncate` unwinds it.  The
+        default has nothing to undo."""
+
+    def _reads_from(self, cut: int) -> list[int]:
+        """The read positions from ``cut`` on that have a source, last
+        first: the source map holds them in ascending order."""
+        tail = []
+        for position in reversed(self._assignments):
+            if position < cut:
+                break
+            tail.append(position)
+        return tail
 
     def _on_undo(self, fn, *args) -> None:
         """Journal ``fn(*args)`` as the inverse of a mutation just made."""
@@ -234,9 +361,9 @@ class Scheduler(abc.ABC):
         first-seen at different relative positions per shard.  Priming
         hands every shard the same dispatcher-assigned sequence number, so
         all shards realize one global serialization order.  Primes survive
-        :meth:`reset` and :meth:`truncate` (abort-replay must re-derive
-        identical decisions) and are dropped only by :meth:`clear_primes`
-        at epoch boundaries.
+        :meth:`reset`, :meth:`truncate` and :meth:`retract` (a re-derived
+        prefix must decide identically) and are dropped only by
+        :meth:`clear_primes` at epoch boundaries.
         The default is a no-op: schedulers that don't order by arrival
         need no priming.
         """
@@ -258,7 +385,7 @@ class Scheduler(abc.ABC):
 
         The position of the sourcing write within ``accepted_steps``, or
         ``T_INIT`` — never "unspecified".  O(1): the online engine
-        (:mod:`repro.engine`) asks it of every read it accepts or replays.
+        (:mod:`repro.engine`) asks it of every read it accepts.
         """
         return self._assignments[position]
 

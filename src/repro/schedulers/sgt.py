@@ -15,6 +15,11 @@ transaction's descendants — a one-node search for a transaction that has
 only been preceded so far, the common case — and no search at all for a
 step that adds no arc.  The step decides first and mutates after, so the
 journal holds only what accepted steps changed.
+
+An aborted transaction is retracted in place (:meth:`retract`): its node
+leaves with every arc at it, and it leaves the reader and writer lists.
+What remains is the conflict graph of the surviving steps, which is what
+re-submitting them would build.
 """
 
 from __future__ import annotations
@@ -91,3 +96,20 @@ class SGTScheduler(Scheduler):
             entry.append(txn)
             journal.append((entry.pop, ()))
         return True
+
+    def retract(self, removed: list[int]) -> None:
+        """Drop the doomed transactions' nodes, arcs and list entries."""
+        steps, graph = self.accepted_steps, self._graph
+        for position in removed:
+            step = steps[position]
+            txn, entity = step.txn, step.entity
+            if txn in graph:
+                graph.remove_node(txn)
+            bucket = self._readers if step.op is _READ else self._writers
+            entry = bucket.get(entity)
+            if entry is not None and txn in entry:
+                entry.remove(txn)
+                if not entry:
+                    del bucket[entity]
+        self._retract_log(removed)
+        return None

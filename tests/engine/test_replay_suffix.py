@@ -1,11 +1,14 @@
-"""Suffix-only abort replay: same runs as whole-prefix replay, fewer decisions.
+"""Abort by retraction: same runs as whole-prefix replay, fewer decisions.
 
-An engine abort truncates the scheduler to the first removed log position
-and re-submits only what survives after it.  The reference here is the
-same scheduler classes declared ``journaled = False``, which sends
-``truncate`` down the whole-prefix path (reset, re-submit) — what the
-engine did on every abort before ``truncate`` existed.  Both must produce the same run, byte
-for byte; only the number of scheduler decisions may differ.
+An engine abort retracts the doomed steps from the scheduler
+(``Scheduler.retract``): MVTO and SGT drop them in place, the others
+truncate to the first removed log position and re-submit what survives
+after it.  The reference here is the same scheduler classes declared
+``journaled = False`` and keeping the base-class ``retract``, which sends
+every abort down the whole-prefix path (reset, re-submit the survivors) —
+what the engine did on every abort before ``truncate`` existed.  Both
+must produce the same run, byte for byte; only the number of scheduler
+decisions may differ.
 """
 
 import pytest
@@ -29,28 +32,34 @@ from repro.schedulers import (
     TwoPhaseLocking,
     TwoVersionTwoPL,
 )
+from repro.schedulers.base import Scheduler
 from repro.workloads import scenario_factory
 from repro.workloads.bank import BankWorkload
 
 
 class RefMVTO(MVTOScheduler):
     journaled = False
+    retract = Scheduler.retract
 
 
 class RefSI(SnapshotIsolationScheduler):
     journaled = False
+    retract = Scheduler.retract
 
 
 class Ref2V2PL(TwoVersionTwoPL):
     journaled = False
+    retract = Scheduler.retract
 
 
 class Ref2PL(TwoPhaseLocking):
     journaled = False
+    retract = Scheduler.retract
 
 
 class RefSGT(SGTScheduler):
     journaled = False
+    retract = Scheduler.retract
 
 
 REFERENCE = {
@@ -129,9 +138,10 @@ def test_same_run_as_whole_prefix_replay(case, scheduler, monkeypatch):
 
 def test_an_abort_costs_the_tail_not_the_epoch():
     """bank, 8 accounts, 4 sessions, 400 transactions, mvto: every step is
-    decided once when submitted, plus the few that follow an aborted
-    attempt's first step — not the epoch's whole log per abort (≈19
-    decisions per submitted step before suffix replay)."""
+    decided once, when submitted.  An abort retracts the doomed steps in
+    place and decides nothing again — not the steps after the aborted
+    attempt's first one (suffix replay), nor the epoch's whole log
+    (≈19 decisions per submitted step before that)."""
     decisions = []
 
     class Counting(MVTOScheduler):
@@ -149,7 +159,7 @@ def test_an_abort_costs_the_tail_not_the_epoch():
     assert workload.invariant_holds(engine.store.final_state())
     assert metrics.aborted_total > 100  # contended: replay is exercised
     assert metrics.replays >= metrics.aborted_rejected
-    assert len(decisions) <= 2 * metrics.steps_submitted
+    assert len(decisions) == metrics.steps_submitted
 
 
 class CountingLog(list):
@@ -262,9 +272,12 @@ def test_rejected_first_step_revives_the_scheduler():
 
 
 class ForgedScheduler(MVTOScheduler):
-    """MVTO that, once armed, rejects the next write it is shown."""
+    """MVTO that, once armed, rejects the next write it is shown.  It
+    keeps the base-class ``retract`` (truncate + re-submit), the one path
+    on which a survivor can be rejected."""
 
     armed = False
+    retract = Scheduler.retract
 
     def _accept(self, step):
         if self.armed and step.is_write:
@@ -315,3 +328,60 @@ def test_rejection_of_a_committed_attempt_during_replay_raises():
     engine.scheduler.armed = True
     with pytest.raises(EngineError, match="committed"):
         engine.abort_attempt(root)
+
+
+# -- the guard on survivors that read a doomed version ----------------------
+
+
+@pytest.mark.parametrize("commit_reader", [False, True])
+def test_a_reader_missing_from_the_closure_raises(commit_reader):
+    """The readers closure dooms every reader of a doomed version; one it
+    misses (its dependency forged away) would keep a read of a version
+    that is gone, so the abort raises instead — committed or not."""
+    engine = make_engine(scheduler_factory("sgt"))
+    writer = engine.begin("t1", 2)
+    engine.submit(writer, write("t1", "x"))
+    reader = engine.begin("t2", 1)
+    engine.submit(reader, read("t2", "x"))  # a dirty read of t1's x
+    assert reader.deps == {writer}
+    reader.deps.clear()
+    writer.readers.clear()
+    if commit_reader:
+        engine.finish(reader)
+        assert reader.state is TxnState.COMMITTED
+    with pytest.raises(EngineError, match="reading a removed version") as err:
+        engine.abort_attempt(writer)
+    assert ("committed" in str(err.value)) is commit_reader
+
+
+@pytest.mark.parametrize("scheduler", ["mvto", "sgt"])
+def test_a_retraction_leaves_the_scheduler_on_the_compacted_log(scheduler):
+    """After every abort of a contended run, the scheduler's accepted
+    steps are the engine's log and every surviving read is sourced from
+    the version the engine served it."""
+    workload = BankWorkload(n_accounts=4, seed=3)
+    engine = OnlineEngine(
+        scheduler_factory(scheduler), initial=workload.initial_state(),
+        epoch_max_steps=48,
+    )
+    checked = []
+    abort = engine._abort_cascade
+
+    def checked_abort(root, reason):
+        abort(root, reason)
+        sched = engine.scheduler
+        assert sched.accepted_steps == [e.step for e in engine.log]
+        for position, entry in enumerate(engine.log):
+            if entry.step.is_read:
+                version, _owner = engine._resolve_source(
+                    sched.source_of_read(position), entry.step.entity
+                )
+                assert version is entry.read_version
+        checked.append(reason)
+
+    engine._abort_cascade = checked_abort
+    ConcurrentDriver(
+        engine, workload.transaction_stream(200), n_sessions=4, seed=1
+    ).run()
+    assert workload.invariant_holds(engine.store.final_state())
+    assert len(checked) > 20

@@ -18,6 +18,16 @@ Each mutant names the check that kills it: ``drive_both`` against
 truncate model), run over ``test_truncate_model.scripts()`` under a
 derandomized Hypothesis budget.  A mutant its check does not kill fails
 its test: a gap to close, never an ``xfail``.
+
+Two more are the real method recompiled with one statement bent
+(``test_audit.mutated``), killed by ``retract_then_continue`` (retract
+against truncate + re-submit) over ``retraction_scripts()``:
+
+* ``retract-keeps-r-timestamp`` — ``retract`` drops a doomed read from
+  its version's readers but leaves the version's ``max_reader_ts`` at
+  that read's timestamp;
+* ``reissue-freed-timestamp`` — ``_accept`` issues a fresh timestamp as
+  ``len(timestamps)``, which after a retraction is a survivor's.
 """
 
 from bisect import bisect_right
@@ -26,6 +36,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import Phase, find, settings  # noqa: E402
+from hypothesis.errors import NoSuchExample  # noqa: E402
 
 from repro.schedulers import MVTOScheduler  # noqa: E402
 
@@ -36,6 +47,8 @@ from tests.schedulers.test_step_models import (  # noqa: E402
 )
 from tests.schedulers.test_truncate_model import (  # noqa: E402
     mid_chain_insert,
+    retract_then_continue,
+    retraction_scripts,
     scripts,
     truncate_then_continue,
 )
@@ -49,7 +62,7 @@ def first_below(sched, step):
         return _accept(sched, step)
     keys, chain = pair
     stamps = sched._timestamps
-    ts = stamps.get(step.txn, sched._primed.get(step.txn, len(stamps)))
+    ts = stamps.get(step.txn, sched._primed.get(step.txn, sched._clock))
     idx = bisect_right(keys, ts) - 1
     while keys[idx] == ts:
         idx -= 1
@@ -123,6 +136,13 @@ def killed_by_truncate_model(script):
     )
 
 
+def killed_by_retract_model(script):
+    return any(
+        _fails(retract_then_continue, kind, script)
+        for kind in ("mvto", "mvto-primed")
+    )
+
+
 #: mutant -> (its ``_accept``, the check that kills it).
 MUTANTS = {
     "first-below": (first_below, killed_by_step_model),
@@ -164,3 +184,44 @@ def test_a_forgotten_insert_inverse_breaks_the_mid_chain_truncate(
         assert mid_chain_insert(MVTOScheduler()) != 0
     except IndexError:
         assert forgotten == "keys"
+
+
+#: recompiled mutant -> (the patched method, the ``(old, new)`` edit).
+RETRACT_MUTANTS = {
+    "retract-keeps-r-timestamp": (
+        "retract", ("version.max_reader_ts = max(version.readers, default=-1)",
+                    "pass"),
+    ),
+    "reissue-freed-timestamp": (
+        "_accept", ("self._primed.get(txn, self._clock)",
+                    "self._primed.get(txn, len(timestamps))"),
+    ),
+}
+
+
+def install(patch, name, mutate=True):
+    """Set recompiled mutant ``name`` on ``MVTOScheduler`` — or, with
+    ``mutate=False``, its site recompiled unmutated."""
+    # Imported here: test_audit takes BUDGET from this module.
+    from tests.mutants.test_audit import mutated
+
+    attribute, (old, new) = RETRACT_MUTANTS[name]
+    patch.setattr(MVTOScheduler, attribute, mutated(
+        getattr(MVTOScheduler, attribute), old, new if mutate else old
+    ))
+
+
+@pytest.mark.parametrize("name", sorted(RETRACT_MUTANTS))
+def test_the_retract_mutant_is_killed(name, monkeypatch):
+    install(monkeypatch, name)
+    find(retraction_scripts(), killed_by_retract_model, settings=BUDGET)
+
+
+@pytest.mark.parametrize("name", sorted(RETRACT_MUTANTS))
+def test_the_retract_model_passes_the_recompiled_sites(name, monkeypatch):
+    """A check that fired on correct code would kill every mutant; the
+    sites recompiled unmutated must survive a search as long."""
+    install(monkeypatch, name, mutate=False)
+    with pytest.raises(NoSuchExample):
+        find(retraction_scripts(), killed_by_retract_model,
+             settings=settings(BUDGET, max_examples=200))

@@ -18,22 +18,35 @@ Each mutant names the check that kills it: ``drive_both`` against
 truncate model), run over ``test_truncate_model.scripts()`` under a
 derandomized Hypothesis budget.  A mutant its check does not kill fails
 its test: a gap to close, never an ``xfail``.
+
+Two more are ``SGTScheduler.retract`` recompiled with one statement bent
+(``test_audit.mutated``), killed by ``retract_then_continue`` (retract
+against truncate + re-submit) over ``retraction_scripts()``:
+
+* ``retract-keeps-arcs`` — a doomed node leaves the graph's node maps,
+  but its arcs stay in its neighbours' adjacency;
+* ``retract-keeps-reader-entry`` — a doomed transaction stays in the
+  entities' reader lists.
 """
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import find  # noqa: E402
+from hypothesis import find, settings  # noqa: E402
+from hypothesis.errors import NoSuchExample  # noqa: E402
 
 from repro.graphs.digraph import Digraph  # noqa: E402
 from repro.schedulers import SGTScheduler  # noqa: E402
 
+from tests.mutants.test_audit import mutated  # noqa: E402
 from tests.mutants.test_mvto import BUDGET  # noqa: E402
 from tests.schedulers.test_step_models import (  # noqa: E402
     NaiveSGT,
     drive_both,
 )
 from tests.schedulers.test_truncate_model import (  # noqa: E402
+    retract_then_continue,
+    retraction_scripts,
     scripts,
     truncate_then_continue,
 )
@@ -114,6 +127,10 @@ def killed_by_truncate_model(script):
     return _fails(truncate_then_continue, "sgt", script)
 
 
+def killed_by_retract_model(script):
+    return _fails(retract_then_continue, "sgt", script)
+
+
 #: mutant -> (its ``_accept``, the check that kills it).
 MUTANTS = {
     "no-rw-arc": (no_rw_arc, killed_by_step_model),
@@ -138,3 +155,41 @@ def mutant(request, monkeypatch):
 def test_the_mutant_is_killed(mutant):
     # ``find`` raises ``NoSuchExample`` if the mutant survives the budget.
     find(scripts(), mutant, settings=BUDGET)
+
+
+#: recompiled ``retract`` mutant -> its ``(old, new)`` edit.
+RETRACT_MUTANTS = {
+    "retract-keeps-arcs": (
+        "graph.remove_node(txn)",
+        "del graph._succ[txn], graph._pred[txn]",
+    ),
+    "retract-keeps-reader-entry": (
+        "if entry is not None and txn in entry:",
+        "if entry is not None and txn in entry and bucket is self._writers:",
+    ),
+}
+
+
+def install(patch, name, mutate=True):
+    """Set recompiled mutant ``name`` as ``SGTScheduler.retract`` — or,
+    with ``mutate=False``, the method recompiled unmutated."""
+    old, new = RETRACT_MUTANTS[name]
+    patch.setattr(SGTScheduler, "retract", mutated(
+        SGTScheduler.retract, old, new if mutate else old
+    ))
+
+
+@pytest.mark.parametrize("name", sorted(RETRACT_MUTANTS))
+def test_the_retract_mutant_is_killed(name, monkeypatch):
+    install(monkeypatch, name)
+    find(retraction_scripts(), killed_by_retract_model, settings=BUDGET)
+
+
+@pytest.mark.parametrize("name", sorted(RETRACT_MUTANTS))
+def test_the_retract_model_passes_the_recompiled_sites(name, monkeypatch):
+    """A check that fired on correct code would kill every mutant; the
+    method recompiled unmutated must survive a search as long."""
+    install(monkeypatch, name, mutate=False)
+    with pytest.raises(NoSuchExample):
+        find(retraction_scripts(), killed_by_retract_model,
+             settings=settings(BUDGET, max_examples=200))

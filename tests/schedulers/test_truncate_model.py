@@ -7,6 +7,12 @@ continuation.  The five engine schedulers undo by journal
 (``journaled = True``); ``mvcg-eager`` keeps the base-class default
 (reset and re-submit) and rides along as the fallback.  The fresh instance
 never truncates, so it is the reference for both.
+
+``retract`` is checked the same way against its definition: dropping a
+set of transactions (closed under reads-from) must leave what truncating
+to their first step and re-submitting the survivors leaves.  MVTO and SGT
+retract in place; the others keep the base-class default, which is that
+definition, and ride along.
 """
 
 import pytest
@@ -129,6 +135,161 @@ def truncate_then_continue(kind: str, script) -> None:
 @given(script=scripts())
 def test_truncate_then_continue_equals_fresh_prefix_then_continue(kind, script):
     truncate_then_continue(kind, script)
+
+
+# -- retract == truncate + re-submit ----------------------------------------
+
+
+@st.composite
+def retraction_scripts(draw):
+    """(lengths, primes, first stream, [(doom mask, continuation, cut
+    pick)]).  Each round dooms the transactions the mask picks (closed
+    under reads-from when it is applied), feeds a continuation, then
+    truncates (the pick is resolved against the accepted count)."""
+    lengths, primes, first, _rounds = draw(scripts())
+    rounds = draw(st.lists(
+        st.tuples(st.integers(0, 2 ** len(TXNS) - 1), streams,
+                  st.integers(0, 10)),
+        min_size=1, max_size=3,
+    ))
+    return lengths, primes, first, rounds
+
+
+def doomed_positions(scheduler: Scheduler, txns: set) -> list[int]:
+    """Every position of ``txns`` and of whoever read from them, as the
+    engine's readers closure dooms them."""
+    steps = scheduler.accepted_steps
+    doomed = set(txns)
+    grew = True
+    while grew:
+        grew = False
+        for position, step in enumerate(steps):
+            if step.is_read and step.txn not in doomed:
+                source = scheduler.source_of_read(position)
+                if source != T_INIT and steps[source].txn in doomed:
+                    doomed.add(step.txn)
+                    grew = True
+    return [p for p, step in enumerate(steps) if step.txn in doomed]
+
+
+def truncate_and_resubmit(scheduler: Scheduler, removed: list[int]):
+    """``retract``'s definition, spelled out: the position of the first
+    survivor re-submission rejects, or None."""
+    steps = scheduler.accepted_steps
+    cut = removed[0] if removed else len(steps)
+    survivors = [
+        step for position, step in enumerate(steps)
+        if position >= cut and position not in removed
+    ]
+    scheduler.truncate(cut)
+    for position, step in enumerate(survivors, cut):
+        if not scheduler.submit(step):
+            return position
+    return None
+
+
+def state(scheduler: Scheduler) -> dict:
+    """``observable`` plus what a retraction rewrites: the SGT graph and
+    reader/writer lists, the MVTO chains with each timestamp named by its
+    transaction (timestamps re-issued by a re-submission differ, their
+    order does not)."""
+    out = observable(scheduler)
+    if isinstance(scheduler, SGTScheduler):
+        out["nodes"] = sorted(scheduler._graph.nodes)
+        out["arcs"] = sorted(scheduler._graph.arcs)
+        out["readers"] = scheduler._readers
+        out["writers"] = scheduler._writers
+    if isinstance(scheduler, MVTOScheduler):
+        name = {ts: txn for txn, ts in scheduler._timestamps.items()}
+        name[-1] = None
+        out["chains"] = {
+            entity: [
+                (name.get(key, key), version.source,
+                 name.get(version.max_reader_ts, version.max_reader_ts),
+                 [name.get(ts, ts) for ts in version.readers])
+                for key, version in zip(keys, chain)
+            ]
+            for entity, (keys, chain) in scheduler._chains.items()
+            # an initial version nobody read is an untouched entity
+            if len(chain) > 1 or chain[0].readers
+        }
+    return out
+
+
+def retract_then_continue(kind: str, script) -> None:
+    """Per round: retract a doomed set from one instance, truncate and
+    re-submit on another; then a continuation, then a truncate.  Equal
+    return, decisions and state throughout."""
+    lengths, primes, first, rounds = script
+    live = build(kind, lengths, primes)
+    reference = build(kind, lengths, primes)
+    assert feed(live, first) == feed(reference, first)
+    for mask, continuation, pick in rounds:
+        txns = {txn for bit, txn in enumerate(TXNS) if mask >> bit & 1}
+        removed = doomed_positions(live, txns)
+        rejected = live.retract(removed)
+        assert rejected == truncate_and_resubmit(reference, removed)
+        if rejected is not None:
+            assert live.dead and reference.dead
+            return
+        assert state(live) == state(reference)
+
+        assert feed(live, continuation) == feed(reference, continuation)
+        assert state(live) == state(reference)
+
+        n = pick % (len(live.accepted_steps) + 1)
+        live.truncate(n)
+        reference.truncate(n)
+        assert state(live) == state(reference)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=300, deadline=None)
+@given(script=retraction_scripts())
+def test_retract_equals_truncate_and_resubmit(kind, script):
+    retract_then_continue(kind, script)
+
+
+def test_mvto_retract_lowers_the_r_timestamp_to_the_surviving_reads():
+    sched = MVTOScheduler()
+    assert sched.submit(read("a", "x"))  # a < b < c
+    assert sched.submit(read("b", "y"))
+    assert sched.submit(read("c", "x"))  # x's initial version read at c
+    sched.retract([2])
+    # With c's read gone the largest reader of x is a: b may write x.
+    assert sched.submit(write("b", "x"))
+    assert sched.source_of_read(0) == T_INIT
+
+
+def test_mvto_retract_never_reissues_a_timestamp():
+    sched = MVTOScheduler()
+    assert sched.submit(read("a", "x"))
+    assert sched.submit(read("b", "x"))
+    sched.retract([0])
+    assert sched.submit(read("c", "y"))  # fresh: younger than b
+    assert sched.serialization_order() == ["b", "c"]
+    assert sched.submit(write("c", "x"))
+    # b is older than c, so b reads x's initial version, not c's write.
+    assert sched.submit(read("b", "x"))
+    assert sched.source_of_read(3) == T_INIT
+
+
+def test_truncate_after_retract_rederives_below_the_retraction():
+    """The journal before a retraction undoes steps that are gone: a
+    truncate below it re-derives the prefix, one above it unwinds."""
+    sched = SGTScheduler()
+    assert sched.submit(write("a", "x"))
+    assert sched.submit(read("b", "y"))
+    assert sched.submit(read("c", "x"))  # arc a -> c
+    sched.retract([1])
+    assert sched.accepted_steps == [write("a", "x"), read("c", "x")]
+    assert sched.submit(write("b", "y"))
+    sched.truncate(2)  # unwinds b's write
+    assert sched.accepted_steps == [write("a", "x"), read("c", "x")]
+    assert sched._graph.arcs == [("a", "c")]
+    sched.truncate(1)  # re-derives a's write alone
+    assert sched.accepted_steps == [write("a", "x")]
+    assert sched._graph.arcs == [] and sched._readers == {}
 
 
 # -- the named ways to get a journal wrong, pinned without hypothesis ------
