@@ -342,7 +342,10 @@ class OnlineEngine:
             )
         attempt.state = TxnState.PENDING
         self._pending.add(attempt)
-        self._finalize_ready()
+        # Readiness moves only on a commit, a release or an abort, each
+        # of which finalizes: a held attempt commits nobody by finishing.
+        if not attempt.hold:
+            self._finalize_ready()
         return attempt.state
 
     def run_transaction(
@@ -580,16 +583,22 @@ class OnlineEngine:
 
     def _finalize_ready(self) -> None:
         """Durably commit every pending attempt whose sources committed."""
+        if not self._pending:
+            return
+        # Oldest-first for a deterministic commit (and trace) order; the
+        # fixpoint itself is order-insensitive.  Commits only leave the
+        # pending set, so one sort serves every pass.
+        waiting = [
+            attempt
+            for attempt in sorted(self._pending, key=lambda a: a.seq)
+            if not attempt.hold
+        ]
         progress = True
         while progress:
             progress = False
-            # Oldest-first for a deterministic commit (and trace) order;
-            # the fixpoint itself is order-insensitive.
-            for attempt in sorted(self._pending, key=lambda a: a.seq):
-                if attempt.hold:
-                    continue
-                if all(
-                    dep.state is TxnState.COMMITTED for dep in attempt.deps
+            for attempt in waiting:
+                if attempt.state is not _COMMITTED and all(
+                    dep.state is _COMMITTED for dep in attempt.deps
                 ):
                     self._commit(attempt)
                     progress = True

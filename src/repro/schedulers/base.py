@@ -38,12 +38,14 @@ class Scheduler(abc.ABC):
     shard_partitionable: bool = False
 
     #: Whether ``_accept`` journals *every* mutation it makes (through
-    #: :meth:`_on_undo` and the journaled dict/set operations beside it,
-    #: or by appending the inverse to ``_undo_log`` itself) — the read
-    #: sources in ``_assignments`` aside, which :meth:`truncate` drops
-    #: by position, and whatever :meth:`_forget_reads` undoes — so that
-    #: :meth:`truncate` can undo steps instead of re-deriving the prefix.
-    #: A fact about the class's code, not an option to set.
+    #: :meth:`_on_undo` and the journaled dict/set operations beside it)
+    #: — the read sources in ``_assignments`` aside, which
+    #: :meth:`truncate` drops by position — so that :meth:`truncate` can
+    #: undo steps instead of re-deriving the prefix, and the default
+    #: :meth:`retract` truncates through it (2PL, SI, 2V2PL).  MVTO and
+    #: SGT do not journal: they decide first, mutate after and retract in
+    #: place, so nothing would read a journal of theirs.  A fact about
+    #: the class's code, not an option to set.
     journaled: bool = False
 
     #: Whether ``_accept`` chooses the source of each read it accepts and
@@ -68,11 +70,10 @@ class Scheduler(abc.ABC):
         #: undo journal: the inverse ``(fn, args)`` of every mutation a
         #: journaling ``_accept`` made, oldest first (see :meth:`truncate`).
         self._undo_log: list[tuple] = []
-        #: the first accepted position the journal covers: an in-place
-        #: :meth:`retract` starts a new journal after the survivors.
-        self._journal_start = 0
-        #: ``_marks[i]`` = journal length before accepted step
-        #: ``_journal_start + i``.
+        #: ``_marks[i]`` = journal length before accepted step ``i``.  Kept
+        #: by a :attr:`journaled` scheduler only (empty for any other), whose
+        #: :meth:`truncate` reads it; its :meth:`retract` truncates, so the
+        #: marks stay in step with ``accepted_steps``.
         self._marks: list[int] = []
 
     # -- core protocol ---------------------------------------------------
@@ -89,23 +90,29 @@ class Scheduler(abc.ABC):
         mark = len(self._undo_log)
         if self._accept(step):
             self.accepted_steps.append(step)
-            self._marks.append(mark)
+            # Only a journaled class keeps journal state past the step:
+            # its mark, and the inverse of its last-write update below.
+            journaled = self.journaled
+            if journaled:
+                self._marks.append(mark)
             if self.chooses_versions:
                 return True
             # Record the standard source.  A read's is dropped with its
-            # position (:meth:`truncate`); a write's is journaled.
+            # position (:meth:`truncate`); a write's is journaled, if
+            # the class journals.
             position = len(self.accepted_steps) - 1
             entity, last_write = step.entity, self._last_write
             if step.op is _READ:
                 self._assignments[position] = last_write.get(entity, T_INIT)
                 return True
-            journal = self._undo_log
-            if entity in last_write:
-                journal.append(
-                    (last_write.__setitem__, (entity, last_write[entity]))
-                )
-            else:
-                journal.append((last_write.pop, (entity,)))
+            if journaled:
+                journal = self._undo_log
+                if entity in last_write:
+                    journal.append(
+                        (last_write.__setitem__, (entity, last_write[entity]))
+                    )
+                else:
+                    journal.append((last_write.pop, (entity,)))
             last_write[entity] = position
             return True
         self._unwind(mark)
@@ -128,7 +135,6 @@ class Scheduler(abc.ABC):
         self.accepted_steps = []
         self.dead = False
         self._undo_log = []
-        self._journal_start = 0
         self._marks = []
         self._assignments = {}
         self._last_write = {}
@@ -152,23 +158,18 @@ class Scheduler(abc.ABC):
         undo journal to the mark of step ``n``, which costs the steps
         undone; any other re-derives the state — reset, then re-submit
         ``accepted_steps[:n]`` — which costs the prefix and is the
-        reference the journaled schedulers are tested against.  So does a
-        journaled one asked for a prefix its journal no longer covers
-        (one an in-place :meth:`retract` rewrote).
+        reference the journaled schedulers are tested against.
         """
         if not 0 <= n <= len(self.accepted_steps):
             raise ValueError(
                 f"truncate({n}) with {len(self.accepted_steps)} accepted steps"
             )
-        if self.journaled and n >= self._journal_start:
-            kept = n - self._journal_start
-            if kept < len(self._marks):
-                reads = self._reads_from(n)
-                self._forget_reads(reads)
-                self._unwind(self._marks[kept])
-                del self._marks[kept:]
+        if self.journaled:
+            if n < len(self._marks):
+                self._unwind(self._marks[n])
+                del self._marks[n:]
                 # Read sources go with their positions: not journaled.
-                for position in reads:
+                for position in self._reads_from(n):
                     self._assignments.pop(position, None)
             del self.accepted_steps[n:]
             self.dead = False
@@ -202,7 +203,8 @@ class Scheduler(abc.ABC):
         with ``accepted_steps`` still listing every survivor: the next
         ``retract`` must remove the rejected step, so it cuts at or below
         it and re-submits the rest.  A scheduler whose state can drop a
-        transaction in place overrides this (MVTO, SGT) and rejects none.
+        transaction in place overrides this (MVTO, SGT) and rejects none;
+        such a scheduler keeps no journal (:attr:`journaled` is False).
         """
         cut = removed[0] if removed else len(self.accepted_steps)
         gone = set(removed)
@@ -223,10 +225,11 @@ class Scheduler(abc.ABC):
 
         Drops the removed steps, their read sources and their
         transactions' step counts, restores each entity's last write to
-        its last surviving one, moves every survivor above the cut down
-        over the removed positions below it, and starts a new journal
-        after the survivors.  Returns old position -> new for each
-        surviving write above the cut.  One pass over the suffix.
+        its last surviving one, and moves every survivor above the cut
+        down over the removed positions below it.  Returns old position
+        -> new for each surviving write above the cut.  One pass over the
+        suffix.  It rewrites positions no journal could follow, which is
+        why a scheduler that retracts in place does not journal.
         """
         self.dead = False
         if not removed:
@@ -275,17 +278,7 @@ class Scheduler(abc.ABC):
                 last_write[entity] = moved[position]
         for position in reversed(removed):
             del steps[position]
-        # The journal undoes steps that are gone: a new one starts after
-        # the survivors, and ``truncate`` re-derives any shorter prefix.
-        self._undo_log = []
-        self._marks = []
-        self._journal_start = len(steps)
         return moved
-
-    def _forget_reads(self, reads: list[int]) -> None:
-        """Undo what the accepted reads at ``reads`` (last first) did
-        outside the journal, before :meth:`truncate` unwinds it.  The
-        default has nothing to undo."""
 
     def _reads_from(self, cut: int) -> list[int]:
         """The read positions from ``cut`` on that have a source, last

@@ -17,11 +17,14 @@ length.  A transaction's rewrites of an entity sit next to each other in
 arrival order: the last of them is what any other transaction reads, and
 the one a later write between the two timestamps has to check.
 
-An aborted transaction is retracted in place (:meth:`retract`): its
-versions and timestamp leave, and every version it read falls back to
-the largest timestamp among its surviving readers.  Each version keeps
-its readers' timestamps for that; fresh timestamps come from a counter,
-so a retracted transaction's timestamp is never issued again.
+A step decides first and mutates after, so a rejected step leaves no
+trace, and the scheduler keeps no undo journal.  An aborted transaction
+is retracted in place (:meth:`retract`): its versions and timestamp
+leave, and every version it read falls back to the largest timestamp
+among its surviving readers.  Each version keeps its readers'
+timestamps for that; fresh timestamps come from a counter, so a
+retracted transaction's timestamp is never issued again.  ``truncate``
+re-derives the prefix (the base-class reference path).
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ class MVTOScheduler(Scheduler):
     """Multiversion timestamp ordering with reject-on-invalidation."""
 
     name = "mvto"
-    journaled = True
     chooses_versions = True
     #: Timestamp comparisons only relate accesses to the same entity, so
     #: per-shard MVTO instances with primed (globally agreed) timestamps
@@ -96,7 +98,7 @@ class MVTOScheduler(Scheduler):
 
     def _accept(self, step: Step) -> bool:
         # Decide first: a fresh timestamp and an untouched entity's
-        # initial chain are only stored, journaled, once the step stands.
+        # initial chain are only stored once the step stands.
         txn, entity = step.txn, step.entity
         timestamps = self._timestamps
         fresh = txn not in timestamps
@@ -125,31 +127,24 @@ class MVTOScheduler(Scheduler):
             # after, the last with a smaller timestamp (classic MVTO rule).
             if chain[idx].max_reader_ts > ts:
                 return False
-        journal = self._undo_log
         if fresh:
             timestamps[txn] = ts
             self._clock += 1
-            journal.append((timestamps.pop, (txn,)))
         if pair is None:
             self._chains[entity] = keys, chain
-            journal.append((self._chains.pop, (entity,)))
         position = len(self.accepted_steps)
         if is_read:
             # The latest version at or below ts; a transaction re-reading
             # after several own writes sees its own latest write (arrival
-            # order).  Its source needs no inverse (``truncate`` drops it).
+            # order).
             version = chain[slot - 1]
-            seen = version.max_reader_ts
-            if ts > seen:
-                journal.append((setattr, (version, "max_reader_ts", seen)))
+            if ts > version.max_reader_ts:
                 version.max_reader_ts = ts
-            version.readers.append(ts)  # undone by _forget_reads
+            version.readers.append(ts)
             self._assignments[position] = version.source
             return True
         chain.insert(slot, _Version(position, -1, []))
-        journal.append((chain.pop, (slot,)))
         keys.insert(slot, ts)
-        journal.append((keys.pop, (slot,)))
         return True
 
     def _served(self, position: int) -> _Version:
@@ -160,10 +155,6 @@ class MVTOScheduler(Scheduler):
             return chain[0]
         writer = self._timestamps[steps[source].txn]
         return _version_of(keys, chain, writer, source)
-
-    def _forget_reads(self, reads: list[int]) -> None:
-        for position in reads:  # each the last reader its version has
-            self._served(position).readers.pop()
 
     def retract(self, removed: list[int]) -> None:
         """Drop the doomed transactions' versions, timestamps and reads."""

@@ -13,13 +13,14 @@ already *reaches* one of the new arcs' tails: one stop-at-target search
 per new arc (:meth:`Digraph.would_close_cycle`), bounded by the
 transaction's descendants — a one-node search for a transaction that has
 only been preceded so far, the common case — and no search at all for a
-step that adds no arc.  The step decides first and mutates after, so the
-journal holds only what accepted steps changed.
+step that adds no arc.  The step decides first and mutates after, so a
+rejected step leaves no trace, and the scheduler keeps no undo journal.
 
 An aborted transaction is retracted in place (:meth:`retract`): its node
 leaves with every arc at it, and it leaves the reader and writer lists.
 What remains is the conflict graph of the surviving steps, which is what
-re-submitting them would build.
+re-submitting them would build.  ``truncate`` re-derives the prefix (the
+base-class reference path).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ class SGTScheduler(Scheduler):
     """Incremental conflict-graph tester."""
 
     name = "sgt"
-    journaled = True
     #: A conflict-graph cycle can thread through entities on different
     #: shards; per-shard subgraphs would each be acyclic while the union
     #: is not.  The graph is inherently shared state, so the parallel
@@ -77,24 +77,19 @@ class SGTScheduler(Scheduler):
             if graph.would_close_cycle(tail, txn):
                 return False
         # The step stands: store the node, the arcs and the entry on the
-        # graph's own adjacency, each inverse journaled in place.
-        journal = self._undo_log
+        # graph's own adjacency.
         if txn not in succ:
             succ[txn] = set()
             pred[txn] = preds = set()
-            journal.append((graph.remove_node, (txn,)))
         for tail in tails:
             succ[tail].add(txn)
             preds.add(tail)
-            journal.append((graph.remove_arc, (tail, txn)))
         bucket = self._readers if is_read else self._writers
         entry = bucket.get(entity)
         if entry is None:
             bucket[entity] = [txn]
-            journal.append((bucket.pop, (entity,)))
         elif txn not in entry:
             entry.append(txn)
-            journal.append((entry.pop, ()))
         return True
 
     def retract(self, removed: list[int]) -> None:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.db import Database, RunConfig
 from repro.engine import (
     ConcurrentDriver,
     EngineError,
@@ -14,6 +15,7 @@ from repro.model.transactions import Transaction
 from repro.obs import Tracer, to_jsonl
 from repro.storage.mvstore import MultiversionStore
 from repro.storage.sharded import ShardedMultiversionStore
+from repro.workloads import scenario_factory
 from repro.workloads.bank import (
     BankWorkload,
     transfer_program,
@@ -115,6 +117,47 @@ class TestCommitPath:
         assert shard[0] is container.shards[0]
         assert default[1:] == shard[1:]
         assert container.final_state() == shard[2]
+
+
+class TestHeldFinish:
+    """``finish`` does not finalize for a held attempt: it commits nobody
+    by finishing, and readiness moves only on a commit, a release or an
+    abort, each of which finalizes.  The parallel runtime holds every
+    attempt; its runs must be those of an engine that finalizes on every
+    finish, as it did before the skip."""
+
+    @pytest.mark.parametrize("scheduler", ["mvto", "sgt"])
+    def test_finalizing_after_a_held_finish_changes_nothing(
+        self, scheduler, monkeypatch
+    ):
+        def run():
+            tracer = Tracer(capacity=None)
+            report = Database().run(
+                scenario_factory(
+                    "abort-heavy", seed=5, n_shards=2, accounts_per_shard=2,
+                    abort_fraction=0.2, cross_fraction=0.4,
+                ),
+                RunConfig(mode="parallel", scheduler=scheduler, seed=3,
+                          trace=tracer, workers=2, batch_size=4,
+                          deterministic=True, epoch_max_steps=48),
+                txns=120,
+            )
+            assert report.invariant_ok and report.aborted > 0
+            return report.as_dict(), report.final_state, to_jsonl(tracer)
+
+        skipping = run()
+        finish, held = OnlineEngine.finish, []
+
+        def finalizing(engine, attempt):
+            state = finish(engine, attempt)
+            if attempt.hold:
+                held.append(attempt)
+                engine._finalize_ready()
+            return state
+
+        monkeypatch.setattr(OnlineEngine, "finish", finalizing)
+        assert run() == skipping
+        assert held
 
 
 class TestEpochs:

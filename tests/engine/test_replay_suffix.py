@@ -3,9 +3,10 @@
 An engine abort retracts the doomed steps from the scheduler
 (``Scheduler.retract``): MVTO and SGT drop them in place, the others
 truncate to the first removed log position and re-submit what survives
-after it.  The reference here is the same scheduler classes declared
-``journaled = False`` and keeping the base-class ``retract``, which sends
-every abort down the whole-prefix path (reset, re-submit the survivors) —
+after it.  The reference here is the same scheduler classes keeping the
+base-class ``retract`` and declared ``journaled = False`` (MVTO and SGT
+are not journaled anyway), which sends every abort down the
+whole-prefix path (reset, re-submit the survivors) —
 what the engine did on every abort before ``truncate`` existed.  Both
 must produce the same run, byte for byte; only the number of scheduler
 decisions may differ.
@@ -38,7 +39,6 @@ from repro.workloads.bank import BankWorkload
 
 
 class RefMVTO(MVTOScheduler):
-    journaled = False
     retract = Scheduler.retract
 
 
@@ -58,7 +58,6 @@ class Ref2PL(TwoPhaseLocking):
 
 
 class RefSGT(SGTScheduler):
-    journaled = False
     retract = Scheduler.retract
 
 

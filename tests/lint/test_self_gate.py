@@ -54,8 +54,8 @@ class TestForgedRegressions:
     ):
         source = read(repo_root, ENGINE)
         forged = source.replace(
-            "for attempt in sorted(self._pending, key=lambda a: a.seq):",
-            "for attempt in self._pending:",
+            "for attempt in sorted(self._pending, key=lambda a: a.seq)",
+            "for attempt in self._pending",
         )
         assert forged != source
         report = lint_sources([(ENGINE, forged)], select=["D101"])

@@ -8,26 +8,30 @@ bends one thing it sees or leaves behind:
   version of the last older writer, not its last (the one its younger
   readers are recorded on);
 * ``no-r-timestamp`` — writes ignore ``max_reader_ts``: the
-  ``R-timestamp`` rejection is gone;
-* ``forget-chain-inverse`` / ``forget-keys-inverse`` — an accepted
-  write's insert into the chain, or into its key list, is not journaled,
-  so a truncate leaves it behind.
+  ``R-timestamp`` rejection is gone.
 
-Each mutant names the check that kills it: ``drive_both`` against
-``NaiveMVTO`` (the step model) or ``truncate_then_continue`` (the
-truncate model), run over ``test_truncate_model.scripts()`` under a
-derandomized Hypothesis budget.  A mutant its check does not kill fails
-its test: a gap to close, never an ``xfail``.
+Each names the check that kills it: ``drive_both`` against
+``NaiveMVTO`` (the step model), run over
+``test_truncate_model.scripts()`` under a derandomized Hypothesis
+budget.  A mutant its check does not kill fails its test: a gap to
+close, never an ``xfail``.
 
-Two more are the real method recompiled with one statement bent
-(``test_audit.mutated``), killed by ``retract_then_continue`` (retract
-against truncate + re-submit) over ``retraction_scripts()``:
+Three more are the real method recompiled with one edit
+(``test_audit.mutated``).  Two are killed by ``retract_then_continue``
+(retract against truncate + re-submit) over ``retraction_scripts()``:
 
 * ``retract-keeps-r-timestamp`` — ``retract`` drops a doomed read from
   its version's readers but leaves the version's ``max_reader_ts`` at
   that read's timestamp;
 * ``reissue-freed-timestamp`` — ``_accept`` issues a fresh timestamp as
   ``len(timestamps)``, which after a retraction is a survivor's.
+
+One is killed by ``a_rejected_step_left_a_trace`` (the state before and
+after each rejected ``_accept``) over ``scripts()``.  MVTO keeps no
+journal, so nothing would unwind what a rejected step stored:
+
+* ``timestamp-before-check`` — ``_accept`` stores a fresh timestamp
+  before the write check, so a rejected newcomer keeps it.
 """
 
 from bisect import bisect_right
@@ -42,15 +46,14 @@ from repro.schedulers import MVTOScheduler  # noqa: E402
 
 from tests.schedulers.test_step_models import (  # noqa: E402
     NaiveMVTO,
+    a_rejected_step_left_a_trace,
     build,
     drive_both,
 )
 from tests.schedulers.test_truncate_model import (  # noqa: E402
-    mid_chain_insert,
     retract_then_continue,
     retraction_scripts,
     scripts,
-    truncate_then_continue,
 )
 
 _accept = MVTOScheduler._accept
@@ -93,25 +96,6 @@ def no_r_timestamp(sched, step):
             version.max_reader_ts = ts
 
 
-def forgetting(list_kind):
-    """An ``_accept`` that drops the ``pop`` inverse of an accepted
-    write's insert into the chain (``"chain"``) or its keys."""
-
-    def forget(sched, step):
-        mark = len(sched._undo_log)
-        accepted = _accept(sched, step)
-        journal = sched._undo_log
-        for n in range(len(journal) - 1, mark - 1, -1):
-            fn, _args = journal[n]
-            owner = getattr(fn, "__self__", None)
-            if fn.__name__ == "pop" and isinstance(owner, list):
-                if isinstance(owner[0], int) == (list_kind == "keys"):
-                    del journal[n]
-        return accepted
-
-    return forget
-
-
 def _fails(check, *args):
     try:
         check(*args)
@@ -129,13 +113,6 @@ def killed_by_step_model(script):
     )
 
 
-def killed_by_truncate_model(script):
-    return any(
-        _fails(truncate_then_continue, kind, script)
-        for kind in ("mvto", "mvto-primed")
-    )
-
-
 def killed_by_retract_model(script):
     return any(
         _fails(retract_then_continue, kind, script)
@@ -147,8 +124,6 @@ def killed_by_retract_model(script):
 MUTANTS = {
     "first-below": (first_below, killed_by_step_model),
     "no-r-timestamp": (no_r_timestamp, killed_by_step_model),
-    "forget-chain-inverse": (forgetting("chain"), killed_by_truncate_model),
-    "forget-keys-inverse": (forgetting("keys"), killed_by_truncate_model),
 }
 
 BUDGET = settings(
@@ -172,18 +147,11 @@ def test_the_mutant_is_killed(mutant):
     find(scripts(), mutant, settings=BUDGET)
 
 
-@pytest.mark.parametrize("forgotten", ["chain", "keys"])
-def test_a_forgotten_insert_inverse_breaks_the_mid_chain_truncate(
-    monkeypatch, forgotten
-):
-    """Pinned without Hypothesis: without ``chain.pop(slot)`` a's version
-    is still served, without ``keys.pop(slot)`` the key list outgrows
-    the chain."""
-    monkeypatch.setattr(MVTOScheduler, "_accept", forgetting(forgotten))
-    try:
-        assert mid_chain_insert(MVTOScheduler()) != 0
-    except IndexError:
-        assert forgotten == "keys"
+def killed_by_the_rejected_step_check(script):
+    return any(
+        a_rejected_step_left_a_trace(kind, script)
+        for kind in ("mvto", "mvto-primed")
+    )
 
 
 #: recompiled mutant -> (the patched method, the ``(old, new)`` edit).
@@ -198,14 +166,26 @@ RETRACT_MUTANTS = {
     ),
 }
 
+#: ``timestamp-before-check``: a fresh timestamp stored before the write
+#: check (and not again after it).
+TIMESTAMP_BEFORE_CHECK = (
+    "_accept", ("if not is_read:",
+                "if fresh:\n"
+                "        timestamps[txn] = ts\n"
+                "        self._clock += 1\n"
+                "        fresh = False\n"
+                "    if not is_read:"),
+)
 
-def install(patch, name, mutate=True):
-    """Set recompiled mutant ``name`` on ``MVTOScheduler`` — or, with
-    ``mutate=False``, its site recompiled unmutated."""
+
+def install(patch, site, mutate=True):
+    """Set the recompiled mutant at ``site`` (an ``(attribute, (old,
+    new))`` pair) on ``MVTOScheduler`` — or, with ``mutate=False``, its
+    site recompiled unmutated."""
     # Imported here: test_audit takes BUDGET from this module.
     from tests.mutants.test_audit import mutated
 
-    attribute, (old, new) = RETRACT_MUTANTS[name]
+    attribute, (old, new) = site
     patch.setattr(MVTOScheduler, attribute, mutated(
         getattr(MVTOScheduler, attribute), old, new if mutate else old
     ))
@@ -213,7 +193,7 @@ def install(patch, name, mutate=True):
 
 @pytest.mark.parametrize("name", sorted(RETRACT_MUTANTS))
 def test_the_retract_mutant_is_killed(name, monkeypatch):
-    install(monkeypatch, name)
+    install(monkeypatch, RETRACT_MUTANTS[name])
     find(retraction_scripts(), killed_by_retract_model, settings=BUDGET)
 
 
@@ -221,7 +201,19 @@ def test_the_retract_mutant_is_killed(name, monkeypatch):
 def test_the_retract_model_passes_the_recompiled_sites(name, monkeypatch):
     """A check that fired on correct code would kill every mutant; the
     sites recompiled unmutated must survive a search as long."""
-    install(monkeypatch, name, mutate=False)
+    install(monkeypatch, RETRACT_MUTANTS[name], mutate=False)
     with pytest.raises(NoSuchExample):
         find(retraction_scripts(), killed_by_retract_model,
+             settings=settings(BUDGET, max_examples=200))
+
+
+def test_the_timestamp_mutant_is_killed(monkeypatch):
+    install(monkeypatch, TIMESTAMP_BEFORE_CHECK)
+    find(scripts(), killed_by_the_rejected_step_check, settings=BUDGET)
+
+
+def test_the_rejected_step_check_passes_the_recompiled_site(monkeypatch):
+    install(monkeypatch, TIMESTAMP_BEFORE_CHECK, mutate=False)
+    with pytest.raises(NoSuchExample):
+        find(scripts(), killed_by_the_rejected_step_check,
              settings=settings(BUDGET, max_examples=200))

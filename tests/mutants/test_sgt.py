@@ -7,15 +7,10 @@ bends one thing it sees or leaves behind:
 * ``no-rw-arc`` — a write ignores the entity's readers, so the
   read-write arcs it should add are dropped;
 * ``first-tail-only`` — only the first new tail is searched for a
-  cycle, the others are taken on trust;
-* ``forget-arc-inverse`` — an accepted arc's ``remove_arc`` inverse is
-  not journaled, so a truncate leaves the arc behind;
-* ``forget-bucket-inverse`` — an append to a reader/writer list is not
-  journaled, so a truncated step's transaction still conflicts.
+  cycle, the others are taken on trust.
 
-Each mutant names the check that kills it: ``drive_both`` against
-``NaiveSGT`` (the step model) or ``truncate_then_continue`` (the
-truncate model), run over ``test_truncate_model.scripts()`` under a
+Each names the check that kills it: ``drive_both`` against ``NaiveSGT``
+(the step model), run over ``test_truncate_model.scripts()`` under a
 derandomized Hypothesis budget.  A mutant its check does not kill fails
 its test: a gap to close, never an ``xfail``.
 
@@ -27,6 +22,14 @@ against truncate + re-submit) over ``retraction_scripts()``:
   but its arcs stay in its neighbours' adjacency;
 * ``retract-keeps-reader-entry`` — a doomed transaction stays in the
   entities' reader lists.
+
+And one is ``_accept`` recompiled, killed by
+``a_rejected_step_left_a_trace`` (the state before and after each
+rejected ``_accept``) over ``scripts()``.  SGT keeps no journal, so
+nothing would unwind what a rejected step stored:
+
+* ``entry-before-check`` — the step's reader/writer list entry is
+  stored before the cycle search, so a rejected step leaves it there.
 """
 
 import pytest
@@ -42,13 +45,13 @@ from tests.mutants.test_audit import mutated  # noqa: E402
 from tests.mutants.test_mvto import BUDGET  # noqa: E402
 from tests.schedulers.test_step_models import (  # noqa: E402
     NaiveSGT,
+    a_rejected_step_left_a_trace,
     drive_both,
 )
 from tests.schedulers.test_truncate_model import (  # noqa: E402
     retract_then_continue,
     retraction_scripts,
     scripts,
-    truncate_then_continue,
 )
 
 _accept = SGTScheduler._accept
@@ -83,48 +86,16 @@ def first_tail_only(sched, step):
         del graph.would_close_cycle
 
 
-def forgetting(forgotten):
-    """An ``_accept`` that drops the inverses ``forgotten(fn)`` picks
-    out of what the real one journaled."""
-
-    def forget(sched, step):
-        mark = len(sched._undo_log)
-        accepted = _accept(sched, step)
-        journal = sched._undo_log
-        journal[mark:] = [
-            (fn, args) for fn, args in journal[mark:] if not forgotten(fn)
-        ]
-        return accepted
-
-    return forget
-
-
-def is_arc_inverse(fn):
-    return getattr(fn, "__func__", None) is Digraph.remove_arc
-
-
-def is_append_inverse(fn):
-    return fn.__name__ == "pop" and isinstance(
-        getattr(fn, "__self__", None), list
-    )
-
-
 def _fails(check, *args):
-    # A journal mutant can leave the buckets naming a transaction the
-    # graph no longer holds; the kernel meets that as a ``KeyError``.
     try:
         check(*args)
-    except (AssertionError, KeyError):
+    except AssertionError:
         return True
     return False
 
 
 def killed_by_step_model(script):
     return _fails(drive_both, SGTScheduler(), NaiveSGT(), script)
-
-
-def killed_by_truncate_model(script):
-    return _fails(truncate_then_continue, "sgt", script)
 
 
 def killed_by_retract_model(script):
@@ -135,12 +106,6 @@ def killed_by_retract_model(script):
 MUTANTS = {
     "no-rw-arc": (no_rw_arc, killed_by_step_model),
     "first-tail-only": (first_tail_only, killed_by_step_model),
-    "forget-arc-inverse": (
-        forgetting(is_arc_inverse), killed_by_truncate_model
-    ),
-    "forget-bucket-inverse": (
-        forgetting(is_append_inverse), killed_by_truncate_model
-    ),
 }
 
 
@@ -193,3 +158,35 @@ def test_the_retract_model_passes_the_recompiled_sites(name, monkeypatch):
     with pytest.raises(NoSuchExample):
         find(retraction_scripts(), killed_by_retract_model,
              settings=settings(BUDGET, max_examples=200))
+
+
+#: ``entry-before-check``: the list entry stored before the search.
+ENTRY_BEFORE_CHECK = (
+    "for tail in tails:\n        if graph.would_close_cycle(tail, txn):",
+    "bucket = self._readers if is_read else self._writers\n"
+    "    bucket.setdefault(entity, [])\n"
+    "    if txn not in bucket[entity]:\n"
+    "        bucket[entity].append(txn)\n"
+    "    for tail in tails:\n        if graph.would_close_cycle(tail, txn):",
+)
+
+
+def killed_by_the_rejected_step_check(script):
+    return a_rejected_step_left_a_trace("sgt", script)
+
+
+@pytest.mark.parametrize("mutate", [True, False], ids=["mutant", "unmutated"])
+def test_the_rejected_step_check_kills_the_entry_mutant_only(
+    mutate, monkeypatch
+):
+    """Killed when mutated; the site recompiled unmutated survives."""
+    old, new = ENTRY_BEFORE_CHECK
+    monkeypatch.setattr(SGTScheduler, "_accept", mutated(
+        SGTScheduler._accept, old, new if mutate else old
+    ))
+    if mutate:
+        find(scripts(), killed_by_the_rejected_step_check, settings=BUDGET)
+    else:
+        with pytest.raises(NoSuchExample):
+            find(scripts(), killed_by_the_rejected_step_check,
+                 settings=settings(BUDGET, max_examples=200))

@@ -75,7 +75,7 @@ class TestProtocol:
         assert sv.source_of_read(0) == T_INIT
 
 
-def _snapshot(scheduler):
+def snapshot(scheduler):
     """Everything the scheduler holds, except ``dead`` and the journal."""
     out = {}
     for name, value in vars(scheduler).items():
@@ -128,8 +128,8 @@ class TestRejectionLeavesNoTrace:
         sched = build()
         for step in parse_schedule(accepted):
             assert sched.submit(step)
-        before = _snapshot(sched)
+        before = snapshot(sched)
         (step,) = parse_schedule(rejected)
         assert not sched.submit(step)
         assert sched.dead
-        assert _snapshot(sched) == before
+        assert snapshot(sched) == before

@@ -148,11 +148,17 @@ class TestSGTNeverWalksTheWholeGraph(TestSGT):
 class TestSGTStepCostsWhatItTouches:
     """Counts, not wall-clock: successor sets fetched per step on a
     conflict path of 5 000 transactions (T_k wrote e_k and e_k+1, so
-    T_k -> T_k+1)."""
+    T_k -> T_k+1).
+
+    Each test builds its own path and leaves its probes in it (the two
+    probes of one test touch disjoint state).  A probe cannot be undone
+    in place: ``retract`` drops whole transactions, and a probe is a
+    step of a transaction on the path; ``truncate`` re-derives the prefix
+    and so replaces the counted adjacency."""
 
     N = 5_000
 
-    @pytest.fixture(scope="class")
+    @pytest.fixture
     def path(self):
         sched = SGTScheduler()
         for k in range(self.N):
@@ -163,12 +169,9 @@ class TestSGTStepCostsWhatItTouches:
         return sched
 
     def lookups(self, sched, step, accepted=True):
-        n = len(sched.accepted_steps)
         sched._graph._succ.lookups = 0
         assert sched.submit(step) == accepted
-        counted = sched._graph._succ.lookups
-        sched.truncate(n)
-        return counted
+        return sched._graph._succ.lookups
 
     def test_the_newest_transaction_searches_nothing(self, path):
         # One new arc into a transaction nothing follows: its (empty)

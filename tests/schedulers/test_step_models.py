@@ -32,6 +32,7 @@ from repro.schedulers import MVTOScheduler, SGTScheduler  # noqa: E402
 from repro.schedulers.base import Scheduler  # noqa: E402
 
 from tests.schedulers import test_truncate_model  # noqa: E402
+from tests.schedulers.test_base import snapshot  # noqa: E402
 from tests.schedulers.test_truncate_model import scripts  # noqa: E402
 
 
@@ -163,17 +164,20 @@ def test_mvto_decides_as_the_list_scan_rules(primed, script):
     drive_both(build(MVTOScheduler, primes), build(NaiveMVTO, primes), script)
 
 
-def journal_growth_on_rejections(scheduler, script):
-    """Drive ``script``; per rejected step, the journal entries its
-    decision made (``submit`` unwinds them before it returns)."""
-    growth = []
+def rejections_that_left_a_trace(scheduler, script):
+    """Drive ``script``; the rejected steps whose decision changed
+    anything the scheduler holds (``test_base.snapshot``: every attribute
+    but ``dead`` and the journal, so 2PL's locks and MVTO's timestamps
+    and clock too) — ``_accept`` itself, before ``submit`` could unwind
+    anything or mark the scheduler dead."""
+    traced = []
     decide = scheduler._accept
 
     def watched(step):
-        mark = len(scheduler._undo_log)
+        before = snapshot(scheduler)
         accepted = decide(step)
-        if not accepted:
-            growth.append(len(scheduler._undo_log) - mark)
+        if not accepted and snapshot(scheduler) != before:
+            traced.append(step)
         return accepted
 
     scheduler._accept = watched
@@ -182,18 +186,27 @@ def journal_growth_on_rejections(scheduler, script):
         if pick is not None:
             scheduler.truncate(pick % (len(scheduler.accepted_steps) + 1))
         test_truncate_model.feed(scheduler, stream)
-    return growth
+    return traced
 
 
-@pytest.mark.parametrize("kind", ["mvto", "mvto-primed", "sgt", "2pl"])
-@settings(max_examples=300, deadline=None)
-@given(script=scripts())
-def test_a_rejected_step_journals_nothing(kind, script):
-    """These decide first and mutate after (SI and 2V2PL journal, then
-    unwind: ``submit`` allows both)."""
+#: The schedulers whose ``_accept`` decides first and mutates after.  MVTO
+#: and SGT keep no journal, so nothing would unwind a trace; 2PL journals,
+#: but takes no lock before its conflict checks; SI and 2V2PL journal,
+#: then unwind (``submit`` allows both).
+DECIDE_FIRST = ["mvto", "mvto-primed", "sgt", "2pl"]
+
+
+def a_rejected_step_left_a_trace(kind, script):
     lengths, primes, _first, _rounds = script
     scheduler = test_truncate_model.build(kind, lengths, primes)
-    assert set(journal_growth_on_rejections(scheduler, script)) <= {0}
+    return rejections_that_left_a_trace(scheduler, script) != []
+
+
+@pytest.mark.parametrize("kind", DECIDE_FIRST)
+@settings(max_examples=300, deadline=None)
+@given(script=scripts())
+def test_a_rejected_step_changes_no_state(kind, script):
+    assert not a_rejected_step_left_a_trace(kind, script)
 
 
 def test_mvto_rejects_a_fresh_transaction_before_timestamping_it():
@@ -201,8 +214,8 @@ def test_mvto_rejects_a_fresh_transaction_before_timestamping_it():
     script = ({}, {}, [read("b", "x"), write("a", "x")], [])
     # a's first step is rejected: b, younger, already read x's initial
     # version.  a's timestamp is computed, never stored.
-    assert journal_growth_on_rejections(sched, script) == [0]
-    assert sched.serialization_order() == ["b"]
+    assert rejections_that_left_a_trace(sched, script) == []
+    assert sched.dead and sched.serialization_order() == ["b"]
 
 
 def test_the_streams_reach_rejections_and_rewrites():

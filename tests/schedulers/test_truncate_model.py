@@ -3,10 +3,10 @@
 A scheduler's state is a function of its accepted prefix, so a scheduler
 that was fed a stream, truncated to ``n`` and fed a continuation must be
 indistinguishable from a fresh instance fed ``accepted[:n]`` and the same
-continuation.  The five engine schedulers undo by journal
-(``journaled = True``); ``mvcg-eager`` keeps the base-class default
-(reset and re-submit) and rides along as the fallback.  The fresh instance
-never truncates, so it is the reference for both.
+continuation.  2PL, SI and 2V2PL undo by journal (``journaled =
+True``); MVTO and SGT keep no journal and, like ``mvcg-eager``, take the
+base-class default (reset and re-submit).  The fresh instance never
+truncates, so it is the reference for both.
 
 ``retract`` is checked the same way against its definition: dropping a
 set of transactions (closed under reads-from) must leave what truncating
@@ -275,8 +275,8 @@ def test_mvto_retract_never_reissues_a_timestamp():
 
 
 def test_truncate_after_retract_rederives_below_the_retraction():
-    """The journal before a retraction undoes steps that are gone: a
-    truncate below it re-derives the prefix, one above it unwinds."""
+    """A retraction moves the survivors down; a truncate after it
+    re-derives the surviving prefix, above the retraction or below."""
     sched = SGTScheduler()
     assert sched.submit(write("a", "x"))
     assert sched.submit(read("b", "y"))
@@ -284,7 +284,7 @@ def test_truncate_after_retract_rederives_below_the_retraction():
     sched.retract([1])
     assert sched.accepted_steps == [write("a", "x"), read("c", "x")]
     assert sched.submit(write("b", "y"))
-    sched.truncate(2)  # unwinds b's write
+    sched.truncate(2)  # drops b's write
     assert sched.accepted_steps == [write("a", "x"), read("c", "x")]
     assert sched._graph.arcs == [("a", "c")]
     sched.truncate(1)  # re-derives a's write alone
@@ -292,7 +292,7 @@ def test_truncate_after_retract_rederives_below_the_retraction():
     assert sched._graph.arcs == [] and sched._readers == {}
 
 
-# -- the named ways to get a journal wrong, pinned without hypothesis ------
+# -- the named ways to get a truncate wrong, pinned without hypothesis -----
 
 
 def test_mvto_truncate_restores_max_reader_ts():
