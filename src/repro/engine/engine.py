@@ -15,8 +15,8 @@ Mechanics
   engine's step log).  When the log exceeds ``epoch_max_steps`` the engine
   asks the driver to stop admitting new transactions; once in-flight ones
   drain, the epoch closes: scheduler reset, log cleared, GC run.  Epochs
-  bound scheduler state (the undo journal included), version retention
-  and the longest suffix an abort can have to re-submit.
+  bound scheduler state, version retention and the log suffix an abort
+  walks.
 
 * **Abort by retraction.**  Schedulers have no abort operation —
   rejection kills them — but they are on-line testers: their state, and
@@ -24,15 +24,15 @@ Mechanics
   alone.  So the engine removes the aborted transaction's steps from the
   log (and its versions from the store) and hands the scheduler the
   removed positions: :meth:`~Scheduler.retract` leaves it as if it had
-  accepted only the surviving log, which also revives it.  MVTO and SGT
-  drop the doomed transactions' versions, timestamps, graph nodes and
-  arcs in place and re-decide nobody; any other scheduler truncates to
-  the first removed position and re-submits the survivors after it.  A
-  survivor that re-submission rejects cascades: that attempt aborts too
-  and the next round retracts it.  Every reader of a doomed version is
-  in the doomed set already (the cascade follows ``readers``), so each
-  survivor keeps the version it was served; a survivor found reading a
-  removed version is a bookkeeping bug and raises.  Committed
+  accepted only the surviving log, which also revives it.  Every engine
+  scheduler decides first and drops the doomed transactions in place —
+  versions, timestamps, graph nodes and arcs, locks, snapshots — and
+  re-decides nobody, so one retraction per abort suffices; a
+  ``retract`` that rejects a survivor raises :class:`EngineError`.
+  Every reader of a doomed version is in the doomed set already (the
+  cascade follows ``readers``), so each survivor keeps the version it
+  was served; a survivor found reading a removed version is a
+  bookkeeping bug and raises.  Committed
   transactions may never be touched by this — the commit rule below
   makes that an invariant, and the engine raises :class:`EngineError`
   rather than silently revoking a commit.
@@ -477,25 +477,19 @@ class OnlineEngine:
     def _abort_cascade(self, root: TxnAttempt, reason: str) -> None:
         """Abort ``root`` plus every uncommitted reader; retract them.
 
-        Each round retracts the doomed steps from the scheduler.  One
-        that re-submits the survivors may reject one of them: that
-        (still uncommitted) attempt is doomed too and the next round
-        retracts it; a committed one is an engine bug and raises.
+        One :meth:`Scheduler.retract` drops the doomed steps.  Every
+        engine scheduler retracts in place and rejects no survivor; one
+        that does (the base class's truncate + re-submit can) raises
+        rather than revoke a survivor's decision.
         """
         removed = self._doom(root, reason)
-        scheduler = self.scheduler
-        while True:
-            self.metrics.replays += 1
-            rejected = scheduler.retract(removed)
-            if rejected is None:
-                break
-            attempt = self.log[rejected].attempt
-            if attempt.state is TxnState.COMMITTED:
-                raise EngineError(
-                    f"replay rejected a step of committed transaction "
-                    f"{attempt.txn!r}"
-                )
-            removed = self._doom(attempt, "replay-rejected")
+        self.metrics.replays += 1
+        rejected = self.scheduler.retract(removed)
+        if rejected is not None:
+            raise EngineError(
+                f"{self.scheduler.name}: retract rejected the surviving "
+                f"step at log position {rejected}"
+            )
         self._finalize_ready()
 
     def _doom(self, root: TxnAttempt, reason: str) -> list[int]:

@@ -6,17 +6,29 @@ blocking/retry semantics — a lock conflict is a rejection).  A scheduler's
 output is the paper's pair *(s, V)*: every accepted read has a committed
 source, available through :meth:`Scheduler.version_function`; a
 single-version scheduler is the one whose *V* is the standard function.
+
+There is no undo log: ``_accept`` decides first and mutates after, an
+aborted transaction is dropped in place (:meth:`Scheduler.retract`), and
+:meth:`Scheduler.truncate` re-derives a prefix — the reference.
 """
 
 from __future__ import annotations
 
 import abc
+from bisect import bisect_left
 
 from repro.model.schedules import Schedule, T_INIT
 from repro.model.steps import Entity, Op, Step, TxnId
 from repro.model.version_functions import Source, VersionFunction
 
 _READ = Op.READ
+_NEVER = float("inf")
+
+
+def moved_down(position: int, removed: list[int]) -> int:
+    """Where a surviving ``position`` lands when the sorted positions
+    ``removed`` leave the log: down by the number of them below it."""
+    return position - bisect_left(removed, position)
 
 
 class Scheduler(abc.ABC):
@@ -37,21 +49,10 @@ class Scheduler(abc.ABC):
     #: a shared conflict domain (:mod:`repro.runtime.shared`).
     shard_partitionable: bool = False
 
-    #: Whether ``_accept`` journals *every* mutation it makes (through
-    #: :meth:`_on_undo` and the journaled dict/set operations beside it)
-    #: — the read sources in ``_assignments`` aside, which
-    #: :meth:`truncate` drops by position — so that :meth:`truncate` can
-    #: undo steps instead of re-deriving the prefix, and the default
-    #: :meth:`retract` truncates through it (2PL, SI, 2V2PL).  MVTO and
-    #: SGT do not journal: they decide first, mutate after and retract in
-    #: place, so nothing would read a journal of theirs.  A fact about
-    #: the class's code, not an option to set.
-    journaled: bool = False
-
     #: Whether ``_accept`` chooses the source of each read it accepts and
     #: records it in ``_assignments`` (a multiversion scheduler).  For one
     #: that does not (2PL, SGT, serial), :meth:`submit` records the
-    #: standard source.  Like :attr:`journaled`, a fact about the code.
+    #: standard source.  A fact about the class's code, not an option.
     chooses_versions: bool = False
 
     def __init__(self) -> None:
@@ -67,14 +68,6 @@ class Scheduler(abc.ABC):
         #: online engine registers lengths as sessions begin them.
         self._lengths: dict[TxnId, int] = {}
         self._seen: dict[TxnId, int] = {}
-        #: undo journal: the inverse ``(fn, args)`` of every mutation a
-        #: journaling ``_accept`` made, oldest first (see :meth:`truncate`).
-        self._undo_log: list[tuple] = []
-        #: ``_marks[i]`` = journal length before accepted step ``i``.  Kept
-        #: by a :attr:`journaled` scheduler only (empty for any other), whose
-        #: :meth:`truncate` reads it; its :meth:`retract` truncates, so the
-        #: marks stay in step with ``accepted_steps``.
-        self._marks: list[int] = []
 
     # -- core protocol ---------------------------------------------------
 
@@ -87,55 +80,36 @@ class Scheduler(abc.ABC):
         """
         if self.dead:
             return False
-        mark = len(self._undo_log)
-        if self._accept(step):
-            self.accepted_steps.append(step)
-            # Only a journaled class keeps journal state past the step:
-            # its mark, and the inverse of its last-write update below.
-            journaled = self.journaled
-            if journaled:
-                self._marks.append(mark)
-            if self.chooses_versions:
-                return True
-            # Record the standard source.  A read's is dropped with its
-            # position (:meth:`truncate`); a write's is journaled, if
-            # the class journals.
-            position = len(self.accepted_steps) - 1
-            entity, last_write = step.entity, self._last_write
-            if step.op is _READ:
-                self._assignments[position] = last_write.get(entity, T_INIT)
-                return True
-            if journaled:
-                journal = self._undo_log
-                if entity in last_write:
-                    journal.append(
-                        (last_write.__setitem__, (entity, last_write[entity]))
-                    )
-                else:
-                    journal.append((last_write.pop, (entity,)))
-            last_write[entity] = position
+        if not self._accept(step):
+            self.dead = True
+            return False
+        self.accepted_steps.append(step)
+        if self.chooses_versions:
             return True
-        self._unwind(mark)
-        self.dead = True
-        return False
+        # Record the standard source: each entity's last accepted write.
+        position = len(self.accepted_steps) - 1
+        if step.op is _READ:
+            self._assignments[position] = self._last_write.get(
+                step.entity, T_INIT
+            )
+        else:
+            self._last_write[step.entity] = position
+        return True
 
     @abc.abstractmethod
     def _accept(self, step: Step) -> bool:
         """Decide one step; a rejected step must leave no trace.
 
-        Either decide first and mutate after, or journal every mutation
-        (:meth:`_on_undo` and the journaled dict/set operations beside
-        it): :meth:`submit` unwinds what a rejected step journaled, so
-        after a rejection the state equals the state before it except for
-        ``dead``.
+        Decide first, mutate after: every check runs against the state as
+        it stands, and only a step that passes them all stores anything.
+        Nothing undoes a rejection, so after one the state equals the
+        state before it except for ``dead`` (which :meth:`submit` sets).
         """
 
     def reset(self) -> None:
         """Restore the initial state (a fresh scheduler)."""
         self.accepted_steps = []
         self.dead = False
-        self._undo_log = []
-        self._marks = []
         self._assignments = {}
         self._last_write = {}
         self._seen = {}
@@ -154,26 +128,15 @@ class Scheduler(abc.ABC):
         accepted prefix, so dropping the steps after ``n`` is always
         meaningful, and a dead scheduler comes back alive (the rejected
         step is forgotten with the rest).  Primes survive, as they do
-        across :meth:`reset`.  A :attr:`journaled` scheduler unwinds its
-        undo journal to the mark of step ``n``, which costs the steps
-        undone; any other re-derives the state — reset, then re-submit
-        ``accepted_steps[:n]`` — which costs the prefix and is the
-        reference the journaled schedulers are tested against.
+        across :meth:`reset`.  The state is re-derived — reset, then
+        re-submit ``accepted_steps[:n]`` — which costs the prefix: the
+        reference path, called by the base :meth:`retract` and by tests,
+        never by the online engine.
         """
         if not 0 <= n <= len(self.accepted_steps):
             raise ValueError(
                 f"truncate({n}) with {len(self.accepted_steps)} accepted steps"
             )
-        if self.journaled:
-            if n < len(self._marks):
-                self._unwind(self._marks[n])
-                del self._marks[n:]
-                # Read sources go with their positions: not journaled.
-                for position in self._reads_from(n):
-                    self._assignments.pop(position, None)
-            del self.accepted_steps[n:]
-            self.dead = False
-            return
         prefix = self.accepted_steps[:n]
         self.reset()
         for step in prefix:
@@ -197,14 +160,15 @@ class Scheduler(abc.ABC):
         is alive again.  Survivors move down by the number of removed
         positions below them, as they do in the online engine's log.
 
-        This default *is* truncate plus re-submit.  It returns the
-        position of the first survivor it rejects, or None.  A rejection
-        leaves the scheduler dead after the survivors before that one,
-        with ``accepted_steps`` still listing every survivor: the next
-        ``retract`` must remove the rejected step, so it cuts at or below
-        it and re-submits the rest.  A scheduler whose state can drop a
-        transaction in place overrides this (MVTO, SGT) and rejects none;
-        such a scheduler keeps no journal (:attr:`journaled` is False).
+        This default *is* truncate plus re-submit: the definition the
+        in-place overrides are tested against.  It returns the position
+        of the first survivor it rejects, or None.  A rejection leaves
+        the scheduler dead after the survivors before that one, with
+        ``accepted_steps`` still listing every survivor.  Every engine
+        scheduler (MVTO, SGT, 2PL, SI, 2V2PL) decides first and drops
+        the doomed transactions in place instead, through
+        :meth:`_retract_log`, and rejects none: a survivor's decision
+        only ever depended on the doomed by being rejected less.
         """
         cut = removed[0] if removed else len(self.accepted_steps)
         gone = set(removed)
@@ -225,11 +189,12 @@ class Scheduler(abc.ABC):
 
         Drops the removed steps, their read sources and their
         transactions' step counts, restores each entity's last write to
-        its last surviving one, and moves every survivor above the cut
-        down over the removed positions below it.  Returns old position
-        -> new for each surviving write above the cut.  One pass over the
-        suffix.  It rewrites positions no journal could follow, which is
-        why a scheduler that retracts in place does not journal.
+        its last surviving one (:meth:`_fall_back`), and moves
+        every survivor above the cut down over the removed positions
+        below it (:func:`moved_down`, counted as the suffix is walked).
+        Returns old position -> new for each surviving write above the
+        cut.  One pass over the suffix.  A subclass drops its own state
+        of the doomed first, while ``accepted_steps`` still holds them.
         """
         self.dead = False
         if not removed:
@@ -247,18 +212,7 @@ class Scheduler(abc.ABC):
                 if last_write.get(entity) != position:
                     continue
                 # The doomed wrote last: fall back to the last survivor.
-                position -= 1
-                while position >= 0:
-                    step = steps[position]
-                    if (
-                        step.entity == entity and step.op is not _READ
-                        and position not in gone
-                    ):
-                        last_write[entity] = position
-                        break
-                    position -= 1
-                else:
-                    del last_write[entity]
+                self._fall_back(last_write, entity, position, gone)
         # Ascending, so each new key is free: everything between it and
         # its old one has moved already.  A source precedes its read.
         assignments = self._assignments
@@ -280,67 +234,32 @@ class Scheduler(abc.ABC):
             del steps[position]
         return moved
 
-    def _reads_from(self, cut: int) -> list[int]:
-        """The read positions from ``cut`` on that have a source, last
-        first: the source map holds them in ascending order."""
-        tail = []
-        for position in reversed(self._assignments):
-            if position < cut:
-                break
-            tail.append(position)
-        return tail
-
-    def _on_undo(self, fn, *args) -> None:
-        """Journal ``fn(*args)`` as the inverse of a mutation just made."""
-        self._undo_log.append((fn, args))
-
-    def _set(self, mapping: dict, key, value) -> None:
-        """``mapping[key] = value``, journaled."""
-        if key in mapping:
-            self._undo_log.append((mapping.__setitem__, (key, mapping[key])))
-        else:
-            self._undo_log.append((mapping.pop, (key,)))
-        mapping[key] = value
-
-    def _setdefault(self, mapping: dict, key, default):
-        """``mapping.setdefault(key, default)``, journaled."""
-        if key not in mapping:
-            self._undo_log.append((mapping.pop, (key,)))
-            mapping[key] = default
-        return mapping[key]
-
-    def _pop(self, mapping: dict, key):
-        """``mapping.pop(key)``, journaled."""
-        value = mapping.pop(key)
-        self._undo_log.append((mapping.__setitem__, (key, value)))
-        return value
-
-    def _add(self, members: set, member) -> None:
-        """``members.add(member)``, journaled."""
-        if member not in members:
-            self._undo_log.append((members.discard, (member,)))
-            members.add(member)
-
-    def _discard(self, members: set, member) -> None:
-        """``members.discard(member)``, journaled."""
-        if member in members:
-            self._undo_log.append((members.add, (member,)))
-            members.discard(member)
+    def _fall_back(
+        self, table: dict, entity: Entity, position: int, gone: set[int]
+    ) -> None:
+        """Point ``table[entity]`` at the last accepted write of
+        ``entity`` below ``position`` that is not in ``gone``; drop the
+        key if there is none.  Scans back from ``position``."""
+        steps = self.accepted_steps
+        for earlier in range(position - 1, -1, -1):
+            step = steps[earlier]
+            if (
+                step.entity == entity and step.op is not _READ
+                and earlier not in gone
+            ):
+                table[entity] = earlier
+                return
+        del table[entity]
 
     def _completes(self, txn: TxnId) -> bool:
-        """Count this step of ``txn`` (journaled); True iff it brings the
-        transaction to its declared length.  Undeclared: never completes.
-        """
-        seen = self._seen.get(txn, 0) + 1
-        self._set(self._seen, txn, seen)
-        return seen >= self._lengths.get(txn, float("inf"))
+        """True iff the step being decided brings ``txn`` to its declared
+        length (undeclared: never).  Counts nothing: :meth:`_count` does,
+        once the step stands."""
+        return self._seen.get(txn, 0) + 1 >= self._lengths.get(txn, _NEVER)
 
-    def _unwind(self, mark: int) -> None:
-        """Run the journal backwards until it is ``mark`` entries long."""
-        pop = self._undo_log.pop
-        for _ in range(len(self._undo_log) - mark):
-            fn, args = pop()
-            fn(*args)
+    def _count(self, txn: TxnId) -> None:
+        """Count one accepted step of ``txn`` (see :meth:`_completes`)."""
+        self._seen[txn] = self._seen.get(txn, 0) + 1
 
     # -- shard-parallel extras ---------------------------------------------
 

@@ -18,7 +18,7 @@ arrival order: the last of them is what any other transaction reads, and
 the one a later write between the two timestamps has to check.
 
 A step decides first and mutates after, so a rejected step leaves no
-trace, and the scheduler keeps no undo journal.  An aborted transaction
+trace.  An aborted transaction
 is retracted in place (:meth:`retract`): its versions and timestamp
 leave, and every version it read falls back to the largest timestamp
 among its surviving readers.  Each version keeps its readers'

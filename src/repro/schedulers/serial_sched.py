@@ -38,4 +38,5 @@ class SerialScheduler(Scheduler):
         if self._completes(step.txn):
             self._finished.add(step.txn)
             self._active = None
+        self._count(step.txn)
         return True

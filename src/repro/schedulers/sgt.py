@@ -14,7 +14,7 @@ per new arc (:meth:`Digraph.would_close_cycle`), bounded by the
 transaction's descendants — a one-node search for a transaction that has
 only been preceded so far, the common case — and no search at all for a
 step that adds no arc.  The step decides first and mutates after, so a
-rejected step leaves no trace, and the scheduler keeps no undo journal.
+rejected step leaves no trace.
 
 An aborted transaction is retracted in place (:meth:`retract`): its node
 leaves with every arc at it, and it leaves the reader and writer lists.

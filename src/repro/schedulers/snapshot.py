@@ -18,20 +18,24 @@ benchmark E14 measure exactly how often SI steps outside MVSR, tying the
 Model mapping: a transaction *starts* at its first step and *commits* at
 its last (step counts are declared up front, as for 2PL); two
 transactions are concurrent iff their [start, commit] spans overlap.
+
+A step decides first-committer-wins before it stores anything; an
+aborted transaction is retracted in place (:meth:`retract`).
 """
 
 from __future__ import annotations
 
 from repro.model.schedules import Schedule, T_INIT
-from repro.model.steps import Entity, Step, TxnId
-from repro.schedulers.base import Scheduler
+from repro.model.steps import Entity, Op, Step, TxnId
+from repro.schedulers.base import Scheduler, moved_down
+
+_READ = Op.READ
 
 
 class SnapshotIsolationScheduler(Scheduler):
     """First-committer-wins snapshot isolation over the version store."""
 
     name = "si"
-    journaled = True
     chooses_versions = True
     #: Snapshot reads and first-committer-wins both compare accesses to
     #: one entity at a time, so per-shard SI instances decide like SI with
@@ -46,7 +50,6 @@ class SnapshotIsolationScheduler(Scheduler):
         super().__init__()
         self._lengths = {} if steps_per_txn is None else steps_per_txn
         self._start: dict[TxnId, int] = {}
-        self._committed_at: dict[TxnId, int] = {}
         #: committed versions per entity: (commit position, write position).
         self._committed_versions: dict[Entity, list[tuple[int, int]]] = {}
         #: uncommitted writes per txn: entity -> write position.
@@ -54,61 +57,83 @@ class SnapshotIsolationScheduler(Scheduler):
 
     def _reset(self) -> None:
         self._start = {}
-        self._committed_at = {}
         self._committed_versions = {}
         self._pending_writes = {}
 
     def _accept(self, step: Step) -> bool:
         txn, entity = step.txn, step.entity
         position = len(self.accepted_steps)
-        if txn not in self._start:
-            self._set(self._start, txn, position)
-        if step.is_read:
-            pending = self._pending_writes.get(txn, {})
-            if entity in pending:
-                # Own uncommitted write.
-                source: int | str = pending[entity]
-            else:
-                # Latest version committed before this txn's snapshot.
-                snapshot = self._start[txn]
+        start = self._start.get(txn, position)
+        pending = self._pending_writes.get(txn, {})
+        is_read = step.op is _READ
+        committed = self._committed_versions
+        completes = self._completes(txn)
+        if completes:
+            # First-committer-wins, decided before anything is stored: a
+            # transaction that committed after this one started wrote an
+            # entity this one would commit (this step's write included),
+            # so this one aborts — in the paper's model, the schedule.
+            for written in [*pending, entity] if not is_read else pending:
+                for commit_pos, _wp in committed.get(written, ()):
+                    if commit_pos > start:
+                        return False
+        # The step stands.
+        self._count(txn)
+        self._start.setdefault(txn, start)
+        if is_read:
+            # Own uncommitted write, else the latest version committed
+            # before this txn's snapshot.
+            source = pending.get(entity)
+            if source is None:
                 source = T_INIT
-                for commit_pos, write_pos in self._committed_versions.get(
-                    entity, ()
-                ):
-                    if commit_pos <= snapshot:
+                for commit_pos, write_pos in committed.get(entity, ()):
+                    if commit_pos <= start:
                         source = write_pos
-            self._set(self._assignments, position, source)
+            self._assignments[position] = source
         else:
-            self._set(
-                self._setdefault(self._pending_writes, txn, {}),
-                entity,
-                position,
-            )
-        if self._completes(txn):
-            return self._commit(txn, position)
+            self._pending_writes.setdefault(txn, pending)[entity] = position
+        if completes:
+            # Commit positions only grow, so appending keeps each list
+            # sorted by commit position.
+            writes = self._pending_writes.pop(txn, {})
+            for written, write_pos in writes.items():
+                committed.setdefault(written, []).append((position, write_pos))
         return True
 
-    def _commit(self, txn: TxnId, position: int) -> bool:
-        """First-committer-wins: abort on overlapping committed writers."""
-        start = self._start[txn]
-        writes = self._pending_writes.get(txn, {})
-        for entity in writes:
-            for commit_pos, _wp in self._committed_versions.get(entity, ()):
-                if commit_pos > start:
-                    # A concurrent transaction committed a write of this
-                    # entity first: this transaction must abort, which in
-                    # the paper's model rejects the schedule.
-                    return False
-        if writes:
-            self._pop(self._pending_writes, txn)
-        for entity, write_pos in writes.items():
-            # Commit positions only grow, so appending keeps the list
-            # sorted by commit position.
-            versions = self._setdefault(self._committed_versions, entity, [])
-            versions.append((position, write_pos))
-            self._on_undo(versions.pop)
-        self._set(self._committed_at, txn, position)
-        return True
+    def retract(self, removed: list[int]) -> None:
+        """Drop the doomed transactions' snapshots, pending writes and
+        committed versions; move the survivors' positions down."""
+        steps, gone = self.accepted_steps, set(removed)
+        cut = removed[0] if removed else len(steps)
+        starts, pending = self._start, self._pending_writes
+        # Every step of a doomed transaction is at or above the cut, and
+        # so is every snapshot start that moves.
+        for position in range(cut, len(steps)):
+            txn = steps[position].txn
+            if position in gone:
+                starts.pop(txn, None)
+                pending.pop(txn, None)
+            elif starts[txn] == position:
+                starts[txn] = moved_down(position, removed)
+        moved = self._retract_log(removed)
+        for writes in pending.values():
+            for entity, position in writes.items():
+                writes[entity] = moved.get(position, position)
+        # What committed at or above the cut is a tail of each list: a
+        # doomed commit's versions leave, the others move down.
+        committed = self._committed_versions
+        for entity, versions in list(committed.items()):
+            low = len(versions)
+            while low and versions[low - 1][0] >= cut:
+                low -= 1
+            versions[low:] = [
+                (moved_down(commit_pos, removed), moved.get(wp, wp))
+                for commit_pos, wp in versions[low:]
+                if commit_pos not in gone
+            ]
+            if not versions:
+                del committed[entity]
+        return None
 
 
 def write_skew_schedule() -> Schedule:

@@ -13,19 +13,23 @@ transaction (the transaction system is declared up front, as in the
 storage engine's executor); locks release when the last step is accepted.
 A transaction whose length was not declared holds its locks forever (a
 degenerate but safe choice).
+
+A step checks both lock conflicts before it takes a lock; an aborted
+transaction is retracted by releasing the locks it still holds.
 """
 
 from __future__ import annotations
 
-from repro.model.steps import Entity, Step, TxnId
+from repro.model.steps import Entity, Op, Step, TxnId
 from repro.schedulers.base import Scheduler
+
+_READ = Op.READ
 
 
 class TwoPhaseLocking(Scheduler):
     """Strict 2PL with reject-on-conflict."""
 
     name = "2pl"
-    journaled = True
 
     def __init__(self, steps_per_txn: dict[TxnId, int] | None = None) -> None:
         super().__init__()
@@ -44,21 +48,39 @@ class TwoPhaseLocking(Scheduler):
         holder = self._write_locks.get(entity)
         if holder is not None and holder != txn:
             return False
-        if step.is_read:
-            self._add(self._setdefault(self._read_locks, entity, set()), txn)
-        else:
-            if self._read_locks.get(entity, set()) - {txn}:
+        is_read = step.op is _READ
+        if not is_read:
+            readers = self._read_locks.get(entity)
+            if readers and (len(readers) > 1 or txn not in readers):
                 return False
-            self._set(self._write_locks, entity, txn)
-        self._add(self._setdefault(self._held, txn, set()), entity)
+        # The step stands: take its lock.
+        if is_read:
+            self._read_locks.setdefault(entity, set()).add(txn)
+        else:
+            self._write_locks[entity] = txn
+        self._held.setdefault(txn, set()).add(entity)
         if self._completes(txn):
             self._release(txn)
+        self._count(txn)
         return True
 
     def _release(self, txn: TxnId) -> None:
-        for entity in self._pop(self._held, txn):
-            readers = self._read_locks.get(entity)
+        read_locks, write_locks = self._read_locks, self._write_locks
+        for entity in self._held.pop(txn):
+            readers = read_locks.get(entity)
             if readers is not None:
-                self._discard(readers, txn)
-            if self._write_locks.get(entity) == txn:
-                self._pop(self._write_locks, entity)
+                readers.discard(txn)
+                if not readers:
+                    del read_locks[entity]
+            if write_locks.get(entity) == txn:
+                del write_locks[entity]
+
+    def retract(self, removed: list[int]) -> None:
+        """Release the locks the doomed transactions still hold."""
+        steps, held = self.accepted_steps, self._held
+        for position in removed:
+            txn = steps[position].txn
+            if txn in held:
+                self._release(txn)
+        self._retract_log(removed)
+        return None

@@ -1,15 +1,12 @@
 """Abort by retraction: same runs as whole-prefix replay, fewer decisions.
 
 An engine abort retracts the doomed steps from the scheduler
-(``Scheduler.retract``): MVTO and SGT drop them in place, the others
-truncate to the first removed log position and re-submit what survives
-after it.  The reference here is the same scheduler classes keeping the
-base-class ``retract`` and declared ``journaled = False`` (MVTO and SGT
-are not journaled anyway), which sends every abort down the
-whole-prefix path (reset, re-submit the survivors) —
-what the engine did on every abort before ``truncate`` existed.  Both
-must produce the same run, byte for byte; only the number of scheduler
-decisions may differ.
+(``Scheduler.retract``), and every engine scheduler drops them in place.
+The reference here is the same scheduler classes keeping the base-class
+``retract``, which sends every abort down the whole-prefix path (reset,
+re-submit the survivors) — what the engine did on every abort before
+``truncate`` existed.  Both must produce the same run, byte for byte;
+only the number of scheduler decisions may differ.
 """
 
 import pytest
@@ -43,17 +40,14 @@ class RefMVTO(MVTOScheduler):
 
 
 class RefSI(SnapshotIsolationScheduler):
-    journaled = False
     retract = Scheduler.retract
 
 
 class Ref2V2PL(TwoVersionTwoPL):
-    journaled = False
     retract = Scheduler.retract
 
 
 class Ref2PL(TwoPhaseLocking):
-    journaled = False
     retract = Scheduler.retract
 
 
@@ -285,47 +279,16 @@ class ForgedScheduler(MVTOScheduler):
         return super()._accept(step)
 
 
-def forged_engine():
+def test_a_rejecting_retract_raises():
+    """The engine retracts once per abort: a ``retract`` that rejects a
+    survivor would revoke a decision the engine already acted on."""
     engine = make_engine(lambda lengths: ForgedScheduler())
-    early = engine.begin("t1", 2)
-    engine.submit(early, read("t1", "y"))  # log[0]
-    writer = engine.begin("t3", 2)
-    engine.submit(writer, read("t3", "y"))  # log[1]: before the root
     root = engine.begin("t2", 2)
-    engine.submit(root, read("t2", "z"))  # log[2]: the first cut
-    engine.submit(writer, write("t3", "x"))  # log[3]
-    late = engine.begin("t4", 1)
-    engine.submit(late, read("t4", "z"))  # log[4]
-    return engine, early, writer, root, late
-
-
-def test_rejection_during_suffix_replay_lowers_the_cut_and_restarts():
-    engine, early, writer, root, late = forged_engine()
+    engine.submit(root, read("t2", "z"))  # log[0]: the cut
+    writer = engine.begin("t3", 2)
+    engine.submit(writer, write("t3", "x"))  # log[1]: re-submitted
     engine.scheduler.armed = True
-    engine.abort_attempt(root)
-    # Round 1 cut at 2 and re-submitted t3's write, which was rejected:
-    # t3 is doomed too, its first step is log[1], and round 2 truncates
-    # to 1 and re-submits t4's read alone.
-    assert writer.state is TxnState.ABORTED
-    assert writer.abort_reason == "replay-rejected"
-    assert engine.metrics.replays == 2
-    assert [e.step for e in engine.log] == [read("t1", "y"), read("t4", "z")]
-    assert engine.scheduler.accepted_steps == [e.step for e in engine.log]
-    assert not engine.scheduler.dead
-    assert late.first == 1
-    assert engine.store.final_state()["x"] == 1
-    engine.finish(late)
-    engine.submit(early, write("t1", "y"))
-    engine.finish(early)
-    assert late.state is early.state is TxnState.COMMITTED
-
-
-def test_rejection_of_a_committed_attempt_during_replay_raises():
-    engine, early, writer, root, late = forged_engine()
-    engine.finish(writer)
-    assert writer.state is TxnState.COMMITTED
-    engine.scheduler.armed = True
-    with pytest.raises(EngineError, match="committed"):
+    with pytest.raises(EngineError, match="retract rejected"):
         engine.abort_attempt(root)
 
 
@@ -353,7 +316,7 @@ def test_a_reader_missing_from_the_closure_raises(commit_reader):
     assert ("committed" in str(err.value)) is commit_reader
 
 
-@pytest.mark.parametrize("scheduler", ["mvto", "sgt"])
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULER_FACTORIES))
 def test_a_retraction_leaves_the_scheduler_on_the_compacted_log(scheduler):
     """After every abort of a contended run, the scheduler's accepted
     steps are the engine's log and every surviving read is sourced from

@@ -27,8 +27,8 @@ Three more are the real method recompiled with one edit
   ``len(timestamps)``, which after a retraction is a survivor's.
 
 One is killed by ``a_rejected_step_left_a_trace`` (the state before and
-after each rejected ``_accept``) over ``scripts()``.  MVTO keeps no
-journal, so nothing would unwind what a rejected step stored:
+after each rejected ``_accept``) over ``scripts()``.  Nothing unwinds
+what a rejected step stored:
 
 * ``timestamp-before-check`` — ``_accept`` stores a fresh timestamp
   before the write check, so a rejected newcomer keeps it.

@@ -25,8 +25,8 @@ against truncate + re-submit) over ``retraction_scripts()``:
 
 And one is ``_accept`` recompiled, killed by
 ``a_rejected_step_left_a_trace`` (the state before and after each
-rejected ``_accept``) over ``scripts()``.  SGT keeps no journal, so
-nothing would unwind what a rejected step stored:
+rejected ``_accept``) over ``scripts()``.  Nothing unwinds what a
+rejected step stored:
 
 * ``entry-before-check`` — the step's reader/writer list entry is
   stored before the cycle search, so a rejected step leaves it there.

@@ -76,10 +76,10 @@ class TestProtocol:
 
 
 def snapshot(scheduler):
-    """Everything the scheduler holds, except ``dead`` and the journal."""
+    """Everything the scheduler holds, except ``dead``."""
     out = {}
     for name, value in vars(scheduler).items():
-        if name in ("dead", "_undo_log"):
+        if name == "dead":
             continue
         if isinstance(value, Digraph):
             value = (sorted(value.nodes), sorted(value.arcs))

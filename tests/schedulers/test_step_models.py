@@ -6,10 +6,11 @@ pattern of ``tests/storage/test_store_model.py`` and
 ``tests/planner/test_reexec_model.py``:
 
 * :class:`NaiveSGT` adds every conflict arc in place, walks the whole
-  graph with ``has_cycle()`` and lets the journal unwind a rejection;
+  graph with ``has_cycle()`` and takes its trial arcs back itself on a
+  rejection;
 * :class:`NaiveMVTO` is the rule as the textbooks state it, by list scan
   over versions in arrival order, decided before anything is stored and
-  truncated by re-deriving the prefix (no journal at all).
+  truncated by re-deriving the prefix.
 
 Streams are those of ``test_truncate_model`` — three transactions that
 keep arriving, rewrites of one entity included, one to three truncate
@@ -37,28 +38,33 @@ from tests.schedulers.test_truncate_model import scripts  # noqa: E402
 
 
 class NaiveSGT(SGTScheduler):
-    """Add every arc, check the whole graph, unwind on a cycle."""
+    """Add every arc, check the whole graph, take the trial arcs back on
+    a cycle."""
 
     def _accept(self, step):
         txn, entity = step.txn, step.entity
         graph = self._graph
-        if txn not in graph:
+        fresh = txn not in graph
+        if fresh:
             graph.add_node(txn)
-            self._on_undo(graph.remove_node, txn)
         others = list(self._writers.get(entity, []))
         if step.is_write:
             others += self._readers.get(entity, [])
+        added = []
         for other in others:
             if other != txn and not graph.has_arc(other, txn):
                 graph.add_arc(other, txn)
-                self._on_undo(graph.remove_arc, other, txn)
+                added.append(other)
         if graph.has_cycle():
+            for other in added:
+                graph.remove_arc(other, txn)
+            if fresh:
+                graph.remove_node(txn)
             return False
         bucket = self._readers if step.is_read else self._writers
-        entry = self._setdefault(bucket, entity, [])
+        entry = bucket.setdefault(entity, [])
         if txn not in entry:
             entry.append(txn)
-            self._on_undo(entry.pop)
         return True
 
 
@@ -167,9 +173,8 @@ def test_mvto_decides_as_the_list_scan_rules(primed, script):
 def rejections_that_left_a_trace(scheduler, script):
     """Drive ``script``; the rejected steps whose decision changed
     anything the scheduler holds (``test_base.snapshot``: every attribute
-    but ``dead`` and the journal, so 2PL's locks and MVTO's timestamps
-    and clock too) — ``_accept`` itself, before ``submit`` could unwind
-    anything or mark the scheduler dead."""
+    but ``dead``, so 2PL's locks and MVTO's timestamps and clock too) —
+    ``_accept`` itself, before ``submit`` marks the scheduler dead."""
     traced = []
     decide = scheduler._accept
 
@@ -189,11 +194,10 @@ def rejections_that_left_a_trace(scheduler, script):
     return traced
 
 
-#: The schedulers whose ``_accept`` decides first and mutates after.  MVTO
-#: and SGT keep no journal, so nothing would unwind a trace; 2PL journals,
-#: but takes no lock before its conflict checks; SI and 2V2PL journal,
-#: then unwind (``submit`` allows both).
-DECIDE_FIRST = ["mvto", "mvto-primed", "sgt", "2pl"]
+#: The schedulers whose ``_accept`` decides first and mutates after: every
+#: engine scheduler.  Nothing unwinds a rejected step, so a trace it left
+#: would be state.
+DECIDE_FIRST = ["mvto", "mvto-primed", "sgt", "2pl", "si", "2v2pl"]
 
 
 def a_rejected_step_left_a_trace(kind, script):

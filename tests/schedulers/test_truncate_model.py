@@ -3,16 +3,16 @@
 A scheduler's state is a function of its accepted prefix, so a scheduler
 that was fed a stream, truncated to ``n`` and fed a continuation must be
 indistinguishable from a fresh instance fed ``accepted[:n]`` and the same
-continuation.  2PL, SI and 2V2PL undo by journal (``journaled =
-True``); MVTO and SGT keep no journal and, like ``mvcg-eager``, take the
-base-class default (reset and re-submit).  The fresh instance never
-truncates, so it is the reference for both.
+continuation.  Every scheduler truncates by the base-class re-derivation
+(reset and re-submit); the fresh instance never truncates, so it is the
+reference.
 
 ``retract`` is checked the same way against its definition: dropping a
 set of transactions (closed under reads-from) must leave what truncating
-to their first step and re-submitting the survivors leaves.  MVTO and SGT
-retract in place; the others keep the base-class default, which is that
-definition, and ride along.
+to their first step and re-submitting the survivors leaves.  The five
+engine schedulers (MVTO, SGT, 2PL, SI, 2V2PL) retract in place, and
+``state`` holds what each of them rewrites; ``mvcg-eager`` keeps the
+base-class default, which is that definition, and rides along.
 """
 
 import pytest
@@ -188,12 +188,33 @@ def truncate_and_resubmit(scheduler: Scheduler, removed: list[int]):
     return None
 
 
+def _nonempty(table: dict) -> dict:
+    """``table`` without its empty sets: a set emptied in place and one
+    never made are the same state."""
+    return {key: value for key, value in table.items() if value}
+
+
 def state(scheduler: Scheduler) -> dict:
     """``observable`` plus what a retraction rewrites: the SGT graph and
     reader/writer lists, the MVTO chains with each timestamp named by its
     transaction (timestamps re-issued by a re-submission differ, their
-    order does not)."""
+    order does not), the 2PL locks, the SI snapshots and versions, the
+    2V2PL versions, active set and readers, and the step counts."""
     out = observable(scheduler)
+    out["seen"] = scheduler._seen
+    if isinstance(scheduler, TwoPhaseLocking):
+        out["read_locks"] = _nonempty(scheduler._read_locks)
+        out["write_locks"] = scheduler._write_locks
+        out["held"] = _nonempty(scheduler._held)
+    if isinstance(scheduler, SnapshotIsolationScheduler):
+        out["start"] = scheduler._start
+        out["committed_versions"] = scheduler._committed_versions
+        out["pending_writes"] = scheduler._pending_writes
+    if isinstance(scheduler, TwoVersionTwoPL):
+        out["committed"] = scheduler._committed
+        out["uncommitted"] = scheduler._uncommitted
+        out["read_by"] = _nonempty(scheduler._read_by)
+        out["active"] = scheduler._active
     if isinstance(scheduler, SGTScheduler):
         out["nodes"] = sorted(scheduler._graph.nodes)
         out["arcs"] = sorted(scheduler._graph.arcs)
