@@ -3,7 +3,7 @@
     same_answers.py OUT_DIR [--src PATH] [--txns N] [--seed S]
 
 Runs every execution mode over every scenario — the online modes under
-each scheduler, the planner family at each lookahead — deterministically,
+each scheduler, the planner under both its names — deterministically,
 with ``--audit --json --trace``, and writes each run's report (the audit
 document is its ``audit`` key) and JSONL trace into ``OUT_DIR``, plus the
 ``repro bench run`` record of the tick-based suites.  Fields that legitimately differ between two runs of
@@ -40,7 +40,6 @@ SCHEDULERS = ("2pl", "2v2pl", "mvto", "sgt", "si")
 PLANNERS = {
     "planner": ("--mode", "planner"),
     "pipelined-l1": ("--mode", "pipelined", "--lookahead", "1"),
-    "pipelined-l2": ("--mode", "pipelined", "--lookahead", "2"),
 }
 BENCH_SUITES = ("smoke", "e17", "e18")
 #: dropped at any depth: which commit ran.

@@ -258,43 +258,26 @@ def _e17_cases() -> tuple[BenchCase, ...]:
 
 
 def _e18_cases() -> tuple[BenchCase, ...]:
+    """The planner's one knob: batch size (a quarter of, equal to and
+    four times the default), on the two E17 workloads and the
+    abort-heavy stream."""
     scenarios = {
         "sharded-bank": _SHARDED_BANK, "read-mostly": _READ_MOSTLY,
+        "abort-heavy": _ABORT_HEAVY,
     }
-    cases = []
-    for wname, params in scenarios.items():
-        cases.append(BenchCase(
-            case_id=f"{wname}/planner/det",
+    return tuple(
+        BenchCase(
+            case_id=f"{wname}/planner/b{batch_size}/det",
             scenario=wname,
             scenario_params=params,
-            config={"mode": "planner", "workers": 4, "batch_size": 64,
-                    "deterministic": True, "seed": 11},
+            config={"mode": "planner", "workers": 4,
+                    "batch_size": batch_size, "deterministic": True,
+                    "seed": 11},
             txns=400,
-        ))
-        for lookahead in (1, 2):
-            cases.append(BenchCase(
-                case_id=f"{wname}/pipelined/la{lookahead}/det",
-                scenario=wname,
-                scenario_params=params,
-                config={"mode": "pipelined", "workers": 4,
-                        "batch_size": 64, "lookahead": lookahead,
-                        "deterministic": True, "seed": 11},
-                txns=400,
-            ))
-    # Logic aborts inside an in-flight pipeline: both abort-free modes
-    # on the abort-heavy stream must realize the same committed set.
-    for mode, extra in (
-        ("planner", {}), ("pipelined", {"lookahead": 2}),
-    ):
-        cases.append(BenchCase(
-            case_id=f"abort-heavy/{mode}/det",
-            scenario="abort-heavy",
-            scenario_params=_ABORT_HEAVY,
-            config={"mode": mode, "workers": 4, "batch_size": 64,
-                    "deterministic": True, "seed": 11, **extra},
-            txns=400,
-        ))
-    return tuple(cases)
+        )
+        for wname, params in scenarios.items()
+        for batch_size in (16, 64, 256)
+    )
 
 
 def _smoke_cases() -> tuple[BenchCase, ...]:
@@ -421,8 +404,8 @@ register_suite(BenchSuite(
 register_suite(BenchSuite(
     name="e18",
     description=(
-        "pipelined planner vs sequential batch planner "
-        "(lookahead 0/1/2, plus abort-heavy re-execution)"
+        "batch planner by batch size: batching delay vs settles "
+        "(sharded-bank + read-mostly + abort-heavy)"
     ),
     cases=_e18_cases(),
 ))

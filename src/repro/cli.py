@@ -11,7 +11,6 @@
     python -m repro run --mode serial --scenario bank --txns 200
     python -m repro run --mode parallel --workers 4 --deterministic
     python -m repro run --mode planner --scenario read-mostly --seed 7
-    python -m repro run --mode pipelined --scenario read-mostly --lookahead 2
     python -m repro run --mode parallel --trace trace.jsonl --audit
     python -m repro audit trace.jsonl
     python -m repro run --list-modes
@@ -537,8 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epoch-steps", type=_positive_int, default=None,
                    dest="epoch_max_steps", metavar="EPOCH_STEPS")
     p.add_argument("--lookahead", type=_positive_int, default=None,
-                   help="pipelined mode: batches planned ahead of the "
-                        "executing one (default 1)")
+                   help="pipelined mode: accepted and echoed, selects "
+                        "nothing (default 1)")
     # Scenario options (validated against the chosen scenario).
     p.add_argument("--entities", type=_positive_int, default=None,
                    help="bank accounts / inventory warehouses")

@@ -4,7 +4,7 @@ The user-facing facade for running workloads (after the client APIs of
 Hekaton-style engines — Larson et al. — and deterministic batch systems
 — Faleiro & Abadi): a frozen, per-mode-validated :class:`RunConfig`, an
 :class:`ExecutionBackend` registry the serial engine / shard runtime /
-batch planner (sequential or pipelined) plug into, a uniform
+batch planner plug into, a uniform
 :class:`RunReport` with a guaranteed cross-mode metric schema, and
 :class:`Database` tying them to the scenario registry in
 :mod:`repro.workloads`.  Writing a new backend?  The full protocol

@@ -253,17 +253,15 @@ class ShardRuntimeBackend(BackendAdapter):
 
 class PlannerBackend(BackendAdapter):
     """The plan-then-execute driver (:mod:`repro.planner.driver`),
-    registered twice: ``planner`` runs its stages strictly in sequence
-    (``lookahead`` does not apply — it is 0), ``pipelined`` plans
-    ``lookahead >= 1`` batches ahead of the one executing.
-
-    Same plan, same settle rule and the same zero-CC-abort guarantee in
-    both, run on the caller's thread; deterministic runs serialize
-    byte-identically for equal seeds.  Both run on one
-    :class:`~repro.storage.MultiversionStore`: ``workers`` is accepted and
-    echoed (config, ``workers`` report line) but changes no answer;
-    ``deterministic`` selects only the trace clock and whether the report
-    prints txn/s.
+    registered twice: ``planner``, and ``pipelined``, which also accepts
+    ``lookahead``.  Both run the same strict plan → execute → settle
+    loop on the caller's thread, over one
+    :class:`~repro.storage.MultiversionStore`, with the same zero-CC-abort
+    guarantee; deterministic runs serialize byte-identically for equal
+    seeds.  ``workers`` and ``lookahead`` are accepted and echoed in
+    the config (``workers`` also on the report's first line) but select
+    nothing and change no answer; ``deterministic`` selects only the
+    trace clock and whether the report prints txn/s.
     ``scheduler``/``retry``/``epoch_max_steps``/``gc_every`` cannot
     apply: the plan needs no run-time scheduler, nothing retries
     (nothing CC-aborts), the batch *is* the epoch, and GC runs at every
@@ -292,7 +290,6 @@ class PlannerBackend(BackendAdapter):
             initial=initial,
             n_workers=config.workers,
             batch_size=config.batch_size,
-            lookahead=config.lookahead or 0,
             gc_enabled=config.gc,
             tracer=tracer,
         )
@@ -349,7 +346,7 @@ register_backend(PlannerBackend(
 ))
 register_backend(PlannerBackend(
     "pipelined",
-    "pipelined batch planner: plans batch k+1 while batch k "
-    "executes (lookahead-deep), zero CC aborts by construction",
+    "the planner under its former pipelining name: lookahead is "
+    "echoed, the run is the planner's",
     lookahead=1,
 ))

@@ -58,8 +58,8 @@ class RunConfig:
     #: epoch length of the online modes (the planner's batch *is* its
     #: epoch, so the knob cannot apply).
     epoch_max_steps: int | None = None
-    #: batches the pipelined planner may plan ahead of the executing one
-    #: (pipelined mode only; the other modes have no planning stage).
+    #: ``pipelined`` mode only: accepted and echoed, selects nothing —
+    #: the planner family plans one batch at a time.
     lookahead: int | None = None
     #: structured tracing: a JSONL path to persist the trace to, or a
     #: live :class:`repro.obs.Tracer` to collect in memory (tests).

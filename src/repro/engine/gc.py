@@ -16,19 +16,10 @@ entities and keeps retention statistics.
 The engine picks the watermark (the current epoch's start position): reads
 inside an epoch are only ever assigned epoch-local writes or the entity's
 base version at epoch start, so pruning behind the epoch is always safe —
-a structural guarantee, not a heuristic.
-
-Plan-then-execute pipelining (:mod:`repro.planner.driver`) adds one
-twist: a batch may be *planned* — its reads bound to exact versions —
-while earlier batches are still executing, so the safe watermark is no
-longer "wherever the driver has settled up to" but the first install
-position of the **oldest in-flight plan**.  Rather than trusting every
-caller to pass the right clamped value, the collector owns the rule:
-:meth:`WatermarkGC.pin` registers an in-flight plan's first position and
-:meth:`WatermarkGC.collect` never prunes past the lowest pin.  A plan's
-bound read sources are, per entity, the newest version below the plan's
-first position — exactly what ``prune_before`` retains at the clamped
-watermark — so a pinned plan's bindings structurally survive collection.
+a structural guarantee, not a heuristic.  The planner driver
+(:mod:`repro.planner.driver`) makes the same argument with the batch as
+the epoch: each settle collects behind the next batch's first install
+position.
 """
 
 # repro: deterministic-contract — equal seeds must yield byte-identical output
@@ -64,42 +55,9 @@ class WatermarkGC:
         self.stats = GCStats()
         self.tracer = tracer
         self.trace_track = trace_track
-        #: multiset of pinned positions (in-flight plans; duplicates are
-        #: legal — two write-free batches pin the same position).
-        self._pins: list[int] = []
-
-    def pin(self, position: int) -> None:
-        """Register an in-flight plan's first install position.
-
-        Until released, :meth:`collect` never prunes at or past
-        ``position`` — the plan's bound read sources (newest version per
-        entity below that position) stay addressable.
-        """
-        self._pins.append(position)
-
-    def unpin(self, position: int) -> None:
-        """Release one pin at ``position`` (the plan settled)."""
-        try:
-            self._pins.remove(position)
-        except ValueError:
-            raise ValueError(
-                f"unpin({position}) without a matching pin"
-            ) from None
-
-    def floor(self) -> int | None:
-        """The lowest pinned position, or None when nothing is pinned."""
-        return min(self._pins) if self._pins else None
 
     def collect(self, watermark: int) -> int:
-        """Prune everything unaddressable from ``watermark``; return count.
-
-        The effective watermark is clamped to the lowest pinned position,
-        so versions an in-flight plan already bound as read sources are
-        never pruned no matter what the caller requests.
-        """
-        floor = self.floor()
-        if floor is not None:
-            watermark = min(watermark, floor)
+        """Prune everything unaddressable from ``watermark``; return count."""
         before = self.store.version_count()
         pruned = 0
         for entity in list(self.store.entities()):

@@ -5,7 +5,7 @@ and instants — into a bounded ring-buffer :class:`EventLog`, or into no
 log at all when only its subscribers (the live auditor) consume them.
 The four execution modes emit the same taxonomy through it (``docs/
 observability.md`` is the reference), so one trace format covers the
-serial engine, the shard runtime, the batch planner and the pipeline.
+serial engine, the shard runtime and the batch planner.
 
 Two contracts shape the design:
 

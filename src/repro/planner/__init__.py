@@ -13,12 +13,11 @@ rejection, and execution in timestamp order meets every source already
 decided.  Only program-raised *logic* aborts exist — a reader of a
 logic-aborted writer re-binds to the next version down the chain and
 runs on, so every planned transaction runs exactly once.  Everything
-runs on the caller's thread.  See :mod:`repro.planner.planning`,
-:mod:`repro.planner.executor` and :mod:`repro.planner.driver` for the
-three phases; the driver's ``lookahead`` is how many batches planning
-runs ahead of execution (0 — the ``planner`` mode; 1 or more — the
-``pipelined`` mode, which plans batch *k+1* after batch *k* executes
-and before it settles).
+runs on the caller's thread, one batch at a time: plan, execute,
+settle.  See :mod:`repro.planner.planning`, :mod:`repro.planner.executor`
+and :mod:`repro.planner.driver` for the three phases.  ``pipelined`` is
+the same driver under its former pipelining name; its ``lookahead``
+option is echoed and selects nothing.
 """
 
 from repro.planner.driver import BatchPlanner

@@ -24,62 +24,20 @@ into batches (one batch = one epoch), each batch is planned
 
 Ticks count admissions and settles (a batch's settle tick is reserved
 when its admissions close), so commit latency (in ticks, via the
-engine's :class:`LatencyStats`) measures batching delay and is identical
-at every ``lookahead``.
+engine's :class:`LatencyStats`) measures batching delay.
 
-``lookahead`` is how many batches planning may run ahead of the one
-executing — the pipelining Faleiro & Abadi's plan-then-execute design
-exists to enable.  At 0 (the ``planner`` mode) the stages run strictly
-in sequence and nothing is ever in flight across a settle.  At 1 or more
-(the ``pipelined`` mode) batches *k+1 … k+lookahead* are planned after
-batch *k* executes and before it settles, and the whole difficulty
-lives at the boundary between a settling batch and an in-flight plan:
-
-* **Base capture against reserved positions.**  Batch *k+1* is planned
-  before batch *k* settles (and batch *k+2* before *k+1* has run), so a
-  base read binds to the newest *chain slot* — possibly another batch's
-  placeholder.  That is exact, not optimistic: a placeholder occupies
-  its final chain position from reservation, so "the newest version
-  below my batch" is already known whatever its writer's fate.
-  Cross-batch bindings keep the ``T_INIT`` base classification (they
-  are pre-batch state, exactly what base capture would see one settle
-  later), so plan shape and the native metrics do not depend on
-  ``lookahead``.
-* **Aborts re-bind where they are read, never replan.**  Batch *k+1*
-  executes only after batch *k* settled, so every cross-batch source is
-  decided.  A binding to a slot whose writer logic-aborted stays as
-  planned: settle removed the slot, but it stays POISONED, so when *k+1*
-  executes the reader re-binds exactly as a reader inside batch *k*
-  would — one walk down the chain
-  (:meth:`~repro.planner.executor.PlanExecutor._rebind`) to the newest
-  survivor, which lies below *k+1*'s first position (on that entity
-  nothing was reserved between, or planning would have bound to it) and
-  is therefore a ``T_INIT`` base read: the version the plan would have
-  bound had the aborted slot never been reserved.
-* **GC honors in-flight plans.**  Every plan pins its first install
-  position in the :class:`~repro.engine.gc.WatermarkGC` from plan time
-  to settle; the collector clamps any requested watermark to the lowest
-  pin, and ``prune_before`` keeps the newest version below the watermark
-  per entity — which is precisely every in-flight binding's base
-  source, or the survivor a binding to a removed slot re-binds to.
-  Bound versions structurally cannot be pruned.
-
-Everything runs on the caller's thread, at every ``lookahead``: plan,
-execute inline in timestamp order (:mod:`repro.planner.executor`), plan
-ahead, settle.  The whole version function is fixed before a batch
-runs, so threads could only change *when* work happens, never what is
-decided — and under the GIL not how fast either.  The settled plan, the
-final state and ``metrics.as_dict()`` are byte-identical at every
-``lookahead`` for equal seeds — pipelining changes when planning
-happens, never what is planned; only how many reads reach a dead
-writer's slot, and so re-bind, moves with it.
+Everything runs on the caller's thread, one batch at a time: plan,
+execute inline in timestamp order (:mod:`repro.planner.executor`),
+settle, then plan the next batch over a store with no placeholder left.
+The whole version function is fixed before a batch runs, so neither
+threads nor planning ahead could change what is decided — only when
+work happens, and under the GIL not how fast either.
 """
 
 # repro: deterministic-contract — equal seeds must yield byte-identical output
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from repro.engine.errors import EngineError
@@ -143,32 +101,25 @@ def emit_planned_data_ops(tracer, ptxn) -> None:
 
 
 @dataclass(eq=False)
-class _InFlight:
-    """One planned-but-not-settled batch."""
+class _Batch:
+    """One planned batch, from plan to settle."""
 
     #: batch number in plan order (trace label).
     number: int
     plan: BatchPlan
     #: admission tick of each transaction, in plan order.
     born: list[int]
-    #: the tick the batch's settle is accounted at (reserved when its
-    #: admissions close, so later batches' admissions count past it).
-    settle_tick: int
-    #: global install position of the batch's first write (the GC pin).
+    #: global install position of the batch's first write.
     first_position: int
-    #: write slots the plan reserved (pending until the batch settles).
-    n_slots: int
     outcome: ExecutionOutcome | None = None
 
 
 class BatchPlanner:
     """Plan-then-execute MVCC over one multiversion store.
 
-    ``run(stream) -> metrics`` and ``final_state()``; ``lookahead`` is
-    how many batches may be planned ahead of the one executing (0 —
-    strictly sequential stages; 1 — classic two-stage pipelining).
-    ``n_workers`` is echoed in the metrics and changes nothing that is
-    planned, executed or reported besides.
+    ``run(stream) -> metrics`` and ``final_state()``.  ``n_workers`` is
+    echoed in the metrics and changes nothing that is planned, executed
+    or reported besides.
     """
 
     def __init__(
@@ -178,22 +129,17 @@ class BatchPlanner:
         batch_size: int = 64,
         gc_enabled: bool = True,
         tracer=NULL_TRACER,
-        lookahead: int = 0,
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if lookahead < 0:
-            raise ValueError("lookahead must be >= 0")
         self.tracer = tracer
         self.store = MultiversionStore(initial)
         self.batch_size = batch_size
-        self.lookahead = lookahead
         self.metrics = PlannerMetrics(
             n_workers=n_workers,
             batch_size=batch_size,
-            lookahead=lookahead,
         )
         self.gc = (
             WatermarkGC(self.store, tracer=tracer, trace_track="driver")
@@ -205,11 +151,8 @@ class BatchPlanner:
         self.executor = PlanExecutor(self.store)
         self._next_timestamp = 0
         self._next_position = 0
-        #: batches planned so far.
-        self._plan_seq = 0
         #: the stream being drained (None until ``run``; single-use).
         self._stream = None
-        self._drained = False
 
     def final_state(self) -> dict[Entity, object]:
         return self.store.final_state()
@@ -224,37 +167,21 @@ class BatchPlanner:
             )
         started = perf_clock()
         self._stream = iter(stream)
-        plans: deque[_InFlight] = deque()
         while True:
-            # The first batch, and with lookahead=0 (nothing is ever
-            # planned ahead) every batch.
-            self._refill(plans, target=1)
-            if not plans:
+            batch = self._plan_one()
+            if batch is None:
                 break
-            head = plans.popleft()
-            self._execute(head)
-            # Plan ahead pre-settle: head's slots are still in the chains.
-            self._refill(plans, target=self.lookahead)
-            self._settle(head, plans)
+            self._execute(batch)
+            self._settle(batch)
             # Free the settled plan before the next one is built: it is
-            # the run's largest allocation, and holding it across the
-            # next planning pass costs lookahead=0 a few percent.
-            del head
+            # the run's largest allocation.
+            del batch
         self.metrics.engine.elapsed = perf_clock() - started
         return self.metrics
 
     # -- planning stage ----------------------------------------------------
 
-    def _refill(self, plans: deque, target: int) -> None:
-        """Plan batches until ``target`` are in flight or the stream ends."""
-        while len(plans) < target and not self._drained:
-            inflight = self._plan_one()
-            if inflight is None:
-                self._drained = True
-                break
-            plans.append(inflight)
-
-    def _plan_one(self) -> _InFlight | None:
+    def _plan_one(self) -> _Batch | None:
         metrics = self.metrics
         engine = metrics.engine
         tracing = self.tracer.enabled
@@ -273,30 +200,23 @@ class BatchPlanner:
                 break
         if not items:
             return None
-        number = self._plan_seq
-        self._plan_seq += 1
+        # Every earlier batch has settled, so this one's number is theirs.
+        number = engine.epochs_closed
         if tracing:
             self.tracer.begin(
                 "plan", "plan.batch", "plan",
                 batch=number, txns=len(items),
             )
-        engine.ticks += 1  # reserved for this batch's settle
+        # Reserved for this batch's settle: nothing ticks between here
+        # and the settle, which reads it back off ``engine.ticks``.
+        engine.ticks += 1
         first_position = self._next_position
-        if self.gc is not None:
-            self.gc.pin(first_position)
-        # At lookahead=0 nothing is in flight while planning, so a
-        # leftover placeholder is a driver bug.
         plan = plan_batch(
-            items,
-            self.store,
-            self._next_timestamp,
-            first_position,
-            over_placeholders=self.lookahead > 0,
+            items, self.store, self._next_timestamp, first_position
         )
         self._next_timestamp += len(items)
-        n_slots = plan.reserved
-        self._next_position += n_slots
-        metrics.placeholders_reserved += n_slots
+        self._next_position += plan.reserved
+        metrics.placeholders_reserved += plan.reserved
         metrics.base_reads += plan.base_reads
         metrics.own_reads += plan.own_reads
         metrics.dependent_reads += plan.dependent_reads
@@ -306,52 +226,46 @@ class BatchPlanner:
                 "plan", "plan.batch", "plan",
                 batch=number, txns=len(items),
             )
-        return _InFlight(
-            number, plan, born, engine.ticks, first_position, n_slots
-        )
+        return _Batch(number, plan, born, first_position)
 
     # -- execution stage ---------------------------------------------------
 
-    def _execute(self, head: _InFlight) -> None:
+    def _execute(self, batch: _Batch) -> None:
         tracing = self.tracer.enabled
         if tracing:
             self.tracer.begin(
-                "execute", "execute.batch", "execute", batch=head.number,
+                "execute", "execute.batch", "execute", batch=batch.number,
             )
-        outcome = self.executor.execute(head.plan, head.first_position)
-        verify_settled(head.plan, outcome)
+        outcome = self.executor.execute(batch.plan, batch.first_position)
+        verify_settled(batch.plan, outcome)
         self.metrics.rebound_reads += outcome.rebound_reads
         self.metrics.engine.steps_submitted += outcome.steps_executed
-        head.outcome = outcome
+        batch.outcome = outcome
         if tracing:
             self.tracer.end(
                 "execute", "execute.batch", "execute",
-                batch=head.number, steps=outcome.steps_executed,
+                batch=batch.number, steps=outcome.steps_executed,
             )
 
     # -- settle ------------------------------------------------------------
 
-    def _settle(self, head: _InFlight, plans: deque) -> None:
-        """Commit accounting, abort removal, GC.
-
-        ``plans`` are the batches planned ahead of ``head`` (none at
-        lookahead=0): their slots are the only placeholders left, and the
-        settled batch's GC pin is released before collecting (the clamp
-        then moves to the oldest remaining plan).
-        """
+    def _settle(self, batch: _Batch) -> None:
+        """Commit accounting, abort removal, GC behind the next batch's
+        first install position.  No placeholder survives a settle."""
         metrics = self.metrics
         engine = metrics.engine
-        outcome = head.outcome
+        outcome = batch.outcome
         tracing = self.tracer.enabled
         if tracing:
             self.tracer.begin(
-                "settle", "settle.batch", "driver", batch=head.number,
+                "settle", "settle.batch", "driver", batch=batch.number,
             )
         committed = outcome.committed
-        for ptxn, tick in zip(head.plan, head.born):
+        settle_tick = engine.ticks
+        for ptxn, tick in zip(batch.plan, batch.born):
             if ptxn.txn in committed:
                 engine.committed += 1
-                latency = head.settle_tick - tick
+                latency = settle_tick - tick
                 engine.latency.record(latency)
                 if tracing:
                     emit_planned_data_ops(self.tracer, ptxn)
@@ -368,19 +282,17 @@ class BatchPlanner:
                 )
             for slot in ptxn.slots:
                 self.store.remove(slot)
-        expected = sum(p.n_slots for p in plans)
-        if self.store.placeholder_count() != expected:
+        if self.store.placeholder_count():
             raise EngineError(
                 f"{self.store.placeholder_count()} undecided placeholders "
-                f"after settle; {expected} reserved by in-flight plans"
+                "after settle"
             )
         engine.epochs_closed += 1
         if self.gc is not None:
-            self.gc.unpin(head.first_position)
             self.gc.collect(self._next_position)
         engine.final_versions = self.store.version_count()
         if tracing:
             self.tracer.end(
                 "settle", "settle.batch", "driver",
-                batch=head.number, committed=len(committed),
+                batch=batch.number, committed=len(committed),
             )

@@ -24,10 +24,7 @@ rule serves had the dead writer never been admitted — and runs on.
 Nothing needs undoing: a slot goes PENDING -> FILLED or PENDING ->
 POISONED, never FILLED -> POISONED, so the reader has consumed nothing
 of the dead writer's and its own slots are still pending.  Each planned
-transaction runs exactly once; only a logic abort poisons.  A read
-planned ahead against an earlier batch's slot whose writer aborted
-re-binds the same way: settle removed the slot from the chain, but the
-slot stays POISONED.
+transaction runs exactly once; only a logic abort poisons.
 
 A crash inside ``_run_one`` — an executor or store bug, not a workload
 condition — ends the batch in one :class:`EngineError` chained from the

@@ -50,18 +50,10 @@ class PlannerMetrics:
     #: readers re-bind past them and run on).
     logic_aborted: int = 0
     #: reads that found their source writer logic-aborted and re-bound
-    #: down the chain during execution.  Kept out of ``as_dict``: at
-    #: ``lookahead >= 1`` a read planned against an earlier batch's slot
-    #: re-binds too, where sequential planning would have bound the
-    #: survivor directly, so the count depends on ``lookahead``.
+    #: down the chain during execution.  Published as the
+    #: ``planner.rebound_reads`` counter and on the report's logic-aborts
+    #: line, not as an ``as_dict`` key.
     rebound_reads: int = 0
-
-    #: batches planned ahead of the executing one (configuration; 0 —
-    #: sequential stages).  Kept out of ``as_dict`` — a run serializes
-    #: byte-identically at every lookahead (pipelining changes when
-    #: planning happens, never what is planned) — and surfaced via
-    #: :meth:`report` and the ``pipeline.lookahead`` gauge only.
-    lookahead: int = 0
 
     @property
     def submitted(self) -> int:
@@ -113,15 +105,12 @@ class PlannerMetrics:
 
         ``planner.*`` names on top of the shared ``engine.*`` set (the
         reused engine metrics register themselves, so the zero-abort
-        witness — ``engine.aborted.*`` all zero — rides along), plus
-        the ``pipeline.lookahead`` gauge when planning runs ahead.
+        witness — ``engine.aborted.*`` all zero — rides along).
         Wall-clock fields stay out, so equal-seed telemetry is
         byte-identical.
         """
         self.engine.register_into(registry)
         _FIELDS.register_into(self, registry)
-        if self.lookahead:
-            _PIPELINE_FIELDS.register_into(self, registry)
 
     def report(self) -> str:
         """A human-readable block for the CLI."""
@@ -146,9 +135,6 @@ class PlannerMetrics:
             f"in {engine.gc.collections} collections",
             f"ticks         {engine.ticks}",
         ]
-        if self.lookahead:
-            lines[0] += f"  lookahead {self.lookahead}"
-            lines.append("pipeline      planned ahead inline (no overlap)")
         return "\n".join(lines)
 
 
@@ -167,11 +153,4 @@ _FIELDS = FieldTable(
     ("dependent_reads", "dependent_reads", "reads.dependent", "counter"),
     ("commit_deps", "commit_deps", "commit_deps", "counter"),
     ("rebound_reads", None, "rebound_reads", "counter"),
-)
-
-#: published only when planning runs ahead (``lookahead >= 1``); never
-#: ``as_dict`` keys — see the ``lookahead`` field above.
-_PIPELINE_FIELDS = FieldTable(
-    "pipeline",
-    ("lookahead", None, "lookahead", "gauge"),
 )

@@ -1,11 +1,10 @@
-"""The one planner driver with ``lookahead`` defaulting to 1."""
+"""Gone: the planner driver runs one plan → execute → settle loop
+(:class:`repro.planner.driver.BatchPlanner`) and plans nothing ahead.
 
-# benchmarks/perf/perf_layers.py still resolves this name; a follow-up
-# benchmark-only PR drops that target and this module with it.
+``benchmarks/perf/perf_layers.py`` still resolves ``PipelinedPlanner``;
+the benchmark-only PR drops that target and deletes this module.
+"""
 
-from repro.planner.driver import BatchPlanner
 
-
-class PipelinedPlanner(BatchPlanner):
-    def __init__(self, *args, lookahead: int = 1, **kwargs) -> None:
-        super().__init__(*args, lookahead=lookahead, **kwargs)
+class PipelinedPlanner:
+    """Never constructed."""

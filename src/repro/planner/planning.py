@@ -75,7 +75,6 @@ def plan_batch(
     store: VersionStore,
     first_timestamp: int,
     first_position: int,
-    over_placeholders: bool = False,
 ) -> BatchPlan:
     """Plan one batch: reserve every write slot, bind every read.
 
@@ -84,22 +83,14 @@ def plan_batch(
     across batches, which is what makes the per-batch GC watermark
     identical to the engine's epoch watermark).
 
-    By default the store must carry no placeholders — a previous batch
-    that left any behind was never settled, which is a driver bug, not a
-    plannable state.  ``over_placeholders=True`` lifts that precondition
-    for the driver at ``lookahead >= 1`` (:mod:`repro.planner.driver`),
-    which deliberately plans batch *k+1* before batch *k* has settled
-    (and, planning further ahead, before it has run): a base read then
-    binds to the newest chain slot even if it is another batch's
-    placeholder — the planned final chain position is fixed at
-    reservation, so the binding is exact either way, and a binding whose
-    source's writer logic-aborts re-binds when its batch executes
-    (:mod:`repro.planner.executor`).
+    The store must carry no placeholders: a previous batch that left
+    any behind was never settled, which is a driver bug, not a plannable
+    state.
 
     A store call that raises fails the call at once with one
     :class:`EngineError` chained from the cause, never a short plan.
     """
-    if not over_placeholders and store.placeholder_count():
+    if store.placeholder_count():
         raise EngineError("plan_batch over unsettled placeholders")
     reserve = store.reserve
     latest = store.latest

@@ -117,5 +117,11 @@ class TestRegistry:
         assert modes == {"serial", "parallel", "planner", "pipelined"}
         assert [len(get_suite(n).cases) for n in
                 ("e15", "e16", "e17", "e18", "smoke", "audit")] == [
-            20, 14, 12, 8, 5, 8,
+            20, 14, 12, 9, 5, 8,
+        ]
+        # E18 is the planner alone, by batch size.
+        e18 = get_suite("e18").cases
+        assert {c.run_config().mode for c in e18} == {"planner"}
+        assert sorted({c.config["batch_size"] for c in e18}) == [
+            16, 64, 256,
         ]

@@ -130,7 +130,7 @@ class TestResolution:
         assert config.scheduler is None
         assert config.retry is None
         assert config.epoch_max_steps is None
-        assert config.lookahead is None  # sequential: nothing in flight
+        assert config.lookahead is None  # a pipelined-only echo
 
     def test_pipelined_defaults(self):
         config = RunConfig(mode="pipelined")

@@ -1,8 +1,6 @@
 """Garbage collector: safety (live readers keep their versions) and
 effectiveness (write-heavy streams shrink)."""
 
-import pytest
-
 from repro.engine import (
     ConcurrentDriver,
     OnlineEngine,
@@ -147,78 +145,3 @@ class TestEffectiveness:
         assert store.latest("x").value == 9
         assert gc.stats.versions_pruned == 10
         assert gc.stats.collections == 1
-
-
-class TestPins:
-    """The pipelined-planner invariant: a version a not-yet-executed
-    plan has bound as a read source is never pruned — the collector
-    clamps every requested watermark to the lowest pinned plan."""
-
-    def make_store(self, n=10):
-        store = MultiversionStore({"x": 0})
-        for k in range(n):
-            store.install("x", "w", k, position=k)
-        return store
-
-    def test_pin_clamps_collection(self):
-        store = self.make_store()
-        gc = WatermarkGC(store)
-        # An in-flight plan with first position 4 has bound, per entity,
-        # the newest version below 4 — here position 3.
-        bound = store.latest_before("x", 4)
-        gc.pin(4)
-        gc.collect(watermark=10)  # the driver is settled far past 4...
-        # ...but the bound source (and nothing newer) must survive.
-        assert store.at_position("x", bound.position) is bound
-        assert store.latest_before("x", 4) is bound
-        # Only the prefix below the pin was collectable: the initial
-        # version and positions 0-2 go, positions 3-9 stay.
-        assert store.version_count() == 7
-        assert [v.position for v in store.versions("x")] == list(range(3, 10))
-
-    def test_unpin_releases_the_clamp(self):
-        store = self.make_store()
-        gc = WatermarkGC(store)
-        gc.pin(4)
-        gc.collect(watermark=10)
-        gc.unpin(4)
-        gc.collect(watermark=10)
-        assert store.version_count() == 1
-        assert store.latest("x").value == 9
-
-    def test_lowest_of_several_pins_wins(self):
-        store = self.make_store()
-        gc = WatermarkGC(store)
-        gc.pin(7)
-        gc.pin(4)
-        gc.pin(7)  # duplicates are legal (write-free batches)
-        assert gc.floor() == 4
-        gc.collect(watermark=10)
-        assert store.latest_before("x", 4).position == 3
-        gc.unpin(4)
-        assert gc.floor() == 7
-        gc.collect(watermark=10)
-        assert store.latest_before("x", 7).position == 6
-        with pytest.raises(ValueError, match="without a matching pin"):
-            gc.unpin(4)
-
-    def test_pinned_reserved_slot_chain_survives(self):
-        """The full pipelined shape: a plan binds a base read below its
-        first position while reserving its own slots above it; GC at any
-        later watermark keeps both."""
-        store = MultiversionStore({"x": 0})
-        for k in range(5):
-            store.install("x", "w", k, position=k)
-        gc = WatermarkGC(store)
-        base = store.latest_before("x", 5)  # the plan's bound source
-        slot = store.reserve("x", "t9", position=7)
-        gc.pin(5)
-        gc.collect(watermark=9)
-        assert store.at_position("x", 4) is base
-        assert store.at_position("x", 7) is slot
-        # Settle: the slot fills, the pin lifts, the clamp moves on.
-        store.fill(slot, 99)
-        gc.unpin(5)
-        gc.collect(watermark=9)
-        assert store.version_count() == 1
-        assert store.latest("x") is slot

@@ -9,6 +9,9 @@ A mutant is a wrong planner function, monkeypatched in by a fixture
   past it (an abort chain);
 * ``settle-keeps-dead-slot`` — ``BatchPlanner._settle`` skips
   ``store.remove`` for one logic-aborted slot of the batch;
+* ``settle-keeps-aborted-slot`` — ``BatchPlanner._settle`` recompiled
+  without its ``self.store.remove(slot)``, so every logic-aborted slot
+  stays in the chain;
 * ``walk-keeps-stale-slot`` — ``plan_batch`` recompiled without the
   statement that advances an entity's newest slot after a write, so a
   later read binds past that write;
@@ -19,8 +22,9 @@ A mutant is a wrong planner function, monkeypatched in by a fixture
 Each mutant names the check that kills it: the serial oracle of
 ``tests/planner/test_reexec_property.py`` (equal final state and
 committed set), or the driver's own placeholder check (a settled batch
-leaves exactly the in-flight plans' slots behind, else
-:class:`EngineError`), each run over that file's generated abort
+leaves no placeholder behind, else the named :class:`EngineError`
+"undecided placeholders after settle"), each run over that file's
+generated abort
 workloads; the reference-model comparison of
 ``tests/planner/test_planning_model.py`` over its generated batches; or
 ``TestPendingSource`` of ``tests/planner/test_plan_executor.py`` — all
@@ -74,7 +78,7 @@ def rebind_one_step(executor, ptxn, index, dead, first_position):
     return source
 
 
-def settle_keeps_dead_slot(planner, head, plans):
+def settle_keeps_dead_slot(planner, batch):
     """``_settle`` with the first ``store.remove`` of the batch skipped
     (settle removes only logic-aborted transactions' slots)."""
     store = planner.store
@@ -89,18 +93,17 @@ def settle_keeps_dead_slot(planner, head, plans):
 
     store.remove = remove_but_the_first
     try:
-        return _settle(planner, head, plans)
+        return _settle(planner, batch)
     finally:
         del store.remove
 
 
-def run(workload, lookahead):
+def run(workload):
     accounts, stream, batch_size = workload
     tracer = Tracer(capacity=None)
     planner = BatchPlanner(
         initial={a: INITIAL_BALANCE for a in accounts}, n_workers=2,
-        batch_size=batch_size, lookahead=lookahead,
-        tracer=tracer,
+        batch_size=batch_size, tracer=tracer,
     )
     planner.run(stream)
     return planner, tracer
@@ -111,25 +114,21 @@ def killed_by_serial_oracle(workload):
     accounts, stream, _ = workload
     initial = {a: INITIAL_BALANCE for a in accounts}
     state, committed = serial_oracle(initial, stream)
-    for lookahead in (0, 2):
-        planner, tracer = run(workload, lookahead)
-        if (
-            {**initial, **planner.final_state()} != state
-            or committed_ids(tracer) != sorted(committed)
-        ):
-            return True
-    return False
+    planner, tracer = run(workload)
+    return (
+        {**initial, **planner.final_state()} != state
+        or committed_ids(tracer) != sorted(committed)
+    )
 
 
 def killed_by_placeholder_check(workload):
-    """The driver's settle found a placeholder no in-flight plan owns."""
-    for lookahead in (0, 2):
-        try:
-            run(workload, lookahead)
-        except EngineError as error:
-            if "undecided placeholders after settle" in str(error):
-                return True
-            raise
+    """The driver's settle found a placeholder left in the store."""
+    try:
+        run(workload)
+    except EngineError as error:
+        if "undecided placeholders after settle" in str(error):
+            return True
+        raise
     return False
 
 
@@ -161,6 +160,10 @@ MUTANTS = {
     ),
     "settle-keeps-dead-slot": (
         BatchPlanner, "_settle", settle_keeps_dead_slot,
+        abort_workloads(), killed_by_placeholder_check,
+    ),
+    "settle-keeps-aborted-slot": (
+        BatchPlanner, "_settle", ("self.store.remove(slot)", "pass"),
         abort_workloads(), killed_by_placeholder_check,
     ),
     "walk-keeps-stale-slot": (

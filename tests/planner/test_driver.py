@@ -1,11 +1,13 @@
-"""The planner driver at ``lookahead=0`` and the execution-mode registry
-(``tests/planner/test_pipeline.py`` runs the driver at every lookahead)."""
+"""The planner driver and the execution-mode registry
+(``tests/planner/test_pipeline.py`` runs the driver across batch seams)."""
 
 import json
 
 import pytest
 
+import repro.planner.driver as driver_mod
 from repro.db import Database, RunConfig
+from repro.engine.gc import WatermarkGC
 from repro.obs import Tracer
 from repro.planner import BatchPlanner
 from repro.workloads.bank import transfer_program, transfer_transaction
@@ -87,6 +89,41 @@ class TestDriver:
         # t3 read c from the initial base: 100 - 2 moved to d.
         assert state["c"] == 98 and state["d"] == 102
         assert planner.store.placeholder_count() == 0
+
+
+class TestGCWatermark:
+    @pytest.mark.parametrize("batch_size", [1, 7, 16, 300])
+    @pytest.mark.parametrize("scenario", Database.scenarios())
+    def test_each_settle_collects_at_the_next_batch_first_position(
+        self, monkeypatch, scenario, batch_size
+    ):
+        """Settle collects behind the next batch's first install position
+        (after the last batch: the position past every slot reserved) —
+        the engine's epoch watermark with the batch as the epoch."""
+        firsts, watermarks = [], []
+        plan_batch, collect = driver_mod.plan_batch, WatermarkGC.collect
+
+        def planning(items, store, first_timestamp, first_position):
+            firsts.append(first_position)
+            return plan_batch(items, store, first_timestamp, first_position)
+
+        def collecting(gc, watermark):
+            watermarks.append(watermark)
+            return collect(gc, watermark)
+
+        monkeypatch.setattr(driver_mod, "plan_batch", planning)
+        monkeypatch.setattr(WatermarkGC, "collect", collecting)
+        report = Database().run(
+            scenario,
+            RunConfig(mode="planner", batch_size=batch_size,
+                      deterministic=True, seed=7),
+            txns=300,
+        )
+        assert report.invariant_ok
+        assert len(firsts) == -(-300 // batch_size)
+        reserved = report.metrics.placeholders_reserved
+        assert watermarks == firsts[1:] + [reserved]
+        assert report.metrics.engine.gc.collections == len(firsts)
 
 
 class TestModesRegistry:

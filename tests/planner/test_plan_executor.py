@@ -276,22 +276,24 @@ class TestPendingSource:
         :class:`EngineError` naming the entity and the reader, at once,
         never a hang."""
         store = MultiversionStore({"x": 100, "y": 0})
-        store.reserve("x", "ghost", 0)
+        ghost = (Transaction.build("ghost", ("W", "x")), None)
         reader = (
             Transaction.build("t1", ("R", "x"), ("W", "y")),
             lambda write_index, reads: reads[0],
         )
-        items = [reader]
+        items = [ghost, reader]
         if reached == "by-rebind":
             items.insert(
-                0, (Transaction.build("t0", ("W", "x")), failing_program("t0"))
+                1, (Transaction.build("t0", ("W", "x")), failing_program("t0"))
             )
-        plan = plan_batch(items, store, 0, 1, over_placeholders=True)
+        plan = plan_batch(items, store, 0, 0)
+        # The ghost's slot stays reserved, but nobody runs its writer.
+        del plan.planned[0]
         raised: list[BaseException] = []
 
         def run() -> None:
             try:
-                PlanExecutor(store).execute(plan, 1)
+                PlanExecutor(store).execute(plan, 0)
             except BaseException as error:  # noqa: BLE001 — inspected below
                 raised.append(error)
 

@@ -11,7 +11,7 @@ merge of both dicts after the walks — only cheaper.  That planner is kept here
 :func:`naive_plan_batch`, and Hypothesis drives both over generated
 batches (seeded with the textbook shapes: a read before the reader's own
 write, an own write re-read, an entity written twice by one transaction,
-two writers with a reader between, and a batch planned over the pending
+two writers with a reader between, and a batch planned over the settled
 slots of a previous one): equal bindings, slots, ``deps`` and tally.
 The model's tally is derived from its finished bindings with the public
 ``is_base``/``is_own`` spelling, so the two tallies are independent
@@ -60,17 +60,14 @@ class _Draft:
     slots: dict[int, Any] = field(default_factory=dict)
 
 
-def naive_plan_batch(
-    items, store, first_timestamp, first_position,
-    over_placeholders=False,
-):
+def naive_plan_batch(items, store, first_timestamp, first_position):
     """The draft-and-merge planner, verbatim but for its containers (the
     merged bindings and slots are lists, as every consumer now expects),
     its entity walks, which run inline in sorted order over one store —
     the walk of one entity depends on nothing outside that entity — and
     the plan's tally, which it derives from its bindings once they are
     merged."""
-    if not over_placeholders and store.placeholder_count():
+    if store.placeholder_count():
         raise EngineError("plan_batch over unsettled placeholders")
     drafts = []
     by_entity = {}
@@ -193,21 +190,21 @@ def shape(plan):
 
 
 def planned(planner, previous, batch):
-    """What ``planner`` fixes for ``batch``, planned over the pending
+    """What ``planner`` fixes for ``batch``, planned over the settled
     slots of ``previous`` (if any), and the placeholders it leaves."""
     store = MultiversionStore({entity: 0 for entity in ENTITIES})
     first_position = 0
     before = []
     if previous:
-        # Left pending: the batch below is planned over its slots, as
-        # the driver does at ``lookahead >= 1``.
-        pending = planner(build(previous, "p"), store, 0, 0)
-        first_position = pending.reserved
-        before = shape(pending)
-    plan = planner(
-        build(batch, "t"), store, len(previous), first_position,
-        over_placeholders=bool(previous),
-    )
+        # Settled, as the driver settles every batch before it plans the
+        # next: the batch below binds previous' filled slots as base.
+        settled = planner(build(previous, "p"), store, 0, 0)
+        for ptxn in settled:
+            for slot in ptxn.slots:
+                store.fill(slot, slot.position)
+        first_position = settled.reserved
+        before = shape(settled)
+    plan = planner(build(batch, "t"), store, len(previous), first_position)
     return before, shape(plan), store.placeholder_count()
 
 
@@ -228,9 +225,7 @@ def test_one_pass_planner_equals_the_draft_planner(case):
     fast = planned(plan_batch, previous, batch)
     assert fast == planned(naive_plan_batch, previous, batch)
     _, (_, transactions), placeholders = fast
-    writes = sum(
-        kind == "W" for spec in previous + batch for kind, _ in spec
-    )
+    writes = sum(kind == "W" for spec in batch for kind, _ in spec)
     assert placeholders == writes
     for (_, _, bindings, slots, _), spec in zip(transactions, batch):
         # One binding per read and one slot per write, in step order.
@@ -239,6 +234,16 @@ def test_one_pass_planner_equals_the_draft_planner(case):
         ]
         assert len(slots) == sum(kind == "W" for kind, _ in spec)
 
+
+
+@pytest.mark.parametrize("planner", [plan_batch, naive_plan_batch])
+def test_a_pending_slot_is_never_planned_over(planner):
+    """Every batch settles before the next is planned, so a placeholder
+    left in the store is a driver bug, refused by name."""
+    store = MultiversionStore({"x": 0})
+    store.reserve("x", "p0", 0)
+    with pytest.raises(EngineError, match="unsettled placeholders"):
+        planner(build([[("R", "x")]], "t"), store, 1, 1)
 
 # -- through the driver: the plan-shape counters ---------------------------
 
@@ -258,7 +263,6 @@ def run_with(planner_function, stream, deterministic=True, **options):
 
 
 @pytest.mark.parametrize("deterministic", [True, False])
-@pytest.mark.parametrize("lookahead", [0, 1])
 @given(
     batch=st.lists(accesses, min_size=1, max_size=14),
     doomed=st.sets(st.integers(0, 13), max_size=3),
@@ -268,10 +272,10 @@ def run_with(planner_function, stream, deterministic=True, **options):
 @example(batch=WRITTEN_TWICE + OWN_WRITE_REREAD, doomed=set(), batch_size=2)
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_driver_counts_the_same_plan_shape(
-    lookahead, deterministic, batch, doomed, batch_size
+    deterministic, batch, doomed, batch_size
 ):
-    """``doomed`` transactions raise, so settle removes their slots and —
-    at ``lookahead=1`` — the next plan's readers of them re-bind."""
+    """``doomed`` transactions raise, so their readers in the batch
+    re-bind and settle removes their slots before the next plan."""
     def stream():
         return [
             (
@@ -281,10 +285,7 @@ def test_driver_counts_the_same_plan_shape(
             for k, spec in enumerate(batch)
         ]
 
-    options = dict(
-        batch_size=batch_size, lookahead=lookahead,
-        deterministic=deterministic,
-    )
+    options = dict(batch_size=batch_size, deterministic=deterministic)
     model, model_metrics = run_with(naive_plan_batch, stream(), **options)
     fast, fast_metrics = run_with(plan_batch, stream(), **options)
     for name in (

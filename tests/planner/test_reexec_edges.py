@@ -5,8 +5,8 @@ Directed regressions for the corners of the read-time re-bind
 *head* (nothing earlier in the batch — the replacement is the pre-batch
 base), chained poisons (a re-bound reader that aborts, poisoning the
 next), a poisoned source whose replacement is a *previous batch's*
-committed version, and the pipelined interaction with GC pins
-(re-binding must never address a pruned version).  Every planned
+committed version, and GC (re-binding must never address a pruned
+version).  Every planned
 transaction runs exactly once, so ``steps_submitted`` never exceeds the
 stream's steps.
 """
@@ -138,50 +138,29 @@ class TestCrossBatchRebind:
         assert planner.store.placeholder_count() == 0
 
 
-class TestPipelinedGCPins:
-    """Re-binding in flight: lookahead plans pin their read sources, so
-    ``latest_before`` during a re-bind can never land on a pruned
-    version — the run stays equal to the unpruned one."""
+class TestRebindUnderGC:
+    """GC prunes behind the next batch's first position, and a re-bind
+    walks down from a slot of the executing batch, so ``latest_before``
+    never lands on a pruned version: the run equals the unpruned one."""
 
-    @pytest.mark.parametrize("gc_enabled", [True, False])
-    def test_gc_on_off_realize_the_same_run(self, gc_enabled):
-        scenario = AbortHeavyScenario(
-            n_shards=2, accounts_per_shard=4, abort_fraction=0.3,
-            cross_fraction=0.3, seed=13,
-        )
-        pipelined = BatchPlanner(
-            initial=scenario.initial_state(), n_workers=2,
-            batch_size=4, lookahead=3,
-            gc_enabled=gc_enabled,
-        )
-        metrics = pipelined.run(scenario.transaction_stream(100))
-        assert metrics.logic_aborted > 0
-        assert scenario.invariant_holds(pipelined.final_state())
-        if gc_enabled:
-            assert metrics.engine.gc.versions_pruned > 0
-        if not hasattr(self, "_states"):
-            type(self)._states = {}
-        self._states[gc_enabled] = (
-            metrics.committed, pipelined.final_state()
-        )
-        if len(self._states) == 2:
-            assert self._states[True] == self._states[False]
-
-    def test_pipelined_matches_batch_planner(self):
-        scenario = AbortHeavyScenario(
-            n_shards=2, accounts_per_shard=4, abort_fraction=0.25,
-            cross_fraction=0.3, seed=21,
-        )
-        batch = BatchPlanner(
-            initial=scenario.initial_state(), n_workers=2,
-            batch_size=4,
-        )
-        batch_metrics = batch.run(scenario.transaction_stream(100))
-        pipe = BatchPlanner(
-            initial=scenario.initial_state(), n_workers=2,
-            batch_size=4, lookahead=3,
-        )
-        pipe_metrics = pipe.run(scenario.transaction_stream(100))
-        assert pipe_metrics.committed == batch_metrics.committed
-        assert pipe_metrics.logic_aborted > 0
-        assert pipe.final_state() == batch.final_state()
+    def test_gc_on_off_realize_the_same_run(self):
+        runs = {}
+        for gc_enabled in (True, False):
+            scenario = AbortHeavyScenario(
+                n_shards=2, accounts_per_shard=4, abort_fraction=0.3,
+                cross_fraction=0.3, seed=13,
+            )
+            planner = BatchPlanner(
+                initial=scenario.initial_state(), n_workers=2,
+                batch_size=4, gc_enabled=gc_enabled,
+            )
+            metrics = planner.run(scenario.transaction_stream(100))
+            assert metrics.logic_aborted > 0
+            assert metrics.rebound_reads > 0
+            assert scenario.invariant_holds(planner.final_state())
+            assert (metrics.engine.gc.versions_pruned > 0) == gc_enabled
+            runs[gc_enabled] = (
+                metrics.committed, metrics.rebound_reads,
+                planner.final_state(),
+            )
+        assert runs[True] == runs[False]

@@ -5,16 +5,12 @@ and end with a third fate, ``CASCADE``; at settle one pass removed the
 aborted roots' slots, revived every victim's poisoned slots to PENDING,
 re-bound the victims' reads off the removed slots and ran each victim a
 second time, in timestamp order, retiring a victim that aborted again
-before the next one re-bound.  With planning running ahead, the driver
-then repaired the lookahead seam: every in-flight plan indexed its base
-bindings by source slot, and a read bound to a slot the settle removed
-re-bound to ``latest_before`` the plan's first position.  Now the reader
-re-binds on the spot (:meth:`repro.planner.executor.PlanExecutor._run_one`),
-in its own batch or across the seam, and runs once.
+before the next one re-bound.  Now the reader re-binds on the spot
+(:meth:`repro.planner.executor.PlanExecutor._run_one`) and runs once.
 
 The two-pass design is kept here, in test code only — an executor whose
-``_run_one`` poisons and returns the cascade fate, the settle pass, the
-``revive`` it needed and the seam repair — and Hypothesis drives both
+``_run_one`` poisons and returns the cascade fate, the settle pass and
+the ``revive`` it needed — and Hypothesis drives both
 through the real driver over generated streams mixing always-raising
 programs, value-dependent guards and plain transfers: equal fates, equal
 final bindings (source position and ``source_txn``), equal ``deps``,
@@ -158,15 +154,15 @@ class RecordingPlanner(BatchPlanner):
         super().__init__(*args, **kwargs)
         self.batches = []
 
-    def _settle(self, head, plans):
-        fates = head.outcome.fates
-        votes = {ptxn.txn: fates[ptxn.txn] == COMMITTED for ptxn in head.plan}
-        deps = {ptxn.txn: set(ptxn.deps) for ptxn in head.plan}
-        closure = GroupCommitLog(len(head.plan)).commit_closure(votes, deps)
-        assert closure == head.outcome.committed
-        super()._settle(head, plans)
+    def _settle(self, batch):
+        plan, fates = batch.plan, batch.outcome.fates
+        votes = {ptxn.txn: fates[ptxn.txn] == COMMITTED for ptxn in plan}
+        deps = {ptxn.txn: set(ptxn.deps) for ptxn in plan}
+        closure = GroupCommitLog(len(plan)).commit_closure(votes, deps)
+        assert closure == batch.outcome.committed
+        super()._settle(batch)
         self.batches.append({
-            "fates": dict(head.outcome.fates),
+            "fates": dict(batch.outcome.fates),
             "bindings": [
                 (
                     b.step_index,
@@ -174,77 +170,36 @@ class RecordingPlanner(BatchPlanner):
                     b.source.position,
                     b.source_txn,
                 )
-                for ptxn in head.plan
+                for ptxn in batch.plan
                 for b in ptxn.bindings
             ],
-            "deps": {ptxn.txn: ptxn.deps for ptxn in head.plan},
+            "deps": {ptxn.txn: ptxn.deps for ptxn in batch.plan},
         })
 
 
 class TwoPassPlanner(RecordingPlanner):
-    """The driver over the replaced design: cascade, then settle pass,
-    then the seam repair of every plan in flight."""
+    """The driver over the replaced design: cascade, then settle pass."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.executor = CascadeExecutor(self.store)
-        #: reads the model re-bound: settle pass and seam repair.
+        #: reads the model's settle pass re-bound.
         self.rebound = 0
-        #: in-flight plan -> id(source slot) -> [(ptxn, binding index)]
-        #: for every base binding to a reserved slot.
-        self.by_source = {}
 
-    def _plan_one(self):
-        inflight = super()._plan_one()
-        if inflight is not None and self.lookahead:
-            # A base binding to a reserved slot is another batch's: one
-            # still in flight may be removed; a settled one never is, so
-            # its entry is simply never popped.
-            index = self.by_source[inflight] = {}
-            for ptxn in inflight.plan:
-                for k, binding in enumerate(ptxn.bindings):
-                    if binding.is_base and binding.source.is_placeholder:
-                        index.setdefault(id(binding.source), []).append(
-                            (ptxn, k)
-                        )
-        return inflight
-
-    def _settle(self, head, plans):
+    def _settle(self, batch):
         # Settle removes every logic abort's slots; the pass already
         # removed those it retired.
         gone, rebound = settle_pass(
-            head.plan, head.outcome.fates, self.store, self.executor,
-            head.first_position,
+            batch.plan, batch.outcome.fates, self.store, self.executor,
+            batch.first_position,
         )
         self.rebound += rebound
         remove = self.store.remove
         self.store.remove = lambda v: None if id(v) in gone else remove(v)
         try:
-            super()._settle(head, plans)
+            super()._settle(batch)
         finally:
             del self.store.remove
-        self.by_source.pop(head, None)
-        for ptxn in head.plan:
-            if head.outcome.fates[ptxn.txn] != COMMITTED:
-                for slot in ptxn.slots:
-                    for inflight in plans:
-                        self.seam_repair(inflight, slot)
-
-    def seam_repair(self, inflight, slot):
-        """Move every binding of ``inflight`` bound to the removed
-        ``slot`` to the newest survivor below the plan's first position:
-        on this entity nothing was reserved between, else the plan would
-        have bound to *that*."""
-        affected = self.by_source[inflight].pop(id(slot), ())
-        if not affected:
-            return
-        source = self.store.latest_before(slot.entity, inflight.first_position)
-        for ptxn, k in affected:
-            old = ptxn.bindings[k]
-            ptxn.bindings[k] = ReadBinding(
-                old.txn, old.step_index, source, T_INIT
-            )
-            self.rebound += 1
 
 
 def chains(store):
@@ -281,14 +236,13 @@ def abort_streams(draw):
 
 
 @pytest.mark.parametrize("deterministic", [True, False])
-@pytest.mark.parametrize("lookahead", [0, 1, 2])
 @given(workload=abort_streams())
 @settings(max_examples=60, deadline=None)
-def test_rebind_equals_the_two_pass_design(lookahead, deterministic, workload):
+def test_rebind_equals_the_two_pass_design(deterministic, workload):
     accounts, stream, batch_size = workload
     options = dict(
         initial={account: 100 for account in accounts}, n_workers=2,
-        batch_size=batch_size, lookahead=lookahead,
+        batch_size=batch_size,
     )
     model = clocked(
         TwoPassPlanner(tracer=Tracer(capacity=0), **options), deterministic
@@ -310,7 +264,7 @@ def test_rebind_equals_the_two_pass_design(lookahead, deterministic, workload):
     assert fast_metrics.logic_aborted == model_metrics.logic_aborted
     # Transfers read before they write, so a fast reader re-binds every
     # read bound to a dead writer before its own program can raise —
-    # exactly the reads the model re-binds in its pass or at the seam.
+    # exactly the reads the model re-binds in its pass.
     assert fast_metrics.rebound_reads == model.rebound
     assert model_metrics.rebound_reads == 0
 

@@ -12,8 +12,8 @@ semantics cannot diverge) and checks, on randomized workloads mixing
 clean transfers, unconditional aborts, and *value-dependent* aborts
 (a re-bound reader that aborts in turn, so its own readers re-bind):
 
-* committed set and final state are identical to the oracle — batch and
-  pipelined, on the wall clock as on the tick;
+* committed set and final state are identical to the oracle, on the
+  wall clock as on the tick;
 * concurrency-control aborts stay zero, and no placeholder survives.
 """
 
@@ -147,29 +147,8 @@ def test_reexec_matches_serial_oracle(workload):
 
 
 @given(abort_workloads())
-@settings(max_examples=40, deadline=None)
-def test_pipelined_reexec_matches_serial_oracle(workload):
-    accounts, stream, batch_size = workload
-    initial = {a: INITIAL_BALANCE for a in accounts}
-    oracle_state, oracle_committed = serial_oracle(initial, stream)
-
-    tracer = Tracer(capacity=None)
-    planner = BatchPlanner(
-        initial=initial, n_workers=2, batch_size=batch_size,
-        lookahead=2, tracer=tracer,
-    )
-    metrics = planner.run(stream)
-
-    assert {**initial, **planner.final_state()} == oracle_state
-    assert committed_ids(tracer) == sorted(oracle_committed)
-    assert metrics.committed == len(oracle_committed)
-    assert metrics.cc_aborts == 0
-
-
-@pytest.mark.parametrize("lookahead", [0, 2])
-@given(abort_workloads())
 @settings(max_examples=100, deadline=None)
-def test_wall_clock_matches_serial_oracle(lookahead, workload):
+def test_wall_clock_matches_serial_oracle(workload):
     accounts, stream, batch_size = workload
     initial = {a: INITIAL_BALANCE for a in accounts}
     oracle_state, oracle_committed = serial_oracle(initial, stream)
@@ -177,7 +156,7 @@ def test_wall_clock_matches_serial_oracle(lookahead, workload):
     tracer = Tracer(capacity=None)
     planner = BatchPlanner(
         initial=initial, n_workers=4, batch_size=batch_size,
-        lookahead=lookahead, tracer=tracer,
+        tracer=tracer,
     )
     metrics = planner.run(stream)
 

@@ -352,16 +352,24 @@ class TestRun:
         assert "invariant     ok" in out
 
     def test_pipelined_run_reports_metrics(self, capsys):
-        assert main([
-            "run", "--mode", "pipelined", "--scenario", "read-mostly",
-            "--workers", "2", "--txns", "50", "--lookahead", "2",
-        ]) == 0
+        """``--lookahead`` is accepted and echoed in the ``--json``
+        config; the report is the planner's but for the mode name."""
+        common = [
+            "--scenario", "read-mostly", "--workers", "2", "--txns", "50",
+            "--deterministic",
+        ]
+        pipelined = ["run", "--mode", "pipelined", "--lookahead", "2"]
+        assert main([*pipelined, *common]) == 0
         out = capsys.readouterr().out
         assert "read-mostly via pipelined backend" in out
         assert "cc aborts     0" in out
-        assert "lookahead 2" in out
-        assert "pipeline" in out
         assert "invariant     ok" in out
+        assert main(["run", "--mode", "planner", *common]) == 0
+        planner = capsys.readouterr().out
+        assert out.replace("via pipelined", "via planner") == planner
+        assert main([*pipelined, *common, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["lookahead"] == 2
 
     def test_lookahead_rejected_off_pipelined(self, capsys):
         assert main([
