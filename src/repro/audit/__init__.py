@@ -2,9 +2,10 @@
 
 Every execution mode already *claims* correctness through per-mode
 invariant flags; this package certifies it with the paper's own theory.
-The trace stream (:mod:`repro.obs`) carries data-operation events —
-``txn.read`` with its reads-from source version, ``txn.write`` with its
-installed chain position — and the auditor folds them back into a
+The trace stream (:mod:`repro.obs`) carries each committed
+transaction's data steps on its ``txn.commit`` record — every read with
+its reads-from source version, every write with its installed chain
+position, in step order — and the auditor folds them back into a
 :mod:`repro.model` multiversion schedule plus reads-from relation
 (:class:`ScheduleReconstructor`), checks the structural invariants the
 engines promise (version-chain integrity, reads-from consistency, the
@@ -28,7 +29,8 @@ Entry points:
   each track's open segment and committed chain.
 * post-hoc — :func:`audit_file` replays any ``repro run --trace`` JSONL
   file (the ``repro audit PATH`` CLI), :func:`audit_events` any event
-  list.
+  list.  A trace of per-step ``txn.read``/``txn.write`` events, written
+  before commits carried the data, raises ``ValueError``.
 
 Deterministic runs audit byte-identically: equal seeds produce equal
 traces, hence equal :class:`AuditReport` JSON — the reproducibility

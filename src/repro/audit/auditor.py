@@ -66,7 +66,7 @@ def replays_claimed_order(joined: Joined) -> bool:
     replay, without the schedule.
 
     The transactions run serially in ``joined.committed`` order, each
-    one's steps in trace order (positions bucketed by commit rank, no
+    one's steps in step order (positions bucketed by commit rank, no
     sort), keeping per entity the last writer and the position of that
     writer's first write there: every read must find its pinned source,
     installed before the read's own position.

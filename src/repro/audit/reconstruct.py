@@ -1,10 +1,16 @@
 """Trace → schedule: fold the event stream back into the paper's model.
 
-The engines emit ``txn.read``/``txn.write`` instants carrying chain
-positions (:mod:`repro.obs`); this module folds that stream — live as a
-tracer sink, or post-hoc from a loaded JSONL file — into per-track,
-per-segment :class:`repro.model.schedules.Schedule` objects with the
-observed reads-from relation pinned per read.
+Each committed transaction's ``txn.commit`` record carries its data
+steps (:mod:`repro.obs`): in step order, ``(entity, pos)`` per write and
+``(entity, pos, writer)`` per read, ``pos`` a chain position.  This
+module folds that stream — live as a tracer sink, or post-hoc from a
+loaded JSONL file — into per-track, per-segment
+:class:`repro.model.schedules.Schedule` objects with the observed
+reads-from relation pinned per read.  An aborted attempt leaves no data,
+only the positions it installed on its ``txn.abort`` record, so a
+committed read of one of them is caught.  A trace of per-step
+``txn.read``/``txn.write`` events, as written before commits carried
+the data, is refused with ``ValueError``.
 
 **Tracks** are independent: the serial engine emits on ``engine``, each
 shard engine on ``shard-<domain>`` (entities are hash-partitioned, so
@@ -12,10 +18,7 @@ no conflict crosses tracks), the planners on ``driver``.  **Segments**
 are the engines' own consistency units — an epoch (delimited by the
 ``epoch.close`` instant) or a planner batch (delimited by the
 ``settle.batch`` span end).  Each closes at a quiescent point, so every
-attempt inside has resolved: its data ops are either *canceled* by a
-matching ``txn.abort`` (matched on ``(txn, seq)`` — TxnIds repeat
-across retries, the attempt sequence number does not) or *confirmed*
-by a ``txn.commit``.
+transaction of a segment has committed or aborted inside it.
 
 A read joins its writer through the chain position: positions are
 allocated by one monotonic counter per track, so ``pos`` names exactly
@@ -26,14 +29,14 @@ engines' base-capture rule verbatim — after checking it was served the
 (:mod:`repro.audit.violations`) are attached to the segment they occur
 in; certification is the :class:`repro.audit.auditor.Auditor`'s job.
 
-A track buffers only its open segment's raw events.  At the delimiter
-one join pass over them resolves attempts, joins every read to its
-source and flags every structural violation, leaving a :class:`Joined`
-— plain ``(txn, entity, source)`` tuples, no schedule.  Standalone, the
-reconstructor turns each into a :class:`Segment` and keeps it; the
-auditor, a subclass whose :meth:`ScheduleReconstructor._closed` judges,
-keeps nothing of the segment past its verdict except the committed-chain
-map.
+A track buffers only its open segment's commit records.  At the
+delimiter one join indexes their writes, joins every read to its source
+and flags every structural violation, leaving a :class:`Joined` — plain
+``(txn, entity, source)`` tuples in commit order, no schedule.
+Standalone, the reconstructor turns each into a :class:`Segment` and
+keeps it; the auditor, a subclass whose
+:meth:`ScheduleReconstructor._closed` judges, keeps nothing of the
+segment past its verdict except the committed-chain map.
 
 The fold keeps all of its state per track, and a live fold sees the
 events one at a time, in emit order (``docs/observability.md``,
@@ -55,6 +58,8 @@ from repro.audit.violations import Violation
 #: segment delimiters: the engines' quiescent points.
 _EPOCH_CLOSE = "epoch.close"
 _SETTLE_BATCH = "settle.batch"
+#: per-step data events of traces written before commits carried data.
+_RETIRED = frozenset({"txn.read", "txn.write"})
 
 
 @dataclass
@@ -63,7 +68,8 @@ class Segment:
 
     track: str
     index: int
-    #: committed attempts' steps, in trace emission order.
+    #: committed transactions' steps, in commit order and each
+    #: transaction's in step order.
     schedule: Schedule
     #: read position in ``schedule`` -> observed source transaction
     #: (``T_INIT`` for pre-segment state) — ``certify_fixed``'s pin map.
@@ -117,16 +123,15 @@ class _TrackState:
     """
 
     name: str
-    #: the open segment's ``txn.read``/``txn.write`` events, as emitted.
-    #: Their args: ``txn``; ``seq``, the attempt sequence number (engine
-    #: tracks) or plan timestamp (planner tracks), which pairs with
-    #: ``txn`` to name one attempt; ``entity``; ``pos``, the chain
-    #: position read or installed (None: the pre-trace initial
-    #: version); and on reads ``writer``, the claimed installer.
-    ops: list[TraceEvent] = field(default_factory=list)
-    #: commit events in order: (txn, seq-or-None).
-    commits: list[tuple[str, int | None]] = field(default_factory=list)
-    aborted: set[tuple[str, int | None]] = field(default_factory=set)
+    #: the open segment's commit records in order: ``(txn, ops)`` with
+    #: ``ops`` the record's data steps in step order — ``(entity, pos)``
+    #: per write, ``(entity, pos, writer)`` per read (lists once read
+    #: back from JSONL); ``pos`` is the chain position installed or
+    #: read (None: the pre-trace initial version), ``writer`` the
+    #: claimed installer.
+    commits: list[tuple[str, list]] = field(default_factory=list)
+    #: positions the open segment's aborted attempts installed -> txn.
+    aborted: dict[int, str] = field(default_factory=dict)
     #: events folded on this track.
     events: int = 0
     #: segments closed with data ops on this track.
@@ -135,7 +140,7 @@ class _TrackState:
     chain: dict[int, tuple[str, str]] = field(default_factory=dict)
     #: entity -> newest committed position among finalized segments.
     chain_latest: dict[str, int] = field(default_factory=dict)
-    #: last committed install position (track-wide monotonicity check).
+    #: highest committed install position among finalized segments.
     last_pos: int | None = None
 
 
@@ -175,18 +180,29 @@ class ScheduleReconstructor:
             track = self._tracks[event.track] = _TrackState(event.track)
         track.events += 1
         name = event.name
-        if name == "txn.read" or name == "txn.write":
-            track.ops.append(event)
-        elif name == "txn.commit":
+        if name == "txn.commit":
             args = event.args
-            track.commits.append((str(args.get("txn")), args.get("seq")))
-        elif name == "txn.abort":
-            args = event.args
-            track.aborted.add((str(args.get("txn")), args.get("seq")))
+            track.commits.append(
+                (str(args.get("txn")), args.get("ops") or ())
+            )
         elif name == _EPOCH_CLOSE or (
             name == _SETTLE_BATCH and event.ph == END
         ):
             self._close_segment(track)
+        elif name == "txn.abort":
+            installed = event.args.get("installed")
+            if installed:
+                txn = str(event.args.get("txn"))
+                for pos in installed:
+                    track.aborted[pos] = txn
+        elif name in _RETIRED:
+            # Such a trace carries its data outside the commits, where
+            # this fold no longer looks: read on, it would certify an
+            # empty schedule.
+            raise ValueError(
+                f"trace predates commit-carried data: {name!r} event on "
+                f"track {event.track!r}; re-record it with this version"
+            )
 
     def finish(self) -> list[Segment]:
         """Flush residual segments; idempotent; returns all segments."""
@@ -211,14 +227,14 @@ class ScheduleReconstructor:
         """Tracks that carried data operations, sorted."""
         return tuple(sorted(
             t.name for t in self._tracks.values()
-            if t.segments or t.ops
+            if t.segments or _has_data(t)
         ))
 
     # -- one segment -------------------------------------------------------
 
     def _close_segment(self, track: _TrackState) -> None:
         """Join the open segment and hand it on (see the module doc)."""
-        if not track.ops:
+        if not _has_data(track):
             # Lifecycle-only stretches (the parallel driver track, empty
             # epochs) reconstruct to nothing; drop the bookkeeping.
             track.commits.clear()
@@ -234,12 +250,17 @@ class ScheduleReconstructor:
             self._on_segment(segment)
 
 
+def _has_data(track: _TrackState) -> bool:
+    """Does the open segment carry a data step?"""
+    return any(ops for _txn, ops in track.commits)
+
+
 def _join(track: _TrackState) -> Joined:
-    """One pass over the open segment's events: resolve each attempt,
-    join each read to its source, flag structural violations, and
-    promote the committed writes into the track's chain."""
-    events, commits, aborted = track.ops, track.commits, track.aborted
-    track.ops, track.commits, track.aborted = [], [], set()
+    """Join the open segment's commits: index their writes, join each
+    read to its source, flag structural violations, and promote the
+    committed writes into the track's chain."""
+    commits, aborted_pos = track.commits, track.aborted
+    track.commits, track.aborted = [], {}
     index = track.segments
     track.segments += 1
     violations: list[Violation] = []
@@ -247,60 +268,25 @@ def _join(track: _TrackState) -> Joined:
     def flag(code: str, txn: str, detail: str) -> None:
         violations.append(Violation(code, track.name, index, txn, detail))
 
-    # Engine commits and aborts carry the attempt seq; planner commits
-    # and logic aborts carry only the txn (planned txns run exactly
-    # once), so they settle every attempt of the txn.  Those txns are
-    # collected into sets once per segment, so a planner op resolves
-    # with one lookup of its txn.  ``rank`` is a transaction's place in
-    # the claimed order: its first commit event.
-    committed_attempts = set(commits)
-    seqless = {txn for txn, seq in commits if seq is None}
+    # ``rank`` is a transaction's place in the claimed order: its first
+    # commit record.
     rank: dict[str, int] = {}
-    for txn, _seq in commits:
+    for txn, _ops in commits:
         if txn not in rank:
             rank[txn] = len(rank)
-    aborted_txns = {txn for txn, seq in aborted if seq is None}
 
-    #: positions installed by attempts that aborted in this segment.
-    aborted_pos: dict[int, str] = {}
-    if aborted:
-        for event in events:
-            if event.name == "txn.write":
-                args = event.args
-                txn, pos = str(args.get("txn")), args.get("pos")
-                if pos is not None and (
-                    txn in aborted_txns
-                    or (txn, args.get("seq")) in aborted
-                ):
-                    aborted_pos[pos] = txn
-
+    # Every committed write is indexed before any read joins: a forged
+    # reader committed before its source must still find the source,
+    # and be flagged for the order.
     chain, chain_latest = track.chain, track.chain_latest
     last_pos = track.last_pos
-    ops: list[tuple[str, str, str | None]] = []
-    reads = 0
-    #: this segment's committed writes so far: pos -> (txn, entity).
+    #: this segment's committed writes: pos -> (txn, entity).
     seg_writes: dict[int, tuple[str, str]] = {}
-    unresolved_flagged: set[tuple[str, int | None]] = set()
-    for event in events:
-        args = event.args
-        txn, seq = str(args.get("txn")), args.get("seq")
-        if aborted and (txn in aborted_txns or (txn, seq) in aborted):
-            continue
-        if not (
-            txn in seqless
-            or (txn, seq) in committed_attempts
-            or (seq is None and txn in rank)
-        ):
-            if (txn, seq) not in unresolved_flagged:
-                unresolved_flagged.add((txn, seq))
-                flag(
-                    "unresolved-attempt", txn,
-                    f"data ops of attempt seq={seq} have no commit "
-                    f"or abort by segment end",
-                )
-            continue
-        entity, pos = str(args.get("entity")), args.get("pos")
-        if event.name == "txn.write":
+    for txn, txn_ops in commits:
+        for op in txn_ops:
+            if len(op) != 2:
+                continue
+            entity, pos = op
             if pos is None:
                 flag(
                     "missing-write", txn,
@@ -313,18 +299,26 @@ def _join(track: _TrackState) -> Joined:
                     f"position {pos} of {entity!r} installed twice",
                 )
             if last_pos is not None and pos <= last_pos:
+                # Installs are monotone across segments only: within
+                # one, commit order is not install order.
                 flag(
                     "chain-regression", txn,
                     f"position {pos} of {entity!r} not above the last "
-                    f"committed install {last_pos}",
+                    f"committed install {last_pos} of an earlier segment",
                 )
-            last_pos = pos if last_pos is None else max(last_pos, pos)
             seg_writes[pos] = (txn, entity)
-            source = None
-        else:
+
+    ops: list[tuple[str, str, str | None]] = []
+    reads = 0
+    for txn, txn_ops in commits:
+        for op in txn_ops:
+            if len(op) == 2:
+                if op[1] is not None:
+                    ops.append((txn, op[0], None))
+                continue
             # -- reads: join the claimed source through the position ----
             reads += 1
-            writer = args.get("writer")
+            entity, pos, writer = op
             source = T_INIT
             if pos is None:
                 if writer not in (None, T_INIT):
@@ -341,15 +335,13 @@ def _join(track: _TrackState) -> Joined:
                         f"read of {entity!r} at position {pos} claims "
                         f"writer {writer!r}, installed by {source!r}",
                     )
-                if source != txn:
-                    src_rank = rank.get(source)
-                    if src_rank is not None and src_rank >= rank[txn]:
-                        flag(
-                            "commit-order", txn,
-                            f"committed before its reads-from source "
-                            f"{source!r} (read of {entity!r} at "
-                            f"position {pos})",
-                        )
+                if source != txn and rank[source] >= rank[txn]:
+                    flag(
+                        "commit-order", txn,
+                        f"committed before its reads-from source "
+                        f"{source!r} (read of {entity!r} at "
+                        f"position {pos})",
+                    )
             elif pos in aborted_pos:
                 flag(
                     "read-from-aborted", txn,
@@ -380,8 +372,7 @@ def _join(track: _TrackState) -> Joined:
                     f"read of {entity!r} at position {pos} has no "
                     f"matching committed write",
                 )
-        ops.append((txn, entity, source))
-    track.last_pos = last_pos
+            ops.append((txn, entity, source))
 
     # Promote this segment's committed writes into the track chain.
     for pos, (txn, entity) in seg_writes.items():
@@ -389,5 +380,8 @@ def _join(track: _TrackState) -> Joined:
         newest = chain_latest.get(entity)
         if newest is None or pos > newest:
             chain_latest[entity] = pos
+        if last_pos is None or pos > last_pos:
+            last_pos = pos
+    track.last_pos = last_pos
 
     return Joined(track.name, index, ops, tuple(rank), violations, reads)

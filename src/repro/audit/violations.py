@@ -28,17 +28,13 @@ VIOLATION_CODES: dict[str, str] = {
         "a committed read sources a version whose writer aborted "
         "(dirty read survived into a commit)"
     ),
-    "unresolved-attempt": (
-        "data operations belong to an attempt that neither committed "
-        "nor aborted by segment end"
-    ),
     "duplicate-position": (
         "two committed writes claim the same chain position "
         "(version-chain integrity)"
     ),
     "chain-regression": (
-        "committed install positions went backwards on a track "
-        "(version-chain integrity)"
+        "a committed install position is not above every earlier "
+        "segment's on its track (version-chain integrity)"
     ),
     "stale-base-read": (
         "a cross-epoch read was not served the newest committed "

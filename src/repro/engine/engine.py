@@ -119,6 +119,10 @@ class TxnAttempt:
     #: abort compacts the log); None until a step is accepted.
     first: int | None = None
     abort_reason: str | None = None
+    #: traced runs only: each accepted step's data op, in step order —
+    #: ``(entity, pos)`` per write, ``(entity, pos, writer)`` per read —
+    #: which the commit record carries (``docs/observability.md``).
+    ops: list | None = None
 
     @property
     def done_submitting(self) -> bool:
@@ -216,6 +220,7 @@ class OnlineEngine:
             next(self._seq),
             hold=self.hold_commits,
             born_tick=born_tick,
+            ops=[] if self.tracer.enabled else None,
         )
         self._live.add(attempt)
         self.metrics.attempts += 1
@@ -258,37 +263,31 @@ class OnlineEngine:
         metrics.steps_submitted += 1
         if not scheduler.submit(step):
             metrics.steps_rejected += 1
-            self._abort_cascade(attempt, "rejected")
+            self._abort_cascade(attempt, "rejected", step)
             raise TransactionAborted(attempt.txn, "rejected")
         entry = _LogEntry(step, attempt)
         log.append(entry)
         if attempt.first is None:
             attempt.first = position
         attempt.steps_done += 1
-        tracer = self.tracer
         if step.op is _READ:
             version, owner = self._resolve_source(
                 scheduler.source_of_read(position), entity
             )
             entry.read_version = version
             attempt.reads.append(version.value)
-            if tracer.enabled:
-                # The reads-from edge, as observed: (entity, pos) names
-                # the exact version served (positions are globally
-                # unique per track), ``writer`` the transaction that
-                # installed it — T0 for pre-trace initial versions.
-                # An abort never re-emits, and a survivor keeps the
-                # version it was served, so for committed attempts this
-                # record is final.
-                tracer.instant(
-                    "data", "txn.read", self.trace_track,
-                    txn=str(attempt.txn), seq=attempt.seq, entity=entity,
-                    pos=version.position,
-                    writer=(
-                        T_INIT if version.position is None
-                        else str(version.writer)
-                    ),
-                )
+            if attempt.ops is not None:
+                # The reads-from edge, as served: (entity, pos) names
+                # the exact version (positions are globally unique per
+                # track), ``writer`` the transaction that installed it —
+                # T0 for pre-trace initial versions.  A survivor of an
+                # abort keeps the version it was served, so this is
+                # final once the attempt commits.
+                attempt.ops.append((
+                    entity, version.position,
+                    T_INIT if version.position is None
+                    else str(version.writer),
+                ))
             if (
                 owner is not None
                 and owner is not attempt
@@ -317,12 +316,8 @@ class OnlineEngine:
         )
         entry.version = version
         attempt.versions.append(version)
-        if tracer.enabled:
-            tracer.instant(
-                "data", "txn.write", self.trace_track,
-                txn=str(attempt.txn), seq=attempt.seq, entity=entity,
-                pos=version.position,
-            )
+        if attempt.ops is not None:
+            attempt.ops.append((entity, version.position))
         return value
 
     def finish(self, attempt: TxnAttempt) -> TxnState:
@@ -474,25 +469,30 @@ class OnlineEngine:
             raise EngineError(f"read sourced from non-write position {source}")
         return entry.version, entry.attempt
 
-    def _abort_cascade(self, root: TxnAttempt, reason: str) -> None:
+    def _abort_cascade(
+        self, root: TxnAttempt, reason: str, rejected: Step | None = None
+    ) -> None:
         """Abort ``root`` plus every uncommitted reader; retract them.
 
         One :meth:`Scheduler.retract` drops the doomed steps.  Every
         engine scheduler retracts in place and rejects no survivor; one
         that does (the base class's truncate + re-submit can) raises
-        rather than revoke a survivor's decision.
+        rather than revoke a survivor's decision.  ``rejected`` is the
+        step the scheduler refused, when that is why ``root`` aborts.
         """
-        removed = self._doom(root, reason)
+        removed = self._doom(root, reason, rejected)
         self.metrics.replays += 1
-        rejected = self.scheduler.retract(removed)
-        if rejected is not None:
+        refused = self.scheduler.retract(removed)
+        if refused is not None:
             raise EngineError(
                 f"{self.scheduler.name}: retract rejected the surviving "
-                f"step at log position {rejected}"
+                f"step at log position {refused}"
             )
         self._finalize_ready()
 
-    def _doom(self, root: TxnAttempt, reason: str) -> list[int]:
+    def _doom(
+        self, root: TxnAttempt, reason: str, rejected: Step | None
+    ) -> list[int]:
         """Mark the cascade closure of ``root`` aborted; strip its traces.
 
         Returns the log positions it removed, in order: the survivors
@@ -521,13 +521,22 @@ class OnlineEngine:
                 cut = attempt.first
             attempt.abort_reason = reason if attempt is root else "cascade"
             if self.tracer.enabled:
-                # ``seq`` ties the abort to one attempt: TxnIds repeat
-                # across retries, and the auditor cancels exactly the
-                # aborted attempt's data-op events.
+                # What the attempt installed (a committed read of it is
+                # ``read-from-aborted``), and why it went: the root of a
+                # cascade, the refused step of a rejected root.
+                if attempt is not root:
+                    why = {"root": str(root.txn), "root_seq": root.seq}
+                elif rejected is not None:
+                    why = {"entity": rejected.entity, "op": rejected.op.value}
+                else:
+                    why = {}
+                # repro: lint-ignore[O303] keys literal in each branch above
                 self.tracer.instant(
                     "txn", "txn.abort", self.trace_track,
                     txn=str(attempt.txn), seq=attempt.seq,
                     reason=attempt.abort_reason,
+                    installed=[v.position for v in attempt.versions],
+                    **why,
                 )
             if attempt is root:
                 if reason == "rejected":
@@ -607,10 +616,12 @@ class OnlineEngine:
             latency = self.metrics.ticks - attempt.born_tick
             self.metrics.latency.record(latency)
         if self.tracer.enabled:
+            # The one record of the attempt's data: an aborted attempt
+            # leaves none, so the trace holds committed steps only.
             # repro: lint-ignore[O303] keys literal in both ** branches
             self.tracer.instant(
                 "txn", "txn.commit", self.trace_track,
-                txn=str(attempt.txn), seq=attempt.seq,
+                txn=str(attempt.txn), seq=attempt.seq, ops=attempt.ops,
                 **({} if latency is None else {"latency": latency}),
             )
         self._commits_since_gc += 1

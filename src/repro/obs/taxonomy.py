@@ -36,8 +36,8 @@ class EventSpec:
     """One taxonomy row: an event name and how the docs describe it.
 
     ``kind`` is ``"instant"`` or ``"span"``; ``detail`` is the
-    parenthetical the docs table shows next to the kind (the ``data``
-    category, the span's home track); ``emitted_by`` and ``payload``
+    parenthetical the docs table shows next to the kind (the span's
+    home track); ``emitted_by`` and ``payload``
     are the prose cells of the published table.
     """
 
@@ -69,23 +69,17 @@ EVENTS: tuple[EventSpec, ...] = (
     EventSpec(
         "txn.commit", "instant", "",
         "all modes",
-        "`txn`, `latency` (ticks), `seq` (attempt)",
+        "`txn`, `latency` (ticks), `seq` (attempt), `ops` (the data "
+        "steps in step order: `[entity, pos]` per write, "
+        "`[entity, pos, writer]` per read; `pos` `null` = initial "
+        "version; none on the parallel `driver` track)",
     ),
     EventSpec(
         "txn.abort", "instant", "",
         "serial/parallel (CC aborts), planner family (logic)",
-        "`txn`, `reason`, `seq` (attempt)",
-    ),
-    EventSpec(
-        "txn.read", "instant", "`data`",
-        "all modes",
-        "`txn`, `seq`, `entity`, `pos` (version read; `null` = initial), "
-        "`writer` (reads-from source)",
-    ),
-    EventSpec(
-        "txn.write", "instant", "`data`",
-        "all modes",
-        "`txn`, `seq`, `entity`, `pos` (chain position installed)",
+        "`txn`, `reason`, `seq` (attempt), `installed` (positions the "
+        "attempt installed), `entity` and `op` (the refused step of a "
+        "`rejected` root), `root` and `root_seq` (a `cascade`'s root)",
     ),
     EventSpec(
         "txn.retry", "instant", "",

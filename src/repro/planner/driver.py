@@ -59,45 +59,32 @@ from repro.storage.mvstore import MultiversionStore
 _WRITE = Op.WRITE
 
 
-def emit_planned_data_ops(tracer, ptxn) -> None:
-    """Emit ``txn.read``/``txn.write`` instants for one committed ptxn.
+def planned_data_ops(ptxn) -> list[tuple]:
+    """The ``ops`` of a committed ptxn's ``txn.commit`` record.
 
-    Emitted at settle time, when bindings are final (the executor
-    re-binds reads whose source's writer aborted, so plan-time bindings
-    may not be the served ones) and the fate is known
-    (aborted transactions never read or wrote anything durable — their
-    slots are removed).  ``pos`` is the source/installed chain position
-    — the trace-wide join key between a read and the write that produced
-    its version; ``seq`` is the plan timestamp (planned transactions run
-    exactly once, so it only disambiguates, never cancels).  Settle
-    iterates ptxns in timestamp order and a source writer always has a
-    smaller timestamp, so every read's source write event precedes it
-    in the stream.
+    Built at settle time, when bindings are final (the executor re-binds
+    reads whose source's writer aborted, so plan-time bindings may not
+    be the served ones): in step order, ``(entity, pos)`` per write and
+    ``(entity, pos, writer)`` per read, ``pos`` the installed or source
+    chain position — the trace-wide join key between a read and the
+    write that produced its version.  Settle iterates ptxns in
+    timestamp order and a source writer always has a smaller timestamp,
+    so every read's source commit precedes it in the stream.
     """
     # Both lists are in step order, one cell per read / per write.
     bindings = iter(ptxn.bindings)
     slots = iter(ptxn.slots)
-    txn = str(ptxn.txn)
-    seq = ptxn.timestamp
-    # One emit per step of every committed transaction: the loop reads
-    # nothing through a property or a repeated attribute lookup.
-    instant = tracer.instant
+    ops = []
     for step in ptxn.transaction.steps:
         if step.op is _WRITE:
-            instant(
-                "data", "txn.write", "driver",
-                txn=txn, seq=seq, entity=step.entity,
-                pos=next(slots).position,
-            )
+            ops.append((step.entity, next(slots).position))
             continue
         source = next(bindings).source
         pos = None if source is None else source.position
-        instant(
-            "data", "txn.read", "driver",
-            txn=txn, seq=seq, entity=step.entity,
-            pos=pos,
-            writer=T_INIT if pos is None else str(source.writer),
-        )
+        ops.append((
+            step.entity, pos, T_INIT if pos is None else str(source.writer)
+        ))
+    return ops
 
 
 @dataclass(eq=False)
@@ -268,10 +255,10 @@ class BatchPlanner:
                 latency = settle_tick - tick
                 engine.latency.record(latency)
                 if tracing:
-                    emit_planned_data_ops(self.tracer, ptxn)
                     self.tracer.instant(
                         "txn", "txn.commit", "driver",
                         txn=str(ptxn.txn), latency=latency,
+                        ops=planned_data_ops(ptxn),
                     )
                 continue
             metrics.logic_aborted += 1
@@ -279,6 +266,7 @@ class BatchPlanner:
                 self.tracer.instant(
                     "txn", "txn.abort", "driver",
                     txn=str(ptxn.txn), reason="logic",
+                    installed=[slot.position for slot in ptxn.slots],
                 )
             for slot in ptxn.slots:
                 self.store.remove(slot)

@@ -43,65 +43,71 @@ class TestSyntheticViolations:
 
     def test_read_from_mismatch_forged_edge(self):
         report = audit_events([
-            wr("a", "x", 1), commit("a"),
-            rd("b", "x", 1, "z"),  # claims z; position 1 belongs to a
-            commit("b"), close(),
+            commit("a", wr("x", 1)),
+            # claims z; position 1 belongs to a
+            commit("b", rd("x", 1, "z")),
+            close(),
         ])
         assert codes(report) == ["read-from-mismatch"]
 
     def test_missing_write(self):
         report = audit_events([
-            rd("b", "x", 7, "a"),  # nothing ever installed position 7
-            commit("b"), close(),
+            # nothing ever installed position 7
+            commit("b", rd("x", 7, "a")),
+            close(),
         ])
         assert codes(report) == ["missing-write"]
 
     def test_commit_order_reader_before_source(self):
         report = audit_events([
-            wr("a", "x", 1),
-            rd("b", "x", 1, "a"),
-            commit("b"), commit("a"),  # reader commits first: forbidden
+            # reader commits first: forbidden.  Its source's write is
+            # still found: the join indexes every committed write first.
+            commit("b", rd("x", 1, "a")),
+            commit("a", wr("x", 1)),
             close(),
         ])
         assert codes(report) == ["commit-order"]
 
     def test_read_from_aborted(self):
         report = audit_events([
-            wr("a", "x", 1, seq=0), abort("a", seq=0),
-            rd("b", "x", 1, "a"), commit("b"),
+            abort("a", 1, seq=0),
+            commit("b", rd("x", 1, "a")),
             close(),
         ])
         assert codes(report) == ["read-from-aborted"]
 
-    def test_unresolved_attempt(self):
-        report = audit_events([
-            wr("a", "x", 1),  # neither commit nor abort follows
-            close(),
-        ])
-        assert codes(report) == ["unresolved-attempt"]
-
     def test_duplicate_position(self):
         report = audit_events([
-            wr("a", "x", 1), commit("a"),
-            wr("b", "x", 1), commit("b"),  # same chain position twice
+            commit("a", wr("x", 1)),
+            commit("b", wr("x", 1)),  # same chain position twice
             close(),
         ])
         assert "duplicate-position" in codes(report)
 
     def test_chain_regression(self):
         report = audit_events([
-            wr("a", "x", 5), commit("a"),
-            wr("b", "y", 3), commit("b"),  # installs went backwards
-            close(),
+            commit("a", wr("x", 5)), close(),
+            # installs went below an earlier segment's
+            commit("b", wr("y", 3)), close(),
         ])
         assert codes(report) == ["chain-regression"]
 
+    def test_commit_order_is_not_install_order(self):
+        # Inside one segment a commit may install below an earlier
+        # commit: MVTO commits ``a`` (position 5) before ``b`` (3).
+        report = audit_events([
+            commit("a", wr("x", 5)),
+            commit("b", wr("x", 3)),
+            close(),
+        ])
+        assert report.ok and report.certified == 1
+
     def test_stale_base_read(self):
         report = audit_events([
-            wr("a", "x", 1), commit("a"),
-            wr("b", "x", 2), commit("b"), close(),
-            rd("c", "x", 1, "a"),  # bypasses the newer position 2
-            commit("c"), close(),
+            commit("a", wr("x", 1)),
+            commit("b", wr("x", 2)), close(),
+            commit("c", rd("x", 1, "a")),  # bypasses the newer position 2
+            close(),
         ])
         assert codes(report) == ["stale-base-read"]
 
@@ -110,53 +116,63 @@ class TestSyntheticViolations:
         # version of what the other wrote.  Structurally consistent,
         # but no serial order serves both pinned reads.
         report = audit_events([
-            rd("a", "x", None, T_INIT),
-            rd("b", "y", None, T_INIT),
-            wr("a", "y", 1), wr("b", "x", 2),
-            commit("a"), commit("b"), close(),
+            commit("a", rd("x", None, T_INIT), wr("y", 1)),
+            commit("b", rd("y", None, T_INIT), wr("x", 2)),
+            close(),
         ])
         assert codes(report) == ["not-serializable"]
         assert report.certified == 0
 
     def test_not_serializable_snapshot_write_skew(self):
-        # Write skew as snapshot isolation produces it: both reads come
-        # after both writes and are pinned to the initial versions.  In
-        # the commit order each write is installed before the other
-        # transaction's read, so only the pin comparison rejects it.
+        # Write skew as snapshot isolation produces it: each read comes
+        # after its own transaction's write and is pinned to the initial
+        # version.  In the commit order a's write is installed before
+        # b's read, so only the pin comparison rejects it.
         report = audit_events([
-            wr("a", "y", 1), wr("b", "x", 2),
-            rd("a", "x", None, T_INIT), rd("b", "y", None, T_INIT),
-            commit("a"), commit("b"), close(),
+            commit("a", wr("y", 1), rd("x", None, T_INIT)),
+            commit("b", wr("x", 2), rd("y", None, T_INIT)),
+            close(),
         ])
         assert codes(report) == ["not-serializable"]
         assert report.tiers == {"replay": 0, "graph": 0, "search": 1}
 
     def test_not_serializable_source_installs_after_the_read(self):
-        # The read of y names a position a installed for x, so its pin
-        # is a; a writes y only after the read.  The commit order puts
-        # a's write of y last before b, so only the install-order
-        # check rejects it, and no serial order can serve the pin.
+        # a's steps come in two commit records, so the schedule puts b
+        # between them.  The read of y names a's write of y, which the
+        # second record installs only after the read.  The commit order
+        # puts a before b, so only the install-order check rejects it,
+        # and no serial order can serve the pin.
         report = audit_events([
-            wr("a", "x", 1), rd("b", "y", 1, "a"), wr("a", "y", 2),
-            commit("a"), commit("b"), close(),
+            commit("a", wr("x", 1)),
+            commit("b", rd("y", 2, "a")),
+            commit("a", wr("y", 2)),
+            close(),
         ])
         assert codes(report) == ["not-serializable"]
         assert report.tiers == {"replay": 0, "graph": 0, "search": 1}
 
     def test_trace_dropped_voids_everything(self):
         report = audit_events(
-            [wr("a", "x", 1), commit("a"), close()], dropped=1
+            [commit("a", wr("x", 1)), close()], dropped=1
         )
         assert codes(report) == ["trace-dropped"]
 
     def test_violated_segment_is_not_certified(self):
         report = audit_events([
-            rd("b", "x", 7, "a"), commit("b"), close(),  # broken
-            wr("c", "y", 1), commit("c"), close(),       # clean
+            commit("b", rd("x", 7, "a")), close(),  # broken
+            commit("c", wr("y", 1)), close(),       # clean
         ])
         assert not report.ok
         assert report.segments == 2
         assert report.certified == 1
+
+
+def data_commits(lines):
+    """``(line index, record)`` of every commit that carries ops."""
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        if record.get("name") == "txn.commit" and record["args"].get("ops"):
+            yield i, record
 
 
 class TestMutatedRealTraces:
@@ -184,11 +200,13 @@ class TestMutatedRealTraces:
 
     def test_forged_reads_from_edge(self, tmp_path, trace_lines):
         lines = list(trace_lines)
-        for i, line in enumerate(lines):
-            record = json.loads(line)
-            if (record.get("name") == "txn.read"
-                    and record["args"].get("pos") is not None):
-                record["args"]["writer"] = "t9999"
+        for i, record in data_commits(lines):
+            forged = [
+                op for op in record["args"]["ops"]
+                if len(op) == 3 and op[1] is not None
+            ]
+            if forged:
+                forged[0][2] = "t9999"
                 lines[i] = json.dumps(record)
                 break
         else:
@@ -199,16 +217,20 @@ class TestMutatedRealTraces:
 
     def test_deleted_write_event(self, tmp_path, trace_lines):
         read_pos = {
-            json.loads(l)["args"]["pos"]
-            for l in trace_lines
-            if json.loads(l).get("name") == "txn.read"
-            and json.loads(l)["args"].get("pos") is not None
+            op[1]
+            for _, record in data_commits(trace_lines)
+            for op in record["args"]["ops"]
+            if len(op) == 3 and op[1] is not None
         }
-        for i, line in enumerate(trace_lines):
-            record = json.loads(line)
-            if (record.get("name") == "txn.write"
-                    and record["args"]["pos"] in read_pos):
-                lines = trace_lines[:i] + trace_lines[i + 1:]
+        lines = list(trace_lines)
+        for i, record in data_commits(lines):
+            ops = record["args"]["ops"]
+            kept = [
+                op for op in ops if len(op) == 3 or op[1] not in read_pos
+            ]
+            if len(kept) < len(ops):
+                record["args"]["ops"] = kept
+                lines[i] = json.dumps(record)
                 break
         else:
             pytest.fail("no write that is later read")
@@ -217,30 +239,31 @@ class TestMutatedRealTraces:
         assert "missing-write" in codes(report)
 
     def test_reordered_commits(self, tmp_path, trace_lines):
-        # Swap the commit events of a reads-from pair: the reader now
-        # commits before its source — the flush rule is violated.
+        # Swap the commit records of a reads-from pair in one segment:
+        # the reader now commits before its source — the flush rule is
+        # violated.
         lines = list(trace_lines)
-        reads = {}
-        writer_of = {}
-        for line in lines:
+        commit_line, installed_by = {}, {}
+        for i, line in enumerate(lines):
             record = json.loads(line)
-            if record.get("name") == "txn.write":
-                writer_of[record["args"]["pos"]] = record["args"]["txn"]
-            if (record.get("name") == "txn.read"
-                    and record["args"].get("pos") in writer_of):
-                source = writer_of[record["args"]["pos"]]
-                if source != record["args"]["txn"]:
-                    reads[record["args"]["txn"]] = source
-        commit_line = {
-            json.loads(l)["args"]["txn"]: i
-            for i, l in enumerate(lines)
-            if json.loads(l).get("name") == "txn.commit"
-        }
-        for reader, source in reads.items():
-            i, j = commit_line.get(source), commit_line.get(reader)
-            if i is not None and j is not None and i < j:
+            if record.get("name") == "epoch.close":
+                commit_line, installed_by = {}, {}
+            if record.get("name") != "txn.commit":
+                continue
+            txn = record["args"]["txn"]
+            sources = {
+                installed_by[op[1]]
+                for op in record["args"].get("ops", ())
+                if len(op) == 3 and op[1] in installed_by
+            } - {txn}
+            if sources:
+                j = commit_line[sources.pop()]
                 lines[i], lines[j] = lines[j], lines[i]
                 break
+            commit_line[txn] = i
+            for op in record["args"].get("ops", ()):
+                if len(op) == 2:
+                    installed_by[op[1]] = txn
         else:
             pytest.fail("no reads-from commit pair to reorder")
         report = self._audit_mutated(tmp_path, lines)
@@ -255,6 +278,11 @@ class TestMutatedRealTraces:
         report = self._audit_mutated(tmp_path, lines)
         assert not report.ok
         assert codes(report) == ["trace-dropped"]
+
+    def test_no_per_step_data_events(self, trace_lines):
+        names = {json.loads(line).get("name") for line in trace_lines}
+        assert "txn.commit" in names
+        assert not names & {"txn.read", "txn.write"}
 
     def test_non_trace_file_is_value_error(self, tmp_path):
         path = tmp_path / "not-a-trace.jsonl"

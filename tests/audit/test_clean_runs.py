@@ -334,20 +334,22 @@ class TestWiring:
         assert not any(isinstance(o, (Segment, Schedule)) for o in kept)
         # Only the committed chain outlives the segments' verdicts.
         tracks = auditor._tracks
-        assert all(t.ops == [] and t.commits == [] for t in tracks.values())
+        assert all(
+            t.commits == [] and t.aborted == {}
+            for t in tracks.values()
+        )
         assert [name for name, t in tracks.items() if t.chain] == ["driver"]
         assert len(tracks["driver"].chain) == report.writes
 
     def test_live_auditor_attach_detach(self):
         tracer = Tracer(capacity=None)
         auditor = Auditor.attach(tracer)
-        tracer.instant("data", "txn.write", "engine",
-                       txn="a", seq=0, entity="x", pos=1)
-        tracer.instant("txn", "txn.commit", "engine", txn="a", seq=0)
+        tracer.instant("txn", "txn.commit", "engine",
+                       txn="a", seq=0, ops=[("x", 1)])
         tracer.instant("epoch", "epoch.close", "engine")
         tracer.unsubscribe(auditor.feed)
         tracer.instant("epoch", "epoch.close", "engine")  # not seen
         report = auditor.finish()
         assert report.ok
-        assert report.events == 3
+        assert report.events == 2
         assert report.segments == 1

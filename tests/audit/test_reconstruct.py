@@ -1,35 +1,51 @@
 """ScheduleReconstructor: folding event streams into model schedules."""
 
-from repro.audit import ScheduleReconstructor, audit_events
+import pytest
+
+from repro.audit import ScheduleReconstructor, audit_events, audit_file
 from repro.model.schedules import T_INIT
 from repro.obs.tracer import BEGIN, END, INSTANT, TraceEvent
 
 
 def ev(name, track="engine", ph=INSTANT, ts=0, **args):
-    cat = "data" if name.startswith("txn.") else "epoch"
+    cat = "txn" if name.startswith("txn.") else "epoch"
     return TraceEvent(ts, ph, cat, name, track, args)
 
 
-def rd(txn, entity, pos, writer, *, seq=0, track="engine"):
-    return ev("txn.read", track=track, txn=txn, seq=seq,
-              entity=entity, pos=pos, writer=writer)
+def rd(entity, pos, writer):
+    """One read op of a commit record: the version at ``pos`` (None:
+    the initial version), installed by ``writer``."""
+    return (entity, pos, writer)
 
 
-def wr(txn, entity, pos, *, seq=0, track="engine"):
-    return ev("txn.write", track=track, txn=txn, seq=seq,
-              entity=entity, pos=pos)
+def wr(entity, pos):
+    """One write op of a commit record: ``entity`` installed at ``pos``."""
+    return (entity, pos)
 
 
-def commit(txn, *, seq=0, track="engine"):
-    return ev("txn.commit", track=track, txn=txn, seq=seq)
+def commit(txn, *ops, seq=0, track="engine"):
+    """``txn.commit`` carrying ``ops`` (from :func:`rd`/:func:`wr`) in
+    step order."""
+    return ev("txn.commit", track=track, txn=txn, seq=seq, ops=list(ops))
 
 
-def abort(txn, *, seq=0, track="engine"):
-    return ev("txn.abort", track=track, txn=txn, seq=seq)
+def abort(txn, *installed, seq=0, track="engine"):
+    """``txn.abort`` of an attempt that installed ``installed``."""
+    return ev("txn.abort", track=track, txn=txn, seq=seq,
+              reason="rejected", installed=list(installed))
 
 
 def close(track="engine"):
     return ev("epoch.close", track=track)
+
+
+#: a one-event trace in the format written before commits carried the
+#: data: meta header, then a per-step write.
+OLD_FORMAT_TRACE = (
+    '{"meta":"trace","events":1,"dropped":0}\n'
+    '{"ts":1,"ph":"I","cat":"data","name":"txn.write","track":"engine",'
+    '"args":{"entity":"acct0","pos":0,"seq":0,"txn":"t1"}}\n'
+)
 
 
 def fold(events):
@@ -42,8 +58,8 @@ def fold(events):
 class TestFolding:
     def test_one_clean_segment(self):
         segs = fold([
-            wr("a", "x", 1), commit("a"),
-            rd("b", "x", 1, "a"), commit("b"),
+            commit("a", wr("x", 1)),
+            commit("b", rd("x", 1, "a")),
             close(),
         ])
         assert len(segs) == 1
@@ -55,26 +71,39 @@ class TestFolding:
 
     def test_initial_version_reads_pin_t_init(self):
         segs = fold([
-            rd("a", "x", None, T_INIT), commit("a"), close(),
+            commit("a", rd("x", None, T_INIT)), close(),
         ])
         assert not segs[0].violations
         assert segs[0].read_sources == {0: T_INIT}
 
-    def test_aborted_attempt_ops_are_canceled(self):
-        # Attempt 0 of txn "a" writes then aborts; attempt 1 commits.
+    def test_aborted_attempt_leaves_no_ops(self):
+        # Attempt 0 of txn "a" installs position 1 and aborts; attempt 1
+        # commits.
         segs = fold([
-            wr("a", "x", 1, seq=0), abort("a", seq=0),
-            wr("a", "x", 2, seq=1), commit("a", seq=1),
+            abort("a", 1, seq=0),
+            commit("a", wr("x", 2), seq=1),
             close(),
         ])
         seg = segs[0]
         assert not seg.violations
         assert [str(s) for s in seg.schedule] == ["Wa(x)"]
 
+    def test_ops_keep_step_order_and_json_lists(self):
+        # An own read after an own write keeps its place; ops read back
+        # from JSONL are lists, not tuples.
+        segs = fold([
+            commit("a", ["x", 1], ["x", 1, "a"], ["y", None, T_INIT]),
+            close(),
+        ])
+        seg = segs[0]
+        assert not seg.violations
+        assert [str(s) for s in seg.schedule] == ["Wa(x)", "Ra(x)", "Ra(y)"]
+        assert seg.read_sources == {1: "a", 2: T_INIT}
+
     def test_segments_split_at_epoch_close(self):
         segs = fold([
-            wr("a", "x", 1), commit("a"), close(),
-            rd("b", "x", 1, "a"), commit("b"), close(),
+            commit("a", wr("x", 1)), close(),
+            commit("b", rd("x", 1, "a")), close(),
         ])
         assert [s.index for s in segs] == [0, 1]
         # The cross-epoch read folds to the segment's initial state.
@@ -84,8 +113,7 @@ class TestFolding:
     def test_settle_batch_end_delimits_planner_tracks(self):
         segs = fold([
             ev("settle.batch", track="driver", ph=BEGIN),
-            wr("a", "x", 1, track="driver"),
-            commit("a", track="driver"),
+            commit("a", wr("x", 1), track="driver"),
             ev("settle.batch", track="driver", ph=END),
         ])
         assert len(segs) == 1
@@ -93,8 +121,8 @@ class TestFolding:
 
     def test_tracks_fold_independently(self):
         segs = fold([
-            wr("a", "x", 1, track="shard-0"), commit("a", track="shard-0"),
-            wr("b", "y", 1, track="shard-1"), commit("b", track="shard-1"),
+            commit("a", wr("x", 1), track="shard-0"),
+            commit("b", wr("y", 1), track="shard-1"),
             close("shard-0"), close("shard-1"),
         ])
         assert {s.track for s in segs} == {"shard-0", "shard-1"}
@@ -106,16 +134,15 @@ class TestFolding:
 
     def test_finish_flushes_residual_segment_and_is_idempotent(self):
         rec = ScheduleReconstructor()
-        rec.feed(wr("a", "x", 1))
-        rec.feed(commit("a"))
+        rec.feed(commit("a", wr("x", 1)))
         assert rec.finish() == rec.finish()
         assert len(rec.segments) == 1
 
     def test_on_segment_fires_at_every_close(self):
         seen = []
         rec = ScheduleReconstructor(on_segment=seen.append)
-        for event in [wr("a", "x", 1), commit("a"), close(),
-                      wr("b", "x", 2), commit("b"), close()]:
+        for event in [commit("a", wr("x", 1)), close(),
+                      commit("b", wr("x", 2)), close()]:
             rec.feed(event)
         assert [s.index for s in seen] == [0, 1]
 
@@ -128,15 +155,33 @@ class TestAuditEvents:
 
     def test_clean_stream_certifies(self):
         report = audit_events([
-            wr("a", "x", 1), commit("a"),
-            rd("b", "x", 1, "a"), commit("b"), close(),
+            commit("a", wr("x", 1)),
+            commit("b", rd("x", 1, "a")), close(),
         ])
         assert report.ok
         assert report.certified == 1
         assert report.reads == 1 and report.writes == 1
 
     def test_dropped_refuses_without_feeding(self):
-        report = audit_events([wr("a", "x", 1), commit("a")], dropped=3)
+        report = audit_events([commit("a", wr("x", 1))], dropped=3)
         assert not report.ok
         assert [v.code for v in report.violations] == ["trace-dropped"]
         assert report.segments == 0
+
+
+class TestOldTraces:
+    """A per-step data event belongs to a trace written before commits
+    carried the data; folded as a lifecycle event it would leave every
+    segment empty and the audit ``ok``."""
+
+    @pytest.mark.parametrize("name", ["txn.read", "txn.write"])
+    def test_per_step_data_event_is_refused(self, name):
+        old = ev(name, txn="a", seq=0, entity="x", pos=1, writer="a")
+        with pytest.raises(ValueError, match="predates commit-carried"):
+            audit_events([commit("a", wr("x", 1)), old, close()])
+
+    def test_old_format_file_is_refused(self, tmp_path):
+        path = tmp_path / "old.jsonl"
+        path.write_text(OLD_FORMAT_TRACE)
+        with pytest.raises(ValueError, match="predates commit-carried"):
+            audit_file(str(path))

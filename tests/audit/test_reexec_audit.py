@@ -51,8 +51,8 @@ class TestForgedReexecTraces:
         # trace claims "b" still read the removed write — position 1
         # no longer exists, so the read's source is missing.
         report = audit_events([
-            wr("a", "x", 1), abort("a"),
-            rd("b", "x", 1, "a"), commit("b"),
+            abort("a", 1),
+            commit("b", rd("x", 1, "a")),
             close(),
         ])
         assert not report.ok
@@ -63,9 +63,9 @@ class TestForgedReexecTraces:
         # still names the aborted transaction as its writer — a
         # re-binding that updated the slot but not the source label.
         report = audit_events([
-            wr("c", "x", 1), commit("c"),
-            wr("a", "x", 2, seq=0), abort("a", seq=0),
-            rd("b", "x", 1, "a"), commit("b"),
+            commit("c", wr("x", 1)),
+            abort("a", 2, seq=0),
+            commit("b", rd("x", 1, "a")),
             close(),
         ])
         assert not report.ok
@@ -94,10 +94,13 @@ class TestForgedReexecTraces:
             if r.get("name") == "txn.abort"
         }
         for i, record in enumerate(records):
-            if (record.get("name") == "txn.read"
-                    and record["args"]["txn"] in reexecuted
-                    and record["args"].get("pos") is not None):
-                record["args"]["writer"] = sorted(aborted)[0]
+            reads = [
+                op for op in record.get("args", {}).get("ops", ())
+                if len(op) == 3 and op[1] is not None
+            ]
+            if (record.get("name") == "txn.commit"
+                    and record["args"]["txn"] in reexecuted and reads):
+                reads[0][2] = sorted(aborted)[0]
                 lines[i] = json.dumps(record)
                 break
         else:

@@ -168,13 +168,13 @@ def real_trace_events():
 #: structural violation keeps a segment away from it).
 FIXTURES = {
     "write-skew": lambda: [
-        rd("a", "x", None, T_INIT), rd("b", "y", None, T_INIT),
-        wr("a", "y", 1), wr("b", "x", 2),
-        commit("a"), commit("b"), close(),
+        commit("a", rd("x", None, T_INIT), wr("y", 1)),
+        commit("b", rd("y", None, T_INIT), wr("x", 2)),
+        close(),
     ],
     "clean-then-clean": lambda: [
-        wr("a", "x", 1), commit("a"), rd("b", "x", 1, "a"), commit("b"),
-        close(), wr("c", "y", 2), commit("c"), close(),
+        commit("a", wr("x", 1)), commit("b", rd("x", 1, "a")), close(),
+        commit("c", wr("y", 2)), close(),
     ],
     "real-trace": real_trace_events,
 }

@@ -329,8 +329,8 @@ def test_a_retraction_leaves_the_scheduler_on_the_compacted_log(scheduler):
     checked = []
     abort = engine._abort_cascade
 
-    def checked_abort(root, reason):
-        abort(root, reason)
+    def checked_abort(root, reason, *rejected):
+        abort(root, reason, *rejected)
         sched = engine.scheduler
         assert sched.accepted_steps == [e.step for e in engine.log]
         for position, entry in enumerate(engine.log):

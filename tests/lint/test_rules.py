@@ -216,6 +216,15 @@ class TestO302TaxonomyEventName:
         assert rule_ids_of(report) == ["O302"]
         assert "taxonomy" in report.findings[0].message
 
+    @pytest.mark.parametrize("name", ["txn.read", "txn.write"])
+    def test_retired_per_step_data_event_fires(self, name):
+        # Data steps ride on ``txn.commit``; a per-step emit is drift.
+        report = lint_one(f"""\
+            def f(tracer):
+                tracer.instant("data", "{name}", "engine", txn="T1")
+            """)
+        assert rule_ids_of(report) == ["O302"]
+
     def test_documented_name_passes(self):
         report = lint_one("""\
             def f(tracer):
@@ -237,7 +246,7 @@ class TestO302TaxonomyEventName:
                 instant = tracer.instant
                 for step in steps:
                     instant("data", "txn.bogus", "driver", txn=step)
-                    instant("data", "txn.write", "driver", **extras)
+                    instant("txn", "txn.commit", "driver", **extras)
             """)
         assert rule_ids_of(report) == ["O302", "O303"]
 

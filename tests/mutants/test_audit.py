@@ -1,5 +1,5 @@
-"""Mutants of the auditor's join and tier-0 replay, each killed by a named
-check.
+"""Mutants of the auditor's join and tier-0 replay, and of the engine's
+commit record, each killed by a named check.
 
 A mutant is the real function recompiled with one condition bent,
 monkeypatched in by a fixture (never a switch in ``src``):
@@ -9,17 +9,22 @@ monkeypatched in by a fixture (never a switch in ``src``):
   the last writer the commit order puts before it;
 * ``replay-ignores-install-order`` — the replay drops ``found[1] > at``:
   a source whose first write of the entity comes after the read passes;
-* ``seqless-covers-engine-commit`` — the join's set of seq-less
-  (planner) commits also takes txns committed *with* a seq, so an open
-  attempt of a txn whose other attempt committed is not flagged;
 * ``join-skips-stale-base`` — the join never flags a base read that
-  bypasses a newer committed version.
+  bypasses a newer committed version;
+* ``join-reads-before-index`` — the join without its write pre-index: a
+  read sees only the writes of transactions committed up to its own, as
+  a join that indexed writes while it walked the commits would, so a
+  reader committed before its source reports ``missing-write``;
+* ``commit-pins-latest`` — the engine's ``txn.commit`` record pins each
+  read to ``store.latest(entity)`` at commit, not the version the read
+  was served at submit.
 
 Each mutant names the check that kills it: the reference pipeline of
 ``tests/audit/test_join_model.py`` over its generated streams, under a
 derandomized Hypothesis budget; a fixture of
-``tests/audit/test_adversarial.py``; or such a fixture's forged stream
-emitted through a :class:`~repro.obs.Tracer` to a subscribed auditor.
+``tests/audit/test_adversarial.py``; such a fixture's forged stream
+emitted through a :class:`~repro.obs.Tracer` to a subscribed auditor; or
+a row of ``tests/audit/test_clean_runs.py``'s audited real runs.
 A mutant its check does not kill fails its test: a gap to close, never
 an ``xfail``.
 """
@@ -35,9 +40,10 @@ from hypothesis import find, given, settings  # noqa: E402
 from hypothesis.errors import NoSuchExample  # noqa: E402
 
 from repro.audit import Auditor, auditor, reconstruct  # noqa: E402
+from repro.engine.engine import OnlineEngine  # noqa: E402
 from repro.obs import BEGIN, END, Tracer  # noqa: E402
 
-from tests.audit import test_adversarial  # noqa: E402
+from tests.audit import test_adversarial, test_clean_runs  # noqa: E402
 from tests.audit.test_join_model import (  # noqa: E402
     assert_same_audit,
     streams,
@@ -108,8 +114,31 @@ def killed_by_adversarial_fixture(name: str, *, live: bool = False):
     return killer
 
 
-#: mutant -> (module, function name, condition, its mutation, the
-#: check that kills it).
+def killed_by_clean_audit(mode: str, scenario: str, scheduler: str):
+    """The audited real run of ``test_clean_audit``'s row fails."""
+
+    def killer() -> bool:
+        return _fails(
+            test_clean_runs.TestEveryScenarioEveryMode().test_clean_audit,
+            mode, scenario, scheduler,
+        )
+
+    killer.__name__ = f"killed_by_clean_audit_{mode}_{scenario}_{scheduler}"
+    return killer
+
+
+#: the read op the mutated commit record carries: the entity's latest
+#: version at commit, whatever the read was served.
+_LATEST_AT_COMMIT = (
+    "ops=[op if len(op) == 2 else ("
+    "op[0], self.store.latest(op[0]).position, "
+    "T_INIT if self.store.latest(op[0]).position is None "
+    "else str(self.store.latest(op[0]).writer)) "
+    "for op in attempt.ops],"
+)
+
+#: mutant -> (module or class, function name, condition, its mutation,
+#: the check that kills it).
 MUTANTS = {
     "replay-skips-pin": (
         auditor, "replays_claimed_order",
@@ -125,17 +154,25 @@ MUTANTS = {
             "test_not_serializable_source_installs_after_the_read"
         ),
     ),
-    "seqless-covers-engine-commit": (
-        reconstruct, "_join",
-        "seqless = {txn for txn, seq in commits if seq is None}",
-        "seqless = {txn for txn, seq in commits}",
-        killed_by_reference_pipeline,
-    ),
     "join-skips-stale-base": (
         reconstruct, "_join",
         "if newest is not None and newest != pos:",
         "if False:",
         killed_by_adversarial_fixture("test_stale_base_read", live=True),
+    ),
+    "join-reads-before-index": (
+        reconstruct, "_join",
+        "elif pos in seg_writes:",
+        "elif pos in seg_writes and rank[seg_writes[pos][0]] <= rank[txn]:",
+        killed_by_adversarial_fixture(
+            "test_commit_order_reader_before_source"
+        ),
+    ),
+    "commit-pins-latest": (
+        OnlineEngine, "_commit",
+        "ops=attempt.ops,",
+        _LATEST_AT_COMMIT,
+        killed_by_clean_audit("serial", "bank", "mvto"),
     ),
 }
 

@@ -8,6 +8,9 @@ import re
 import pytest
 
 from repro.db import Database, RunConfig
+from repro.engine.engine import OnlineEngine
+from repro.engine.factory import scheduler_factory
+from repro.model.steps import read, write
 from repro.obs import Tracer, read_jsonl, summarize, to_jsonl
 from repro.obs.taxonomy import get_event
 from repro.workloads.streams import ShardedBankScenario
@@ -132,6 +135,89 @@ class TestLifecycleTaxonomy:
         names = {e.name for e in tracer.events}
         assert "epoch.close" in names
         assert "gc.collect" in names
+
+
+class TestDataRecords:
+    """Data steps travel once, on the commit record; an aborted attempt
+    leaves only its abort record."""
+
+    def test_serial_abort_records_say_what_the_attempt_did(self):
+        tracer = Tracer(capacity=None)
+        config = RunConfig(
+            mode="serial", scheduler="mvto", workers=4, seed=3,
+            trace=tracer,
+        )
+        report = Database().run("bank", config, txns=120, n_accounts=4)
+        aborts = [e.args for e in tracer.events if e.name == "txn.abort"]
+        assert report.aborted == len(aborts) > 0
+        reasons = {args["reason"] for args in aborts}
+        assert {"rejected", "cascade"} <= reasons
+        committed = {
+            op[1]
+            for e in tracer.events if e.name == "txn.commit"
+            for op in e.args["ops"] if len(op) == 2
+        }
+        attempts = {
+            (e.args["txn"], e.args["seq"]) for e in tracer.events
+            if e.name in ("txn.commit", "txn.abort")
+        }
+        for args in aborts:
+            assert not set(args["installed"]) & committed, args
+            if args["reason"] == "rejected":
+                assert args["op"] in ("R", "W") and args["entity"], args
+            if args["reason"] == "cascade":
+                root = (args["root"], args["root_seq"])
+                assert root in attempts, args
+                assert root != (args["txn"], args["seq"]), args
+
+    def test_commit_ops_are_the_served_versions(self):
+        tracer = Tracer(capacity=None)
+        engine = OnlineEngine(
+            scheduler_factory("mvto"),
+            initial={"x": 0}, tracer=tracer,
+        )
+        first = engine.begin("a", 2)
+        engine.submit(first, write("a", "x"), value=1)
+        engine.submit(first, read("a", "x"))
+        engine.finish(first)
+        second = engine.begin("b", 1)
+        engine.submit(second, read("b", "x"))
+        engine.finish(second)
+        commits = [e.args for e in tracer.events if e.name == "txn.commit"]
+        assert [args["ops"] for args in commits] == [
+            [("x", 0), ("x", 0, "a")],
+            [("x", 0, "a")],
+        ]
+
+    def test_untraced_attempt_builds_no_ops(self):
+        engine = OnlineEngine(
+            scheduler_factory("mvto"),
+            initial={"x": 0},
+        )
+        attempt = engine.begin("a", 1)
+        engine.submit(attempt, write("a", "x"), value=1)
+        assert attempt.ops is None
+
+    def test_planner_logic_abort_lists_its_slots(self):
+        tracer = Tracer(capacity=None)
+        config = RunConfig(
+            mode="planner", workers=2, batch_size=8, deterministic=True,
+            seed=3, trace=tracer,
+        )
+        report = Database().run(
+            "abort-heavy", config, txns=80, abort_fraction=0.3
+        )
+        aborts = [e.args for e in tracer.events if e.name == "txn.abort"]
+        assert len(aborts) == report.mode_specific["logic_aborted"] > 0
+        assert any(args["installed"] for args in aborts)
+        written = [
+            op[1]
+            for e in tracer.events if e.name == "txn.commit"
+            for op in e.args["ops"] if len(op) == 2
+        ]
+        installed = [pos for args in aborts for pos in args["installed"]]
+        assert not set(installed) & set(written)
+        assert len(set(written + installed)) == len(written + installed)
 
 
 class TestTraceRunOption:

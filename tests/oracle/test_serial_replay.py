@@ -234,29 +234,19 @@ def graph_order(events, committed):
     """A topological order of the run's global serialization graph.
 
     Versions are ordered by install position per entity (each entity
-    lives on one track), reads by the reads-from edges the trace
-    records; a committed attempt is the one whose commit on the same
-    track names its ``seq`` (attempt numbers are per engine; a backend
-    that runs each transaction once names none).
+    lives on one track), reads by the reads-from edges the commit
+    records carry (an aborted attempt leaves none).
     """
-    seq = {
-        (e.track, e.args["txn"]): e.args["seq"]
-        for e in events
-        if e.name == "txn.commit" and "seq" in e.args
-    }
     reads, installed = [], {}
     for e in events:
         txn = e.args.get("txn")
-        if e.name not in ("txn.read", "txn.write") or txn not in committed:
+        if e.name != "txn.commit" or txn not in committed:
             continue
-        if seq.get((e.track, txn), e.args["seq"]) != e.args["seq"]:
-            continue
-        if e.name == "txn.write":
-            installed.setdefault(e.args["entity"], []).append(
-                (e.args["pos"], txn)
-            )
-        else:
-            reads.append((txn, e.args["entity"], e.args["writer"]))
+        for op in e.args.get("ops", ()):
+            if len(op) == 2:
+                installed.setdefault(op[0], []).append((op[1], txn))
+            else:
+                reads.append((txn, op[0], op[2]))
     graph = Digraph(sorted(committed))
     position = {}
     for entity, versions in installed.items():

@@ -6,7 +6,7 @@ worker runs its tasks in posting order.  The dispatcher observes its
 workers only at its read points, so a run is fixed by which tasks had
 settled at each of them — and a completion order can choose exactly
 that.  These tests check it: a recorded seeded run replays to equal
-data events, commits, final state and metrics.
+commit and abort records, commits, final state and metrics.
 """
 
 import pytest
@@ -23,7 +23,8 @@ POINTS = {"settle", "advance", "flush", "await", "idle"}
 
 def observed(scheduler, seed, **runtime):
     """Run the two-worker cross-shard bank stream; return what a run
-    shows: per-track data events, the commit sequence, final state and
+    shows: per-track commit and abort records (the data they carry
+    included), the commit sequence, final state and
     the metrics (wall-clock fields dropped)."""
     scenario = scenario_factory(
         "sharded-bank", cross_fraction=0.5, seed=seed
@@ -37,9 +38,11 @@ def observed(scheduler, seed, **runtime):
     metrics = rt.run(scenario.transaction_stream(120))
     data = {}
     for event in tracer.events:
-        if event.name in ("txn.read", "txn.write"):
+        if event.name in ("txn.commit", "txn.abort") and (
+            event.track != "driver"
+        ):
             data.setdefault(event.track, []).append(
-                (event.name, tuple(sorted(event.args.items())))
+                (event.name, sorted(event.args.items()))
             )
     commits = [
         e.args["txn"] for e in tracer.events

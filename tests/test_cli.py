@@ -7,6 +7,8 @@ import pytest
 from repro.cli import _parse_cnf, main
 from repro.workloads import scenario_names, scenario_spec
 
+from tests.audit.test_reconstruct import OLD_FORMAT_TRACE
+
 
 class TestClassify:
     def test_classify_output(self, capsys):
@@ -667,17 +669,28 @@ class TestAudit:
         lines = open(path, encoding="utf-8").read().splitlines()
         for i, line in enumerate(lines):
             record = json.loads(line)
-            if (record.get("name") == "txn.read"
-                    and record["args"].get("pos") is not None):
-                record["args"]["writer"] = "t9999"
+            reads = [
+                op for op in record.get("args", {}).get("ops", ())
+                if len(op) == 3 and op[1] is not None
+            ]
+            if record.get("name") == "txn.commit" and reads:
+                reads[0][2] = "t9999"
                 lines[i] = json.dumps(record)
                 break
+        else:
+            pytest.fail("no in-segment read to forge")
         open(path, "w", encoding="utf-8").write("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main(["audit", path]) == 1
         out = capsys.readouterr().out
         assert "VIOLATED" in out
         assert "read-from-mismatch" in out
+
+    def test_audit_old_format_trace_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "old.jsonl"
+        path.write_text(OLD_FORMAT_TRACE)
+        assert main(["audit", str(path)]) == 2
+        assert "predates commit-carried data" in capsys.readouterr().err
 
     def test_audit_non_trace_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "junk.txt"
