@@ -123,12 +123,12 @@ class _TrackState:
     """
 
     name: str
-    #: the open segment's commit records in order: ``(txn, ops)`` with
-    #: ``ops`` the record's data steps in step order — ``(entity, pos)``
-    #: per write, ``(entity, pos, writer)`` per read (lists once read
-    #: back from JSONL); ``pos`` is the chain position installed or
-    #: read (None: the pre-trace initial version), ``writer`` the
-    #: claimed installer.
+    #: the open segment's commit records that carry data steps, in
+    #: order: ``(txn, ops)`` with ``ops`` the record's data steps in
+    #: step order — ``(entity, pos)`` per write, ``(entity, pos,
+    #: writer)`` per read (lists once read back from JSONL); ``pos`` is
+    #: the chain position installed or read (None: the pre-trace initial
+    #: version), ``writer`` the claimed installer.
     commits: list[tuple[str, list]] = field(default_factory=list)
     #: positions the open segment's aborted attempts installed -> txn.
     aborted: dict[int, str] = field(default_factory=dict)
@@ -181,10 +181,12 @@ class ScheduleReconstructor:
         track.events += 1
         name = event.name
         if name == "txn.commit":
-            args = event.args
-            track.commits.append(
-                (str(args.get("txn")), args.get("ops") or ())
-            )
+            # A commit without data steps (the parallel driver track's)
+            # reconstructs to nothing: keep none, so a live fold of a
+            # track no delimiter closes stays empty.
+            ops = event.args.get("ops")
+            if ops:
+                track.commits.append((str(event.args.get("txn")), ops))
         elif name == _EPOCH_CLOSE or (
             name == _SETTLE_BATCH and event.ph == END
         ):
@@ -227,17 +229,16 @@ class ScheduleReconstructor:
         """Tracks that carried data operations, sorted."""
         return tuple(sorted(
             t.name for t in self._tracks.values()
-            if t.segments or _has_data(t)
+            if t.segments or t.commits
         ))
 
     # -- one segment -------------------------------------------------------
 
     def _close_segment(self, track: _TrackState) -> None:
         """Join the open segment and hand it on (see the module doc)."""
-        if not _has_data(track):
+        if not track.commits:
             # Lifecycle-only stretches (the parallel driver track, empty
             # epochs) reconstruct to nothing; drop the bookkeeping.
-            track.commits.clear()
             track.aborted.clear()
             return
         self._closed(_join(track))
@@ -248,11 +249,6 @@ class ScheduleReconstructor:
         self.segments.append(segment)
         if self._on_segment is not None:
             self._on_segment(segment)
-
-
-def _has_data(track: _TrackState) -> bool:
-    """Does the open segment carry a data step?"""
-    return any(ops for _txn, ops in track.commits)
 
 
 def _join(track: _TrackState) -> Joined:

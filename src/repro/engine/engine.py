@@ -12,7 +12,8 @@ Mechanics
 ---------
 
 * **Epochs.**  The scheduler sees one growing schedule per *epoch* (the
-  engine's step log).  When the log exceeds ``epoch_max_steps`` the engine
+  engine's step log).  When the log's live steps (tombstones are not
+  counted) reach ``epoch_max_steps`` the engine
   asks the driver to stop admitting new transactions; once in-flight ones
   drain, the epoch closes: scheduler reset, log cleared, GC run.  Epochs
   bound scheduler state, version retention and the log suffix an abort
@@ -21,14 +22,17 @@ Mechanics
 * **Abort by retraction.**  Schedulers have no abort operation —
   rejection kills them — but they are on-line testers: their state, and
   every version they assigned, is a function of the accepted prefix
-  alone.  So the engine removes the aborted transaction's steps from the
-  log (and its versions from the store) and hands the scheduler the
-  removed positions: :meth:`~Scheduler.retract` leaves it as if it had
-  accepted only the surviving log, which also revives it.  Every engine
-  scheduler decides first and drops the doomed transactions in place —
-  versions, timestamps, graph nodes and arcs, locks, snapshots — and
-  re-decides nobody, so one retraction per abort suffices; a
-  ``retract`` that rejects a survivor raises :class:`EngineError`.
+  alone.  So the engine removes the aborted transaction's versions from
+  the store and hands the scheduler its log positions:
+  :meth:`~Scheduler.retract` leaves it as if it had accepted only the
+  surviving log, which also revives it.  A retracted step keeps its
+  position as a tombstone — its entry stays in the log, its attempt
+  ``ABORTED`` — until the epoch closes, so no survivor is renumbered,
+  in the log or in the scheduler.  Every engine scheduler decides first
+  and drops the doomed transactions in place — versions, timestamps,
+  graph nodes and arcs, locks, snapshots — and re-decides nobody, so
+  one retraction per abort suffices; a ``retract`` that rejects a
+  survivor raises :class:`EngineError`.
   Every reader of a doomed version is in the doomed set already (the
   cascade follows ``readers``), so each survivor keeps the version it
   was served; a survivor found reading a removed version is a
@@ -115,8 +119,8 @@ class TxnAttempt:
     readers: set["TxnAttempt"] = field(default_factory=set)
     #: versions this attempt installed.
     versions: list[Version] = field(default_factory=list)
-    #: epoch-log index of its first accepted step (kept current when an
-    #: abort compacts the log); None until a step is accepted.
+    #: epoch-log index of its first accepted step; None until a step is
+    #: accepted.  Log positions never move.
     first: int | None = None
     abort_reason: str | None = None
     #: traced runs only: each accepted step's data op, in step order —
@@ -131,7 +135,11 @@ class TxnAttempt:
 
 @dataclass(eq=False, slots=True)
 class _LogEntry:
-    """One accepted step: its position is its index in the engine log."""
+    """One accepted step: its position is its index in the engine log.
+
+    A retracted step's entry stays, a tombstone: its attempt is
+    ``ABORTED``.
+    """
 
     step: Step
     attempt: TxnAttempt
@@ -185,6 +193,8 @@ class OnlineEngine:
         self.epoch_max_steps = epoch_max_steps
 
         self.log: list[_LogEntry] = []
+        #: tombstones in the log: entries of attempts aborted this epoch.
+        self._retracted = 0
         #: attempts currently ACTIVE or PENDING.
         self._live: set[TxnAttempt] = set()
         self._pending: set[TxnAttempt] = set()
@@ -359,8 +369,9 @@ class OnlineEngine:
 
     @property
     def wants_epoch_close(self) -> bool:
-        """True when the log is full: admit no new transactions, drain."""
-        return len(self.log) >= self.epoch_max_steps
+        """True when the log is full: admit no new transactions, drain.
+        Tombstones do not count, so aborts do not move epoch bounds."""
+        return len(self.log) - self._retracted >= self.epoch_max_steps
 
     @property
     def quiescent(self) -> bool:
@@ -375,10 +386,12 @@ class OnlineEngine:
         if self.tracer.enabled:
             self.tracer.instant(
                 "epoch", "epoch.close", self.trace_track,
-                epoch=self.metrics.epochs_closed, steps=len(self.log),
+                epoch=self.metrics.epochs_closed,
+                steps=len(self.log) - self._retracted,
             )
         self.scheduler.reset()
         self.log.clear()
+        self._retracted = 0
         self._base.clear()
         self._lengths.clear()
         self._epoch_start_gpos = next(self._gpos)
@@ -460,13 +473,15 @@ class OnlineEngine:
 
         The one read rule: ``T_INIT`` is the entity's base version at
         epoch start, anything else the epoch log position of the
-        sourcing write.
+        sourcing write — never a tombstone.
         """
         if source == T_INIT:
             return self._base[entity], None
         entry = self.log[source]
-        if entry.version is None:
-            raise EngineError(f"read sourced from non-write position {source}")
+        if entry.version is None or entry.attempt.state is _ABORTED:
+            raise EngineError(
+                f"read sourced from position {source}, not a live write"
+            )
         return entry.version, entry.attempt
 
     def _abort_cascade(
@@ -476,8 +491,8 @@ class OnlineEngine:
 
         One :meth:`Scheduler.retract` drops the doomed steps.  Every
         engine scheduler retracts in place and rejects no survivor; one
-        that does (the base class's truncate + re-submit can) raises
-        rather than revoke a survivor's decision.  ``rejected`` is the
+        that does (a re-submitting reference can) raises rather than
+        revoke a survivor's decision.  ``rejected`` is the
         step the scheduler refused, when that is why ``root`` aborts.
         """
         removed = self._doom(root, reason, rejected)
@@ -495,8 +510,8 @@ class OnlineEngine:
     ) -> list[int]:
         """Mark the cascade closure of ``root`` aborted; strip its traces.
 
-        Returns the log positions it removed, in order: the survivors
-        move down over them, as :meth:`Scheduler.retract` moves its own.
+        Returns the log positions of its steps, in order.  Their entries
+        stay in the log, tombstones; nothing moves.
         """
         doomed: set[TxnAttempt] = set()
         stack = [root]
@@ -560,26 +575,23 @@ class OnlineEngine:
             attempt.readers.clear()
         self._live -= doomed
         self._pending -= doomed
-        log = self.log
-        suffix = log[cut:]
-        removed = [
-            position for position, entry in enumerate(suffix, cut)
-            if entry.attempt in doomed
-        ]
-        survivors = [e for e in suffix if e.attempt not in doomed]
-        for position, entry in enumerate(survivors, cut):
+        removed = []
+        for position, entry in enumerate(self.log[cut:], cut):
             attempt = entry.attempt
-            # Entries only move down; an attempt's first one is met first.
-            if position < attempt.first:
-                attempt.first = position
-            if lost and id(entry.read_version) in lost:
+            if attempt in doomed:
+                removed.append(position)
+            elif (
+                lost and id(entry.read_version) in lost
+                # An older tombstone may have read it; a survivor not.
+                and attempt.state is not _ABORTED
+            ):
                 # The readers closure dooms every reader of a doomed
                 # version: a survivor here is a bookkeeping bug.
                 raise EngineError(
                     f"abort left {attempt.state.value} transaction "
                     f"{attempt.txn!r} reading a removed version"
                 )
-        log[cut:] = survivors
+        self._retracted += len(removed)
         return removed
 
     # -- commit machinery --------------------------------------------------

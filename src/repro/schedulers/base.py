@@ -7,15 +7,16 @@ output is the paper's pair *(s, V)*: every accepted read has a committed
 source, available through :meth:`Scheduler.version_function`; a
 single-version scheduler is the one whose *V* is the standard function.
 
-There is no undo log: ``_accept`` decides first and mutates after, an
-aborted transaction is dropped in place (:meth:`Scheduler.retract`), and
-:meth:`Scheduler.truncate` re-derives a prefix — the reference.
+There is no undo log: ``_accept`` decides first and mutates after, and
+an aborted transaction is dropped in place (:meth:`Scheduler.retract`).
+A dropped step keeps its position as a tombstone, ``None`` in
+``accepted_steps``, until :meth:`Scheduler.reset`: nothing renumbers the
+survivors, and every decision compares positions only by order.
 """
 
 from __future__ import annotations
 
 import abc
-from bisect import bisect_left
 
 from repro.model.schedules import Schedule, T_INIT
 from repro.model.steps import Entity, Op, Step, TxnId
@@ -23,12 +24,6 @@ from repro.model.version_functions import Source, VersionFunction
 
 _READ = Op.READ
 _NEVER = float("inf")
-
-
-def moved_down(position: int, removed: list[int]) -> int:
-    """Where a surviving ``position`` lands when the sorted positions
-    ``removed`` leave the log: down by the number of them below it."""
-    return position - bisect_left(removed, position)
 
 
 class Scheduler(abc.ABC):
@@ -56,7 +51,8 @@ class Scheduler(abc.ABC):
     chooses_versions: bool = False
 
     def __init__(self) -> None:
-        self.accepted_steps: list[Step] = []
+        #: the accepted steps by position; ``None`` is a retracted one.
+        self.accepted_steps: list[Step | None] = []
         self.dead: bool = False
         #: committed source per accepted read position — the *V* of (s, V).
         self._assignments: dict[int, Source] = {}
@@ -119,33 +115,6 @@ class Scheduler(abc.ABC):
     def _reset(self) -> None:
         """Subclass part of :meth:`reset`."""
 
-    # -- truncation ----------------------------------------------------------
-
-    def truncate(self, n: int) -> None:
-        """Be in the state you had after your first ``n`` accepted steps.
-
-        A scheduler is an on-line tester: its state is a function of the
-        accepted prefix, so dropping the steps after ``n`` is always
-        meaningful, and a dead scheduler comes back alive (the rejected
-        step is forgotten with the rest).  Primes survive, as they do
-        across :meth:`reset`.  The state is re-derived — reset, then
-        re-submit ``accepted_steps[:n]`` — which costs the prefix: the
-        reference path, called by the base :meth:`retract` and by tests,
-        never by the online engine.
-        """
-        if not 0 <= n <= len(self.accepted_steps):
-            raise ValueError(
-                f"truncate({n}) with {len(self.accepted_steps)} accepted steps"
-            )
-        prefix = self.accepted_steps[:n]
-        self.reset()
-        for step in prefix:
-            if not self.submit(step):
-                raise RuntimeError(
-                    f"{self.name}: truncate({n}) re-submitted the accepted "
-                    f"prefix and {step} was rejected"
-                )
-
     # -- retraction ----------------------------------------------------------
 
     def retract(self, removed: list[int]) -> int | None:
@@ -153,100 +122,52 @@ class Scheduler(abc.ABC):
 
         ``removed`` holds every step of a set of transactions, closed
         under reads-from: no surviving read was served a removed write.
-        Afterwards the scheduler cannot be told apart from one truncated
-        to the first removed position (``cut``) that re-submitted the
-        surviving ``accepted_steps[cut:]``: the same accepted steps, read
-        sources and decisions on any continuation, and a dead scheduler
-        is alive again.  Survivors move down by the number of removed
-        positions below them, as they do in the online engine's log.
-
-        This default *is* truncate plus re-submit: the definition the
-        in-place overrides are tested against.  It returns the position
-        of the first survivor it rejects, or None.  A rejection leaves
-        the scheduler dead after the survivors before that one, with
-        ``accepted_steps`` still listing every survivor.  Every engine
-        scheduler (MVTO, SGT, 2PL, SI, 2V2PL) decides first and drops
-        the doomed transactions in place instead, through
-        :meth:`_retract_log`, and rejects none: a survivor's decision
-        only ever depended on the doomed by being rejected less.
+        Each removed position stays in ``accepted_steps`` as a tombstone,
+        ``None``, and no survivor moves.  Afterwards the scheduler cannot
+        be told apart from a fresh one re-fed the same log, tombstones
+        kept as holes: the same accepted steps, read sources and
+        decisions on any continuation, and a dead scheduler is alive
+        again.  Returns the position of a survivor that re-feeding would
+        reject, or None.  Every engine scheduler (MVTO, SGT, 2PL, SI,
+        2V2PL) decides first and drops the doomed transactions in place,
+        through :meth:`_retract_log`, and rejects none: a survivor's
+        decision only ever depended on the doomed by being rejected less.
+        A scheduler the online engine does not run need not retract.
         """
-        cut = removed[0] if removed else len(self.accepted_steps)
-        gone = set(removed)
-        survivors = [
-            step
-            for position, step in enumerate(self.accepted_steps[cut:], cut)
-            if position not in gone
-        ]
-        self.truncate(cut)
-        for position, step in enumerate(survivors, cut):
-            if not self.submit(step):
-                self.accepted_steps.extend(survivors[position - cut:])
-                return position
-        return None
+        raise NotImplementedError(f"{self.name} does not retract")
 
-    def _retract_log(self, removed: list[int]) -> dict[Source, int]:
+    def _retract_log(self, removed: list[int]) -> None:
         """What every in-place :meth:`retract` does to the base state.
 
-        Drops the removed steps, their read sources and their
-        transactions' step counts, restores each entity's last write to
-        its last surviving one (:meth:`_fall_back`), and moves
-        every survivor above the cut down over the removed positions
-        below it (:func:`moved_down`, counted as the suffix is walked).
-        Returns old position -> new for each surviving write above the
-        cut.  One pass over the suffix.  A subclass drops its own state
-        of the doomed first, while ``accepted_steps`` still holds them.
+        Tombstones the removed steps, drops their read sources and their
+        transactions' step counts, and restores each entity's last write
+        to its last surviving one (:meth:`_fall_back`).  O(removed) but
+        for the fallback's scan.  A subclass reads the doomed steps
+        first, while ``accepted_steps`` still holds them.
         """
         self.dead = False
-        if not removed:
-            return {}
-        steps = self.accepted_steps
-        cut = removed[0]
-        gone = set(removed)
-        seen, last_write = self._seen, self._last_write
-        if seen:
-            for position in removed:
-                seen.pop(steps[position].txn, None)
-        if last_write:
-            for position in removed:
-                entity = steps[position].entity
-                if last_write.get(entity) != position:
-                    continue
-                # The doomed wrote last: fall back to the last survivor.
-                self._fall_back(last_write, entity, position, gone)
-        # Ascending, so each new key is free: everything between it and
-        # its old one has moved already.  A source precedes its read.
-        assignments = self._assignments
-        moved: dict[Source, int] = {}
-        new = cut
-        for position in range(cut, len(steps)):
-            source = assignments.pop(position, None)
-            if position in gone:
-                continue
-            if source is not None:
-                assignments[new] = moved.get(source, source)
-            elif steps[position].op is not _READ:
-                moved[position] = new
-            new += 1
-        for entity, position in last_write.items():
-            if position > cut:
-                last_write[entity] = moved[position]
-        for position in reversed(removed):
-            del steps[position]
-        return moved
+        steps, seen = self.accepted_steps, self._seen
+        assignments, last_write = self._assignments, self._last_write
+        # Ascending: every removed write below ``position`` is a
+        # tombstone already when the fallback scans past it.
+        for position in removed:
+            step = steps[position]
+            steps[position] = None
+            assignments.pop(position, None)
+            seen.pop(step.txn, None)
+            if last_write.get(step.entity) == position:
+                self._fall_back(last_write, step.entity, position)
 
-    def _fall_back(
-        self, table: dict, entity: Entity, position: int, gone: set[int]
-    ) -> None:
+    def _fall_back(self, table: dict, entity: Entity, position: int) -> None:
         """Point ``table[entity]`` at the last accepted write of
-        ``entity`` below ``position`` that is not in ``gone``; drop the
-        key if there is none.  Scans back from ``position``."""
+        ``entity`` below ``position``, past tombstones; drop the key if
+        there is none.  Scans back from ``position``."""
         steps = self.accepted_steps
         for earlier in range(position - 1, -1, -1):
             step = steps[earlier]
-            if (
-                step.entity == entity and step.op is not _READ
-                and earlier not in gone
-            ):
+            if step is None:
+                continue  # a tombstone is no write
+            if step.entity == entity and step.op is not _READ:
                 table[entity] = earlier
                 return
         del table[entity]
@@ -273,8 +194,8 @@ class Scheduler(abc.ABC):
         first-seen at different relative positions per shard.  Priming
         hands every shard the same dispatcher-assigned sequence number, so
         all shards realize one global serialization order.  Primes survive
-        :meth:`reset`, :meth:`truncate` and :meth:`retract` (a re-derived
-        prefix must decide identically) and are dropped only by
+        :meth:`reset` and :meth:`retract` (a re-derived prefix must
+        decide identically) and are dropped only by
         :meth:`clear_primes` at epoch boundaries.
         The default is a no-op: schedulers that don't order by arrival
         need no priming.

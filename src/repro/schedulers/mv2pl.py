@@ -99,9 +99,10 @@ class TwoVersionTwoPL(Scheduler):
 
     def retract(self, removed: list[int]) -> None:
         """Drop the doomed transactions' reads, uncommitted versions and
-        commits; move the survivors' versions down."""
-        steps, gone = self.accepted_steps, set(removed)
+        commits."""
+        steps = self.accepted_steps
         committed, uncommitted = self._committed, self._uncommitted
+        current = []
         for position in removed:
             step = steps[position]
             txn, entity = step.txn, step.entity
@@ -111,13 +112,11 @@ class TwoVersionTwoPL(Scheduler):
             elif uncommitted.get(entity, (None,))[0] == txn:
                 del uncommitted[entity]
             elif committed.get(entity) == position:
-                # Its commit was current: the last surviving write is
-                # current again (committed before it: one uncommitted
-                # version per entity), or else the initial version.
-                self._fall_back(committed, entity, position, gone)
-        moved = self._retract_log(removed)
-        for entity, position in committed.items():
-            committed[entity] = moved.get(position, position)
-        for entity, (txn, position) in uncommitted.items():
-            uncommitted[entity] = (txn, moved.get(position, position))
+                current.append((entity, position))
+        self._retract_log(removed)
+        # A doomed commit was current: the last surviving write is
+        # current again (committed before it: one uncommitted version
+        # per entity), or else the initial version.
+        for entity, position in current:
+            self._fall_back(committed, entity, position)
         return None

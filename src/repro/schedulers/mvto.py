@@ -23,8 +23,8 @@ is retracted in place (:meth:`retract`): its versions and timestamp
 leave, and every version it read falls back to the largest timestamp
 among its surviving readers.  Each version keeps its readers'
 timestamps for that; fresh timestamps come from a counter, so a
-retracted transaction's timestamp is never issued again.  ``truncate``
-re-derives the prefix (the base-class reference path).
+retracted transaction's timestamp is never issued again.  No survivor
+moves, so no version's ``source`` changes.
 """
 
 from __future__ import annotations
@@ -48,17 +48,6 @@ class _Version:
     max_reader_ts: int = -1
     #: the timestamp of every accepted read of it, in arrival order.
     readers: list[int] = field(default_factory=list)
-
-
-def _version_of(
-    keys: list[int], chain: list[_Version], ts: int, position: int
-) -> _Version:
-    """The version the write at ``position`` installed, by the writer
-    timestamped ``ts``: its versions of an entity sit together."""
-    index = bisect_right(keys, ts) - 1
-    while chain[index].source != position:
-        index -= 1
-    return chain[index]
 
 
 class MVTOScheduler(Scheduler):
@@ -153,8 +142,12 @@ class MVTOScheduler(Scheduler):
         keys, chain = self._chains[steps[position].entity]
         if source == T_INIT:
             return chain[0]
-        writer = self._timestamps[steps[source].txn]
-        return _version_of(keys, chain, writer, source)
+        # The writer's versions of the entity sit together, ending at
+        # the last key at or below its timestamp.
+        index = bisect_right(keys, self._timestamps[steps[source].txn]) - 1
+        while chain[index].source != source:
+            index -= 1
+        return chain[index]
 
     def retract(self, removed: list[int]) -> None:
         """Drop the doomed transactions' versions, timestamps and reads."""
@@ -183,11 +176,7 @@ class MVTOScheduler(Scheduler):
                 ts = lost[step.txn]
                 low, high = bisect_left(keys, ts), bisect_right(keys, ts)
                 del keys[low:high], chain[low:high]
-        # A surviving write above the cut moves down with its position.
-        for old, new in self._retract_log(removed).items():
-            step = steps[new]
-            keys, chain = chains[step.entity]
-            _version_of(keys, chain, timestamps[step.txn], old).source = new
+        self._retract_log(removed)
         return None
 
     def serialization_order(self) -> list[TxnId]:

@@ -19,8 +19,7 @@ rejected step leaves no trace.
 An aborted transaction is retracted in place (:meth:`retract`): its node
 leaves with every arc at it, and it leaves the reader and writer lists.
 What remains is the conflict graph of the surviving steps, which is what
-re-submitting them would build.  ``truncate`` re-derives the prefix (the
-base-class reference path).
+re-submitting them would build.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from repro.model.schedules import Schedule, T_INIT
 from repro.model.steps import Entity, Op, Step, TxnId
-from repro.schedulers.base import Scheduler, moved_down
+from repro.schedulers.base import Scheduler
 
 _READ = Op.READ
 
@@ -102,37 +102,27 @@ class SnapshotIsolationScheduler(Scheduler):
 
     def retract(self, removed: list[int]) -> None:
         """Drop the doomed transactions' snapshots, pending writes and
-        committed versions; move the survivors' positions down."""
+        committed versions."""
         steps, gone = self.accepted_steps, set(removed)
         cut = removed[0] if removed else len(steps)
-        starts, pending = self._start, self._pending_writes
-        # Every step of a doomed transaction is at or above the cut, and
-        # so is every snapshot start that moves.
-        for position in range(cut, len(steps)):
+        for position in removed:
             txn = steps[position].txn
-            if position in gone:
-                starts.pop(txn, None)
-                pending.pop(txn, None)
-            elif starts[txn] == position:
-                starts[txn] = moved_down(position, removed)
-        moved = self._retract_log(removed)
-        for writes in pending.values():
-            for entity, position in writes.items():
-                writes[entity] = moved.get(position, position)
+            self._start.pop(txn, None)
+            self._pending_writes.pop(txn, None)
         # What committed at or above the cut is a tail of each list: a
-        # doomed commit's versions leave, the others move down.
+        # doomed commit's versions leave.
         committed = self._committed_versions
         for entity, versions in list(committed.items()):
             low = len(versions)
             while low and versions[low - 1][0] >= cut:
                 low -= 1
             versions[low:] = [
-                (moved_down(commit_pos, removed), moved.get(wp, wp))
-                for commit_pos, wp in versions[low:]
-                if commit_pos not in gone
+                version for version in versions[low:]
+                if version[0] not in gone
             ]
             if not versions:
                 del committed[entity]
+        self._retract_log(removed)
         return None
 
 

@@ -73,9 +73,6 @@ class ExecutionResult:
         ]
         return tuple(self.read_values[i] for i in positions)
 
-    def views_by_txn(self) -> dict[TxnId, tuple]:
-        return {t: self.view(t) for t in self.schedule.txn_ids}
-
 
 def execute(
     schedule: Schedule,

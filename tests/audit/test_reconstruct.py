@@ -3,7 +3,9 @@
 import pytest
 
 from repro.audit import ScheduleReconstructor, audit_events, audit_file
+from repro.cli import main
 from repro.model.schedules import T_INIT
+from repro.obs.export import read_jsonl
 from repro.obs.tracer import BEGIN, END, INSTANT, TraceEvent
 
 
@@ -131,6 +133,30 @@ class TestFolding:
     def test_lifecycle_only_stretch_reconstructs_to_nothing(self):
         segs = fold([commit("a"), close()])
         assert segs == []
+
+    def test_a_live_fold_keeps_no_commit_without_data(self, tmp_path):
+        """A ``parallel`` run's ``driver`` track carries a commit record
+        per transaction, without ops, and no delimiter ever closes it.
+        Folded live, it keeps none of them: memory stays at one open
+        segment per track, not the run.  The run is ``same_answers.py``'s
+        ``parallel.mvto.sharded-2pc-shape``."""
+        path = tmp_path / "run.trace.jsonl"
+        assert main([
+            "run", "--mode", "parallel", "--scheduler", "mvto",
+            "--scenario", "sharded-bank", "--workers", "2",
+            "--batch-size", "8", "--cross-fraction", "0.1",
+            "--max-retries", "64", "--deterministic", "--seed", "7",
+            "--txns", "300", "--trace", str(path),
+        ]) == 0
+        _meta, events = read_jsonl(str(path))
+        rec = ScheduleReconstructor()
+        for event in events:
+            rec.feed(event)
+        assert sum(
+            e.track == "driver" and e.name == "txn.commit" for e in events
+        ) == 300
+        assert rec._tracks["driver"].commits == []
+        assert rec.finish() and not any(s.violations for s in rec.segments)
 
     def test_finish_flushes_residual_segment_and_is_idempotent(self):
         rec = ScheduleReconstructor()

@@ -187,6 +187,27 @@ class TestEpochs:
         )
         assert engine.wants_epoch_close
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_tombstones_do_not_fill_the_log(self, k):
+        """A log one step short of full stays so after a k-step attempt
+        aborts: its steps stay as tombstones, which count neither toward
+        the close nor in ``epoch.close``'s ``steps``."""
+        tracer = Tracer(capacity=None)
+        engine = make_engine(epoch_max_steps=4, tracer=tracer)
+        engine.run_transaction(Transaction(
+            "t", (read("t", "x"), write("t", "x"), read("t", "y"))
+        ))
+        doomed = engine.begin("u", k)
+        for n in range(k):
+            engine.submit(doomed, write("u", f"e{n}"))
+        assert engine.wants_epoch_close
+        engine.abort_attempt(doomed)
+        assert len(engine.log) == 3 + k
+        assert not engine.wants_epoch_close
+        engine.close_epoch()
+        (close,) = [e for e in tracer.events if e.name == "epoch.close"]
+        assert close.args["steps"] == 3
+
     def test_values_survive_epoch_boundaries(self):
         engine = OnlineEngine(
             scheduler_factory("mvto"), initial={"a": 100, "b": 100}

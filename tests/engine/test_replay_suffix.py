@@ -1,12 +1,12 @@
 """Abort by retraction: same runs as whole-prefix replay, fewer decisions.
 
 An engine abort retracts the doomed steps from the scheduler
-(``Scheduler.retract``), and every engine scheduler drops them in place.
-The reference here is the same scheduler classes keeping the base-class
-``retract``, which sends every abort down the whole-prefix path (reset,
-re-submit the survivors) — what the engine did on every abort before
-``truncate`` existed.  Both must produce the same run, byte for byte;
-only the number of scheduler decisions may differ.
+(``Scheduler.retract``), and every engine scheduler drops them in place,
+each leaving a tombstone.  The reference here is the same scheduler
+classes retracting by the holes model (``retract_model.retract``), which
+sends every abort down the whole-prefix path (reset, re-feed the log
+with the doomed steps as holes).  Both must produce the same run, byte
+for byte; only the number of scheduler decisions may differ.
 """
 
 import pytest
@@ -30,29 +30,30 @@ from repro.schedulers import (
     TwoPhaseLocking,
     TwoVersionTwoPL,
 )
-from repro.schedulers.base import Scheduler
 from repro.workloads import scenario_factory
 from repro.workloads.bank import BankWorkload
 
+from tests.schedulers import retract_model
+
 
 class RefMVTO(MVTOScheduler):
-    retract = Scheduler.retract
+    retract = retract_model.retract
 
 
 class RefSI(SnapshotIsolationScheduler):
-    retract = Scheduler.retract
+    retract = retract_model.retract
 
 
 class Ref2V2PL(TwoVersionTwoPL):
-    retract = Scheduler.retract
+    retract = retract_model.retract
 
 
 class Ref2PL(TwoPhaseLocking):
-    retract = Scheduler.retract
+    retract = retract_model.retract
 
 
 class RefSGT(SGTScheduler):
-    retract = Scheduler.retract
+    retract = retract_model.retract
 
 
 REFERENCE = {
@@ -199,8 +200,10 @@ def test_verifying_a_long_suffix_is_one_pass_over_the_log(scheduler):
     assert old.first == 102 and len(engine.log) == 303
     engine.log = CountingLog(engine.log)
     engine.abort_attempt(old)  # a wrong version would raise EngineError
-    assert len(engine.log) == 302
-    assert engine.scheduler.accepted_steps == [e.step for e in engine.log]
+    assert len(engine.log) == 303  # old's step stays, a tombstone
+    assert engine.scheduler.accepted_steps == [
+        None if e.attempt is old else e.step for e in engine.log
+    ]
     assert engine.log.fetched <= 102  # parent's scan: ≈ 200 reads × 150
 
 
@@ -227,11 +230,15 @@ def test_cascade_victim_whose_first_step_precedes_the_roots():
     engine.abort_attempt(root)
     assert victim.state is TxnState.ABORTED
     assert victim.abort_reason == "cascade"
-    # The cut is the victim's log[0]; the bystander's steps moved down
-    # and the scheduler agrees with the compacted log.
-    assert [e.step for e in engine.log] == [read("t3", "z"), write("t3", "z")]
-    assert engine.scheduler.accepted_steps == [e.step for e in engine.log]
-    assert bystander.first == 0
+    # The cut is the victim's log[0]; the doomed steps stay as
+    # tombstones, the bystander's do not move, and the scheduler agrees.
+    assert [e.step for e in engine.log if e.attempt is bystander] == [
+        read("t3", "z"), write("t3", "z"),
+    ]
+    assert engine.scheduler.accepted_steps == [
+        None, read("t3", "z"), None, None, write("t3", "z"),
+    ]
+    assert bystander.first == 1
     engine.finish(bystander)
     assert bystander.state is TxnState.COMMITTED
     assert engine.metrics.replays == 1
@@ -266,11 +273,11 @@ def test_rejected_first_step_revives_the_scheduler():
 
 class ForgedScheduler(MVTOScheduler):
     """MVTO that, once armed, rejects the next write it is shown.  It
-    keeps the base-class ``retract`` (truncate + re-submit), the one path
-    on which a survivor can be rejected."""
+    retracts by the holes model (reset + re-feed), the one path on which
+    a survivor can be rejected."""
 
     armed = False
-    retract = Scheduler.retract
+    retract = retract_model.retract
 
     def _accept(self, step):
         if self.armed and step.is_write:
@@ -317,10 +324,11 @@ def test_a_reader_missing_from_the_closure_raises(commit_reader):
 
 
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULER_FACTORIES))
-def test_a_retraction_leaves_the_scheduler_on_the_compacted_log(scheduler):
+def test_a_retraction_leaves_the_scheduler_on_the_tombstoned_log(scheduler):
     """After every abort of a contended run, the scheduler's accepted
-    steps are the engine's log and every surviving read is sourced from
-    the version the engine served it."""
+    steps are the engine's log with a tombstone at each aborted
+    attempt's step, and every surviving read is sourced from the version
+    the engine served it."""
     workload = BankWorkload(n_accounts=4, seed=3)
     engine = OnlineEngine(
         scheduler_factory(scheduler), initial=workload.initial_state(),
@@ -332,8 +340,13 @@ def test_a_retraction_leaves_the_scheduler_on_the_compacted_log(scheduler):
     def checked_abort(root, reason, *rejected):
         abort(root, reason, *rejected)
         sched = engine.scheduler
-        assert sched.accepted_steps == [e.step for e in engine.log]
+        assert sched.accepted_steps == [
+            None if e.attempt.state is TxnState.ABORTED else e.step
+            for e in engine.log
+        ]
         for position, entry in enumerate(engine.log):
+            if entry.attempt.state is TxnState.ABORTED:
+                continue
             if entry.step.is_read:
                 version, _owner = engine._resolve_source(
                     sched.source_of_read(position), entry.step.entity

@@ -48,12 +48,17 @@ class TestAbortLeavesNoTrace:
         assert engine.store.version_count() == baseline
         assert engine.store.final_state()["x"] == 1
 
-    def test_aborted_steps_are_stripped_from_the_log(self):
+    def test_aborted_steps_are_tombstones_in_the_log(self):
         engine = make_engine()
         a1, a2 = reject_t1_write(engine)
-        assert [e.step.txn for e in engine.log] == ["t2"]
-        # The scheduler was replayed over the surviving log.
-        assert [s.txn for s in engine.scheduler.accepted_steps] == ["t2"]
+        # t1's read stays where it was, its attempt aborted; t2's read
+        # does not move.
+        assert [(e.step.txn, e.attempt) for e in engine.log] == [
+            ("t1", a1), ("t2", a2),
+        ]
+        assert a1.state is TxnState.ABORTED
+        # The scheduler tombstoned t1's read in place.
+        assert engine.scheduler.accepted_steps == [None, read("t2", "x")]
 
     def test_survivor_commits_after_neighbour_abort(self):
         engine = make_engine()
@@ -118,8 +123,14 @@ class TestCascadingAborts:
         assert a2.abort_reason == "cascade"
         assert engine.metrics.aborted_cascade == 1
         assert engine.store.version_count() == baseline
-        # Only the clean reader's step survives.
-        assert [e.step.txn for e in engine.log] == ["t3"]
+        # Only the clean reader's step survives; the rest are tombstones.
+        assert [
+            e.step.txn for e in engine.log
+            if e.attempt.state is not TxnState.ABORTED
+        ] == ["t3"]
+        assert [s and s.txn for s in engine.scheduler.accepted_steps] == [
+            None, None, "t3",
+        ]
 
     def test_pending_dirty_reader_cannot_commit_before_its_source(self):
         engine = make_engine()

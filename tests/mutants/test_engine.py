@@ -1,4 +1,4 @@
-"""A mutant of the online engine's commit path, killed by a named check.
+"""Mutants of the online engine, each killed by a named check.
 
 ``OnlineEngine.finish`` finalizes — commits every pending attempt whose
 sources committed — unless the finishing attempt is held: a held
@@ -9,6 +9,13 @@ TestHeldFinish`` checks that skipping it changes no run).
 finalizes.  A transaction with nothing to wait on then stays pending
 after its last step, and ``tests/engine/test_engine.py::TestCommitPath::
 test_every_scheduler_commits_a_serial_stream`` must kill the mutant.
+
+An abort leaves its steps in the epoch log as tombstones, and
+``OnlineEngine.wants_epoch_close`` counts the live steps only, so aborts
+do not move the epoch bounds.  ``epoch-close-counts-tombstones`` is that
+property recompiled to count the log's length, tombstones and all;
+``tests/engine/test_engine.py::TestEpochs::
+test_tombstones_do_not_fill_the_log`` must kill it.
 """
 
 import pytest
@@ -37,3 +44,28 @@ def test_the_serial_commit_check_kills_the_mutant_only(mutate, monkeypatch):
         OnlineEngine.finish, old, new if mutate else old
     ))
     assert killed_by_the_serial_commit_check() == mutate
+
+
+#: ``epoch-close-counts-tombstones``: the whole log fills the epoch.
+COUNTS_TOMBSTONES = (
+    "len(self.log) - self._retracted >= self.epoch_max_steps",
+    "len(self.log) >= self.epoch_max_steps",
+)
+
+
+def killed_by_the_tombstone_check() -> bool:
+    epochs = test_engine.TestEpochs()
+    return any(
+        _fails(epochs.test_tombstones_do_not_fill_the_log, k)
+        for k in (1, 2, 3)
+    )
+
+
+@pytest.mark.parametrize("mutate", [True, False], ids=["mutant", "unmutated"])
+def test_the_tombstone_check_kills_the_epoch_mutant_only(mutate, monkeypatch):
+    """Killed when mutated; the property recompiled unmutated survives."""
+    old, new = COUNTS_TOMBSTONES
+    monkeypatch.setattr(OnlineEngine, "wants_epoch_close", mutated(
+        OnlineEngine.wants_epoch_close.fget, old, new if mutate else old
+    ))
+    assert killed_by_the_tombstone_check() == mutate

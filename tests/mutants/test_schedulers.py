@@ -22,14 +22,14 @@ what it stored stays:
   before the write-write and certification checks, so a rejected first
   step leaves it active.
 
-Killed by ``retract_then_continue`` (retract against truncate +
-re-submit, with each scheduler's internals in its ``state``) over
-``retraction_scripts()``:
+Killed by ``retract_then_continue`` (retract against the holes model,
+reset and re-feed with tombstones, with each scheduler's internals in
+its ``state``) over ``retraction_scripts()``:
 
 * 2PL ``retract-keeps-lock`` — a doomed transaction is forgotten as a
   lock holder, but its locks are not released;
-* SI ``retract-keeps-start`` — a survivor's snapshot start stays where
-  it was when the positions below it move down;
+* SI ``retract-keeps-doomed-start`` — a doomed transaction's snapshot
+  start stays, so its retry starts at the old attempt's first step;
 * 2V2PL ``retract-keeps-doomed-commit`` — a doomed transaction's
   certified write stays an entity's committed version.
 """
@@ -87,8 +87,8 @@ MUTANTS = {
          "        pending[entity] = position\n"
          "    completes = self._completes(txn)"),
     ),
-    "si-retract-keeps-start": (
-        "retract", ("starts[txn] = moved_down(position, removed)", "pass"),
+    "si-retract-keeps-doomed-start": (
+        "retract", ("self._start.pop(txn, None)", "pass"),
     ),
     "2v2pl-active-before-check": (
         "_accept",

@@ -25,6 +25,7 @@ from repro.schedulers import mvto  # noqa: E402
 from repro.schedulers.mvto import MVTOScheduler  # noqa: E402
 
 from tests.helpers import SEC4_S, SEC4_S_PRIME  # noqa: E402
+from tests.schedulers.retract_model import truncate  # noqa: E402
 
 
 class TestBasics:
@@ -216,7 +217,7 @@ class TestChainSearchIsLogarithmic:
         finally:
             sys.settrace(None)
         compared = CountedTimestamp.compared
-        sched.truncate(n)
+        truncate(sched, n)
         return compared, lines
 
     def test_a_read_bisects(self, long_chain):

@@ -33,6 +33,7 @@ from repro.schedulers import MVTOScheduler, SGTScheduler  # noqa: E402
 from repro.schedulers.base import Scheduler  # noqa: E402
 
 from tests.schedulers import test_truncate_model  # noqa: E402
+from tests.schedulers.retract_model import truncate  # noqa: E402
 from tests.schedulers.test_base import snapshot  # noqa: E402
 from tests.schedulers.test_truncate_model import scripts  # noqa: E402
 
@@ -143,8 +144,8 @@ def drive_both(live, model, script):
     for pick, stream in [(None, first), *rounds]:
         if pick is not None:
             n = pick % (len(live.accepted_steps) + 1)
-            live.truncate(n)
-            model.truncate(n)
+            truncate(live, n)
+            truncate(model, n)
             assert observable(live) == observable(model)
         for step in stream:
             decision = live.submit(step)
@@ -189,7 +190,7 @@ def rejections_that_left_a_trace(scheduler, script):
     _lengths, _primes, first, rounds = script
     for pick, stream in [(None, first), *rounds]:
         if pick is not None:
-            scheduler.truncate(pick % (len(scheduler.accepted_steps) + 1))
+            truncate(scheduler, pick % (len(scheduler.accepted_steps) + 1))
         test_truncate_model.feed(scheduler, stream)
     return traced
 

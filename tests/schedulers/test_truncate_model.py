@@ -1,18 +1,20 @@
-"""Model test: ``truncate(n)`` is "the state after the first n accepted steps".
+"""Model test: ``truncate(n)`` is "the state after the first n positions".
 
-A scheduler's state is a function of its accepted prefix, so a scheduler
+A scheduler's state is a function of its accepted log, so a scheduler
 that was fed a stream, truncated to ``n`` and fed a continuation must be
 indistinguishable from a fresh instance fed ``accepted[:n]`` and the same
-continuation.  Every scheduler truncates by the base-class re-derivation
-(reset and re-submit); the fresh instance never truncates, so it is the
-reference.
+continuation.  ``retract_model.truncate`` re-derives (reset and re-feed);
+the fresh instance never truncates, so it is the reference.
 
 ``retract`` is checked the same way against its definition: dropping a
-set of transactions (closed under reads-from) must leave what truncating
-to their first step and re-submitting the survivors leaves.  The five
-engine schedulers (MVTO, SGT, 2PL, SI, 2V2PL) retract in place, and
-``state`` holds what each of them rewrites; ``mvcg-eager`` keeps the
-base-class default, which is that definition, and rides along.
+set of transactions (closed under reads-from) must leave what the holes
+model leaves — reset, and re-feed the log with their steps as tombstones
+(``retract_model.retract``) — position for position.  The five engine
+schedulers (MVTO, SGT, 2PL, SI, 2V2PL) retract in place, and ``state``
+holds what each of them keeps.  The holes model itself is tied to the
+compact definition (truncate to the cut, re-submit the survivors packed)
+through the monotone renaming of the surviving positions, under every
+scheduler here, ``mvcg-eager`` included.
 """
 
 import pytest
@@ -21,7 +23,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.model.schedules import Schedule, T_INIT  # noqa: E402
+from repro.model.schedules import T_INIT  # noqa: E402
 from repro.model.steps import Op, Step, read, write  # noqa: E402
 from repro.model.version_functions import VersionFunction  # noqa: E402
 from repro.schedulers import (  # noqa: E402
@@ -33,6 +35,12 @@ from repro.schedulers import (  # noqa: E402
     TwoVersionTwoPL,
 )
 from repro.schedulers.base import Scheduler  # noqa: E402
+
+from tests.schedulers.retract_model import (  # noqa: E402
+    compact_retract,
+    retract,
+    truncate,
+)
 
 TXNS = ("a", "b", "c")
 ENTITIES = ("x", "y")
@@ -47,6 +55,9 @@ KINDS = {
     "sgt": (lambda lengths: SGTScheduler(), False),
     "mvcg-eager": (lambda lengths: EagerMVCGScheduler(), False),
 }
+
+#: the kinds that retract in place: every engine scheduler.
+RETRACTING = sorted(set(KINDS) - {"mvcg-eager"})
 
 steps = st.builds(
     Step, st.sampled_from(TXNS), st.sampled_from(Op), st.sampled_from(ENTITIES)
@@ -90,12 +101,26 @@ def feed(scheduler: Scheduler, stream) -> list[bool]:
     return decisions
 
 
+def standard(log: list) -> VersionFunction:
+    """``V_s`` of a log with tombstones: each read sourced from the last
+    live write of its entity before it."""
+    latest, sources = {}, {}
+    for position, step in enumerate(log):
+        if step is None:
+            continue
+        if step.is_read:
+            sources[position] = latest.get(step.entity, T_INIT)
+        else:
+            latest[step.entity] = position
+    return VersionFunction(sources)
+
+
 def observable(scheduler: Scheduler) -> dict:
     accepted = list(scheduler.accepted_steps)
     vf = scheduler.version_function()
     if not scheduler.chooses_versions:
         # single-version (2pl, sgt): the committed function is V_s itself
-        assert vf == VersionFunction.standard(Schedule(tuple(accepted)))
+        assert vf == standard(accepted)
     out = {
         "accepted": accepted,
         "dead": scheduler.dead,
@@ -103,7 +128,7 @@ def observable(scheduler: Scheduler) -> dict:
         "sources": [
             scheduler.source_of_read(p)
             for p, step in enumerate(accepted)
-            if step.is_read
+            if step is not None and step.is_read
         ],
     }
     if isinstance(scheduler, MVTOScheduler):
@@ -120,7 +145,7 @@ def truncate_then_continue(kind: str, script) -> None:
     for pick, continuation in rounds:
         n = pick % (len(live.accepted_steps) + 1)
         prefix = list(live.accepted_steps[:n])
-        live.truncate(n)
+        truncate(live, n)
 
         fresh = build(kind, lengths, primes)
         assert all(fresh.submit(step) for step in prefix)
@@ -137,7 +162,7 @@ def test_truncate_then_continue_equals_fresh_prefix_then_continue(kind, script):
     truncate_then_continue(kind, script)
 
 
-# -- retract == truncate + re-submit ----------------------------------------
+# -- retract == the holes model --------------------------------------------
 
 
 @st.composite
@@ -156,36 +181,21 @@ def retraction_scripts(draw):
 
 
 def doomed_positions(scheduler: Scheduler, txns: set) -> list[int]:
-    """Every position of ``txns`` and of whoever read from them, as the
-    engine's readers closure dooms them."""
+    """Every live position of ``txns`` and of whoever read from them, as
+    the engine's readers closure dooms them."""
     steps = scheduler.accepted_steps
+    live = [(p, step) for p, step in enumerate(steps) if step is not None]
     doomed = set(txns)
     grew = True
     while grew:
         grew = False
-        for position, step in enumerate(steps):
+        for position, step in live:
             if step.is_read and step.txn not in doomed:
                 source = scheduler.source_of_read(position)
                 if source != T_INIT and steps[source].txn in doomed:
                     doomed.add(step.txn)
                     grew = True
-    return [p for p, step in enumerate(steps) if step.txn in doomed]
-
-
-def truncate_and_resubmit(scheduler: Scheduler, removed: list[int]):
-    """``retract``'s definition, spelled out: the position of the first
-    survivor re-submission rejects, or None."""
-    steps = scheduler.accepted_steps
-    cut = removed[0] if removed else len(steps)
-    survivors = [
-        step for position, step in enumerate(steps)
-        if position >= cut and position not in removed
-    ]
-    scheduler.truncate(cut)
-    for position, step in enumerate(survivors, cut):
-        if not scheduler.submit(step):
-            return position
-    return None
+    return [p for p, step in live if step.txn in doomed]
 
 
 def _nonempty(table: dict) -> dict:
@@ -238,9 +248,10 @@ def state(scheduler: Scheduler) -> dict:
 
 
 def retract_then_continue(kind: str, script) -> None:
-    """Per round: retract a doomed set from one instance, truncate and
-    re-submit on another; then a continuation, then a truncate.  Equal
-    return, decisions and state throughout."""
+    """Per round: retract a doomed set from one instance in place, and
+    by the holes model from another; then a continuation, then a
+    truncate.  Equal return, decisions and state throughout, position
+    for position."""
     lengths, primes, first, rounds = script
     live = build(kind, lengths, primes)
     reference = build(kind, lengths, primes)
@@ -248,27 +259,84 @@ def retract_then_continue(kind: str, script) -> None:
     for mask, continuation, pick in rounds:
         txns = {txn for bit, txn in enumerate(TXNS) if mask >> bit & 1}
         removed = doomed_positions(live, txns)
-        rejected = live.retract(removed)
-        assert rejected == truncate_and_resubmit(reference, removed)
-        if rejected is not None:
-            assert live.dead and reference.dead
-            return
+        assert live.retract(removed) is None
+        assert retract(reference, removed) is None
         assert state(live) == state(reference)
 
         assert feed(live, continuation) == feed(reference, continuation)
         assert state(live) == state(reference)
 
         n = pick % (len(live.accepted_steps) + 1)
-        live.truncate(n)
-        reference.truncate(n)
+        truncate(live, n)
+        truncate(reference, n)
         assert state(live) == state(reference)
+
+
+@pytest.mark.parametrize("kind", RETRACTING)
+@settings(max_examples=300, deadline=None)
+@given(script=retraction_scripts())
+def test_retract_equals_truncate_and_resubmit(kind, script):
+    retract_then_continue(kind, script)
+
+
+def renamed(scheduler: Scheduler, rename: dict) -> dict:
+    """``observable`` of a log with tombstones, each surviving position
+    carried to the compact one ``rename`` gives it."""
+    out = observable(scheduler)
+    out["accepted"] = [step for step in out["accepted"] if step is not None]
+    out["assignments"] = {
+        rename[position]: rename.get(source, source)
+        for position, source in out["assignments"].items()
+    }
+    out["sources"] = [rename.get(source, source) for source in out["sources"]]
+    return out
+
+
+def renaming(scheduler: Scheduler) -> dict:
+    """Each live position -> its index among the live ones: monotone."""
+    live = (
+        p for p, step in enumerate(scheduler.accepted_steps)
+        if step is not None
+    )
+    return {position: index for index, position in enumerate(live)}
+
+
+def holes_then_compact(kind: str, script) -> None:
+    """Per round: retract a doomed set by the holes model from one
+    instance, by the compact definition from another; then a
+    continuation, then a truncate.  Equal returns, decisions and state
+    throughout, once the holey side's positions are renamed."""
+    lengths, primes, first, rounds = script
+    holey = build(kind, lengths, primes)
+    compact = build(kind, lengths, primes)
+    assert feed(holey, first) == feed(compact, first)
+    for mask, continuation, pick in rounds:
+        txns = {txn for bit, txn in enumerate(TXNS) if mask >> bit & 1}
+        removed = doomed_positions(holey, txns)
+        rename = renaming(holey)
+        rejected = compact_retract(compact, [rename[p] for p in removed])
+        refused = retract(holey, removed)
+        rename = renaming(holey)
+        assert rename.get(refused, refused) == rejected
+        assert renamed(holey, rename) == observable(compact)
+        if rejected is not None:
+            return
+
+        assert feed(holey, continuation) == feed(compact, continuation)
+        rename = renaming(holey)
+        assert renamed(holey, rename) == observable(compact)
+
+        n = pick % (len(holey.accepted_steps) + 1)
+        truncate(holey, n)
+        truncate(compact, sum(1 for p in rename if p < n))
+        assert renamed(holey, renaming(holey)) == observable(compact)
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
 @settings(max_examples=300, deadline=None)
 @given(script=retraction_scripts())
-def test_retract_equals_truncate_and_resubmit(kind, script):
-    retract_then_continue(kind, script)
+def test_the_holes_model_is_compact_retract_renamed(kind, script):
+    holes_then_compact(kind, script)
 
 
 def test_mvto_retract_lowers_the_r_timestamp_to_the_surviving_reads():
@@ -292,23 +360,25 @@ def test_mvto_retract_never_reissues_a_timestamp():
     assert sched.submit(write("c", "x"))
     # b is older than c, so b reads x's initial version, not c's write.
     assert sched.submit(read("b", "x"))
-    assert sched.source_of_read(3) == T_INIT
+    assert sched.accepted_steps[0] is None  # a tombstone: nothing moved
+    assert sched.source_of_read(4) == T_INIT
 
 
 def test_truncate_after_retract_rederives_below_the_retraction():
-    """A retraction moves the survivors down; a truncate after it
-    re-derives the surviving prefix, above the retraction or below."""
+    """A retraction leaves a tombstone and moves nobody; a truncate after
+    it re-derives the prefix, holes kept, above the retraction or
+    below."""
     sched = SGTScheduler()
     assert sched.submit(write("a", "x"))
     assert sched.submit(read("b", "y"))
     assert sched.submit(read("c", "x"))  # arc a -> c
     sched.retract([1])
-    assert sched.accepted_steps == [write("a", "x"), read("c", "x")]
+    assert sched.accepted_steps == [write("a", "x"), None, read("c", "x")]
     assert sched.submit(write("b", "y"))
-    sched.truncate(2)  # drops b's write
-    assert sched.accepted_steps == [write("a", "x"), read("c", "x")]
+    truncate(sched, 3)  # drops b's write
+    assert sched.accepted_steps == [write("a", "x"), None, read("c", "x")]
     assert sched._graph.arcs == [("a", "c")]
-    sched.truncate(1)  # re-derives a's write alone
+    truncate(sched, 1)  # re-derives a's write alone
     assert sched.accepted_steps == [write("a", "x")]
     assert sched._graph.arcs == [] and sched._readers == {}
 
@@ -320,7 +390,7 @@ def test_mvto_truncate_restores_max_reader_ts():
     sched = MVTOScheduler()
     assert sched.submit(write("a", "y"))  # a is the older transaction
     assert sched.submit(read("b", "x"))  # marks x's initial version read at 1
-    sched.truncate(1)
+    truncate(sched, 1)
     # With b's read gone, a's write of x invalidates nobody.
     assert sched.submit(write("a", "x"))
 
@@ -329,7 +399,7 @@ def test_mvto_truncate_drops_the_fresh_timestamp():
     sched = MVTOScheduler()
     assert sched.submit(read("a", "x"))
     assert sched.submit(read("b", "x"))
-    sched.truncate(1)
+    truncate(sched, 1)
     assert sched.submit(read("c", "y"))
     assert sched.serialization_order() == ["a", "c"]
     # b arrives again (the retry) and is now the youngest.
@@ -342,7 +412,7 @@ def test_mvto_primes_survive_truncate():
     sched.prime_transaction("a", 5)
     sched.prime_transaction("b", 2)
     assert sched.submit(read("a", "x")) and sched.submit(read("b", "x"))
-    sched.truncate(0)
+    truncate(sched, 0)
     assert sched.submit(read("a", "x")) and sched.submit(read("b", "x"))
     assert sched.serialization_order() == ["b", "a"]
 
@@ -354,7 +424,7 @@ def mid_chain_insert(sched):
     sched.prime_transaction("b", 1)
     assert sched.submit(write("b", "x"))
     assert sched.submit(write("a", "x"))  # inserted mid-chain, not appended
-    sched.truncate(1)
+    truncate(sched, 1)
     assert sched.submit(read("b", "x"))
     return sched.source_of_read(1)
 
@@ -367,7 +437,7 @@ def test_2pl_truncate_retakes_a_released_lock():
     sched = TwoPhaseLocking({"a": 2, "b": 1})
     assert sched.submit(read("a", "x"))
     assert sched.submit(write("a", "x"))  # a's last step: locks released
-    sched.truncate(1)
+    truncate(sched, 1)
     assert not sched.submit(write("b", "x"))  # a holds its read lock again
 
 
@@ -375,7 +445,7 @@ def test_si_truncate_uncommits():
     sched = SnapshotIsolationScheduler({"a": 1, "b": 2})
     assert sched.submit(read("b", "y"))
     assert sched.submit(write("a", "x"))  # a commits a write of x
-    sched.truncate(1)
+    truncate(sched, 1)
     # Nobody committed x concurrently with b any more.
     assert sched.submit(write("b", "x"))
 
@@ -383,7 +453,7 @@ def test_si_truncate_uncommits():
 def test_2v2pl_truncate_uncertifies():
     sched = TwoVersionTwoPL({"a": 1, "b": 1})
     assert sched.submit(write("a", "x"))  # certified: x's committed version
-    sched.truncate(0)
+    truncate(sched, 0)
     assert sched.submit(read("b", "x"))
     assert sched.source_of_read(0) == T_INIT
 
@@ -392,7 +462,7 @@ def test_sgt_truncate_removes_arcs():
     sched = SGTScheduler()
     assert sched.submit(write("a", "x"))
     assert sched.submit(read("b", "x"))  # arc a -> b
-    sched.truncate(1)
+    truncate(sched, 1)
     assert sched.submit(write("b", "y"))
     assert sched.submit(read("a", "y"))  # b -> a alone is no cycle
 
@@ -409,20 +479,20 @@ def test_truncate_edges(kind):
     accepted = list(sched.accepted_steps)
 
     with pytest.raises(ValueError):
-        sched.truncate(count + 1)
+        truncate(sched, count + 1)
     with pytest.raises(ValueError):
-        sched.truncate(-1)
+        truncate(sched, -1)
 
     # truncate(len): nothing undone, but a dead scheduler is alive again
     # and rejects the same step for the same reason.
     was_dead = sched.dead
-    sched.truncate(count)
+    truncate(sched, count)
     assert not sched.dead and sched.accepted_steps == accepted
     if was_dead:
         assert not sched.submit(stream[count])
-        sched.truncate(count)
+        truncate(sched, count)
 
-    sched.truncate(0)
+    truncate(sched, 0)
     assert sched.accepted_steps == [] and not sched.dead
     fresh = build(kind, lengths, {"a": 0, "b": 1})
     assert feed(sched, stream) == feed(fresh, stream)
